@@ -18,15 +18,19 @@ size form a generating tree: the children of pi are the pi . a for the
 The active sites are found without testing each insertion separately.
 Since the prefix of pi . a is order-isomorphic to pi, a new occurrence of
 a pattern q must use the inserted last position as the final pattern
-entry.  Each embedding of the first m-1 pattern entries into pi forbids
-exactly one interval of insertion values (max of the host values playing
-smaller roles, min of those playing larger roles), so one backtracking
-sweep per pattern yields the forbidden set as a bitmask.
+entry.  So each pattern in PATTERNS has one O(n) scan: walk the adjacent
+ascents or descents of pi with a bitset of the values before (for [14]23,
+after) the pair; the lowest or highest of them inside the pair's value
+interval bounds the widest band of insertion values the pair forbids.
+231 needs only a right-to-left running maximum.  A class can only be
+built from patterns with a scan; ``contains`` is the reference matcher.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 Perm = tuple[int, ...]
 Label = tuple[int, int]
@@ -45,15 +49,14 @@ class VincularPattern:
     classical pattern.
     """
 
-    __slots__ = (
-        "values", "adjacent", "text", "size",
-        "_adj_prev", "_cmps", "_anchor_adj", "_less_last", "_greater_last",
-    )
+    __slots__ = ("values", "adjacent", "text", "size", "_adj_prev", "_cmps")
 
     def __init__(self, values: Perm, adjacent: frozenset[int], text: str = ""):
-        assert is_permutation(values), values
+        if not is_permutation(values):
+            raise ValueError(f"pattern {text or values!r} is not a permutation")
         m = len(values)
-        assert all(1 <= i <= m - 1 for i in adjacent), adjacent
+        if not all(1 <= i <= m - 1 for i in adjacent):
+            raise ValueError(f"adjacency {sorted(adjacent)} out of range 1..{m - 1}")
         self.values = values
         self.adjacent = adjacent
         self.text = text or "".join(map(str, values))
@@ -65,11 +68,6 @@ class VincularPattern:
             tuple((s, values[t] > values[s]) for s in range(t))
             for t in range(m)
         )
-        # data for the anchored matcher (last pattern entry at the host end)
-        self._anchor_adj = (m - 1) in adjacent
-        last = values[m - 1]
-        self._less_last = tuple(t for t in range(m - 1) if values[t] < last)
-        self._greater_last = tuple(t for t in range(m - 1) if values[t] > last)
 
     def __repr__(self) -> str:
         return f"VincularPattern({self.text!r})"
@@ -116,24 +114,109 @@ def parse_pattern(text: str) -> VincularPattern:
             raise ValueError(f"bad character {ch!r} in pattern {text!r}")
     if depth:
         raise ValueError(f"unbalanced brackets in {text!r}")
-    pat = tuple(values)
-    if not is_permutation(pat):
-        raise ValueError(f"pattern {text!r} is not a permutation")
-    return VincularPattern(pat, frozenset(adjacent), text)
-
-
-@dataclass(frozen=True)
-class AvoidanceClass:
-    """A named family Av(patterns)."""
-
-    name: str
-    patterns: tuple[VincularPattern, ...]
+    return VincularPattern(tuple(values), frozenset(adjacent), text)
 
 
 PATTERNS: dict[str, VincularPattern] = {
     s: parse_pattern(s)
     for s in ("2[41]3", "3[14]2", "3[41]2", "2[14]3", "[14]23", "231")
 }
+
+# A scan maps an avoider p to the bitmask of insertion values a (bit a-1)
+# for which p . a has an occurrence ending at the new point.  Witnesses that
+# pin the new point between host values lo < hi forbid bits lo..hi-1.
+# ``x = seen & ((1 << b) - (2 << c))`` holds the seen values strictly between
+# c and b; the lowest is the bit ``x & -x``, the highest x.bit_length() - 1.
+Scan = Callable[[Perm], int]
+
+
+def _scan_2_41_3(p: Perm) -> int:
+    # descent b > c; an earlier value in (c, b) plays 2, the new point 3
+    seen = mask = 0
+    for b, c in zip(p, p[1:]):
+        if b > c and (x := seen & ((1 << b) - (2 << c))):
+            mask |= (1 << b) - (x & -x)
+        seen |= 1 << b
+    return mask
+
+
+def _scan_2_14_3(p: Perm) -> int:
+    # ascent c < b; an earlier value in (c, b) plays 2, the new point 3
+    seen = mask = 0
+    for c, b in zip(p, p[1:]):
+        if c < b and (x := seen & ((1 << b) - (2 << c))):
+            mask |= (1 << b) - (x & -x)
+        seen |= 1 << c
+    return mask
+
+
+def _scan_3_14_2(p: Perm) -> int:
+    # ascent c < b; an earlier value in (c, b) plays 3, the new point 2
+    seen = mask = 0
+    for c, b in zip(p, p[1:]):
+        if c < b and (x := seen & ((1 << b) - (2 << c))):
+            mask |= (1 << (x.bit_length() - 1)) - (1 << c)
+        seen |= 1 << c
+    return mask
+
+
+def _scan_3_41_2(p: Perm) -> int:
+    # descent b > c; an earlier value in (c, b) plays 3, the new point 2
+    seen = mask = 0
+    for b, c in zip(p, p[1:]):
+        if b > c and (x := seen & ((1 << b) - (2 << c))):
+            mask |= (1 << (x.bit_length() - 1)) - (1 << c)
+        seen |= 1 << b
+    return mask
+
+
+def _scan_14_23(p: Perm) -> int:
+    # ascent c < b read right to left; a later value in (c, b) plays 2
+    seen = mask = 0
+    r = p[::-1]
+    for b, c in zip(r, r[1:]):
+        if c < b and (x := seen & ((1 << b) - (2 << c))):
+            mask |= (1 << b) - (x & -x)
+        seen |= 1 << b
+    return mask
+
+
+def _scan_231(p: Perm) -> int:
+    # the largest value with a larger value to its right plays 2
+    top = hi = 0
+    for v in reversed(p):
+        if v > top:
+            top = v
+        elif v > hi:
+            hi = v
+    return (1 << hi) - 1
+
+
+_SCANS: dict[VincularPattern, Scan] = {
+    PATTERNS["2[41]3"]: _scan_2_41_3,
+    PATTERNS["3[14]2"]: _scan_3_14_2,
+    PATTERNS["3[41]2"]: _scan_3_41_2,
+    PATTERNS["2[14]3"]: _scan_2_14_3,
+    PATTERNS["[14]23"]: _scan_14_23,
+    PATTERNS["231"]: _scan_231,
+}
+
+
+@dataclass(frozen=True)
+class AvoidanceClass:
+    """A named family Av(patterns) over patterns with an anchored scan."""
+
+    name: str
+    patterns: tuple[VincularPattern, ...]
+
+    def __post_init__(self) -> None:
+        if missing := [q.text for q in self.patterns if q not in _SCANS]:
+            raise ValueError(f"no anchored scan for pattern(s) {', '.join(missing)}")
+
+    @property
+    def scans(self) -> tuple[Scan, ...]:
+        return tuple(_SCANS[q] for q in self.patterns)
+
 
 CLASSES: dict[str, AvoidanceClass] = {
     "semi": AvoidanceClass("semi", (PATTERNS["2[41]3"],)),
@@ -208,79 +291,15 @@ def right_insert(p: Perm, a: int) -> Perm:
     >>> right_insert((2, 1), 2)
     (3, 1, 2)
     """
-    n = len(p)
-    if not 1 <= a <= n + 1:
-        raise ValueError(f"insertion value {a} out of range 1..{n + 1}")
-    out = [v + 1 if v >= a else v for v in p]
-    out.append(a)
-    return tuple(out)
+    if not 1 <= a <= len(p) + 1:
+        raise ValueError(f"insertion value {a} out of range 1..{len(p) + 1}")
+    return tuple(v + 1 if v >= a else v for v in p) + (a,)
 
 
-def _forbidden_mask(p: Perm, q: VincularPattern) -> int:
-    """Bitmask of insertion values a (bit a-1) creating an occurrence of q.
-
-    Only occurrences ending at the inserted position can be new, so each
-    embedding of the first m-1 pattern entries forbids the value interval
-    (max of hosts below the last pattern entry, min of hosts above].
-    """
-    n = len(p)
-    m1 = q.size - 1
-    if m1 > n:
-        return 0
-    adj_prev = q._adj_prev
-    cmps = q._cmps
-    anchor_adj = q._anchor_adj
-    less_last = q._less_last
-    greater_last = q._greater_last
-    chosen = [0] * m1
-    vals = [0] * m1
+def _class_mask(p: Perm, scans: tuple[Scan, ...]) -> int:
     mask = 0
-
-    def place(t: int, start: int) -> None:
-        nonlocal mask
-        if t == m1:
-            lo = 0
-            for s in less_last:
-                v = vals[s]
-                if v > lo:
-                    lo = v
-            hi = n + 1
-            for s in greater_last:
-                v = vals[s]
-                if v < hi:
-                    hi = v
-            if lo < hi:
-                mask |= (1 << hi) - (1 << lo)
-            return
-        if t == m1 - 1 and anchor_adj:
-            # the last placed entry must hug the insertion point
-            j0 = n - 1
-            if t > 0 and (chosen[t - 1] >= j0 or (adj_prev[t] and chosen[t - 1] + 1 != j0)):
-                return
-            cand = range(j0, j0 + 1)
-        elif adj_prev[t]:
-            nxt = chosen[t - 1] + 1
-            cand = range(nxt, nxt + 1) if nxt < n else range(0)
-        else:
-            cand = range(start, n - (m1 - 1 - t))
-        for j in cand:
-            v = p[j]
-            for s, greater in cmps[t]:
-                if (v > vals[s]) != greater:
-                    break
-            else:
-                chosen[t] = j
-                vals[t] = v
-                place(t + 1, j + 1)
-
-    place(0, 0)
-    return mask
-
-
-def _class_mask(p: Perm, patterns: tuple[VincularPattern, ...]) -> int:
-    mask = 0
-    for q in patterns:
-        mask |= _forbidden_mask(p, q)
+    for scan in scans:
+        mask |= scan(p)
     return mask
 
 
@@ -292,7 +311,7 @@ def active_sites(p: Perm, cls: AvoidanceClass) -> list[int]:
     """
     if not avoids(p, cls):
         raise ValueError(f"{p} is not in class {cls.name}")
-    mask = _class_mask(p, cls.patterns)
+    mask = _class_mask(p, cls.scans)
     return [a for a in range(1, len(p) + 2) if not (mask >> (a - 1)) & 1]
 
 
@@ -311,13 +330,16 @@ def label_of(p: Perm, cls: AvoidanceClass) -> Label:
     """
     if cls.name not in LABELLED_CLASSES:
         raise ValueError(f"class {cls.name} carries no (h, k) label")
-    sites = active_sites(p, cls)
-    last = p[-1]
-    h = sum(1 for a in sites if a <= last)
-    k = len(sites) - h
-    if cls.name == "plane":
-        h, k = k, h
-    return (h, k)
+    if not avoids(p, cls):
+        raise ValueError(f"{p} is not in class {cls.name}")
+    return _label(p, cls.scans, cls.name == "plane")
+
+
+def _label(p: Perm, scans: tuple[Scan, ...], swap: bool) -> Label:
+    free = ~_class_mask(p, scans) & ((1 << (len(p) + 1)) - 1)
+    h = (free & ((1 << p[-1]) - 1)).bit_count()
+    k = free.bit_count() - h
+    return (k, h) if swap else (h, k)
 
 
 def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
@@ -330,44 +352,35 @@ def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
     >>> enumerate_class(CLASSES["baxter"], 5)
     [1, 2, 6, 22, 92]
     """
-    if n_max == 0:
-        return []
-    counts = [0] * (n_max + 1)
-    counts[1] = 1
-    if n_max == 1:
-        return counts[1:]
-    patterns = cls.patterns
-    last_level = n_max - 1
-    stack: list[Perm] = [(1,)]
-    push = stack.append
+    counts = [1] + [0] * (n_max - 1) if n_max > 0 else []  # counts[i]: size i + 1
+    scans = cls.scans
+    stack: list[Perm] = [(1,)] if n_max > 1 else []
     while stack:
         p = stack.pop()
         n = len(p)
-        mask = _class_mask(p, patterns)
-        if n == last_level:
-            # children are only counted, never materialized
-            free = ~mask & ((1 << (n + 1)) - 1)
-            counts[n + 1] += free.bit_count()
-            continue
-        for a in range(1, n + 2):
-            if not (mask >> (a - 1)) & 1:
-                child = [v + 1 if v >= a else v for v in p]
-                child.append(a)
-                counts[n + 1] += 1
-                push(tuple(child))
-    return counts[1:]
+        free = ~_class_mask(p, scans) & ((1 << (n + 1)) - 1)
+        counts[n] += free.bit_count()
+        if n + 1 < n_max:  # the last level is counted, never materialized
+            for a in range(1, n + 2):
+                if free >> (a - 1) & 1:
+                    child = [v + 1 if v >= a else v for v in p]
+                    child.append(a)
+                    stack.append(tuple(child))
+    return counts
 
 
 def iter_avoiders(cls: AvoidanceClass, n: int):
     """Yield every avoider of size exactly n (tree order)."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"avoider size must be >= 1, got {n}")
+    scans = cls.scans
     stack: list[Perm] = [(1,)]
     while stack:
         p = stack.pop()
         if len(p) == n:
             yield p
             continue
-        mask = _class_mask(p, cls.patterns)
+        mask = _class_mask(p, scans)
         for a in range(1, len(p) + 2):
             if not (mask >> (a - 1)) & 1:
                 stack.append(right_insert(p, a))
@@ -377,19 +390,5 @@ def label_census(cls: AvoidanceClass, n: int) -> dict[Label, int]:
     """Multiset of labels over all avoiders of size n."""
     if cls.name not in LABELLED_CLASSES:
         raise ValueError(f"class {cls.name} carries no (h, k) label")
-    swap = cls.name == "plane"
-    census: dict[Label, int] = {}
-    for p in iter_avoiders(cls, n):
-        mask = _class_mask(p, cls.patterns)
-        last = p[-1]
-        h = 0
-        total = 0
-        for a in range(1, n + 2):
-            if not (mask >> (a - 1)) & 1:
-                total += 1
-                if a <= last:
-                    h += 1
-        k = total - h
-        lab = (k, h) if swap else (h, k)
-        census[lab] = census.get(lab, 0) + 1
-    return census
+    scans, swap = cls.scans, cls.name == "plane"
+    return dict(Counter(_label(p, scans, swap) for p in iter_avoiders(cls, n)))

@@ -568,8 +568,9 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     must fix the kernel value, and the orbit must close with exactly 10
     points.  For the strong kernel Q(a,b) = 1/a+1/b+a/b+a+2+b the maps
     (a,b) -> (a,(1+a)/b) and (a,b) -> (b/(a(1+b)), b) must fix Q while
-    the orbit stays open past 100 points.  Points that hit a pole are
-    re-drawn, at most 10 times each.
+    the orbit stays open past 100 points.  Points that hit a pole, and
+    semi points with a nontrivial stabiliser (an orbit that closes at a
+    proper divisor of 10), are re-drawn, at most 10 times each.
     """
     assert trials >= 1 and group in _KERNEL_MAPS
     rng = random.Random(seed)
@@ -597,11 +598,15 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
                     q0 = _q_strong(a, b)
                     same = _q_strong(*phi(a, b)) == q0 and _q_strong(*psi(a, b)) == q0
                 size, closed = kernel_orbit(group, a, b, limit=limit)
-                break
             except ZeroDivisionError:
                 redraws += 1
+                continue
+            if group == "semi" and closed and size < 10 and 10 % size == 0:
+                redraws += 1
+                continue
+            break
         else:
-            raise RuntimeError("no pole-free point after 10 re-draws")
+            raise RuntimeError("no generic point after 10 re-draws")
         invariant_ok = invariant_ok and same
         orbit_sizes.append(size)
         if group == "semi":

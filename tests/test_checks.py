@@ -1,5 +1,14 @@
 """The consistency suite: registry, determinism, failure reporting."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import baxterlab
 from baxterlab import checks
 
 
@@ -58,3 +67,41 @@ def test_exception_becomes_failure(monkeypatch):
     assert not rep.ok
     assert "raised RuntimeError" in rep.detail
     assert "synthetic" in rep.detail
+
+
+def test_elapsed_times_sum_within_wall_time():
+    # the checks run one after another, so their own times add up to at
+    # most the wall time of the whole call
+    t0 = time.perf_counter()
+    reports = checks.run_suite("quick")
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    assert sum(r.elapsed_ms for r in reports) <= wall_ms * 1.05
+
+
+def test_compare_routes_needs_two_routes():
+    with pytest.raises(ValueError, match="two routes"):
+        checks.compare_routes({"only": [1, 2, 6]})
+
+
+def test_run_suite_rejects_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite"):
+        checks.run_suite("medium")
+
+
+def test_guards_raise_under_optimize():
+    code = (
+        "from baxterlab import checks, perms\n"
+        "for call in (lambda: checks.run_suite('medium'),\n"
+        "             lambda: checks.compare_routes({'only': [1]}),\n"
+        "             lambda: perms.VincularPattern((1, 1), frozenset()),\n"
+        "             lambda: list(perms.iter_avoiders(perms.CLASSES['semi'], 0))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('guard did not fire')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(baxterlab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr + done.stdout

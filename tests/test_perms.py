@@ -3,10 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baxterlab import perms
 
 from conftest import (
+    BAXTER,
     CATALAN,
     ORACLE_CLASSES,
     SB,
@@ -132,3 +135,75 @@ def test_label_census_matches_iteration():
         rebuilt[lab] = rebuilt.get(lab, 0) + 1
     assert census == rebuilt
     assert sum(census.values()) == SB[4]
+
+
+# The anchored scans against the reference matcher.  A scan only reports
+# occurrences that end at the inserted point, so it is compared on avoiders
+# of its pattern, the only permutations the generating tree ever holds.
+
+def _reference_mask(p, q):
+    return sum(
+        1 << (a - 1)
+        for a in range(1, len(p) + 2)
+        if perms.contains(perms.right_insert(p, a), q)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(perms.PATTERNS))
+def test_scan_vs_reference_exhaustive_n7(name):
+    q = perms.PATTERNS[name]
+    scan = perms._SCANS[q]
+    level = [(1,)]
+    for _ in range(7):
+        children = []
+        for p in level:
+            mask = _reference_mask(p, q)
+            assert scan(p) == mask, p
+            children += [perms.right_insert(p, a)
+                         for a in range(1, len(p) + 2) if not mask >> (a - 1) & 1]
+        level = children
+
+
+@st.composite
+def avoiders(draw, q):
+    """An avoider of q of size <= 14, grown by the reference matcher."""
+    p = (1,)
+    for choice in draw(st.lists(st.integers(0, 14), max_size=13)):
+        sites = [(choice + i) % (len(p) + 1) + 1 for i in range(len(p) + 1)]
+        p = next(c for c in (perms.right_insert(p, a) for a in sites)
+                 if not perms.contains(c, q))
+    return p
+
+
+@pytest.mark.parametrize("name", sorted(perms.PATTERNS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scan_vs_reference_random(name, data):
+    q = perms.PATTERNS[name]
+    p = data.draw(avoiders(q))
+    assert perms._SCANS[q](p) == _reference_mask(p, q)
+
+
+@pytest.mark.parametrize("name, want", [
+    ("semi", SB), ("plane", SB), ("exp1423", SB), ("strong", STRONG),
+    ("baxter", BAXTER), ("twisted", BAXTER), ("av231", CATALAN),
+])
+def test_enumerate_class_n9_vs_frozen_prefixes(name, want):
+    assert perms.enumerate_class(perms.CLASSES[name], 9) == want[:9]
+
+
+def test_pattern_guards_raise():
+    with pytest.raises(ValueError, match="not a permutation"):
+        perms.VincularPattern((1, 1, 2), frozenset())
+    with pytest.raises(ValueError, match="adjacency"):
+        perms.VincularPattern((2, 1), frozenset({2}))
+
+
+def test_iter_avoiders_rejects_size_zero():
+    with pytest.raises(ValueError, match="size"):
+        list(perms.iter_avoiders(perms.CLASSES["semi"], 0))
+
+
+def test_class_without_scan_is_rejected():
+    with pytest.raises(ValueError, match="no anchored scan for pattern"):
+        perms.AvoidanceClass("x", (perms.parse_pattern("1[32]"),))

@@ -169,6 +169,18 @@ def test_kernel_invariance_reports():
     assert all(s > 100 for s in rep["orbit_sizes"])
 
 
+def test_kernel_invariance_redraws_stabilised_semi_points():
+    # seed 8 draws a point whose semi orbit closes at 5 points; it is
+    # re-drawn like a pole, and every accepted orbit still has 10 points
+    rep = series.kernel_invariance("semi", 40, seed=8)
+    assert rep["ok"]
+    assert rep["orbit_sizes"] == [10] * 40
+    assert rep["redraws"] == 3
+    # a seed that draws no such point keeps its report
+    rep = series.kernel_invariance("semi", 40, seed=1)
+    assert rep["ok"] and rep["redraws"] == 2
+
+
 # ---------------------------------------------------------------------------
 # rational specialization identities
 
