@@ -1,13 +1,16 @@
-"""Cross-route consistency suite.
+"""The family->route table and the cross-route consistency suite.
 
 Every count in the package is reachable by at least two independent
 routes (direct enumeration, succession rules, closed formulas, series
-extraction, walk models).  Each check here pits routes against one
-another and, on disagreement, reports the two route names and the
-smallest size where they differ.  The checks run one after another, so
-each report's elapsed_ms is that check's own wall time.  The quick suite
-runs in under a second; the full suite raises every bound to its
-documented budget and runs in a few seconds.
+extraction, walk models).  FAMILIES names them; `baxterlab seq` prints
+any one of them, and the route checks of the suite run all routes of a
+family (plus a few borrowed from another family) and compare them.  On
+disagreement a check reports the two route names and the smallest size
+where they differ.  The series-side verdicts that `baxterlab series
+--check` prints are the functions their checks call.  The checks run
+one after another, so each report's elapsed_ms is that check's own wall
+time.  The quick suite runs in under a second; the full suite raises
+every bound to its documented budget and runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -18,6 +21,102 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import formulas, invseq, perms, rules, series, walks
+
+Route = Callable[[int], Sequence[int]]
+
+
+def _perm_brute(cls_name: str) -> Route:
+    return lambda n: perms.enumerate_class(perms.CLASSES[cls_name], n)
+
+
+def _rule_counts(rule_name: str) -> Route:
+    return lambda n: rules.count_sequence(rules.RULES[rule_name], n)
+
+
+def _sb_formula(route: str) -> Route:
+    return lambda n: formulas.sb_table(n, route)[1:]
+
+
+_SB_ROUTES: dict[str, Route] = {
+    "brute": _perm_brute("semi"),
+    "rule": _rule_counts("semi"),
+    "recurrence": _sb_formula("recurrence"),
+    "sum": _sb_formula("sum"),
+    "a": _sb_formula("a"),
+    "b": _sb_formula("b"),
+    "c": _sb_formula("c"),
+    "d": _sb_formula("d"),
+    "apery": _sb_formula("apery"),
+    "invseq": lambda n: [invseq.total_via_formula(m) for m in range(1, n + 1)],
+}
+
+# family -> first index, default route and routes; a route maps n_max to
+# the terms for n = offset..n_max.
+FAMILIES: dict[str, dict] = {
+    "sb": {"offset": 1, "default": "recurrence", "routes": _SB_ROUTES},
+    "semi": {"offset": 1, "default": "recurrence", "routes": _SB_ROUTES},
+    "plane": {
+        "offset": 1,
+        "default": "rule",
+        "routes": {"brute": _perm_brute("plane"), "rule": _rule_counts("semi")},
+    },
+    "baxter": {
+        "offset": 1,
+        "default": "closed",
+        "routes": {
+            "brute": _perm_brute("baxter"),
+            "rule": _rule_counts("bax"),
+            "twisted-rule": _rule_counts("tbax"),
+            "closed": lambda n: [formulas.baxter_closed(m) for m in range(1, n + 1)],
+            "ollerton": lambda n: formulas.baxter_recurrence(n)[1:],
+        },
+    },
+    "twisted": {
+        "offset": 1,
+        "default": "rule",
+        "routes": {"brute": _perm_brute("twisted"), "rule": _rule_counts("tbax")},
+    },
+    "strong": {
+        "offset": 1,
+        "default": "rule",
+        "routes": {
+            "brute": _perm_brute("strong"),
+            "rule": _rule_counts("strong"),
+            "walks": lambda n: walks.strong_from_walks(n)[1:],
+        },
+    },
+    "av231": {
+        "offset": 1,
+        "default": "closed",
+        "routes": {
+            "brute": _perm_brute("av231"),
+            "rule": _rule_counts("cat"),
+            "closed": lambda n: [formulas.catalan(m) for m in range(1, n + 1)],
+        },
+    },
+    "exp1423": {
+        "offset": 1,
+        "default": "brute",
+        "routes": {"brute": _perm_brute("exp1423")},
+    },
+    "apery": {
+        "offset": 0,
+        "default": "closed",
+        "routes": {
+            "closed": lambda n: [formulas.apery_closed(m) for m in range(n + 1)],
+            "recurrence": lambda n: formulas.apery_recurrence(n),
+        },
+    },
+    "invseq": {
+        "offset": 1,
+        "default": "formula",
+        "routes": {
+            "formula": lambda n: [invseq.total_via_formula(m) for m in range(1, n + 1)],
+            "dp": lambda n: [sum(invseq.q_table(m).values()) for m in range(1, n + 1)],
+            "brute": lambda n: invseq.count_avoiders_bruteforce(n),
+        },
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -108,73 +207,40 @@ _BOUNDS: dict[str, Bounds] = {
 
 Outcome = tuple[bool, str]
 
-
-def _chk_semi_all_routes(b: Bounds, seed: int) -> Outcome:
-    n = b["rule"]
-    seqs: dict[str, Sequence[int]] = {
-        "perm-brute": perms.enumerate_class(perms.CLASSES["semi"], b["brute"]),
-        "rule-semi": rules.count_sequence(rules.RULES["semi"], n),
-        "recurrence": formulas.sb_table(n, "recurrence")[1:],
-        "sum-formula": formulas.sb_table(n, "sum")[1:],
-        "apery-identity": formulas.sb_table(n, "apery")[1:],
-        "invseq-formula": [invseq.total_via_formula(m) for m in range(1, n + 1)],
-    }
-    for v in "abcd":
-        seqs[f"simple-{v}"] = formulas.sb_table(n, v)[1:]
-    return compare_routes(seqs)
-
-
-def _chk_strong_routes(b: Bounds, seed: int) -> Outcome:
-    n = b["rule"]
-    return compare_routes(
-        {
-            "perm-brute": perms.enumerate_class(perms.CLASSES["strong"], b["brute"]),
-            "rule-strong": rules.count_sequence(rules.RULES["strong"], n),
-            "walk-excursions": walks.strong_from_walks(n)[1:],
-        }
-    )
+# check name -> (family, size of its non-brute routes as a bounds key or a
+# literal, "family:route"s borrowed from other families).  Brute-force
+# routes always run at the "brute" bound.
+_ROUTE_CHECKS: dict[str, tuple[str, str | int, tuple[str, ...]]] = {
+    "apery-closed-vs-recurrence": ("apery", 30, ()),
+    "baxter-five-routes": ("baxter", 12, ()),
+    "catalan-three-routes": ("av231", 14, ()),
+    "conjecture-exp1423-vs-sb": ("exp1423", "conjecture", ("sb:recurrence",)),
+    "invseq-three-routes": ("invseq", "rule", ("sb:recurrence",)),
+    "plane-vs-semi": ("plane", "brute", ()),
+    "semi-all-routes": ("sb", "rule", ()),
+    "strong-three-routes": ("strong", "rule", ()),
+    "twisted-vs-baxter": ("twisted", 12, ("baxter:closed",)),
+}
 
 
-def _chk_baxter_routes(b: Bounds, seed: int) -> Outcome:
-    return compare_routes(
-        {
-            "perm-brute": perms.enumerate_class(perms.CLASSES["baxter"], b["brute"]),
-            "rule-bax": rules.count_sequence(rules.RULES["bax"], 12),
-            "rule-tbax": rules.count_sequence(rules.RULES["tbax"], 12),
-            "closed-sum": [formulas.baxter_closed(m) for m in range(1, 13)],
-            "ollerton-recurrence": formulas.baxter_recurrence(12)[1:],
-        }
-    )
+def _route_check(
+    family: str, size: str | int, borrowed: tuple[str, ...]
+) -> Callable[[Bounds, int], Outcome]:
+    """The check that every route of `family` and each borrowed route agree."""
+    picks = [(family, r, r) for r in FAMILIES[family]["routes"]]
+    picks += [(*key.split(":"), key) for key in borrowed]
 
+    def check(b: Bounds, seed: int) -> Outcome:
+        n = b[size] if isinstance(size, str) else size
+        return compare_routes(
+            {
+                label: FAMILIES[fam]["routes"][route](b["brute"] if route == "brute" else n)
+                for fam, route, label in picks
+            },
+            offset=FAMILIES[family]["offset"],
+        )
 
-def _chk_twisted_vs_baxter(b: Bounds, seed: int) -> Outcome:
-    return compare_routes(
-        {
-            "twisted-brute": perms.enumerate_class(perms.CLASSES["twisted"], b["brute"]),
-            "rule-tbax": rules.count_sequence(rules.RULES["tbax"], 12),
-            "baxter-closed": [formulas.baxter_closed(m) for m in range(1, 13)],
-        }
-    )
-
-
-def _chk_plane_vs_semi(b: Bounds, seed: int) -> Outcome:
-    n = b["brute"]
-    return compare_routes(
-        {
-            "plane-brute": perms.enumerate_class(perms.CLASSES["plane"], n),
-            "rule-semi": rules.count_sequence(rules.RULES["semi"], n),
-        }
-    )
-
-
-def _chk_catalan_routes(b: Bounds, seed: int) -> Outcome:
-    return compare_routes(
-        {
-            "av231-brute": perms.enumerate_class(perms.CLASSES["av231"], b["brute"]),
-            "rule-cat": rules.count_sequence(rules.RULES["cat"], 14),
-            "catalan-closed": [formulas.catalan(m) for m in range(1, 15)],
-        }
-    )
+    return check
 
 
 def _chk_census(b: Bounds, seed: int) -> Outcome:
@@ -201,17 +267,6 @@ def _chk_census(b: Bounds, seed: int) -> Outcome:
     return True, f"5 class/rule label censuses agree for n<={top}"
 
 
-def _chk_invseq_routes(b: Bounds, seed: int) -> Outcome:
-    n = b["rule"]
-    return compare_routes(
-        {
-            "invseq-dfs": invseq.count_avoiders_bruteforce(b["brute"]),
-            "invseq-table-sum": [invseq.total_via_formula(m) for m in range(1, n + 1)],
-            "sb-recurrence": formulas.sb_table(n)[1:],
-        }
-    )
-
-
 def _chk_invseq_labels(b: Bounds, seed: int) -> Outcome:
     semi = rules.RULES["semi"]
     top = b["invseq_labels"]
@@ -230,51 +285,60 @@ def _chk_invseq_labels(b: Bounds, seed: int) -> Outcome:
     return True, f"growth labels match the semi rule on {seen} avoiders (sizes < {top})"
 
 
-def _chk_theorem(b: Bounds, seed: int) -> Outcome:
-    order = b["theorem_order"]
+def series_extraction(order: int) -> Outcome:
+    """The a^0 column of F against the semi-Baxter recurrence, n = 1..order."""
+    f = series.build_F(order)
+    want = formulas.sb_table(order)[1:]
+    for n in range(1, order + 1):
+        got = f.coeff_x(n).coeff(0)
+        if got != want[n - 1]:
+            return False, f"extraction vs recurrence at n={n}: {got} != {want[n - 1]}"
+    return True, f"a^0 column matches the recurrence for n=1..{order}"
+
+
+def series_nonneg_part(order: int) -> Outcome:
+    """Nonnegative part of F against the semi labels evaluated at 1+a."""
     lhs = series.omega_geq(series.build_F(order))
     rhs = series.LabelSeries("semi", order).series_in_one_plus_a()
     for n in range(1, order + 1):
         if lhs.coeff_x(n) != rhs.coeff_x(n):
             e = min((lhs.coeff_x(n) - rhs.coeff_x(n)).c)
-            return False, (
-                f"series nonneg-part vs rule-semi label evaluation differ "
-                f"at n={n}, exponent a^{e}"
-            )
-    return True, f"nonneg-part route vs rule route agree for x^1..x^{order}"
+            return False, f"nonneg part vs label evaluation at n={n}, exponent a^{e}"
+    return True, f"nonneg part matches label evaluation for x^1..x^{order}"
 
 
-def _chk_extraction(b: Bounds, seed: int) -> Outcome:
-    order = b["extraction_order"]
-    f = series.build_F(order)
-    return compare_routes(
-        {
-            "series-a0-extraction": [f.coeff_x(n).coeff(0) for n in range(1, order + 1)],
-            "sb-recurrence": formulas.sb_table(order)[1:],
-        }
+def series_residual(group: str, order: int) -> Outcome:
+    """The cleared label equation of `group` ("semi" or "strong")."""
+    fn = {"semi": series.residual_semi, "strong": series.residual_strong}[group]
+    max_abs, offending = fn(order)
+    if max_abs:
+        return False, f"residual {max_abs} at (n, ydeg, zdeg)={offending}"
+    return True, f"residual 0 through x^{order}"
+
+
+def series_reduced(a0: Fraction, order: int) -> Outcome:
+    """Both reduced identities at the rational point a0."""
+    rep = series.verify_reduced_identity(a0, order)
+    if rep["ok"]:
+        return True, f"both identities hold at a0={a0} to order {order}"
+    return False, (
+        f"at a0={a0}: F-vs-P first fail {rep['f_first_fail']}, "
+        f"sum identity first fail {rep['sum_first_fail']}"
     )
 
 
-def _chk_residual_semi(b: Bounds, seed: int) -> Outcome:
-    order = b["residual_order"]
-    max_abs, offending = series.residual_semi(order)
-    if max_abs:
-        return False, (
-            f"rule-semi labels vs cleared equation: residual {max_abs} "
-            f"at (n, ydeg, zdeg)={offending}"
-        )
-    return True, f"label equation residual is 0 through x^{order}"
+def series_kernel(group: str, trials: int, seed: int) -> Outcome:
+    """Kernel invariance and orbit sizes of `group` at random points."""
+    rep = series.kernel_invariance(group, trials, seed=seed)
+    return rep["ok"], (
+        f"{group}: invariant={rep['invariant_ok']} "
+        f"orbits={rep['orbit_sizes']} redraws={rep['redraws']}"
+    )
 
 
-def _chk_residual_strong(b: Bounds, seed: int) -> Outcome:
-    order = b["residual_order"]
-    max_abs, offending = series.residual_strong(order)
-    if max_abs:
-        return False, (
-            f"rule-strong labels vs cleared equation: residual {max_abs} "
-            f"at (n, ydeg, zdeg)={offending}"
-        )
-    return True, f"label equation residual is 0 through x^{order}"
+def _reduced_points(b: Bounds, seed: int) -> Outcome:
+    outcomes = [series_reduced(a0, order) for a0, order in b["reduced_points"]]
+    return all(ok for ok, _ in outcomes), "; ".join(d for _, d in outcomes)
 
 
 def _chk_lagrange(b: Bounds, seed: int) -> Outcome:
@@ -291,37 +355,6 @@ def _chk_lagrange(b: Bounds, seed: int) -> Outcome:
                         f"(s,k,i)=({s},{k},{i})"
                     )
     return True, f"coefficient grid agrees for i<=3, k<={kmax}, -6<=s<=2k"
-
-
-def _chk_reduced(b: Bounds, seed: int) -> Outcome:
-    points = b["reduced_points"]
-    for a0, order in points:
-        rep = series.verify_reduced_identity(a0, order)
-        if not rep["ok"]:
-            which = "F-vs-P" if not rep["f_matches_p"] else "sum-identity"
-            where = rep["f_first_fail"] if rep["f_first_fail"] is not None else rep["sum_first_fail"]
-            return False, f"{which} fails at a0={a0}, first bad order x^{where}"
-    pts = ", ".join(str(a0) for a0, _ in points)
-    return True, f"both identities hold at a0 in {{{pts}}}"
-
-
-def _chk_kernel_semi(b: Bounds, seed: int) -> Outcome:
-    rep = series.kernel_invariance("semi", b["kernel_semi_trials"], seed=seed)
-    if not rep["ok"]:
-        return False, f"invariance or orbit defect: {rep}"
-    return True, (
-        f"kernel fixed and orbit size 10 at {rep['trials']} rational points "
-        f"(redraws {rep['redraws']})"
-    )
-
-
-def _chk_kernel_strong(b: Bounds, seed: int) -> Outcome:
-    rep = series.kernel_invariance("strong", b["kernel_strong_trials"], seed=seed)
-    if not rep["ok"]:
-        return False, f"invariance or orbit defect: {rep}"
-    return True, (
-        f"kernel fixed and orbit open past 100 at {rep['trials']} rational points"
-    )
 
 
 def _chk_walk_equation(b: Bounds, seed: int) -> Outcome:
@@ -392,29 +425,6 @@ def _chk_asymptotics(b: Bounds, seed: int) -> Outcome:
     return True, detail
 
 
-def _chk_conjecture(b: Bounds, seed: int) -> Outcome:
-    n = b["conjecture"]
-    ok, detail = compare_routes(
-        {
-            "exp-pattern-brute": perms.enumerate_class(perms.CLASSES["exp1423"], n),
-            "sb-recurrence": formulas.sb_table(n)[1:],
-        }
-    )
-    if ok:
-        return True, f"consistent with the conjectured equality for n<={n}"
-    return False, detail
-
-
-def _chk_apery(b: Bounds, seed: int) -> Outcome:
-    return compare_routes(
-        {
-            "apery-closed": [formulas.apery_closed(m) for m in range(31)],
-            "apery-recurrence": formulas.apery_recurrence(30),
-        },
-        offset=0,
-    )
-
-
 def _chk_rule_dsl(b: Bounds, seed: int) -> Outcome:
     for name, text in rules.RULE_FILE_SOURCES.items():
         built = rules.RULES[name]
@@ -434,33 +444,30 @@ def _chk_rule_dsl(b: Bounds, seed: int) -> Outcome:
     return True, "all 5 rule-file mirrors reproduce the built-in rules"
 
 
-_REGISTRY: tuple[tuple[str, Callable[[Bounds, int], Outcome]], ...] = (
-    ("apery-closed-vs-recurrence", _chk_apery),
-    ("baxter-five-routes", _chk_baxter_routes),
-    ("catalan-three-routes", _chk_catalan_routes),
-    ("census-labels-vs-rules", _chk_census),
-    ("conjecture-exp1423-vs-sb", _chk_conjecture),
-    ("invseq-growth-labels", _chk_invseq_labels),
-    ("invseq-three-routes", _chk_invseq_routes),
-    ("kernel-semi", _chk_kernel_semi),
-    ("kernel-strong", _chk_kernel_strong),
-    ("lagrange-vs-series", _chk_lagrange),
-    ("numbers-asymptotics", _chk_asymptotics),
-    ("plane-vs-semi", _chk_plane_vs_semi),
-    ("rules-dsl-mirrors", _chk_rule_dsl),
-    ("semi-all-routes", _chk_semi_all_routes),
-    ("series-extraction-vs-recurrence", _chk_extraction),
-    ("series-reduced-identity", _chk_reduced),
-    ("series-residual-semi", _chk_residual_semi),
-    ("series-residual-strong", _chk_residual_strong),
-    ("series-theorem-nonneg-part", _chk_theorem),
-    ("strong-three-routes", _chk_strong_routes),
-    ("twisted-vs-baxter", _chk_twisted_vs_baxter),
-    ("walks-equation-residual", _chk_walk_equation),
-    ("walks-growth-constants", _chk_growth),
-    ("walks-refinement", _chk_refinement),
-    ("walks-w2-transform", _chk_w2),
-)
+_REGISTRY: tuple[tuple[str, Callable[[Bounds, int], Outcome]], ...] = tuple(sorted(
+    [(name, _route_check(*row)) for name, row in _ROUTE_CHECKS.items()] + [
+        ("census-labels-vs-rules", _chk_census),
+        ("invseq-growth-labels", _chk_invseq_labels),
+        ("kernel-semi", lambda b, seed: series_kernel("semi", b["kernel_semi_trials"], seed)),
+        ("kernel-strong",
+         lambda b, seed: series_kernel("strong", b["kernel_strong_trials"], seed)),
+        ("lagrange-vs-series", _chk_lagrange),
+        ("numbers-asymptotics", _chk_asymptotics),
+        ("rules-dsl-mirrors", _chk_rule_dsl),
+        ("series-extraction-vs-recurrence",
+         lambda b, seed: series_extraction(b["extraction_order"])),
+        ("series-reduced-identity", _reduced_points),
+        ("series-residual-semi", lambda b, seed: series_residual("semi", b["residual_order"])),
+        ("series-residual-strong",
+         lambda b, seed: series_residual("strong", b["residual_order"])),
+        ("series-theorem-nonneg-part", lambda b, seed: series_nonneg_part(b["theorem_order"])),
+        ("walks-equation-residual", _chk_walk_equation),
+        ("walks-growth-constants", _chk_growth),
+        ("walks-refinement", _chk_refinement),
+        ("walks-w2-transform", _chk_w2),
+    ],
+    key=lambda item: item[0],
+))
 
 
 def run_suite(suite: str = "quick", seed: int = 0) -> list[CheckReport]:

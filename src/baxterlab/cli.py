@@ -1,9 +1,12 @@
 """Command line front end.
 
-Subcommands: seq (term streams for every family/route), check (the
-cross-route consistency suite), series, walks, invseq and numbers
-(direct access to the corresponding engines).  Exit codes: 0 success,
-1 a requested verification failed, 2 usage error.
+Subcommands: seq (term streams for every family/route of
+checks.FAMILIES), check (the cross-route consistency suite), series (the
+series-side verdicts of the suite at a chosen size, plus the W
+fixpoint), walks, and invseq and numbers (views of seq restricted to one
+family or to the formula routes).  Exit codes: 0 success, 1 a requested
+verification failed, 2 usage error, including an engine rejecting its
+arguments with ValueError.
 """
 
 from __future__ import annotations
@@ -13,94 +16,10 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import checks, formulas, invseq, perms, rules, series, walks
-
-Route = Callable[[int], Sequence[int]]
-
-
-def _perm_brute(cls_name: str) -> Route:
-    return lambda n: perms.enumerate_class(perms.CLASSES[cls_name], n)
-
-
-def _rule_counts(rule_name: str) -> Route:
-    return lambda n: rules.count_sequence(rules.RULES[rule_name], n)
-
-
-def _sb_formula(route: str) -> Route:
-    return lambda n: formulas.sb_table(n, route)[1:]
-
-
-_SB_ROUTES: dict[str, Route] = {
-    "brute": _perm_brute("semi"),
-    "rule": _rule_counts("semi"),
-    "recurrence": _sb_formula("recurrence"),
-    "sum": _sb_formula("sum"),
-    "a": _sb_formula("a"),
-    "b": _sb_formula("b"),
-    "c": _sb_formula("c"),
-    "d": _sb_formula("d"),
-    "apery": _sb_formula("apery"),
-    "invseq": lambda n: [invseq.total_via_formula(m) for m in range(1, n + 1)],
-}
-
-FAMILIES: dict[str, dict] = {
-    "sb": {"offset": 1, "default": "recurrence", "routes": _SB_ROUTES},
-    "semi": {"offset": 1, "default": "recurrence", "routes": _SB_ROUTES},
-    "plane": {
-        "offset": 1,
-        "default": "rule",
-        "routes": {"brute": _perm_brute("plane"), "rule": _rule_counts("semi")},
-    },
-    "baxter": {
-        "offset": 1,
-        "default": "closed",
-        "routes": {
-            "brute": _perm_brute("baxter"),
-            "rule": _rule_counts("bax"),
-            "twisted-rule": _rule_counts("tbax"),
-            "closed": lambda n: [formulas.baxter_closed(m) for m in range(1, n + 1)],
-            "ollerton": lambda n: formulas.baxter_recurrence(n)[1:],
-        },
-    },
-    "twisted": {
-        "offset": 1,
-        "default": "rule",
-        "routes": {"brute": _perm_brute("twisted"), "rule": _rule_counts("tbax")},
-    },
-    "strong": {
-        "offset": 1,
-        "default": "rule",
-        "routes": {
-            "brute": _perm_brute("strong"),
-            "rule": _rule_counts("strong"),
-            "walks": lambda n: walks.strong_from_walks(n)[1:],
-        },
-    },
-    "av231": {
-        "offset": 1,
-        "default": "closed",
-        "routes": {
-            "brute": _perm_brute("av231"),
-            "rule": _rule_counts("cat"),
-            "closed": lambda n: [formulas.catalan(m) for m in range(1, n + 1)],
-        },
-    },
-    "exp1423": {
-        "offset": 1,
-        "default": "brute",
-        "routes": {"brute": _perm_brute("exp1423")},
-    },
-    "apery": {
-        "offset": 0,
-        "default": "closed",
-        "routes": {
-            "closed": lambda n: [formulas.apery_closed(m) for m in range(n + 1)],
-            "recurrence": lambda n: formulas.apery_recurrence(n),
-        },
-    },
-}
+from . import checks, series, walks
+from .checks import FAMILIES
 
 # The numbers view exposes only the closed-form and recurrence routes.
 _NUMBERS_ROUTES: dict[str, tuple[str, ...]] = {
@@ -113,28 +32,34 @@ _NUMBERS_ROUTES: dict[str, tuple[str, ...]] = {
 def _emit_terms(
     family: str, route: str, offset: int, values: Sequence[int], fmt: str
 ) -> None:
-    if fmt == "plain":
-        for v in values:
-            print(v)
-    elif fmt == "bfile":
-        for i, v in enumerate(values):
-            print(f"{offset + i} {v}")
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "value"])
-        for i, v in enumerate(values):
-            writer.writerow([offset + i, v])
-    else:
-        print(
-            json.dumps(
-                {
-                    "family": family,
-                    "route": route,
-                    "offset": offset,
-                    "terms": list(values),
-                }
+    # terms can outgrow CPython's int->str digit limit; lift it while printing
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "plain":
+            for v in values:
+                print(v)
+        elif fmt == "bfile":
+            for i, v in enumerate(values):
+                print(f"{offset + i} {v}")
+        elif fmt == "csv":
+            writer = csv.writer(sys.stdout)
+            writer.writerow(["n", "value"])
+            for i, v in enumerate(values):
+                writer.writerow([offset + i, v])
+        else:
+            print(
+                json.dumps(
+                    {
+                        "family": family,
+                        "route": route,
+                        "offset": offset,
+                        "terms": list(values),
+                    }
+                )
             )
-        )
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _run_family(
@@ -145,8 +70,6 @@ def _run_family(
     routes = cfg["routes"]
     if allowed is not None:
         routes = {k: v for k, v in routes.items() if k in allowed}
-        if route not in routes and route == cfg["default"]:
-            route = allowed[0]
     if route not in routes:
         known = ", ".join(sorted(routes))
         print(
@@ -171,21 +94,6 @@ def _cmd_numbers(args: argparse.Namespace) -> int:
         args.family, args.route, args.n_max, args.format,
         allowed=_NUMBERS_ROUTES[args.family],
     )
-
-
-def _cmd_invseq(args: argparse.Namespace) -> int:
-    n = args.n_max
-    if n < 1:
-        print("error: --n-max must be at least 1", file=sys.stderr)
-        return 2
-    if args.route == "brute":
-        values = invseq.count_avoiders_bruteforce(n)
-    elif args.route == "dp":
-        values = [sum(invseq.q_table(m).values()) for m in range(1, n + 1)]
-    else:
-        values = [invseq.total_via_formula(m) for m in range(1, n + 1)]
-    _emit_terms("invseq", args.route, 1, values, args.format)
-    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -221,61 +129,25 @@ def _cmd_series(args: argparse.Namespace) -> int:
         print(f"[x^1] = {w.coeff_x(1)}")
         print(f"[x^2] = {w.coeff_x(2)}")
         return 0
-    if args.check == "F":
-        f = series.build_F(order)
-        got = [f.coeff_x(n).coeff(0) for n in range(1, order + 1)]
-        want = formulas.sb_table(order)[1:]
-        for n, (g, w) in enumerate(zip(got, want), start=1):
-            if g != w:
-                print(f"FAIL extraction vs recurrence at n={n}: {g} != {w}")
-                return 1
-        print(f"PASS a^0 column matches the recurrence for n=1..{order}")
-        return 0
-    if args.check == "omega":
-        lhs = series.omega_geq(series.build_F(order))
-        rhs = series.LabelSeries("semi", order).series_in_one_plus_a()
-        for n in range(1, order + 1):
-            if lhs.coeff_x(n) != rhs.coeff_x(n):
-                print(f"FAIL nonneg part vs label evaluation at n={n}")
-                return 1
-        print(f"PASS nonneg part matches label evaluation for x^1..x^{order}")
-        return 0
-    if args.check in ("residual-semi", "residual-strong"):
-        fn = series.residual_semi if args.check.endswith("semi") else series.residual_strong
-        max_abs, offending = fn(order)
-        if max_abs:
-            print(f"FAIL residual {max_abs} at (n, ydeg, zdeg)={offending}")
-            return 1
-        print(f"PASS residual 0 through x^{order}")
-        return 0
     if args.check == "kernel":
-        code = 0
-        for group, trials in (("semi", args.trials), ("strong", args.trials)):
-            rep = series.kernel_invariance(group, trials, seed=args.seed)
-            status = "PASS" if rep["ok"] else "FAIL"
-            print(
-                f"{status} {group}: invariant={rep['invariant_ok']} "
-                f"orbits={rep['orbit_sizes']} redraws={rep['redraws']}"
-            )
-            code = code or (0 if rep["ok"] else 1)
-        return code
-    rep = series.verify_reduced_identity(args.a0, order)
-    if rep["ok"]:
-        print(f"PASS both identities hold at a0={args.a0} to order {order}")
-        return 0
-    print(
-        f"FAIL at a0={args.a0}: F-vs-P first fail {rep['f_first_fail']}, "
-        f"sum identity first fail {rep['sum_first_fail']}"
-    )
-    return 1
+        outcomes = [
+            checks.series_kernel(group, args.trials, args.seed) for group in ("semi", "strong")
+        ]
+    elif args.check == "reduced":
+        outcomes = [checks.series_reduced(args.a0, order)]
+    elif args.check == "F":
+        outcomes = [checks.series_extraction(order)]
+    elif args.check == "omega":
+        outcomes = [checks.series_nonneg_part(order)]
+    else:
+        outcomes = [checks.series_residual(args.check.removeprefix("residual-"), order)]
+    for ok, detail in outcomes:
+        print(f"{'PASS' if ok else 'FAIL'} {detail}")
+    return 0 if all(ok for ok, _ in outcomes) else 1
 
 
 def _cmd_walks(args: argparse.Namespace) -> int:
-    try:
-        steps = walks.parse_steps(args.steps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    steps = walks.parse_steps(args.steps)
     if args.n_max < 0:
         print("error: --n-max must be nonnegative", file=sys.stderr)
         return 2
@@ -343,9 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invseq", help="inversion-sequence avoider counts")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--route", default="formula", choices=("brute", "dp", "formula"))
+    p.add_argument("--route", default=None, choices=sorted(FAMILIES["invseq"]["routes"]))
     p.add_argument("--format", default="plain", choices=term_formats)
-    p.set_defaults(func=_cmd_invseq)
+    p.set_defaults(func=_cmd_seq, family="invseq")
 
     p = sub.add_parser("numbers", help="closed-form and recurrence tables")
     p.add_argument("--family", required=True, choices=sorted(_NUMBERS_ROUTES))
@@ -359,7 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -423,11 +423,13 @@ _Z_MINUS_Y = Poly2({(0, 1): 1, (1, 0): -1})
 Residual = tuple[int, tuple[int, int, int] | None]
 
 
-def _residual_scan(diffs: Iterable[tuple[int, Poly2]]) -> Residual:
+def residual_scan(diffs: Iterable[tuple[int, Mapping[tuple[int, int], int]]]) -> Residual:
+    """(largest |entry|, first (n, i, j) holding an entry) over (n, table)
+    pairs of defect tables that store no zeros; (0, None) if all are empty."""
     max_abs = 0
     offending: tuple[int, int, int] | None = None
     for n, d in diffs:
-        for (i, j), v in sorted(d.c.items()):
+        for (i, j), v in sorted(d.items()):
             if offending is None:
                 offending = (n, i, j)
             if abs(v) > max_abs:
@@ -462,9 +464,9 @@ def residual_semi(
             rhs = rhs + _YZ * _ONE_MINUS_Y * _Z_MINUS_Y
         d = lhs - rhs
         if d:
-            diffs.append((n, d))
+            diffs.append((n, d.c))
         prev = cur
-    return _residual_scan(diffs)
+    return residual_scan(diffs)
 
 
 def residual_strong(
@@ -492,9 +494,9 @@ def residual_strong(
             rhs = rhs + _YZ * _ONE_MINUS_Y * _ONE_MINUS_Z
         d = lhs - rhs
         if d:
-            diffs.append((n, d))
+            diffs.append((n, d.c))
         prev = cur
-    return _residual_scan(diffs)
+    return residual_scan(diffs)
 
 
 def _kernel_semi(a: Fraction, z: Fraction, x: Fraction) -> Fraction:
@@ -572,7 +574,10 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     semi points with a nontrivial stabiliser (an orbit that closes at a
     proper divisor of 10), are re-drawn, at most 10 times each.
     """
-    assert trials >= 1 and group in _KERNEL_MAPS
+    if group not in _KERNEL_MAPS:
+        raise ValueError(f"unknown kernel group {group!r}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     phi, psi = _KERNEL_MAPS[group]
     limit = 10 if group == "semi" else 100
@@ -759,8 +764,10 @@ def verify_reduced_identity(
     because the dropped term contributes nothing below that order.
     """
     a = Fraction(a0)
-    assert a not in (0, -1, 1)
-    assert order >= 2
+    if a in (0, -1, 1):
+        raise ValueError(f"a0 must not be 0, -1 or 1, got {a}")
+    if order < 2:
+        raise ValueError(f"order must be at least 2, got {order}")
     w = _solve_w_at(a, order)
     z = w + (1 + a)
 

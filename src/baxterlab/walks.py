@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .formulas import binom
-from .series import LabelSeries
+from .series import LabelSeries, Residual, residual_scan
 
 Step = tuple[int, int]
 
@@ -192,22 +192,6 @@ def excursions(steps: StepMultiset, n_max: int) -> list[int]:
     return out
 
 
-Residual = tuple[int, tuple[int, int, int] | None]
-
-
-def _scan_tables(diffs: Iterable[tuple[int, Mapping[Step, int]]]) -> Residual:
-    max_abs = 0
-    offending: tuple[int, int, int] | None = None
-    for n, d in diffs:
-        for (i, j), v in sorted(d.items()):
-            if v:
-                if offending is None:
-                    offending = (n, i, j)
-                if abs(v) > max_abs:
-                    max_abs = abs(v)
-    return max_abs, offending
-
-
 def _add(d: dict[Step, int], key: Step, v: int) -> None:
     w = d.get(key, 0) + v
     if w:
@@ -251,7 +235,7 @@ def residual_walk_equation(
                 _add(d, (x + 2, 0), c)
         if d:
             diffs.append((n, d))
-    return _scan_tables(diffs)
+    return residual_scan(diffs)
 
 
 def w2_consistency(order: int, origin_only: bool = False) -> dict:
@@ -326,7 +310,7 @@ def strong_refinement_residual(n_max: int = 10) -> Residual:
                     _add(d, (x + sx, y + sy), -c)
         if d:
             diffs.append((n, d))
-    return _scan_tables(diffs)
+    return residual_scan(diffs)
 
 
 def minpoly_five(t: float) -> float:

@@ -34,6 +34,25 @@ def test_registry_is_alphabetical_and_complete():
     assert sorted(name for name, _ in checks._REGISTRY) == names
 
 
+def test_every_family_has_a_route_check():
+    # semi shares its routes with sb
+    checked = {family for family, _, _ in checks._ROUTE_CHECKS.values()}
+    assert checked | {"semi"} == set(checks.FAMILIES)
+
+
+def test_route_checks_name_every_route_and_its_size():
+    bounds = checks._BOUNDS["quick"]
+    details = {r.name: r.detail for r in checks.run_suite("quick")}
+    for name, (family, size, borrowed) in checks._ROUTE_CHECKS.items():
+        n = bounds[size] if isinstance(size, str) else size
+        want = {route: bounds["brute"] if route == "brute" else n
+                for route in [*checks.FAMILIES[family]["routes"], *borrowed]}
+        spans = details[name].removeprefix("routes agree (").removesuffix(")")
+        got = {route: int(top) for route, top in
+               (span.split(" to n=") for span in spans.split(", "))}
+        assert got == want, name
+
+
 def test_quick_suite_passes():
     reports = checks.run_suite("quick")
     bad = [r for r in reports if not r.ok]

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, format for format."""
 
 import json
+import sys
 
 import pytest
 
@@ -142,6 +143,15 @@ def test_invseq_routes_agree(capsys):
     assert outs == {"1\n2\n6\n23\n104\n530\n"}
 
 
+@pytest.mark.parametrize("fmt", ["plain", "bfile", "csv", "json"])
+def test_invseq_is_seq_of_the_invseq_family(capsys, fmt):
+    for route in checks.FAMILIES["invseq"]["routes"]:
+        tail = ["--route", route, "--n-max", "7", "--format", fmt]
+        code, out, _ = run(capsys, ["invseq"] + tail)
+        assert code == 0
+        assert run(capsys, ["seq", "--family", "invseq"] + tail) == (0, out, "")
+
+
 def test_numbers_default_bfile(capsys):
     code, out, _ = run(capsys, ["numbers", "--family", "sb", "--n-max", "4"])
     assert code == 0
@@ -152,6 +162,51 @@ def test_numbers_rejects_enumerative_route(capsys):
     code, _, err = run(capsys, ["numbers", "--family", "sb", "--route", "brute", "--n-max", "3"])
     assert code == 2
     assert "no route" in err
+
+
+def test_numbers_print_terms_past_the_int_str_limit(capsys):
+    # SB_n has more than 4300 digits from n = 4464 on
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, ["numbers", "--family", "sb", "--n-max", "4470"])
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert last.startswith("4470 ") and len(last) > 4300 + len("4470 ")
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--check", "kernel", "--trials", "0"],
+        ["series", "--check", "reduced", "--a0=0"],
+        ["walks", "--steps", "(1,0)", "--estimate-growth", "--n-max", "50"],
+    ],
+)
+def test_engine_value_error_exits_2_without_traceback(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# The series verdicts are the texts of the suite's checks; these lines are
+# what scripts and the benchmark digests read.
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["--check", "F", "--order", "8"],
+         "PASS a^0 column matches the recurrence for n=1..8\n"),
+        (["--check", "omega", "--order", "8"],
+         "PASS nonneg part matches label evaluation for x^1..x^8\n"),
+        (["--check", "residual-semi", "--order", "8"], "PASS residual 0 through x^8\n"),
+        (["--check", "residual-strong", "--order", "8"], "PASS residual 0 through x^8\n"),
+        (["--check", "reduced", "--order", "8", "--a0=-2/3"],
+         "PASS both identities hold at a0=-2/3 to order 8\n"),
+    ],
+)
+def test_series_verdict_lines_are_pinned(capsys, argv, want):
+    assert run(capsys, ["series"] + argv) == (0, want, "")
 
 
 def test_check_quick_text(capsys):

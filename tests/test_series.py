@@ -1,9 +1,14 @@
 """Formal series side: W, F, the nonneg-part theorem, residuals, kernels."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import baxterlab
 from baxterlab import formulas, series
 
 from conftest import SB
@@ -181,6 +186,22 @@ def test_kernel_invariance_redraws_stabilised_semi_points():
     assert rep["ok"] and rep["redraws"] == 2
 
 
+def test_kernel_invariance_rejects_no_trials_under_optimize():
+    # a bare assert would vanish under -O and report a vacuous pass
+    code = (
+        "from baxterlab import series\n"
+        "try:\n"
+        "    series.kernel_invariance('semi', 0)\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('kernel_invariance accepted zero trials')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(baxterlab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr + done.stdout
+
+
 # ---------------------------------------------------------------------------
 # rational specialization identities
 
@@ -200,8 +221,10 @@ def test_reduced_identity_holds(a0):
 
 def test_reduced_identity_rejects_unit_points():
     for bad in (Fraction(0), Fraction(1), Fraction(-1)):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="a0"):
             series.verify_reduced_identity(bad, order=4)
+    with pytest.raises(ValueError, match="order"):
+        series.verify_reduced_identity(Fraction(3, 2), order=1)
 
 
 def test_reduced_identity_detects_missing_cubic():
