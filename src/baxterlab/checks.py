@@ -275,7 +275,7 @@ def _chk_invseq_labels(b: Bounds, seed: int) -> Outcome:
     while stack:
         e = stack.pop()
         kids = [invseq.growth_label(e + (p,)) for p in invseq.valid_extensions(e)]
-        if sorted(kids) != sorted(semi.produce(invseq.growth_label(e))):
+        if sorted(kids) != sorted(rules.productions(semi, invseq.growth_label(e))):
             return False, (
                 f"extension labels vs rule-semi productions differ at e={e}"
             )
@@ -426,22 +426,18 @@ def _chk_asymptotics(b: Bounds, seed: int) -> Outcome:
 
 
 def _chk_rule_dsl(b: Bounds, seed: int) -> Outcome:
-    for name, text in rules.RULE_FILE_SOURCES.items():
-        built = rules.RULES[name]
-        parsed = rules.parse_rule(text, name=f"{name}-mirror")
-        if parsed.axiom != built.axiom:
-            return False, f"{name} mirror axiom differs"
-        for h in range(1, 7):
-            for k in range(1, 7):
-                if name == "cat" and k != 1:
-                    continue
-                if parsed.produce((h, k)) != built.produce((h, k)):
-                    return False, (
-                        f"{name} mirror vs built-in productions differ at ({h},{k})"
-                    )
-        if rules.count_sequence(parsed, 10) != rules.count_sequence(built, 10):
-            return False, f"{name} mirror vs built-in counts differ"
-    return True, "all 5 rule-file mirrors reproduce the built-in rules"
+    for name, rule in rules.RULES.items():
+        if rule.axiom != (1, 1):
+            return False, f"{name} axiom is {rule.axiom}, not (1, 1)"
+        dist = {rule.axiom: 1}
+        for n in range(2, 11):
+            fast, slow = rules.next_level(rule, dist), rules.expand_level(rule, dist)
+            if fast != slow:
+                label = min(lb for lb in fast.keys() | slow.keys() if fast.get(lb) != slow.get(lb))
+                return False, (f"{name} interval-sum level vs node expansion differ at "
+                               f"n={n}, label {label}")
+            dist = fast
+    return True, "all 5 rules: interval-sum levels match node expansion for n<=10"
 
 
 _REGISTRY: tuple[tuple[str, Callable[[Bounds, int], Outcome]], ...] = tuple(sorted(

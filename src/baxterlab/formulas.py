@@ -1,8 +1,9 @@
 """Closed formulas, recurrences, and asymptotics for the number families.
 
 Every route is evaluated in exact arithmetic: recurrences divide big
-integers with an exactness assertion, summation formulas carry their
-rational prefactors as Fractions and assert integrality at the end.
+integers with an exactness guard, summation formulas carry their
+rational prefactors as Fractions and check integrality at the end; both
+raise ValueError in every interpreter mode.
 These values are the oracles the other modules are tested against, so a
 transcription slip must abort instead of rounding.
 
@@ -34,7 +35,8 @@ def binom(n: int, k: int) -> int:
 
 def _exact_div(num: int, den: int, what: str) -> int:
     q, r = divmod(num, den)
-    assert r == 0, f"{what}: {num}/{den} is not an integer"
+    if r:
+        raise ValueError(f"{what}: {num}/{den} is not an integer")
     return q
 
 
@@ -87,7 +89,8 @@ def sb_sum_formula(n: int) -> int:
     """
     assert n >= 2
     total = sum(sb_summand(n, j) for j in range(n))
-    assert total.denominator == 1, f"SB_{n} sum formula not integral: {total}"
+    if total.denominator != 1:
+        raise ValueError(f"SB_{n} sum formula not integral: {total}")
     return int(total)
 
 

@@ -118,10 +118,11 @@ def valid_extensions(e: ISeq) -> range:
 def count_avoiders_bruteforce(n_max: int) -> list[int]:
     """|I_n(210, 100)| for n = 1..n_max by prefix-closed DFS growth.
 
-    Each candidate extension is tested by the anchored occurrence scan
-    (any new occurrence must end at the appended entry); no counting
-    shortcut from the (top, bottom) analysis is used, so this route stays
-    independent of q_table and the closed formula.
+    The valid appended values are read off `_max_blocked`, the entry-wise
+    characterization of a new 210 or 100 occurrence ending at the
+    appended entry, not found by a pattern scan with `iseq_contains`.
+    No counting shortcut from the (top, bottom) analysis is used, so this
+    route stays independent of q_table and the closed formula.
 
     >>> count_avoiders_bruteforce(4)
     [1, 2, 6, 23]
@@ -166,7 +167,8 @@ def q_table(n: int) -> dict[tuple[int, int], int]:
         cur: dict[tuple[int, int], int] = {}
         for a in range(m):
             ballot = Fraction(m - a, m) * binom(m - 1 + a, a)
-            assert ballot.denominator == 1, (m, a)
+            if ballot.denominator != 1:
+                raise ValueError(f"ballot column Q_{{{m},{a},-1}} = {ballot} is not integral")
             cur[(a, -1)] = int(ballot)
             for b in range(a):
                 total = sum(prev.get((a, i), 0) for i in range(-1, b))

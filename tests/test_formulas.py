@@ -1,9 +1,14 @@
 """Closed forms, recurrences, and their cross-agreements."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import baxterlab
 from baxterlab import formulas
 
 from conftest import APERY, BAXTER, CATALAN, SB
@@ -62,8 +67,23 @@ def test_baxter_closed_and_recurrence():
 
 
 def test_exact_division_guard():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         formulas._exact_div(7, 2, "parity check")
+
+
+def test_exact_division_guard_raises_under_optimize():
+    code = (
+        "from baxterlab import formulas\n"
+        "try:\n"
+        "    formulas._exact_div(7, 2, 'parity check')\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('7/2 passed the guard')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(baxterlab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr + done.stdout
 
 
 def test_asymptotic_constants():

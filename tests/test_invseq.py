@@ -88,6 +88,26 @@ def test_valid_extensions_vs_filter():
             stack.extend(e + (p,) for p in want)
 
 
+def test_valid_extensions_match_the_pattern_scan():
+    """The _max_blocked shortcut of the DFS route against iseq_contains.
+
+    count_avoiders_bruteforce reads its appends off valid_extensions; here
+    every avoider of size <= 7 gets them from the occurrence scan instead.
+    """
+    stack = [(0,)]
+    seen = 0
+    while stack:
+        e = stack.pop()
+        free = [p for p in range(len(e) + 1)
+                if not invseq.iseq_contains(e + (p,), "210")
+                and not invseq.iseq_contains(e + (p,), "100")]
+        assert list(invseq.valid_extensions(e)) == free, e
+        seen += 1
+        if len(e) < 7:
+            stack.extend(e + (p,) for p in free)
+    assert seen == sum(SB[:7])
+
+
 def test_bruteforce_counts():
     assert invseq.count_avoiders_bruteforce(8) == SB[:8]
 
