@@ -302,7 +302,7 @@ def series_nonneg_part(order: int) -> Outcome:
     rhs = series.LabelSeries("semi", order).series_in_one_plus_a()
     for n in range(1, order + 1):
         if lhs.coeff_x(n) != rhs.coeff_x(n):
-            e = min((lhs.coeff_x(n) - rhs.coeff_x(n)).c)
+            (e,) = min((lhs.coeff_x(n) - rhs.coeff_x(n)).c)
             return False, f"nonneg part vs label evaluation at n={n}, exponent a^{e}"
     return True, f"nonneg part matches label evaluation for x^1..x^{order}"
 

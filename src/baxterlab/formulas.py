@@ -27,10 +27,17 @@ def binom(n: int, k: int) -> int:
     >>> binom(5, 2), binom(5, -1), binom(5, 9)
     (10, 0, 0)
     """
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"binomial top must be nonnegative, got {n}")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def at_least(value: int, low: int, name: str) -> None:
+    """Raise ValueError unless value >= low; name says which argument."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -61,7 +68,7 @@ def sb_recurrence(n_max: int) -> list[int]:
     >>> sb_recurrence(7)
     [0, 1, 2, 6, 23, 104, 530, 2958]
     """
-    assert n_max >= 1
+    at_least(n_max, 1, "n_max")
     sb = [0, 1]
     for n in range(2, n_max + 1):
         num = (11 * n * n + 11 * n - 6) * sb[n - 1] + (n - 3) * (n - 2) * sb[n - 2]
@@ -87,7 +94,7 @@ def sb_sum_formula(n: int) -> int:
     >>> [sb_sum_formula(n) for n in range(2, 8)]
     [2, 6, 23, 104, 530, 2958]
     """
-    assert n >= 2
+    at_least(n, 2, "n")
     total = sum(sb_summand(n, j) for j in range(n))
     if total.denominator != 1:
         raise ValueError(f"SB_{n} sum formula not integral: {total}")
@@ -107,8 +114,9 @@ def sb_simple_formula(n: int, variant: str = "a") -> int:
     >>> [sb_simple_formula(4, v) for v in "abcd"]
     [23, 23, 23, 23]
     """
-    assert n >= 2
-    assert variant in _SIMPLE_VARIANTS, variant
+    at_least(n, 2, "n")
+    if variant not in _SIMPLE_VARIANTS:
+        raise ValueError(f"unknown simple-formula variant {variant!r}")
     c = binom
     if variant == "a":
         s = sum(c(n, j + 2) * c(n + 2, j) * c(n + j + 2, j + 1) for j in range(n + 1))
@@ -160,7 +168,7 @@ def apery_closed(n: int) -> int:
 
 def apery_recurrence(n_max: int) -> list[int]:
     """a_0..a_n_max from (n+1)^2 a_{n+1} = (11n^2+11n+3) a_n + n^2 a_{n-1}."""
-    assert n_max >= 0
+    at_least(n_max, 0, "n_max")
     a = [1]
     for n in range(n_max):
         num = (11 * n * n + 11 * n + 3) * a[n] + (n * n * a[n - 1] if n else 0)
@@ -174,7 +182,7 @@ def sb_via_apery(n: int) -> int:
     >>> [sb_via_apery(n) for n in (2, 3, 4)]
     [2, 6, 23]
     """
-    assert n >= 2
+    at_least(n, 2, "n")
     a = apery_recurrence(n + 1)
     num = (5 * n ** 3 - 5 * n + 6) * a[n + 1] - (5 * n ** 2 + 15 * n + 18) * a[n]
     den = 5 * (n - 1) * n ** 2 * (n + 2) ** 2 * (n + 3) ** 2 * (n + 4)
@@ -190,7 +198,7 @@ def baxter_closed(n: int) -> int:
     >>> [baxter_closed(n) for n in range(1, 7)]
     [1, 2, 6, 22, 92, 422]
     """
-    assert n >= 1
+    at_least(n, 1, "n")
     s = sum(binom(n + 1, j - 1) * binom(n + 1, j) * binom(n + 1, j + 1)
             for j in range(1, n + 1))
     return _exact_div(2 * s, n * (n + 1) ** 2, f"B_{n}")
@@ -202,7 +210,7 @@ def baxter_recurrence(n_max: int) -> list[int]:
     >>> baxter_recurrence(6)
     [0, 1, 2, 6, 22, 92, 422]
     """
-    assert n_max >= 1
+    at_least(n_max, 1, "n_max")
     b = [0, 1]
     for n in range(2, n_max + 1):
         num = (7 * n * n + 7 * n - 2) * b[n - 1] + 8 * (n - 2) * (n - 1) * b[n - 2]
@@ -225,12 +233,9 @@ def asymptotic_check(n: int) -> dict[str, float]:
     Returns the consecutive-term ratio SB_n/SB_{n-1}, its target mu, the
     polynomially corrected ratio SB_n n^6/(SB_{n-1} (n-1)^6) which kills
     the n^-6 factor of the growth law, and the scaled amplitude
-    SB_n n^6 / mu^n against its target.  Also asserts the algebraic
-    identities tying mu and nu to lambda.
+    SB_n n^6 / mu^n against its target.
     """
-    assert n >= 10
-    assert abs(MU - LAMBDA ** -5) < 1e-9 * MU
-    assert abs(NU - math.sqrt(5) / LAMBDA ** 2) < 1e-9 * NU
+    at_least(n, 10, "n")
     sb = sb_recurrence(n)
     ratio = float(Fraction(sb[n], sb[n - 1]))
     corrected = ratio * (n / (n - 1)) ** 6

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .formulas import binom, catalan
+from .formulas import at_least, binom, catalan
 
 ISeq = tuple[int, ...]
 
@@ -127,7 +127,7 @@ def count_avoiders_bruteforce(n_max: int) -> list[int]:
     >>> count_avoiders_bruteforce(4)
     [1, 2, 6, 23]
     """
-    assert n_max >= 1
+    at_least(n_max, 1, "n_max")
     counts = [0] * (n_max + 1)
     counts[1] = 1
     stack: list[ISeq] = [(0,)]
@@ -161,7 +161,7 @@ def q_table(n: int) -> dict[tuple[int, int], int]:
     >>> sum(q_table(4).values())
     23
     """
-    assert n >= 1
+    at_least(n, 1, "n")
     prev: dict[tuple[int, int], int] = {}
     for m in range(1, n + 1):
         cur: dict[tuple[int, int], int] = {}
@@ -185,6 +185,6 @@ def total_via_formula(n: int) -> int:
     >>> [total_via_formula(n) for n in (1, 5, 7)]
     [1, 104, 2958]
     """
-    assert n >= 1
+    at_least(n, 1, "n")
     q = q_table(n)
     return catalan(n) + sum(cnt for (a, b), cnt in q.items() if b >= 0)

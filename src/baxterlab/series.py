@@ -1,217 +1,230 @@
 """Truncated series algebra behind the label generating functions.
 
-The working objects are power series in x truncated at a fixed order
-whose coefficients are Laurent polynomials in one variable a with exact
-integer or rational coefficients.  On top of them sit the series W
-solving W = x ā (1+a)(W+1+a)(W+a) with ā = 1/a, its companion F(a,W)
-whose nonnegative part in a reproduces the semi-Baxter label polynomials
-evaluated at y = z = 1+a, Lagrange-inversion coefficient extraction,
-coefficientwise residuals of the functional equations satisfied by the
-semi and strong label series, invariance probes for the two kernels, and
-a rational-point identity tying F to an explicit rational function P by
-series division.
+Two types carry all of it: Poly, a sparse polynomial keyed by exponent
+tuples (Laurent polynomials in a, or polynomials in two variables), and
+XSeries, a power series in x truncated at a fixed order whose
+coefficients are Polys in a or exact rationals.  On top of them sit the
+series W solving W = x ā (1+a)(W+1+a)(W+a) with ā = 1/a, solved online
+one coefficient at a time by the same routine at a symbolic a and at a
+rational point, its companion F(a,W) whose nonnegative part in a
+reproduces the semi-Baxter label polynomials evaluated at y = z = 1+a,
+Lagrange-inversion coefficient extraction, coefficientwise residuals of
+the functional equations satisfied by the semi and strong label series,
+invariance probes for the two kernels, and a rational-point identity
+tying F to an explicit rational function P by series division.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import prod
+from operator import add
+from typing import Callable, Iterable, Mapping
 
-from .formulas import binom
+from .formulas import at_least, binom
 from .rules import RULES, next_level
 
 Rat = int | Fraction
 
 
-class LaurentPoly:
-    """Laurent polynomial in a: finite map exponent -> nonzero value."""
+class Poly:
+    """Sparse polynomial with exact coefficients in one or two variables:
+    a map from exponent tuples to nonzero values.  Laurent polynomials in
+    a use 1-tuples, polynomials in (y, z) or (a, b) use 2-tuples, and
+    exponents may be negative.  Treated as immutable once built.
+
+    >>> Poly({(0,): 1, (1,): 1}) * Poly({(-1,): 1, (0,): 1})
+    1*a^-1 + 2 + 1*a^1
+    """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: Mapping[int, Rat] | None = None):
-        self.c: dict[int, Rat] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if v:
-                    self.c[e] = v
+    def __init__(self, coeffs: Mapping[tuple[int, ...], Rat] | None = None):
+        self.c: dict[tuple[int, ...], Rat] = (
+            {e: v for e, v in coeffs.items() if v} if coeffs else {}
+        )
 
     def __bool__(self) -> bool:
         return bool(self.c)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and self.c == other.c
-
-    def __hash__(self):
-        raise TypeError("mutable")
+        return isinstance(other, Poly) and self.c == other.c
 
     def __repr__(self) -> str:
         if not self.c:
             return "0"
-        parts = [f"{v}*a^{e}" if e else f"{v}" for e, v in sorted(self.c.items())]
-        return " + ".join(parts)
+        return " + ".join(
+            f"{v}" + "".join(f"*{x}^{n}" for x, n in zip("ab", e) if n)
+            for e, v in sorted(self.c.items())
+        )
 
-    def coeff(self, e: int) -> Rat:
+    def coeff(self, *e: int) -> Rat:
         return self.c.get(e, 0)
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.c)
         for e, v in other.c.items():
-            w = out.get(e, 0) + v
-            if w:
-                out[e] = w
-            elif e in out:
-                del out[e]
-        r = LaurentPoly()
-        r.c = out
-        return r
+            out[e] = out.get(e, 0) + v
+        return Poly(out)
 
-    def __neg__(self) -> "LaurentPoly":
-        r = LaurentPoly()
-        r.c = {e: -v for e, v in self.c.items()}
-        return r
+    def __neg__(self) -> "Poly":
+        return Poly({e: -v for e, v in self.c.items()})
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + -other
 
-    def __mul__(self, other: "LaurentPoly | Rat") -> "LaurentPoly":
-        """Product with another Laurent polynomial or an exact scalar.
-
-        >>> LaurentPoly({0: 1, 1: 1}) * LaurentPoly({-1: 1, 0: 1})
-        1*a^-1 + 2 + 1*a^1
-        """
-        if isinstance(other, (int, Fraction)):
-            r = LaurentPoly()
-            if other:
-                r.c = {e: v * other for e, v in self.c.items()}
-            return r
-        out: dict[int, Rat] = {}
+    def __mul__(self, other: "Poly | Rat") -> "Poly":
+        """Product with another polynomial or an exact scalar."""
+        if not isinstance(other, Poly):
+            return Poly({e: v * other for e, v in self.c.items()})
+        out: dict[tuple[int, ...], Rat] = {}
+        get = out.get
+        theirs = list(other.c.items())
         for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                w = out.get(e, 0) + v1 * v2
-                if w:
-                    out[e] = w
-                elif e in out:
-                    del out[e]
-        r = LaurentPoly()
-        r.c = out
-        return r
+            if len(e1) == 1:
+                (x,) = e1
+                for (u,), v2 in theirs:
+                    out[x + u,] = get((x + u,), 0) + v1 * v2
+            else:
+                x, y = e1
+                for (u, w), v2 in theirs:
+                    out[x + u, y + w] = get((x + u, y + w), 0) + v1 * v2
+        return Poly(out)
 
-    def nonneg_part(self) -> "LaurentPoly":
-        """Drop every term with a negative exponent.
+    def map_exponents(self, f: Callable[[tuple[int, ...]], tuple[int, ...]]) -> "Poly":
+        """Send every exponent e to f(e), summing the terms that collide.
 
-        >>> LaurentPoly({-2: 5, 0: 7, 3: 1}).nonneg_part()
-        7 + 1*a^3
+        >>> Poly({(1, 0): 2, (0, 1): 3}).map_exponents(lambda e: (sum(e),))
+        5*a^1
         """
-        return LaurentPoly({e: v for e, v in self.c.items() if e >= 0})
+        out: dict[tuple[int, ...], Rat] = {}
+        for e, v in self.c.items():
+            k = f(e)
+            out[k] = out.get(k, 0) + v
+        return Poly(out)
 
-    def eval_at(self, a0: Rat) -> Fraction:
-        a0 = Fraction(a0)
-        return sum((Fraction(v) * a0 ** e for e, v in self.c.items()), Fraction(0))
+    def eval_at(self, *point: Rat) -> Fraction:
+        point = tuple(Fraction(x) for x in point)
+        return sum(
+            (v * prod(x ** n for x, n in zip(point, e)) for e, v in self.c.items()),
+            Fraction(0),
+        )
 
-    def exponent_range(self) -> tuple[int, int]:
-        assert self.c, "zero polynomial has no exponent range"
-        return min(self.c), max(self.c)
+
+def laurent(coeffs: Mapping[int, Rat]) -> Poly:
+    """The Laurent polynomial in a with the given exponent -> value map."""
+    return Poly({(e,): v for e, v in coeffs.items()})
 
 
-_A = LaurentPoly({1: 1})
-_ONE_PLUS_A = LaurentPoly({0: 1, 1: 1})
+_A = laurent({1: 1})
+_ONE_PLUS_A = laurent({0: 1, 1: 1})
+
+
+def _row(u: list, v: list, k: int):
+    """[x^k] of the product of the series with coefficients u and v."""
+    terms = [u[i] * v[k - i] for i in range(k + 1) if u[i] and v[k - i]]
+    return sum(terms[1:], terms[0]) if terms else u[0] * 0
 
 
 class XSeries:
-    """Power series in x truncated at a fixed order, LaurentPoly coefficients."""
+    """Power series in x truncated at a fixed order.
+
+    The coefficients are Polys in a or exact rationals; the series needs
+    only +, -, *, truth and equality of them (c * 0 is the zero).
+    """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: Iterable[LaurentPoly]):
-        self.c: list[LaurentPoly] = list(coeffs)
-
-    @classmethod
-    def zero(cls, order: int) -> "XSeries":
-        return cls(LaurentPoly() for _ in range(order + 1))
+    def __init__(self, coeffs: Iterable):
+        self.c: list = list(coeffs)
 
     @property
     def order(self) -> int:
         return len(self.c) - 1
 
-    def coeff_x(self, n: int) -> LaurentPoly:
+    def coeff_x(self, n: int):
         return self.c[n]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, XSeries) and self.c == other.c
 
-    def __add__(self, other: "XSeries | LaurentPoly") -> "XSeries":
-        if isinstance(other, LaurentPoly):
-            out = list(self.c)
-            out[0] = out[0] + other
-            return XSeries(out)
-        assert self.order == other.order
-        return XSeries(u + v for u, v in zip(self.c, other.c))
+    def _same_order(self, other: "XSeries") -> int:
+        if self.order != other.order:
+            raise ValueError(f"series orders differ: {self.order} vs {other.order}")
+        return self.order
 
-    def __sub__(self, other: "XSeries") -> "XSeries":
-        assert self.order == other.order
-        return XSeries(u - v for u, v in zip(self.c, other.c))
+    def __add__(self, other) -> "XSeries":
+        """Sum with a series, or with a coefficient added at x^0."""
+        if not isinstance(other, XSeries):
+            return XSeries([self.c[0] + other] + self.c[1:])
+        self._same_order(other)
+        return XSeries(map(add, self.c, other.c))
+
+    def __neg__(self) -> "XSeries":
+        return XSeries(-u for u in self.c)
+
+    def __sub__(self, other) -> "XSeries":
+        return self + -other
 
     def __mul__(self, other: "XSeries") -> "XSeries":
-        assert self.order == other.order
-        n = self.order
-        acc: list[dict[int, Rat]] = [{} for _ in range(n + 1)]
-        for i, ci in enumerate(self.c):
-            if not ci.c:
-                continue
-            for j in range(n - i + 1):
-                cj = other.c[j]
-                if not cj.c:
-                    continue
-                tgt = acc[i + j]
-                for e1, v1 in ci.c.items():
-                    for e2, v2 in cj.c.items():
-                        e = e1 + e2
-                        w = tgt.get(e, 0) + v1 * v2
-                        if w:
-                            tgt[e] = w
-                        elif e in tgt:
-                            del tgt[e]
-        out = XSeries.zero(n)
-        for k, d in enumerate(acc):
-            out.c[k].c = d
-        return out
+        n = self._same_order(other)
+        return XSeries(_row(self.c, other.c, k) for k in range(n + 1))
 
-    def scale(self, f: LaurentPoly | Rat) -> "XSeries":
-        if not isinstance(f, LaurentPoly):
-            f = LaurentPoly({0: f})
+    def scale(self, f) -> "XSeries":
         return XSeries(u * f for u in self.c)
 
     def shift_x(self) -> "XSeries":
         """Multiply by x, truncating at the original order."""
-        return XSeries([LaurentPoly()] + self.c[:-1])
+        return XSeries([self.c[0] * 0] + self.c[:-1])
+
+    def inverse(self) -> "XSeries":
+        """Multiplicative inverse; the x^0 coefficient must be a nonzero rational."""
+        if not self.c[0]:
+            raise ValueError("series with a zero constant term has no inverse")
+        inv0 = 1 / Fraction(self.c[0])
+        out = [inv0]
+        for n in range(1, self.order + 1):
+            out.append(-inv0 * sum(self.c[i] * out[n - i] for i in range(1, n + 1)))
+        return XSeries(out)
+
+
+def online_fixpoint(p, alpha, beta, order: int) -> XSeries:
+    """The series W with W = x*p*(W+alpha)*(W+beta), solved online.
+
+    [x^n]W = p * [x^(n-1)]((W+alpha)(W+beta)) needs only W_0..W_(n-1),
+    so each new coefficient costs one convolution row (van der Hoeven,
+    "Relax, but don't be too lazy", J. Symbolic Comput., 2002).  One full
+    re-substitution then confirms the fixpoint, raising ValueError if not.
+    """
+    w = [p * 0]
+    u, v = [alpha], [beta]  # coefficients of W+alpha and W+beta
+    for n in range(1, order + 1):
+        w.append(_row(u, v, n - 1) * p)
+        u.append(w[n])
+        v.append(w[n])
+    s = XSeries(w)
+    if s != ((s + alpha) * (s + beta)).scale(p).shift_x():
+        raise ValueError("online solve of W is not a fixpoint")
+    return s
 
 
 def solve_W(order: int) -> XSeries:
     """The unique series with W = x*ā*(1+a)*(W+1+a)*(W+a), ā = 1/a.
 
-    Iterating the right-hand side from 0 pins one more x-order per pass.
-    The result is re-substituted once to confirm the fixpoint, and the
-    a-exponents of [x^n]W are asserted to lie in [-(n-1), 2n], a window
-    observed empirically (each pass multiplies by at most a^2/a per x).
+    Solved online and re-substituted once to confirm the fixpoint.  The
+    a-exponents of [x^n]W must lie in [-(n-1), 2n] (by induction: each
+    order adds at most a^2 and at least ā), else ValueError.
 
     >>> solve_W(2).coeff_x(1)
     1 + 2*a^1 + 1*a^2
     """
-    assert order >= 1
-    prefactor = LaurentPoly({-1: 1, 0: 1})
-
-    def step(w: XSeries) -> XSeries:
-        return ((w + _ONE_PLUS_A) * (w + _A)).scale(prefactor).shift_x()
-
-    w = XSeries.zero(order)
-    for _ in range(order):
-        w = step(w)
-    assert w == step(w), "fixpoint not reached"
+    at_least(order, 1, "order")
+    w = online_fixpoint(laurent({-1: 1, 0: 1}), _ONE_PLUS_A, _A, order)
     for n in range(1, order + 1):
-        lo, hi = w.coeff_x(n).exponent_range()
-        assert -(n - 1) <= lo and hi <= 2 * n, (n, lo, hi)
+        exps = [e for (e,) in w.coeff_x(n).c]
+        if not exps or min(exps) < -(n - 1) or max(exps) > 2 * n:
+            raise ValueError(f"[x^{n}]W leaves the exponent window [{1 - n}, {2 * n}]")
     return w
 
 
@@ -223,7 +236,8 @@ def lagrange_coeff(s: int, k: int, i: int) -> Fraction:
     >>> lagrange_coeff(2, 1, 1)
     Fraction(1, 1)
     """
-    assert i in (1, 2, 3) and k >= 1
+    if i not in (1, 2, 3) or k < 1:
+        raise ValueError(f"need i in (1, 2, 3) and k >= 1, got i={i}, k={k}")
     total = sum(
         binom(k, j) * binom(k, j + i) * binom(k + j + i, j + s)
         for j in range(k - i + 1)
@@ -231,9 +245,9 @@ def lagrange_coeff(s: int, k: int, i: int) -> Fraction:
     return Fraction(i * total, k)
 
 
-_F_W1 = LaurentPoly({-5: 1, -4: 1, 0: 2, 1: 2})
-_F_W2 = LaurentPoly({-5: -1, -4: -1, -3: 1, -2: -1, -1: -1, 0: 1})
-_F_W3 = LaurentPoly({-4: 1, -2: -1})
+_F_W1 = laurent({-5: 1, -4: 1, 0: 2, 1: 2})
+_F_W2 = laurent({-5: -1, -4: -1, -3: 1, -2: -1, -1: -1, 0: 1})
+_F_W3 = laurent({-4: 1, -2: -1})
 
 
 def build_F(order: int) -> XSeries:
@@ -242,7 +256,6 @@ def build_F(order: int) -> XSeries:
     The a^0 coefficient of [x^n] is the n-th semi-Baxter number, and the
     nonnegative part in a matches the semi label polynomials at y=z=1+a.
     """
-    assert order >= 1
     w = solve_W(order)
     w2 = w * w
     base = w.scale(_F_W1) + w2.scale(_F_W2) + (w2 * w).scale(_F_W3)
@@ -252,102 +265,7 @@ def build_F(order: int) -> XSeries:
 
 def omega_geq(s: XSeries) -> XSeries:
     """Keep only nonnegative a-exponents in every x-coefficient."""
-    return XSeries(u.nonneg_part() for u in s.c)
-
-
-class Poly2:
-    """Sparse polynomial in (y, z): map (ydeg, zdeg) -> nonzero value."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], Rat] | None = None):
-        self.c: dict[tuple[int, int], Rat] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v:
-                    self.c[k] = v
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly2) and self.c == other.c
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        r = Poly2()
-        r.c = out
-        return r
-
-    def __neg__(self) -> "Poly2":
-        r = Poly2()
-        r.c = {k: -v for k, v in self.c.items()}
-        return r
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        out: dict[tuple[int, int], Rat] = {}
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
-                k = (i1 + i2, j1 + j2)
-                w = out.get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        r = Poly2()
-        r.c = out
-        return r
-
-    def at_y1(self) -> "Poly2":
-        """Substitute y = 1, leaving a polynomial in z."""
-        out = Poly2()
-        for (i, j), v in self.c.items():
-            k = (0, j)
-            w = out.c.get(k, 0) + v
-            if w:
-                out.c[k] = w
-            elif k in out.c:
-                del out.c[k]
-        return out
-
-    def at_z1(self) -> "Poly2":
-        out = Poly2()
-        for (i, j), v in self.c.items():
-            k = (i, 0)
-            w = out.c.get(k, 0) + v
-            if w:
-                out.c[k] = w
-            elif k in out.c:
-                del out.c[k]
-        return out
-
-    def diagonal(self) -> "Poly2":
-        """Substitute z = y: the term y^i z^j becomes y^(i+j)."""
-        out = Poly2()
-        for (i, j), v in self.c.items():
-            k = (i + j, 0)
-            w = out.c.get(k, 0) + v
-            if w:
-                out.c[k] = w
-            elif k in out.c:
-                del out.c[k]
-        return out
-
-    def eval_at(self, y0: Rat, z0: Rat) -> Fraction:
-        y0, z0 = Fraction(y0), Fraction(z0)
-        return sum(
-            (Fraction(v) * y0 ** i * z0 ** j for (i, j), v in self.c.items()),
-            Fraction(0),
-        )
+    return XSeries(Poly({e: v for e, v in u.c.items() if e[0] >= 0}) for u in s.c)
 
 
 class LabelSeries:
@@ -359,7 +277,7 @@ class LabelSeries:
     """
 
     def __init__(self, rule_name: str, order: int):
-        assert order >= 1
+        at_least(order, 1, "order")
         rule = RULES[rule_name]
         levels: list[dict[tuple[int, int], int]] = [{}, {rule.axiom: 1}]
         for _ in range(order - 1):
@@ -372,34 +290,26 @@ class LabelSeries:
         """Totals per size; index 0 is the empty level."""
         return [sum(lv.values()) for lv in self.levels]
 
-    def poly2(self, n: int) -> Poly2:
-        return Poly2(self.levels[n])
+    def poly(self, n: int) -> Poly:
+        """Level n as the polynomial in (y, z)."""
+        return Poly(self.levels[n])
 
     def eval_series(self, y0: Rat, z0: Rat) -> list[Fraction]:
         """Coefficient list of the x-series with (y, z) fixed to rationals."""
-        y0, z0 = Fraction(y0), Fraction(z0)
-        out = []
-        for lv in self.levels:
-            out.append(
-                sum(
-                    (v * y0 ** h * z0 ** k for (h, k), v in lv.items()),
-                    Fraction(0),
-                )
-            )
-        return out
+        return [Poly(lv).eval_at(y0, z0) for lv in self.levels]
 
     def series_in_one_plus_a(self) -> XSeries:
         """Sum of S_{h,k} (1+a)^(h+k) per x-order, as a series in x."""
-        powers = [LaurentPoly({0: 1})]
+        powers = [laurent({0: 1})]
         for _ in range(self.order + 1):
             powers.append(powers[-1] * _ONE_PLUS_A)
-        out = XSeries.zero(self.order)
-        for n in range(1, self.order + 1):
-            acc = LaurentPoly()
-            for (h, k), v in self.levels[n].items():
+        out = [Poly()]
+        for lv in self.levels[1:]:
+            acc = Poly()
+            for (h, k), v in lv.items():
                 acc = acc + powers[h + k] * v
-            out.c[n] = acc
-        return out
+            out.append(acc)
+        return XSeries(out)
 
     def perturbed(self, deltas: Mapping[tuple[int, int, int], int]) -> "LabelSeries":
         """Copy with levels[n][(h,k)] shifted by each given delta."""
@@ -408,17 +318,32 @@ class LabelSeries:
         other.order = self.order
         other.levels = [dict(lv) for lv in self.levels]
         for (n, h, k), d in deltas.items():
-            assert 1 <= n <= self.order, (n, self.order)
+            if not 1 <= n <= self.order:
+                raise ValueError(f"perturbed level {n} is outside 1..{self.order}")
             lv = other.levels[n]
             lv[(h, k)] = lv.get((h, k), 0) + d
         return other
 
 
-_Y = Poly2({(1, 0): 1})
-_YZ = Poly2({(1, 1): 1})
-_ONE_MINUS_Y = Poly2({(0, 0): 1, (1, 0): -1})
-_ONE_MINUS_Z = Poly2({(0, 0): 1, (0, 1): -1})
-_Z_MINUS_Y = Poly2({(0, 1): 1, (1, 0): -1})
+_Y = Poly({(1, 0): 1})
+_Z = Poly({(0, 1): 1})
+_YZ = Poly({(1, 1): 1})
+_ONE_MINUS_Y = Poly({(0, 0): 1, (1, 0): -1})
+_ONE_MINUS_Z = Poly({(0, 0): 1, (0, 1): -1})
+_Z_MINUS_Y = Poly({(0, 1): 1, (1, 0): -1})
+
+
+def _y1(e: tuple[int, ...]) -> tuple[int, int]:
+    return (0, e[1])
+
+
+def _z1(e: tuple[int, ...]) -> tuple[int, int]:
+    return (e[0], 0)
+
+
+def _diagonal(e: tuple[int, ...]) -> tuple[int, int]:
+    return (e[0] + e[1], 0)
+
 
 Residual = tuple[int, tuple[int, int, int] | None]
 
@@ -437,6 +362,14 @@ def residual_scan(diffs: Iterable[tuple[int, Mapping[tuple[int, int], int]]]) ->
     return max_abs, offending
 
 
+def _labels(
+    rule_name: str, order: int, perturb: Mapping[tuple[int, int, int], int] | None
+) -> LabelSeries:
+    at_least(order, 2, "order")
+    labels = LabelSeries(rule_name, order)
+    return labels.perturbed(perturb) if perturb else labels
+
+
 def residual_semi(
     order: int,
     perturb: Mapping[tuple[int, int, int], int] | None = None,
@@ -449,17 +382,14 @@ def residual_semi(
     Returns (max absolute residual, first offending (n, ydeg, zdeg) or
     None); (0, None) means the identity holds through x^order.
     """
-    assert order >= 2
-    labels = LabelSeries("semi", order)
-    if perturb:
-        labels = labels.perturbed(perturb)
+    labels = _labels("semi", order, perturb)
     diffs = []
-    prev = Poly2()
+    prev = Poly()
     for n in range(1, order + 1):
-        cur = labels.poly2(n)
+        cur = labels.poly(n)
         lhs = _ONE_MINUS_Y * _Z_MINUS_Y * cur
-        rhs = _YZ * _Z_MINUS_Y * (prev.at_y1() - prev)
-        rhs = rhs + _YZ * _ONE_MINUS_Y * (prev - prev.diagonal())
+        rhs = _YZ * _Z_MINUS_Y * (prev.map_exponents(_y1) - prev)
+        rhs = rhs + _YZ * _ONE_MINUS_Y * (prev - prev.map_exponents(_diagonal))
         if n == 1:
             rhs = rhs + _YZ * _ONE_MINUS_Y * _Z_MINUS_Y
         d = lhs - rhs
@@ -478,18 +408,15 @@ def residual_strong(
         (1-y)(1-z) I = xyz(1-y)(1-z) + x(1-z)(y I(1,z) - I(y,z))
                      + xz(1-y)(1-z) I + xyz(1-y)(I(y,1) - I(y,z)).
     """
-    assert order >= 2
-    labels = LabelSeries("strong", order)
-    if perturb:
-        labels = labels.perturbed(perturb)
+    labels = _labels("strong", order, perturb)
     diffs = []
-    prev = Poly2()
+    prev = Poly()
     for n in range(1, order + 1):
-        cur = labels.poly2(n)
+        cur = labels.poly(n)
         lhs = _ONE_MINUS_Y * _ONE_MINUS_Z * cur
-        rhs = _ONE_MINUS_Z * (_Y * prev.at_y1() - prev)
-        rhs = rhs + Poly2({(0, 1): 1}) * _ONE_MINUS_Y * _ONE_MINUS_Z * prev
-        rhs = rhs + _YZ * _ONE_MINUS_Y * (prev.at_z1() - prev)
+        rhs = _ONE_MINUS_Z * (_Y * prev.map_exponents(_y1) - prev)
+        rhs = rhs + _Z * _ONE_MINUS_Y * _ONE_MINUS_Z * prev
+        rhs = rhs + _YZ * _ONE_MINUS_Y * (prev.map_exponents(_z1) - prev)
         if n == 1:
             rhs = rhs + _YZ * _ONE_MINUS_Y * _ONE_MINUS_Z
         d = lhs - rhs
@@ -630,85 +557,6 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     }
 
 
-class RSeries:
-    """Power series in x truncated at a fixed order, Fraction coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Iterable[Rat]):
-        self.c: list[Rat] = list(coeffs)
-
-    @classmethod
-    def zero(cls, order: int) -> "RSeries":
-        return cls([0] * (order + 1))
-
-    @property
-    def order(self) -> int:
-        return len(self.c) - 1
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RSeries) and self.c == other.c
-
-    def __add__(self, other: "RSeries | Rat") -> "RSeries":
-        if isinstance(other, (int, Fraction)):
-            out = list(self.c)
-            out[0] += other
-            return RSeries(out)
-        assert self.order == other.order
-        return RSeries(u + v for u, v in zip(self.c, other.c))
-
-    def __sub__(self, other: "RSeries | Rat") -> "RSeries":
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        assert self.order == other.order
-        return RSeries(u - v for u, v in zip(self.c, other.c))
-
-    def __neg__(self) -> "RSeries":
-        return RSeries(-u for u in self.c)
-
-    def __mul__(self, other: "RSeries") -> "RSeries":
-        assert self.order == other.order
-        n = self.order
-        out = [0] * (n + 1)
-        for i, u in enumerate(self.c):
-            if not u:
-                continue
-            for j in range(n - i + 1):
-                v = other.c[j]
-                if v:
-                    out[i + j] += u * v
-        return RSeries(out)
-
-    def scale(self, f: Rat) -> "RSeries":
-        return RSeries(u * f for u in self.c)
-
-    def shift_x(self) -> "RSeries":
-        return RSeries([0] + self.c[:-1])
-
-    def inverse(self) -> "RSeries":
-        """Multiplicative inverse; the constant term must be nonzero."""
-        c0 = Fraction(self.c[0])
-        assert c0 != 0, "series not invertible"
-        out: list[Rat] = [1 / c0]
-        for n in range(1, self.order + 1):
-            s = sum(self.c[i] * out[n - i] for i in range(1, n + 1))
-            out.append(-s / c0)
-        return RSeries(out)
-
-
-def _solve_w_at(a0: Fraction, order: int) -> RSeries:
-    prefactor = (1 + a0) / a0
-
-    def step(w: RSeries) -> RSeries:
-        return ((w + (1 + a0)) * (w + a0)).scale(prefactor).shift_x()
-
-    w = RSeries.zero(order)
-    for _ in range(order):
-        w = step(w)
-    assert w == step(w)
-    return w
-
-
 # Numerator terms of P(a, z) as (coefficient in a, power of z), kept in
 # the flat term order of the defining expression; the F comparison in
 # verify_reduced_identity pins every entry.
@@ -731,17 +579,17 @@ _P_NUM_TERMS: tuple[tuple[tuple[int, int], int], ...] = (
 )
 
 
-def _p_at(a0: Fraction, z: RSeries) -> RSeries:
+def _p_at(a0: Fraction, z: XSeries) -> XSeries:
     """P(a0, z) for a series argument z, by truncated series division.
 
     P(a,z) = (-z+1+a) * N(a,z) / (z a^4 (z-1)) with N the catalogued
     15-term polynomial; z and z-1 must have nonzero constant terms.
     """
     order = z.order
-    zp = [RSeries.zero(order) + 1]
+    zp = [XSeries([1] + [0] * order)]
     for _ in range(3):
         zp.append(zp[-1] * z)
-    num = RSeries.zero(order)
+    num = XSeries([0] * (order + 1))
     for (coef, apow), zpow in _P_NUM_TERMS:
         num = num + zp[zpow].scale(coef * a0 ** apow)
     num = (-z + (1 + a0)) * num
@@ -766,9 +614,8 @@ def verify_reduced_identity(
     a = Fraction(a0)
     if a in (0, -1, 1):
         raise ValueError(f"a0 must not be 0, -1 or 1, got {a}")
-    if order < 2:
-        raise ValueError(f"order must be at least 2, got {order}")
-    w = _solve_w_at(a, order)
+    at_least(order, 2, "order")
+    w = online_fixpoint((1 + a) / a, 1 + a, a, order)
     z = w + (1 + a)
 
     ab = 1 / a

@@ -18,8 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .formulas import binom
-from .series import LabelSeries, Residual, residual_scan
+from .formulas import at_least, binom
+from .series import LabelSeries, Poly, Residual, residual_scan
 
 Step = tuple[int, int]
 
@@ -36,7 +36,8 @@ class StepMultiset:
                 (dx, dy, m) = s
             else:
                 (dx, dy), m = s, 1
-            assert abs(dx) <= 1 and abs(dy) <= 1 and m >= 1, s
+            if abs(dx) > 1 or abs(dy) > 1 or m < 1:
+                raise ValueError(f"need a small step with positive multiplicity, got {s}")
             self.mult[(dx, dy)] = self.mult.get((dx, dy), 0) + m
         self.name = name
 
@@ -121,7 +122,7 @@ def count_walks(steps: StepMultiset, n_max: int) -> list[WalkTable]:
     >>> sorted(count_walks(FIVE, 1)[1].counts.items())
     [((0, 1), 1), ((1, 0), 1)]
     """
-    assert n_max >= 0
+    at_least(n_max, 0, "n_max")
     items = steps.items()
     tables = [WalkTable(0, {(0, 0): 1})]
     cur: dict[Step, int] = {(0, 0): 1}
@@ -163,7 +164,7 @@ def excursions(steps: StepMultiset, n_max: int) -> list[int]:
     >>> excursions(SEVEN, 2)
     [1, 2, 6]
     """
-    assert n_max >= 0
+    at_least(n_max, 0, "n_max")
     items = steps.items()
     out = [1]
     grid: list[list[int]] = [[1]]
@@ -192,12 +193,12 @@ def excursions(steps: StepMultiset, n_max: int) -> list[int]:
     return out
 
 
-def _add(d: dict[Step, int], key: Step, v: int) -> None:
-    w = d.get(key, 0) + v
-    if w:
-        d[key] = w
-    elif key in d:
-        del d[key]
+# Polynomials in (a, b) of the cleared FIVE walk equation.
+_AB = Poly({(1, 1): 1})
+_B = Poly({(0, 1): 1})
+_A_ONE_PLUS_A = Poly({(1, 0): 1, (2, 0): 1})
+_FIVE_STEPS = Poly({(0, 1): 1, (1, 0): 1, (2, 0): 1, (2, 1): 1, (1, 2): 1})
+_ONE_PLUS_A_ONE_PLUS_B = Poly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
 
 
 def residual_walk_equation(
@@ -213,28 +214,19 @@ def residual_walk_equation(
     Returns (max absolute residual, first offending (n, adeg, bdeg) or
     None).  perturb shifts table entries by {(n, x, y): delta} first.
     """
-    assert order >= 1
-    tables = count_walks(FIVE, order)
-    counts = [dict(t.counts) for t in tables]
+    at_least(order, 1, "order")
+    counts = [Poly(t.counts) for t in count_walks(FIVE, order)]
     if perturb:
         for (n, x, y), delta in perturb.items():
-            _add(counts[n], (x, y), delta)
+            counts[n] = counts[n] + Poly({(x, y): delta})
     diffs = []
     for n in range(1, order + 1):
-        d: dict[Step, int] = {}
-        for (x, y), c in counts[n].items():
-            _add(d, (x + 1, y + 1), c)
-        for (x, y), c in counts[n - 1].items():
-            # t(b + a + a^2 + a^2 b + a b^2) W
-            for sx, sy in ((0, 1), (1, 0), (2, 0), (2, 1), (1, 2)):
-                _add(d, (x + sx, y + sy), -c)
-            if x == 0:
-                _add(d, (0, y + 1), c)
-            if y == 0:
-                _add(d, (x + 1, 0), c)
-                _add(d, (x + 2, 0), c)
+        prev = counts[n - 1]
+        on_x0 = Poly({e: c for e, c in prev.c.items() if e[0] == 0})
+        on_y0 = Poly({e: c for e, c in prev.c.items() if e[1] == 0})
+        d = _AB * counts[n] - _FIVE_STEPS * prev + _B * on_x0 + _A_ONE_PLUS_A * on_y0
         if d:
-            diffs.append((n, d))
+            diffs.append((n, d.c))
     return residual_scan(diffs)
 
 
@@ -244,7 +236,7 @@ def w2_consistency(order: int, origin_only: bool = False) -> dict:
     two trivial steps choose their positions freely).  origin_only
     restricts the comparison to excursion counts.
     """
-    assert order >= 1
+    at_least(order, 1, "order")
     first_fail = None
     if origin_only:
         e5 = excursions(FIVE, order)
@@ -258,12 +250,10 @@ def w2_consistency(order: int, origin_only: bool = False) -> dict:
         t5 = count_walks(FIVE, order)
         t7 = count_walks(SEVEN, order)
         for m in range(order + 1):
-            want: dict[Step, int] = {}
+            want = Poly()
             for n in range(m + 1):
-                f = binom(m, n) * 2 ** (m - n)
-                for key, c in t5[n].counts.items():
-                    _add(want, key, c * f)
-            if want != t7[m].counts:
+                want = want + Poly(t5[n].counts) * (binom(m, n) * 2 ** (m - n))
+            if want != Poly(t7[m].counts):
                 first_fail = m
                 break
     return {
@@ -283,7 +273,7 @@ def strong_from_walks(n_max: int) -> list[int]:
     >>> strong_from_walks(3)
     [1, 1, 2, 6]
     """
-    assert n_max >= 1
+    at_least(n_max, 1, "n_max")
     e = excursions(SEVEN, n_max - 1)
     return [1] + e
 
@@ -293,23 +283,17 @@ def strong_refinement_residual(n_max: int = 10) -> Residual:
     the strong label polynomial evaluated at (y,z) = (1+a, 1+b) must
     equal (1+a)(1+b) times the SEVEN endpoint table of length n-1.
     """
-    assert n_max >= 1
+    at_least(n_max, 1, "n_max")
     labels = LabelSeries("strong", n_max)
     tables = count_walks(SEVEN, n_max - 1)
     diffs = []
     for n in range(1, n_max + 1):
-        d: dict[Step, int] = {}
+        d = -(_ONE_PLUS_A_ONE_PLUS_B * Poly(tables[n - 1].counts))
         for (h, k), c in labels.levels[n].items():
-            for i in range(h + 1):
-                ci = c * binom(h, i)
-                for j in range(k + 1):
-                    _add(d, (i, j), ci * binom(k, j))
-        for (x, y), c in tables[n - 1].counts.items():
-            for sx in (0, 1):
-                for sy in (0, 1):
-                    _add(d, (x + sx, y + sy), -c)
+            d = d + Poly({(i, j): c * binom(h, i) * binom(k, j)
+                          for i in range(h + 1) for j in range(k + 1)})
         if d:
-            diffs.append((n, d))
+            diffs.append((n, d.c))
     return residual_scan(diffs)
 
 
@@ -339,7 +323,7 @@ def growth_estimate(steps: StepMultiset, n_max: int) -> dict:
     target.  residual_of_minpoly is the polynomial evaluated at the
     10-digit quoted approximation of the FIVE root.
     """
-    assert n_max >= 50
+    at_least(n_max, 50, "n_max")
     e = excursions(steps, n_max)
     logs = [math.log(v) if v else None for v in e]
     window = range(n_max - min(40, n_max // 2), n_max - 1)

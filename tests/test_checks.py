@@ -109,11 +109,18 @@ def test_run_suite_rejects_unknown_suite():
 
 def test_guards_raise_under_optimize():
     code = (
-        "from baxterlab import checks, perms\n"
+        "from baxterlab import checks, perms, series, walks\n"
         "for call in (lambda: checks.run_suite('medium'),\n"
         "             lambda: checks.compare_routes({'only': [1]}),\n"
         "             lambda: perms.VincularPattern((1, 1), frozenset()),\n"
-        "             lambda: list(perms.iter_avoiders(perms.CLASSES['semi'], 0))):\n"
+        "             lambda: list(perms.iter_avoiders(perms.CLASSES['semi'], 0)),\n"
+        "             lambda: walks.StepMultiset([(2, 0)]),\n"
+        "             lambda: walks.excursions(walks.FIVE, -1),\n"
+        "             lambda: walks.growth_estimate(walks.FIVE, 49),\n"
+        "             lambda: series.solve_W(0),\n"
+        "             lambda: series.lagrange_coeff(0, 1, 4),\n"
+        "             lambda: series.residual_semi(1),\n"
+        "             lambda: series.XSeries([0, 1]).inverse()):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError:\n"

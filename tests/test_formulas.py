@@ -54,7 +54,7 @@ def test_apery_recurrence_matches_closed_to_50():
 def test_sb_via_apery_values():
     # the combination needs n >= 2; the table route covers n=1 directly
     assert [formulas.sb_via_apery(n) for n in range(2, 14)] == SB[1:]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="at least 2"):
         formulas.sb_via_apery(1)
 
 
@@ -72,13 +72,24 @@ def test_exact_division_guard():
 
 
 def test_exact_division_guard_raises_under_optimize():
+    # bare asserts would vanish under -O: total_via_formula(0) returned 1,
+    # q_table(0) {}, and the others died with IndexError or ZeroDivisionError
     code = (
-        "from baxterlab import formulas\n"
-        "try:\n"
-        "    formulas._exact_div(7, 2, 'parity check')\n"
-        "except ValueError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('7/2 passed the guard')\n"
+        "from baxterlab import formulas, invseq\n"
+        "for call in (lambda: formulas._exact_div(7, 2, 'parity check'),\n"
+        "             lambda: formulas.binom(-1, 0),\n"
+        "             lambda: formulas.sb_sum_formula(1),\n"
+        "             lambda: formulas.sb_simple_formula(4, 'e'),\n"
+        "             lambda: formulas.baxter_closed(0),\n"
+        "             lambda: formulas.asymptotic_check(9),\n"
+        "             lambda: invseq.total_via_formula(0),\n"
+        "             lambda: invseq.q_table(0),\n"
+        "             lambda: invseq.count_avoiders_bruteforce(0)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('guard did not fire')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(baxterlab.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,

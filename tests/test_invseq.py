@@ -48,12 +48,25 @@ def test_iseq_contains_vs_naive():
                 assert invseq.iseq_contains(e, word) == _naive_contains(e, word), (e, word)
 
 
+def _naive_avoids_both(e):
+    """One pass over position triples: 210 reads x > y > z and 100 reads
+    x > y = z, so an occurrence of either is a triple with x > y >= z."""
+    return not any(x > y >= z for x, y, z in itertools.combinations(e, 3))
+
+
+def test_naive_filter_is_the_two_word_matcher():
+    for n in range(1, 7):
+        for e in _all_iseqs(n):
+            either = _naive_contains(e, "210") or _naive_contains(e, "100")
+            assert _naive_avoids_both(e) == (not either), e
+
+
 def test_avoids_both_vs_naive_filter():
     counts = []
     for n in range(1, 9):
         c = 0
         for e in _all_iseqs(n):
-            naive = not (_naive_contains(e, "210") or _naive_contains(e, "100"))
+            naive = _naive_avoids_both(e)
             assert invseq.avoids_both(e) == naive, e
             c += naive
         counts.append(c)

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import baxterlab
 from baxterlab import formulas, series
@@ -19,23 +21,33 @@ from conftest import SB
 
 
 def test_laurent_arithmetic():
-    p = series.LaurentPoly({-1: 2, 1: 3})
-    q = series.LaurentPoly({0: 1, 1: -3})
-    assert (p + q).c == {-1: 2, 0: 1}
+    p = series.laurent({-1: 2, 1: 3})
+    q = series.laurent({0: 1, 1: -3})
+    assert (p + q).c == {(-1,): 2, (0,): 1}
     assert (p - p).c == {}
-    assert (p * q).c == {-1: 2, 0: -6, 1: 3, 2: -9}
+    assert (p * q).c == {(-1,): 2, (0,): -6, (1,): 3, (2,): -9}
     assert (p * 0).c == {}
-    assert p.nonneg_part().c == {1: 3}
-    assert p.exponent_range() == (-1, 1)
+    assert series.omega_geq(series.XSeries([p])).coeff_x(0).c == {(1,): 3}
+    assert min(p.c) == (-1,) and max(p.c) == (1,)
     assert p.eval_at(Fraction(1, 2)) == Fraction(11, 2)
 
 
+def test_two_variable_poly():
+    p = series.Poly({(1, 0): 2, (0, 1): 3, (1, 1): -1})
+    assert p.map_exponents(lambda e: (0, e[1])).c == {(0, 0): 2, (0, 1): 2}
+    assert p.map_exponents(lambda e: (e[0] + e[1], 0)).c == {(1, 0): 5, (2, 0): -1}
+    assert (p * p).coeff(1, 1) == 12
+    assert p.eval_at(2, Fraction(1, 3)) == Fraction(13, 3)
+
+
 def test_xseries_product():
-    zero = series.LaurentPoly()
-    x = series.XSeries([zero, series.LaurentPoly({0: 1}), zero, zero])
-    assert ((x * x) + x).coeff_x(2).c == {0: 1}
+    zero = series.Poly()
+    x = series.XSeries([zero, series.laurent({0: 1}), zero, zero])
+    assert ((x * x) + x).coeff_x(2).c == {(0,): 1}
     assert (x * x).coeff_x(1).c == {}
-    assert (x * x * x).coeff_x(3).c == {0: 1}
+    assert (x * x * x).coeff_x(3).c == {(0,): 1}
+    with pytest.raises(ValueError, match="orders differ"):
+        x * series.XSeries([zero, zero])
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +56,15 @@ def test_xseries_product():
 
 def test_solve_w_low_orders():
     w = series.solve_W(6)
-    assert w.coeff_x(1).c == {0: 1, 1: 2, 2: 1}
+    assert w.coeff_x(1).c == {(0,): 1, (1,): 2, (2,): 1}
     # (1+a)^3 (1+2a) / a
-    assert w.coeff_x(2).c == {-1: 1, 0: 5, 1: 9, 2: 7, 3: 2}
+    assert w.coeff_x(2).c == {(-1,): 1, (0,): 5, (1,): 9, (2,): 7, (3,): 2}
 
 
 def test_solve_w_exponent_window():
     w = series.solve_W(10)
     for n in range(1, 11):
-        lo, hi = w.coeff_x(n).exponent_range()
+        (lo,), (hi,) = min(w.coeff_x(n).c), max(w.coeff_x(n).c)
         assert -(n - 1) <= lo and hi <= 2 * n, n
 
 
@@ -75,10 +87,10 @@ def test_nonneg_part_x3_spot_check():
     # level three carries labels (1,2):1, (1,3):1, (2,2):2, (3,1):2
     f3 = series.omega_geq(series.build_F(3)).coeff_x(3)
     dist = {(1, 2): 1, (1, 3): 1, (2, 2): 2, (3, 1): 2}
-    want = series.LaurentPoly()
-    one_plus_a = series.LaurentPoly({0: 1, 1: 1})
+    want = series.Poly()
+    one_plus_a = series.laurent({0: 1, 1: 1})
     for (h, k), cnt in dist.items():
-        term = series.LaurentPoly({0: cnt})
+        term = series.laurent({0: cnt})
         for _ in range(h + k):
             term = term * one_plus_a
         want = want + term
@@ -86,9 +98,9 @@ def test_nonneg_part_x3_spot_check():
 
 
 def test_omega_trivial_cases():
-    const = series.XSeries([series.LaurentPoly({0: 1})])
-    assert series.omega_geq(const).coeff_x(0).c == {0: 1}
-    neg = series.XSeries([series.LaurentPoly(), series.LaurentPoly({-1: 1})])
+    const = series.XSeries([series.laurent({0: 1})])
+    assert series.omega_geq(const).coeff_x(0).c == {(0,): 1}
+    neg = series.XSeries([series.Poly(), series.laurent({-1: 1})])
     assert series.omega_geq(neg).coeff_x(1).c == {}
 
 
@@ -139,7 +151,7 @@ def test_residual_detects_perturbation():
     max_abs, where = series.residual_strong(6, perturb={(3, 2, 1): 1})
     assert max_abs == 2 and where == (3, 2, 1)
     # a perturbation beyond the truncation order is rejected outright
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="level 3"):
         series.residual_semi(2, perturb={(3, 1, 1): 1})
 
 
@@ -206,11 +218,31 @@ def test_kernel_invariance_rejects_no_trials_under_optimize():
 # rational specialization identities
 
 
-def test_rseries_inverse_trivial():
-    one = series.RSeries([1, 0, 0])
+def test_series_inverse_trivial():
+    one = series.XSeries([1, 0, 0])
     assert (one.inverse() * one).c == [1, 0, 0]
-    geo = series.RSeries([1, -1, 0, 0]).inverse()
+    geo = series.XSeries([1, -1, 0, 0]).inverse()
     assert geo.c == [1, 1, 1, 1]
+    with pytest.raises(ValueError, match="no inverse"):
+        series.XSeries([0, 1]).inverse()
+
+
+_RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a0=_RATIONAL.filter(lambda q: q not in (0, -1)), order=st.integers(1, 10))
+def test_symbolic_w_at_a_point_is_the_rational_solve(a0, order):
+    w = series.solve_W(order)
+    at_a0 = series.online_fixpoint((1 + a0) / a0, 1 + a0, a0, order)
+    assert [w.coeff_x(n).eval_at(a0) for n in range(order + 1)] == at_a0.c
+
+
+@settings(max_examples=50, deadline=None)
+@given(c0=_RATIONAL.filter(bool), rest=st.lists(_RATIONAL, max_size=8))
+def test_series_times_its_inverse_is_one(c0, rest):
+    s = series.XSeries([c0] + rest)
+    assert (s * s.inverse()).c == [1] + [0] * len(rest)
 
 
 @pytest.mark.parametrize("a0", [Fraction(3, 2), Fraction(2), Fraction(-2, 3)])

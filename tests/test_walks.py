@@ -29,6 +29,22 @@ def test_seven_is_five_plus_two_pauses():
     assert walks.FIVE.total() == 5
 
 
+@pytest.mark.parametrize("call", [
+    lambda: walks.StepMultiset([(2, 0)]),
+    lambda: walks.StepMultiset([(0, 1, 0)]),
+    lambda: walks.count_walks(walks.FIVE, -1),
+    lambda: walks.excursions(walks.FIVE, -1),
+    lambda: walks.residual_walk_equation(0),
+    lambda: walks.w2_consistency(0),
+    lambda: walks.strong_from_walks(0),
+    lambda: walks.strong_refinement_residual(0),
+    lambda: walks.growth_estimate(walks.FIVE, 49),
+])
+def test_guards_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_count_walks_small():
     tables = walks.count_walks(walks.FIVE, 3)
     assert [t.at(0, 0) for t in tables] == [1, 0, 2, 1]
