@@ -166,7 +166,7 @@ def _cmd_walks(args: argparse.Namespace) -> int:
     if args.excursions:
         values = walks.excursions(steps, args.n_max)
     else:
-        values = [t.total() for t in walks.count_walks(steps, args.n_max)]
+        values = [sum(map(sum, g)) for g in walks.walk_grids(steps, args.n_max)]
     label = "excursions" if args.excursions else "walks"
     _emit_terms(label, steps.name or args.steps, 0, values, args.format)
     return 0

@@ -23,10 +23,6 @@ from .formulas import at_least, binom, catalan
 ISeq = tuple[int, ...]
 
 
-def is_inversion_sequence(e: ISeq) -> bool:
-    return all(0 <= v < i for i, v in enumerate(e, start=1))
-
-
 def iseq_contains(e: ISeq, w: str) -> bool:
     """True iff some subsequence of e is order-isomorphic to the digit
     word w, with equalities in w matched by equal entries.

@@ -286,10 +286,6 @@ class LabelSeries:
         self.order = order
         self.levels = levels
 
-    def counts(self) -> list[int]:
-        """Totals per size; index 0 is the empty level."""
-        return [sum(lv.values()) for lv in self.levels]
-
     def poly(self, n: int) -> Poly:
         """Level n as the polynomial in (y, z)."""
         return Poly(self.levels[n])
@@ -310,19 +306,6 @@ class LabelSeries:
                 acc = acc + powers[h + k] * v
             out.append(acc)
         return XSeries(out)
-
-    def perturbed(self, deltas: Mapping[tuple[int, int, int], int]) -> "LabelSeries":
-        """Copy with levels[n][(h,k)] shifted by each given delta."""
-        other = LabelSeries.__new__(LabelSeries)
-        other.rule_name = self.rule_name
-        other.order = self.order
-        other.levels = [dict(lv) for lv in self.levels]
-        for (n, h, k), d in deltas.items():
-            if not 1 <= n <= self.order:
-                raise ValueError(f"perturbed level {n} is outside 1..{self.order}")
-            lv = other.levels[n]
-            lv[(h, k)] = lv.get((h, k), 0) + d
-        return other
 
 
 _Y = Poly({(1, 0): 1})
@@ -362,18 +345,7 @@ def residual_scan(diffs: Iterable[tuple[int, Mapping[tuple[int, int], int]]]) ->
     return max_abs, offending
 
 
-def _labels(
-    rule_name: str, order: int, perturb: Mapping[tuple[int, int, int], int] | None
-) -> LabelSeries:
-    at_least(order, 2, "order")
-    labels = LabelSeries(rule_name, order)
-    return labels.perturbed(perturb) if perturb else labels
-
-
-def residual_semi(
-    order: int,
-    perturb: Mapping[tuple[int, int, int], int] | None = None,
-) -> Residual:
+def residual_semi(order: int) -> Residual:
     """Coefficientwise defect of the semi label equation, cleared form:
 
         (1-y)(z-y) S = xyz(1-y)(z-y) + xyz(z-y)(S(1,z) - S(y,z))
@@ -382,7 +354,8 @@ def residual_semi(
     Returns (max absolute residual, first offending (n, ydeg, zdeg) or
     None); (0, None) means the identity holds through x^order.
     """
-    labels = _labels("semi", order, perturb)
+    at_least(order, 2, "order")
+    labels = LabelSeries("semi", order)
     diffs = []
     prev = Poly()
     for n in range(1, order + 1):
@@ -399,16 +372,14 @@ def residual_semi(
     return residual_scan(diffs)
 
 
-def residual_strong(
-    order: int,
-    perturb: Mapping[tuple[int, int, int], int] | None = None,
-) -> Residual:
+def residual_strong(order: int) -> Residual:
     """Coefficientwise defect of the strong label equation, cleared form:
 
         (1-y)(1-z) I = xyz(1-y)(1-z) + x(1-z)(y I(1,z) - I(y,z))
                      + xz(1-y)(1-z) I + xyz(1-y)(I(y,1) - I(y,z)).
     """
-    labels = _labels("strong", order, perturb)
+    at_least(order, 2, "order")
+    labels = LabelSeries("strong", order)
     diffs = []
     prev = Poly()
     for n in range(1, order + 1):
@@ -597,19 +568,15 @@ def _p_at(a0: Fraction, z: XSeries) -> XSeries:
     return num * den.inverse()
 
 
-def verify_reduced_identity(
-    a0: Rat, order: int = 12, drop_w3: bool = False
-) -> dict:
+def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
     """Check the two identities tying F, P and the semi label series at
     a fixed rational a0 (not 0, -1 or 1), everything truncated at x^order:
 
       (i)  F(a0, W) = -P(a0, Z) with Z = W + 1 + a0;
       (ii) S(1+a0, 1+a0) + ((1+a0)^2 x / a0^4) S(1, 1+1/a0) + P(a0, Z) = 0,
 
-    with both S evaluations read off the semi rule's label distributions.
-    drop_w3 omits the W^3 term of F, a deliberate corruption used to
-    exercise the failure reporting; the defect then first shows at x^4
-    because the dropped term contributes nothing below that order.
+    with both S evaluations read off the semi rule's label distributions
+    and F's coefficients those of build_F evaluated at a0.
     """
     a = Fraction(a0)
     if a in (0, -1, 1):
@@ -618,12 +585,9 @@ def verify_reduced_identity(
     w = online_fixpoint((1 + a) / a, 1 + a, a, order)
     z = w + (1 + a)
 
-    ab = 1 / a
     w2 = w * w
-    f = w.scale(ab ** 5 + ab ** 4 + 2 + 2 * a)
-    f = f + w2.scale(-(ab ** 5) - ab ** 4 + ab ** 3 - ab ** 2 - ab + 1)
-    if not drop_w3:
-        f = f + (w2 * w).scale(ab ** 4 - ab ** 2)
+    f = w.scale(_F_W1.eval_at(a)) + w2.scale(_F_W2.eval_at(a))
+    f = f + (w2 * w).scale(_F_W3.eval_at(a))
     f = (f + (1 + a) ** 2).shift_x()
 
     p = _p_at(a, z)
@@ -636,7 +600,7 @@ def verify_reduced_identity(
 
     labels = LabelSeries("semi", order)
     s_diag = labels.eval_series(1 + a, 1 + a)
-    s_top = labels.eval_series(1, 1 + ab)
+    s_top = labels.eval_series(1, 1 + 1 / a)
     factor = (1 + a) ** 2 / a ** 4
     first_fail_sum = None
     for n in range(order + 1):

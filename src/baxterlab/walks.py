@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .formulas import at_least, binom
 from .series import LabelSeries, Poly, Residual, residual_scan
@@ -43,9 +44,6 @@ class StepMultiset:
 
     def items(self) -> list[tuple[Step, int]]:
         return sorted(self.mult.items())
-
-    def total(self) -> int:
-        return sum(self.mult.values())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StepMultiset) and self.mult == other.mult
@@ -100,44 +98,6 @@ def parse_steps(text: str) -> StepMultiset:
     return StepMultiset(steps, name=lowered)
 
 
-@dataclass(frozen=True)
-class WalkTable:
-    """Endpoint counts of confined walks of one length."""
-
-    length: int
-    counts: dict[Step, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def at(self, x: int, y: int) -> int:
-        return self.counts.get((x, y), 0)
-
-
-def count_walks(steps: StepMultiset, n_max: int) -> list[WalkTable]:
-    """Endpoint tables for lengths 0..n_max, walks confined to x,y >= 0.
-
-    >>> [t.at(0, 0) for t in count_walks(FIVE, 3)]
-    [1, 0, 2, 1]
-    >>> sorted(count_walks(FIVE, 1)[1].counts.items())
-    [((0, 1), 1), ((1, 0), 1)]
-    """
-    at_least(n_max, 0, "n_max")
-    items = steps.items()
-    tables = [WalkTable(0, {(0, 0): 1})]
-    cur: dict[Step, int] = {(0, 0): 1}
-    for n in range(1, n_max + 1):
-        new: dict[Step, int] = {}
-        for (x, y), c in cur.items():
-            for (dx, dy), m in items:
-                nx, ny = x + dx, y + dy
-                if nx >= 0 and ny >= 0:
-                    new[(nx, ny)] = new.get((nx, ny), 0) + c * m
-        cur = new
-        tables.append(WalkTable(n, dict(new)))
-    return tables
-
-
 def _shift_row(src: Sequence[int], dx: int, width: int) -> list[int]:
     """Row src re-indexed by x -> x+dx, padded or trimmed to width cells."""
     if dx == 1:
@@ -151,26 +111,32 @@ def _shift_row(src: Sequence[int], dx: int, width: int) -> list[int]:
     return out[:width]
 
 
-def excursions(steps: StepMultiset, n_max: int) -> list[int]:
-    """Origin-return counts e_0..e_n_max, by a clipped dynamic program.
+def walk_grids(
+    steps: StepMultiset, n_max: int, returning: bool = False
+) -> Iterator[list[list[int]]]:
+    """Endpoint counts grid[y][x] of confined walks, lengths 0..n_max.
 
-    A walk that returns to the origin at time <= n_max can never be
-    farther than min(t, n_max - t) from an axis at time t (each step
-    moves a coordinate by at most one), so the live grid is trimmed to
-    that square; origin counts at every intermediate time stay exact.
+    Each step moves a coordinate by at most one, so walks of length t
+    fill a square of t+1 cells a side.  With returning, only walks that
+    can still be back at the origin by length n_max are kept: such a walk
+    is never farther than min(t, n_max - t) from an axis at time t, so
+    the grid is trimmed to that square, and every kept cell stays exact.
 
-    >>> excursions(FIVE, 3)
+    >>> [g[0][0] for g in walk_grids(FIVE, 3)]
     [1, 0, 2, 1]
-    >>> excursions(SEVEN, 2)
-    [1, 2, 6]
+    >>> [len(g) for g in walk_grids(FIVE, 4, returning=True)]
+    [1, 2, 3, 2, 1]
     """
     at_least(n_max, 0, "n_max")
-    items = steps.items()
-    out = [1]
+    return _grids(steps.items(), n_max, returning)
+
+
+def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
+    # apart from walk_grids so that its guard raises at the call, not at next()
     grid: list[list[int]] = [[1]]
+    yield grid
     for t in range(n_max):
-        c1 = min(t + 1, n_max - t - 1)
-        width = c1 + 1
+        width = min(t + 1, n_max - t - 1) + 1 if returning else t + 2
         c0 = len(grid) - 1
         new: list[list[int]] = []
         for ny in range(width):
@@ -189,8 +155,32 @@ def excursions(steps: StepMultiset, n_max: int) -> list[int]:
             else:
                 new.append([sum(vals) for vals in zip(*parts)])
         grid = new
-        out.append(grid[0][0])
-    return out
+        yield grid
+
+
+def count_walks(steps: StepMultiset, n_max: int) -> list[Poly]:
+    """Endpoint tables for lengths 0..n_max as polynomials in (x, y).
+
+    >>> [t.coeff(0, 0) for t in count_walks(FIVE, 3)]
+    [1, 0, 2, 1]
+    >>> sorted(count_walks(FIVE, 1)[1].c.items())
+    [((0, 1), 1), ((1, 0), 1)]
+    """
+    return [
+        Poly({(x, y): v for y, row in enumerate(g) for x, v in enumerate(row)})
+        for g in walk_grids(steps, n_max)
+    ]
+
+
+def excursions(steps: StepMultiset, n_max: int) -> list[int]:
+    """Origin-return counts e_0..e_n_max, from the trimmed walk grids.
+
+    >>> excursions(FIVE, 3)
+    [1, 0, 2, 1]
+    >>> excursions(SEVEN, 2)
+    [1, 2, 6]
+    """
+    return [g[0][0] for g in walk_grids(steps, n_max, returning=True)]
 
 
 # Polynomials in (a, b) of the cleared FIVE walk equation.
@@ -201,10 +191,7 @@ _FIVE_STEPS = Poly({(0, 1): 1, (1, 0): 1, (2, 0): 1, (2, 1): 1, (1, 2): 1})
 _ONE_PLUS_A_ONE_PLUS_B = Poly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
 
 
-def residual_walk_equation(
-    order: int,
-    perturb: Mapping[tuple[int, int, int], int] | None = None,
-) -> Residual:
+def residual_walk_equation(order: int) -> Residual:
     """Coefficientwise defect of the FIVE walk equation, ab-cleared form:
 
         ab W = ab + t(b + a + a^2 + a^2 b + a b^2) W
@@ -212,13 +199,10 @@ def residual_walk_equation(
 
     where W(t;0,b) restricts endpoints to x = 0 and W(t;a,0) to y = 0.
     Returns (max absolute residual, first offending (n, adeg, bdeg) or
-    None).  perturb shifts table entries by {(n, x, y): delta} first.
+    None).
     """
     at_least(order, 1, "order")
-    counts = [Poly(t.counts) for t in count_walks(FIVE, order)]
-    if perturb:
-        for (n, x, y), delta in perturb.items():
-            counts[n] = counts[n] + Poly({(x, y): delta})
+    counts = count_walks(FIVE, order)
     diffs = []
     for n in range(1, order + 1):
         prev = counts[n - 1]
@@ -237,25 +221,14 @@ def w2_consistency(order: int, origin_only: bool = False) -> dict:
     restricts the comparison to excursion counts.
     """
     at_least(order, 1, "order")
+    count = excursions if origin_only else count_walks
+    five, seven = count(FIVE, order), count(SEVEN, order)
     first_fail = None
-    if origin_only:
-        e5 = excursions(FIVE, order)
-        e7 = excursions(SEVEN, order)
-        for m in range(order + 1):
-            want = sum(binom(m, n) * 2 ** (m - n) * e5[n] for n in range(m + 1))
-            if want != e7[m]:
-                first_fail = m
-                break
-    else:
-        t5 = count_walks(FIVE, order)
-        t7 = count_walks(SEVEN, order)
-        for m in range(order + 1):
-            want = Poly()
-            for n in range(m + 1):
-                want = want + Poly(t5[n].counts) * (binom(m, n) * 2 ** (m - n))
-            if want != Poly(t7[m].counts):
-                first_fail = m
-                break
+    for m in range(order + 1):
+        want = reduce(add, (five[n] * (binom(m, n) * 2 ** (m - n)) for n in range(m + 1)))
+        if want != seven[m]:
+            first_fail = m
+            break
     return {
         "order": order,
         "origin_only": origin_only,
@@ -288,7 +261,7 @@ def strong_refinement_residual(n_max: int = 10) -> Residual:
     tables = count_walks(SEVEN, n_max - 1)
     diffs = []
     for n in range(1, n_max + 1):
-        d = -(_ONE_PLUS_A_ONE_PLUS_B * Poly(tables[n - 1].counts))
+        d = -(_ONE_PLUS_A_ONE_PLUS_B * tables[n - 1])
         for (h, k), c in labels.levels[n].items():
             d = d + Poly({(i, j): c * binom(h, i) * binom(k, j)
                           for i in range(h + 1) for j in range(k + 1)})

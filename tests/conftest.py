@@ -1,8 +1,10 @@
-"""Shared frozen oracles and an independent brute-force pattern matcher.
+"""Shared frozen oracles, an independent brute-force pattern matcher and
+an independent walk counter.
 
 The matcher here deliberately reimplements vincular containment from
-scratch (precomputed position tuples plus order checks) so that library
-bugs cannot hide behind a shared helper.
+scratch (precomputed position tuples plus order checks), and the walk
+counter is a plain dict recursion over endpoints, so that library bugs
+cannot hide behind a shared helper.
 """
 
 import itertools
@@ -74,6 +76,20 @@ def oracle_contains(p: tuple[int, ...], name: str) -> bool:
         if ok:
             return True
     return False
+
+
+def naive_walk_tables(mult: dict, n_max: int) -> list[dict]:
+    """Endpoint counts {(x, y): count} of walks of lengths 0..n_max that
+    keep x, y >= 0, for the step multiset {(dx, dy): multiplicity}."""
+    tables = [{(0, 0): 1}]
+    for _ in range(n_max):
+        new = {}
+        for (x, y), c in tables[-1].items():
+            for (dx, dy), m in mult.items():
+                if x + dx >= 0 and y + dy >= 0:
+                    new[(x + dx, y + dy)] = new.get((x + dx, y + dy), 0) + c * m
+        tables.append(new)
+    return tables
 
 
 @pytest.fixture(scope="session")

@@ -116,6 +116,7 @@ def test_guards_raise_under_optimize():
         "             lambda: list(perms.iter_avoiders(perms.CLASSES['semi'], 0)),\n"
         "             lambda: walks.StepMultiset([(2, 0)]),\n"
         "             lambda: walks.excursions(walks.FIVE, -1),\n"
+        "             lambda: walks.walk_grids(walks.FIVE, -1),\n"
         "             lambda: walks.growth_estimate(walks.FIVE, 49),\n"
         "             lambda: series.solve_W(0),\n"
         "             lambda: series.lagrange_coeff(0, 1, 4),\n"

@@ -7,6 +7,8 @@ import pytest
 
 from baxterlab import checks, cli
 
+from conftest import naive_walk_tables
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -107,6 +109,22 @@ def test_walks_excursions(capsys):
     code, out, _ = run(capsys, ["walks", "--n-max", "3", "--excursions"])
     assert code == 0
     assert out == "1\n0\n2\n1\n"
+
+
+@pytest.mark.parametrize("steps, mult, n_max", [
+    ("five", {(-1, 0): 1, (0, -1): 1, (1, -1): 1, (1, 0): 1, (0, 1): 1}, 40),
+    ("(1,1);(-1,0);(0,-1);2x(0,0)", {(1, 1): 1, (-1, 0): 1, (0, -1): 1, (0, 0): 2}, 25),
+])
+def test_walks_totals_match_the_naive_counter(capsys, steps, mult, n_max):
+    code, out, _ = run(capsys, ["walks", "--steps", steps, "--n-max", str(n_max)])
+    assert code == 0
+    assert out == "".join(f"{sum(t.values())}\n" for t in naive_walk_tables(mult, n_max))
+
+
+def test_walks_length_zero(capsys):
+    code, out, _ = run(capsys, ["walks", "--n-max", "0"])
+    assert code == 0
+    assert out == "1\n"
 
 
 def test_walks_custom_steps_bfile(capsys):

@@ -1,10 +1,15 @@
 """Quarter-plane walks: step parsing, tables, excursions, growth."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baxterlab import rules, walks
+from baxterlab.series import Poly
 
-from conftest import STRONG
+from conftest import STRONG, naive_walk_tables
 
 
 def test_parse_steps_presets_and_dsl():
@@ -25,8 +30,8 @@ def test_parse_steps_rejects_garbage():
 
 def test_seven_is_five_plus_two_pauses():
     assert walks.SEVEN.mult == {**walks.FIVE.mult, (0, 0): 2}
-    assert walks.SEVEN.total() == 7
-    assert walks.FIVE.total() == 5
+    assert sum(walks.SEVEN.mult.values()) == 7
+    assert sum(walks.FIVE.mult.values()) == 5
 
 
 @pytest.mark.parametrize("call", [
@@ -39,6 +44,7 @@ def test_seven_is_five_plus_two_pauses():
     lambda: walks.strong_from_walks(0),
     lambda: walks.strong_refinement_residual(0),
     lambda: walks.growth_estimate(walks.FIVE, 49),
+    lambda: walks.walk_grids(walks.FIVE, -1),
 ])
 def test_guards_raise_value_error(call):
     with pytest.raises(ValueError):
@@ -47,16 +53,65 @@ def test_guards_raise_value_error(call):
 
 def test_count_walks_small():
     tables = walks.count_walks(walks.FIVE, 3)
-    assert [t.at(0, 0) for t in tables] == [1, 0, 2, 1]
-    assert [t.total() for t in tables] == [1, 2, 7, 24]
-    assert tables[1].counts == {(1, 0): 1, (0, 1): 1}
+    assert [t.coeff(0, 0) for t in tables] == [1, 0, 2, 1]
+    assert [sum(t.c.values()) for t in tables] == [1, 2, 7, 24]
+    assert tables[1] == Poly({(1, 0): 1, (0, 1): 1})
 
 
-def test_excursions_match_full_tables():
-    # the clipped recursion must agree with plain counting everywhere
+def test_tables_and_excursions_match_the_naive_counter():
     for steps in (walks.FIVE, walks.SEVEN):
-        full = [t.at(0, 0) for t in walks.count_walks(steps, 12)]
-        assert walks.excursions(steps, 12) == full, steps.name
+        want = naive_walk_tables(steps.mult, 12)
+        assert [t.c for t in walks.count_walks(steps, 12)] == want, steps.name
+        assert walks.excursions(steps, 12) == [t.get((0, 0), 0) for t in want], steps.name
+
+
+def test_trimmed_grids_keep_exact_cells():
+    n_max = 9
+    full = walks.walk_grids(walks.SEVEN, n_max)
+    trimmed = walks.walk_grids(walks.SEVEN, n_max, returning=True)
+    for t, (grid, cut) in enumerate(zip(full, trimmed)):
+        side = min(t, n_max - t) + 1
+        assert len(grid) == t + 1 and all(len(row) == t + 1 for row in grid)
+        assert cut == [row[:side] for row in grid[:side]]
+
+
+_SMALL_STEPS = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)), st.integers(1, 3),
+    min_size=1, max_size=9,
+)
+
+
+def _multiset(mult: dict) -> walks.StepMultiset:
+    return walks.StepMultiset([(dx, dy, m) for (dx, dy), m in mult.items()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(mult=_SMALL_STEPS, n_max=st.integers(0, 12))
+def test_random_step_sets_match_the_naive_counter(mult, n_max):
+    want = naive_walk_tables(mult, n_max)
+    steps = _multiset(mult)
+    assert [t.c for t in walks.count_walks(steps, n_max)] == want
+    assert walks.excursions(steps, n_max) == [t.get((0, 0), 0) for t in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult=_SMALL_STEPS, pauses=st.integers(1, 3), n_max=st.integers(0, 12))
+def test_added_pauses_give_the_binomial_transform(mult, pauses, n_max):
+    """m extra (0,0) steps choose their places among t steps freely, so
+    the length-t table becomes the sum of C(t,n) m^(t-n) times the
+    length-n table without them."""
+    steps = _multiset(mult)
+    padded = _multiset({**mult, (0, 0): mult.get((0, 0), 0) + pauses})
+    base, e_base = walks.count_walks(steps, n_max), walks.excursions(steps, n_max)
+    e_padded = walks.excursions(padded, n_max)
+    for t, table in enumerate(walks.count_walks(padded, n_max)):
+        want: dict = {}
+        for n in range(t + 1):
+            for cell, c in base[n].c.items():
+                want[cell] = want.get(cell, 0) + comb(t, n) * pauses ** (t - n) * c
+        assert table.c == want
+        assert e_padded[t] == sum(comb(t, n) * pauses ** (t - n) * e_base[n]
+                                  for n in range(t + 1))
 
 
 def test_excursion_prefixes():
@@ -73,14 +128,22 @@ def test_walk_equation_residual_vanishes():
     assert walks.residual_walk_equation(10) == (0, None)
 
 
-def test_walk_equation_detects_perturbation():
+def test_walk_equation_detects_perturbation(monkeypatch):
     """Negative control: one corrupted table entry breaks the equation.
 
     The cleared equation couples length n to length n-1, so bumping the
     count at (2, 1) in the length-3 table must produce a defect in the
     x^3 or x^4 slice and the scan reports the first one.
     """
-    max_abs, where = walks.residual_walk_equation(6, perturb={(3, 2, 1): 1})
+    exact = walks.count_walks
+
+    def bumped(steps, n_max):
+        tables = exact(steps, n_max)
+        tables[3] = tables[3] + Poly({(2, 1): 1})
+        return tables
+
+    monkeypatch.setattr(walks, "count_walks", bumped)
+    max_abs, where = walks.residual_walk_equation(6)
     assert max_abs > 0
     assert where is not None and where[0] in (3, 4)
 
