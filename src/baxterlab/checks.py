@@ -398,8 +398,10 @@ def _chk_refinement(b: Bounds, seed: int) -> Outcome:
 
 def _chk_growth(b: Bounds, seed: int) -> Outcome:
     n = b["growth_n"]
-    r5 = walks.growth_estimate(walks.FIVE, n)
-    r7 = walks.growth_estimate(walks.SEVEN, n)
+    e5 = walks.excursions(walks.FIVE, n)
+    # SEVEN is FIVE plus two pauses; walks-w2-transform checks that identity on the DP
+    r5 = walks.fit_growth(walks.FIVE, e5)
+    r7 = walks.fit_growth(walks.SEVEN, walks.binomial_transform(e5, 2))
     ok = r5["rel_err"] < 0.02 and r7["rel_err"] < 0.02
     detail = (
         f"five rho_hat={r5['rho_hat']:.6f} (err {r5['rel_err']:.1e}), "

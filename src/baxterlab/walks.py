@@ -6,8 +6,11 @@ must keep both coordinates nonnegative.  The preset FIVE is the step set
 copies of the stay-put step (0,0).  Excursions (walks returning to the
 origin) of SEVEN of length n-1 count strong-Baxter permutations of size
 n, and the two counting series are linked by the binomial transform that
-a pair of trivial steps induces.  Growth constants are estimated from
-excursion counts; for FIVE the target is the real root of
+a pair of trivial steps induces.  The one walk DP, walk_grids, keeps per
+length only the cells within reach of the step set's largest moves along
+x, y and x+y (and, for excursions, within reach of the origin again);
+for FIVE and SEVEN that is a triangle.  Growth constants are estimated
+from excursion counts; for FIVE the target is the real root of
 t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
 """
 
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from functools import reduce
+from itertools import zip_longest
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -98,34 +102,25 @@ def parse_steps(text: str) -> StepMultiset:
     return StepMultiset(steps, name=lowered)
 
 
-def _shift_row(src: Sequence[int], dx: int, width: int) -> list[int]:
-    """Row src re-indexed by x -> x+dx, padded or trimmed to width cells."""
-    if dx == 1:
-        out = [0] + list(src)
-    elif dx == -1:
-        out = list(src[1:])
-    else:
-        out = list(src)
-    if len(out) < width:
-        out.extend([0] * (width - len(out)))
-    return out[:width]
-
-
 def walk_grids(
     steps: StepMultiset, n_max: int, returning: bool = False
 ) -> Iterator[list[list[int]]]:
     """Endpoint counts grid[y][x] of confined walks, lengths 0..n_max.
 
-    Each step moves a coordinate by at most one, so walks of length t
-    fill a square of t+1 cells a side.  With returning, only walks that
-    can still be back at the origin by length n_max are kept: such a walk
-    is never farther than min(t, n_max - t) from an axis at time t, so
-    the grid is trimmed to that square, and every kept cell stays exact.
+    Rows are ragged and hold only the region the walks can occupy.  One
+    step raises x, y and x+y by at most the largest such change among the
+    steps and lowers them by at most the largest drop (each taken as at
+    least 0), so a walk of length t keeps every one of the three within t
+    times its rise.  With returning, only walks that can still be back at
+    the origin by length n_max are kept: each of the three must also be
+    within n_max - t times its drop.  A dropped walk never returns, so
+    every kept cell stays exact.  For FIVE and SEVEN the region is the
+    triangle x + y <= t, or x + y <= min(t, n_max - t) with returning.
 
     >>> [g[0][0] for g in walk_grids(FIVE, 3)]
     [1, 0, 2, 1]
-    >>> [len(g) for g in walk_grids(FIVE, 4, returning=True)]
-    [1, 2, 3, 2, 1]
+    >>> [[len(row) for row in g] for g in walk_grids(FIVE, 4, returning=True)]
+    [[1], [2, 1], [3, 2, 1], [2, 1], [1]]
     """
     at_least(n_max, 0, "n_max")
     return _grids(steps.items(), n_max, returning)
@@ -133,27 +128,27 @@ def walk_grids(
 
 def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
     # apart from walk_grids so that its guard raises at the call, not at next()
+    forms = [(dx, dy, dx + dy) for (dx, dy), _ in items]
+    rise = [max([0] + [f[i] for f in forms]) for i in range(3)]
+    drop = [max([0] + [-f[i] for f in forms]) for i in range(3)]
     grid: list[list[int]] = [[1]]
     yield grid
-    for t in range(n_max):
-        width = min(t + 1, n_max - t - 1) + 1 if returning else t + 2
-        c0 = len(grid) - 1
+    for t in range(1, n_max + 1):
+        x_top, y_top, s_top = (
+            min(t * r, (n_max - t) * d) if returning else t * r for r, d in zip(rise, drop)
+        )
         new: list[list[int]] = []
-        for ny in range(width):
-            parts: list[Sequence[int]] = []
+        for ny in range(min(y_top, s_top) + 1):
+            width = min(x_top, s_top - ny) + 1
+            parts = []
             for (dx, dy), m in items:
                 sy = ny - dy
-                if 0 <= sy <= c0:
-                    src = grid[sy]
-                    if m != 1:
-                        src = [m * v for v in src]
-                    parts.append(_shift_row(src, dx, width))
-            if not parts:
-                new.append([0] * width)
-            elif len(parts) == 1:
-                new.append(list(parts[0]))
-            else:
-                new.append([sum(vals) for vals in zip(*parts)])
+                if 0 <= sy < len(grid):
+                    # cell x of the new row takes cell x - dx of row sy
+                    src = [0, *grid[sy][:width - 1]] if dx == 1 else grid[sy][-dx:width - dx]
+                    parts.append(src if m == 1 else [m * v for v in src])
+            row = list(map(sum, zip_longest(*parts, fillvalue=0)))
+            new.append(row + [0] * (width - len(row)))
         grid = new
         yield grid
 
@@ -214,21 +209,30 @@ def residual_walk_equation(order: int) -> Residual:
     return residual_scan(diffs)
 
 
+def binomial_transform(seq: Sequence, pauses: int) -> list:
+    """Counts for a step set with pauses more (0,0) steps, from the counts
+    seq of the step set without them: term m is the sum over n of
+    C(m,n) pauses^(m-n) seq[n], since the pauses choose their places among
+    the m steps freely.  Terms may be excursion counts or endpoint tables.
+
+    >>> binomial_transform(excursions(FIVE, 3), 2) == excursions(SEVEN, 3)
+    True
+    """
+    return [
+        reduce(add, (seq[n] * (binom(m, n) * pauses ** (m - n)) for n in range(m + 1)))
+        for m in range(len(seq))
+    ]
+
+
 def w2_consistency(order: int, origin_only: bool = False) -> dict:
-    """Check that the SEVEN table of length m is the binomial transform
-    sum over n of C(m,n) 2^(m-n) times the FIVE table of length n (the
-    two trivial steps choose their positions freely).  origin_only
-    restricts the comparison to excursion counts.
+    """Check the SEVEN tables of lengths 0..order against the binomial
+    transform, with the two pauses of SEVEN, of the FIVE tables.
+    origin_only restricts the comparison to excursion counts.
     """
     at_least(order, 1, "order")
     count = excursions if origin_only else count_walks
-    five, seven = count(FIVE, order), count(SEVEN, order)
-    first_fail = None
-    for m in range(order + 1):
-        want = reduce(add, (five[n] * (binom(m, n) * 2 ** (m - n)) for n in range(m + 1)))
-        if want != seven[m]:
-            first_fail = m
-            break
+    want, seven = binomial_transform(count(FIVE, order), 2), count(SEVEN, order)
+    first_fail = next((m for m in range(order + 1) if want[m] != seven[m]), None)
     return {
         "order": order,
         "origin_only": origin_only,
@@ -286,7 +290,14 @@ def _rho_five() -> float:
 
 
 def growth_estimate(steps: StepMultiset, n_max: int) -> dict:
-    """Estimate the excursion growth constant rho from e_n ~ K rho^n n^alpha.
+    """Estimate the excursion growth constant of steps by fit_growth on
+    the excursion counts e_0..e_n_max."""
+    return fit_growth(steps, excursions(steps, n_max))
+
+
+def fit_growth(steps: StepMultiset, e: Sequence[int]) -> dict:
+    """Estimate the growth constant rho from e_n ~ K rho^n n^alpha, where
+    e holds the excursion counts e_0..e_n_max of steps, n_max >= 50.
 
     alpha is fit from second differences of log e_n (which cancel K and
     the rho^n factor), ratios e_n/e_(n-1) are corrected by the fitted
@@ -296,8 +307,8 @@ def growth_estimate(steps: StepMultiset, n_max: int) -> dict:
     target.  residual_of_minpoly is the polynomial evaluated at the
     10-digit quoted approximation of the FIVE root.
     """
+    n_max = len(e) - 1
     at_least(n_max, 50, "n_max")
-    e = excursions(steps, n_max)
     logs = [math.log(v) if v else None for v in e]
     window = range(n_max - min(40, n_max // 2), n_max - 1)
     fits = []

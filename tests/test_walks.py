@@ -65,14 +65,41 @@ def test_tables_and_excursions_match_the_naive_counter():
         assert walks.excursions(steps, 12) == [t.get((0, 0), 0) for t in want], steps.name
 
 
+def _returns_within(mult: dict, k_max: int) -> set:
+    """Cells of the quadrant from which some walk reaches the origin in at
+    most k_max steps, by a naive backward search."""
+    seen = frontier = {(0, 0)}
+    for _ in range(k_max):
+        frontier = {(x - dx, y - dy) for x, y in frontier for dx, dy in mult
+                    if x - dx >= 0 and y - dy >= 0} - seen
+        seen = seen | frontier
+    return seen
+
+
 def test_trimmed_grids_keep_exact_cells():
+    """Kept cells equal the naive counts, and a nonzero cell is dropped
+    only when no walk from it reaches the origin by length n_max."""
+    n_max = 11
+    for text in ("five", "seven", "(1,0);(-1,1);(0,-1)", "(1,1);(-1,0);(0,-1)"):
+        steps = walks.parse_steps(text)
+        naive = naive_walk_tables(steps.mult, n_max)
+        for returning in (False, True):
+            for t, grid in enumerate(walks.walk_grids(steps, n_max, returning)):
+                kept = {(x, y): v for y, row in enumerate(grid) for x, v in enumerate(row)}
+                assert all(v == naive[t].get(cell, 0) for cell, v in kept.items())
+                dropped = {cell for cell, v in naive[t].items() if v and cell not in kept}
+                live = _returns_within(steps.mult, n_max - t) if returning else set()
+                assert not dropped & live, (text, returning, t)
+
+
+def test_grids_trim_five_and_seven_to_the_triangle():
     n_max = 9
-    full = walks.walk_grids(walks.SEVEN, n_max)
-    trimmed = walks.walk_grids(walks.SEVEN, n_max, returning=True)
-    for t, (grid, cut) in enumerate(zip(full, trimmed)):
-        side = min(t, n_max - t) + 1
-        assert len(grid) == t + 1 and all(len(row) == t + 1 for row in grid)
-        assert cut == [row[:side] for row in grid[:side]]
+    for steps in (walks.FIVE, walks.SEVEN):
+        for t, grid in enumerate(walks.walk_grids(steps, n_max, returning=True)):
+            top = min(t, n_max - t)
+            assert [len(row) for row in grid] == list(range(top + 1, 0, -1))
+        assert [len(row) for row in list(walks.walk_grids(steps, n_max))[-1]] == \
+            list(range(n_max + 1, 0, -1))
 
 
 _SMALL_STEPS = st.dictionaries(
@@ -159,6 +186,12 @@ def test_w2_transform_lowest_order():
     # the x^0 slice compares the single empty walk on both sides
     rep = walks.w2_consistency(1)
     assert rep["ok"] and rep["first_fail"] is None
+
+
+def test_seven_growth_fit_from_transformed_five_counts():
+    e7 = walks.binomial_transform(walks.excursions(walks.FIVE, 80), 2)
+    assert e7 == walks.excursions(walks.SEVEN, 80)
+    assert walks.fit_growth(walks.SEVEN, e7) == walks.growth_estimate(walks.SEVEN, 80)
 
 
 def test_strong_refinement():
