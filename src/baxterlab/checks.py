@@ -47,7 +47,7 @@ _SB_ROUTES: dict[str, Route] = {
     "c": _sb_formula("c"),
     "d": _sb_formula("d"),
     "apery": _sb_formula("apery"),
-    "invseq": lambda n: [invseq.total_via_formula(m) for m in range(1, n + 1)],
+    "invseq": invseq.totals_via_formula,
 }
 
 # family -> first index, default route and routes; a route maps n_max to
@@ -111,8 +111,8 @@ FAMILIES: dict[str, dict] = {
         "offset": 1,
         "default": "formula",
         "routes": {
-            "formula": lambda n: [invseq.total_via_formula(m) for m in range(1, n + 1)],
-            "dp": lambda n: [sum(invseq.q_table(m).values()) for m in range(1, n + 1)],
+            "formula": invseq.totals_via_formula,
+            "dp": lambda n: [sum(q.values()) for q in invseq.q_levels(n)],
             "brute": lambda n: invseq.count_avoiders_bruteforce(n),
         },
     },
@@ -165,12 +165,10 @@ Bounds = dict[str, object]
 _BOUNDS: dict[str, Bounds] = {
     "quick": {
         "brute": 8,
-        "rule": 13,
         "census": 5,
         "invseq_labels": 6,
         "theorem_order": 10,
         "extraction_order": 12,
-        "residual_order": 10,
         "lagrange_k": 8,
         "reduced_points": ((Fraction(3, 2), 10),),
         "kernel_semi_trials": 3,
@@ -185,12 +183,10 @@ _BOUNDS: dict[str, Bounds] = {
     },
     "full": {
         "brute": 10,
-        "rule": 13,
         "census": 7,
         "invseq_labels": 7,
         "theorem_order": 15,
         "extraction_order": 20,
-        "residual_order": 10,
         "lagrange_k": 12,
         "reduced_points": ((Fraction(3, 2), 12), (Fraction(2), 12)),
         "kernel_semi_trials": 5,
@@ -215,10 +211,10 @@ _ROUTE_CHECKS: dict[str, tuple[str, str | int, tuple[str, ...]]] = {
     "baxter-five-routes": ("baxter", 12, ()),
     "catalan-three-routes": ("av231", 14, ()),
     "conjecture-exp1423-vs-sb": ("exp1423", "conjecture", ("sb:recurrence",)),
-    "invseq-three-routes": ("invseq", "rule", ("sb:recurrence",)),
+    "invseq-three-routes": ("invseq", 13, ("sb:recurrence",)),
     "plane-vs-semi": ("plane", "brute", ()),
-    "semi-all-routes": ("sb", "rule", ()),
-    "strong-three-routes": ("strong", "rule", ()),
+    "semi-all-routes": ("sb", 13, ()),
+    "strong-three-routes": ("strong", 13, ()),
     "twisted-vs-baxter": ("twisted", 12, ("baxter:closed",)),
 }
 
@@ -307,13 +303,18 @@ def series_nonneg_part(order: int) -> Outcome:
     return True, f"nonneg part matches label evaluation for x^1..x^{order}"
 
 
+def _residual_verdict(res: series.Residual, fail: str, passed: str) -> Outcome:
+    """Pass with `passed` on a zero residual, else `fail` formatted with the
+    largest defect and its first place."""
+    return (False, fail.format(*res)) if res[0] else (True, passed)
+
+
 def series_residual(group: str, order: int) -> Outcome:
     """The cleared label equation of `group` ("semi" or "strong")."""
     fn = {"semi": series.residual_semi, "strong": series.residual_strong}[group]
-    max_abs, offending = fn(order)
-    if max_abs:
-        return False, f"residual {max_abs} at (n, ydeg, zdeg)={offending}"
-    return True, f"residual 0 through x^{order}"
+    return _residual_verdict(
+        fn(order), "residual {} at (n, ydeg, zdeg)={}", f"residual 0 through x^{order}"
+    )
 
 
 def series_reduced(a0: Fraction, order: int) -> Outcome:
@@ -359,13 +360,11 @@ def _chk_lagrange(b: Bounds, seed: int) -> Outcome:
 
 def _chk_walk_equation(b: Bounds, seed: int) -> Outcome:
     order = b["walk_residual"]
-    max_abs, offending = walks.residual_walk_equation(order)
-    if max_abs:
-        return False, (
-            f"walk tables vs cleared equation: residual {max_abs} "
-            f"at (n, adeg, bdeg)={offending}"
-        )
-    return True, f"walk equation residual is 0 through t^{order}"
+    return _residual_verdict(
+        walks.residual_walk_equation(order),
+        "walk tables vs cleared equation: residual {} at (n, adeg, bdeg)={}",
+        f"walk equation residual is 0 through t^{order}",
+    )
 
 
 def _chk_w2(b: Bounds, seed: int) -> Outcome:
@@ -387,13 +386,11 @@ def _chk_w2(b: Bounds, seed: int) -> Outcome:
 
 
 def _chk_refinement(b: Bounds, seed: int) -> Outcome:
-    max_abs, offending = walks.strong_refinement_residual(10)
-    if max_abs:
-        return False, (
-            f"rule-strong labels vs walk endpoint tables: residual {max_abs} "
-            f"at (n, adeg, bdeg)={offending}"
-        )
-    return True, "refined label/endpoint match holds for n<=10"
+    return _residual_verdict(
+        walks.strong_refinement_residual(10),
+        "rule-strong labels vs walk endpoint tables: residual {} at (n, adeg, bdeg)={}",
+        "refined label/endpoint match holds for n<=10",
+    )
 
 
 def _chk_growth(b: Bounds, seed: int) -> Outcome:
@@ -455,9 +452,8 @@ _REGISTRY: tuple[tuple[str, Callable[[Bounds, int], Outcome]], ...] = tuple(sort
         ("series-extraction-vs-recurrence",
          lambda b, seed: series_extraction(b["extraction_order"])),
         ("series-reduced-identity", _reduced_points),
-        ("series-residual-semi", lambda b, seed: series_residual("semi", b["residual_order"])),
-        ("series-residual-strong",
-         lambda b, seed: series_residual("strong", b["residual_order"])),
+        ("series-residual-semi", lambda b, seed: series_residual("semi", 10)),
+        ("series-residual-strong", lambda b, seed: series_residual("strong", 10)),
         ("series-theorem-nonneg-part", lambda b, seed: series_nonneg_part(b["theorem_order"])),
         ("walks-equation-residual", _chk_walk_equation),
         ("walks-growth-constants", _chk_growth),

@@ -17,6 +17,7 @@ program whose total reproduces the semi-Baxter numbers.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .formulas import at_least, binom, catalan
 
@@ -146,17 +147,9 @@ def growth_label(e: ISeq) -> tuple[int, int]:
     return (top - bottom, len(e) - top)
 
 
-def q_table(n: int) -> dict[tuple[int, int], int]:
-    """All Q_{n,a,b}: avoiders of size n with top a and bottom b.
-
-    Recurrence over b >= 0 plus the exact-division ballot column
-    Q_{n,a,-1} = ((n-a)/n) C(n-1+a, a); Q_{n,a,b} = 0 whenever n <= a.
-
-    >>> q_table(3)[(1, -1)]
-    2
-    >>> sum(q_table(4).values())
-    23
-    """
+def q_levels(n: int) -> Iterator[dict[tuple[int, int], int]]:
+    """The tables q_table(m) for m = 1..n in turn, from one pass of the
+    recurrence.  The guard on n raises at the first next()."""
     at_least(n, 1, "n")
     prev: dict[tuple[int, int], int] = {}
     for m in range(1, n + 1):
@@ -171,8 +164,32 @@ def q_table(n: int) -> dict[tuple[int, int], int]:
                 total += sum(prev.get((j, b), 0) for j in range(b + 1, a + 1))
                 if total:
                     cur[(a, b)] = total
+        yield cur
         prev = cur
-    return prev
+
+
+def q_table(n: int) -> dict[tuple[int, int], int]:
+    """All Q_{n,a,b}: avoiders of size n with top a and bottom b.
+
+    Recurrence over b >= 0 plus the exact-division ballot column
+    Q_{n,a,-1} = ((n-a)/n) C(n-1+a, a); Q_{n,a,b} = 0 whenever n <= a.
+
+    >>> q_table(3)[(1, -1)]
+    2
+    >>> sum(q_table(4).values())
+    23
+    """
+    for table in q_levels(n):
+        pass
+    return table
+
+
+def totals_via_formula(n: int) -> list[int]:
+    """total_via_formula(m) for m = 1..n, from one pass of the recurrence."""
+    return [
+        catalan(m) + sum(cnt for (a, b), cnt in q.items() if b >= 0)
+        for m, q in enumerate(q_levels(n), 1)
+    ]
 
 
 def total_via_formula(n: int) -> int:
@@ -181,6 +198,4 @@ def total_via_formula(n: int) -> int:
     >>> [total_via_formula(n) for n in (1, 5, 7)]
     [1, 104, 2958]
     """
-    at_least(n, 1, "n")
-    q = q_table(n)
-    return catalan(n) + sum(cnt for (a, b), cnt in q.items() if b >= 0)
+    return totals_via_formula(n)[-1]

@@ -316,33 +316,34 @@ _ONE_MINUS_Z = Poly({(0, 0): 1, (0, 1): -1})
 _Z_MINUS_Y = Poly({(0, 1): 1, (1, 0): -1})
 
 
-def _y1(e: tuple[int, ...]) -> tuple[int, int]:
-    return (0, e[1])
-
-
-def _z1(e: tuple[int, ...]) -> tuple[int, int]:
-    return (e[0], 0)
-
-
-def _diagonal(e: tuple[int, ...]) -> tuple[int, int]:
-    return (e[0] + e[1], 0)
-
-
 Residual = tuple[int, tuple[int, int, int] | None]
 
 
-def residual_scan(diffs: Iterable[tuple[int, Mapping[tuple[int, int], int]]]) -> Residual:
-    """(largest |entry|, first (n, i, j) holding an entry) over (n, table)
-    pairs of defect tables that store no zeros; (0, None) if all are empty."""
+def residual_scan(defects: Iterable[tuple[int, Poly]]) -> Residual:
+    """(largest |coefficient|, (n, i, j) of the least exponent of the first
+    nonzero defect) over (n, defect) pairs in increasing n; (0, None) if
+    every defect is zero."""
     max_abs = 0
     offending: tuple[int, int, int] | None = None
-    for n, d in diffs:
-        for (i, j), v in sorted(d.items()):
-            if offending is None:
-                offending = (n, i, j)
-            if abs(v) > max_abs:
-                max_abs = abs(v)
+    for n, d in defects:
+        if d and offending is None:
+            offending = (n, *min(d.c))
+        max_abs = max([max_abs, *map(abs, d.c.values())])
     return max_abs, offending
+
+
+def _label_residual(
+    rule_name: str, order: int, kernel: Poly, step: Callable[[Poly], Poly]
+) -> Residual:
+    """residual_scan of K (S_n - [n=1] yz) - step(S_(n-1)), n = 1..order,
+    for the equation K S = xyz K + x step(S) of the rule's label series S."""
+    at_least(order, 2, "order")
+    labels = LabelSeries(rule_name, order)
+    s = [labels.poly(n) for n in range(order + 1)]
+    return residual_scan(
+        (n, kernel * (s[n] - _YZ if n == 1 else s[n]) - step(s[n - 1]))
+        for n in range(1, order + 1)
+    )
 
 
 def residual_semi(order: int) -> Residual:
@@ -354,22 +355,10 @@ def residual_semi(order: int) -> Residual:
     Returns (max absolute residual, first offending (n, ydeg, zdeg) or
     None); (0, None) means the identity holds through x^order.
     """
-    at_least(order, 2, "order")
-    labels = LabelSeries("semi", order)
-    diffs = []
-    prev = Poly()
-    for n in range(1, order + 1):
-        cur = labels.poly(n)
-        lhs = _ONE_MINUS_Y * _Z_MINUS_Y * cur
-        rhs = _YZ * _Z_MINUS_Y * (prev.map_exponents(_y1) - prev)
-        rhs = rhs + _YZ * _ONE_MINUS_Y * (prev - prev.map_exponents(_diagonal))
-        if n == 1:
-            rhs = rhs + _YZ * _ONE_MINUS_Y * _Z_MINUS_Y
-        d = lhs - rhs
-        if d:
-            diffs.append((n, d.c))
-        prev = cur
-    return residual_scan(diffs)
+    return _label_residual("semi", order, _ONE_MINUS_Y * _Z_MINUS_Y, lambda s: (
+        _YZ * _Z_MINUS_Y * (s.map_exponents(lambda e: (0, e[1])) - s)
+        + _YZ * _ONE_MINUS_Y * (s - s.map_exponents(lambda e: (e[0] + e[1], 0)))
+    ))
 
 
 def residual_strong(order: int) -> Residual:
@@ -378,56 +367,32 @@ def residual_strong(order: int) -> Residual:
         (1-y)(1-z) I = xyz(1-y)(1-z) + x(1-z)(y I(1,z) - I(y,z))
                      + xz(1-y)(1-z) I + xyz(1-y)(I(y,1) - I(y,z)).
     """
-    at_least(order, 2, "order")
-    labels = LabelSeries("strong", order)
-    diffs = []
-    prev = Poly()
-    for n in range(1, order + 1):
-        cur = labels.poly(n)
-        lhs = _ONE_MINUS_Y * _ONE_MINUS_Z * cur
-        rhs = _ONE_MINUS_Z * (_Y * prev.map_exponents(_y1) - prev)
-        rhs = rhs + _Z * _ONE_MINUS_Y * _ONE_MINUS_Z * prev
-        rhs = rhs + _YZ * _ONE_MINUS_Y * (prev.map_exponents(_z1) - prev)
-        if n == 1:
-            rhs = rhs + _YZ * _ONE_MINUS_Y * _ONE_MINUS_Z
-        d = lhs - rhs
-        if d:
-            diffs.append((n, d.c))
-        prev = cur
-    return residual_scan(diffs)
+    return _label_residual("strong", order, _ONE_MINUS_Y * _ONE_MINUS_Z, lambda s: (
+        _ONE_MINUS_Z * (_Y * s.map_exponents(lambda e: (0, e[1])) - s)
+        + _Z * _ONE_MINUS_Y * _ONE_MINUS_Z * s
+        + _YZ * _ONE_MINUS_Y * (s.map_exponents(lambda e: (e[0], 0)) - s)
+    ))
 
 
-def _kernel_semi(a: Fraction, z: Fraction, x: Fraction) -> Fraction:
-    return 1 - x * z * (1 + a) / a - x * z * (1 + a) / (z - 1 - a)
-
-
-def _phi_semi(a: Fraction, z: Fraction) -> tuple[Fraction, Fraction]:
-    return ((z - 1 - a) / (1 + a), z)
-
-
-def _psi_semi(a: Fraction, z: Fraction) -> tuple[Fraction, Fraction]:
-    return (a, (z + z * a - 1 - a) / (z - 1 - a))
-
-
-def _q_strong(a: Fraction, b: Fraction) -> Fraction:
-    return 1 / a + 1 / b + a / b + a + 2 + b
-
-
-def _phi_strong(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    return (a, (1 + a) / b)
-
-
-def _psi_strong(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    # Companion root of the quadratic in a fixing 1/a + a(1+b)/b: the two
-    # roots have product b/(1+b), so a maps to b/(a(1+b)).  A sign flip
-    # here would change the kernel value and is rejected by the
-    # invariance check below.
-    return (b / (a * (1 + b)), b)
-
-
-_KERNEL_MAPS = {
-    "semi": (_phi_semi, _psi_semi),
-    "strong": (_phi_strong, _psi_strong),
+# group -> (kernel value at (a, b, x), the maps phi and psi that fix it,
+# order of the group they generate: 10, or "open" for an infinite group).
+_KERNELS: dict[str, tuple[Callable, Callable, Callable, int | str]] = {
+    "semi": (
+        lambda a, z, x: 1 - x * z * (1 + a) / a - x * z * (1 + a) / (z - 1 - a),
+        lambda a, z: ((z - 1 - a) / (1 + a), z),
+        lambda a, z: (a, (z + z * a - 1 - a) / (z - 1 - a)),
+        10,
+    ),
+    "strong": (
+        lambda a, b, x: 1 / a + 1 / b + a / b + a + 2 + b,
+        lambda a, b: (a, (1 + a) / b),
+        # Companion root of the quadratic in a fixing 1/a + a(1+b)/b: the
+        # two roots have product b/(1+b), so a maps to b/(a(1+b)).  A sign
+        # flip here would change the kernel value and is rejected by
+        # kernel_invariance.
+        lambda a, b: (b / (a * (1 + b)), b),
+        "open",
+    ),
 }
 
 
@@ -442,7 +407,7 @@ def kernel_orbit(
     >>> kernel_orbit("semi", Fraction(2, 3), Fraction(7, 5))
     (10, True)
     """
-    phi, psi = _KERNEL_MAPS[group]
+    _, phi, psi, _ = _KERNELS[group]
     start = (Fraction(a), Fraction(b))
     seen = {start}
     frontier = [start]
@@ -463,22 +428,20 @@ def kernel_orbit(
 def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     """Probe kernel invariance and orbit closure at random rational points.
 
-    For the semi kernel K(a,z) = 1 - xz(1+a)/a - xz(1+a)/(z-1-a) the two
-    maps (a,z) -> ((z-1-a)/(1+a), z) and (a,z) -> (a, (z+za-1-a)/(z-1-a))
-    must fix the kernel value, and the orbit must close with exactly 10
-    points.  For the strong kernel Q(a,b) = 1/a+1/b+a/b+a+2+b the maps
-    (a,b) -> (a,(1+a)/b) and (a,b) -> (b/(a(1+b)), b) must fix Q while
-    the orbit stays open past 100 points.  Points that hit a pole, and
-    semi points with a nontrivial stabiliser (an orbit that closes at a
-    proper divisor of 10), are re-drawn, at most 10 times each.
+    For each group of _KERNELS, both maps must fix the kernel value at a
+    random point (a, b, x).  The semi orbit must close with exactly 10
+    points; the strong orbit must stay open past 100 points.  Points that
+    hit a pole, and semi points with a nontrivial stabiliser (an orbit
+    that closes at a proper divisor of 10), are re-drawn, at most 10
+    times each.
     """
-    if group not in _KERNEL_MAPS:
+    if group not in _KERNELS:
         raise ValueError(f"unknown kernel group {group!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
-    phi, psi = _KERNEL_MAPS[group]
-    limit = 10 if group == "semi" else 100
+    value, phi, psi, order = _KERNELS[group]
+    finite = order != "open"
     redraws = 0
     invariant_ok = True
     orbit_ok = True
@@ -491,20 +454,13 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
         for attempt in range(11):
             a, b, x = draw(), draw(), Fraction(1, rng.randint(2, 97))
             try:
-                if group == "semi":
-                    k0 = _kernel_semi(a, b, x)
-                    same = (
-                        _kernel_semi(*phi(a, b), x) == k0
-                        and _kernel_semi(*psi(a, b), x) == k0
-                    )
-                else:
-                    q0 = _q_strong(a, b)
-                    same = _q_strong(*phi(a, b)) == q0 and _q_strong(*psi(a, b)) == q0
-                size, closed = kernel_orbit(group, a, b, limit=limit)
+                k0 = value(a, b, x)
+                same = value(*phi(a, b), x) == k0 and value(*psi(a, b), x) == k0
+                size, closed = kernel_orbit(group, a, b, limit=order if finite else 100)
             except ZeroDivisionError:
                 redraws += 1
                 continue
-            if group == "semi" and closed and size < 10 and 10 % size == 0:
+            if finite and closed and size < order and order % size == 0:
                 redraws += 1
                 continue
             break
@@ -512,10 +468,7 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
             raise RuntimeError("no generic point after 10 re-draws")
         invariant_ok = invariant_ok and same
         orbit_sizes.append(size)
-        if group == "semi":
-            orbit_ok = orbit_ok and closed and size == 10
-        else:
-            orbit_ok = orbit_ok and not closed
+        orbit_ok = orbit_ok and (closed and size == order if finite else not closed)
     return {
         "group": group,
         "trials": trials,
@@ -528,26 +481,13 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     }
 
 
-# Numerator terms of P(a, z) as (coefficient in a, power of z), kept in
-# the flat term order of the defining expression; the F comparison in
-# verify_reduced_identity pins every entry.
-_P_NUM_TERMS: tuple[tuple[tuple[int, int], int], ...] = (
-    ((-1, 4), 1),
-    ((1, 4), 2),
-    ((-1, 3), 1),
-    ((1, 3), 2),
-    ((-1, 2), 3),
-    ((-2, 2), 0),
-    ((1, 2), 2),
-    ((1, 2), 1),
-    ((-4, 1), 0),
-    ((5, 1), 1),
-    ((-3, 1), 2),
-    ((1, 1), 3),
-    ((3, 0), 1),
-    ((-1, 0), 2),
-    ((-2, 0), 0),
-)
+# Numerator N(a, z) of P, keyed (a-power, z-power); the F comparison in
+# verify_reduced_identity pins every term.
+_P_NUM = Poly({
+    (4, 1): -1, (4, 2): 1, (3, 1): -1, (3, 2): 1, (2, 3): -1, (2, 0): -2, (2, 2): 1,
+    (2, 1): 1, (1, 0): -4, (1, 1): 5, (1, 2): -3, (1, 3): 1, (0, 1): 3, (0, 2): -1,
+    (0, 0): -2,
+})
 
 
 def _p_at(a0: Fraction, z: XSeries) -> XSeries:
@@ -561,7 +501,7 @@ def _p_at(a0: Fraction, z: XSeries) -> XSeries:
     for _ in range(3):
         zp.append(zp[-1] * z)
     num = XSeries([0] * (order + 1))
-    for (coef, apow), zpow in _P_NUM_TERMS:
+    for (apow, zpow), coef in _P_NUM.c.items():
         num = num + zp[zpow].scale(coef * a0 ** apow)
     num = (-z + (1 + a0)) * num
     den = (z * (z - 1)).scale(a0 ** 4)

@@ -197,17 +197,13 @@ def residual_walk_equation(order: int) -> Residual:
     None).
     """
     at_least(order, 1, "order")
-    counts = count_walks(FIVE, order)
-    diffs = []
-    for n in range(1, order + 1):
-        prev = counts[n - 1]
-        on_x0 = Poly({e: c for e, c in prev.c.items() if e[0] == 0})
-        on_y0 = Poly({e: c for e, c in prev.c.items() if e[1] == 0})
-        d = _AB * counts[n] - _FIVE_STEPS * prev + _B * on_x0 + _A_ONE_PLUS_A * on_y0
-        if d:
-            diffs.append((n, d.c))
-    return residual_scan(diffs)
-
+    t = count_walks(FIVE, order)
+    return residual_scan(
+        (n, _AB * t[n] - _FIVE_STEPS * t[n - 1]
+            + _B * Poly({e: c for e, c in t[n - 1].c.items() if e[0] == 0})
+            + _A_ONE_PLUS_A * Poly({e: c for e, c in t[n - 1].c.items() if e[1] == 0}))
+        for n in range(1, order + 1)
+    )
 
 def binomial_transform(seq: Sequence, pauses: int) -> list:
     """Counts for a step set with pauses more (0,0) steps, from the counts
@@ -263,15 +259,13 @@ def strong_refinement_residual(n_max: int = 10) -> Residual:
     at_least(n_max, 1, "n_max")
     labels = LabelSeries("strong", n_max)
     tables = count_walks(SEVEN, n_max - 1)
-    diffs = []
-    for n in range(1, n_max + 1):
-        d = -(_ONE_PLUS_A_ONE_PLUS_B * tables[n - 1])
-        for (h, k), c in labels.levels[n].items():
-            d = d + Poly({(i, j): c * binom(h, i) * binom(k, j)
-                          for i in range(h + 1) for j in range(k + 1)})
-        if d:
-            diffs.append((n, d.c))
-    return residual_scan(diffs)
+    return residual_scan(
+        (n, sum((Poly({(i, j): c * binom(h, i) * binom(k, j)
+                       for i in range(h + 1) for j in range(k + 1)})
+                 for (h, k), c in labels.levels[n].items()), Poly())
+            - _ONE_PLUS_A_ONE_PLUS_B * tables[n - 1])
+        for n in range(1, n_max + 1)
+    )
 
 
 def minpoly_five(t: float) -> float:

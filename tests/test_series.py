@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import baxterlab
@@ -160,19 +160,62 @@ def test_residual_detects_perturbation(monkeypatch):
     assert max_abs == 2 and where == (3, 2, 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(rule=st.sampled_from(["semi", "strong"]), n=st.integers(1, 6),
+       h=st.integers(0, 6), k=st.integers(0, 6),
+       delta=st.integers(-3, 3).filter(bool))
+def test_residuals_pinpoint_any_bumped_label(rule, n, h, k, delta):
+    """Bumping label (h, k) at level n puts the first defect in the x^n
+    slice, as the kernel times that label: its least term is (h, k+1)
+    under (1-y)(z-y) for semi and (h, k) under (1-y)(1-z) for strong."""
+    exact = series.LabelSeries.poly
+
+    def bumped(self, m):
+        return exact(self, m) + series.Poly({(h, k): delta}) if m == n else exact(self, m)
+
+    residual = {"semi": series.residual_semi, "strong": series.residual_strong}[rule]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series.LabelSeries, "poly", bumped)
+        max_abs, where = residual(6)
+    assert max_abs >= abs(delta)
+    assert where == ((n, h, k + 1) if rule == "semi" else (n, h, k))
+
+
 # ---------------------------------------------------------------------------
 # kernel group
 
 
 def test_kernel_maps_fix_kernel_value():
+    kernel, phi, psi, _ = series._KERNELS["semi"]
     a, z, x = Fraction(2, 3), Fraction(7, 5), Fraction(1, 13)
-    k0 = series._kernel_semi(a, z, x)
-    assert series._kernel_semi(*series._phi_semi(a, z), x) == k0
-    assert series._kernel_semi(*series._psi_semi(a, z), x) == k0
+    k0 = kernel(a, z, x)
+    assert kernel(*phi(a, z), x) == k0
+    assert kernel(*psi(a, z), x) == k0
+    q, phi, psi, _ = series._KERNELS["strong"]
     a, b = Fraction(3, 2), Fraction(2, 5)
-    q0 = series._q_strong(a, b)
-    assert series._q_strong(*series._phi_strong(a, b)) == q0
-    assert series._q_strong(*series._psi_strong(a, b)) == q0
+    q0 = q(a, b, x)
+    assert q(*phi(a, b), x) == q0
+    assert q(*psi(a, b), x) == q0
+
+
+@settings(max_examples=80, deadline=None)
+@given(group=st.sampled_from(sorted(series._KERNELS)),
+       a=st.fractions(min_value=-9, max_value=9, max_denominator=9),
+       b=st.fractions(min_value=-9, max_value=9, max_denominator=9),
+       x=st.fractions(min_value=-1, max_value=1, max_denominator=50))
+def test_kernel_maps_fix_kernel_value_at_random_points(group, a, b, x):
+    """Both maps of each group fix its kernel value, and every semi orbit
+    closes at a divisor of 10; points that hit a pole are skipped."""
+    kernel, phi, psi, order = series._KERNELS[group]
+    try:
+        k0 = kernel(a, b, x)
+        images = [kernel(*f(a, b), x) for f in (phi, psi)]
+        size, closed = series.kernel_orbit(group, a, b, limit=10)
+    except ZeroDivisionError:
+        assume(False)
+    assert images == [k0, k0]
+    if order != "open":
+        assert closed and order % size == 0, (size, closed)
 
 
 def test_kernel_orbit_sizes():

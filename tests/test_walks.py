@@ -175,6 +175,26 @@ def test_walk_equation_detects_perturbation(monkeypatch):
     assert where is not None and where[0] in (3, 4)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), x=st.integers(0, 6), y=st.integers(0, 6),
+       delta=st.integers(-3, 3).filter(bool))
+def test_walk_equation_pinpoints_any_bumped_cell(n, x, y, delta):
+    """The cleared left side multiplies the length-n table by ab, so a
+    bump at cell (x, y) of that table first shows at (n, x+1, y+1)."""
+    exact = walks.count_walks
+
+    def bumped(steps, n_max):
+        tables = exact(steps, n_max)
+        tables[n] = tables[n] + Poly({(x, y): delta})
+        return tables
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "count_walks", bumped)
+        max_abs, where = walks.residual_walk_equation(6)
+    assert max_abs >= abs(delta)
+    assert where == (n, x + 1, y + 1)
+
+
 def test_w2_transform_consistency():
     rep = walks.w2_consistency(10)
     assert rep["ok"] and rep["first_fail"] is None
@@ -196,6 +216,26 @@ def test_seven_growth_fit_from_transformed_five_counts():
 
 def test_strong_refinement():
     assert walks.strong_refinement_residual(8) == (0, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), x=st.integers(0, 6), y=st.integers(0, 6),
+       delta=st.integers(-3, 3).filter(bool))
+def test_refinement_pinpoints_any_bumped_cell(n, x, y, delta):
+    """Size n pairs with the SEVEN table of length n-1, times (1+a)(1+b),
+    so a bump at cell (x, y) of that table first shows at (n, x, y)."""
+    exact = walks.count_walks
+
+    def bumped(steps, n_max):
+        tables = exact(steps, n_max)
+        tables[n - 1] = tables[n - 1] + Poly({(x, y): delta})
+        return tables
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "count_walks", bumped)
+        max_abs, where = walks.strong_refinement_residual(6)
+    assert max_abs >= abs(delta)
+    assert where == (n, x, y)
 
 
 def test_seven_excursions_monotone_in_steps_of_two():
