@@ -179,7 +179,6 @@ _BOUNDS: dict[str, Bounds] = {
         "growth_n": 100,
         "asym_n": 500,
         "amp_tol": 0.05,
-        "conjecture": 8,
     },
     "full": {
         "brute": 10,
@@ -197,7 +196,6 @@ _BOUNDS: dict[str, Bounds] = {
         "growth_n": 300,
         "asym_n": 2000,
         "amp_tol": 0.02,
-        "conjecture": 10,
     },
 }
 
@@ -210,7 +208,7 @@ _ROUTE_CHECKS: dict[str, tuple[str, str | int, tuple[str, ...]]] = {
     "apery-closed-vs-recurrence": ("apery", 30, ()),
     "baxter-five-routes": ("baxter", 12, ()),
     "catalan-three-routes": ("av231", 14, ()),
-    "conjecture-exp1423-vs-sb": ("exp1423", "conjecture", ("sb:recurrence",)),
+    "conjecture-exp1423-vs-sb": ("exp1423", "brute", ("sb:recurrence",)),
     "invseq-three-routes": ("invseq", 13, ("sb:recurrence",)),
     "plane-vs-semi": ("plane", "brute", ()),
     "semi-all-routes": ("sb", 13, ()),

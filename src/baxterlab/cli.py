@@ -152,6 +152,10 @@ def _cmd_walks(args: argparse.Namespace) -> int:
         print("error: --n-max must be nonnegative", file=sys.stderr)
         return 2
     if args.estimate_growth:
+        if args.format in ("bfile", "csv"):
+            print(f"error: --estimate-growth has no {args.format} format "
+                  "(use plain or json)", file=sys.stderr)
+            return 2
         if args.n_max < 50:
             print("error: growth estimation needs --n-max of at least 50", file=sys.stderr)
             return 2
@@ -170,6 +174,14 @@ def _cmd_walks(args: argparse.Namespace) -> int:
     label = "excursions" if args.excursions else "walks"
     _emit_terms(label, steps.name or args.steps, 0, values, args.format)
     return 0
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("W", "F", "omega", "residual-semi", "residual-strong", "kernel", "reduced"),
     )
     p.add_argument("--order", type=int, default=10)
-    p.add_argument("--a0", type=Fraction, default=Fraction(3, 2))
+    p.add_argument("--a0", type=_fraction, default=Fraction(3, 2))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
     p.set_defaults(func=_cmd_series)

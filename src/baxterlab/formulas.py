@@ -137,21 +137,22 @@ def sb_table(n_max: int, route: str = "recurrence") -> list[int]:
     """SB_0..SB_n_max via the named formula route.
 
     Summation routes are defined from n = 2 on; SB_0 = 0 and SB_1 = 1 are
-    the recurrence's base values.
+    the recurrence's base values.  Every route needs n_max >= 1.
     """
+    if route not in ("recurrence", "sum", "apery", *_SIMPLE_VARIANTS):
+        raise ValueError(f"unknown semi-Baxter route {route!r}")
+    at_least(n_max, 1, "n_max")
     if route == "recurrence":
         return sb_recurrence(n_max)
     table = [0, 1]
     for n in range(2, n_max + 1):
         if route == "sum":
             table.append(sb_sum_formula(n))
-        elif route in _SIMPLE_VARIANTS:
-            table.append(sb_simple_formula(n, route))
         elif route == "apery":
             table.append(sb_via_apery(n))
         else:
-            raise ValueError(f"unknown semi-Baxter route {route!r}")
-    return table[:n_max + 1]
+            table.append(sb_simple_formula(n, route))
+    return table
 
 
 # ---------------------------------------------------------------------------

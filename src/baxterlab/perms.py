@@ -18,18 +18,20 @@ size form a generating tree: the children of pi are the pi . a for the
 The active sites are found without testing each insertion separately.
 Since the prefix of pi . a is order-isomorphic to pi, a new occurrence of
 a pattern q must use the inserted last position as the final pattern
-entry.  So each pattern in PATTERNS has one O(n) scan: walk the adjacent
-ascents or descents of pi with a bitset of the values before (for [14]23,
-after) the pair; the lowest or highest of them inside the pair's value
-interval bounds the widest band of insertion values the pair forbids.
-231 needs only a right-to-left running maximum.  A class can only be
-built from patterns with a scan; ``contains`` is the reference matcher.
+entry.  The four patterns x[yz]w share one O(n) scan: walk the adjacent
+pairs of pi with a bitset of the values before the pair; on a descent or
+an ascent, the lowest or highest of them inside the pair's value interval
+bounds the widest band of insertion values the pair forbids.  [14]23 is
+that scan for 2[41]3 run on pi reversed, and 231 needs only a
+right-to-left running maximum.  A class binds one scan: the pair scan
+for any set of the four, or the scan of its one other pattern.
+``contains`` is the reference matcher.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 Perm = tuple[int, ...]
@@ -125,60 +127,40 @@ PATTERNS: dict[str, VincularPattern] = {
 # A scan maps an avoider p to the bitmask of insertion values a (bit a-1)
 # for which p . a has an occurrence ending at the new point.  Witnesses that
 # pin the new point between host values lo < hi forbid bits lo..hi-1.
-# ``x = seen & ((1 << b) - (2 << c))`` holds the seen values strictly between
-# c and b; the lowest is the bit ``x & -x``, the highest x.bit_length() - 1.
+# ``x = seen & ((1 << hi) - (2 << lo))`` holds the seen values strictly
+# between lo and hi; the lowest is the bit ``x & -x``, the highest
+# x.bit_length() - 1.
 Scan = Callable[[Perm], int]
 
-
-def _scan_2_41_3(p: Perm) -> int:
-    # descent b > c; an earlier value in (c, b) plays 2, the new point 3
-    seen = mask = 0
-    for b, c in zip(p, p[1:]):
-        if b > c and (x := seen & ((1 << b) - (2 << c))):
-            mask |= (1 << b) - (x & -x)
-        seen |= 1 << b
-    return mask
+# The four patterns x[yz]w as flags of one pair scan: bits 0-1 act on a
+# descent, bits 2-3 on an ascent; the low bit of each half puts the new
+# point above the witness (it plays 3), the high bit below (it plays 2).
+_PAIR_FLAGS: dict[VincularPattern, int] = {
+    PATTERNS["2[41]3"]: 1, PATTERNS["3[41]2"]: 2,
+    PATTERNS["2[14]3"]: 4, PATTERNS["3[14]2"]: 8,
+}
 
 
-def _scan_2_14_3(p: Perm) -> int:
-    # ascent c < b; an earlier value in (c, b) plays 2, the new point 3
-    seen = mask = 0
-    for c, b in zip(p, p[1:]):
-        if c < b and (x := seen & ((1 << b) - (2 << c))):
-            mask |= (1 << b) - (x & -x)
-        seen |= 1 << c
-    return mask
+def _pair_scan(flags: int) -> Scan:
+    """One pass over adjacent pairs for the OR of the patterns in flags."""
+    down, up = flags & 3, flags >> 2
 
+    def scan(p: Perm) -> int:
+        seen = mask = 0  # seen: the values before the pair
+        for u, v in zip(p, p[1:]):
+            if u > v:
+                f, hi, lo = down, u, v
+            else:
+                f, hi, lo = up, v, u
+            if f and (x := seen & ((1 << hi) - (2 << lo))):
+                if f & 1:
+                    mask |= (1 << hi) - (x & -x)
+                if f & 2:
+                    mask |= (1 << (x.bit_length() - 1)) - (1 << lo)
+            seen |= 1 << u
+        return mask
 
-def _scan_3_14_2(p: Perm) -> int:
-    # ascent c < b; an earlier value in (c, b) plays 3, the new point 2
-    seen = mask = 0
-    for c, b in zip(p, p[1:]):
-        if c < b and (x := seen & ((1 << b) - (2 << c))):
-            mask |= (1 << (x.bit_length() - 1)) - (1 << c)
-        seen |= 1 << c
-    return mask
-
-
-def _scan_3_41_2(p: Perm) -> int:
-    # descent b > c; an earlier value in (c, b) plays 3, the new point 2
-    seen = mask = 0
-    for b, c in zip(p, p[1:]):
-        if b > c and (x := seen & ((1 << b) - (2 << c))):
-            mask |= (1 << (x.bit_length() - 1)) - (1 << c)
-        seen |= 1 << b
-    return mask
-
-
-def _scan_14_23(p: Perm) -> int:
-    # ascent c < b read right to left; a later value in (c, b) plays 2
-    seen = mask = 0
-    r = p[::-1]
-    for b, c in zip(r, r[1:]):
-        if c < b and (x := seen & ((1 << b) - (2 << c))):
-            mask |= (1 << b) - (x & -x)
-        seen |= 1 << b
-    return mask
+    return scan
 
 
 def _scan_231(p: Perm) -> int:
@@ -193,29 +175,32 @@ def _scan_231(p: Perm) -> int:
 
 
 _SCANS: dict[VincularPattern, Scan] = {
-    PATTERNS["2[41]3"]: _scan_2_41_3,
-    PATTERNS["3[14]2"]: _scan_3_14_2,
-    PATTERNS["3[41]2"]: _scan_3_41_2,
-    PATTERNS["2[14]3"]: _scan_2_14_3,
-    PATTERNS["[14]23"]: _scan_14_23,
+    **{q: _pair_scan(f) for q, f in _PAIR_FLAGS.items()},
+    # [14]23 is 2[41]3 read right to left: a later value inside the ascent plays 2
+    PATTERNS["[14]23"]: lambda p, semi=_pair_scan(1): semi(p[::-1]),
     PATTERNS["231"]: _scan_231,
 }
 
 
 @dataclass(frozen=True)
 class AvoidanceClass:
-    """A named family Av(patterns) over patterns with an anchored scan."""
+    """A named family Av(patterns) whose patterns share one anchored scan:
+    any set of the four pair patterns, or a single other pattern."""
 
     name: str
     patterns: tuple[VincularPattern, ...]
+    scan: Scan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if missing := [q.text for q in self.patterns if q not in _SCANS]:
-            raise ValueError(f"no anchored scan for pattern(s) {', '.join(missing)}")
-
-    @property
-    def scans(self) -> tuple[Scan, ...]:
-        return tuple(_SCANS[q] for q in self.patterns)
+        distinct = set(self.patterns)
+        if distinct <= _PAIR_FLAGS.keys():
+            scan = _pair_scan(sum(_PAIR_FLAGS[q] for q in distinct))
+        elif len(distinct) == 1 and self.patterns[0] in _SCANS:
+            scan = _SCANS[self.patterns[0]]
+        else:
+            texts = ", ".join(q.text for q in self.patterns)
+            raise ValueError(f"no anchored scan for pattern(s) {texts}")
+        object.__setattr__(self, "scan", scan)
 
 
 CLASSES: dict[str, AvoidanceClass] = {
@@ -296,13 +281,6 @@ def right_insert(p: Perm, a: int) -> Perm:
     return tuple(v + 1 if v >= a else v for v in p) + (a,)
 
 
-def _class_mask(p: Perm, scans: tuple[Scan, ...]) -> int:
-    mask = 0
-    for scan in scans:
-        mask |= scan(p)
-    return mask
-
-
 def active_sites(p: Perm, cls: AvoidanceClass) -> list[int]:
     """All a with right_insert(p, a) still in the class, sorted.
 
@@ -311,7 +289,7 @@ def active_sites(p: Perm, cls: AvoidanceClass) -> list[int]:
     """
     if not avoids(p, cls):
         raise ValueError(f"{p} is not in class {cls.name}")
-    mask = _class_mask(p, cls.scans)
+    mask = cls.scan(p)
     return [a for a in range(1, len(p) + 2) if not (mask >> (a - 1)) & 1]
 
 
@@ -332,11 +310,11 @@ def label_of(p: Perm, cls: AvoidanceClass) -> Label:
         raise ValueError(f"class {cls.name} carries no (h, k) label")
     if not avoids(p, cls):
         raise ValueError(f"{p} is not in class {cls.name}")
-    return _label(p, cls.scans, cls.name == "plane")
+    return _label(p, cls.scan, cls.name == "plane")
 
 
-def _label(p: Perm, scans: tuple[Scan, ...], swap: bool) -> Label:
-    free = ~_class_mask(p, scans) & ((1 << (len(p) + 1)) - 1)
+def _label(p: Perm, scan: Scan, swap: bool) -> Label:
+    free = ~scan(p) & ((1 << (len(p) + 1)) - 1)
     h = (free & ((1 << p[-1]) - 1)).bit_count()
     k = free.bit_count() - h
     return (k, h) if swap else (h, k)
@@ -353,12 +331,12 @@ def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
     [1, 2, 6, 22, 92]
     """
     counts = [1] + [0] * (n_max - 1) if n_max > 0 else []  # counts[i]: size i + 1
-    scans = cls.scans
+    scan = cls.scan
     stack: list[Perm] = [(1,)] if n_max > 1 else []
     while stack:
         p = stack.pop()
         n = len(p)
-        free = ~_class_mask(p, scans) & ((1 << (n + 1)) - 1)
+        free = ~scan(p) & ((1 << (n + 1)) - 1)
         counts[n] += free.bit_count()
         if n + 1 < n_max:  # the last level is counted, never materialized
             for a in range(1, n + 2):
@@ -373,14 +351,14 @@ def iter_avoiders(cls: AvoidanceClass, n: int):
     """Yield every avoider of size exactly n (tree order)."""
     if n < 1:
         raise ValueError(f"avoider size must be >= 1, got {n}")
-    scans = cls.scans
+    scan = cls.scan
     stack: list[Perm] = [(1,)]
     while stack:
         p = stack.pop()
         if len(p) == n:
             yield p
             continue
-        mask = _class_mask(p, scans)
+        mask = scan(p)
         for a in range(1, len(p) + 2):
             if not (mask >> (a - 1)) & 1:
                 stack.append(right_insert(p, a))
@@ -390,5 +368,5 @@ def label_census(cls: AvoidanceClass, n: int) -> dict[Label, int]:
     """Multiset of labels over all avoiders of size n."""
     if cls.name not in LABELLED_CLASSES:
         raise ValueError(f"class {cls.name} carries no (h, k) label")
-    scans, swap = cls.scans, cls.name == "plane"
-    return dict(Counter(_label(p, scans, swap) for p in iter_avoiders(cls, n)))
+    scan, swap = cls.scan, cls.name == "plane"
+    return dict(Counter(_label(p, scan, swap) for p in iter_avoiders(cls, n)))

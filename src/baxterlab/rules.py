@@ -39,9 +39,9 @@ Lungo, Pergola and Pinzani (1999).
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 Label = tuple[int, int]
 LabelDistribution = dict[Label, int]
@@ -243,14 +243,23 @@ def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistributi
     return out
 
 
+def levels(rule: SuccessionRule) -> Iterator[LabelDistribution]:
+    """The label multisets at levels 1, 2, ... (level 1 is the axiom).
+
+    A level is stepped to only when it is asked for, so reading levels
+    1..n costs n - 1 calls of `next_level`.
+    """
+    dist: LabelDistribution = {rule.axiom: 1}
+    while True:
+        yield dist
+        dist = next_level(rule, dist)
+
+
 def distribution(rule: SuccessionRule, n: int) -> LabelDistribution:
     """Exact label multiset at level n (level 1 is the axiom)."""
     if n < 1:
         raise ValueError(f"level {n} is not positive")
-    dist: LabelDistribution = {rule.axiom: 1}
-    for _ in range(n - 1):
-        dist = next_level(rule, dist)
-    return dist
+    return next(islice(levels(rule), n - 1, None))
 
 
 def count_sequence(rule: SuccessionRule, n_max: int) -> list[int]:
@@ -265,12 +274,7 @@ def count_sequence(rule: SuccessionRule, n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise ValueError(f"n_max {n_max} is not positive")
-    dist: LabelDistribution = {rule.axiom: 1}
-    counts = [1]
-    for _ in range(n_max - 1):
-        dist = next_level(rule, dist)
-        counts.append(sum(dist.values()))
-    return counts
+    return [sum(dist.values()) for dist in islice(levels(rule), n_max)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import prod
 from operator import add
 from typing import Callable, Iterable, Mapping
 
 from .formulas import at_least, binom
-from .rules import RULES, next_level
+from .rules import RULES, levels, next_level  # noqa: F401  (perfbench wraps this binding)
 
 Rat = int | Fraction
 
@@ -250,17 +251,21 @@ _F_W2 = laurent({-5: -1, -4: -1, -3: 1, -2: -1, -1: -1, 0: 1})
 _F_W3 = laurent({-4: 1, -2: -1})
 
 
+def _assemble_F(w: XSeries, coeff: Callable) -> XSeries:
+    """x ((1+a)^2 + _F_W1 W + _F_W2 W^2 + _F_W3 W^3), with each Laurent
+    coefficient passed through coeff (kept as a Poly, or evaluated at a0)."""
+    w2 = w * w
+    f = w.scale(coeff(_F_W1)) + w2.scale(coeff(_F_W2)) + (w2 * w).scale(coeff(_F_W3))
+    return (f + coeff(_ONE_PLUS_A * _ONE_PLUS_A)).shift_x()
+
+
 def build_F(order: int) -> XSeries:
     """(1+a)^2 x + (ā^5+ā^4+2+2a) xW + (-ā^5-ā^4+ā^3-ā^2-ā+1) xW^2 + (ā^4-ā^2) xW^3.
 
     The a^0 coefficient of [x^n] is the n-th semi-Baxter number, and the
     nonnegative part in a matches the semi label polynomials at y=z=1+a.
     """
-    w = solve_W(order)
-    w2 = w * w
-    base = w.scale(_F_W1) + w2.scale(_F_W2) + (w2 * w).scale(_F_W3)
-    base = base + _ONE_PLUS_A * _ONE_PLUS_A
-    return base.shift_x()
+    return _assemble_F(solve_W(order), lambda c: c)
 
 
 def omega_geq(s: XSeries) -> XSeries:
@@ -278,13 +283,9 @@ class LabelSeries:
 
     def __init__(self, rule_name: str, order: int):
         at_least(order, 1, "order")
-        rule = RULES[rule_name]
-        levels: list[dict[tuple[int, int], int]] = [{}, {rule.axiom: 1}]
-        for _ in range(order - 1):
-            levels.append(next_level(rule, levels[-1]))
         self.rule_name = rule_name
         self.order = order
-        self.levels = levels
+        self.levels = [{}, *islice(levels(RULES[rule_name]), order)]
 
     def poly(self, n: int) -> Poly:
         """Level n as the polynomial in (y, z)."""
@@ -525,10 +526,7 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
     w = online_fixpoint((1 + a) / a, 1 + a, a, order)
     z = w + (1 + a)
 
-    w2 = w * w
-    f = w.scale(_F_W1.eval_at(a)) + w2.scale(_F_W2.eval_at(a))
-    f = f + (w2 * w).scale(_F_W3.eval_at(a))
-    f = (f + (1 + a) ** 2).shift_x()
+    f = _assemble_F(w, lambda c: c.eval_at(a))
 
     p = _p_at(a, z)
 

@@ -208,6 +208,24 @@ def test_engine_value_error_exits_2_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("check", ["W", "reduced"])
+def test_zero_denominator_a0_is_a_usage_error(capsys, check):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "--check", check, "--order", "3", "--a0=1/0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --a0: invalid Fraction value: '1/0'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "csv"])
+def test_growth_estimate_rejects_term_formats(capsys, fmt):
+    argv = ["walks", "--n-max", "60", "--estimate-growth", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --estimate-growth has no {fmt} format (use plain or json)\n"
+
+
 # The series verdicts are the texts of the suite's checks; these lines are
 # what scripts and the benchmark digests read.
 @pytest.mark.parametrize(

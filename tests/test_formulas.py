@@ -30,6 +30,19 @@ def test_sb_table_routes(route):
     assert formulas.sb_table(13, route)[1:] == SB
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 5])
+def test_sb_table_rejects_unknown_route_at_any_size(n_max):
+    with pytest.raises(ValueError, match="unknown semi-Baxter route 'bogus'"):
+        formulas.sb_table(n_max, "bogus")
+
+
+@pytest.mark.parametrize("route", ["recurrence", "sum", "a", "b", "c", "d", "apery"])
+def test_sb_table_needs_n_max_at_least_1_on_every_route(route):
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        formulas.sb_table(0, route)
+    assert formulas.sb_table(1, route) == [0, 1]
+
+
 def test_sb_routes_cross_agree_to_30():
     base = formulas.sb_recurrence(30)
     for route in ("sum", "a", "b", "c", "d", "apery"):

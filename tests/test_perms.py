@@ -165,13 +165,14 @@ def test_scan_vs_reference_exhaustive_n7(name):
 
 
 @st.composite
-def avoiders(draw, q):
-    """An avoider of q of size <= 14, grown by the reference matcher."""
+def avoiders(draw, patterns):
+    """An avoider of all of patterns of size <= 14, grown by the reference
+    matcher (every class here lets each avoider grow)."""
     p = (1,)
     for choice in draw(st.lists(st.integers(0, 14), max_size=13)):
         sites = [(choice + i) % (len(p) + 1) + 1 for i in range(len(p) + 1)]
         p = next(c for c in (perms.right_insert(p, a) for a in sites)
-                 if not perms.contains(c, q))
+                 if not any(perms.contains(c, q) for q in patterns))
     return p
 
 
@@ -180,8 +181,41 @@ def avoiders(draw, q):
 @given(data=st.data())
 def test_scan_vs_reference_random(name, data):
     q = perms.PATTERNS[name]
-    p = data.draw(avoiders(q))
+    p = data.draw(avoiders((q,)))
     assert perms._SCANS[q](p) == _reference_mask(p, q)
+
+
+# A class runs one scan for all its patterns; it must forbid exactly the
+# union of what each pattern forbids.
+
+def _class_reference_mask(p, cls):
+    mask = 0
+    for q in cls.patterns:
+        mask |= _reference_mask(p, q)
+    return mask
+
+
+@pytest.mark.parametrize("name", sorted(perms.CLASSES))
+def test_class_scan_vs_reference_exhaustive_n7(name):
+    cls = perms.CLASSES[name]
+    level = [(1,)]
+    for _ in range(7):
+        children = []
+        for p in level:
+            mask = _class_reference_mask(p, cls)
+            assert cls.scan(p) == mask, p
+            children += [perms.right_insert(p, a)
+                         for a in range(1, len(p) + 2) if not mask >> (a - 1) & 1]
+        level = children
+
+
+@pytest.mark.parametrize("name", ["baxter", "twisted", "strong"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_class_scan_vs_reference_random(name, data):
+    cls = perms.CLASSES[name]
+    p = data.draw(avoiders(cls.patterns))
+    assert cls.scan(p) == _class_reference_mask(p, cls)
 
 
 @pytest.mark.parametrize("name, want", [
@@ -207,3 +241,9 @@ def test_iter_avoiders_rejects_size_zero():
 def test_class_without_scan_is_rejected():
     with pytest.raises(ValueError, match="no anchored scan for pattern"):
         perms.AvoidanceClass("x", (perms.parse_pattern("1[32]"),))
+
+
+@pytest.mark.parametrize("texts", [("2[41]3", "231"), ("3[14]2", "[14]23"), ("231", "[14]23")])
+def test_class_mixing_scans_is_rejected(texts):
+    with pytest.raises(ValueError, match="no anchored scan for pattern"):
+        perms.AvoidanceClass("x", tuple(perms.PATTERNS[t] for t in texts))

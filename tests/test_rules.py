@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from baxterlab import perms, rules
+from baxterlab import perms, rules, series
 from baxterlab.checks import compare_routes
 
 from conftest import BAXTER, CATALAN, SB, STRONG
@@ -62,6 +62,22 @@ def test_distribution_level_two():
 def test_count_sequences(name, want):
     got = rules.count_sequence(rules.RULES[name], len(want))
     assert got == want
+
+
+def test_level_readers_step_only_to_the_last_level_asked(monkeypatch):
+    # the traced benchmark counts levels by the next_level calls
+    steps = []
+    step = rules.next_level
+    monkeypatch.setattr(rules, "next_level", lambda *a: steps.append(1) or step(*a))
+    semi = rules.RULES["semi"]
+    for read, want in [
+        (lambda: rules.distribution(semi, 6), 5),
+        (lambda: rules.count_sequence(semi, 7), 6),
+        (lambda: series.LabelSeries("semi", 4), 3),
+    ]:
+        steps.clear()
+        read()
+        assert len(steps) == want
 
 
 @pytest.mark.parametrize("rule_name,cls_name", [("semi", "semi"), ("strong", "strong")])
