@@ -11,7 +11,8 @@ reproduces the semi-Baxter label polynomials evaluated at y = z = 1+a,
 Lagrange-inversion coefficient extraction, coefficientwise residuals of
 the functional equations satisfied by the semi and strong label series,
 invariance probes for the two kernels, and a rational-point identity
-tying F to an explicit rational function P by series division.
+tying F to an explicit rational function P = num/den, compared with den
+cleared so that no series is ever divided.
 """
 
 from __future__ import annotations
@@ -179,16 +180,6 @@ class XSeries:
         """Multiply by x, truncating at the original order."""
         return XSeries([self.c[0] * 0] + self.c[:-1])
 
-    def inverse(self) -> "XSeries":
-        """Multiplicative inverse; the x^0 coefficient must be a nonzero rational."""
-        if not self.c[0]:
-            raise ValueError("series with a zero constant term has no inverse")
-        inv0 = 1 / Fraction(self.c[0])
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            out.append(-inv0 * sum(self.c[i] * out[n - i] for i in range(1, n + 1)))
-        return XSeries(out)
-
 
 def online_fixpoint(p, alpha, beta, order: int) -> XSeries:
     """The series W with W = x*p*(W+alpha)*(W+beta), solved online.
@@ -273,6 +264,11 @@ def omega_geq(s: XSeries) -> XSeries:
     return XSeries(Poly({e: v for e, v in u.c.items() if e[0] >= 0}) for u in s.c)
 
 
+def _diagonal(e: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponent map of y = z: y^h z^k becomes t^(h+k)."""
+    return (e[0] + e[1],)
+
+
 class LabelSeries:
     """Per-size label distributions of a succession rule, read as the
     coefficient of x^n being the polynomial sum of S_{h,k} y^h z^k.
@@ -291,22 +287,16 @@ class LabelSeries:
         """Level n as the polynomial in (y, z)."""
         return Poly(self.levels[n])
 
-    def eval_series(self, y0: Rat, z0: Rat) -> list[Fraction]:
-        """Coefficient list of the x-series with (y, z) fixed to rationals."""
-        return [Poly(lv).eval_at(y0, z0) for lv in self.levels]
-
     def series_in_one_plus_a(self) -> XSeries:
-        """Sum of S_{h,k} (1+a)^(h+k) per x-order, as a series in x."""
+        """Sum of S_{h,k} (1+a)^(h+k) per x-order, as a series in x: each
+        level collapsed to sum_m c_m t^m on the diagonal, then t = 1+a."""
         powers = [laurent({0: 1})]
         for _ in range(self.order + 1):
             powers.append(powers[-1] * _ONE_PLUS_A)
-        out = [Poly()]
-        for lv in self.levels[1:]:
-            acc = Poly()
-            for (h, k), v in lv.items():
-                acc = acc + powers[h + k] * v
-            out.append(acc)
-        return XSeries(out)
+        return XSeries(
+            sum((powers[m] * c for (m,), c in lv.map_exponents(_diagonal).c.items()), Poly())
+            for lv in map(self.poly, range(self.order + 1))
+        )
 
 
 _Y = Poly({(1, 0): 1})
@@ -471,9 +461,6 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
         orbit_sizes.append(size)
         orbit_ok = orbit_ok and (closed and size == order if finite else not closed)
     return {
-        "group": group,
-        "trials": trials,
-        "seed": seed,
         "redraws": redraws,
         "invariant_ok": invariant_ok,
         "orbit_ok": orbit_ok,
@@ -491,22 +478,20 @@ _P_NUM = Poly({
 })
 
 
-def _p_at(a0: Fraction, z: XSeries) -> XSeries:
-    """P(a0, z) for a series argument z, by truncated series division.
+def _p_parts(a0: Fraction, z: XSeries) -> tuple[XSeries, XSeries]:
+    """P(a0, z) = num / den for a series argument z, as the pair (num, den):
 
-    P(a,z) = (-z+1+a) * N(a,z) / (z a^4 (z-1)) with N the catalogued
-    15-term polynomial; z and z-1 must have nonzero constant terms.
+        num = (-z+1+a0) N(a0, z),    den = z a0^4 (z-1),
+
+    with N the catalogued 15-term polynomial.  Nothing is divided.
     """
-    order = z.order
-    zp = [XSeries([1] + [0] * order)]
+    zp = [XSeries([1] + [0] * z.order)]
     for _ in range(3):
         zp.append(zp[-1] * z)
-    num = XSeries([0] * (order + 1))
+    num = XSeries([0] * (z.order + 1))
     for (apow, zpow), coef in _P_NUM.c.items():
         num = num + zp[zpow].scale(coef * a0 ** apow)
-    num = (-z + (1 + a0)) * num
-    den = (z * (z - 1)).scale(a0 ** 4)
-    return num * den.inverse()
+    return (-z + (1 + a0)) * num, (z * (z - 1)).scale(a0 ** 4)
 
 
 def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
@@ -516,43 +501,34 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
       (i)  F(a0, W) = -P(a0, Z) with Z = W + 1 + a0;
       (ii) S(1+a0, 1+a0) + ((1+a0)^2 x / a0^4) S(1, 1+1/a0) + P(a0, Z) = 0,
 
-    with both S evaluations read off the semi rule's label distributions
-    and F's coefficients those of build_F evaluated at a0.
+    with both S evaluations read off the semi rule's label distributions,
+    each level collapsed to the one variable it is read in, and F's
+    coefficients those of build_F evaluated at a0.
+
+    Each side X is compared as X den + num, which is (X + P) den through
+    x^order.  den has the constant term a0^5 (1+a0), nonzero here, so that
+    product first becomes nonzero at the same x^n as X + P does: the
+    reported first failures are those of the uncleared comparison.
     """
     a = Fraction(a0)
     if a in (0, -1, 1):
         raise ValueError(f"a0 must not be 0, -1 or 1, got {a}")
     at_least(order, 2, "order")
     w = online_fixpoint((1 + a) / a, 1 + a, a, order)
-    z = w + (1 + a)
+    num, den = _p_parts(a, w + (1 + a))
 
-    f = _assemble_F(w, lambda c: c.eval_at(a))
-
-    p = _p_at(a, z)
-
-    first_fail_f = None
-    for n in range(order + 1):
-        if f.c[n] != -p.c[n]:
-            first_fail_f = n
-            break
+    def first_fail(x: XSeries) -> int | None:
+        return next((n for n, c in enumerate((x * den + num).c) if c), None)
 
     labels = LabelSeries("semi", order)
-    s_diag = labels.eval_series(1 + a, 1 + a)
-    s_top = labels.eval_series(1, 1 + 1 / a)
-    factor = (1 + a) ** 2 / a ** 4
-    first_fail_sum = None
-    for n in range(order + 1):
-        shifted = s_top[n - 1] if n >= 1 else 0
-        if s_diag[n] + factor * shifted + p.c[n] != 0:
-            first_fail_sum = n
-            break
 
-    return {
-        "a0": a,
-        "order": order,
-        "f_matches_p": first_fail_f is None,
-        "f_first_fail": first_fail_f,
-        "sum_identity": first_fail_sum is None,
-        "sum_first_fail": first_fail_sum,
-        "ok": first_fail_f is None and first_fail_sum is None,
-    }
+    def collapsed(exponent: Callable, t: Fraction) -> XSeries:
+        return XSeries(labels.poly(n).map_exponents(exponent).eval_at(t)
+                       for n in range(order + 1))
+
+    s_diag = collapsed(_diagonal, 1 + a)
+    s_top = collapsed(lambda e: (e[1],), 1 + 1 / a)
+    f_fail = first_fail(_assemble_F(w, lambda c: c.eval_at(a)))
+    sum_fail = first_fail(s_diag + s_top.scale((1 + a) ** 2 / a ** 4).shift_x())
+    return {"f_first_fail": f_fail, "sum_first_fail": sum_fail,
+            "ok": f_fail is None and sum_fail is None}

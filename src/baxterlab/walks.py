@@ -229,12 +229,7 @@ def w2_consistency(order: int, origin_only: bool = False) -> dict:
     count = excursions if origin_only else count_walks
     want, seven = binomial_transform(count(FIVE, order), 2), count(SEVEN, order)
     first_fail = next((m for m in range(order + 1) if want[m] != seven[m]), None)
-    return {
-        "order": order,
-        "origin_only": origin_only,
-        "ok": first_fail is None,
-        "first_fail": first_fail,
-    }
+    return {"ok": first_fail is None, "first_fail": first_fail}
 
 
 def strong_from_walks(n_max: int) -> list[int]:
