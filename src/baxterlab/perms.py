@@ -15,16 +15,22 @@ the last point of an avoider leaves an avoider), so the avoiders of each
 size form a generating tree: the children of pi are the pi . a for the
 "active sites" a.  Enumeration walks that tree depth first.
 
-The active sites are found without testing each insertion separately.
-Since the prefix of pi . a is order-isomorphic to pi, a new occurrence of
-a pattern q must use the inserted last position as the final pattern
-entry.  The four patterns x[yz]w share one O(n) scan: walk the adjacent
-pairs of pi with a bitset of the values before the pair; on a descent or
-an ascent, the lowest or highest of them inside the pair's value interval
-bounds the widest band of insertion values the pair forbids.  [14]23 is
-that scan for 2[41]3 run on pi reversed, and 231 needs only a
-right-to-left running maximum.  A class binds one scan: the pair scan
-for any set of the four, or the scan of its one other pattern.
+A node's forbidden mask (bit a-1 set when pi . a leaves the class) comes
+from one anchored scan: since the prefix of pi . a is order-isomorphic to
+pi, a new occurrence of a pattern q must use the inserted last position
+as the final pattern entry.  The four patterns x[yz]w share one O(n)
+scan: walk the adjacent pairs of pi with a bitset of the values before
+the pair; on a descent or an ascent, the lowest or highest of them inside
+the pair's value interval bounds the widest band of insertion values the
+pair forbids.  For any set of the four, a child's mask also follows from
+its parent's at the right end, with no tuple built: inserting a splits
+slot a, so the old pairs forbid what they did with bit a-1 duplicated,
+and the one new adjacent pair, the old last value and a, has every other
+value before it, so its band is all of its value interval.  A node is
+then (n, last, mask).  [14]23 is the 2[41]3 scan run on pi reversed,
+where the new point comes first, and 231 needs a right-to-left running
+maximum; neither mask follows from the parent's, so those classes rescan
+each child tuple.
 ``contains`` is the reference matcher.
 """
 
@@ -131,6 +137,9 @@ PATTERNS: dict[str, VincularPattern] = {
 # between lo and hi; the lowest is the bit ``x & -x``, the highest
 # x.bit_length() - 1.
 Scan = Callable[[Perm], int]
+# A step maps a node's mask, its last value and a free insertion value a to
+# the mask of the child p . a.
+Step = Callable[[int, int, int], int]
 
 # The four patterns x[yz]w as flags of one pair scan: bits 0-1 act on a
 # descent, bits 2-3 on an ascent; the low bit of each half puts the new
@@ -163,6 +172,31 @@ def _pair_scan(flags: int) -> Scan:
     return scan
 
 
+def _pair_step(flags: int) -> Step:
+    """The pair scan's mask of p . a from the mask of p, in O(1) big-int work."""
+    down, up = flags & 3, flags >> 2
+
+    def step(mask: int, last: int, a: int) -> int:
+        # a splits slot a in two; the old pairs forbid neither half, as a
+        # is free, and every slot above moves up one
+        low = mask & ((1 << (a - 1)) - 1)
+        mask = low | ((mask ^ low) << 1)
+        # the new pair (last renormalised, a): every other value precedes
+        # it, so the scan's x is the whole band strictly between the two,
+        # and its two forbidden runs are x itself and x >> 1
+        if last >= a:
+            f, x = down, (1 << (last + 1)) - (2 << a)
+        else:
+            f, x = up, (1 << a) - (2 << last)
+        if f & 1:
+            mask |= x
+        if f & 2:
+            mask |= x >> 1
+        return mask
+
+    return step
+
+
 def _scan_231(p: Perm) -> int:
     # the largest value with a larger value to its right plays 2
     top = hi = 0
@@ -185,22 +219,26 @@ _SCANS: dict[VincularPattern, Scan] = {
 @dataclass(frozen=True)
 class AvoidanceClass:
     """A named family Av(patterns) whose patterns share one anchored scan:
-    any set of the four pair patterns, or a single other pattern."""
+    any set of the four pair patterns, which also binds the right-end
+    ``step``, or a single other pattern (``step`` None)."""
 
     name: str
     patterns: tuple[VincularPattern, ...]
     scan: Scan = field(init=False, repr=False, compare=False)
+    step: Step | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         distinct = set(self.patterns)
         if distinct <= _PAIR_FLAGS.keys():
-            scan = _pair_scan(sum(_PAIR_FLAGS[q] for q in distinct))
+            flags = sum(_PAIR_FLAGS[q] for q in distinct)
+            scan, step = _pair_scan(flags), _pair_step(flags)
         elif len(distinct) == 1 and self.patterns[0] in _SCANS:
-            scan = _SCANS[self.patterns[0]]
+            scan, step = _SCANS[self.patterns[0]], None
         else:
             texts = ", ".join(q.text for q in self.patterns)
             raise ValueError(f"no anchored scan for pattern(s) {texts}")
         object.__setattr__(self, "scan", scan)
+        object.__setattr__(self, "step", step)
 
 
 CLASSES: dict[str, AvoidanceClass] = {
@@ -266,58 +304,33 @@ def avoids(p: Perm, cls: AvoidanceClass) -> bool:
     return not any(contains(p, q) for q in cls.patterns)
 
 
-def right_insert(p: Perm, a: int) -> Perm:
-    """The renormalizing right insertion pi . a.
-
-    >>> right_insert((1, 4, 2, 3), 3)
-    (1, 5, 2, 4, 3)
-    >>> right_insert((1,), 2)
-    (1, 2)
-    >>> right_insert((2, 1), 2)
-    (3, 1, 2)
-    """
-    if not 1 <= a <= len(p) + 1:
-        raise ValueError(f"insertion value {a} out of range 1..{len(p) + 1}")
-    return tuple(v + 1 if v >= a else v for v in p) + (a,)
+def _insert(p: Perm, last: int, a: int) -> Perm:
+    # the renormalizing right insertion pi . a, shaped like a step
+    return (*[v + 1 if v >= a else v for v in p], a)
 
 
-def active_sites(p: Perm, cls: AvoidanceClass) -> list[int]:
-    """All a with right_insert(p, a) still in the class, sorted.
-
-    >>> active_sites((1,), CLASSES["semi"])
-    [1, 2]
-    """
-    if not avoids(p, cls):
-        raise ValueError(f"{p} is not in class {cls.name}")
-    mask = cls.scan(p)
-    return [a for a in range(1, len(p) + 2) if not (mask >> (a - 1)) & 1]
-
-
-def label_of(p: Perm, cls: AvoidanceClass) -> Label:
-    """Generating-tree label (h, k) of an avoider.
-
-    h counts active sites <= the last value and k those above it; the
-    plane class swaps the two roles.
-
-    >>> label_of((1,), CLASSES["semi"])
-    (1, 1)
-    >>> label_of((1, 2), CLASSES["semi"])
-    (2, 1)
-    >>> label_of((2, 1), CLASSES["semi"])
-    (1, 2)
-    """
-    if cls.name not in LABELLED_CLASSES:
-        raise ValueError(f"class {cls.name} carries no (h, k) label")
-    if not avoids(p, cls):
-        raise ValueError(f"{p} is not in class {cls.name}")
-    return _label(p, cls.scan, cls.name == "plane")
-
-
-def _label(p: Perm, scan: Scan, swap: bool) -> Label:
-    free = ~scan(p) & ((1 << (len(p) + 1)) - 1)
-    h = (free & ((1 << p[-1]) - 1)).bit_count()
-    k = free.bit_count() - h
-    return (k, h) if swap else (h, k)
+def _walk(cls: AvoidanceClass, depth: int,
+          leaf: Callable[[tuple[int, int]], object] | None = None) -> list[int]:
+    """Grow the tree depth first to size depth; return the counts of sizes
+    1..depth+1 (the last level is counted, never materialized).  leaf, if
+    given, gets (last, free) for each avoider of size depth, where free has
+    bit a-1 set for each active site a."""
+    counts = [1] + [0] * depth  # counts[i]: size i + 1
+    scan = None if cls.step else cls.scan
+    child = cls.step or _insert
+    # a node holds its mask, or its tuple for a class without a step
+    stack = [(1, 1, 0 if scan is None else (1,))] if depth > 0 else []
+    while stack:
+        n, last, node = stack.pop()
+        free = ~(node if scan is None else scan(node)) & ((1 << (n + 1)) - 1)
+        counts[n] += free.bit_count()
+        if n < depth:
+            for a in range(1, n + 2):
+                if free >> (a - 1) & 1:
+                    stack.append((n + 1, a, child(node, last, a)))
+        elif leaf:
+            leaf((last, free))
+    return counts
 
 
 def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
@@ -327,46 +340,31 @@ def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
     [1, 2, 6, 23, 104, 530]
     >>> enumerate_class(CLASSES["strong"], 6)
     [1, 2, 6, 21, 82, 346]
-    >>> enumerate_class(CLASSES["baxter"], 5)
-    [1, 2, 6, 22, 92]
+    >>> enumerate_class(CLASSES["exp1423"], 6)
+    [1, 2, 6, 23, 104, 530]
     """
-    counts = [1] + [0] * (n_max - 1) if n_max > 0 else []  # counts[i]: size i + 1
-    scan = cls.scan
-    stack: list[Perm] = [(1,)] if n_max > 1 else []
-    while stack:
-        p = stack.pop()
-        n = len(p)
-        free = ~scan(p) & ((1 << (n + 1)) - 1)
-        counts[n] += free.bit_count()
-        if n + 1 < n_max:  # the last level is counted, never materialized
-            for a in range(1, n + 2):
-                if free >> (a - 1) & 1:
-                    child = [v + 1 if v >= a else v for v in p]
-                    child.append(a)
-                    stack.append(tuple(child))
-    return counts
-
-
-def iter_avoiders(cls: AvoidanceClass, n: int):
-    """Yield every avoider of size exactly n (tree order)."""
-    if n < 1:
-        raise ValueError(f"avoider size must be >= 1, got {n}")
-    scan = cls.scan
-    stack: list[Perm] = [(1,)]
-    while stack:
-        p = stack.pop()
-        if len(p) == n:
-            yield p
-            continue
-        mask = scan(p)
-        for a in range(1, len(p) + 2):
-            if not (mask >> (a - 1)) & 1:
-                stack.append(right_insert(p, a))
+    return _walk(cls, n_max - 1) if n_max > 0 else []
 
 
 def label_census(cls: AvoidanceClass, n: int) -> dict[Label, int]:
-    """Multiset of labels over all avoiders of size n."""
+    """Multiset of labels over all avoiders of size n.
+
+    h counts active sites <= the last value and k those above it; the
+    plane class swaps the two roles.
+
+    >>> sorted(label_census(CLASSES["semi"], 3).items())
+    [((1, 2), 1), ((1, 3), 1), ((2, 2), 2), ((3, 1), 2)]
+    """
     if cls.name not in LABELLED_CLASSES:
         raise ValueError(f"class {cls.name} carries no (h, k) label")
-    scan, swap = cls.scan, cls.name == "plane"
-    return dict(Counter(_label(p, scan, swap) for p in iter_avoiders(cls, n)))
+    if n < 1:
+        raise ValueError(f"avoider size must be >= 1, got {n}")
+    leaves: list[tuple[int, int]] = []
+    _walk(cls, n, leaves.append)
+    census: Counter[Label] = Counter()
+    for last, free in leaves:
+        h = (free & ((1 << last) - 1)).bit_count()
+        census[h, free.bit_count() - h] += 1
+    if cls.name == "plane":
+        return {(k, h): c for (h, k), c in census.items()}
+    return dict(census)

@@ -113,7 +113,7 @@ def test_guards_raise_under_optimize():
         "for call in (lambda: checks.run_suite('medium'),\n"
         "             lambda: checks.compare_routes({'only': [1]}),\n"
         "             lambda: perms.VincularPattern((1, 1), frozenset()),\n"
-        "             lambda: list(perms.iter_avoiders(perms.CLASSES['semi'], 0)),\n"
+        "             lambda: perms.label_census(perms.CLASSES['semi'], 0),\n"
         "             lambda: walks.StepMultiset([(2, 0)]),\n"
         "             lambda: walks.excursions(walks.FIVE, -1),\n"
         "             lambda: walks.walk_grids(walks.FIVE, -1),\n"

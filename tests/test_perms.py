@@ -1,4 +1,5 @@
-"""Pattern containment, active sites, and class enumeration."""
+"""Pattern containment, active sites, the right-end step, and class
+enumeration."""
 
 import itertools
 
@@ -16,6 +17,41 @@ from conftest import (
     STRONG,
     oracle_contains,
 )
+
+
+# Tuple-level oracles: the package walks masks, these build every avoider.
+
+def right_insert(p, a):
+    """The renormalizing right insertion p . a."""
+    return tuple(v + 1 if v >= a else v for v in p) + (a,)
+
+
+def active_sites(p, cls):
+    """All a with right_insert(p, a) still in the class, read from the scan."""
+    mask = cls.scan(p)
+    return [a for a in range(1, len(p) + 2) if not (mask >> (a - 1)) & 1]
+
+
+def label_of(p, cls):
+    """(h, k): active sites <= the last value and above it (swapped for plane)."""
+    sites = active_sites(p, cls)
+    h = sum(a <= p[-1] for a in sites)
+    k = len(sites) - h
+    return (k, h) if cls.name == "plane" else (h, k)
+
+
+def iter_avoiders(cls, n):
+    """Every avoider of size exactly n, grown through active_sites."""
+    level = [(1,)]
+    for _ in range(n - 1):
+        level = [right_insert(p, a) for p in level for a in active_sites(p, cls)]
+    return level
+
+
+def test_right_insert_examples():
+    assert right_insert((1, 4, 2, 3), 3) == (1, 5, 2, 4, 3)
+    assert right_insert((1,), 2) == (1, 2)
+    assert right_insert((2, 1), 2) == (3, 1, 2)
 
 
 def test_parse_pattern_roundtrip():
@@ -65,9 +101,9 @@ def test_active_sites_against_filter():
     want = [
         a
         for a in range(1, 5)
-        if perms.avoids(perms.right_insert(p, a), cls)
+        if perms.avoids(right_insert(p, a), cls)
     ]
-    assert perms.active_sites(p, cls) == want
+    assert active_sites(p, cls) == want
     # spot check every class on every permutation of size 4
     for p in itertools.permutations(range(1, 5)):
         for cls in perms.CLASSES.values():
@@ -76,15 +112,15 @@ def test_active_sites_against_filter():
             want = [
                 a
                 for a in range(1, 6)
-                if perms.avoids(perms.right_insert(p, a), cls)
+                if perms.avoids(right_insert(p, a), cls)
             ]
-            assert perms.active_sites(p, cls) == want
+            assert active_sites(p, cls) == want
 
 
 def test_label_of_examples():
     semi = perms.CLASSES["semi"]
-    assert perms.label_of((2, 1), semi) == (1, 2)
-    assert perms.label_of((1,), semi) == (1, 1)
+    assert label_of((2, 1), semi) == (1, 2)
+    assert label_of((1,), semi) == (1, 1)
 
 
 def test_enumerate_class_empty_and_small():
@@ -130,8 +166,8 @@ def test_label_census_matches_iteration():
     semi = perms.CLASSES["semi"]
     census = perms.label_census(semi, 5)
     rebuilt = {}
-    for p in perms.iter_avoiders(semi, 5):
-        lab = perms.label_of(p, semi)
+    for p in iter_avoiders(semi, 5):
+        lab = label_of(p, semi)
         rebuilt[lab] = rebuilt.get(lab, 0) + 1
     assert census == rebuilt
     assert sum(census.values()) == SB[4]
@@ -145,7 +181,7 @@ def _reference_mask(p, q):
     return sum(
         1 << (a - 1)
         for a in range(1, len(p) + 2)
-        if perms.contains(perms.right_insert(p, a), q)
+        if perms.contains(right_insert(p, a), q)
     )
 
 
@@ -159,7 +195,7 @@ def test_scan_vs_reference_exhaustive_n7(name):
         for p in level:
             mask = _reference_mask(p, q)
             assert scan(p) == mask, p
-            children += [perms.right_insert(p, a)
+            children += [right_insert(p, a)
                          for a in range(1, len(p) + 2) if not mask >> (a - 1) & 1]
         level = children
 
@@ -171,7 +207,7 @@ def avoiders(draw, patterns):
     p = (1,)
     for choice in draw(st.lists(st.integers(0, 14), max_size=13)):
         sites = [(choice + i) % (len(p) + 1) + 1 for i in range(len(p) + 1)]
-        p = next(c for c in (perms.right_insert(p, a) for a in sites)
+        p = next(c for c in (right_insert(p, a) for a in sites)
                  if not any(perms.contains(c, q) for q in patterns))
     return p
 
@@ -204,7 +240,7 @@ def test_class_scan_vs_reference_exhaustive_n7(name):
         for p in level:
             mask = _class_reference_mask(p, cls)
             assert cls.scan(p) == mask, p
-            children += [perms.right_insert(p, a)
+            children += [right_insert(p, a)
                          for a in range(1, len(p) + 2) if not mask >> (a - 1) & 1]
         level = children
 
@@ -216,6 +252,49 @@ def test_class_scan_vs_reference_random(name, data):
     cls = perms.CLASSES[name]
     p = data.draw(avoiders(cls.patterns))
     assert cls.scan(p) == _class_reference_mask(p, cls)
+
+
+# The right-end step against the scan: a mask carried down the tree from
+# the parent's by cls.step must equal the full scan of the node's tuple.
+
+PAIR_CLASSES = [("semi", SB), ("plane", SB), ("baxter", BAXTER),
+                ("twisted", BAXTER), ("strong", STRONG)]
+
+
+def _standard(q):
+    """The permutation order-isomorphic to the distinct values q."""
+    rank = {v: i for i, v in enumerate(sorted(q), 1)}
+    return tuple(rank[v] for v in q)
+
+
+@pytest.mark.parametrize("name, want", PAIR_CLASSES)
+def test_step_vs_scan_exhaustive_n8(name, want):
+    cls = perms.CLASSES[name]
+    level = [((1,), 0)]  # the root's mask, as the walk starts it
+    nodes = 0
+    for _ in range(7):  # nodes of sizes 1..7, whose children reach size 8
+        children = []
+        for p, mask in level:
+            assert mask == cls.scan(p), p
+            children += [(right_insert(p, a), cls.step(mask, p[-1], a))
+                         for a in range(1, len(p) + 2) if not mask >> (a - 1) & 1]
+        nodes += len(level)
+        level = children
+    assert nodes == sum(want[:7])  # 3,624 for semi and plane
+
+
+@pytest.mark.parametrize("name", [name for name, _ in PAIR_CLASSES])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_step_vs_scan_random(name, data):
+    cls = perms.CLASSES[name]
+    p = data.draw(avoiders(cls.patterns))
+    mask, last = 0, 1
+    for i in range(1, len(p)):
+        prefix = _standard(p[:i + 1])
+        a = prefix[-1]  # the rank of the new last entry
+        mask, last = cls.step(mask, last, a), a
+        assert mask == cls.scan(prefix), prefix
 
 
 @pytest.mark.parametrize("name, want", [
@@ -235,7 +314,12 @@ def test_pattern_guards_raise():
 
 def test_iter_avoiders_rejects_size_zero():
     with pytest.raises(ValueError, match="size"):
-        list(perms.iter_avoiders(perms.CLASSES["semi"], 0))
+        perms.label_census(perms.CLASSES["semi"], 0)
+
+
+def test_label_census_rejects_unlabelled_class():
+    with pytest.raises(ValueError, match=r"no \(h, k\) label"):
+        perms.label_census(perms.CLASSES["av231"], 3)
 
 
 def test_class_without_scan_is_rejected():
