@@ -228,7 +228,7 @@ NU = 2 * math.sqrt(5) / (3 - math.sqrt(5))
 AMP_A = (12 / math.pi) * 5 ** -0.25 * LAMBDA ** -7.5
 
 
-def asymptotic_check(n: int) -> dict[str, float]:
+def asymptotic_check(n: int) -> dict[str, float | int]:
     """Growth diagnostics for SB_n at index n (floats allowed here only).
 
     Returns the consecutive-term ratio SB_n/SB_{n-1}, its target mu, the
@@ -243,7 +243,7 @@ def asymptotic_check(n: int) -> dict[str, float]:
     # big-int logs are exact enough; mu^n overflows floats long before n=2000
     log_scaled = math.log(sb[n]) + 6 * math.log(n) - n * math.log(MU)
     return {
-        "n": float(n),
+        "n": n,
         "ratio": ratio,
         "corrected_ratio": corrected,
         "target_mu": MU,

@@ -29,18 +29,19 @@ definition of the five built-in rules; RULES is parsed from it at import
 
 Every row expression is affine, so a row is a straight run of labels,
 child(i) = P(h,k) + i*d for i = lo(h,k)..hi(h,k).  `productions` expands
-one node row by row.  `next_level` expands no node: it adds each run's
-count at the run's first label and subtracts it one step past its last
-label, then sweeps every line of labels once.  A level step so costs
-O(#labels) instead of O(sum of h+k), the ECO method of Barcucci, Del
-Lungo, Pergola and Pinzani (1999).
+one node row by row.  `next_level` expands no node: in one flat grid,
+where label (x, y) sits at index x + w*y and a step of d is one stride,
+it adds each run's count at its first label and subtracts it one stride
+past its last, then sums along every stride.  A level step so costs the
+box from the origin to the largest child, not O(sum of h+k): the ECO
+method of Barcucci, Del Lungo, Pergola and Pinzani (1999).
 """
 
 from __future__ import annotations
 
 import re
 from itertools import accumulate, islice
-from math import gcd
+from operator import add
 from typing import Iterator, NamedTuple
 
 Label = tuple[int, int]
@@ -56,7 +57,7 @@ class SuccessionRule(NamedTuple):
     A row (x, y, lo, hi) puts one child (x, y) at each i = lo..hi: x and
     y are Coeffs, lo and hi are Affine, and a row without a loop has
     lo = hi = 0.  plan is the level step that `_compile` makes of the
-    rows.
+    rows: runs in positive directions and the maps that bound the grid.
     """
 
     name: str
@@ -69,13 +70,8 @@ def _at(f: Affine, h: int, k: int) -> int:
     return f[0] + f[1] * h + f[2] * k
 
 
-def _least(f: Affine, hb: tuple[int, int], kb: tuple[int, int]) -> int:
-    """Least value of f over the box hb[0] <= h <= hb[1], kb[0] <= k <= kb[1]."""
-    return f[0] + f[1] * hb[f[1] < 0] + f[2] * kb[f[2] < 0]
-
-
 def _most(f: Affine, hb: tuple[int, int], kb: tuple[int, int]) -> int:
-    """Greatest value of f over the same box."""
+    """Greatest value of f over the box hb[0] <= h <= hb[1], kb[0] <= k <= kb[1]."""
     return f[0] + f[1] * hb[f[1] >= 0] + f[2] * kb[f[2] >= 0]
 
 
@@ -88,19 +84,24 @@ def _lin(*terms: tuple[int, Affine]) -> Affine:
 
 
 def _compile(rows: tuple[Row, ...]) -> tuple:
-    """Level-step plan: (points, lines).
+    """Level-step plan: (points, lines, tops, pad).
 
     points holds (span, x, y, checks) for the rows with direction (0, 0),
     whose run puts span+1 children on the one label (x, y).  lines holds
-    (d, _frame(d), runs) for each other direction d; a run is
-    (span, inv, u, past, checks): its labels lie on the line inv, from
-    position u to position past - g (see `_frame`).  checks are the
-    coordinates of the run's lowest labels that are not positive for
-    every h, k >= 1 by their coefficients alone.  All but g are affine
-    maps of the parent label (h, k).
+    (d, runs) for each other direction d, taken with dy > 0 or with
+    dy = 0 < dx; a run (span, x, y, checks) puts span+1 children on the
+    labels (x, y) + i*d, so a row in the opposite direction is read from
+    its last child.  checks are the coordinates of the run's lowest
+    labels that are not positive for every h, k >= 1 by their
+    coefficients alone.  tops holds the (x, y) of every row's first and
+    last child and pad the largest |dx| or |dy| of a row; `next_level`
+    sizes its grid from them.  All but d and pad are affine maps of the
+    parent label (h, k).
     """
     points = []
     lines: dict[Label, list] = {}
+    tops = []
+    pad = 0
     for x, y, lo, hi in rows:
         dx, dy = x[3], y[3]
         span = _lin((1, hi), (-1, lo))
@@ -109,34 +110,16 @@ def _compile(rows: tuple[Row, ...]) -> tuple:
         end = (_lin((1, px), (dx, hi)), _lin((1, py), (dy, hi)))
         low = (start[0] if dx >= 0 else end[0], start[1] if dy >= 0 else end[1])
         checks = tuple(f for f in low if min(f[1:]) < 0 or sum(f) < 1)
+        tops += start, end
+        pad = max(pad, abs(dx), abs(dy))
         if dx == dy == 0:
-            points.append((span, start[0], start[1], checks))
-            continue
-        g, ex, ey, alpha, beta = _frame(dx, dy)
-        inv = _lin((ey, start[0]), (-ex, start[1]))
-        u = _lin((alpha, start[0]), (beta, start[1]))
-        past = _lin((1, u), (g, span), (g, (1, 0, 0)))  # u + g*(span+1)
-        lines.setdefault((dx, dy), []).append((span, inv, u, past, checks))
-    return tuple(points), tuple((d, _frame(*d), tuple(runs)) for d, runs in lines.items())
-
-
-def _frame(dx: int, dy: int) -> tuple[int, int, int, int, int]:
-    """(g, ex, ey, alpha, beta) of a direction d = g*(ex, ey) != (0, 0).
-
-    alpha*ex + beta*ey = 1, so (x, y) -> (inv, u) = (ey*x - ex*y,
-    alpha*x + beta*y) is unimodular: inv is constant along a line in
-    direction e and u counts steps of e along it; the inverse is
-    x = beta*inv + ex*u, y = -alpha*inv + ey*u.  A step of d is g steps
-    of e, so labels with the same inv and u mod g form one chain.
-    """
-    g = gcd(dx, dy)
-    ex, ey = dx // g, dy // g
-    if ey == 0:
-        return g, ex, ey, ex, 0
-    if abs(ey) == 1:
-        return g, ex, ey, 0, ey
-    alpha = pow(ex, -1, abs(ey))
-    return g, ex, ey, alpha, (1 - alpha * ex) // ey
+            points.append((span, *start, checks))
+        elif dy > 0 or dy == 0 < dx:
+            lines.setdefault((dx, dy), []).append((span, *start, checks))
+        else:
+            lines.setdefault((-dx, -dy), []).append((span, *end, checks))
+    return (tuple(points), tuple((d, tuple(runs)) for d, runs in lines.items()),
+            tuple(tops), pad)
 
 
 def _not_positive(rule: SuccessionRule, label: Label) -> ValueError:
@@ -183,8 +166,9 @@ def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistributi
 
     dist maps positive labels to positive counts; a label or child label
     that is not a pair of positive integers raises ValueError.  Time and
-    memory grow with the box of labels (h, k) that dist spans, which for
-    a level of a generating tree is a small multiple of its label count.
+    memory grow with the box of labels from the origin to the largest
+    child, which for a level of a generating tree is a small multiple of
+    its label count.
 
     >>> next_level(RULES["semi"], {(1, 2): 1, (2, 1): 1}) == {
     ...     (1, 3): 1, (3, 1): 2, (2, 2): 2, (1, 2): 1}
@@ -196,51 +180,42 @@ def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistributi
     hb, kb = (min(hs), max(hs)), (min(ks), max(ks))
     if hb[0] < 1 or kb[0] < 1:
         raise ValueError(f"rule {rule.name}: a label of the level is not positive")
-    out: LabelDistribution = {}
-    get = out.get
+    points, lines, tops, pad = rule.plan
+    # Label (x, y) sits at index x + w*y.  w exceeds every child's x and every
+    # |dx|, so a step of d is the index stride dx + w*dy; pad covers one-past.
+    w = max(0, *(_most(x, hb, kb) for x, _ in tops)) + pad + 1
+    size = w * (max(0, *(_most(y, hb, kb) for _, y in tops)) + pad + 1)
+    total = [0] * size
     items = dist.items()
-    points, lines = rule.plan
-    for (s0, sh, sk), (x0, xh, xk), (y0, yh, yk), checks in points:
+    for (dx, dy), runs in lines:
+        # A run adds cnt at its first child and -cnt one stride past its last;
+        # running sums along each residue class mod the stride count each child.
+        stride = dx + w * dy
+        grid = [0] * size
+        for (s0, sh, sk), x, y, checks in runs:
+            a0, ah, ak = _lin((1, x), (w, y))
+            for (h, k), cnt in items:
+                n = s0 + sh * h + sk * k + 1
+                if n > 0:
+                    if checks and any(_at(f, h, k) < 1 for f in checks):
+                        raise _not_positive(rule, (h, k))
+                    a = a0 + ah * h + ak * k
+                    grid[a] += cnt
+                    grid[a + n * stride] -= cnt
+        for r in range(stride):
+            total[r::stride] = map(add, total[r::stride], accumulate(grid[r::stride]))
+        del grid  # before the next direction allocates its own
+    # point rows go in last, in place, so no running sum copies their counts
+    for (s0, sh, sk), x, y, checks in points:
+        a0, ah, ak = _lin((1, x), (w, y))
         for (h, k), cnt in items:
             n = s0 + sh * h + sk * k + 1
             if n > 0:
                 if checks and any(_at(f, h, k) < 1 for f in checks):
                     raise _not_positive(rule, (h, k))
-                p = (x0 + xh * h + xk * k, y0 + yh * h + yk * k)
-                out[p] = get(p, 0) + cnt * n
-    for (dx, dy), (g, ex, ey, alpha, beta), runs in lines:
-        # The lines of direction d are the rows of one grid, row inv - inv_lo
-        # and column u - u_lo.  A run adds cnt at its first label and -cnt
-        # one step of d past its last; summing each row along d then gives
-        # the count of every label on it.
-        inv_lo = min(_least(inv, hb, kb) for _, inv, _, _, _ in runs)
-        n_rows = max(_most(inv, hb, kb) for _, inv, _, _, _ in runs) - inv_lo + 1
-        u_lo = min(_least(u, hb, kb) for _, _, u, _, _ in runs)
-        w = max(_most(past, hb, kb) for _, _, _, past, _ in runs) - u_lo + 1
-        grid = [0] * (n_rows * w)
-        for (s0, sh, sk), inv, u, past, checks in runs:
-            (a0, ah, ak), (b0, bh, bk) = (
-                _lin((w, inv), (1, at), (-w * inv_lo - u_lo, (1, 0, 0))) for at in (u, past))
-            for (h, k), cnt in items:
-                if s0 + sh * h + sk * k >= 0:
-                    if checks and any(_at(f, h, k) < 1 for f in checks):
-                        raise _not_positive(rule, (h, k))
-                    grid[a0 + ah * h + ak * k] += cnt
-                    grid[b0 + bh * h + bk * k] -= cnt
-        for j in range(n_rows):
-            row = grid[j * w:(j + 1) * w]
-            if not any(row):
-                continue
-            inv = inv_lo + j
-            for r in range(g):
-                x, y = beta * inv + ex * (u_lo + r), -alpha * inv + ey * (u_lo + r)
-                for v in accumulate(row[r::g]):
-                    if v:
-                        p = (x, y)
-                        out[p] = get(p, 0) + v
-                    x += dx
-                    y += dy
-    return out
+                total[a0 + ah * h + ak * k] += cnt * n
+    return {(x, y): v for y in range(size // w)
+            for x, v in enumerate(total[y * w:(y + 1) * w]) if v}
 
 
 def levels(rule: SuccessionRule) -> Iterator[LabelDistribution]:

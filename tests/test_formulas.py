@@ -120,6 +120,7 @@ def test_asymptotic_constants():
 
 def test_asymptotic_check_fields():
     rep = formulas.asymptotic_check(200)
+    assert rep["n"] == 200 and isinstance(rep["n"], int)
     assert rep["target_mu"] == formulas.MU
     # the corrected ratio converges an order faster than the plain one
     plain_err = abs(rep["ratio"] / formulas.MU - 1)

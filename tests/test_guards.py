@@ -1,4 +1,5 @@
-"""Guards must raise in every interpreter mode, so the package has no assert."""
+"""Source lints: guards must raise in every interpreter mode, so the package
+has no assert; and every name the package imports is read."""
 
 import ast
 from pathlib import Path
@@ -13,4 +14,26 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
+def test_package_has_no_unused_imports():
+    # a name imported but never read is dead weight; "# noqa" keeps one
+    # binding that code outside the package looks up on purpose
+    root = Path(baxterlab.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.relative_to(root)}:{alias.lineno} {name}")
     assert found == []

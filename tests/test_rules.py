@@ -251,6 +251,14 @@ def _children(rule, dist):
 @example(text="axiom (1,1)\nrow (i+i, k+i+i) for i = 1..h\n", dist={(3, 2): 1, (2, 2): 7})
 @example(text="axiom (1,1)\nrow (h+i+i, 4-i) for i = 1..k\n", dist={(1, 3): 1, (2, 1): 2})
 @example(text="axiom (1,1)\nrow (1-i, k) for i = 0..h\n", dist={(1, 1): 1})
+@example(text="axiom (1,1)\nrow (i, k+2-i) for i = 1..k+1\n", dist={(2, 3): 1, (1, 1): 4})
+@example(text="axiom (1,1)\nrow (i+i, k) for i = 1..h\n", dist={(3, 2): 1, (1, 4): 2})
+@example(text="axiom (1,1)\nrow (h+h+1-i-i, k+i) for i = 0..h\n", dist={(1, 1): 1, (3, 2): 5})
+@example(text="axiom (1,1)\nrow (1+i+i, h+k-i) for i = 0..h+k-1\n", dist={(2, 2): 3})
+@example(text="axiom (1,1)\nrow (h, k+i+i) for i = 0..1\nrow (h+1, 1)\n",
+         dist={(1, 2): 1, (4, 1): 2})
+@example(text=rules.RULE_FILE_SOURCES["semi"], dist={(40, 1): 1, (1, 40): 2})
+@example(text="axiom (1,1)\nrow (i-h-2, k) for i = 1..0\n", dist={(1, 1): 1, (2, 3): 4})
 def test_next_level_equals_sum_of_productions(text, dist):
     rule = rules.parse_rule(text)
     want = _children(rule, dist)
