@@ -1,9 +1,12 @@
 """Closed formulas, recurrences, and asymptotics for the number families.
 
 Every route is evaluated in exact arithmetic: recurrences divide big
-integers with an exactness guard, summation formulas carry their
-rational prefactors as Fractions and check integrality at the end; both
-raise ValueError in every interpreter mode.
+integers with an exactness guard; the closed sums read their binomials
+from exact multiplicative runs (one math.comb per row or diagonal, then
+one exact step per entry) and divide by their prefactor's denominator
+with the same guard; the big-sum formula carries its rational prefactor
+as a Fraction and checks integrality at the end.  Every guard raises
+ValueError in every interpreter mode.
 These values are the oracles the other modules are tested against, so a
 transcription slip must abort instead of rounding.
 
@@ -45,6 +48,33 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if r:
         raise ValueError(f"{what}: {num}/{den} is not an integer")
     return q
+
+
+def _binom_run(n: int, k: int, count: int, diagonal: bool) -> list[int]:
+    """C(n, k+j), or on a diagonal C(n+j, k+j), for j = 0..count-1.
+
+    One math.comb seeds the run; each next entry is the last times the
+    term ratio, (n-k-j)/(k+j+1) on a row and (n+j+1)/(k+j+1) on a
+    diagonal, and that division must be exact.  A row that steps past n
+    stays at 0, as binom does; a negative k is rejected, since a run
+    seeded at 0 could never reach its nonzero entries.
+
+    >>> _binom_run(4, 1, 6, False), _binom_run(2, 1, 3, True)
+    ([4, 6, 4, 1, 0, 0], [2, 3, 4])
+    """
+    if k < 0:
+        raise ValueError(f"binomial run must start at k >= 0, got {k}")
+    if count < 1:
+        return []
+    tops = range(n + 1, n + count) if diagonal else range(n - k, n - k - count + 1, -1)
+    c = binom(n, k)
+    run = [c]
+    for top, low in zip(tops, range(k + 1, k + count)):
+        c, r = divmod(c * top, low)
+        if r:
+            raise ValueError(f"binomial run from C({n}, {k}): step to {low} is not exact")
+        run.append(c)
+    return run
 
 
 def catalan(n: int) -> int:
@@ -101,7 +131,15 @@ def sb_sum_formula(n: int) -> int:
     return int(total)
 
 
-_SIMPLE_VARIANTS = ("a", "b", "c", "d")
+# Each variant is a sum over j of C(n+t1, k1+j) C(n+t2, k2+j) C(n+t3+j, k3+j):
+# two rows and a diagonal, listed as (t, k).  The first row vanishes for
+# j > n-2, so every variant sums n-1 terms.
+_SIMPLE_VARIANTS = {
+    "a": ((0, 2), (2, 0), (2, 1)),  # C(n, j+2) C(n+2, j) C(n+j+2, j+1)
+    "b": ((0, 2), (1, 0), (2, 3)),  # C(n, j+2) C(n+1, j) C(n+j+2, j+3)
+    "c": ((1, 3), (2, 1), (3, 0)),  # C(n+1, j+3) C(n+2, j+1) C(n+j+3, j)
+    "d": ((1, 3), (1, 0), (2, 2)),  # C(n+1, j+3) C(n+1, j) C(n+j+2, j+2)
+}
 
 
 def sb_simple_formula(n: int, variant: str = "a") -> int:
@@ -117,15 +155,10 @@ def sb_simple_formula(n: int, variant: str = "a") -> int:
     at_least(n, 2, "n")
     if variant not in _SIMPLE_VARIANTS:
         raise ValueError(f"unknown simple-formula variant {variant!r}")
-    c = binom
-    if variant == "a":
-        s = sum(c(n, j + 2) * c(n + 2, j) * c(n + j + 2, j + 1) for j in range(n + 1))
-    elif variant == "b":
-        s = sum(c(n, j + 2) * c(n + 1, j) * c(n + j + 2, j + 3) for j in range(n + 1))
-    elif variant == "c":
-        s = sum(c(n + 1, j + 3) * c(n + 2, j + 1) * c(n + j + 3, j) for j in range(n + 1))
-    else:
-        s = sum(c(n + 1, j) * c(n + 1, j + 3) * c(n + j + 2, j + 2) for j in range(n + 1))
+    (t1, k1), (t2, k2), (t3, k3) = _SIMPLE_VARIANTS[variant]
+    s = sum(x * y * z for x, y, z in zip(_binom_run(n + t1, k1, n - 1, False),
+                                         _binom_run(n + t2, k2, n - 1, False),
+                                         _binom_run(n + t3, k3, n - 1, True)))
     if variant == "d":
         den = (n - 1) * n * (n + 1) ** 2 * (n + 2)
     else:
@@ -145,13 +178,11 @@ def sb_table(n_max: int, route: str = "recurrence") -> list[int]:
     if route == "recurrence":
         return sb_recurrence(n_max)
     table = [0, 1]
+    if route == "apery":
+        a = apery_recurrence(n_max + 1)
+        return table + [_sb_from_apery(n, a) for n in range(2, n_max + 1)]
     for n in range(2, n_max + 1):
-        if route == "sum":
-            table.append(sb_sum_formula(n))
-        elif route == "apery":
-            table.append(sb_via_apery(n))
-        else:
-            table.append(sb_simple_formula(n, route))
+        table.append(sb_sum_formula(n) if route == "sum" else sb_simple_formula(n, route))
     return table
 
 
@@ -164,7 +195,8 @@ def apery_closed(n: int) -> int:
     >>> [apery_closed(n) for n in range(5)]
     [1, 3, 19, 147, 1251]
     """
-    return sum(binom(n, j) ** 2 * binom(n + j, j) for j in range(n + 1))
+    return sum(x * x * y for x, y in zip(_binom_run(n, 0, n + 1, False),
+                                         _binom_run(n, 0, n + 1, True)))
 
 
 def apery_recurrence(n_max: int) -> list[int]:
@@ -184,7 +216,11 @@ def sb_via_apery(n: int) -> int:
     [2, 6, 23]
     """
     at_least(n, 2, "n")
-    a = apery_recurrence(n + 1)
+    return _sb_from_apery(n, apery_recurrence(n + 1))
+
+
+def _sb_from_apery(n: int, a: list[int]) -> int:
+    """SB_n from the Apery numbers a_n and a_(n+1) of the table a."""
     num = (5 * n ** 3 - 5 * n + 6) * a[n + 1] - (5 * n ** 2 + 15 * n + 18) * a[n]
     den = 5 * (n - 1) * n ** 2 * (n + 2) ** 2 * (n + 3) ** 2 * (n + 4)
     return _exact_div(24 * num, den, f"SB_{n} via apery")
@@ -200,8 +236,8 @@ def baxter_closed(n: int) -> int:
     [1, 2, 6, 22, 92, 422]
     """
     at_least(n, 1, "n")
-    s = sum(binom(n + 1, j - 1) * binom(n + 1, j) * binom(n + 1, j + 1)
-            for j in range(1, n + 1))
+    row = _binom_run(n + 1, 0, n + 2, False)
+    s = sum(x * y * z for x, y, z in zip(row, row[1:], row[2:]))
     return _exact_div(2 * s, n * (n + 1) ** 2, f"B_{n}")
 
 

@@ -49,6 +49,31 @@ def test_sb_routes_cross_agree_to_30():
         assert formulas.sb_table(30, route) == base, route
 
 
+def test_closed_sums_agree_with_recurrences_at_depth():
+    base = formulas.sb_recurrence(150)
+    for route in ("a", "b", "c", "d", "apery"):
+        assert formulas.sb_table(150, route) == base, route
+    bax = formulas.baxter_recurrence(200)
+    assert [formulas.baxter_closed(n) for n in range(1, 201)] == bax[1:]
+    assert [formulas.apery_closed(n) for n in range(151)] == formulas.apery_recurrence(150)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_binom_run_matches_binom(diagonal):
+    # rows with k + count - 1 > n run past n into binom's zeros; count 0 is []
+    for n in range(41):
+        for k in range(46):
+            want = [formulas.binom(n + j if diagonal else n, k + j) for j in range(50)]
+            for count in range(51):
+                assert formulas._binom_run(n, k, count, diagonal) == want[:count], (n, k, count)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_binom_run_rejects_negative_k(diagonal):
+    with pytest.raises(ValueError, match="k >= 0"):
+        formulas._binom_run(5, -1, 3, diagonal)
+
+
 def test_sb_summand_is_exact_fraction():
     total = sum(formulas.sb_summand(6, j) for j in range(0, 9))
     assert total == Fraction(SB[5])
@@ -91,6 +116,7 @@ def test_exact_division_guard_raises_under_optimize():
         "from baxterlab import formulas, invseq\n"
         "for call in (lambda: formulas._exact_div(7, 2, 'parity check'),\n"
         "             lambda: formulas.binom(-1, 0),\n"
+        "             lambda: formulas._binom_run(5, -1, 3, False),\n"
         "             lambda: formulas.sb_sum_formula(1),\n"
         "             lambda: formulas.sb_simple_formula(4, 'e'),\n"
         "             lambda: formulas.baxter_closed(0),\n"
