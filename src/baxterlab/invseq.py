@@ -24,46 +24,6 @@ from .formulas import at_least, binom, catalan
 ISeq = tuple[int, ...]
 
 
-def iseq_contains(e: ISeq, w: str) -> bool:
-    """True iff some subsequence of e is order-isomorphic to the digit
-    word w, with equalities in w matched by equal entries.
-
-    >>> iseq_contains((0, 0, 1, 3, 1, 3, 2, 7, 3), "210")
-    False
-    >>> iseq_contains((0, 0, 1, 2, 0, 1, 1), "100")
-    True
-    >>> iseq_contains((0,), "10")
-    False
-    """
-    pat = [int(ch) for ch in w]
-    m = len(pat)
-    n = len(e)
-    if m > n:
-        return False
-    chosen = [0] * m
-
-    def place(t: int, start: int) -> bool:
-        if t == m:
-            return True
-        for j in range(start, n - (m - 1 - t)):
-            v = e[j]
-            for s in range(t):
-                d = pat[t] - pat[s]
-                if (v > chosen[s]) != (d > 0) or (v == chosen[s]) != (d == 0):
-                    break
-            else:
-                chosen[t] = v
-                if place(t + 1, j + 1):
-                    return True
-        return False
-
-    return place(0, 0)
-
-
-def avoids_both(e: ISeq) -> bool:
-    return not (iseq_contains(e, "210") or iseq_contains(e, "100"))
-
-
 def decompose(e: ISeq) -> tuple[int, int, ISeq, ISeq]:
     """(top, bottom, e^top, e^bottom) of an inversion sequence.
 
@@ -117,7 +77,7 @@ def count_avoiders_bruteforce(n_max: int) -> list[int]:
 
     The valid appended values are read off `_max_blocked`, the entry-wise
     characterization of a new 210 or 100 occurrence ending at the
-    appended entry, not found by a pattern scan with `iseq_contains`.
+    appended entry.
     No counting shortcut from the (top, bottom) analysis is used, so this
     route stays independent of q_table and the closed formula.
 

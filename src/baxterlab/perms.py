@@ -15,27 +15,36 @@ the last point of an avoider leaves an avoider), so the avoiders of each
 size form a generating tree: the children of pi are the pi . a for the
 "active sites" a.  Enumeration walks that tree depth first.
 
-A node's forbidden mask (bit a-1 set when pi . a leaves the class) comes
-from one anchored scan: since the prefix of pi . a is order-isomorphic to
-pi, a new occurrence of a pattern q must use the inserted last position
-as the final pattern entry.  The four patterns x[yz]w share one O(n)
-scan: walk the adjacent pairs of pi with a bitset of the values before
-the pair; on a descent or an ascent, the lowest or highest of them inside
-the pair's value interval bounds the widest band of insertion values the
-pair forbids.  For any set of the four, a child's mask also follows from
-its parent's at the right end, with no tuple built: inserting a splits
-slot a, so the old pairs forbid what they did with bit a-1 duplicated,
-and the one new adjacent pair, the old last value and a, has every other
-value before it, so its band is all of its value interval.  A node is
-then (n, last, mask).  [14]23 is the 2[41]3 scan run on pi reversed,
-where the new point comes first, and 231 needs a right-to-left running
-maximum; neither mask follows from the parent's, so those classes rescan
-each child tuple.
-``contains`` is the reference matcher.
+A node's forbidden mask has bit a-1 set when pi . a leaves the class.
+The prefix of pi . a is order-isomorphic to pi, so a new occurrence of a
+pattern must use the inserted last position as its final entry.  Hence
+every class finds a child's mask from its parent's node and a, with no
+tuple built.  For the pair patterns and [14]23, inserting a free value a
+splits slot a: the old witnesses forbid neither half, as a is free, and
+every slot above moves up one.  What the new point adds depends on the
+pattern:
+
+- x[yz]w, the four pair patterns: the one new adjacent pair, the old
+  last value and a, has every other value before it, so it forbids its
+  whole value band, or that band moved down one, by its descent or
+  ascent flags.  Any set of the four shares one step.
+- 231: a free a lies above every value with a larger value to its
+  right, and now every value below a has one, so the child forbids
+  exactly 1..a-1.
+- [14]23: the new point plays the final 3, above a later value m inside
+  an adjacent ascent (lo, hi), which forbids bits m..hi-1.  The node
+  keeps a stair, the adjacent ascents that no other ascent contains,
+  sorted so that lo and hi both increase.  The point a is the m of every
+  ascent around it, and the last stair ascent with lo < a reaches
+  highest.  When last < a, the new ascent (last, a) joins the stair and
+  drops those it contains; none contains it, since a is free.
+
+A node is then (n, last, mask, stair); only [14]23 fills the stair.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -57,7 +66,7 @@ class VincularPattern:
     classical pattern.
     """
 
-    __slots__ = ("values", "adjacent", "text", "size", "_adj_prev", "_cmps")
+    __slots__ = ("values", "adjacent", "text", "size")
 
     def __init__(self, values: Perm, adjacent: frozenset[int], text: str = ""):
         if not is_permutation(values):
@@ -69,13 +78,6 @@ class VincularPattern:
         self.adjacent = adjacent
         self.text = text or "".join(map(str, values))
         self.size = m
-        # slot t (0-based) must sit immediately after slot t-1
-        self._adj_prev = tuple(t in adjacent for t in range(m))
-        # incremental order constraints: for slot t, pairs (s, values[t] > values[s])
-        self._cmps = tuple(
-            tuple((s, values[t] > values[s]) for s in range(t))
-            for t in range(m)
-        )
 
     def __repr__(self) -> str:
         return f"VincularPattern({self.text!r})"
@@ -130,18 +132,13 @@ PATTERNS: dict[str, VincularPattern] = {
     for s in ("2[41]3", "3[14]2", "3[41]2", "2[14]3", "[14]23", "231")
 }
 
-# A scan maps an avoider p to the bitmask of insertion values a (bit a-1)
-# for which p . a has an occurrence ending at the new point.  Witnesses that
-# pin the new point between host values lo < hi forbid bits lo..hi-1.
-# ``x = seen & ((1 << hi) - (2 << lo))`` holds the seen values strictly
-# between lo and hi; the lowest is the bit ``x & -x``, the highest
-# x.bit_length() - 1.
-Scan = Callable[[Perm], int]
-# A step maps a node's mask, its last value and a free insertion value a to
-# the mask of the child p . a.
-Step = Callable[[int, int, int], int]
+# A step maps a node's mask, its stair, its last value and a free insertion
+# value a to the mask and stair of the child p . a.  Witnesses that pin the
+# new point between host values lo < hi forbid bits lo..hi-1.
+Stair = tuple[tuple[int, int], ...]
+Step = Callable[[int, Stair, int, int], tuple[int, Stair]]
 
-# The four patterns x[yz]w as flags of one pair scan: bits 0-1 act on a
+# The four patterns x[yz]w as flags of one pair step: bits 0-1 act on a
 # descent, bits 2-3 on an ascent; the low bit of each half puts the new
 # point above the witness (it plays 3), the high bit below (it plays 2).
 _PAIR_FLAGS: dict[VincularPattern, int] = {
@@ -150,40 +147,18 @@ _PAIR_FLAGS: dict[VincularPattern, int] = {
 }
 
 
-def _pair_scan(flags: int) -> Scan:
-    """One pass over adjacent pairs for the OR of the patterns in flags."""
-    down, up = flags & 3, flags >> 2
-
-    def scan(p: Perm) -> int:
-        seen = mask = 0  # seen: the values before the pair
-        for u, v in zip(p, p[1:]):
-            if u > v:
-                f, hi, lo = down, u, v
-            else:
-                f, hi, lo = up, v, u
-            if f and (x := seen & ((1 << hi) - (2 << lo))):
-                if f & 1:
-                    mask |= (1 << hi) - (x & -x)
-                if f & 2:
-                    mask |= (1 << (x.bit_length() - 1)) - (1 << lo)
-            seen |= 1 << u
-        return mask
-
-    return scan
-
-
 def _pair_step(flags: int) -> Step:
-    """The pair scan's mask of p . a from the mask of p, in O(1) big-int work."""
+    """The step for the OR of the pair patterns in flags, in O(1) big-int work."""
     down, up = flags & 3, flags >> 2
 
-    def step(mask: int, last: int, a: int) -> int:
+    def step(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]:
         # a splits slot a in two; the old pairs forbid neither half, as a
         # is free, and every slot above moves up one
         low = mask & ((1 << (a - 1)) - 1)
         mask = low | ((mask ^ low) << 1)
         # the new pair (last renormalised, a): every other value precedes
-        # it, so the scan's x is the whole band strictly between the two,
-        # and its two forbidden runs are x itself and x >> 1
+        # it, so its witnesses are the whole band x strictly between the
+        # two, and its two forbidden runs are x itself and x >> 1
         if last >= a:
             f, x = down, (1 << (last + 1)) - (2 << a)
         else:
@@ -192,52 +167,61 @@ def _pair_step(flags: int) -> Step:
             mask |= x
         if f & 2:
             mask |= x >> 1
-        return mask
+        return mask, stair
 
     return step
 
 
-def _scan_231(p: Perm) -> int:
-    # the largest value with a larger value to its right plays 2
-    top = hi = 0
-    for v in reversed(p):
-        if v > top:
-            top = v
-        elif v > hi:
-            hi = v
-    return (1 << hi) - 1
+def _step_231(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]:
+    # the largest value with a larger value to its right plays 2: a free a
+    # is above all of them, and every value below a now has a to its right
+    return (1 << (a - 1)) - 1, stair
 
 
-_SCANS: dict[VincularPattern, Scan] = {
-    **{q: _pair_scan(f) for q, f in _PAIR_FLAGS.items()},
-    # [14]23 is 2[41]3 read right to left: a later value inside the ascent plays 2
-    PATTERNS["[14]23"]: lambda p, semi=_pair_scan(1): semi(p[::-1]),
-    PATTERNS["231"]: _scan_231,
+def _stair_step(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]:
+    # [14]23: split slot a as the pair step does
+    low = mask & ((1 << (a - 1)) - 1)
+    mask = low | ((mask ^ low) << 1)
+    # a becomes the later value m of every ascent around it, and the last
+    # stair ascent with lo < a reaches highest: the child forbids bits
+    # a..hi, as that hi moves up to hi + 1
+    i = bisect_left(stair, (a,))
+    if i and stair[i - 1][1] >= a:
+        mask |= (2 << stair[i - 1][1]) - (1 << a)
+    moved = [(lo + (lo >= a), hi + (hi >= a)) for lo, hi in stair]
+    if last < a:
+        # (last, a) joins and drops the ascents inside it.  None holds it:
+        # last inside an older ascent would have forbidden a up to its hi.
+        # So the ascents with lo < last end below a and sort before it.
+        moved = ([s for s in moved if s[0] < last] + [(last, a)]
+                 + [s for s in moved if s[1] > a])
+    return mask, tuple(moved)
+
+
+_STEPS: dict[VincularPattern, Step] = {
+    PATTERNS["231"]: _step_231,
+    PATTERNS["[14]23"]: _stair_step,
 }
 
 
 @dataclass(frozen=True)
 class AvoidanceClass:
-    """A named family Av(patterns) whose patterns share one anchored scan:
-    any set of the four pair patterns, which also binds the right-end
-    ``step``, or a single other pattern (``step`` None)."""
+    """A named family Av(patterns) whose patterns share one right-end
+    ``step``: any set of the four pair patterns, or a single other one."""
 
     name: str
     patterns: tuple[VincularPattern, ...]
-    scan: Scan = field(init=False, repr=False, compare=False)
-    step: Step | None = field(init=False, repr=False, compare=False)
+    step: Step = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         distinct = set(self.patterns)
         if distinct <= _PAIR_FLAGS.keys():
-            flags = sum(_PAIR_FLAGS[q] for q in distinct)
-            scan, step = _pair_scan(flags), _pair_step(flags)
-        elif len(distinct) == 1 and self.patterns[0] in _SCANS:
-            scan, step = _SCANS[self.patterns[0]], None
+            step = _pair_step(sum(_PAIR_FLAGS[q] for q in distinct))
+        elif len(distinct) == 1 and self.patterns[0] in _STEPS:
+            step = _STEPS[self.patterns[0]]
         else:
             texts = ", ".join(q.text for q in self.patterns)
-            raise ValueError(f"no anchored scan for pattern(s) {texts}")
-        object.__setattr__(self, "scan", scan)
+            raise ValueError(f"no right-end step for pattern(s) {texts}")
         object.__setattr__(self, "step", step)
 
 
@@ -256,59 +240,6 @@ CLASSES: dict[str, AvoidanceClass] = {
 LABELLED_CLASSES = ("semi", "plane", "baxter", "twisted", "strong")
 
 
-def contains(p: Perm, q: VincularPattern) -> bool:
-    """True iff p has an occurrence of the vincular pattern q.
-
-    Plain backtracking over index subsequences with adjacency pruning.
-
-    >>> contains((2, 4, 1, 3), PATTERNS["2[41]3"])
-    True
-    >>> contains((1,), PATTERNS["231"])
-    False
-    >>> contains((3, 4, 1, 2), PATTERNS["3[41]2"])
-    True
-    """
-    n = len(p)
-    m = q.size
-    if m > n:
-        return False
-    adj_prev = q._adj_prev
-    cmps = q._cmps
-    chosen = [0] * m
-    vals = [0] * m
-
-    def place(t: int, start: int) -> bool:
-        if t == m:
-            return True
-        if adj_prev[t]:
-            nxt = chosen[t - 1] + 1
-            cand = range(nxt, nxt + 1) if nxt < n else range(0)
-        else:
-            cand = range(start, n - (m - 1 - t))
-        for j in cand:
-            v = p[j]
-            for s, greater in cmps[t]:
-                if (v > vals[s]) != greater:
-                    break
-            else:
-                chosen[t] = j
-                vals[t] = v
-                if place(t + 1, j + 1):
-                    return True
-        return False
-
-    return place(0, 0)
-
-
-def avoids(p: Perm, cls: AvoidanceClass) -> bool:
-    return not any(contains(p, q) for q in cls.patterns)
-
-
-def _insert(p: Perm, last: int, a: int) -> Perm:
-    # the renormalizing right insertion pi . a, shaped like a step
-    return (*[v + 1 if v >= a else v for v in p], a)
-
-
 def _walk(cls: AvoidanceClass, depth: int,
           leaf: Callable[[tuple[int, int]], object] | None = None) -> list[int]:
     """Grow the tree depth first to size depth; return the counts of sizes
@@ -316,18 +247,17 @@ def _walk(cls: AvoidanceClass, depth: int,
     given, gets (last, free) for each avoider of size depth, where free has
     bit a-1 set for each active site a."""
     counts = [1] + [0] * depth  # counts[i]: size i + 1
-    scan = None if cls.step else cls.scan
-    child = cls.step or _insert
-    # a node holds its mask, or its tuple for a class without a step
-    stack = [(1, 1, 0 if scan is None else (1,))] if depth > 0 else []
+    step = cls.step
+    stack = [(1, 1, 0, ())] if depth > 0 else []
     while stack:
-        n, last, node = stack.pop()
-        free = ~(node if scan is None else scan(node)) & ((1 << (n + 1)) - 1)
+        n, last, mask, stair = stack.pop()
+        free = ~mask & ((1 << (n + 1)) - 1)
         counts[n] += free.bit_count()
         if n < depth:
             for a in range(1, n + 2):
                 if free >> (a - 1) & 1:
-                    stack.append((n + 1, a, child(node, last, a)))
+                    child, child_stair = step(mask, stair, last, a)
+                    stack.append((n + 1, a, child, child_stair))
         elif leaf:
             leaf((last, free))
     return counts

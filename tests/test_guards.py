@@ -1,5 +1,6 @@
 """Source lints: guards must raise in every interpreter mode, so the package
-has no assert; and every name the package imports is read."""
+has no assert; every name the package imports is read; and every private
+top-level name it defines is read."""
 
 import ast
 from pathlib import Path
@@ -36,4 +37,33 @@ def test_package_has_no_unused_imports():
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in read and "# noqa" not in lines[alias.lineno - 1]:
                     found.append(f"{path.relative_to(root)}:{alias.lineno} {name}")
+    assert found == []
+
+
+def test_package_reads_every_private_top_level_name():
+    # a private helper that only tests (or nothing) read belongs in the tests
+    root = Path(baxterlab.__file__).parent
+    defined = []
+    read = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(name, f"{path.relative_to(root)}:{node.lineno} {name}")
+                        for name in names if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert defined
+    found = [where for name, where in defined if name not in read]
     assert found == []
