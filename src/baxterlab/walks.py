@@ -9,18 +9,20 @@ n, and the two counting series are linked by the binomial transform that
 a pair of trivial steps induces.  The one walk DP, walk_grids, keeps per
 length only the cells within reach of the step set's largest moves along
 x, y and x+y (and, for excursions, within reach of the origin again);
-for FIVE and SEVEN that is a triangle.  Growth constants are estimated
-from excursion counts; for FIVE the target is the real root of
-t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
+for FIVE and SEVEN that is a triangle.  A grid row is one int with cell
+x in the b-bit slot at bit x*b (Kronecker substitution), so a step is a
+big-int shift and add per row.  No cell of length t exceeds M^t, M the
+sum of the multiplicities; the slots hold M^T for the next _WIDEN_EVERY
+lengths T and are then re-slotted wider.
+Growth constants are estimated from excursion counts; for FIVE the
+target is the real root of t^3 + t^2 - 18t - 43, for SEVEN that root
+plus 2.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import reduce
-from itertools import zip_longest
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .formulas import at_least, binom
@@ -104,26 +106,41 @@ def parse_steps(text: str) -> StepMultiset:
 
 def walk_grids(
     steps: StepMultiset, n_max: int, returning: bool = False
-) -> Iterator[list[list[int]]]:
-    """Endpoint counts grid[y][x] of confined walks, lengths 0..n_max.
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Endpoint counts of confined walks, lengths 0..n_max, as packed rows.
 
-    Rows are ragged and hold only the region the walks can occupy.  One
-    step raises x, y and x+y by at most the largest such change among the
-    steps and lowers them by at most the largest drop (each taken as at
-    least 0), so a walk of length t keeps every one of the three within t
-    times its rise.  With returning, only walks that can still be back at
-    the origin by length n_max are kept: each of the three must also be
+    Yields (b, rows, widths) per length: rows[y] is one int that holds
+    the count at (x, y) in bits x*b .. (x+1)*b - 1 for x < widths[y], and
+    cells unpacks it.  A row holds only the region the walks can occupy.
+    One step raises x, y and x+y by at most the largest such change among
+    the steps and lowers them by at most the largest drop (each taken as
+    at least 0), so a walk of length t keeps every one of the three within
+    t times its rise.  With returning, only walks that can still be back
+    at the origin by length n_max are kept: each of the three must also be
     within n_max - t times its drop.  A dropped walk never returns, so
     every kept cell stays exact.  For FIVE and SEVEN the region is the
     triangle x + y <= t, or x + y <= min(t, n_max - t) with returning.
 
-    >>> [g[0][0] for g in walk_grids(FIVE, 3)]
+    >>> [rows[0] & ((1 << b) - 1) for b, rows, _ in walk_grids(FIVE, 3)]
     [1, 0, 2, 1]
-    >>> [[len(row) for row in g] for g in walk_grids(FIVE, 4, returning=True)]
+    >>> [widths for _, _, widths in walk_grids(FIVE, 4, returning=True)]
     [[1], [2, 1], [3, 2, 1], [2, 1], [1]]
     """
     at_least(n_max, 0, "n_max")
     return _grids(steps.items(), n_max, returning)
+
+
+_WIDEN_EVERY = 16  # steps per slot width; 12..32 timed alike at n_max = 100, 300, 600
+
+
+def _slots(row: int, width: int, b: int) -> list[bytes]:
+    raw = row.to_bytes(width * b // 8, "little")
+    return [raw[i:i + b // 8] for i in range(0, len(raw), b // 8)]
+
+
+def cells(row: int, width: int, b: int) -> list[int]:
+    """The width cells of a packed row with b-bit slots, x = 0 first."""
+    return [int.from_bytes(s, "little") for s in _slots(row, width, b)]
 
 
 def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
@@ -131,26 +148,33 @@ def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
     forms = [(dx, dy, dx + dy) for (dx, dy), _ in items]
     rise = [max([0] + [f[i] for f in forms]) for i in range(3)]
     drop = [max([0] + [-f[i] for f in forms]) for i in range(3)]
-    grid: list[list[int]] = [[1]]
-    yield grid
+    mult_sum = sum(m for _, m in items)
+    b, top, rows, widths = 8, 0, [1], [1]
+    yield b, rows, widths
     for t in range(1, n_max + 1):
+        if t > top:
+            # zero bytes atop each cell make room for mult_sum**top and a spare bit
+            top = min(top + _WIDEN_EVERY, n_max)
+            pad = bytes((mult_sum ** top).bit_length() // 8 + 1 - b // 8)
+            rows = [int.from_bytes(pad.join(_slots(r, w, b)), "little")
+                    for r, w in zip(rows, widths)]
+            b += 8 * len(pad)
         x_top, y_top, s_top = (
             min(t * r, (n_max - t) * d) if returning else t * r for r, d in zip(rise, drop)
         )
-        new: list[list[int]] = []
+        new_rows, widths = [], []
         for ny in range(min(y_top, s_top) + 1):
-            width = min(x_top, s_top - ny) + 1
-            parts = []
+            row = 0
             for (dx, dy), m in items:
                 sy = ny - dy
-                if 0 <= sy < len(grid):
-                    # cell x of the new row takes cell x - dx of row sy
-                    src = [0, *grid[sy][:width - 1]] if dx == 1 else grid[sy][-dx:width - dx]
-                    parts.append(src if m == 1 else [m * v for v in src])
-            row = list(map(sum, zip_longest(*parts, fillvalue=0)))
-            new.append(row + [0] * (width - len(row)))
-        grid = new
-        yield grid
+                if 0 <= sy < len(rows):
+                    # cell x of the new row takes cell x - dx of row sy; >> drops x = -1
+                    src = rows[sy] << b if dx == 1 else rows[sy] >> b if dx else rows[sy]
+                    row += src if m == 1 else m * src
+            widths.append(min(x_top, s_top - ny) + 1)
+            new_rows.append(row & ((1 << widths[-1] * b) - 1))
+        rows = new_rows
+        yield b, rows, widths
 
 
 def count_walks(steps: StepMultiset, n_max: int) -> list[Poly]:
@@ -162,8 +186,9 @@ def count_walks(steps: StepMultiset, n_max: int) -> list[Poly]:
     [((0, 1), 1), ((1, 0), 1)]
     """
     return [
-        Poly({(x, y): v for y, row in enumerate(g) for x, v in enumerate(row)})
-        for g in walk_grids(steps, n_max)
+        Poly({(x, y): v for y, (row, w) in enumerate(zip(rows, widths))
+              for x, v in enumerate(cells(row, w, b))})
+        for b, rows, widths in walk_grids(steps, n_max)
     ]
 
 
@@ -175,7 +200,7 @@ def excursions(steps: StepMultiset, n_max: int) -> list[int]:
     >>> excursions(SEVEN, 2)
     [1, 2, 6]
     """
-    return [g[0][0] for g in walk_grids(steps, n_max, returning=True)]
+    return [rows[0] & ((1 << b) - 1) for b, rows, _ in walk_grids(steps, n_max, returning=True)]
 
 
 # Polynomials in (a, b) of the cleared FIVE walk equation.
@@ -205,19 +230,24 @@ def residual_walk_equation(order: int) -> Residual:
         for n in range(1, order + 1)
     )
 
+
 def binomial_transform(seq: Sequence, pauses: int) -> list:
     """Counts for a step set with pauses more (0,0) steps, from the counts
     seq of the step set without them: term m is the sum over n of
     C(m,n) pauses^(m-n) seq[n], since the pauses choose their places among
     the m steps freely.  Terms may be excursion counts or endpoint tables.
 
+    That is (pauses + E)^m seq at 0, E the shift, read off a difference
+    table: d_0 = seq, d_(j+1)[n] = pauses d_j[n] + d_j[n+1], term m = d_m[0].
+
     >>> binomial_transform(excursions(FIVE, 3), 2) == excursions(SEVEN, 3)
     True
     """
-    return [
-        reduce(add, (seq[n] * (binom(m, n) * pauses ** (m - n)) for n in range(m + 1)))
-        for m in range(len(seq))
-    ]
+    out, d = [], list(seq)
+    while d:
+        out.append(d[0])
+        d = [a * pauses + b for a, b in zip(d, d[1:])]
+    return out
 
 
 def w2_consistency(order: int, origin_only: bool = False) -> dict:

@@ -76,6 +76,15 @@ def _returns_within(mult: dict, k_max: int) -> set:
     return seen
 
 
+def _unpacked(grid: tuple) -> dict:
+    """Cell -> count of one yielded packed grid; no bit may sit at or past
+    a row's width."""
+    b, rows, widths = grid
+    assert all(row >> (w * b) == 0 for row, w in zip(rows, widths))
+    return {(x, y): v for y, (row, w) in enumerate(zip(rows, widths))
+            for x, v in enumerate(walks.cells(row, w, b))}
+
+
 def test_trimmed_grids_keep_exact_cells():
     """Kept cells equal the naive counts, and a nonzero cell is dropped
     only when no walk from it reaches the origin by length n_max."""
@@ -85,7 +94,7 @@ def test_trimmed_grids_keep_exact_cells():
         naive = naive_walk_tables(steps.mult, n_max)
         for returning in (False, True):
             for t, grid in enumerate(walks.walk_grids(steps, n_max, returning)):
-                kept = {(x, y): v for y, row in enumerate(grid) for x, v in enumerate(row)}
+                kept = _unpacked(grid)
                 assert all(v == naive[t].get(cell, 0) for cell, v in kept.items())
                 dropped = {cell for cell, v in naive[t].items() if v and cell not in kept}
                 live = _returns_within(steps.mult, n_max - t) if returning else set()
@@ -97,9 +106,26 @@ def test_grids_trim_five_and_seven_to_the_triangle():
     for steps in (walks.FIVE, walks.SEVEN):
         for t, grid in enumerate(walks.walk_grids(steps, n_max, returning=True)):
             top = min(t, n_max - t)
-            assert [len(row) for row in grid] == list(range(top + 1, 0, -1))
-        assert [len(row) for row in list(walks.walk_grids(steps, n_max))[-1]] == \
-            list(range(n_max + 1, 0, -1))
+            assert grid[2] == list(range(top + 1, 0, -1))
+            assert set(_unpacked(grid)) == {(x, y) for y in range(top + 1)
+                                            for x in range(top + 1 - y)}
+        assert list(walks.walk_grids(steps, n_max))[-1][2] == list(range(n_max + 1, 0, -1))
+
+
+@pytest.mark.parametrize("text", ["five", "seven", "3x(0,0);2x(1,1);(-1,0);(0,-1)"])
+def test_packed_rows_stay_exact_across_slot_widenings(text):
+    """Slots widen every few steps; past two widenings every kept cell, the
+    tables and the excursions still equal the naive counts."""
+    steps = walks.parse_steps(text)
+    n_max = 2 * walks._WIDEN_EVERY + 8
+    naive = naive_walk_tables(steps.mult, n_max)
+    for returning in (False, True):
+        grids = list(walks.walk_grids(steps, n_max, returning))
+        assert len({b for b, _, _ in grids}) >= 3
+        for t, grid in enumerate(grids):
+            assert all(v == naive[t].get(cell, 0) for cell, v in _unpacked(grid).items())
+    assert [t.c for t in walks.count_walks(steps, n_max)] == naive
+    assert walks.excursions(steps, n_max) == [t.get((0, 0), 0) for t in naive]
 
 
 _SMALL_STEPS = st.dictionaries(
@@ -139,6 +165,24 @@ def test_added_pauses_give_the_binomial_transform(mult, pauses, n_max):
         assert table.c == want
         assert e_padded[t] == sum(comb(t, n) * pauses ** (t - n) * e_base[n]
                                   for n in range(t + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=st.lists(st.integers(-10**6, 10**6), max_size=25), pauses=st.integers(0, 3))
+def test_binomial_transform_is_the_explicit_sum(seq, pauses):
+    want = [sum(comb(m, n) * pauses ** (m - n) * seq[n] for n in range(m + 1))
+            for m in range(len(seq))]
+    assert walks.binomial_transform(seq, pauses) == want
+    assert walks.binomial_transform(seq, 0) == seq
+
+
+@settings(max_examples=30, deadline=None)
+@given(mult=_SMALL_STEPS, pauses=st.integers(0, 3), n_max=st.integers(0, 10))
+def test_binomial_transform_of_tables_is_the_explicit_sum(mult, pauses, n_max):
+    tables = walks.count_walks(_multiset(mult), n_max)
+    want = [sum((tables[n] * (comb(m, n) * pauses ** (m - n)) for n in range(m + 1)), Poly())
+            for m in range(n_max + 1)]
+    assert walks.binomial_transform(tables, pauses) == want
 
 
 def test_excursion_prefixes():
@@ -240,7 +284,7 @@ def test_refinement_pinpoints_any_bumped_cell(n, x, y, delta):
 
 def test_seven_excursions_monotone_in_steps_of_two():
     e = walks.excursions(walks.SEVEN, 40)
-    assert all(e[n + 2] >= e[n] for n in range(39 - 2))
+    assert all(e[n + 2] >= e[n] for n in range(len(e) - 2))
 
 
 def test_five_excursion_aperiodicity():
@@ -282,6 +326,11 @@ def test_growth_estimate_rejects_degenerate_counts():
     # parity-periodic counts put a zero in every fitting triple
     with pytest.raises(ValueError):
         walks.growth_estimate(walks.parse_steps("(1,0);(-1,0);(0,1);(0,-1)"), 60)
+
+
+def test_strong_walks_route_matches_the_rule_route_at_depth():
+    n = 100
+    assert walks.strong_from_walks(n)[1:] == rules.count_sequence(rules.RULES["strong"], n)
 
 
 def test_strong_three_routes_agree():
