@@ -170,9 +170,7 @@ def _cmd_walks(args: argparse.Namespace) -> int:
     if args.excursions:
         values = walks.excursions(steps, args.n_max)
     else:
-        # a column sum counts at most all walks of its length, which a slot holds: no carries
-        values = [sum(walks.cells(sum(rows), max(widths), b))
-                  for b, rows, widths in walks.walk_grids(steps, args.n_max)]
+        values = walks.walk_totals(steps, args.n_max)
     label = "excursions" if args.excursions else "walks"
     _emit_terms(label, steps.name or args.steps, 0, values, args.format)
     return 0

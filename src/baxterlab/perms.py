@@ -6,7 +6,9 @@ adjacency constraints: writing the pattern as a digit string, a bracketed
 block like "2[41]3" requires the bracketed entries (here 4 and 1) to sit
 in consecutive positions of the host permutation.  An occurrence is an
 index subsequence of the host, order-isomorphic to the pattern, whose
-bracketed entries are adjacent in the host.
+bracketed entries are adjacent in the host.  A class names its patterns
+by these bracket texts, as the paper writes them, and the texts select
+its right-end step (below); no parsed pattern object is kept.
 
 Right insertion pi . a appends a new smallest-to-largest value a in
 1..n+1 at the end, shifting every old value >= a up by one.  Every class
@@ -49,88 +51,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-Perm = tuple[int, ...]
 Label = tuple[int, int]
-
-
-def is_permutation(p: Perm) -> bool:
-    """True iff p is a rearrangement of 1..len(p)."""
-    return sorted(p) == list(range(1, len(p) + 1))
-
-
-class VincularPattern:
-    """A pattern permutation plus 1-based adjacency pairs.
-
-    ``adjacent`` contains i whenever pattern positions i and i+1 must map
-    to consecutive host positions.  With ``adjacent`` empty this is a
-    classical pattern.
-    """
-
-    __slots__ = ("values", "adjacent", "text", "size")
-
-    def __init__(self, values: Perm, adjacent: frozenset[int], text: str = ""):
-        if not is_permutation(values):
-            raise ValueError(f"pattern {text or values!r} is not a permutation")
-        m = len(values)
-        if not all(1 <= i <= m - 1 for i in adjacent):
-            raise ValueError(f"adjacency {sorted(adjacent)} out of range 1..{m - 1}")
-        self.values = values
-        self.adjacent = adjacent
-        self.text = text or "".join(map(str, values))
-        self.size = m
-
-    def __repr__(self) -> str:
-        return f"VincularPattern({self.text!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, VincularPattern)
-                and self.values == other.values and self.adjacent == other.adjacent)
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.adjacent))
-
-
-def parse_pattern(text: str) -> VincularPattern:
-    """Parse a pattern string with bracketed adjacent blocks.
-
-    Single-digit values only; a block [..] marks its entries as occupying
-    consecutive host positions.
-
-    >>> parse_pattern("2[41]3").adjacent == frozenset({2})
-    True
-    >>> parse_pattern("231").adjacent == frozenset()
-    True
-    >>> parse_pattern("[14]23").values
-    (1, 4, 2, 3)
-    """
-    values: list[int] = []
-    adjacent: set[int] = set()
-    depth = 0
-    block_start = 0
-    for ch in text:
-        if ch == "[":
-            if depth:
-                raise ValueError(f"nested brackets in {text!r}")
-            depth = 1
-            block_start = len(values) + 1
-        elif ch == "]":
-            if not depth:
-                raise ValueError(f"unbalanced brackets in {text!r}")
-            depth = 0
-            adjacent.update(range(block_start, len(values)))
-        elif ch.isdigit():
-            values.append(int(ch))
-        else:
-            raise ValueError(f"bad character {ch!r} in pattern {text!r}")
-    if depth:
-        raise ValueError(f"unbalanced brackets in {text!r}")
-    return VincularPattern(tuple(values), frozenset(adjacent), text)
-
-
-PATTERNS: dict[str, VincularPattern] = {
-    s: parse_pattern(s)
-    for s in ("2[41]3", "3[14]2", "3[41]2", "2[14]3", "[14]23", "231")
-}
 
 # A step maps a node's mask, its stair, its last value and a free insertion
 # value a to the mask and stair of the child p . a.  Witnesses that pin the
@@ -141,10 +62,7 @@ Step = Callable[[int, Stair, int, int], tuple[int, Stair]]
 # The four patterns x[yz]w as flags of one pair step: bits 0-1 act on a
 # descent, bits 2-3 on an ascent; the low bit of each half puts the new
 # point above the witness (it plays 3), the high bit below (it plays 2).
-_PAIR_FLAGS: dict[VincularPattern, int] = {
-    PATTERNS["2[41]3"]: 1, PATTERNS["3[41]2"]: 2,
-    PATTERNS["2[14]3"]: 4, PATTERNS["3[14]2"]: 8,
-}
+_PAIR_FLAGS: dict[str, int] = {"2[41]3": 1, "3[41]2": 2, "2[14]3": 4, "3[14]2": 8}
 
 
 def _pair_step(flags: int) -> Step:
@@ -198,19 +116,17 @@ def _stair_step(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]
     return mask, tuple(moved)
 
 
-_STEPS: dict[VincularPattern, Step] = {
-    PATTERNS["231"]: _step_231,
-    PATTERNS["[14]23"]: _stair_step,
-}
+_STEPS: dict[str, Step] = {"231": _step_231, "[14]23": _stair_step}
 
 
 @dataclass(frozen=True)
 class AvoidanceClass:
-    """A named family Av(patterns) whose patterns share one right-end
-    ``step``: any set of the four pair patterns, or a single other one."""
+    """A named family Av(patterns), its patterns given by their bracket
+    texts, which select one right-end ``step``: any set of the four pair
+    patterns, or a single other one."""
 
     name: str
-    patterns: tuple[VincularPattern, ...]
+    patterns: tuple[str, ...]
     step: Step = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -220,20 +136,19 @@ class AvoidanceClass:
         elif len(distinct) == 1 and self.patterns[0] in _STEPS:
             step = _STEPS[self.patterns[0]]
         else:
-            texts = ", ".join(q.text for q in self.patterns)
-            raise ValueError(f"no right-end step for pattern(s) {texts}")
+            raise ValueError(
+                f"no right-end step for pattern(s) {', '.join(self.patterns)}")
         object.__setattr__(self, "step", step)
 
 
 CLASSES: dict[str, AvoidanceClass] = {
-    "semi": AvoidanceClass("semi", (PATTERNS["2[41]3"],)),
-    "plane": AvoidanceClass("plane", (PATTERNS["2[14]3"],)),
-    "baxter": AvoidanceClass("baxter", (PATTERNS["2[41]3"], PATTERNS["3[14]2"])),
-    "twisted": AvoidanceClass("twisted", (PATTERNS["2[41]3"], PATTERNS["3[41]2"])),
-    "strong": AvoidanceClass(
-        "strong", (PATTERNS["2[41]3"], PATTERNS["3[14]2"], PATTERNS["3[41]2"])),
-    "av231": AvoidanceClass("av231", (PATTERNS["231"],)),
-    "exp1423": AvoidanceClass("exp1423", (PATTERNS["[14]23"],)),
+    "semi": AvoidanceClass("semi", ("2[41]3",)),
+    "plane": AvoidanceClass("plane", ("2[14]3",)),
+    "baxter": AvoidanceClass("baxter", ("2[41]3", "3[14]2")),
+    "twisted": AvoidanceClass("twisted", ("2[41]3", "3[41]2")),
+    "strong": AvoidanceClass("strong", ("2[41]3", "3[14]2", "3[41]2")),
+    "av231": AvoidanceClass("av231", ("231",)),
+    "exp1423": AvoidanceClass("exp1423", ("[14]23",)),
 }
 
 # classes whose generating tree carries a two-part (h, k) label

@@ -192,6 +192,17 @@ def count_walks(steps: StepMultiset, n_max: int) -> list[Poly]:
     ]
 
 
+def walk_totals(steps: StepMultiset, n_max: int) -> list[int]:
+    """Counts of all confined walks of lengths 0..n_max.
+
+    >>> walk_totals(FIVE, 4)
+    [1, 2, 7, 24, 93]
+    """
+    # a column sum counts at most all walks of its length, which a slot holds: no carries
+    return [sum(cells(sum(rows), max(widths), b))
+            for b, rows, widths in walk_grids(steps, n_max)]
+
+
 def excursions(steps: StepMultiset, n_max: int) -> list[int]:
     """Origin-return counts e_0..e_n_max, from the trimmed walk grids.
 

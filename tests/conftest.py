@@ -26,24 +26,25 @@ CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 # n starting at 0.
 APERY = [1, 3, 19, 147, 1251, 11253, 104959, 1004307, 9793891, 96918753]
 
-# (values, zero-based indices i such that positions i and i+1 must be adjacent)
+# Each pattern by its bracket text: (values, zero-based indices i such that
+# positions i and i+1 must be adjacent)
 ORACLE_PATTERNS = {
-    "2-41-3": ((2, 4, 1, 3), (1,)),
-    "2-14-3": ((2, 1, 4, 3), (1,)),
-    "3-14-2": ((3, 1, 4, 2), (1,)),
-    "3-41-2": ((3, 4, 1, 2), (1,)),
+    "2[41]3": ((2, 4, 1, 3), (1,)),
+    "2[14]3": ((2, 1, 4, 3), (1,)),
+    "3[14]2": ((3, 1, 4, 2), (1,)),
+    "3[41]2": ((3, 4, 1, 2), (1,)),
     "231": ((2, 3, 1), ()),
-    "14-23": ((1, 4, 2, 3), (0,)),
+    "[14]23": ((1, 4, 2, 3), (0,)),
 }
 
 ORACLE_CLASSES = {
-    "semi": ("2-41-3",),
-    "plane": ("2-14-3",),
-    "baxter": ("2-41-3", "3-14-2"),
-    "twisted": ("2-41-3", "3-41-2"),
-    "strong": ("2-41-3", "3-14-2", "3-41-2"),
+    "semi": ("2[41]3",),
+    "plane": ("2[14]3",),
+    "baxter": ("2[41]3", "3[14]2"),
+    "twisted": ("2[41]3", "3[41]2"),
+    "strong": ("2[41]3", "3[14]2", "3[41]2"),
     "av231": ("231",),
-    "exp1423": ("14-23",),
+    "exp1423": ("[14]23",),
 }
 
 

@@ -112,7 +112,7 @@ def test_guards_raise_under_optimize():
         "from baxterlab import checks, perms, series, walks\n"
         "for call in (lambda: checks.run_suite('medium'),\n"
         "             lambda: checks.compare_routes({'only': [1]}),\n"
-        "             lambda: perms.VincularPattern((1, 1), frozenset()),\n"
+        "             lambda: perms.AvoidanceClass('x', ('1[32]',)),\n"
         "             lambda: perms.label_census(perms.CLASSES['semi'], 0),\n"
         "             lambda: walks.StepMultiset([(2, 0)]),\n"
         "             lambda: walks.excursions(walks.FIVE, -1),\n"

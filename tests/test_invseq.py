@@ -13,12 +13,18 @@ def _all_iseqs(n):
     return itertools.product(*(range(i) for i in range(1, n + 1)))
 
 
-def _naive_contains(e, word):
-    """Triple-nested independent matcher for 3-letter digit words."""
+def _naive_contains(e, word, ending=False):
+    """Triple-nested independent matcher for 3-letter digit words; with
+    ending, only the occurrences whose last letter is the last entry of e."""
     k = len(word)
     assert k == 3
     rel = [(word[i], word[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-    for pos in itertools.combinations(range(len(e)), k):
+    if ending:
+        n = len(e)
+        triples = (pos + (n - 1,) for pos in itertools.combinations(range(n - 1), k - 1))
+    else:
+        triples = itertools.combinations(range(len(e)), k)
+    for pos in triples:
         vals = [e[i] for i in pos]
         ok = True
         for (wa, wb), (va, vb) in zip(rel, ((vals[0], vals[1]), (vals[0], vals[2]), (vals[1], vals[2]))):
@@ -86,15 +92,17 @@ def test_valid_extensions_match_the_pattern_scan():
 
     count_avoiders_bruteforce reads its appends off valid_extensions; here
     every avoider of size <= 7 gets them from the test's two-word matcher
-    instead.
+    instead.  Each e was admitted by the same scan one level up, so a new
+    210 or 100 must use the appended entry: only triples ending there are
+    scanned.
     """
     stack = [(0,)]
     seen = 0
     while stack:
         e = stack.pop()
         free = [p for p in range(len(e) + 1)
-                if not _naive_contains(e + (p,), "210")
-                and not _naive_contains(e + (p,), "100")]
+                if not _naive_contains(e + (p,), "210", ending=True)
+                and not _naive_contains(e + (p,), "100", ending=True)]
         assert list(invseq.valid_extensions(e)) == free, e
         seen += 1
         if len(e) < 7:
