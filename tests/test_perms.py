@@ -1,13 +1,14 @@
 """Active sites, the right-end step against the scan oracles, and class
-enumeration."""
+enumeration against a depth-first oracle."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baxterlab import perms
+from baxterlab import perms, rules
 
 from conftest import (
     BAXTER,
@@ -344,6 +345,59 @@ def test_step_vs_scan_random(name, data):
 ])
 def test_enumerate_class_n9_vs_frozen_prefixes(name, want):
     assert perms.enumerate_class(perms.CLASSES[name], 9) == want[:9]
+
+
+# The depth-first walk the package used before it merged equal states: one
+# stack entry per avoider, so it shares nothing between equal subtrees.
+
+def _dfs_counts(cls, depth, leaf=None):
+    """Counts of sizes 1..depth+1, visiting every avoider of size <= depth;
+    leaf, if given, gets (last, free) for each avoider of size depth."""
+    counts = [1] + [0] * depth  # counts[i]: size i + 1
+    stack = [(1, 1, 0, ())] if depth > 0 else []
+    while stack:
+        n, last, mask, stair = stack.pop()
+        free = ~mask & ((1 << (n + 1)) - 1)
+        counts[n] += free.bit_count()
+        if n < depth:
+            for a in range(1, n + 2):
+                if free >> (a - 1) & 1:
+                    stack.append((n + 1, a, *cls.step(mask, stair, last, a)))
+        elif leaf:
+            leaf((last, free))
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(perms.CLASSES))
+def test_enumerate_class_vs_dfs_oracle(name):
+    cls = perms.CLASSES[name]
+    for n in range(10):
+        want = _dfs_counts(cls, n - 1) if n else []
+        assert perms.enumerate_class(cls, n) == want, n
+
+
+@pytest.mark.parametrize("name", perms.LABELLED_CLASSES)
+def test_label_census_vs_dfs_oracle(name):
+    cls = perms.CLASSES[name]
+    for n in range(1, 8):
+        leaves = []
+        _dfs_counts(cls, n, leaves.append)
+        want = Counter()
+        for last, free in leaves:
+            h = (free & ((1 << last) - 1)).bit_count()
+            k = free.bit_count() - h
+            want[(k, h) if name == "plane" else (h, k)] += 1
+        assert perms.label_census(cls, n) == want, n
+
+
+@pytest.mark.parametrize("name, rule", [
+    ("semi", "semi"), ("plane", "semi"), ("baxter", "bax"),
+    ("twisted", "tbax"), ("strong", "strong"),
+])
+def test_enumerate_class_n12_vs_rule(name, rule):
+    # a size the depth-first walk could not afford (semi took 5.2 s)
+    got = perms.enumerate_class(perms.CLASSES[name], 12)
+    assert got == rules.count_sequence(rules.RULES[rule], 12)
 
 
 def test_iter_avoiders_rejects_size_zero():
