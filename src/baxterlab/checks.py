@@ -9,8 +9,9 @@ disagreement a check reports the two route names and the smallest size
 where they differ.  The series-side verdicts that `baxterlab series
 --check` prints are the functions their checks call.  The checks run
 one after another, so each report's elapsed_ms is that check's own wall
-time.  The quick suite runs in under a second; the full suite raises
-every bound to its documented budget and runs in a few seconds.
+time.  Each row of the registry gives its check's sizes for the quick
+and the full suite; the quick suite runs in well under a second, the
+full suite in about a second.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from . import formulas, invseq, perms, rules, series, walks
@@ -160,84 +162,31 @@ def compare_routes(
     return True, f"routes agree ({spans})"
 
 
-Bounds = dict[str, object]
-
-_BOUNDS: dict[str, Bounds] = {
-    "quick": {
-        "brute": 8,
-        "census": 5,
-        "invseq_labels": 6,
-        "theorem_order": 10,
-        "extraction_order": 12,
-        "lagrange_k": 8,
-        "reduced_points": ((Fraction(3, 2), 10),),
-        "kernel_semi_trials": 3,
-        "kernel_strong_trials": 2,
-        "walk_residual": 8,
-        "w2": 8,
-        "w2_origin": 12,
-        "growth_n": 100,
-        "asym_n": 500,
-        "amp_tol": 0.05,
-    },
-    "full": {
-        "brute": 10,
-        "census": 7,
-        "invseq_labels": 7,
-        "theorem_order": 15,
-        "extraction_order": 20,
-        "lagrange_k": 12,
-        "reduced_points": ((Fraction(3, 2), 12), (Fraction(2), 12)),
-        "kernel_semi_trials": 5,
-        "kernel_strong_trials": 5,
-        "walk_residual": 10,
-        "w2": 10,
-        "w2_origin": 20,
-        "growth_n": 300,
-        "asym_n": 2000,
-        "amp_tol": 0.02,
-    },
-}
-
 Outcome = tuple[bool, str]
 
-# check name -> (family, size of its non-brute routes as a bounds key or a
-# literal, "family:route"s borrowed from other families).  Brute-force
-# routes always run at the "brute" bound.
-_ROUTE_CHECKS: dict[str, tuple[str, str | int, tuple[str, ...]]] = {
-    "apery-closed-vs-recurrence": ("apery", 30, ()),
-    "baxter-five-routes": ("baxter", 12, ()),
-    "catalan-three-routes": ("av231", 14, ()),
-    "conjecture-exp1423-vs-sb": ("exp1423", "brute", ("sb:recurrence",)),
-    "invseq-three-routes": ("invseq", 13, ("sb:recurrence",)),
-    "plane-vs-semi": ("plane", "brute", ()),
-    "semi-all-routes": ("sb", 13, ()),
-    "strong-three-routes": ("strong", 13, ()),
-    "twisted-vs-baxter": ("twisted", 12, ("baxter:closed",)),
-}
 
-
-def _route_check(
-    family: str, size: str | int, borrowed: tuple[str, ...]
-) -> Callable[[Bounds, int], Outcome]:
-    """The check that every route of `family` and each borrowed route agree."""
+def _routes_agree(
+    family: str, borrowed: tuple[str, ...], brute: int, n: int, seed: int
+) -> Outcome:
     picks = [(family, r, r) for r in FAMILIES[family]["routes"]]
     picks += [(*key.split(":"), key) for key in borrowed]
-
-    def check(b: Bounds, seed: int) -> Outcome:
-        n = b[size] if isinstance(size, str) else size
-        return compare_routes(
-            {
-                label: FAMILIES[fam]["routes"][route](b["brute"] if route == "brute" else n)
-                for fam, route, label in picks
-            },
-            offset=FAMILIES[family]["offset"],
-        )
-
-    return check
+    return compare_routes(
+        {
+            label: FAMILIES[fam]["routes"][route](brute if route == "brute" else n)
+            for fam, route, label in picks
+        },
+        offset=FAMILIES[family]["offset"],
+    )
 
 
-def _chk_census(b: Bounds, seed: int) -> Outcome:
+def _route_check(family: str, *borrowed: str) -> Callable[[int, int, int], Outcome]:
+    """The check (brute, n, seed) that every route of `family` and each
+    borrowed "family:route" agree; brute-force routes run to `brute`, the
+    others to `n`."""
+    return partial(_routes_agree, family, borrowed)
+
+
+def _chk_census(top: int, seed: int) -> Outcome:
     pairs = (
         ("semi", "semi"),
         ("plane", "semi"),
@@ -245,15 +194,12 @@ def _chk_census(b: Bounds, seed: int) -> Outcome:
         ("twisted", "tbax"),
         ("strong", "strong"),
     )
-    top = b["census"]
     for cls_name, rule_name in pairs:
         for n in range(1, top + 1):
             got = perms.label_census(perms.CLASSES[cls_name], n)
             want = rules.distribution(rules.RULES[rule_name], n)
             if got != want:
-                label = min(set(got) ^ set(want) | {
-                    lb for lb in got if want.get(lb) != got[lb]
-                })
+                label = min(lb for lb in got.keys() | want.keys() if got.get(lb) != want.get(lb))
                 return False, (
                     f"class {cls_name} census vs rule {rule_name} distribution "
                     f"differ at n={n}, label {label}"
@@ -261,9 +207,8 @@ def _chk_census(b: Bounds, seed: int) -> Outcome:
     return True, f"5 class/rule label censuses agree for n<={top}"
 
 
-def _chk_invseq_labels(b: Bounds, seed: int) -> Outcome:
+def _chk_invseq_labels(top: int, seed: int) -> Outcome:
     semi = rules.RULES["semi"]
-    top = b["invseq_labels"]
     stack: list[invseq.ISeq] = [(0,)]
     seen = 0
     while stack:
@@ -335,13 +280,12 @@ def series_kernel(group: str, trials: int, seed: int) -> Outcome:
     )
 
 
-def _reduced_points(b: Bounds, seed: int) -> Outcome:
-    outcomes = [series_reduced(a0, order) for a0, order in b["reduced_points"]]
+def _reduced_points(points: tuple[tuple[Fraction, int], ...], seed: int) -> Outcome:
+    outcomes = [series_reduced(a0, order) for a0, order in points]
     return all(ok for ok, _ in outcomes), "; ".join(d for _, d in outcomes)
 
 
-def _chk_lagrange(b: Bounds, seed: int) -> Outcome:
-    kmax = b["lagrange_k"]
+def _chk_lagrange(kmax: int, seed: int) -> Outcome:
     w = series.solve_W(kmax)
     w2 = w * w
     powers = {1: w, 2: w2, 3: w2 * w}
@@ -356,8 +300,7 @@ def _chk_lagrange(b: Bounds, seed: int) -> Outcome:
     return True, f"coefficient grid agrees for i<=3, k<={kmax}, -6<=s<=2k"
 
 
-def _chk_walk_equation(b: Bounds, seed: int) -> Outcome:
-    order = b["walk_residual"]
+def _chk_walk_equation(order: int, seed: int) -> Outcome:
     return _residual_verdict(
         walks.residual_walk_equation(order),
         "walk tables vs cleared equation: residual {} at (n, adeg, bdeg)={}",
@@ -365,34 +308,33 @@ def _chk_walk_equation(b: Bounds, seed: int) -> Outcome:
     )
 
 
-def _chk_w2(b: Bounds, seed: int) -> Outcome:
-    rep = walks.w2_consistency(b["w2"])
+def _chk_w2(n: int, n_origin: int, seed: int) -> Outcome:
+    rep = walks.w2_consistency(n)
     if not rep["ok"]:
         return False, (
             f"seven-step tables vs binomial transform of five-step tables "
             f"differ at n={rep['first_fail']}"
         )
-    rep0 = walks.w2_consistency(b["w2_origin"], origin_only=True)
+    rep0 = walks.w2_consistency(n_origin, origin_only=True)
     if not rep0["ok"]:
         return False, (
             f"seven-step excursions vs transformed five-step excursions "
             f"differ at n={rep0['first_fail']}"
         )
     return True, (
-        f"transform matches tables to n={b['w2']} and excursions to n={b['w2_origin']}"
+        f"transform matches tables to n={n} and excursions to n={n_origin}"
     )
 
 
-def _chk_refinement(b: Bounds, seed: int) -> Outcome:
+def _chk_refinement(n: int, seed: int) -> Outcome:
     return _residual_verdict(
-        walks.strong_refinement_residual(10),
+        walks.strong_refinement_residual(n),
         "rule-strong labels vs walk endpoint tables: residual {} at (n, adeg, bdeg)={}",
-        "refined label/endpoint match holds for n<=10",
+        f"refined label/endpoint match holds for n<={n}",
     )
 
 
-def _chk_growth(b: Bounds, seed: int) -> Outcome:
-    n = b["growth_n"]
+def _chk_growth(n: int, seed: int) -> Outcome:
     e5 = walks.excursions(walks.FIVE, n)
     # SEVEN is FIVE plus two pauses; walks-w2-transform checks that identity on the DP
     r5 = walks.fit_growth(walks.FIVE, e5)
@@ -407,11 +349,11 @@ def _chk_growth(b: Bounds, seed: int) -> Outcome:
     return True, detail
 
 
-def _chk_asymptotics(b: Bounds, seed: int) -> Outcome:
-    rep = formulas.asymptotic_check(b["asym_n"])
+def _chk_asymptotics(n: int, amp_tol: float, seed: int) -> Outcome:
+    rep = formulas.asymptotic_check(n)
     dev = abs(rep["corrected_ratio"] - rep["target_mu"]) / rep["target_mu"]
     amp = abs(rep["n6_scaled"] - rep["target_A"]) / rep["target_A"]
-    ok = dev < 1e-3 and amp < b["amp_tol"]
+    ok = dev < 1e-3 and amp < amp_tol
     detail = (
         f"corrected ratio {rep['corrected_ratio']:.7f} vs mu {rep['target_mu']:.7f} "
         f"(rel dev {dev:.1e}); plain ratio {rep['ratio']:.7f} drifts like 6/n; "
@@ -422,59 +364,74 @@ def _chk_asymptotics(b: Bounds, seed: int) -> Outcome:
     return True, detail
 
 
-def _chk_rule_dsl(b: Bounds, seed: int) -> Outcome:
+def _chk_rule_dsl(n_max: int, seed: int) -> Outcome:
     for name, rule in rules.RULES.items():
         if rule.axiom != (1, 1):
             return False, f"{name} axiom is {rule.axiom}, not (1, 1)"
         dist = {rule.axiom: 1}
-        for n in range(2, 11):
+        for n in range(2, n_max + 1):
             fast, slow = rules.next_level(rule, dist), rules.expand_level(rule, dist)
             if fast != slow:
                 label = min(lb for lb in fast.keys() | slow.keys() if fast.get(lb) != slow.get(lb))
                 return False, (f"{name} interval-sum level vs node expansion differ at "
                                f"n={n}, label {label}")
             dist = fast
-    return True, "all 5 rules: interval-sum levels match node expansion for n<=10"
+    return True, f"all 5 rules: interval-sum levels match node expansion for n<={n_max}"
 
 
-_REGISTRY: tuple[tuple[str, Callable[[Bounds, int], Outcome]], ...] = tuple(sorted(
-    [(name, _route_check(*row)) for name, row in _ROUTE_CHECKS.items()] + [
-        ("census-labels-vs-rules", _chk_census),
-        ("invseq-growth-labels", _chk_invseq_labels),
-        ("kernel-semi", lambda b, seed: series_kernel("semi", b["kernel_semi_trials"], seed)),
-        ("kernel-strong",
-         lambda b, seed: series_kernel("strong", b["kernel_strong_trials"], seed)),
-        ("lagrange-vs-series", _chk_lagrange),
-        ("numbers-asymptotics", _chk_asymptotics),
-        ("rules-dsl-mirrors", _chk_rule_dsl),
-        ("series-extraction-vs-recurrence",
-         lambda b, seed: series_extraction(b["extraction_order"])),
-        ("series-reduced-identity", _reduced_points),
-        ("series-residual-semi", lambda b, seed: series_residual("semi", 10)),
-        ("series-residual-strong", lambda b, seed: series_residual("strong", 10)),
-        ("series-theorem-nonneg-part", lambda b, seed: series_nonneg_part(b["theorem_order"])),
-        ("walks-equation-residual", _chk_walk_equation),
-        ("walks-growth-constants", _chk_growth),
-        ("walks-refinement", _chk_refinement),
-        ("walks-w2-transform", _chk_w2),
-    ],
-    key=lambda item: item[0],
-))
+_SUITES = ("quick", "full")
+# check name -> (check, quick sizes, full sizes); run_suite calls
+# check(*sizes, seed).  A route check's sizes are (brute, n): its
+# brute-force routes run to `brute` and its other routes to `n`.
+_REGISTRY: dict[str, tuple[Callable[..., Outcome], tuple, tuple]] = {
+    "apery-closed-vs-recurrence": (_route_check("apery"), (8, 30), (10, 30)),
+    "baxter-five-routes": (_route_check("baxter"), (8, 12), (10, 12)),
+    "catalan-three-routes": (_route_check("av231"), (8, 14), (10, 14)),
+    "census-labels-vs-rules": (_chk_census, (5,), (7,)),
+    "conjecture-exp1423-vs-sb": (_route_check("exp1423", "sb:recurrence"), (8, 8), (10, 10)),
+    "invseq-growth-labels": (_chk_invseq_labels, (6,), (7,)),
+    "invseq-three-routes": (_route_check("invseq", "sb:recurrence"), (8, 13), (10, 13)),
+    "kernel-semi": (partial(series_kernel, "semi"), (3,), (5,)),
+    "kernel-strong": (partial(series_kernel, "strong"), (2,), (5,)),
+    "lagrange-vs-series": (_chk_lagrange, (8,), (12,)),
+    "numbers-asymptotics": (_chk_asymptotics, (500, 0.05), (2000, 0.02)),
+    "plane-vs-semi": (_route_check("plane"), (8, 8), (10, 10)),
+    "rules-dsl-mirrors": (_chk_rule_dsl, (10,), (10,)),
+    "semi-all-routes": (_route_check("sb"), (8, 13), (10, 13)),
+    "series-extraction-vs-recurrence": (
+        lambda order, seed: series_extraction(order), (12,), (20,)),
+    "series-reduced-identity": (
+        _reduced_points,
+        (((Fraction(3, 2), 10),),),
+        (((Fraction(3, 2), 12), (Fraction(2), 12)),),
+    ),
+    "series-residual-semi": (lambda order, seed: series_residual("semi", order), (10,), (10,)),
+    "series-residual-strong": (
+        lambda order, seed: series_residual("strong", order), (10,), (10,)),
+    "series-theorem-nonneg-part": (lambda order, seed: series_nonneg_part(order), (10,), (15,)),
+    "strong-three-routes": (_route_check("strong"), (8, 13), (10, 13)),
+    "twisted-vs-baxter": (_route_check("twisted", "baxter:closed"), (8, 12), (10, 12)),
+    "walks-equation-residual": (_chk_walk_equation, (8,), (10,)),
+    "walks-growth-constants": (_chk_growth, (100,), (300,)),
+    "walks-refinement": (_chk_refinement, (10,), (10,)),
+    "walks-w2-transform": (_chk_w2, (8, 12), (10, 20)),
+}
 
 
 def run_suite(suite: str = "quick", seed: int = 0) -> list[CheckReport]:
-    """Run every registered check; reports in registry order, by name.
+    """Run every registered check at the suite's sizes; reports in registry
+    order, by name.
 
     A check that raises is reported as failing with the exception text.
     """
-    if suite not in _BOUNDS:
-        raise ValueError(f"unknown suite {suite!r} (known: {', '.join(_BOUNDS)})")
-    bounds = _BOUNDS[suite]
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r} (known: {', '.join(_SUITES)})")
+    column = _SUITES.index(suite)
     reports = []
-    for name, fn in _REGISTRY:
+    for name, (fn, *sizes) in _REGISTRY.items():
         t0 = time.perf_counter()
         try:
-            ok, detail = fn(bounds, seed)
+            ok, detail = fn(*sizes[column], seed)
         except Exception as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = (time.perf_counter() - t0) * 1000.0

@@ -5,8 +5,8 @@ checks.FAMILIES), check (the cross-route consistency suite), series (the
 series-side verdicts of the suite at a chosen size, plus the W
 fixpoint), walks, and invseq and numbers (views of seq restricted to one
 family or to the formula routes).  Exit codes: 0 success, 1 a requested
-verification failed, 2 usage error, including an engine rejecting its
-arguments with ValueError.
+verification failed or stdout closed before the output was written, 2
+usage error, including an engine rejecting its arguments with ValueError.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -244,10 +245,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head`); point stdout at
+        # devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -260,7 +260,6 @@ def baxter_recurrence(n_max: int) -> list[int]:
 
 LAMBDA = (math.sqrt(5) - 1) / 2
 MU = (11 + 5 * math.sqrt(5)) / 2
-NU = 2 * math.sqrt(5) / (3 - math.sqrt(5))
 AMP_A = (12 / math.pi) * 5 ** -0.25 * LAMBDA ** -7.5
 
 

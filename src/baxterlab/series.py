@@ -424,7 +424,7 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     points; the strong orbit must stay open past 100 points.  Points that
     hit a pole, and semi points with a nontrivial stabiliser (an orbit
     that closes at a proper divisor of 10), are re-drawn, at most 10
-    times each.
+    times each; then it raises ValueError.
     """
     if group not in _KERNELS:
         raise ValueError(f"unknown kernel group {group!r}")
@@ -456,7 +456,7 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
                 continue
             break
         else:
-            raise RuntimeError("no generic point after 10 re-draws")
+            raise ValueError(f"no generic {group} point after 10 re-draws")
         invariant_ok = invariant_ok and same
         orbit_sizes.append(size)
         orbit_ok = orbit_ok and (closed and size == order if finite else not closed)

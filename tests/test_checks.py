@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,26 +32,72 @@ def test_registry_is_alphabetical_and_complete():
     names = [r.name for r in checks.run_suite("quick")]
     assert names == sorted(names)
     assert len(names) == len(checks._REGISTRY) == 25
-    assert sorted(name for name, _ in checks._REGISTRY) == names
+    assert list(checks._REGISTRY) == names
+
+
+# Every check's (quick sizes, full sizes).  A size changes only with a
+# CHANGES.md note that says why, and it is never lowered: a check that
+# got cheaper by checking less proves nothing new.
+FROZEN_SIZES = {
+    "apery-closed-vs-recurrence": ((8, 30), (10, 30)),
+    "baxter-five-routes": ((8, 12), (10, 12)),
+    "catalan-three-routes": ((8, 14), (10, 14)),
+    "census-labels-vs-rules": ((5,), (7,)),
+    "conjecture-exp1423-vs-sb": ((8, 8), (10, 10)),
+    "invseq-growth-labels": ((6,), (7,)),
+    "invseq-three-routes": ((8, 13), (10, 13)),
+    "kernel-semi": ((3,), (5,)),
+    "kernel-strong": ((2,), (5,)),
+    "lagrange-vs-series": ((8,), (12,)),
+    "numbers-asymptotics": ((500, 0.05), (2000, 0.02)),
+    "plane-vs-semi": ((8, 8), (10, 10)),
+    "rules-dsl-mirrors": ((10,), (10,)),
+    "semi-all-routes": ((8, 13), (10, 13)),
+    "series-extraction-vs-recurrence": ((12,), (20,)),
+    "series-reduced-identity": (
+        (((Fraction(3, 2), 10),),),
+        (((Fraction(3, 2), 12), (Fraction(2), 12)),),
+    ),
+    "series-residual-semi": ((10,), (10,)),
+    "series-residual-strong": ((10,), (10,)),
+    "series-theorem-nonneg-part": ((10,), (15,)),
+    "strong-three-routes": ((8, 13), (10, 13)),
+    "twisted-vs-baxter": ((8, 12), (10, 12)),
+    "walks-equation-residual": ((8,), (10,)),
+    "walks-growth-constants": ((100,), (300,)),
+    "walks-refinement": ((10,), (10,)),
+    "walks-w2-transform": ((8, 12), (10, 20)),
+}
+
+
+def test_suite_sizes_are_frozen():
+    assert {name: tuple(sizes) for name, (_, *sizes) in checks._REGISTRY.items()} == FROZEN_SIZES
+
+
+def _route_rows():
+    # name -> (family, borrowed "family:route"s, quick sizes, full sizes)
+    return {name: (*fn.args, quick, full)
+            for name, (fn, quick, full) in checks._REGISTRY.items()
+            if getattr(fn, "func", None) is checks._routes_agree}
 
 
 def test_every_family_has_a_route_check():
     # semi shares its routes with sb
-    checked = {family for family, _, _ in checks._ROUTE_CHECKS.values()}
+    checked = {family for family, *_ in _route_rows().values()}
     assert checked | {"semi"} == set(checks.FAMILIES)
 
 
 def test_route_checks_name_every_route_and_its_size():
-    bounds = checks._BOUNDS["quick"]
-    details = {r.name: r.detail for r in checks.run_suite("quick")}
-    for name, (family, size, borrowed) in checks._ROUTE_CHECKS.items():
-        n = bounds[size] if isinstance(size, str) else size
-        want = {route: bounds["brute"] if route == "brute" else n
-                for route in [*checks.FAMILIES[family]["routes"], *borrowed]}
-        spans = details[name].removeprefix("routes agree (").removesuffix(")")
-        got = {route: int(top) for route, top in
-               (span.split(" to n=") for span in spans.split(", "))}
-        assert got == want, name
+    for name, (family, borrowed, *suites) in _route_rows().items():
+        for brute, n in suites:
+            ok, detail = checks._REGISTRY[name][0](brute, n, 0)
+            assert ok, detail
+            want = {route: brute if route == "brute" else n
+                    for route in [*checks.FAMILIES[family]["routes"], *borrowed]}
+            spans = detail.removeprefix("routes agree (").removesuffix(")")
+            got = {route: int(top) for route, top in
+                   (span.split(" to n=") for span in spans.split(", "))}
+            assert got == want, (name, brute, n)
 
 
 def test_quick_suite_passes():
@@ -75,17 +122,15 @@ def test_report_serialization():
 
 
 def test_exception_becomes_failure(monkeypatch):
-    def boom(bounds, seed):
-        raise RuntimeError("synthetic")
+    def boom(n, seed):
+        raise RuntimeError(f"synthetic at n={n}")
 
-    monkeypatch.setattr(
-        checks, "_REGISTRY", checks._REGISTRY + (("synthetic-check", boom),)
-    )
+    monkeypatch.setitem(checks._REGISTRY, "synthetic-check", (boom, (3,), (4,)))
     reports = checks.run_suite("quick")
     rep = {r.name: r for r in reports}["synthetic-check"]
     assert not rep.ok
     assert "raised RuntimeError" in rep.detail
-    assert "synthetic" in rep.detail
+    assert "synthetic at n=3" in rep.detail
 
 
 def test_elapsed_times_sum_within_wall_time():

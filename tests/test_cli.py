@@ -1,10 +1,14 @@
 """End-to-end command line behavior, format for format."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import baxterlab
 from baxterlab import checks, cli
 
 from conftest import naive_walk_tables
@@ -265,3 +269,25 @@ def test_check_failure_sets_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, ["check", "--format", "json"])
     assert code == 1
     assert json.loads(out)["failed"] == 1
+
+
+# The reader closes stdout early, as `| head -1` does: after one line of
+# the multi-megabyte seq output, and before any of the check output.
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        (["seq", "--family", "sb", "--route", "recurrence", "--n-max", "3000"], 1),
+        (["check", "--suite", "full", "--format", "json"], 0),
+    ],
+    ids=["seq", "check"],
+)
+def test_closed_stdout_exits_1_without_traceback(argv, lines_read):
+    env = dict(os.environ, PYTHONPATH=str(Path(baxterlab.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "baxterlab", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

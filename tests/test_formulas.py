@@ -137,11 +137,8 @@ def test_exact_division_guard_raises_under_optimize():
 
 
 def test_asymptotic_constants():
-    import math
-
     assert abs(formulas.MU - 11.090169943749474) < 1e-12
     assert abs(formulas.MU - formulas.LAMBDA ** -5) < 1e-9
-    assert abs(formulas.NU - math.sqrt(5) / formulas.LAMBDA ** 2) < 1e-9
 
 
 def test_asymptotic_check_fields():

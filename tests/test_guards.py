@@ -1,8 +1,10 @@
 """Source lints: guards must raise in every interpreter mode, so the package
-has no assert; every name the package imports is read; and every private
+has no assert; a guard raises ValueError, the one error the CLI reports as
+a usage error; every name the package imports is read; and every private
 top-level name it defines is read."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import baxterlab
@@ -15,6 +17,23 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
+def test_package_raises_no_builtin_exception_but_value_error():
+    # `raise _not_positive(...)` and argparse.ArgumentTypeError pass: only
+    # a bare builtin name such as RuntimeError or KeyError is flagged
+    root = Path(baxterlab.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            builtin = isinstance(exc, ast.Name) and getattr(builtins, exc.id, None)
+            if (isinstance(builtin, type) and issubclass(builtin, BaseException)
+                    and builtin is not ValueError):
+                found.append(f"{path.relative_to(root)}:{node.lineno} {exc.id}")
     assert found == []
 
 

@@ -246,6 +246,17 @@ def test_kernel_invariance_redraws_stabilised_semi_points():
     assert rep["ok"] and rep["redraws"] == 2
 
 
+def test_kernel_invariance_gives_up_with_value_error(monkeypatch):
+    # a kernel whose every point is a pole exhausts the re-draws
+    def pole(a, b, x):
+        raise ZeroDivisionError("pole")
+
+    _, phi, psi, order = series._KERNELS["semi"]
+    monkeypatch.setitem(series._KERNELS, "semi", (pole, phi, psi, order))
+    with pytest.raises(ValueError, match="no generic semi point after 10 re-draws"):
+        series.kernel_invariance("semi", 1)
+
+
 def test_kernel_invariance_rejects_no_trials_under_optimize():
     # a bare assert would vanish under -O and report a vacuous pass
     code = (
