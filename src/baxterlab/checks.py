@@ -204,7 +204,7 @@ def _chk_census(top: int, seed: int) -> Outcome:
                     f"class {cls_name} census vs rule {rule_name} distribution "
                     f"differ at n={n}, label {label}"
                 )
-    return True, f"5 class/rule label censuses agree for n<={top}"
+    return True, f"{len(pairs)} class/rule label censuses agree for n<={top}"
 
 
 def _chk_invseq_labels(top: int, seed: int) -> Outcome:
@@ -376,7 +376,8 @@ def _chk_rule_dsl(n_max: int, seed: int) -> Outcome:
                 return False, (f"{name} interval-sum level vs node expansion differ at "
                                f"n={n}, label {label}")
             dist = fast
-    return True, f"all 5 rules: interval-sum levels match node expansion for n<={n_max}"
+    return True, (f"all {len(rules.RULES)} rules: interval-sum levels match node "
+                  f"expansion for n<={n_max}")
 
 
 _SUITES = ("quick", "full")

@@ -73,10 +73,9 @@ def _run_family(
         routes = {k: v for k, v in routes.items() if k in allowed}
     if route not in routes:
         known = ", ".join(sorted(routes))
-        print(
-            f"error: family {family!r} has no route {route!r} (known: {known})",
-            file=sys.stderr,
-        )
+        lacks = (f"family {family!r} has no route {route!r}" if allowed is None
+                 else f"numbers has no route {route!r} for family {family!r}")
+        print(f"error: {lacks} (known: {known})", file=sys.stderr)
         return 2
     offset = cfg["offset"]
     if n_max < offset:

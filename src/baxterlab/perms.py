@@ -16,8 +16,8 @@ Av(P) of vincular patterns is prefix-closed under this growth (deleting
 the last point of an avoider leaves an avoider), so the avoiders of each
 size form a generating tree: the children of pi are the pi . a for the
 "active sites" a.  Enumeration grows that tree a level at a time, one
-entry per node state with its multiplicity, and walks the last two
-levels depth first (see ``_walk``).
+entry per node state with its multiplicity, and streams the last two
+levels through without storing them (see ``_walk``).
 
 A node's forbidden mask has bit a-1 set when pi . a leaves the class.
 The prefix of pi . a is order-isomorphic to pi, so a new occurrence of a
@@ -53,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 Label = tuple[int, int]
 
@@ -62,6 +62,7 @@ Label = tuple[int, int]
 # new point between host values lo < hi forbid bits lo..hi-1.
 Stair = tuple[tuple[int, int], ...]
 Step = Callable[[int, Stair, int, int], tuple[int, Stair]]
+State = tuple[int, int, Stair]  # (last, mask, stair)
 
 # The four patterns x[yz]w as flags of one pair step: bits 0-1 act on a
 # descent, bits 2-3 on an ascent; the low bit of each half puts the new
@@ -159,52 +160,47 @@ CLASSES: dict[str, AvoidanceClass] = {
 LABELLED_CLASSES = ("semi", "plane", "baxter", "twisted", "strong")
 
 
+def _grow(step: Step, states: Iterable[tuple[State, int]], n: int,
+          counts: list[int]) -> Iterator[tuple[State, int]]:
+    """Each child (state, m) of the size-n (state, m) pairs in states, one
+    for each active site of the parent; adds to counts[n] each parent's
+    number of children, times its m, as the parent is read."""
+    for (last, mask, stair), m in states:
+        free = ~mask & ((1 << (n + 1)) - 1)
+        counts[n] += m * free.bit_count()
+        for a in range(1, n + 2):
+            if free >> (a - 1) & 1:
+                yield (a, *step(mask, stair, last, a)), m
+
+
 def _walk(cls: AvoidanceClass, depth: int,
-          leaf: Callable[[int, int, int], object] | None = None) -> list[int]:
-    """Grow the tree to size depth; return the counts of sizes 1..depth+1
-    (the last level is counted, never materialized).  leaf, if given, gets
-    (last, free, m) for the avoiders of size depth, m of them for each state,
-    where free has bit a-1 set for each active site a.
+          counts: list[int]) -> Iterable[tuple[State, int]]:
+    """The (state, m) pairs of the avoiders of size depth >= 1, m of them in
+    each state.  As the pairs are read, counts[n] gets the number of
+    avoiders of size n + 1 for each n = 1..depth-1.
 
     A child's (last, mask, stair) is a function of its parent's and a, and
     a node's free set of that state and its size, so nodes of one size in
     one state root isomorphic subtrees.  Each level up to size depth - 2
     therefore keeps one entry per state, with the number of nodes in it.
-    The last two levels hold the most states, so they are walked depth
-    first from each merged state, carrying its multiplicity: merging them
-    too doubled peak memory (exp1423 at size 10: 28 MB against 14 MB) and
-    ran no faster."""
-    counts = [1] + [0] * depth  # counts[i]: size i + 1
-    if depth == 0:
-        return counts
-    step = cls.step
-    level: Counter[tuple[int, int, Stair]] = Counter({(1, 0, ()): 1})
-    for n in range(1, depth - 2):
-        merged: Counter[tuple[int, int, Stair]] = Counter()
-        for (last, mask, stair), m in level.items():
-            free = ~mask & ((1 << (n + 1)) - 1)
-            counts[n] += m * free.bit_count()
-            for a in range(1, n + 2):
-                if free >> (a - 1) & 1:
-                    merged[(a, *step(mask, stair, last, a))] += m
-        level = merged
-    for state, m in level.items():
-        stack = [(max(1, depth - 2), *state)]
-        while stack:
-            n, last, mask, stair = stack.pop()
-            free = ~mask & ((1 << (n + 1)) - 1)
-            counts[n] += m * free.bit_count()
-            if n < depth:
-                for a in range(1, n + 2):
-                    if free >> (a - 1) & 1:
-                        stack.append((n + 1, a, *step(mask, stair, last, a)))
-            elif leaf:
-                leaf(last, free, m)
-    return counts
+    The last two levels hold the most states, so they stream through two
+    chained `_grow` calls and are never stored: storing them too peaked
+    40 times higher (exp1423 counted to size 10: 12.9 MB against 0.33 MB
+    under tracemalloc) and ran slower (to size 11: 0.81 s against 0.66 s)."""
+    states: Iterable[tuple[State, int]] = {(1, 0, ()): 1}.items()
+    for n in range(1, depth):
+        states = _grow(cls.step, states, n, counts)
+        if n < depth - 2:
+            merged: Counter[State] = Counter()
+            for state, m in states:
+                merged[state] += m
+            states = merged.items()
+    return states
 
 
 def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
-    """Counts of avoiders of sizes 1..n_max by generating-tree growth.
+    """Counts of avoiders of sizes 1..n_max by generating-tree growth; the
+    last size is counted from its parents' free sets, never grown.
 
     >>> enumerate_class(CLASSES["semi"], 6)
     [1, 2, 6, 23, 104, 530]
@@ -213,7 +209,13 @@ def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
     >>> enumerate_class(CLASSES["exp1423"], 6)
     [1, 2, 6, 23, 104, 530]
     """
-    return _walk(cls, n_max - 1) if n_max > 0 else []
+    if n_max < 2:
+        return [1] * max(n_max, 0)
+    n = n_max - 1
+    counts = [1] + [0] * n  # counts[i]: size i + 1
+    for (_, mask, _), m in _walk(cls, n, counts):
+        counts[n] += m * (~mask & ((1 << (n + 1)) - 1)).bit_count()
+    return counts
 
 
 def label_census(cls: AvoidanceClass, n: int) -> dict[Label, int]:
@@ -230,12 +232,10 @@ def label_census(cls: AvoidanceClass, n: int) -> dict[Label, int]:
     if n < 1:
         raise ValueError(f"avoider size must be >= 1, got {n}")
     census: Counter[Label] = Counter()
-
-    def add(last: int, free: int, m: int) -> None:
+    for (last, mask, _), m in _walk(cls, n, [0] * n):
+        free = ~mask & ((1 << (n + 1)) - 1)
         h = (free & ((1 << last) - 1)).bit_count()
         census[h, free.bit_count() - h] += m
-
-    _walk(cls, n, add)
     if cls.name == "plane":
         return {(k, h): c for (h, k), c in census.items()}
     return dict(census)

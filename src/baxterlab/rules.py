@@ -27,14 +27,15 @@ definition of the five built-in rules; RULES is parsed from it at import
     tbax    (h,k) -> (1,k), ..., (h-1,k), (h,k+1); (h+k,1), ..., (h+1,k)
     strong  (h,k) -> (1,k), ..., (h-1,k), (h,k+1); (h+1,1), ..., (h+1,k)
 
-Every row expression is affine, so a row is a straight run of labels,
-child(i) = P(h,k) + i*d for i = lo(h,k)..hi(h,k).  `productions` expands
-one node row by row.  `next_level` expands no node: in one flat grid,
-where label (x, y) sits at index x + w*y and a step of d is one stride,
-it adds each run's count at its first label and subtracts it one stride
-past its last, then sums along every stride.  A level step so costs the
-box from the origin to the largest child, not O(sum of h+k): the ECO
-method of Barcucci, Del Lungo, Pergola and Pinzani (1999).
+Every row expression is affine, so `parse_rule` stores a row as a
+straight run of labels, child(i) = P(h,k) + i*d for i = 0..span(h,k).
+`productions` expands one node run by run.  `next_level` expands no
+node: in one flat grid, where label (x, y) sits at index x + w*y and a
+step of d is one stride, it adds each run's count at its first label and
+subtracts it one stride past its last, then sums along the stride, one
+pass per row.  A level step so costs the box from the origin to the
+largest child, not O(sum of h+k): the ECO method of Barcucci, Del Lungo,
+Pergola and Pinzani (1999).
 """
 
 from __future__ import annotations
@@ -47,23 +48,20 @@ from typing import Iterator, NamedTuple
 Label = tuple[int, int]
 LabelDistribution = dict[Label, int]
 Affine = tuple[int, int, int]  # (c, a, b) stands for c + a*h + b*k
-Coeffs = tuple[int, int, int, int]  # (constant, h, k, loop variable)
-Row = tuple[Coeffs, Coeffs, Affine, Affine]
+Row = tuple[Affine, Affine, tuple[int, int], Affine]
 
 
 class SuccessionRule(NamedTuple):
     """An axiom and production rows, as `parse_rule` builds them.
 
-    A row (x, y, lo, hi) puts one child (x, y) at each i = lo..hi: x and
-    y are Coeffs, lo and hi are Affine, and a row without a loop has
-    lo = hi = 0.  plan is the level step that `_compile` makes of the
-    rows: runs in positive directions and the maps that bound the grid.
+    A row (x, y, d, span) puts the child (x, y) + i*d at each i = 0..span:
+    x, y and span are Affine maps of the parent label, d = (dx, dy) a
+    fixed step, and a row without a loop has d = (0, 0) and span = 0.
     """
 
     name: str
     axiom: Label
     rows: tuple[Row, ...]
-    plan: tuple
 
 
 def _at(f: Affine, h: int, k: int) -> int:
@@ -83,45 +81,6 @@ def _lin(*terms: tuple[int, Affine]) -> Affine:
     return c0, c1, c2
 
 
-def _compile(rows: tuple[Row, ...]) -> tuple:
-    """Level-step plan: (points, lines, tops, pad).
-
-    points holds (span, x, y, checks) for the rows with direction (0, 0),
-    whose run puts span+1 children on the one label (x, y).  lines holds
-    (d, runs) for each other direction d, taken with dy > 0 or with
-    dy = 0 < dx; a run (span, x, y, checks) puts span+1 children on the
-    labels (x, y) + i*d, so a row in the opposite direction is read from
-    its last child.  checks are the coordinates of the run's lowest
-    labels that are not positive for every h, k >= 1 by their
-    coefficients alone.  tops holds the (x, y) of every row's first and
-    last child and pad the largest |dx| or |dy| of a row; `next_level`
-    sizes its grid from them.  All but d and pad are affine maps of the
-    parent label (h, k).
-    """
-    points = []
-    lines: dict[Label, list] = {}
-    tops = []
-    pad = 0
-    for x, y, lo, hi in rows:
-        dx, dy = x[3], y[3]
-        span = _lin((1, hi), (-1, lo))
-        px, py = x[:3], y[:3]
-        start = (_lin((1, px), (dx, lo)), _lin((1, py), (dy, lo)))
-        end = (_lin((1, px), (dx, hi)), _lin((1, py), (dy, hi)))
-        low = (start[0] if dx >= 0 else end[0], start[1] if dy >= 0 else end[1])
-        checks = tuple(f for f in low if min(f[1:]) < 0 or sum(f) < 1)
-        tops += start, end
-        pad = max(pad, abs(dx), abs(dy))
-        if dx == dy == 0:
-            points.append((span, *start, checks))
-        elif dy > 0 or dy == 0 < dx:
-            lines.setdefault((dx, dy), []).append((span, *start, checks))
-        else:
-            lines.setdefault((-dx, -dy), []).append((span, *end, checks))
-    return (tuple(points), tuple((d, tuple(runs)) for d, runs in lines.items()),
-            tuple(tops), pad)
-
-
 def _not_positive(rule: SuccessionRule, label: Label) -> ValueError:
     return ValueError(f"rule {rule.name}: label {label} has a child that is not a "
                       f"pair of positive integers")
@@ -139,10 +98,9 @@ def productions(rule: SuccessionRule, label: Label) -> list[Label]:
     """
     h, k = label
     out: list[Label] = []
-    for (x0, xh, xk, dx), (y0, yh, yk, dy), lo, hi in rule.rows:
-        x, y = x0 + xh * h + xk * k, y0 + yh * h + yk * k
-        out.extend((x + dx * i, y + dy * i)
-                   for i in range(_at(lo, h, k), _at(hi, h, k) + 1))
+    for x, y, (dx, dy), span in rule.rows:
+        x, y = _at(x, h, k), _at(y, h, k)
+        out.extend((x + dx * i, y + dy * i) for i in range(_at(span, h, k) + 1))
     if any(a < 1 or b < 1 for a, b in out):
         raise _not_positive(rule, label)
     return out
@@ -180,40 +138,47 @@ def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistributi
     hb, kb = (min(hs), max(hs)), (min(ks), max(ks))
     if hb[0] < 1 or kb[0] < 1:
         raise ValueError(f"rule {rule.name}: a label of the level is not positive")
-    points, lines, tops, pad = rule.plan
+    # Each row is one run of a positive direction, taken with dy > 0 or
+    # dy = 0 < dx, so a row in the opposite direction is read from its last
+    # child.  checks are the coordinates of the run's lowest labels that are
+    # not positive for every h, k >= 1 by their coefficients alone.
+    runs, tops, pad = [], [], 0
+    for x, y, (dx, dy), span in rule.rows:
+        end = _lin((1, x), (dx, span)), _lin((1, y), (dy, span))
+        low = (x if dx >= 0 else end[0], y if dy >= 0 else end[1])
+        checks = tuple(f for f in low if min(f[1:]) < 0 or sum(f) < 1)
+        tops += (x, y), end
+        pad = max(pad, abs(dx), abs(dy))
+        if dy < 0 or dy == 0 > dx:
+            dx, dy, (x, y) = -dx, -dy, end
+        runs.append((dx, dy, span, x, y, checks))
     # Label (x, y) sits at index x + w*y.  w exceeds every child's x and every
     # |dx|, so a step of d is the index stride dx + w*dy; pad covers one-past.
     w = max(0, *(_most(x, hb, kb) for x, _ in tops)) + pad + 1
     size = w * (max(0, *(_most(y, hb, kb) for _, y in tops)) + pad + 1)
     total = [0] * size
     items = dist.items()
-    for (dx, dy), runs in lines:
+    for dx, dy, (s0, sh, sk), x, y, checks in runs:
         # A run adds cnt at its first child and -cnt one stride past its last;
-        # running sums along each residue class mod the stride count each child.
+        # running sums along each residue class mod the stride count each
+        # child.  A run of one label (stride 0) adds its span+1 in place.
         stride = dx + w * dy
-        grid = [0] * size
-        for (s0, sh, sk), x, y, checks in runs:
-            a0, ah, ak = _lin((1, x), (w, y))
-            for (h, k), cnt in items:
-                n = s0 + sh * h + sk * k + 1
-                if n > 0:
-                    if checks and any(_at(f, h, k) < 1 for f in checks):
-                        raise _not_positive(rule, (h, k))
-                    a = a0 + ah * h + ak * k
-                    grid[a] += cnt
-                    grid[a + n * stride] -= cnt
-        for r in range(stride):
-            total[r::stride] = map(add, total[r::stride], accumulate(grid[r::stride]))
-        del grid  # before the next direction allocates its own
-    # point rows go in last, in place, so no running sum copies their counts
-    for (s0, sh, sk), x, y, checks in points:
+        grid = [0] * size if stride else total
         a0, ah, ak = _lin((1, x), (w, y))
         for (h, k), cnt in items:
             n = s0 + sh * h + sk * k + 1
             if n > 0:
                 if checks and any(_at(f, h, k) < 1 for f in checks):
                     raise _not_positive(rule, (h, k))
-                total[a0 + ah * h + ak * k] += cnt * n
+                a = a0 + ah * h + ak * k
+                if stride:
+                    grid[a] += cnt
+                    grid[a + n * stride] -= cnt
+                else:
+                    grid[a] += cnt * n
+        for r in range(stride):
+            total[r::stride] = map(add, total[r::stride], accumulate(grid[r::stride]))
+        del grid  # before the next row allocates its own
     return {(x, y): v for y in range(size // w)
             for x, v in enumerate(total[y * w:(y + 1) * w]) if v}
 
@@ -321,18 +286,18 @@ def parse_rule(text: str, name: str = "custom") -> SuccessionRule:
         if not m:
             raise ValueError(f"cannot parse rule line {line!r}")
         e1, e2, var, lo, hi = m.groups()
-        if var is None:
-            rows.append((_affine(e1, None), _affine(e2, None), (0, 0, 0), (0, 0, 0)))
-            continue
         if var in ("h", "k"):
             raise ValueError(f"loop variable {var!r} shadows a label variable")
-        rows.append((_affine(e1, var), _affine(e2, var),
-                     _affine(lo, None)[:3], _affine(hi, None)[:3]))
+        x, y = _affine(e1, var), _affine(e2, var)
+        # re-index the loop from i = lo..hi to i = 0..hi-lo
+        lo, hi = (_affine(lo, None)[:3], _affine(hi, None)[:3]) if var else ((0, 0, 0),) * 2
+        rows.append((_lin((1, x[:3]), (x[3], lo)), _lin((1, y[:3]), (y[3], lo)),
+                     (x[3], y[3]), _lin((1, hi), (-1, lo))))
     if axiom is None:
         raise ValueError("missing axiom line")
     if not rows:
         raise ValueError("rule has no production rows")
-    return SuccessionRule(name, axiom, tuple(rows), _compile(rows))
+    return SuccessionRule(name, axiom, tuple(rows))
 
 
 RULE_FILE_SOURCES: dict[str, str] = {

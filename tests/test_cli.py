@@ -184,6 +184,9 @@ def test_numbers_rejects_enumerative_route(capsys):
     code, _, err = run(capsys, ["numbers", "--family", "sb", "--route", "brute", "--n-max", "3"])
     assert code == 2
     assert "no route" in err
+    # seq serves sb by brute force, so the family itself lacks no route
+    assert "family 'sb' has no route" not in err
+    assert "numbers has no route 'brute' for family 'sb'" in err
 
 
 def test_numbers_print_terms_past_the_int_str_limit(capsys):

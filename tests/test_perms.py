@@ -2,6 +2,7 @@
 enumeration against a depth-first oracle."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -388,6 +389,19 @@ def test_label_census_vs_dfs_oracle(name):
             k = free.bit_count() - h
             want[(k, h) if name == "plane" else (h, k)] += 1
         assert perms.label_census(cls, n) == want, n
+
+
+def test_walk_streams_its_last_two_levels():
+    # The last two levels hold the most states, so _walk streams them and
+    # stores none.  Streaming peaks near 0.11 MB here; storing the last level
+    # too peaks near 0.32 MB, so this fails if that level is ever kept.
+    tracemalloc.start()
+    try:
+        perms.enumerate_class(perms.CLASSES["exp1423"], 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e6, peak
 
 
 @pytest.mark.parametrize("name, rule", [

@@ -146,13 +146,12 @@ def test_altered_first_row_collapses_to_weaker_rule():
 
 
 def _format(rule) -> str:
-    """The rule in the DSL text format, rows printed from their coefficients."""
+    """The rule in the DSL text format, each row printed as its run."""
     lines = [f"axiom ({rule.axiom[0]},{rule.axiom[1]})"]
-    for row in rule.rows:
-        x, y, lo, hi = (_expr(f[0], f[1:], "hki") for f in row)
-        text = f"row ({x}, {y})"
-        if row[0][3] or row[1][3] or row[2] != row[3] or row[2] != (0, 0, 0):
-            text += f" for i = {lo}..{hi}"
+    for x, y, (dx, dy), span in rule.rows:
+        text = f"row ({_expr(x[0], (*x[1:], dx), 'hki')}, {_expr(y[0], (*y[1:], dy), 'hki')})"
+        if dx or dy or span != (0, 0, 0):
+            text += f" for i = 0..{_expr(span[0], span[1:], 'hk')}"
         lines.append(text)
     return "\n".join(lines) + "\n"
 
@@ -259,6 +258,14 @@ def _children(rule, dist):
          dist={(1, 2): 1, (4, 1): 2})
 @example(text=rules.RULE_FILE_SOURCES["semi"], dist={(40, 1): 1, (1, 40): 2})
 @example(text="axiom (1,1)\nrow (i-h-2, k) for i = 1..0\n", dist={(1, 1): 1, (2, 3): 4})
+# one grid pass per row: two rows in one direction, a forward and a reversed
+# row on one line, and a one-label row listed before a line row
+@example(text="axiom (1,1)\nrow (i, k) for i = 1..h\nrow (i, k+1) for i = 1..k\n",
+         dist={(2, 1): 3, (1, 3): 1})
+@example(text="axiom (1,1)\nrow (i, k) for i = 1..h\nrow (h+k+1-i, k) for i = 1..k\n",
+         dist={(3, 2): 2, (1, 1): 5})
+@example(text="axiom (1,1)\nrow (h, k+1) for i = 1..k\nrow (i, 1) for i = 1..h+1\n",
+         dist={(2, 2): 1, (3, 1): 4})
 def test_next_level_equals_sum_of_productions(text, dist):
     rule = rules.parse_rule(text)
     want = _children(rule, dist)
