@@ -19,12 +19,12 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import checks, series, walks
+from . import checks, formulas, series, walks
 from .checks import FAMILIES
 
 # The numbers view exposes only the closed-form and recurrence routes.
 _NUMBERS_ROUTES: dict[str, tuple[str, ...]] = {
-    "sb": ("recurrence", "sum", "a", "b", "c", "d", "apery"),
+    "sb": formulas.SB_ROUTES,
     "baxter": ("closed", "ollerton"),
     "apery": ("closed", "recurrence"),
 }
@@ -67,10 +67,10 @@ def _run_family(
     family: str, route: str | None, n_max: int, fmt: str, allowed: tuple[str, ...] | None = None
 ) -> int:
     cfg = FAMILIES[family]
-    route = route or cfg["default"]
     routes = cfg["routes"]
     if allowed is not None:
         routes = {k: v for k, v in routes.items() if k in allowed}
+    route = route or next(iter(routes))
     if route not in routes:
         known = ", ".join(sorted(routes))
         lacks = (f"family {family!r} has no route {route!r}" if allowed is None

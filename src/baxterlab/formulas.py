@@ -141,6 +141,9 @@ _SIMPLE_VARIANTS = {
     "d": ((1, 3), (1, 0), (2, 2)),  # C(n+1, j+3) C(n+1, j) C(n+j+2, j+2)
 }
 
+# The semi-Baxter formula routes of sb_table, the default first.
+SB_ROUTES = ("recurrence", "sum", *_SIMPLE_VARIANTS, "apery")
+
 
 def sb_simple_formula(n: int, variant: str = "a") -> int:
     """SB_n by one of the four three-binomial product formulas (n >= 2).
@@ -172,7 +175,7 @@ def sb_table(n_max: int, route: str = "recurrence") -> list[int]:
     Summation routes are defined from n = 2 on; SB_0 = 0 and SB_1 = 1 are
     the recurrence's base values.  Every route needs n_max >= 1.
     """
-    if route not in ("recurrence", "sum", "apery", *_SIMPLE_VARIANTS):
+    if route not in SB_ROUTES:
         raise ValueError(f"unknown semi-Baxter route {route!r}")
     at_least(n_max, 1, "n_max")
     if route == "recurrence":

@@ -1,18 +1,18 @@
 """Truncated series algebra behind the label generating functions.
 
 Two types carry all of it: Poly, a sparse polynomial keyed by exponent
-tuples (Laurent polynomials in a, or polynomials in two variables), and
-XSeries, a power series in x truncated at a fixed order whose
-coefficients are Polys in a or exact rationals.  On top of them sit the
-series W solving W = x ā (1+a)(W+1+a)(W+a) with ā = 1/a, solved online
-one coefficient at a time by the same routine at a symbolic a and at a
-rational point, its companion F(a,W) whose nonnegative part in a
-reproduces the semi-Baxter label polynomials evaluated at y = z = 1+a,
-Lagrange-inversion coefficient extraction, coefficientwise residuals of
-the functional equations satisfied by the semi and strong label series,
-invariance probes for the two kernels, and a rational-point identity
-tying F to an explicit rational function P = num/den, compared with den
-cleared so that no series is ever divided.
+pairs (a Laurent polynomial in a is keyed (e, 0); a polynomial in two
+variables uses both slots), and XSeries, a power series in x truncated
+at a fixed order whose coefficients are Polys in a or exact rationals.
+On top of them sit the series W solving W = x ā (1+a)(W+1+a)(W+a) with
+ā = 1/a, solved online one coefficient at a time by the same routine at
+a symbolic a and at a rational point, its companion F(a,W) whose
+nonnegative part in a reproduces the semi-Baxter label polynomials
+evaluated at y = z = 1+a, Lagrange-inversion coefficient extraction,
+coefficientwise residuals of the functional equations satisfied by the
+semi and strong label series, invariance probes for the two kernels, and
+a rational-point identity tying F to an explicit rational function
+P = num/den, compared with den cleared so that no series is ever divided.
 """
 
 from __future__ import annotations
@@ -31,19 +31,19 @@ Rat = int | Fraction
 
 
 class Poly:
-    """Sparse polynomial with exact coefficients in one or two variables:
-    a map from exponent tuples to nonzero values.  Laurent polynomials in
-    a use 1-tuples, polynomials in (y, z) or (a, b) use 2-tuples, and
+    """Sparse polynomial with exact coefficients in two variables: a map
+    from exponent pairs to nonzero values.  A Laurent polynomial in a is
+    keyed (e, 0); polynomials in (y, z) or (a, b) use both slots, and
     exponents may be negative.  Treated as immutable once built.
 
-    >>> Poly({(0,): 1, (1,): 1}) * Poly({(-1,): 1, (0,): 1})
+    >>> Poly({(0, 0): 1, (1, 0): 1}) * Poly({(-1, 0): 1, (0, 0): 1})
     1*a^-1 + 2 + 1*a^1
     """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, ...], Rat] | None = None):
-        self.c: dict[tuple[int, ...], Rat] = (
+    def __init__(self, coeffs: Mapping[tuple[int, int], Rat] | None = None):
+        self.c: dict[tuple[int, int], Rat] = (
             {e: v for e, v in coeffs.items() if v} if coeffs else {}
         )
 
@@ -61,8 +61,8 @@ class Poly:
             for e, v in sorted(self.c.items())
         )
 
-    def coeff(self, *e: int) -> Rat:
-        return self.c.get(e, 0)
+    def coeff(self, i: int, j: int) -> Rat:
+        return self.c.get((i, j), 0)
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.c)
@@ -80,27 +80,22 @@ class Poly:
         """Product with another polynomial or an exact scalar."""
         if not isinstance(other, Poly):
             return Poly({e: v * other for e, v in self.c.items()})
-        out: dict[tuple[int, ...], Rat] = {}
+        out: dict[tuple[int, int], Rat] = {}
         get = out.get
         theirs = list(other.c.items())
-        for e1, v1 in self.c.items():
-            if len(e1) == 1:
-                (x,) = e1
-                for (u,), v2 in theirs:
-                    out[x + u,] = get((x + u,), 0) + v1 * v2
-            else:
-                x, y = e1
-                for (u, w), v2 in theirs:
-                    out[x + u, y + w] = get((x + u, y + w), 0) + v1 * v2
+        for (x, y), v1 in self.c.items():
+            for (u, w), v2 in theirs:
+                k = x + u, y + w
+                out[k] = get(k, 0) + v1 * v2
         return Poly(out)
 
-    def map_exponents(self, f: Callable[[tuple[int, ...]], tuple[int, ...]]) -> "Poly":
+    def map_exponents(self, f: Callable[[tuple[int, int]], tuple[int, int]]) -> "Poly":
         """Send every exponent e to f(e), summing the terms that collide.
 
-        >>> Poly({(1, 0): 2, (0, 1): 3}).map_exponents(lambda e: (sum(e),))
+        >>> Poly({(1, 0): 2, (0, 1): 3}).map_exponents(lambda e: (sum(e), 0))
         5*a^1
         """
-        out: dict[tuple[int, ...], Rat] = {}
+        out: dict[tuple[int, int], Rat] = {}
         for e, v in self.c.items():
             k = f(e)
             out[k] = out.get(k, 0) + v
@@ -116,7 +111,7 @@ class Poly:
 
 def laurent(coeffs: Mapping[int, Rat]) -> Poly:
     """The Laurent polynomial in a with the given exponent -> value map."""
-    return Poly({(e,): v for e, v in coeffs.items()})
+    return Poly({(e, 0): v for e, v in coeffs.items()})
 
 
 _A = laurent({1: 1})
@@ -214,7 +209,7 @@ def solve_W(order: int) -> XSeries:
     at_least(order, 1, "order")
     w = online_fixpoint(laurent({-1: 1, 0: 1}), _ONE_PLUS_A, _A, order)
     for n in range(1, order + 1):
-        exps = [e for (e,) in w.coeff_x(n).c]
+        exps = [e for e, _ in w.coeff_x(n).c]
         if not exps or min(exps) < -(n - 1) or max(exps) > 2 * n:
             raise ValueError(f"[x^{n}]W leaves the exponent window [{1 - n}, {2 * n}]")
     return w
@@ -264,9 +259,9 @@ def omega_geq(s: XSeries) -> XSeries:
     return XSeries(Poly({e: v for e, v in u.c.items() if e[0] >= 0}) for u in s.c)
 
 
-def _diagonal(e: tuple[int, ...]) -> tuple[int, ...]:
-    """Exponent map of y = z: y^h z^k becomes t^(h+k)."""
-    return (e[0] + e[1],)
+def _diagonal(e: tuple[int, int]) -> tuple[int, int]:
+    """Exponent map of y = z: y^h z^k becomes t^(h+k), keyed (h+k, 0)."""
+    return e[0] + e[1], 0
 
 
 class LabelSeries:
@@ -294,7 +289,7 @@ class LabelSeries:
         for _ in range(self.order + 1):
             powers.append(powers[-1] * _ONE_PLUS_A)
         return XSeries(
-            sum((powers[m] * c for (m,), c in lv.map_exponents(_diagonal).c.items()), Poly())
+            sum((powers[m] * c for (m, _), c in lv.map_exponents(_diagonal).c.items()), Poly())
             for lv in map(self.poly, range(self.order + 1))
         )
 
@@ -348,7 +343,7 @@ def residual_semi(order: int) -> Residual:
     """
     return _label_residual("semi", order, _ONE_MINUS_Y * _Z_MINUS_Y, lambda s: (
         _YZ * _Z_MINUS_Y * (s.map_exponents(lambda e: (0, e[1])) - s)
-        + _YZ * _ONE_MINUS_Y * (s - s.map_exponents(lambda e: (e[0] + e[1], 0)))
+        + _YZ * _ONE_MINUS_Y * (s - s.map_exponents(_diagonal))
     ))
 
 
@@ -387,24 +382,20 @@ _KERNELS: dict[str, tuple[Callable, Callable, Callable, int | str]] = {
 }
 
 
-def kernel_orbit(
-    group: str, a: Rat, b: Rat, limit: int = 200
-) -> tuple[int, bool]:
+def kernel_orbit(group: str, a: Rat, b: Rat, limit: int = 200) -> int:
     """Closure size of (a, b) under the two kernel-preserving maps.
 
-    Returns (size, closed).  Exploration stops once more than `limit`
-    distinct points have been seen, reporting closed=False.
+    Exploration stops once more than `limit` distinct points have been
+    seen, so a size above `limit` means the orbit did not close by then.
 
     >>> kernel_orbit("semi", Fraction(2, 3), Fraction(7, 5))
-    (10, True)
+    10
     """
     _, phi, psi, _ = _KERNELS[group]
     start = (Fraction(a), Fraction(b))
     seen = {start}
     frontier = [start]
-    while frontier:
-        if len(seen) > limit:
-            return len(seen), False
+    while frontier and len(seen) <= limit:
         fresh = []
         for p in frontier:
             for f in (phi, psi):
@@ -413,7 +404,7 @@ def kernel_orbit(
                     seen.add(q)
                     fresh.append(q)
         frontier = fresh
-    return len(seen), True
+    return len(seen)
 
 
 def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
@@ -435,7 +426,6 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     finite = order != "open"
     redraws = 0
     invariant_ok = True
-    orbit_ok = True
     orbit_sizes: list[int] = []
 
     def draw() -> Fraction:
@@ -447,11 +437,11 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
             try:
                 k0 = value(a, b, x)
                 same = value(*phi(a, b), x) == k0 and value(*psi(a, b), x) == k0
-                size, closed = kernel_orbit(group, a, b, limit=order if finite else 100)
+                size = kernel_orbit(group, a, b, limit=order if finite else 100)
             except ZeroDivisionError:
                 redraws += 1
                 continue
-            if finite and closed and size < order and order % size == 0:
+            if finite and size < order and order % size == 0:
                 redraws += 1
                 continue
             break
@@ -459,7 +449,7 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
             raise ValueError(f"no generic {group} point after 10 re-draws")
         invariant_ok = invariant_ok and same
         orbit_sizes.append(size)
-        orbit_ok = orbit_ok and (closed and size == order if finite else not closed)
+    orbit_ok = all(s == order if finite else s > 100 for s in orbit_sizes)
     return {
         "redraws": redraws,
         "invariant_ok": invariant_ok,
@@ -527,7 +517,7 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
                        for n in range(order + 1))
 
     s_diag = collapsed(_diagonal, 1 + a)
-    s_top = collapsed(lambda e: (e[1],), 1 + 1 / a)
+    s_top = collapsed(lambda e: (e[1], 0), 1 + 1 / a)
     f_fail = first_fail(_assemble_F(w, lambda c: c.eval_at(a)))
     sum_fail = first_fail(s_diag + s_top.scale((1 + a) ** 2 / a ** 4).shift_x())
     return {"f_first_fail": f_fail, "sum_first_fail": sum_fail,

@@ -67,6 +67,40 @@ def test_seq_every_family_every_route(capsys):
             assert out
 
 
+DEFAULT_ROUTES = {
+    "sb": "recurrence", "semi": "recurrence", "plane": "rule", "twisted": "rule",
+    "strong": "rule", "baxter": "closed", "av231": "closed", "exp1423": "brute",
+    "apery": "closed", "invseq": "formula",
+}
+
+
+def test_every_family_has_a_pinned_default_route():
+    assert DEFAULT_ROUTES.keys() == cli.FAMILIES.keys()
+
+
+@pytest.mark.parametrize("family, route", DEFAULT_ROUTES.items())
+def test_seq_default_route_is_the_first_listed(capsys, family, route):
+    # the json format names the route, so this pins which one ran
+    argv = ["seq", "--family", family, "--n-max", "6", "--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == run(capsys, argv + ["--route", route])
+    assert code == 0 and json.loads(out)["route"] == route
+
+
+@pytest.mark.parametrize("family, route", [("sb", "recurrence"), ("baxter", "closed"),
+                                           ("apery", "closed")])
+def test_numbers_default_route(capsys, family, route):
+    argv = ["numbers", "--family", family, "--n-max", "6", "--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == run(capsys, argv + ["--route", route])
+    assert code == 0 and json.loads(out)["route"] == route
+
+
+def test_numbers_routes_are_routes_of_their_family():
+    for family, routes in cli._NUMBERS_ROUTES.items():
+        assert set(routes) <= set(cli.FAMILIES[family]["routes"]), family
+
+
 def test_seq_unknown_route_exits_2(capsys):
     code, _, err = run(capsys, ["seq", "--family", "exp1423", "--route", "rule", "--n-max", "3"])
     assert code == 2

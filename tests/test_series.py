@@ -23,12 +23,12 @@ from conftest import SB
 def test_laurent_arithmetic():
     p = series.laurent({-1: 2, 1: 3})
     q = series.laurent({0: 1, 1: -3})
-    assert (p + q).c == {(-1,): 2, (0,): 1}
+    assert (p + q).c == {(-1, 0): 2, (0, 0): 1}
     assert (p - p).c == {}
-    assert (p * q).c == {(-1,): 2, (0,): -6, (1,): 3, (2,): -9}
+    assert (p * q).c == {(-1, 0): 2, (0, 0): -6, (1, 0): 3, (2, 0): -9}
     assert (p * 0).c == {}
-    assert series.omega_geq(series.XSeries([p])).coeff_x(0).c == {(1,): 3}
-    assert min(p.c) == (-1,) and max(p.c) == (1,)
+    assert series.omega_geq(series.XSeries([p])).coeff_x(0).c == {(1, 0): 3}
+    assert min(p.c) == (-1, 0) and max(p.c) == (1, 0)
     assert p.eval_at(Fraction(1, 2)) == Fraction(11, 2)
 
 
@@ -40,12 +40,19 @@ def test_two_variable_poly():
     assert p.eval_at(2, Fraction(1, 3)) == Fraction(13, 3)
 
 
+def test_poly_coeff_needs_both_exponents():
+    p = series.laurent({0: 5})
+    assert p.coeff(0, 0) == 5
+    with pytest.raises(TypeError):
+        p.coeff(0)
+
+
 def test_xseries_product():
     zero = series.Poly()
     x = series.XSeries([zero, series.laurent({0: 1}), zero, zero])
-    assert ((x * x) + x).coeff_x(2).c == {(0,): 1}
+    assert ((x * x) + x).coeff_x(2).c == {(0, 0): 1}
     assert (x * x).coeff_x(1).c == {}
-    assert (x * x * x).coeff_x(3).c == {(0,): 1}
+    assert (x * x * x).coeff_x(3).c == {(0, 0): 1}
     with pytest.raises(ValueError, match="orders differ"):
         x * series.XSeries([zero, zero])
 
@@ -56,21 +63,21 @@ def test_xseries_product():
 
 def test_solve_w_low_orders():
     w = series.solve_W(6)
-    assert w.coeff_x(1).c == {(0,): 1, (1,): 2, (2,): 1}
+    assert w.coeff_x(1).c == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
     # (1+a)^3 (1+2a) / a
-    assert w.coeff_x(2).c == {(-1,): 1, (0,): 5, (1,): 9, (2,): 7, (3,): 2}
+    assert w.coeff_x(2).c == {(-1, 0): 1, (0, 0): 5, (1, 0): 9, (2, 0): 7, (3, 0): 2}
 
 
 def test_solve_w_exponent_window():
     w = series.solve_W(10)
     for n in range(1, 11):
-        (lo,), (hi,) = min(w.coeff_x(n).c), max(w.coeff_x(n).c)
+        (lo, _), (hi, _) = min(w.coeff_x(n).c), max(w.coeff_x(n).c)
         assert -(n - 1) <= lo and hi <= 2 * n, n
 
 
 def test_f_constant_column_is_the_sequence():
     f = series.build_F(15)
-    got = [f.coeff_x(n).coeff(0) for n in range(1, 16)]
+    got = [f.coeff_x(n).coeff(0, 0) for n in range(1, 16)]
     assert got[:13] == SB
     assert got == formulas.sb_recurrence(15)[1:]
 
@@ -99,7 +106,7 @@ def test_nonneg_part_x3_spot_check():
 
 def test_omega_trivial_cases():
     const = series.XSeries([series.laurent({0: 1})])
-    assert series.omega_geq(const).coeff_x(0).c == {(0,): 1}
+    assert series.omega_geq(const).coeff_x(0).c == {(0, 0): 1}
     neg = series.XSeries([series.Poly(), series.laurent({-1: 1})])
     assert series.omega_geq(neg).coeff_x(1).c == {}
 
@@ -111,7 +118,7 @@ def test_omega_trivial_cases():
 @pytest.mark.parametrize("k", range(1, 13))
 def test_lagrange_first_power(k):
     w = series.solve_W(12)
-    assert series.lagrange_coeff(0, k, 1) == w.coeff_x(k).coeff(0)
+    assert series.lagrange_coeff(0, k, 1) == w.coeff_x(k).coeff(0, 0)
 
 
 def test_lagrange_cube():
@@ -119,7 +126,7 @@ def test_lagrange_cube():
     w3 = w * w * w
     for k in range(3, 11):
         for s in range(-5, 6):
-            assert series.lagrange_coeff(s, k, 3) == w3.coeff_x(k).coeff(s), (s, k)
+            assert series.lagrange_coeff(s, k, 3) == w3.coeff_x(k).coeff(s, 0), (s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +217,18 @@ def test_kernel_maps_fix_kernel_value_at_random_points(group, a, b, x):
     try:
         k0 = kernel(a, b, x)
         images = [kernel(*f(a, b), x) for f in (phi, psi)]
-        size, closed = series.kernel_orbit(group, a, b, limit=10)
+        size = series.kernel_orbit(group, a, b, limit=10)
     except ZeroDivisionError:
         assume(False)
     assert images == [k0, k0]
     if order != "open":
-        assert closed and order % size == 0, (size, closed)
+        assert size <= 10 and order % size == 0, size
 
 
 def test_kernel_orbit_sizes():
-    size, closed = series.kernel_orbit("semi", Fraction(2, 3), Fraction(7, 5))
-    assert (size, closed) == (10, True)
-    size, closed = series.kernel_orbit("strong", Fraction(3, 2), Fraction(2, 5))
-    assert size > 100 and not closed
+    assert series.kernel_orbit("semi", Fraction(2, 3), Fraction(7, 5)) == 10
+    size = series.kernel_orbit("strong", Fraction(3, 2), Fraction(2, 5))
+    assert size > 200
 
 
 def test_kernel_invariance_reports():
