@@ -16,10 +16,9 @@ program whose total reproduces the semi-Baxter numbers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
-from .formulas import at_least, binom, catalan
+from .formulas import _exact_div, at_least, binom, catalan
 
 ISeq = tuple[int, ...]
 
@@ -114,16 +113,18 @@ def q_levels(n: int) -> Iterator[dict[tuple[int, int], int]]:
     prev: dict[tuple[int, int], int] = {}
     for m in range(1, n + 1):
         cur: dict[tuple[int, int], int] = {}
+        col: list[int] = []  # col[b]: sum of prev[(j, b)] over b < j <= a
         for a in range(m):
-            ballot = Fraction(m - a, m) * binom(m - 1 + a, a)
-            if ballot.denominator != 1:
-                raise ValueError(f"ballot column Q_{{{m},{a},-1}} = {ballot} is not integral")
-            cur[(a, -1)] = int(ballot)
+            cur[(a, -1)] = _exact_div((m - a) * binom(m - 1 + a, a), m,
+                                      f"ballot column Q_{{{m},{a},-1}}")
+            row = prev.get((a, -1), 0)  # sum of prev[(a, i)] over -1 <= i < b
+            col.append(0)
             for b in range(a):
-                total = sum(prev.get((a, i), 0) for i in range(-1, b))
-                total += sum(prev.get((j, b), 0) for j in range(b + 1, a + 1))
-                if total:
+                q = prev.get((a, b), 0)
+                col[b] += q
+                if total := row + col[b]:
                     cur[(a, b)] = total
+                row += q
         yield cur
         prev = cur
 

@@ -225,35 +225,27 @@ _ROW_RE = re.compile(
     r"(?:for\s+([a-z])\s*=\s*([^.]+)\.\.(.+))?$"
 )
 _AXIOM_RE = re.compile(r"^axiom\s*\((\d+)\s*,\s*(\d+)\)$")
-_TERM_RE = re.compile(r"\s*([+-]?)\s*(\d+|[a-z])")
+# an expression is a term with an optional sign, then any number of signed
+# terms; a term is an integer or a one-letter variable
+_EXPR_RE = re.compile(r"[+-]?\s*(?:\d+|[a-z])(?:\s*[+-]\s*(?:\d+|[a-z]))*")
+_TERM_RE = re.compile(r"([+-]?)\s*(\d+|[a-z])")
 
 
 def _affine(text: str, var: str | None) -> tuple[int, int, int, int]:
     """(constant, h, k, var) coefficients of a sum of signed terms."""
-    slot = {"h": 1, "k": 2}
-    if var is not None:
-        slot[var] = 3
+    text = text.strip()
+    if not _EXPR_RE.fullmatch(text):
+        raise ValueError(f"bad expression {text!r}")
+    slot = {"h": 1, "k": 2, var: 3}
     coef = [0, 0, 0, 0]
-    pos = 0
-    first = True
-    while pos < len(text.rstrip()):
-        m = _TERM_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"bad expression {text!r}")
-        sign_s, atom = m.groups()
-        if not first and not sign_s:
-            raise ValueError(f"missing operator in {text!r}")
-        sign = -1 if sign_s == "-" else 1
+    for sign, atom in _TERM_RE.findall(text):
         if atom.isdigit():
-            coef[0] += sign * int(atom)
+            i, v = 0, int(atom)
         elif atom in slot:
-            coef[slot[atom]] += sign
+            i, v = slot[atom], 1
         else:
             raise ValueError(f"unknown variable {atom!r} in {text!r}")
-        pos = m.end()
-        first = False
-    if first:
-        raise ValueError(f"empty expression {text!r}")
+        coef[i] += -v if sign == "-" else v
     return tuple(coef)
 
 

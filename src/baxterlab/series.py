@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
-from math import prod
 from operator import add
 from typing import Callable, Iterable, Mapping
 
@@ -101,12 +100,9 @@ class Poly:
             out[k] = out.get(k, 0) + v
         return Poly(out)
 
-    def eval_at(self, *point: Rat) -> Fraction:
-        point = tuple(Fraction(x) for x in point)
-        return sum(
-            (v * prod(x ** n for x, n in zip(point, e)) for e, v in self.c.items()),
-            Fraction(0),
-        )
+    def eval_at(self, x: Rat, y: Rat) -> Fraction:
+        x, y = Fraction(x), Fraction(y)
+        return sum((v * x ** i * y ** j for (i, j), v in self.c.items()), Fraction(0))
 
 
 def laurent(coeffs: Mapping[int, Rat]) -> Poly:
@@ -513,12 +509,12 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
     labels = LabelSeries("semi", order)
 
     def collapsed(exponent: Callable, t: Fraction) -> XSeries:
-        return XSeries(labels.poly(n).map_exponents(exponent).eval_at(t)
+        return XSeries(labels.poly(n).map_exponents(exponent).eval_at(t, 1)
                        for n in range(order + 1))
 
     s_diag = collapsed(_diagonal, 1 + a)
     s_top = collapsed(lambda e: (e[1], 0), 1 + 1 / a)
-    f_fail = first_fail(_assemble_F(w, lambda c: c.eval_at(a)))
+    f_fail = first_fail(_assemble_F(w, lambda c: c.eval_at(a, 1)))
     sum_fail = first_fail(s_diag + s_top.scale((1 + a) ** 2 / a ** 4).shift_x())
     return {"f_first_fail": f_fail, "sum_first_fail": sum_fail,
             "ok": f_fail is None and sum_fail is None}

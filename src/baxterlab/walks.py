@@ -44,7 +44,7 @@ class StepMultiset:
             else:
                 (dx, dy), m = s, 1
             if abs(dx) > 1 or abs(dy) > 1 or m < 1:
-                raise ValueError(f"need a small step with positive multiplicity, got {s}")
+                raise ValueError(f"need small steps of positive multiplicity, got {m}x({dx},{dy})")
             self.mult[(dx, dy)] = self.mult.get((dx, dy), 0) + m
         self.name = name
 
@@ -92,13 +92,7 @@ def parse_steps(text: str) -> StepMultiset:
         m = _STEP_RE.match(item)
         if m is None:
             raise ValueError(f"bad step item: {item!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
-        dx, dy = int(m.group(2)), int(m.group(3))
-        if mult < 1:
-            raise ValueError(f"multiplicity must be positive: {item!r}")
-        if abs(dx) > 1 or abs(dy) > 1:
-            raise ValueError(f"only small steps are supported: {item!r}")
-        steps.append((dx, dy, mult))
+        steps.append((int(m.group(2)), int(m.group(3)), int(m.group(1) or 1)))
     if not steps:
         raise ValueError("empty step set")
     return StepMultiset(steps, name=lowered)

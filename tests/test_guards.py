@@ -1,10 +1,12 @@
 """Source lints: guards must raise in every interpreter mode, so the package
 has no assert; a guard raises ValueError, the one error the CLI reports as
-a usage error; every name the package imports is read; and every private
-top-level name it defines is read."""
+a usage error; every name the package imports is read; every private
+top-level name it defines is read; and every public one is read or bound
+by the traced benchmark."""
 
 import ast
 import builtins
+import importlib
 from pathlib import Path
 
 import baxterlab
@@ -59,13 +61,15 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
-def test_package_reads_every_private_top_level_name():
-    # a private helper that only tests (or nothing) read belongs in the tests
+def _top_level_names():
+    """(module, name, where) of every name a package module defines at top
+    level, and the set of names the package reads anywhere."""
     root = Path(baxterlab.__file__).parent
     defined = []
     read = set()
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        module = ".".join(("baxterlab", *path.relative_to(root).with_suffix("").parts))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -74,8 +78,8 @@ def test_package_reads_every_private_top_level_name():
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            defined += [(name, f"{path.relative_to(root)}:{node.lineno} {name}")
-                        for name in names if name.startswith("_") and not name.startswith("__")]
+            defined += [(module, name, f"{path.relative_to(root)}:{node.lineno} {name}")
+                        for name in names if not name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -83,6 +87,34 @@ def test_package_reads_every_private_top_level_name():
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
-    assert defined
-    found = [where for name, where in defined if name not in read]
+    return defined, read
+
+
+def test_package_reads_every_private_top_level_name():
+    # a private helper that only tests (or nothing) read belongs in the tests
+    defined, read = _top_level_names()
+    private = [(name, where) for _, name, where in defined if name.startswith("_")]
+    assert private
+    found = [where for name, where in private if name not in read]
     assert found == []
+
+
+def test_every_public_top_level_name_is_read_or_traced(monkeypatch):
+    # a public name that neither the package reads nor the traced benchmark
+    # binds (perfbench/layers.targets()) is API nobody calls; the names only
+    # the benchmark binds are listed so that moving the benchmark onto other
+    # entry points shows which of them can go
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    bound = set()
+    for t in importlib.import_module("layers").targets():
+        module, _, cls = t.owner.partition(":")
+        bound.add((module, cls or t.attr))
+    defined, read = _top_level_names()
+    public = [(module, name, where) for module, name, where in defined
+              if not name.startswith("_")]
+    assert public
+    assert [where for module, name, where in public
+            if name not in read and (module, name) not in bound] == []
+    assert sorted(name for module, name, _ in public
+                  if name not in read and (module, name) in bound) == [
+        "q_table", "sb_via_apery", "total_via_formula"]

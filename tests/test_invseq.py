@@ -90,11 +90,11 @@ def test_valid_extensions_vs_filter():
 def test_valid_extensions_match_the_pattern_scan():
     """The _max_blocked shortcut of the DFS route against an occurrence scan.
 
-    count_avoiders_bruteforce reads its appends off valid_extensions; here
-    every avoider of size <= 7 gets them from the test's two-word matcher
-    instead.  Each e was admitted by the same scan one level up, so a new
-    210 or 100 must use the appended entry: only triples ending there are
-    scanned.
+    count_avoiders_bruteforce reads its appends off _max_blocked, which
+    valid_extensions wraps; here every avoider of size <= 7 gets them from
+    the test's two-word matcher instead.  Each e was admitted by the same
+    scan one level up, so a new 210 or 100 must use the appended entry:
+    only triples ending there are scanned.
     """
     stack = [(0,)]
     seen = 0

@@ -114,6 +114,33 @@ def test_dsl_rejects_garbage():
         rules.parse_rule("row (i, k) for i = 1..h\n")
 
 
+@pytest.mark.parametrize(
+    "text,var,want",
+    [
+        ("-h+2", None, (2, -1, 0, 0)),
+        (" h + k ", None, (0, 1, 1, 0)),
+        ("+3", None, (3, 0, 0, 0)),
+        ("h+k+1-i", "i", (1, 1, 1, -1)),
+        ("h k", None, ValueError),
+        ("2h", None, ValueError),
+        ("--h", None, ValueError),
+        ("+", None, ValueError),
+        ("", None, ValueError),
+        ("   ", "i", ValueError),
+        ("x", "i", ValueError),
+        ("i", None, ValueError),
+    ],
+)
+def test_expression_grammar_edges(text, var, want):
+    # the first term may carry a sign and every later term must; a term is
+    # an integer, h, k or the loop variable
+    if want is ValueError:
+        with pytest.raises(ValueError):
+            rules._affine(text, var)
+    else:
+        assert rules._affine(text, var) == want
+
+
 def test_altered_first_row_collapses_to_weaker_rule():
     """Negative control: loosening one production row must be caught.
 

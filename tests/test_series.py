@@ -29,7 +29,7 @@ def test_laurent_arithmetic():
     assert (p * 0).c == {}
     assert series.omega_geq(series.XSeries([p])).coeff_x(0).c == {(1, 0): 3}
     assert min(p.c) == (-1, 0) and max(p.c) == (1, 0)
-    assert p.eval_at(Fraction(1, 2)) == Fraction(11, 2)
+    assert p.eval_at(Fraction(1, 2), 1) == Fraction(11, 2)
 
 
 def test_two_variable_poly():
@@ -45,6 +45,13 @@ def test_poly_coeff_needs_both_exponents():
     assert p.coeff(0, 0) == 5
     with pytest.raises(TypeError):
         p.coeff(0)
+
+
+def test_poly_eval_at_needs_both_coordinates():
+    p = series.Poly({(1, 1): 1})
+    assert p.eval_at(2, 3) == 6
+    with pytest.raises(TypeError):
+        p.eval_at(2)
 
 
 def test_xseries_product():
@@ -291,7 +298,7 @@ _RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 def test_symbolic_w_at_a_point_is_the_rational_solve(a0, order):
     w = series.solve_W(order)
     at_a0 = series.online_fixpoint((1 + a0) / a0, 1 + a0, a0, order)
-    assert [w.coeff_x(n).eval_at(a0) for n in range(order + 1)] == at_a0.c
+    assert [w.coeff_x(n).eval_at(a0, 1) for n in range(order + 1)] == at_a0.c
 
 
 _GENERIC_POINT = _RATIONAL.filter(lambda q: q not in (0, 1, -1))

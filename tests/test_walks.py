@@ -28,6 +28,12 @@ def test_parse_steps_rejects_garbage():
     assert walks.parse_steps("(1,0);;(0,1);").mult == {(1, 0): 1, (0, 1): 1}
 
 
+@pytest.mark.parametrize("text", ["0x(1,0)", "(2,0)"])
+def test_parse_steps_leaves_step_checks_to_step_multiset(text):
+    with pytest.raises(ValueError, match="small steps"):
+        walks.parse_steps(text)
+
+
 def test_seven_is_five_plus_two_pauses():
     assert walks.SEVEN.mult == {**walks.FIVE.mult, (0, 0): 2}
     assert sum(walks.SEVEN.mult.values()) == 7
