@@ -13,6 +13,19 @@ coefficientwise residuals of the functional equations satisfied by the
 semi and strong label series, invariance probes for the two kernels, and
 a rational-point identity tying F to an explicit rational function
 P = num/den, compared with den cleared so that no series is ever divided.
+
+solve_W and build_F compute on packed coefficients (Kronecker
+substitution): a Laurent polynomial in a becomes (lo, v) with the
+coefficient of a^(lo+i) in the signed b-bit slot at bit i*b of one int v,
+so a coefficient product is one big-int multiply and a sum one shift and
+add.  Each packed value carries exact int bounds on its largest
+|coefficient| and its l1 norm; a product is bounded by
+min(|p|_1 max|q|, |q|_1 max|p|), a sum by the sum of the bounds.  The
+slots start at the width the inputs need and are re-slotted to the
+narrowest whole-byte width that keeps the bound below the sign bit
+whenever an operation would reach it, so no slot ever wraps.  What they
+return is a series of Polys keyed (e, 0); two-variable products stay on
+Poly's dict path.
 """
 
 from __future__ import annotations
@@ -114,6 +127,113 @@ _A = laurent({1: 1})
 _ONE_PLUS_A = laurent({0: 1, 1: 1})
 
 
+def _width(bound: int, b: int) -> int:
+    """The least slot width, at least b and a whole number of bytes, that
+    holds every |c| <= bound with the sign bit clear."""
+    return max(b, 8 * (bound.bit_length() // 8 + 1))
+
+
+def _bias(n: int, h: int, b: int) -> int:
+    """2^(h-1) in each of n b-bit slots.  Added with h = b to a packed
+    value it makes every slot nonnegative, so the slots read as bytes."""
+    return int.from_bytes((1 << h - 1).to_bytes(b // 8, "little") * n, "little")
+
+
+def _slots(v: int, b: int) -> list[bytes]:
+    """The b-bit slots of v, lowest first, each holding its coefficient
+    plus 2^(b-1) (the last slot may hold a zero coefficient)."""
+    n, w = abs(v).bit_length() // b + 1, b // 8
+    raw = (v + _bias(n, b, b)).to_bytes(n * w, "little")
+    return [raw[i:i + w] for i in range(0, n * w, w)]
+
+
+class _Packed:
+    """A Laurent polynomial in a with int coefficients, packed as the
+    module docstring describes: the coefficient of a^(lo+i) in the signed
+    b-bit slot at bit i*b of v, lo the lowest exponent present (0 for
+    zero), mx and l1 the bounds on its largest |coefficient| and l1 norm.
+    Re-slotting (_at) changes the representation in place, never the
+    value; a nonzero value is built and read by one call of solve_W or
+    build_F only.
+    """
+
+    __slots__ = ("lo", "v", "b", "mx", "l1")
+
+    def __init__(self, lo: int, v: int, b: int, mx: int, l1: int):
+        self.lo, self.v, self.b, self.mx, self.l1 = lo, v, b, mx, l1
+
+    def _at(self, b: int) -> "_Packed":
+        if b > self.b and self.v:
+            # zero bytes atop each biased slot widen it; the bias then moves along
+            slots = _slots(self.v, self.b)
+            pad = bytes((b - self.b) // 8)
+            self.v = int.from_bytes(pad.join(slots), "little") - _bias(len(slots), self.b, b)
+            self.b = b
+        return self
+
+    def __bool__(self) -> bool:
+        return bool(self.v)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Packed):
+            return NotImplemented
+        b = max(self.b, other.b)
+        return self.lo == other.lo and self._at(b).v == other._at(b).v
+
+    def __neg__(self) -> "_Packed":
+        return _Packed(self.lo, -self.v, self.b, self.mx, self.l1)
+
+    def __add__(self, other: "_Packed") -> "_Packed":
+        if not other.v:
+            return self
+        if not self.v:
+            return other
+        mx = self.mx + other.mx
+        b = _width(mx, max(self.b, other.b))
+        p, q = (self, other) if self.lo <= other.lo else (other, self)
+        v = p._at(b).v + (q._at(b).v << (q.lo - p.lo) * b)
+        if not v:
+            return _ZERO
+        # equal lowest exponents may cancel: drop the zero slots below the lowest set bit
+        k = ((v & -v).bit_length() - 1) // b if p.lo == q.lo else 0
+        return _Packed(p.lo + k, v >> k * b, b, mx, self.l1 + other.l1)
+
+    def __mul__(self, other: "_Packed | int") -> "_Packed":
+        if not isinstance(other, _Packed):  # an int scalar
+            other = _pack(laurent({0: other}))
+        if not (self.v and other.v):
+            return _ZERO
+        mx = min(self.l1 * other.mx, other.l1 * self.mx)
+        b = _width(mx, max(self.b, other.b))
+        return _Packed(self.lo + other.lo, self._at(b).v * other._at(b).v, b, mx,
+                       self.l1 * other.l1)
+
+
+_ZERO = _Packed(0, 0, 8, 0, 0)  # zero is never re-slotted, so one instance serves all
+
+
+def _pack(p: Poly) -> _Packed:
+    """p, a Laurent polynomial in a with int coefficients, in the narrowest
+    slots its coefficients fit."""
+    if any(j or not isinstance(v, int) for (_, j), v in p.c.items()):
+        raise ValueError(f"only a Laurent polynomial with int coefficients packs, got {p!r}")
+    if not p:
+        return _ZERO
+    (lo, _), (hi, _) = min(p.c), max(p.c)
+    cs = [p.coeff(e, 0) for e in range(lo, hi + 1)]
+    mx = max(map(abs, cs))
+    b = _width(mx, 8)
+    w, half = b // 8, 1 << b - 1
+    v = int.from_bytes(b"".join((c + half).to_bytes(w, "little") for c in cs), "little")
+    return _Packed(lo, v - _bias(len(cs), b, b), b, mx, sum(map(abs, cs)))
+
+
+def _unpack(x: _Packed) -> Poly:
+    half = 1 << x.b - 1
+    return laurent({e: int.from_bytes(s, "little") - half
+                    for e, s in enumerate(_slots(x.v, x.b), x.lo)})
+
+
 def _row(u: list, v: list, k: int):
     """[x^k] of the product of the series with coefficients u and v."""
     terms = [u[i] * v[k - i] for i in range(k + 1) if u[i] and v[k - i]]
@@ -123,8 +243,9 @@ def _row(u: list, v: list, k: int):
 class XSeries:
     """Power series in x truncated at a fixed order.
 
-    The coefficients are Polys in a or exact rationals; the series needs
-    only +, -, *, truth and equality of them (c * 0 is the zero).
+    The coefficients are Polys in a, packed ones (_Packed) or exact
+    rationals; the series needs only +, -, *, truth and equality of them
+    (c * 0 is the zero).
     """
 
     __slots__ = ("c",)
@@ -203,7 +324,8 @@ def solve_W(order: int) -> XSeries:
     1 + 2*a^1 + 1*a^2
     """
     at_least(order, 1, "order")
-    w = online_fixpoint(laurent({-1: 1, 0: 1}), _ONE_PLUS_A, _A, order)
+    packed = online_fixpoint(_pack(laurent({-1: 1, 0: 1})), _pack(_ONE_PLUS_A), _pack(_A), order)
+    w = XSeries(map(_unpack, packed.c))
     for n in range(1, order + 1):
         exps = [e for e, _ in w.coeff_x(n).c]
         if not exps or min(exps) < -(n - 1) or max(exps) > 2 * n:
@@ -247,7 +369,8 @@ def build_F(order: int) -> XSeries:
     The a^0 coefficient of [x^n] is the n-th semi-Baxter number, and the
     nonnegative part in a matches the semi label polynomials at y=z=1+a.
     """
-    return _assemble_F(solve_W(order), lambda c: c)
+    w = XSeries(map(_pack, solve_W(order).c))
+    return XSeries(map(_unpack, _assemble_F(w, _pack).c))
 
 
 def omega_geq(s: XSeries) -> XSeries:

@@ -134,6 +134,15 @@ def test_series_kernel_reports_both_groups(capsys):
     assert any(l.startswith("PASS strong") for l in lines)
 
 
+def test_series_order_is_checked_only_where_it_is_read(capsys):
+    # the kernel probe reads --trials and --seed, never --order
+    code, out, err = run(capsys, ["series", "--check", "kernel", "--order", "1", "--trials", "2"])
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS semi")
+    assert run(capsys, ["series", "--check", "W", "--order", "1"]) == (
+        2, "", "error: --order must be at least 2\n")
+
+
 def test_series_reduced_accepts_fraction_point(capsys):
     # a leading-dash value must be attached with '='
     code, out, _ = run(

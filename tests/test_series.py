@@ -54,6 +54,79 @@ def test_poly_eval_at_needs_both_coordinates():
         p.eval_at(2)
 
 
+# Packed Laurent coefficients (series._Packed) against a plain dict oracle.
+
+
+def _convolve(p: dict, q: dict) -> dict:
+    out = {}
+    for e, u in p.items():
+        for f, v in q.items():
+            out[e + f] = out.get(e + f, 0) + u * v
+    return {e: c for e, c in out.items() if c}
+
+
+def _plus(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, v in q.items():
+        out[e] = out.get(e, 0) + v
+    return {e: c for e, c in out.items() if c}
+
+
+def _packed(d: dict):
+    return series._pack(series.laurent(d))
+
+
+def _as_dict(x) -> dict:
+    return {e: c for (e, _), c in series._unpack(x).c.items()}
+
+
+_BIG = st.integers(-(2 ** 300), 2 ** 300)
+_LAURENT = st.dictionaries(st.integers(-12, 12), _BIG | st.integers(-3, 3), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_LAURENT, q=_LAURENT, cut=st.integers(-13, 13), k=_BIG)
+def test_packed_arithmetic_matches_the_dict_oracle(p, q, cut, k):
+    """Products, sums, negation and int scalars of packed values equal the
+    dict convolution; q also gets the negated low part of p (exponents
+    below cut), so the sum's lowest terms cancel and its lowest exponent
+    must move up."""
+    q = _plus(q, {e: -v for e, v in p.items() if e < cut})
+    pp, qq = _packed(p), _packed(q)
+    want = _plus(p, q)
+    total = pp + qq
+    assert _as_dict(pp * qq) == _convolve(p, q)
+    assert _as_dict(total) == want
+    assert _as_dict(-pp) == {e: -v for e, v in p.items() if v}
+    assert _as_dict(pp * k) == {e: v * k for e, v in p.items() if v * k}
+    assert bool(total) == bool(want)
+    assert total.lo == min(want, default=0)
+    assert total == _packed(want) and (total == pp) == (want == _plus(p, {}))
+    zero = pp + -pp
+    assert not zero and zero == _packed({}) and zero.lo == 0
+
+
+def test_packed_ops_reslot_before_a_slot_would_wrap():
+    """A result whose coefficient bound reaches the sign bit of the current
+    slots is computed in wider slots, never wrapped."""
+    d = {-1: 100, 0: -100, 2: 127}
+    p = _packed(d)
+    assert p.b == 8
+    sq = p * p  # bound 327 * 127 needs 16 bits and a sign bit
+    assert sq.b == 24 and p.b == 24
+    assert _as_dict(sq) == _convolve(d, d)
+    one = _packed({0: 127})
+    two = one + one  # 254 needs a ninth bit
+    assert (two.b, _as_dict(two)) == (16, {0: 254})
+    narrow = _packed({3: -1})
+    assert _as_dict(narrow + sq) == _plus({3: -1}, _as_dict(sq)) and narrow.b == 24
+    assert _as_dict(narrow * 2 ** 200) == {3: -(2 ** 200)}
+    with pytest.raises(ValueError, match="packs"):
+        series._pack(series.Poly({(1, 1): 1}))
+    with pytest.raises(ValueError, match="packs"):
+        series._pack(series.laurent({0: Fraction(1, 2)}))
+
+
 def test_xseries_product():
     zero = series.Poly()
     x = series.XSeries([zero, series.laurent({0: 1}), zero, zero])
@@ -134,6 +207,27 @@ def test_lagrange_cube():
     for k in range(3, 11):
         for s in range(-5, 6):
             assert series.lagrange_coeff(s, k, 3) == w3.coeff_x(k).coeff(s, 0), (s, k)
+
+
+def test_solve_w_past_256_bit_coefficients_matches_lagrange():
+    """At order 80 the coefficients of W pass 256 bits, so its packed slots
+    were widened many times on the way; a sampled (s, k, i) grid of
+    [a^s x^k] W^i equals the inversion formula.  W^2 is read one row at a
+    time; W^3 needs every row of W^2 below k, so it is sampled lower."""
+    order = 80
+    w = series.solve_W(order)
+    assert max(abs(v).bit_length() for v in w.coeff_x(order).c.values()) > 256
+    packed = [series._pack(c) for c in w.c]
+    w2 = [series._row(packed, packed, k) for k in range(41)]
+    powers = {
+        1: {k: w.coeff_x(k) for k in (1, 37, 79, 80)},
+        2: {k: series._unpack(series._row(packed, packed, k)) for k in (2, 61, 80)},
+        3: {k: series._unpack(series._row(packed, w2, k)) for k in (3, 40)},
+    }
+    for i, rows in powers.items():
+        for k, got in rows.items():
+            for s in [*range(1 - k, 2 * k + 1, 11), 2 * k]:
+                assert series.lagrange_coeff(s, k, i) == got.coeff(s, 0), (s, k, i)
 
 
 # ---------------------------------------------------------------------------
