@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import formulas, invseq, perms, rules, series, walks
 
@@ -39,8 +41,28 @@ def _sb_formula(route: str) -> Route:
     return lambda n: formulas.sb_table(n, route)[1:]
 
 
+@dataclass(frozen=True)
+class Recurrence:
+    """A route run by a formulas recurrence, whose terms start at index skip.
+
+    Called, it returns ints like every route.  digits(n_max) streams the
+    same terms as decimal strings, run in exact Decimal arithmetic: the
+    CLI prints from it, since str() of a deep int term is quadratic.
+    """
+
+    run: Callable[..., list]
+    skip: int
+
+    def __call__(self, n_max: int) -> list[int]:
+        return self.run(n_max)[self.skip:]
+
+    def digits(self, n_max: int) -> Iterator[str]:
+        return map(str, islice(self.run(n_max, Decimal(1)), self.skip, None))
+
+
 _SB_ROUTES: dict[str, Route] = {
-    **{route: _sb_formula(route) for route in formulas.SB_ROUTES},
+    "recurrence": Recurrence(lambda n, unit=1: formulas.sb_recurrence(n, unit), 1),
+    **{route: _sb_formula(route) for route in formulas.SB_ROUTES if route != "recurrence"},
     "brute": _perm_brute("semi"),
     "rule": _rule_counts("semi"),
     "invseq": invseq.totals_via_formula,
@@ -59,7 +81,7 @@ FAMILIES: dict[str, dict] = {
         "offset": 1,
         "routes": {
             "closed": lambda n: [formulas.baxter_closed(m) for m in range(1, n + 1)],
-            "ollerton": lambda n: formulas.baxter_recurrence(n)[1:],
+            "ollerton": Recurrence(lambda n, unit=1: formulas.baxter_recurrence(n, unit), 1),
             "rule": _rule_counts("bax"),
             "twisted-rule": _rule_counts("tbax"),
             "brute": _perm_brute("baxter"),
@@ -90,7 +112,7 @@ FAMILIES: dict[str, dict] = {
         "offset": 0,
         "routes": {
             "closed": lambda n: [formulas.apery_closed(m) for m in range(n + 1)],
-            "recurrence": lambda n: formulas.apery_recurrence(n),
+            "recurrence": Recurrence(lambda n, unit=1: formulas.apery_recurrence(n, unit), 0),
         },
     },
     "invseq": {
@@ -119,6 +141,14 @@ class CheckReport:
         return asdict(self)
 
 
+def _term_text(v: int) -> str:
+    """str(v), or v's bit length where v outgrows CPython's int->str digit limit."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"<{abs(v).bit_length()}-bit int>"
+
+
 def compare_routes(
     seqs: Mapping[str, Sequence[int]], offset: int = 1
 ) -> tuple[bool, str]:
@@ -139,7 +169,7 @@ def compare_routes(
                 n = offset + i
                 return False, (
                     f"{names[0]} vs {other} first differ at n={n}: "
-                    f"{base[i]} != {o[i]}"
+                    f"{_term_text(base[i])} != {_term_text(o[i])}"
                 )
     spans = ", ".join(f"{k} to n={offset + len(seqs[k]) - 1}" for k in names)
     return True, f"routes agree ({spans})"

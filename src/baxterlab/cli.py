@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 from . import checks, formulas, series, walks
 from .checks import FAMILIES
@@ -31,34 +31,33 @@ _NUMBERS_ROUTES: dict[str, tuple[str, ...]] = {
 
 
 def _emit_terms(
-    family: str, route: str, offset: int, values: Sequence[int], fmt: str
+    family: str, route: str, offset: int, digits: Iterable[str], fmt: str
 ) -> None:
-    # terms can outgrow CPython's int->str digit limit; lift it while printing
+    """Print the terms n = offset, offset + 1, ... from their decimal digit
+    strings, one at a time; json is the text json.dumps gives the int terms."""
+    # int terms are converted lazily in the loops below and can outgrow
+    # CPython's int->str digit limit; lift it while printing
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         if fmt == "plain":
-            for v in values:
-                print(v)
+            for d in digits:
+                print(d)
         elif fmt == "bfile":
-            for i, v in enumerate(values):
-                print(f"{offset + i} {v}")
+            for n, d in enumerate(digits, offset):
+                print(f"{n} {d}")
         elif fmt == "csv":
             writer = csv.writer(sys.stdout)
             writer.writerow(["n", "value"])
-            for i, v in enumerate(values):
-                writer.writerow([offset + i, v])
+            writer.writerows(enumerate(digits, offset))
         else:
-            print(
-                json.dumps(
-                    {
-                        "family": family,
-                        "route": route,
-                        "offset": offset,
-                        "terms": list(values),
-                    }
-                )
-            )
+            head = json.dumps({"family": family, "route": route, "offset": offset, "terms": []})
+            print(head[:-2], end="")
+            sep = ""
+            for d in digits:
+                print(sep, d, sep="", end="")
+                sep = ", "
+            print("]}")
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -81,7 +80,12 @@ def _run_family(
     if n_max < offset:
         print(f"error: --n-max must be at least {offset}", file=sys.stderr)
         return 2
-    _emit_terms(family, route, offset, routes[route](n_max), fmt)
+    terms_of = routes[route]
+    if isinstance(terms_of, checks.Recurrence):
+        digits = terms_of.digits(n_max)
+    else:
+        digits = map(str, terms_of(n_max))
+    _emit_terms(family, route, offset, digits, fmt)
     return 0
 
 
@@ -172,7 +176,7 @@ def _cmd_walks(args: argparse.Namespace) -> int:
     else:
         values = walks.walk_totals(steps, args.n_max)
     label = "excursions" if args.excursions else "walks"
-    _emit_terms(label, steps.name or args.steps, 0, values, args.format)
+    _emit_terms(label, steps.name or args.steps, 0, map(str, values), args.format)
     return 0
 
 

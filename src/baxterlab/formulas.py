@@ -1,7 +1,8 @@
 """Closed formulas, recurrences, and asymptotics for the number families.
 
-Every route is evaluated in exact arithmetic: recurrences divide big
-integers with an exactness guard; the closed sums read their binomials
+Every route is evaluated in exact arithmetic: the order-2 recurrences
+divide big integers with an exactness guard, in ints or, for printing, in
+exact Decimal integers (see _order2); the closed sums read their binomials
 from exact multiplicative runs (one math.comb per row or diagonal, then
 one exact step per entry) and divide by their prefactor's denominator
 with the same guard; the big-sum formula carries its rational prefactor
@@ -17,8 +18,10 @@ the Baxter table starts B_0 = 0, and the Apery-like table starts a_0 = 1.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
+from typing import Callable
 
 
 def binom(n: int, k: int) -> int:
@@ -86,11 +89,46 @@ def catalan(n: int) -> int:
     return _exact_div(binom(2 * n, n), n + 1, "catalan")
 
 
+# No operation may round.  Only +, * and divmod run under it, never /,
+# whose results need not terminate at this precision.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
+
+def _order2(name: str, t0: int, t1: int, n_max: int, unit: int | decimal.Decimal,
+            coeffs: Callable[[int], tuple[int, int, int]]) -> list:
+    """t_0..t_n_max from t_0, t_1 and r t_n = p t_{n-1} + q t_{n-2}, with
+    (p, q, r) = coeffs(n) for n >= 2.
+
+    The terms are the seeds times `unit`: ints for the int 1, or exact
+    Decimal integers for Decimal(1), whose str() is linear where an
+    int's is quadratic (libmpdec stores base 10^19 digits).  A remainder,
+    or any decimal signal, raises ValueError naming the term name_n.
+
+    >>> _order2("t", 1, 1, 5, 1, lambda n: (1, 1, 1))
+    [1, 1, 2, 3, 5, 8]
+    >>> _order2("t", 1, 1, 5, decimal.Decimal(1), lambda n: (1, 1, 1))[-1]
+    Decimal('8')
+    """
+    terms = [t0 * unit, t1 * unit][:n_max + 1]
+    with decimal.localcontext(_EXACT):
+        for n in range(2, n_max + 1):
+            p, q, r = coeffs(n)
+            try:
+                t, rem = divmod(p * terms[-1] + q * terms[-2], r)
+            except ArithmeticError as exc:
+                raise ValueError(f"{name}_{n}: {type(exc).__name__} in the exact step") from None
+            if rem:
+                raise ValueError(f"{name}_{n}: {r} does not divide the right-hand side")
+            terms.append(t)
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # semi-Baxter numbers
 
-def sb_recurrence(n_max: int) -> list[int]:
-    """SB_0..SB_n_max by the quadratic-coefficient recurrence.
+def sb_recurrence(n_max: int, unit: int | decimal.Decimal = 1) -> list:
+    """SB_0..SB_n_max by the quadratic-coefficient recurrence, as _order2 runs it.
 
     SB_0 = 0, SB_1 = 1 and
     (n+4)(n+3) SB_n = (11n^2+11n-6) SB_{n-1} + (n-3)(n-2) SB_{n-2}.
@@ -99,11 +137,8 @@ def sb_recurrence(n_max: int) -> list[int]:
     [0, 1, 2, 6, 23, 104, 530, 2958]
     """
     at_least(n_max, 1, "n_max")
-    sb = [0, 1]
-    for n in range(2, n_max + 1):
-        num = (11 * n * n + 11 * n - 6) * sb[n - 1] + (n - 3) * (n - 2) * sb[n - 2]
-        sb.append(_exact_div(num, (n + 4) * (n + 3), f"SB_{n}"))
-    return sb
+    return _order2("SB", 0, 1, n_max, unit,
+                   lambda n: (11 * n * n + 11 * n - 6, (n - 3) * (n - 2), (n + 4) * (n + 3)))
 
 
 def sb_summand(n: int, j: int) -> Fraction:
@@ -202,14 +237,12 @@ def apery_closed(n: int) -> int:
                                          _binom_run(n, 0, n + 1, True)))
 
 
-def apery_recurrence(n_max: int) -> list[int]:
-    """a_0..a_n_max from (n+1)^2 a_{n+1} = (11n^2+11n+3) a_n + n^2 a_{n-1}."""
+def apery_recurrence(n_max: int, unit: int | decimal.Decimal = 1) -> list:
+    """a_0..a_n_max from a_0 = 1, a_1 = 3 and, as _order2 runs it,
+    n^2 a_n = (11n^2-11n+3) a_{n-1} + (n-1)^2 a_{n-2}."""
     at_least(n_max, 0, "n_max")
-    a = [1]
-    for n in range(n_max):
-        num = (11 * n * n + 11 * n + 3) * a[n] + (n * n * a[n - 1] if n else 0)
-        a.append(_exact_div(num, (n + 1) ** 2, f"apery a_{n + 1}"))
-    return a
+    return _order2("apery a", 1, 3, n_max, unit,
+                   lambda n: (11 * n * n - 11 * n + 3, (n - 1) ** 2, n * n))
 
 
 def sb_via_apery(n: int) -> int:
@@ -244,18 +277,16 @@ def baxter_closed(n: int) -> int:
     return _exact_div(2 * s, n * (n + 1) ** 2, f"B_{n}")
 
 
-def baxter_recurrence(n_max: int) -> list[int]:
-    """B_0..B_n_max with (n+3)(n+2) B_n = (7n^2+7n-2) B_{n-1} + 8(n-2)(n-1) B_{n-2}.
+def baxter_recurrence(n_max: int, unit: int | decimal.Decimal = 1) -> list:
+    """B_0..B_n_max with (n+3)(n+2) B_n = (7n^2+7n-2) B_{n-1} + 8(n-2)(n-1) B_{n-2},
+    as _order2 runs it.
 
     >>> baxter_recurrence(6)
     [0, 1, 2, 6, 22, 92, 422]
     """
     at_least(n_max, 1, "n_max")
-    b = [0, 1]
-    for n in range(2, n_max + 1):
-        num = (7 * n * n + 7 * n - 2) * b[n - 1] + 8 * (n - 2) * (n - 1) * b[n - 2]
-        b.append(_exact_div(num, (n + 3) * (n + 2), f"B_{n}"))
-    return b
+    return _order2("B", 0, 1, n_max, unit,
+                   lambda n: (7 * n * n + 7 * n - 2, 8 * (n - 2) * (n - 1), (n + 3) * (n + 2)))
 
 
 # ---------------------------------------------------------------------------

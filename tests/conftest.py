@@ -107,3 +107,16 @@ def filter_census():
                 if not any(flags[name] for name in needed):
                     counts[cls][n - 1] += 1
     return counts
+
+
+def corrupt_recurrences(monkeypatch, at: int, corrupt) -> None:
+    """Make every order-2 recurrence step n = `at` use corrupt(p, q, r)."""
+    from baxterlab import formulas
+
+    run = formulas._order2
+
+    def corrupted(name, t0, t1, n_max, unit, coeffs):
+        return run(name, t0, t1, n_max, unit,
+                   lambda n: corrupt(*coeffs(n)) if n == at else coeffs(n))
+
+    monkeypatch.setattr(formulas, "_order2", corrupted)

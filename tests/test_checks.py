@@ -142,6 +142,24 @@ def test_elapsed_times_sum_within_wall_time():
     assert sum(r.elapsed_ms for r in reports) <= wall_ms * 1.05
 
 
+def test_compare_routes_names_terms_past_the_int_str_limit():
+    # str() of a term past 4,300 digits raises; the detail gives its size
+    big = 10 ** 4400
+    ok, detail = checks.compare_routes({"x": [1, big], "y": [1, big + 1]}, offset=5)
+    assert not ok
+    assert detail == "x vs y first differ at n=6: <14617-bit int> != <14617-bit int>"
+    ok, detail = checks.compare_routes({"good": [1, 2, 6], "bad": [1, 2, -7]})
+    assert detail == "bad vs good first differ at n=3: -7 != 6"
+
+
+def test_every_route_returns_plain_ints():
+    # Decimal terms are for printing only: no check may compare them
+    for family, cfg in checks.FAMILIES.items():
+        for route, terms in cfg["routes"].items():
+            values = terms(6)
+            assert values and all(type(v) is int for v in values), (family, route)
+
+
 def test_compare_routes_needs_two_routes():
     with pytest.raises(ValueError, match="two routes"):
         checks.compare_routes({"only": [1, 2, 6]})

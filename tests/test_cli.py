@@ -1,5 +1,7 @@
 """End-to-end command line behavior, format for format."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 import baxterlab
 from baxterlab import checks, cli
 
-from conftest import naive_walk_tables
+from conftest import corrupt_recurrences, naive_walk_tables
 
 
 def run(capsys, argv):
@@ -237,9 +239,52 @@ def test_numbers_print_terms_past_the_int_str_limit(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, _ = run(capsys, ["numbers", "--family", "sb", "--n-max", "4470"])
     assert code == 0
-    last = out.splitlines()[-1]
+    lines = out.splitlines()
+    last = lines[-1]
     assert last.startswith("4470 ") and len(last) > 4300 + len("4470 ")
     assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run(capsys, ["numbers", "--family", "sb", "--n-max", "4470",
+                                "--format", "json"])
+    assert code == 0
+    head = '{"family": "sb", "route": "recurrence", "offset": 1, "terms": ['
+    assert out.startswith(head) and out.endswith("]}\n")
+    assert out[len(head):-3].split(", ") == [line.split()[1] for line in lines]
+    assert sys.get_int_max_str_digits() == limit
+
+
+RECURRENCE_ROUTES = [("sb", "recurrence"), ("baxter", "ollerton"), ("apery", "recurrence")]
+
+
+@pytest.mark.parametrize("family, route", RECURRENCE_ROUTES)
+def test_recurrence_routes_print_the_text_of_their_int_terms(capsys, family, route):
+    # these routes print from Decimal terms; every format must match the ints'
+    offset = checks.FAMILIES[family]["offset"]
+    terms = checks.FAMILIES[family]["routes"][route](300)
+    table = io.StringIO()
+    csv.writer(table).writerows([("n", "value"), *enumerate(terms, offset)])
+    want = {
+        "plain": "".join(f"{v}\n" for v in terms),
+        "bfile": "".join(f"{n} {v}\n" for n, v in enumerate(terms, offset)),
+        "csv": table.getvalue(),
+        "json": json.dumps({"family": family, "route": route, "offset": offset,
+                            "terms": terms}) + "\n",
+    }
+    for fmt, text in want.items():
+        argv = ["seq", "--family", family, "--route", route, "--n-max", "300", "--format", fmt]
+        assert run(capsys, argv) == (0, text, ""), fmt
+
+
+@pytest.mark.parametrize("family, route", RECURRENCE_ROUTES)
+@pytest.mark.parametrize("corrupt", [lambda p, q, r: (p + 1, q, r),
+                                     lambda p, q, r: (p, q, 0)])
+def test_corrupted_recurrence_exits_2_without_traceback(capsys, monkeypatch, family, route,
+                                                        corrupt):
+    corrupt_recurrences(monkeypatch, 40, corrupt)
+    argv = ["seq", "--family", family, "--route", route, "--n-max", "60", "--format", "bfile"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "_40: " in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import baxterlab
 from baxterlab import formulas
 
-from conftest import APERY, BAXTER, CATALAN, SB
+from conftest import APERY, BAXTER, CATALAN, SB, corrupt_recurrences
 
 
 def test_binom_and_catalan():
@@ -113,10 +114,14 @@ def test_exact_division_guard_raises_under_optimize():
     # bare asserts would vanish under -O: total_via_formula(0) returned 1,
     # q_table(0) {}, and the others died with IndexError or ZeroDivisionError
     code = (
+        "from decimal import Decimal\n"
         "from baxterlab import formulas, invseq\n"
         "for call in (lambda: formulas._exact_div(7, 2, 'parity check'),\n"
         "             lambda: formulas.binom(-1, 0),\n"
         "             lambda: formulas._binom_run(5, -1, 3, False),\n"
+        "             lambda: formulas._order2('t', 1, 1, 5, 1, lambda n: (1, 1, 3)),\n"
+        "             lambda: formulas._order2('t', 1, 1, 5, Decimal(1), lambda n: (1, 1, 3)),\n"
+        "             lambda: formulas._order2('t', 1, 1, 5, Decimal(1), lambda n: (1, 1, 0)),\n"
         "             lambda: formulas.sb_sum_formula(1),\n"
         "             lambda: formulas.sb_simple_formula(4, 'e'),\n"
         "             lambda: formulas.baxter_closed(0),\n"
@@ -134,6 +139,33 @@ def test_exact_division_guard_raises_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr + done.stdout
+
+
+# The recurrences behind the printed routes, and the name of their term n.
+_RECURRENCES = [(formulas.sb_recurrence, "SB"), (formulas.baxter_recurrence, "B"),
+                (formulas.apery_recurrence, "apery a")]
+
+
+@pytest.mark.parametrize("recurrence, name", _RECURRENCES)
+def test_decimal_recurrence_terms_equal_the_int_terms(recurrence, name):
+    ints, decs = recurrence(400), recurrence(400, Decimal(1))
+    assert all(type(d) is Decimal for d in decs)
+    assert [int(d) for d in decs] == ints
+    assert [str(d) for d in decs] == [str(v) for v in ints]
+
+
+@pytest.mark.parametrize("unit", [1, Decimal(1)])
+@pytest.mark.parametrize("recurrence, name", _RECURRENCES)
+@pytest.mark.parametrize("corrupt, why", [
+    (lambda p, q, r: (p + 1, q, r), "does not divide"),
+    (lambda p, q, r: (p, q, 0), "ZeroDivisionError|InvalidOperation"),  # int or Decimal
+    (lambda p, q, r: (p, q, Decimal("sNaN")), "InvalidOperation"),
+])
+def test_corrupted_recurrence_step_names_its_term(monkeypatch, unit, recurrence, name,
+                                                  corrupt, why):
+    corrupt_recurrences(monkeypatch, 40, corrupt)
+    with pytest.raises(ValueError, match=f"^{name}_40: .*({why})"):
+        recurrence(60, unit)
 
 
 def test_asymptotic_constants():
