@@ -25,6 +25,7 @@ from itertools import islice
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import formulas, invseq, perms, rules, series, walks
+from .formulas import _term_text
 
 Route = Callable[[int], Sequence[int]]
 
@@ -139,14 +140,6 @@ class CheckReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _term_text(v: int) -> str:
-    """str(v), or v's bit length where v outgrows CPython's int->str digit limit."""
-    try:
-        return str(v)
-    except ValueError:
-        return f"<{abs(v).bit_length()}-bit int>"
 
 
 def compare_routes(

@@ -46,10 +46,18 @@ def at_least(value: int, low: int, name: str) -> None:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+def _term_text(v: int) -> str:
+    """str(v), or v's bit length where v outgrows CPython's int->str digit limit."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"<{abs(v).bit_length()}-bit int>"
+
+
 def _exact_div(num: int, den: int, what: str) -> int:
     q, r = divmod(num, den)
     if r:
-        raise ValueError(f"{what}: {num}/{den} is not an integer")
+        raise ValueError(f"{what}: {_term_text(num)}/{_term_text(den)} is not an integer")
     return q
 
 

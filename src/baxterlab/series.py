@@ -10,9 +10,11 @@ a symbolic a and at a rational point, its companion F(a,W) whose
 nonnegative part in a reproduces the semi-Baxter label polynomials
 evaluated at y = z = 1+a, Lagrange-inversion coefficient extraction,
 coefficientwise residuals of the functional equations satisfied by the
-semi and strong label series, invariance probes for the two kernels, and
-a rational-point identity tying F to an explicit rational function
-P = num/den, compared with den cleared so that no series is ever divided.
+semi and strong label series, invariance probes for the two kernels
+(the open orbit counted mod a prime, and recounted over Q only when
+that count proves nothing), and a rational-point identity tying F to
+an explicit rational function P = num/den, compared with den cleared
+so that no series is ever divided.
 
 solve_W and build_F compute on packed coefficients (Kronecker
 substitution): a Laurent polynomial in a becomes (lo, v) with the
@@ -501,17 +503,55 @@ _KERNELS: dict[str, tuple[Callable, Callable, Callable, int | str]] = {
 }
 
 
-def kernel_orbit(group: str, a: Rat, b: Rat, limit: int = 200) -> int:
-    """Closure size of (a, b) under the two kernel-preserving maps.
+# The open orbit is counted mod this prime; see kernel_orbit.
+_P = 2**61 - 1
 
-    Exploration stops once more than `limit` distinct points have been
-    seen, so a size above `limit` means the orbit did not close by then.
 
-    >>> kernel_orbit("semi", Fraction(2, 3), Fraction(7, 5))
-    10
+class _ModP(int):
+    """A residue mod _P whose + - * / stay mod _P, so the _KERNELS maps
+    written for Fraction run on it unchanged.  Division by a residue 0
+    raises pow's ValueError, the mod-p image of a pole.
+
+    >>> _ModP(3) / 2 * 2, 1 - _ModP(1) / 3 * 3
+    (3, 0)
     """
-    _, phi, psi, _ = _KERNELS[group]
-    start = (Fraction(a), Fraction(b))
+
+    __slots__ = ()
+
+    def __add__(self, o: int) -> "_ModP":
+        return _ModP(int.__add__(self, o) % _P)
+
+    def __sub__(self, o: int) -> "_ModP":
+        return _ModP(int.__sub__(self, o) % _P)
+
+    def __rsub__(self, o: int) -> "_ModP":
+        return _ModP(int.__sub__(o, self) % _P)
+
+    def __mul__(self, o: int) -> "_ModP":
+        return _ModP(int.__mul__(self, o) % _P)
+
+    def __truediv__(self, o: int) -> "_ModP":
+        return self * pow(o, -1, _P)
+
+    def __rtruediv__(self, o: int) -> "_ModP":
+        return _ModP(o * pow(self, -1, _P) % _P)
+
+    def __neg__(self) -> "_ModP":
+        return _ModP(-int(self) % _P)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+def _mod_p(r: Rat) -> _ModP:
+    """The image of a rational in GF(_P); ValueError if _P divides its denominator."""
+    r = Fraction(r)
+    return _ModP(r.numerator % _P) / r.denominator
+
+
+def _orbit_size(phi: Callable, psi: Callable, start: tuple, limit: int) -> int:
+    """Breadth-first closure of start under phi and psi, stopped once more
+    than `limit` distinct points have been seen."""
     seen = {start}
     frontier = [start]
     while frontier and len(seen) <= limit:
@@ -526,6 +566,37 @@ def kernel_orbit(group: str, a: Rat, b: Rat, limit: int = 200) -> int:
     return len(seen)
 
 
+def kernel_orbit(group: str, a: Rat, b: Rat, limit: int = 200) -> int:
+    """Closure size of (a, b) under the two kernel-preserving maps.
+
+    Exploration stops once more than `limit` distinct points have been
+    seen, so a size above `limit` means the orbit did not close by then.
+
+    An open group's orbit is first counted mod p = 2^61 - 1, whose
+    residues stay at 61 bits where the rational points grow to thousands
+    of bits.  That count is trusted only when it exceeds `limit`: no
+    denominator met was 0 mod p, so reduction commutes with both maps
+    and each point reduces to its orbit point over Q, and points
+    distinct mod p are distinct over Q, so the orbit over Q has more
+    than `limit` points too.  A pole mod p or an orbit that closes mod p proves
+    nothing over Q, so then the orbit is recounted over Fraction, which
+    also raises ZeroDivisionError at a true pole.  A finite group is
+    always counted over Fraction, since closing mod p is no closure.
+
+    >>> kernel_orbit("semi", Fraction(2, 3), Fraction(7, 5))
+    10
+    """
+    _, phi, psi, order = _KERNELS[group]
+    if order == "open":
+        try:
+            size = _orbit_size(phi, psi, (_mod_p(a), _mod_p(b)), limit)
+        except ValueError:
+            size = 0
+        if size > limit:
+            return size
+    return _orbit_size(phi, psi, (Fraction(a), Fraction(b)), limit)
+
+
 def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     """Probe kernel invariance and orbit closure at random rational points.
 
@@ -535,6 +606,11 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     hit a pole, and semi points with a nontrivial stabiliser (an orbit
     that closes at a proper divisor of 10), are re-drawn, at most 10
     times each; then it raises ValueError.
+
+    Only an open orbit's size may come from kernel_orbit's count mod p.
+    The kernel values are compared over Fraction, and the semi orbit is
+    counted over Fraction, because equality mod p, and closing mod p,
+    would not prove it over Q.
     """
     if group not in _KERNELS:
         raise ValueError(f"unknown kernel group {group!r}")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import baxterlab
-from baxterlab import checks
+from baxterlab import checks, formulas
 
 
 def test_compare_routes_agree():
@@ -150,6 +150,14 @@ def test_compare_routes_names_terms_past_the_int_str_limit():
     assert detail == "x vs y first differ at n=6: <14617-bit int> != <14617-bit int>"
     ok, detail = checks.compare_routes({"good": [1, 2, 6], "bad": [1, 2, -7]})
     assert detail == "bad vs good first differ at n=3: -7 != 6"
+
+
+def test_exact_div_names_terms_past_the_int_str_limit():
+    # the guard's message shares compare_routes' rule for huge terms
+    with pytest.raises(ValueError, match=r"^SB_9999 simple-a: <14617-bit int>/2 is not an"):
+        formulas._exact_div(10 ** 4400 + 1, 2, "SB_9999 simple-a")
+    with pytest.raises(ValueError, match=r"^B_3: 7/2 is not an integer$"):
+        formulas._exact_div(7, 2, "B_3")
 
 
 def test_every_route_returns_plain_ints():

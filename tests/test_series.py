@@ -332,6 +332,92 @@ def test_kernel_orbit_sizes():
     assert size > 200
 
 
+# Rationals whose denominators avoid p, so that reduction mod p is defined.
+_UNITS = st.fractions(max_denominator=10**30).filter(
+    lambda r: r.denominator % series._P)
+
+
+@settings(max_examples=50, deadline=None)
+@given(r=_UNITS, s=_UNITS)
+def test_reduction_mod_p_is_a_ring_map(r, s):
+    red = series._mod_p
+    assert red(r + s) == red(r) + red(s)
+    assert red(r - s) == red(r) - red(s)
+    assert red(r * s) == red(r) * red(s)
+    assert red(-r) == -red(r)
+    assert red(1 - r) == 1 - red(r) and red(1 + r) == 1 + red(r)
+    assert red(2 * r) == 2 * red(r)
+    assert all(type(v) is series._ModP for v in (red(r) + red(s), 1 - red(r), -red(r)))
+    if s and red(s):
+        assert red(r / s) == red(r) / red(s)
+        assert red(7 / s) == 7 / red(s)
+    else:
+        with pytest.raises(ValueError):
+            red(r) / red(s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(min_value=-3, max_value=3).filter(bool), v=_UNITS)
+def test_division_by_a_multiple_of_p_raises_value_error(k, v):
+    zero = series._mod_p(k * series._P)
+    assert zero == 0
+    for divide in (lambda: series._mod_p(v) / zero, lambda: 1 / zero,
+                   lambda: series._mod_p(v) / (k * series._P),
+                   lambda: series._mod_p(Fraction(1, k * series._P))):
+        with pytest.raises(ValueError):
+            divide()
+
+
+def _fraction_orbit(group, a, b, limit):
+    """Plain breadth-first orbit over Fraction, the oracle for kernel_orbit."""
+    _, phi, psi, _ = series._KERNELS[group]
+    level = {(Fraction(a), Fraction(b))}
+    seen = set(level)
+    while level and len(seen) <= limit:
+        level = {f(*p) for p in level for f in (phi, psi)} - seen
+        seen |= level
+    return len(seen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.fractions(min_value=-9, max_value=9, max_denominator=9),
+       b=st.fractions(min_value=-9, max_value=9, max_denominator=9))
+def test_strong_orbit_equals_a_fraction_oracle(a, b):
+    try:
+        expected = _fraction_orbit("strong", a, b, 30)
+    except ZeroDivisionError:
+        assume(False)
+    assert series.kernel_orbit("strong", a, b, limit=30) == expected
+
+
+@pytest.mark.parametrize("a, b", [(1, series._P), (Fraction(1, series._P), 3)],
+                         ids=["b=p", "a=1/p"])
+def test_strong_orbit_falls_back_to_fraction_at_a_pole_mod_p(a, b):
+    # b = p is 0 mod p, so phi's (1 + a) / b is a pole there but not over Q;
+    # 1/p has no image mod p at all
+    assert series.kernel_orbit("strong", a, b, 100) == 101
+
+
+def test_strong_orbit_raises_at_a_pole_over_q():
+    with pytest.raises(ZeroDivisionError):
+        series.kernel_orbit("strong", 1, 0, 100)
+
+
+def test_closed_open_orbit_is_counted_exactly(monkeypatch):
+    # maps of finite order under the "open" marker: the orbit closes mod p,
+    # which proves nothing, so the exact count decides and the probe fails
+    value, _, _, _ = series._KERNELS["strong"]
+    swap, negate = (lambda a, b: (b, a)), (lambda a, b: (-a, b))
+    monkeypatch.setitem(series._KERNELS, "strong", (value, swap, negate, "open"))
+    assert series.kernel_orbit("strong", Fraction(2, 3), Fraction(5, 7), 100) == 8
+    assert series.kernel_orbit("strong", Fraction(2, 3), Fraction(2, 3), 100) == 4
+    # 1 + p and 1 meet mod p, so the orbit closes at 4 points there
+    assert series.kernel_orbit("strong", 1, 1 + series._P, 100) == 8
+    rep = series.kernel_invariance("strong", trials=2, seed=11)
+    assert not rep["orbit_ok"] and not rep["ok"]
+    assert all(s <= 8 for s in rep["orbit_sizes"])
+
+
 def test_kernel_invariance_reports():
     rep = series.kernel_invariance("semi", trials=3, seed=11)
     assert rep["ok"] and rep["invariant_ok"] and rep["orbit_ok"]
