@@ -16,18 +16,14 @@ that count proves nothing), and a rational-point identity tying F to
 an explicit rational function P = num/den, compared with den cleared
 so that no series is ever divided.
 
-solve_W and build_F compute on packed coefficients (Kronecker
-substitution): a Laurent polynomial in a becomes (lo, v) with the
-coefficient of a^(lo+i) in the signed b-bit slot at bit i*b of one int v,
-so a coefficient product is one big-int multiply and a sum one shift and
-add.  Each packed value carries exact int bounds on its largest
-|coefficient| and its l1 norm; a product is bounded by
-min(|p|_1 max|q|, |q|_1 max|p|), a sum by the sum of the bounds.  The
-slots start at the width the inputs need and are re-slotted to the
-narrowest whole-byte width that keeps the bound below the sign bit
-whenever an operation would reach it, so no slot ever wraps.  What they
-return is a series of Polys keyed (e, 0); two-variable products stay on
-Poly's dict path.
+solve_W and build_F compute on plain ints (Kronecker substitution).  With
+x = t*a the equation reads W = t(1+a)(W+1+a)(W+a), whose coefficients in
+a are nonnegative, so every [t^n]W is a polynomial in a with nonnegative
+int coefficients, each at most its value at a = 1.  Solved once at a = 1
+for that bound and once at a = 2^b with b wide enough, each coefficient
+of W (or of F, assembled from it the same way) is one int whose signed
+b-bit digits are its coefficients in a.  What they return is a series of
+Polys keyed (e, 0); two-variable products stay on Poly's dict path.
 """
 
 from __future__ import annotations
@@ -125,115 +121,22 @@ def laurent(coeffs: Mapping[int, Rat]) -> Poly:
     return Poly({(e, 0): v for e, v in coeffs.items()})
 
 
-_A = laurent({1: 1})
 _ONE_PLUS_A = laurent({0: 1, 1: 1})
 
 
-def _width(bound: int, b: int) -> int:
-    """The least slot width, at least b and a whole number of bytes, that
-    holds every |c| <= bound with the sign bit clear."""
-    return max(b, 8 * (bound.bit_length() // 8 + 1))
+def _digits(v: int, b: int, lo: int) -> Poly:
+    """The Laurent polynomial sum d_i a^(lo+i) read off the signed b-bit
+    digits of v = sum d_i 2^(b*i), |d_i| < 2^(b-1), b a whole number of
+    bytes.
 
-
-def _bias(n: int, h: int, b: int) -> int:
-    """2^(h-1) in each of n b-bit slots.  Added with h = b to a packed
-    value it makes every slot nonnegative, so the slots read as bytes."""
-    return int.from_bytes((1 << h - 1).to_bytes(b // 8, "little") * n, "little")
-
-
-def _slots(v: int, b: int) -> list[bytes]:
-    """The b-bit slots of v, lowest first, each holding its coefficient
-    plus 2^(b-1) (the last slot may hold a zero coefficient)."""
-    n, w = abs(v).bit_length() // b + 1, b // 8
-    raw = (v + _bias(n, b, b)).to_bytes(n * w, "little")
-    return [raw[i:i + w] for i in range(0, n * w, w)]
-
-
-class _Packed:
-    """A Laurent polynomial in a with int coefficients, packed as the
-    module docstring describes: the coefficient of a^(lo+i) in the signed
-    b-bit slot at bit i*b of v, lo the lowest exponent present (0 for
-    zero), mx and l1 the bounds on its largest |coefficient| and l1 norm.
-    Re-slotting (_at) changes the representation in place, never the
-    value; a nonzero value is built and read by one call of solve_W or
-    build_F only.
+    >>> _digits(5 - (3 << 8), 8, -1)
+    5*a^-1 + -3
     """
-
-    __slots__ = ("lo", "v", "b", "mx", "l1")
-
-    def __init__(self, lo: int, v: int, b: int, mx: int, l1: int):
-        self.lo, self.v, self.b, self.mx, self.l1 = lo, v, b, mx, l1
-
-    def _at(self, b: int) -> "_Packed":
-        if b > self.b and self.v:
-            # zero bytes atop each biased slot widen it; the bias then moves along
-            slots = _slots(self.v, self.b)
-            pad = bytes((b - self.b) // 8)
-            self.v = int.from_bytes(pad.join(slots), "little") - _bias(len(slots), self.b, b)
-            self.b = b
-        return self
-
-    def __bool__(self) -> bool:
-        return bool(self.v)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Packed):
-            return NotImplemented
-        b = max(self.b, other.b)
-        return self.lo == other.lo and self._at(b).v == other._at(b).v
-
-    def __neg__(self) -> "_Packed":
-        return _Packed(self.lo, -self.v, self.b, self.mx, self.l1)
-
-    def __add__(self, other: "_Packed") -> "_Packed":
-        if not other.v:
-            return self
-        if not self.v:
-            return other
-        mx = self.mx + other.mx
-        b = _width(mx, max(self.b, other.b))
-        p, q = (self, other) if self.lo <= other.lo else (other, self)
-        v = p._at(b).v + (q._at(b).v << (q.lo - p.lo) * b)
-        if not v:
-            return _ZERO
-        # equal lowest exponents may cancel: drop the zero slots below the lowest set bit
-        k = ((v & -v).bit_length() - 1) // b if p.lo == q.lo else 0
-        return _Packed(p.lo + k, v >> k * b, b, mx, self.l1 + other.l1)
-
-    def __mul__(self, other: "_Packed | int") -> "_Packed":
-        if not isinstance(other, _Packed):  # an int scalar
-            other = _pack(laurent({0: other}))
-        if not (self.v and other.v):
-            return _ZERO
-        mx = min(self.l1 * other.mx, other.l1 * self.mx)
-        b = _width(mx, max(self.b, other.b))
-        return _Packed(self.lo + other.lo, self._at(b).v * other._at(b).v, b, mx,
-                       self.l1 * other.l1)
-
-
-_ZERO = _Packed(0, 0, 8, 0, 0)  # zero is never re-slotted, so one instance serves all
-
-
-def _pack(p: Poly) -> _Packed:
-    """p, a Laurent polynomial in a with int coefficients, in the narrowest
-    slots its coefficients fit."""
-    if any(j or not isinstance(v, int) for (_, j), v in p.c.items()):
-        raise ValueError(f"only a Laurent polynomial with int coefficients packs, got {p!r}")
-    if not p:
-        return _ZERO
-    (lo, _), (hi, _) = min(p.c), max(p.c)
-    cs = [p.coeff(e, 0) for e in range(lo, hi + 1)]
-    mx = max(map(abs, cs))
-    b = _width(mx, 8)
-    w, half = b // 8, 1 << b - 1
-    v = int.from_bytes(b"".join((c + half).to_bytes(w, "little") for c in cs), "little")
-    return _Packed(lo, v - _bias(len(cs), b, b), b, mx, sum(map(abs, cs)))
-
-
-def _unpack(x: _Packed) -> Poly:
-    half = 1 << x.b - 1
-    return laurent({e: int.from_bytes(s, "little") - half
-                    for e, s in enumerate(_slots(x.v, x.b), x.lo)})
+    n, w, half = abs(v).bit_length() // b + 1, b // 8, 1 << b - 1
+    bias = int.from_bytes(half.to_bytes(w, "little") * n, "little")  # 2^(b-1) in every digit
+    raw = (v + bias).to_bytes(n * w, "little")
+    return laurent({e: int.from_bytes(raw[i:i + w], "little") - half
+                    for e, i in enumerate(range(0, n * w, w), lo)})
 
 
 def _row(u: list, v: list, k: int):
@@ -245,9 +148,8 @@ def _row(u: list, v: list, k: int):
 class XSeries:
     """Power series in x truncated at a fixed order.
 
-    The coefficients are Polys in a, packed ones (_Packed) or exact
-    rationals; the series needs only +, -, *, truth and equality of them
-    (c * 0 is the zero).
+    The coefficients are Polys in a, ints or Fractions; the series needs
+    only +, -, *, truth and equality of them (c * 0 is the zero).
     """
 
     __slots__ = ("c",)
@@ -315,24 +217,41 @@ def online_fixpoint(p, alpha, beta, order: int) -> XSeries:
     return s
 
 
+def _w_at(a: int, order: int) -> XSeries:
+    """W with x = t*a, a series in t at the integer a: [t^n] is a^n [x^n]W."""
+    return online_fixpoint(1 + a, 1 + a, a, order)
+
+
+def _kronecker(bound: XSeries, order: int) -> tuple[int, XSeries]:
+    """(b, _w_at(2^b, order)) for the least whole-byte b with every entry
+    of bound below 2^(b-1), so a polynomial in a whose coefficients the
+    bound covers reads back from its value at 2^b by _digits.
+
+    The a-exponents of [x^n]W must lie in [-(n-1), 2n] (by induction: each
+    order adds at most a^2 and at least ā), else ValueError; those of
+    [t^n] in [1, 3n], read here on the ints.
+    """
+    b = 8 * (max(bound.c).bit_length() // 8 + 1)
+    w = _w_at(1 << b, order)
+    for n in range(1, order + 1):
+        v = w.c[n]
+        if not v or v & (1 << b) - 1 or v >> b * (3 * n + 1):
+            raise ValueError(f"[x^{n}]W leaves the exponent window [{1 - n}, {2 * n}]")
+    return b, w
+
+
 def solve_W(order: int) -> XSeries:
     """The unique series with W = x*ā*(1+a)*(W+1+a)*(W+a), ā = 1/a.
 
-    Solved online and re-substituted once to confirm the fixpoint.  The
-    a-exponents of [x^n]W must lie in [-(n-1), 2n] (by induction: each
-    order adds at most a^2 and at least ā), else ValueError.
+    Solved online at a = 2^b, re-substituted once to confirm the fixpoint,
+    and read back coefficient by coefficient; see _kronecker.
 
     >>> solve_W(2).coeff_x(1)
     1 + 2*a^1 + 1*a^2
     """
     at_least(order, 1, "order")
-    packed = online_fixpoint(_pack(laurent({-1: 1, 0: 1})), _pack(_ONE_PLUS_A), _pack(_A), order)
-    w = XSeries(map(_unpack, packed.c))
-    for n in range(1, order + 1):
-        exps = [e for e, _ in w.coeff_x(n).c]
-        if not exps or min(exps) < -(n - 1) or max(exps) > 2 * n:
-            raise ValueError(f"[x^{n}]W leaves the exponent window [{1 - n}, {2 * n}]")
-    return w
+    b, w = _kronecker(_w_at(1, order), order)
+    return XSeries(_digits(v, b, -n) for n, v in enumerate(w.c))
 
 
 def lagrange_coeff(s: int, k: int, i: int) -> Fraction:
@@ -359,7 +278,8 @@ _F_W3 = laurent({-4: 1, -2: -1})
 
 def _assemble_F(w: XSeries, coeff: Callable) -> XSeries:
     """x ((1+a)^2 + _F_W1 W + _F_W2 W^2 + _F_W3 W^3), with each Laurent
-    coefficient passed through coeff (kept as a Poly, or evaluated at a0)."""
+    coefficient passed through coeff (kept as a Poly, evaluated at a0, or
+    mapped to an int bound or an int at a = 2^b by build_F)."""
     w2 = w * w
     f = w.scale(coeff(_F_W1)) + w2.scale(coeff(_F_W2)) + (w2 * w).scale(coeff(_F_W3))
     return (f + coeff(_ONE_PLUS_A * _ONE_PLUS_A)).shift_x()
@@ -370,9 +290,18 @@ def build_F(order: int) -> XSeries:
 
     The a^0 coefficient of [x^n] is the n-th semi-Baxter number, and the
     nonnegative part in a matches the semi label polynomials at y=z=1+a.
+
+    Assembled from W at a = 2^b with every coefficient times a^6: a^5
+    clears the negative exponents of _F_W1.._F_W3 and a^1 is the a of
+    x = t*a, so [t^n] is a^(n+5) [x^n]F.  The bound is the same sum at
+    a = 1 with each coefficient replaced by its l1 norm; row by row it is
+    at least W at a = 1, so it bounds W's coefficients too.
     """
-    w = XSeries(map(_pack, solve_W(order).c))
-    return XSeries(map(_unpack, _assemble_F(w, _pack).c))
+    at_least(order, 1, "order")
+    bound = _assemble_F(_w_at(1, order), lambda p: sum(map(abs, p.c.values())))
+    b, w = _kronecker(bound, order)
+    f = _assemble_F(w, lambda p: sum(v << b * (e + 6) for (e, _), v in p.c.items()))
+    return XSeries(_digits(v, b, -(n + 5)) for n, v in enumerate(f.c))
 
 
 def omega_geq(s: XSeries) -> XSeries:

@@ -54,77 +54,21 @@ def test_poly_eval_at_needs_both_coordinates():
         p.eval_at(2)
 
 
-# Packed Laurent coefficients (series._Packed) against a plain dict oracle.
-
-
-def _convolve(p: dict, q: dict) -> dict:
-    out = {}
-    for e, u in p.items():
-        for f, v in q.items():
-            out[e + f] = out.get(e + f, 0) + u * v
-    return {e: c for e, c in out.items() if c}
-
-
-def _plus(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for e, v in q.items():
-        out[e] = out.get(e, 0) + v
-    return {e: c for e, c in out.items() if c}
-
-
-def _packed(d: dict):
-    return series._pack(series.laurent(d))
-
-
-def _as_dict(x) -> dict:
-    return {e: c for (e, _), c in series._unpack(x).c.items()}
-
-
-_BIG = st.integers(-(2 ** 300), 2 ** 300)
-_LAURENT = st.dictionaries(st.integers(-12, 12), _BIG | st.integers(-3, 3), max_size=8)
+# Laurent polynomials read back from their value at a = 2^b (series._digits).
 
 
 @settings(max_examples=150, deadline=None)
-@given(p=_LAURENT, q=_LAURENT, cut=st.integers(-13, 13), k=_BIG)
-def test_packed_arithmetic_matches_the_dict_oracle(p, q, cut, k):
-    """Products, sums, negation and int scalars of packed values equal the
-    dict convolution; q also gets the negated low part of p (exponents
-    below cut), so the sum's lowest terms cancel and its lowest exponent
-    must move up."""
-    q = _plus(q, {e: -v for e, v in p.items() if e < cut})
-    pp, qq = _packed(p), _packed(q)
-    want = _plus(p, q)
-    total = pp + qq
-    assert _as_dict(pp * qq) == _convolve(p, q)
-    assert _as_dict(total) == want
-    assert _as_dict(-pp) == {e: -v for e, v in p.items() if v}
-    assert _as_dict(pp * k) == {e: v * k for e, v in p.items() if v * k}
-    assert bool(total) == bool(want)
-    assert total.lo == min(want, default=0)
-    assert total == _packed(want) and (total == pp) == (want == _plus(p, {}))
-    zero = pp + -pp
-    assert not zero and zero == _packed({}) and zero.lo == 0
-
-
-def test_packed_ops_reslot_before_a_slot_would_wrap():
-    """A result whose coefficient bound reaches the sign bit of the current
-    slots is computed in wider slots, never wrapped."""
-    d = {-1: 100, 0: -100, 2: 127}
-    p = _packed(d)
-    assert p.b == 8
-    sq = p * p  # bound 327 * 127 needs 16 bits and a sign bit
-    assert sq.b == 24 and p.b == 24
-    assert _as_dict(sq) == _convolve(d, d)
-    one = _packed({0: 127})
-    two = one + one  # 254 needs a ninth bit
-    assert (two.b, _as_dict(two)) == (16, {0: 254})
-    narrow = _packed({3: -1})
-    assert _as_dict(narrow + sq) == _plus({3: -1}, _as_dict(sq)) and narrow.b == 24
-    assert _as_dict(narrow * 2 ** 200) == {3: -(2 ** 200)}
-    with pytest.raises(ValueError, match="packs"):
-        series._pack(series.Poly({(1, 1): 1}))
-    with pytest.raises(ValueError, match="packs"):
-        series._pack(series.laurent({0: Fraction(1, 2)}))
+@given(w=st.integers(1, 40), lo=st.integers(-12, 3), data=st.data())
+def test_digits_round_trip_laurent_dicts(w, lo, data):
+    """Any Laurent dict with every |c| < 2^(b-1), b = 8w bits from 8 to
+    320, packed as the sum of c 2^(b(e-lo)), reads back unchanged; the
+    extreme digits +-(2^(b-1) - 1), whose borrows reach the sign bit of the
+    digit above, are drawn often."""
+    b, half = 8 * w, 1 << 8 * w - 1
+    coeff = st.integers(1 - half, half - 1) | st.sampled_from([1 - half, half - 1, -1, 1])
+    d = data.draw(st.dictionaries(st.integers(lo, lo + 12), coeff, max_size=8))
+    v = sum(c << b * (e - lo) for e, c in d.items())
+    assert series._digits(v, b, lo) == series.laurent(d)
 
 
 def test_xseries_product():
@@ -210,24 +154,42 @@ def test_lagrange_cube():
 
 
 def test_solve_w_past_256_bit_coefficients_matches_lagrange():
-    """At order 80 the coefficients of W pass 256 bits, so its packed slots
-    were widened many times on the way; a sampled (s, k, i) grid of
-    [a^s x^k] W^i equals the inversion formula.  W^2 is read one row at a
-    time; W^3 needs every row of W^2 below k, so it is sampled lower."""
+    """At order 80 the coefficients of W pass 256 bits; a sampled (s, k, i)
+    grid of [a^s x^k] W^i equals the inversion formula.  W, W^2 and W^3
+    are read from one solve at a = 2^b, with b chosen from W^3 at a = 1
+    so that every row of all three reads back by _digits.  W^2 is formed
+    one row at a time; W^3 needs every row of W^2 below k, so it is
+    sampled lower."""
     order = 80
-    w = series.solve_W(order)
-    assert max(abs(v).bit_length() for v in w.coeff_x(order).c.values()) > 256
-    packed = [series._pack(c) for c in w.c]
-    w2 = [series._row(packed, packed, k) for k in range(41)]
+    u = series._w_at(1, order)
+    b, w = series._kronecker(u * u * u, order)
+    w2 = [series._row(w.c, w.c, k) for k in range(41)]
     powers = {
-        1: {k: w.coeff_x(k) for k in (1, 37, 79, 80)},
-        2: {k: series._unpack(series._row(packed, packed, k)) for k in (2, 61, 80)},
-        3: {k: series._unpack(series._row(packed, w2, k)) for k in (3, 40)},
+        1: {k: series._digits(w.c[k], b, -k) for k in (1, 37, 79, 80)},
+        2: {k: series._digits(series._row(w.c, w.c, k), b, -k) for k in (2, 61, 80)},
+        3: {k: series._digits(series._row(w.c, w2, k), b, -k) for k in (3, 40)},
     }
+    assert max(abs(v).bit_length() for v in powers[1][order].c.values()) > 256
     for i, rows in powers.items():
         for k, got in rows.items():
             for s in [*range(1 - k, 2 * k + 1, 11), 2 * k]:
                 assert series.lagrange_coeff(s, k, i) == got.coeff(s, 0), (s, k, i)
+
+
+def test_kronecker_width_keeps_the_sign_bit_clear():
+    """b is the least whole-byte width with every bound entry below 2^(b-1)."""
+    for top, b in [(1, 8), (127, 8), (128, 16), (2 ** 15 - 1, 16), (2 ** 15, 24)]:
+        assert series._kronecker(series.XSeries([0, top, 3]), 2)[0] == b, top
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 12])
+def test_int_path_equals_the_dict_path(order):
+    """solve_W and build_F at a = 2^b are a change of representation only:
+    they equal the online solve and the F assembly on Poly coefficients."""
+    w = series.online_fixpoint(series.laurent({-1: 1, 0: 1}), series.laurent({0: 1, 1: 1}),
+                               series.laurent({1: 1}), order)
+    assert series.solve_W(order) == w
+    assert series.build_F(order) == series._assemble_F(w, lambda p: p)
 
 
 # ---------------------------------------------------------------------------
