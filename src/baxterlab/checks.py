@@ -270,10 +270,12 @@ def series_residual(group: str, order: int) -> Outcome:
 def series_reduced(a0: Fraction, order: int) -> Outcome:
     """Both reduced identities at the rational point a0."""
     rep = series.verify_reduced_identity(a0, order)
+    num, den = a0.numerator, a0.denominator
+    name = _term_text(num) + (f"/{_term_text(den)}" if den != 1 else "")
     if rep["ok"]:
-        return True, f"both identities hold at a0={a0} to order {order}"
+        return True, f"both identities hold at a0={name} to order {order}"
     return False, (
-        f"at a0={a0}: F-vs-P first fail {rep['f_first_fail']}, "
+        f"at a0={name}: F-vs-P first fail {rep['f_first_fail']}, "
         f"sum identity first fail {rep['sum_first_fail']}"
     )
 

@@ -5,16 +5,17 @@ pairs (a Laurent polynomial in a is keyed (e, 0); a polynomial in two
 variables uses both slots), and XSeries, a power series in x truncated
 at a fixed order whose coefficients are Polys in a or exact rationals.
 On top of them sit the series W solving W = x ā (1+a)(W+1+a)(W+a) with
-ā = 1/a, solved online one coefficient at a time by the same routine at
-a symbolic a and at a rational point, its companion F(a,W) whose
-nonnegative part in a reproduces the semi-Baxter label polynomials
+ā = 1/a, solved online one coefficient at a time by the same routine,
+on plain ints both at a symbolic a and at a rational point, its
+companion F(a,W) whose nonnegative part in a reproduces the semi-Baxter label polynomials
 evaluated at y = z = 1+a, Lagrange-inversion coefficient extraction,
 coefficientwise residuals of the functional equations satisfied by the
 semi and strong label series, invariance probes for the two kernels
 (the open orbit counted mod a prime, and recounted over Q only when
 that count proves nothing), and a rational-point identity tying F to
 an explicit rational function P = num/den, compared with den cleared
-so that no series is ever divided.
+so that no series is ever divided, and with x = t*p*q clearing the
+denominators of a0 = p/q so that no Fraction is built.
 
 solve_W and build_F compute on plain ints (Kronecker substitution).  With
 x = t*a the equation reads W = t(1+a)(W+1+a)(W+a), whose coefficients in
@@ -278,11 +279,13 @@ _F_W3 = laurent({-4: 1, -2: -1})
 
 def _assemble_F(w: XSeries, coeff: Callable) -> XSeries:
     """x ((1+a)^2 + _F_W1 W + _F_W2 W^2 + _F_W3 W^3), with each Laurent
-    coefficient passed through coeff (kept as a Poly, evaluated at a0, or
-    mapped to an int bound or an int at a = 2^b by build_F)."""
+    coefficient of W^k passed through coeff(c, k) (kept as a Poly, mapped
+    to an int bound or an int at a = 2^b by build_F, or to an int at
+    a0 = p/q, W = V/q by verify_reduced_identity)."""
     w2 = w * w
-    f = w.scale(coeff(_F_W1)) + w2.scale(coeff(_F_W2)) + (w2 * w).scale(coeff(_F_W3))
-    return (f + coeff(_ONE_PLUS_A * _ONE_PLUS_A)).shift_x()
+    f = (w.scale(coeff(_F_W1, 1)) + w2.scale(coeff(_F_W2, 2))
+         + (w2 * w).scale(coeff(_F_W3, 3)))
+    return (f + coeff(_ONE_PLUS_A * _ONE_PLUS_A, 0)).shift_x()
 
 
 def build_F(order: int) -> XSeries:
@@ -298,9 +301,9 @@ def build_F(order: int) -> XSeries:
     at least W at a = 1, so it bounds W's coefficients too.
     """
     at_least(order, 1, "order")
-    bound = _assemble_F(_w_at(1, order), lambda p: sum(map(abs, p.c.values())))
+    bound = _assemble_F(_w_at(1, order), lambda p, _: sum(map(abs, p.c.values())))
     b, w = _kronecker(bound, order)
-    f = _assemble_F(w, lambda p: sum(v << b * (e + 6) for (e, _), v in p.c.items()))
+    f = _assemble_F(w, lambda p, _: sum(v << b * (e + 6) for (e, _), v in p.c.items()))
     return XSeries(_digits(v, b, -(n + 5)) for n, v in enumerate(f.c))
 
 
@@ -584,28 +587,13 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
 
 
 # Numerator N(a, z) of P, keyed (a-power, z-power); the F comparison in
-# verify_reduced_identity pins every term.
+# verify_reduced_identity pins every term.  At a = p/q each term is read
+# as c p^i q^(7-i-j) (qz)^j, so i + j stays at most 7.
 _P_NUM = Poly({
     (4, 1): -1, (4, 2): 1, (3, 1): -1, (3, 2): 1, (2, 3): -1, (2, 0): -2, (2, 2): 1,
     (2, 1): 1, (1, 0): -4, (1, 1): 5, (1, 2): -3, (1, 3): 1, (0, 1): 3, (0, 2): -1,
     (0, 0): -2,
 })
-
-
-def _p_parts(a0: Fraction, z: XSeries) -> tuple[XSeries, XSeries]:
-    """P(a0, z) = num / den for a series argument z, as the pair (num, den):
-
-        num = (-z+1+a0) N(a0, z),    den = z a0^4 (z-1),
-
-    with N the catalogued 15-term polynomial.  Nothing is divided.
-    """
-    zp = [XSeries([1] + [0] * z.order)]
-    for _ in range(3):
-        zp.append(zp[-1] * z)
-    num = XSeries([0] * (z.order + 1))
-    for (apow, zpow), coef in _P_NUM.c.items():
-        num = num + zp[zpow].scale(coef * a0 ** apow)
-    return (-z + (1 + a0)) * num, (z * (z - 1)).scale(a0 ** 4)
 
 
 def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
@@ -615,34 +603,56 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
       (i)  F(a0, W) = -P(a0, Z) with Z = W + 1 + a0;
       (ii) S(1+a0, 1+a0) + ((1+a0)^2 x / a0^4) S(1, 1+1/a0) + P(a0, Z) = 0,
 
-    with both S evaluations read off the semi rule's label distributions,
-    each level collapsed to the one variable it is read in, and F's
-    coefficients those of build_F evaluated at a0.
+    with P = num/den, num = (-Z+1+a0) N(a0, Z), den = Z a0^4 (Z-1), both
+    S evaluations read off the semi rule's label distributions, each level
+    collapsed to the one variable it is read in, and F assembled as in
+    build_F with its coefficients evaluated at a0.
 
     Each side X is compared as X den + num, which is (X + P) den through
     x^order.  den has the constant term a0^5 (1+a0), nonzero here, so that
     product first becomes nonzero at the same x^n as X + P does: the
     reported first failures are those of the uncleared comparison.
+
+    Everything runs on ints.  With a0 = p/q in lowest terms (q > 0) and
+    x = t p q, a ring map that multiplies [x^n] by (pq)^n != 0, the series
+    V = q W is online_fixpoint(p+q, p+q, p), so qZ = V+p+q, q(Z-1) = V+p,
+    q^8 num = -V sum c_ij p^i q^(7-i-j) (V+p+q)^j and q^6 den =
+    p^4 (V+p+q)(V+p).  Then p^4 q^3 F and q^sq p^(3+sp) X are int series,
+    sq and sp the extra powers of q and p that keep every exponent of the
+    label levels actually read nonnegative (1 and 0 for the semi rule),
+    and each comparison is a nonzero constant times X den + num with x =
+    t p q, which is zero at t^n exactly where the uncleared one is at x^n.
     """
     a = Fraction(a0)
-    if a in (0, -1, 1):
+    p, q = a.numerator, a.denominator
+    if p in (0, q, -q):
         raise ValueError(f"a0 must not be 0, -1 or 1, got {a}")
     at_least(order, 2, "order")
-    w = online_fixpoint((1 + a) / a, 1 + a, a, order)
-    num, den = _p_parts(a, w + (1 + a))
+    v = online_fixpoint(p + q, p + q, p, order)  # q W at x = t p q
+    z = v + (p + q)  # q Z
+    zz = z * (v + p)  # q^6 den / p^4
+    c = [0] * 4  # q^7 N(a0, Z) = sum c_j (qZ)^j
+    for (i, j), x in _P_NUM.c.items():
+        c[j] += x * p ** i * q ** (7 - i - j)
+    num = XSeries([c[3]] + [0] * order)
+    for x in reversed(c[:3]):
+        num = num * z + x
+    num = -(v * num)  # q^8 num
 
     def first_fail(x: XSeries) -> int | None:
-        return next((n for n, c in enumerate((x * den + num).c) if c), None)
+        return next((n for n, y in enumerate(x.c) if y), None)
 
-    labels = LabelSeries("semi", order)
-
-    def collapsed(exponent: Callable, t: Fraction) -> XSeries:
-        return XSeries(labels.poly(n).map_exponents(exponent).eval_at(t, 1)
-                       for n in range(order + 1))
-
-    s_diag = collapsed(_diagonal, 1 + a)
-    s_top = collapsed(lambda e: (e[1], 0), 1 + 1 / a)
-    f_fail = first_fail(_assemble_F(w, lambda c: c.eval_at(a, 1)))
-    sum_fail = first_fail(s_diag + s_top.scale((1 + a) ** 2 / a ** 4).shift_x())
+    lvs = list(map(LabelSeries("semi", order).poly, range(order + 1)))
+    diag, top = ([lv.map_exponents(f) for lv in lvs] for f in (_diagonal, lambda e: (e[1], 0)))
+    sq, sp = (max([0, *(m - n for n, lv in enumerate(s) for m, _ in lv.c)]) for s in (diag, top))
+    d = XSeries(sum(y * (p + q) ** m * p ** n * q ** (n + sq - m) for (m, _), y in lv.c.items())
+                for n, lv in enumerate(diag))
+    t = XSeries(sum(y * (p + q) ** k * p ** (n + sp - k) * q ** n for (k, _), y in lv.c.items())
+                for n, lv in enumerate(top))
+    xi = d.scale(p ** (3 + sp)) + t.scale((p + q) ** 2 * q ** (3 + sq)).shift_x()  # q^sq p^(3+sp) X
+    fi = _assemble_F(v, lambda c, k: sum(
+        x * p ** (5 + e) * q ** (4 - e - k) for (e, _), x in c.c.items()))
+    f_fail = first_fail(fi * zz + num.scale(q))
+    sum_fail = first_fail((xi * zz).scale(p * q * q) + num.scale(q ** sq * p ** sp))
     return {"f_first_fail": f_fail, "sum_first_fail": sum_fail,
             "ok": f_fail is None and sum_fail is None}

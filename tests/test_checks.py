@@ -160,6 +160,15 @@ def test_exact_div_names_terms_past_the_int_str_limit():
         formulas._exact_div(7, 2, "B_3")
 
 
+def test_series_reduced_names_a_point_past_the_int_str_limit(monkeypatch):
+    # a0 is named part by part, so a huge numerator or denominator prints too
+    assert checks.series_reduced(Fraction(-7, 3), 2) == (
+        True, "both identities hold at a0=-7/3 to order 2")
+    monkeypatch.setattr(checks.series, "_F_W3", checks.series.Poly())
+    assert checks.series_reduced(Fraction(-3, 10 ** 5000), 4) == (False, (
+        "at a0=-3/<16610-bit int>: F-vs-P first fail 4, sum identity first fail None"))
+
+
 def test_every_route_returns_plain_ints():
     # Decimal terms are for printing only: no check may compare them
     for family, cfg in checks.FAMILIES.items():

@@ -154,6 +154,15 @@ def test_series_reduced_accepts_fraction_point(capsys):
     assert "a0=-2/3" in out
 
 
+def test_series_reduced_names_a_huge_point(capsys):
+    # 10^5000 outgrows the int->str digit limit, so a0 is named by its bit length
+    code, out, err = run(
+        capsys, ["series", "--check", "reduced", "--order", "2", "--a0=1e5000"]
+    )
+    assert (code, err) == (0, "")
+    assert out == "PASS both identities hold at a0=<16610-bit int> to order 2\n"
+
+
 def test_walks_excursions(capsys):
     code, out, _ = run(capsys, ["walks", "--n-max", "3", "--excursions"])
     assert code == 0

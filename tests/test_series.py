@@ -189,7 +189,7 @@ def test_int_path_equals_the_dict_path(order):
     w = series.online_fixpoint(series.laurent({-1: 1, 0: 1}), series.laurent({0: 1, 1: 1}),
                                series.laurent({1: 1}), order)
     assert series.solve_W(order) == w
-    assert series.build_F(order) == series._assemble_F(w, lambda p: p)
+    assert series.build_F(order) == series._assemble_F(w, lambda p, _: p)
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +508,112 @@ def test_reduced_identity_detects_a_changed_label_count(a0, n, pick):
         rep = series.verify_reduced_identity(a0, order=8)
     assert rep["f_first_fail"] is None
     assert rep["sum_first_fail"] == n
+
+
+def _reduced_oracle(a0: Fraction, order: int) -> dict:
+    """verify_reduced_identity's dict computed over Fraction at a0 itself:
+    W solved at a0, P = num/den built from _P_NUM at a0, every label level
+    evaluated by Poly.eval_at, each side X compared as X den + num."""
+    w = series.online_fixpoint((1 + a0) / a0, 1 + a0, a0, order)
+    z = w + (1 + a0)
+    zp = [series.XSeries([1] + [0] * order)]
+    for _ in range(3):
+        zp.append(zp[-1] * z)
+    n = series.XSeries([0] * (order + 1))
+    for (i, j), c in series._P_NUM.c.items():
+        n = n + zp[j].scale(c * a0 ** i)
+    num, den = (-z + (1 + a0)) * n, (z * (z - 1)).scale(a0 ** 4)
+
+    def first_fail(x):
+        return next((k for k, c in enumerate((x * den + num).c) if c), None)
+
+    labels = series.LabelSeries("semi", order)
+
+    def collapsed(exponent, t):
+        return series.XSeries(labels.poly(k).map_exponents(exponent).eval_at(t, 1)
+                              for k in range(order + 1))
+
+    s_diag = collapsed(series._diagonal, 1 + a0)
+    s_top = collapsed(lambda e: (e[1], 0), 1 + 1 / a0)
+    f_fail = first_fail(series._assemble_F(w, lambda c, _: c.eval_at(a0, 1)))
+    sum_fail = first_fail(s_diag + s_top.scale((1 + a0) ** 2 / a0 ** 4).shift_x())
+    return {"f_first_fail": f_fail, "sum_first_fail": sum_fail,
+            "ok": f_fail is None and sum_fail is None}
+
+
+def _bumped(poly: series.Poly, pick: int) -> series.Poly:
+    """poly with one of its coefficients raised by 1."""
+    c = dict(poly.c)
+    key = sorted(c)[pick % len(c)]
+    c[key] += 1
+    return series.Poly(c)
+
+
+_CORRUPTIONS = ["clean", "P_NUM", "label", "new label",
+                *(f"{how} _F_W{k}" for how in ("zero", "bump") for k in (1, 2, 3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a0=_GENERIC_POINT, order=st.integers(2, 10), corruption=st.sampled_from(_CORRUPTIONS),
+       n=st.integers(1, 10), pick=st.integers(0, 10**6))
+@example(a0=Fraction(-7, 3), order=10, corruption="new label", n=3, pick=0)
+def test_reduced_identity_equals_the_fraction_oracle(a0, order, corruption, n, pick):
+    """The int comparisons at x = t p q report the first failures the
+    Fraction comparisons at a0 report, clean and under every corruption:
+    a bumped _P_NUM term, an _F_W* factor zeroed or bumped, a level-n label
+    count raised by 1, or a level-n label far out of the semi shape
+    (h + k > n+1, k > n) added.  The extra powers of p and q must absorb
+    that label: a negative power would be a float, which overflows or
+    underflows at these exponents."""
+    real = series.levels
+
+    def relabelled(rule):
+        for m, level in enumerate(real(rule), 1):
+            if m == n and corruption == "label":
+                level = dict(level)
+                level[sorted(level)[pick % len(level)]] += 1
+            elif m == n and corruption == "new label":
+                level = {**level, (n + 1100, n + 1000): pick % 5 + 1}
+            yield level
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "levels", relabelled)
+        if corruption == "P_NUM":
+            mp.setattr(series, "_P_NUM", _bumped(series._P_NUM, pick))
+        elif corruption != "clean" and "F_W" in corruption:
+            how, name = corruption.split()
+            poly = getattr(series, name)
+            mp.setattr(series, name, series.Poly() if how == "zero" else _bumped(poly, pick))
+        assert series.verify_reduced_identity(a0, order) == _reduced_oracle(a0, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a0=_RATIONAL.filter(lambda q: q != 0), n=st.integers(1, 10))
+def test_integer_solve_is_the_rational_solve_rescaled(a0, n):
+    """With a0 = p/q and x = t p q, V = q W is the int series the reduced
+    identity runs on: [t^k]V = q (pq)^k [x^k]W for every k <= n."""
+    p, q = a0.numerator, a0.denominator
+    v = series.online_fixpoint(p + q, p + q, p, n)
+    w = series.online_fixpoint((1 + a0) / a0, 1 + a0, a0, n)
+    assert v.c == [q * (p * q) ** k * w.coeff_x(k) for k in range(n + 1)]
+
+
+_FRACTION_OPS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+                 "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+                 "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__bool__"]
+
+
+@pytest.mark.parametrize("a0", [Fraction(3, 2), Fraction(-2, 3)])
+def test_reduced_identity_builds_no_fraction(monkeypatch, a0):
+    """The reduced identity reads a0's numerator and denominator and then
+    computes on ints only: Fraction arithmetic and comparison raise here."""
+
+    def refuse(*_):
+        raise AssertionError("Fraction arithmetic in verify_reduced_identity")
+
+    for name in _FRACTION_OPS:
+        monkeypatch.setattr(Fraction, name, refuse)
+    rep = series.verify_reduced_identity(a0, 12)
+    monkeypatch.undo()
+    assert rep == {"f_first_fail": None, "sum_first_fail": None, "ok": True}
