@@ -176,13 +176,13 @@ def _routes_agree(
 ) -> Outcome:
     picks = [(family, r, r) for r in FAMILIES[family]["routes"]]
     picks += [(*key.split(":"), key) for key in borrowed]
-    return compare_routes(
-        {
-            label: FAMILIES[fam]["routes"][route](brute if route == "brute" else n)
-            for fam, route, label in picks
-        },
-        offset=FAMILIES[family]["offset"],
-    )
+    seqs = {}
+    for fam, route, label in picks:
+        size = brute if route == "brute" else n
+        seqs[label] = got = FAMILIES[fam]["routes"][route](size)
+        if len(got) != size - FAMILIES[fam]["offset"] + 1:
+            return False, f"route {label} returned {len(got)} terms for n up to {size}"
+    return compare_routes(seqs, offset=FAMILIES[family]["offset"])
 
 
 def _route_check(family: str, *borrowed: str) -> Callable[[int, int, int], Outcome]:

@@ -29,7 +29,8 @@ definition of the five built-in rules; RULES is parsed from it at import
 
 Every row expression is affine, so `parse_rule` stores a row as a
 straight run of labels, child(i) = P(h,k) + i*d for i = 0..span(h,k).
-`productions` expands one node run by run.  `next_level` expands no
+`productions` expands one node run by run, and `series` reads each
+rule's label equation off the same runs.  `next_level` expands no
 node: in one flat grid, where label (x, y) sits at index x + w*y and a
 step of d is one stride, it adds each run's count at its first label and
 subtracts it one stride past its last, then sums along the stride, one

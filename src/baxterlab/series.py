@@ -7,10 +7,10 @@ at a fixed order whose coefficients are Polys in a or exact rationals.
 On top of them sit the series W solving W = x ā (1+a)(W+1+a)(W+a) with
 ā = 1/a, solved online one coefficient at a time by the same routine,
 on plain ints both at a symbolic a and at a rational point, its
-companion F(a,W) whose nonnegative part in a reproduces the semi-Baxter label polynomials
-evaluated at y = z = 1+a, Lagrange-inversion coefficient extraction,
-coefficientwise residuals of the functional equations satisfied by the
-semi and strong label series, invariance probes for the two kernels
+companion F(a,W) whose nonnegative part in a reproduces the semi-Baxter
+label polynomials at y = z = 1+a, Lagrange-inversion coefficient
+extraction, coefficientwise residuals of each rule's label equation,
+derived from its rows alone, invariance probes for the two kernels
 (the open orbit counted mod a prime, and recounted over Q only when
 that count proves nothing), and a rational-point identity tying F to
 an explicit rational function P = num/den, compared with den cleared
@@ -32,11 +32,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
+from math import prod
 from operator import add
 from typing import Callable, Iterable, Mapping
 
 from .formulas import at_least, binom
-from .rules import RULES, levels, next_level  # noqa: F401  (perfbench wraps this binding)
+from .rules import RULES, SuccessionRule, _lin, levels
+from .rules import next_level  # noqa: F401  (perfbench wraps this binding)
 
 Rat = int | Fraction
 
@@ -312,9 +314,14 @@ def omega_geq(s: XSeries) -> XSeries:
     return XSeries(Poly({e: v for e, v in u.c.items() if e[0] >= 0}) for u in s.c)
 
 
-def _diagonal(e: tuple[int, int]) -> tuple[int, int]:
-    """Exponent map of y = z: y^h z^k becomes t^(h+k), keyed (h+k, 0)."""
-    return e[0] + e[1], 0
+_LinearMap = tuple[tuple[int, int], tuple[int, int]]  # see _compose
+_DIAGONAL: _LinearMap = (1, 1), (0, 0)  # y = z: y^h z^k becomes t^(h+k), keyed (h+k, 0)
+
+
+def _compose(s: Poly, m: _LinearMap) -> Poly:
+    """S o M: each y^h z^k of s sent to y^(ah+bk) z^(ch+dk), M = ((a, b), (c, d))."""
+    (a, b), (c, d) = m
+    return s.map_exponents(lambda e: (a * e[0] + b * e[1], c * e[0] + d * e[1]))
 
 
 class LabelSeries:
@@ -342,17 +349,9 @@ class LabelSeries:
         for _ in range(self.order + 1):
             powers.append(powers[-1] * _ONE_PLUS_A)
         return XSeries(
-            sum((powers[m] * c for (m, _), c in lv.map_exponents(_diagonal).c.items()), Poly())
+            sum((powers[m] * c for (m, _), c in _compose(lv, _DIAGONAL).c.items()), Poly())
             for lv in map(self.poly, range(self.order + 1))
         )
-
-
-_Y = Poly({(1, 0): 1})
-_Z = Poly({(0, 1): 1})
-_YZ = Poly({(1, 1): 1})
-_ONE_MINUS_Y = Poly({(0, 0): 1, (1, 0): -1})
-_ONE_MINUS_Z = Poly({(0, 0): 1, (0, 1): -1})
-_Z_MINUS_Y = Poly({(0, 1): 1, (1, 0): -1})
 
 
 Residual = tuple[int, tuple[int, int, int] | None]
@@ -371,22 +370,45 @@ def residual_scan(defects: Iterable[tuple[int, Poly]]) -> Residual:
     return max_abs, offending
 
 
-def _label_residual(
-    rule_name: str, order: int, kernel: Poly, step: Callable[[Poly], Poly]
-) -> Residual:
-    """residual_scan of K (S_n - [n=1] yz) - step(S_(n-1)), n = 1..order,
-    for the equation K S = xyz K + x step(S) of the rule's label series S."""
+def _equation(rule: SuccessionRule) -> tuple[Poly, dict[_LinearMap, Poly]]:
+    """(K, {M: c}) with K S_n = sum c (S_(n-1) o M) for n >= 2, from rule.rows
+    alone: a row's children are its first child minus its one-past-last, over
+    1 - y^dx z^dy (its one child if d = (0, 0)), and K clears every such
+    denominator and negative exponent.  Poly prints the (y, z) slots as a, b:
+
+    >>> _equation(RULES["cat"])
+    (1 + -1*a^1, {((0, 0), (0, 0)): 1*a^1*b^1, ((1, 0), (0, 0)): -1*a^2*b^1})
+    """
+    steps = {d: Poly({(0, 0): 1, d: -1}) for _, _, d, _ in rule.rows if d != (0, 0)}
+    terms: dict[_LinearMap, Poly] = {}
+    for x, y, d, span in rule.rows:
+        past = _lin((1, span), (1, (1, 0, 0)))  # span + 1
+        end = _lin((1, x), (d[0], past)), _lin((1, y), (d[1], past))
+        others = prod((v for e, v in steps.items() if e != d), start=Poly({(0, 0): 1}))
+        for sign, (x0, xh, xk), (y0, yh, yk) in ((1, x, y), (-1 if d in steps else 0, *end)):
+            m = (xh, xk), (yh, yk)
+            terms[m] = terms.get(m, Poly()) + others * Poly({(x0, y0): sign})
+    kernel = prod(steps.values(), start=Poly({(0, 0): 1}))
+    lows = [min(0, *c) for c in zip(*(e for p in (kernel, *terms.values()) for e in p.c))]
+    clear = Poly({(-lows[0], -lows[1]): 1})
+    return kernel * clear, {m: c * clear for m, c in terms.items()}
+
+
+def _label_residual(rule_name: str, order: int) -> Residual:
+    """residual_scan of K (S_n - [n=1] axiom) - sum c (S_(n-1) o M) over
+    n = 1..order, for the rule's equation (K, {M: c}) from _equation."""
     at_least(order, 2, "order")
-    labels = LabelSeries(rule_name, order)
-    s = [labels.poly(n) for n in range(order + 1)]
+    kernel, terms = _equation(RULES[rule_name])
+    s = list(map(LabelSeries(rule_name, order).poly, range(order + 1)))
     return residual_scan(
-        (n, kernel * (s[n] - _YZ if n == 1 else s[n]) - step(s[n - 1]))
+        (n, kernel * (s[n] - Poly({RULES[rule_name].axiom: 1}) if n == 1 else s[n])
+         - sum((c * _compose(s[n - 1], m) for m, c in terms.items()), Poly()))
         for n in range(1, order + 1)
     )
 
 
 def residual_semi(order: int) -> Residual:
-    """Coefficientwise defect of the semi label equation, cleared form:
+    """Defect of the derived semi equation; tests check it is -1 times the paper's:
 
         (1-y)(z-y) S = xyz(1-y)(z-y) + xyz(z-y)(S(1,z) - S(y,z))
                      + xyz(1-y)(S(y,z) - S(y,y)).
@@ -394,23 +416,16 @@ def residual_semi(order: int) -> Residual:
     Returns (max absolute residual, first offending (n, ydeg, zdeg) or
     None); (0, None) means the identity holds through x^order.
     """
-    return _label_residual("semi", order, _ONE_MINUS_Y * _Z_MINUS_Y, lambda s: (
-        _YZ * _Z_MINUS_Y * (s.map_exponents(lambda e: (0, e[1])) - s)
-        + _YZ * _ONE_MINUS_Y * (s - s.map_exponents(_diagonal))
-    ))
+    return _label_residual("semi", order)
 
 
 def residual_strong(order: int) -> Residual:
-    """Coefficientwise defect of the strong label equation, cleared form:
+    """Defect of the derived strong equation; tests check it is the paper's:
 
         (1-y)(1-z) I = xyz(1-y)(1-z) + x(1-z)(y I(1,z) - I(y,z))
                      + xz(1-y)(1-z) I + xyz(1-y)(I(y,1) - I(y,z)).
     """
-    return _label_residual("strong", order, _ONE_MINUS_Y * _ONE_MINUS_Z, lambda s: (
-        _ONE_MINUS_Z * (_Y * s.map_exponents(lambda e: (0, e[1])) - s)
-        + _Z * _ONE_MINUS_Y * _ONE_MINUS_Z * s
-        + _YZ * _ONE_MINUS_Y * (s.map_exponents(lambda e: (e[0], 0)) - s)
-    ))
+    return _label_residual("strong", order)
 
 
 # group -> (kernel value at (a, b, x), the maps phi and psi that fix it,
@@ -643,7 +658,7 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
         return next((n for n, y in enumerate(x.c) if y), None)
 
     lvs = list(map(LabelSeries("semi", order).poly, range(order + 1)))
-    diag, top = ([lv.map_exponents(f) for lv in lvs] for f in (_diagonal, lambda e: (e[1], 0)))
+    diag, top = ([_compose(lv, m) for lv in lvs] for m in (_DIAGONAL, ((0, 1), (0, 0))))
     sq, sp = (max([0, *(m - n for n, lv in enumerate(s) for m, _ in lv.c)]) for s in (diag, top))
     d = XSeries(sum(y * (p + q) ** m * p ** n * q ** (n + sq - m) for (m, _), y in lv.c.items())
                 for n, lv in enumerate(diag))

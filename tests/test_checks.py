@@ -177,6 +177,21 @@ def test_every_route_returns_plain_ints():
             assert values and all(type(v) is int for v in values), (family, route)
 
 
+@pytest.mark.parametrize("check, family, route, detail", [
+    ("strong-three-routes", "strong", "walks", "route walks returned 12 terms for n up to 13"),
+    ("apery-closed-vs-recurrence", "apery", "closed",
+     "route closed returned 30 terms for n up to 30"),
+], ids=["strong-walks", "apery-closed"])
+def test_route_check_fails_a_route_with_too_few_terms(monkeypatch, check, family, route,
+                                                      detail):
+    # compare_routes reads only common prefixes, so the check counts terms itself
+    routes = checks.FAMILIES[family]["routes"]
+    full = routes[route]
+    monkeypatch.setitem(routes, route, lambda n: full(n)[:-1])
+    fn, sizes, _ = checks._REGISTRY[check]
+    assert fn(*sizes, 0) == (False, detail)
+
+
 def test_compare_routes_needs_two_routes():
     with pytest.raises(ValueError, match="two routes"):
         checks.compare_routes({"only": [1, 2, 6]})

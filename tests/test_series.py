@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import baxterlab
-from baxterlab import formulas, series
+from baxterlab import formulas, rules, series
 
 from conftest import SB
 
@@ -206,6 +206,51 @@ def test_residuals_vanish():
     assert series.residual_semi(10) == (0, None)
     assert series.residual_strong(10) == (0, None)
     assert series.residual_semi(2) == (0, None)
+    for rule in rules.RULES:
+        assert series._label_residual(rule, 10) == (0, None), rule
+        assert series._label_residual(rule, 2) == (0, None), rule
+
+
+# The paper's cleared label equations, as in the residual_semi and
+# residual_strong docstrings: the kernel K and {M: c} for K S_n = sum c
+# (S_(n-1) o M), M = ((a, b), (c, d)) sending y^h z^k to y^(ah+bk) z^(ch+dk).
+_ONE, _Y, _Z = series.Poly({(0, 0): 1}), series.Poly({(1, 0): 1}), series.Poly({(0, 1): 1})
+_ID, _Y_IS_1 = ((1, 0), (0, 1)), ((0, 0), (0, 1))
+_Z_IS_1, _Z_IS_Y = ((1, 0), (0, 0)), ((1, 1), (0, 0))
+_PAPER = {
+    # (1-y)(z-y) S = xyz(1-y)(z-y) + xyz(z-y)(S(1,z) - S(y,z)) + xyz(1-y)(S(y,z) - S(y,y))
+    "semi": ((_ONE - _Y) * (_Z - _Y), {
+        _ID: _Y * _Z * (_ONE - _Y) - _Y * _Z * (_Z - _Y),
+        _Y_IS_1: _Y * _Z * (_Z - _Y),
+        _Z_IS_Y: -(_Y * _Z * (_ONE - _Y)),
+    }),
+    # (1-y)(1-z) I = xyz(1-y)(1-z) + x(1-z)(y I(1,z) - I(y,z))
+    #              + xz(1-y)(1-z) I + xyz(1-y)(I(y,1) - I(y,z))
+    "strong": ((_ONE - _Y) * (_ONE - _Z), {
+        _ID: _Z * (_ONE - _Y) * (_ONE - _Z) - (_ONE - _Z) - _Y * _Z * (_ONE - _Y),
+        _Y_IS_1: _Y * (_ONE - _Z),
+        _Z_IS_1: _Y * _Z * (_ONE - _Y),
+    }),
+}
+
+
+def _proportional(derived, paper) -> bool:
+    """K_paper c_derived[M] == K_derived c_paper[M] for every map M: the two
+    equations then hold for the same label series, at every n."""
+    (k, c), (kp, cp) = derived, paper
+    return all(kp * c.get(m, series.Poly()) == k * cp.get(m, series.Poly())
+               for m in c.keys() | cp.keys())
+
+
+def test_derived_equations_are_the_papers():
+    for rule, sign in (("semi", -1), ("strong", 1)):
+        derived = series._equation(rules.RULES[rule])
+        assert derived[0] == _PAPER[rule][0] * sign, rule
+        assert _proportional(derived, _PAPER[rule]), rule
+    # negative control: one changed paper coefficient breaks the match
+    kernel, terms = _PAPER["strong"]
+    wrong = (kernel, {**terms, _Y_IS_1: terms[_Y_IS_1] + _Z})
+    assert not _proportional(series._equation(rules.RULES["strong"]), wrong)
 
 
 def test_residual_detects_perturbation(monkeypatch):
@@ -231,24 +276,27 @@ def test_residual_detects_perturbation(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rule=st.sampled_from(["semi", "strong"]), n=st.integers(1, 6),
+@given(rule=st.sampled_from(sorted(rules.RULES)), n=st.integers(1, 6),
        h=st.integers(0, 6), k=st.integers(0, 6),
        delta=st.integers(-3, 3).filter(bool))
 def test_residuals_pinpoint_any_bumped_label(rule, n, h, k, delta):
     """Bumping label (h, k) at level n puts the first defect in the x^n
     slice, as the kernel times that label: its least term is (h, k+1)
-    under (1-y)(z-y) for semi and (h, k) under (1-y)(1-z) for strong."""
+    under (1-y)(y-z) for semi and tbax, and (h, k) under (1-y)(1-z) for
+    bax and strong and under 1-y for cat."""
     exact = series.LabelSeries.poly
 
     def bumped(self, m):
         return exact(self, m) + series.Poly({(h, k): delta}) if m == n else exact(self, m)
 
-    residual = {"semi": series.residual_semi, "strong": series.residual_strong}[rule]
+    residual = {"semi": series.residual_semi, "strong": series.residual_strong}.get(rule)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series.LabelSeries, "poly", bumped)
-        max_abs, where = residual(6)
+        max_abs, where = series._label_residual(rule, 6)
+        if residual:
+            assert residual(6) == (max_abs, where)
     assert max_abs >= abs(delta)
-    assert where == ((n, h, k + 1) if rule == "semi" else (n, h, k))
+    assert where == ((n, h, k + 1) if rule in ("semi", "tbax") else (n, h, k))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +581,7 @@ def _reduced_oracle(a0: Fraction, order: int) -> dict:
         return series.XSeries(labels.poly(k).map_exponents(exponent).eval_at(t, 1)
                               for k in range(order + 1))
 
-    s_diag = collapsed(series._diagonal, 1 + a0)
+    s_diag = collapsed(lambda e: (e[0] + e[1], 0), 1 + a0)
     s_top = collapsed(lambda e: (e[1], 0), 1 + 1 / a0)
     f_fail = first_fail(series._assemble_F(w, lambda c, _: c.eval_at(a0, 1)))
     sum_fail = first_fail(s_diag + s_top.scale((1 + a0) ** 2 / a0 ** 4).shift_x())
