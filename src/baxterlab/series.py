@@ -24,7 +24,10 @@ int coefficients, each at most its value at a = 1.  Solved once at a = 1
 for that bound and once at a = 2^b with b wide enough, each coefficient
 of W (or of F, assembled from it the same way) is one int whose signed
 b-bit digits are its coefficients in a.  What they return is a series of
-Polys keyed (e, 0); two-variable products stay on Poly's dict path.
+Polys keyed (e, 0).  The label residuals substitute in two variables:
+each level is packed once at y = 2^b, z = 2^(bw), each monomial of the
+label equation is a shift, and only a nonzero defect is read back into
+a Poly.  Other two-variable products stay on Poly's dict path.
 """
 
 from __future__ import annotations
@@ -102,18 +105,6 @@ class Poly:
                 out[k] = get(k, 0) + v1 * v2
         return Poly(out)
 
-    def map_exponents(self, f: Callable[[tuple[int, int]], tuple[int, int]]) -> "Poly":
-        """Send every exponent e to f(e), summing the terms that collide.
-
-        >>> Poly({(1, 0): 2, (0, 1): 3}).map_exponents(lambda e: (sum(e), 0))
-        5*a^1
-        """
-        out: dict[tuple[int, int], Rat] = {}
-        for e, v in self.c.items():
-            k = f(e)
-            out[k] = out.get(k, 0) + v
-        return Poly(out)
-
     def eval_at(self, x: Rat, y: Rat) -> Fraction:
         x, y = Fraction(x), Fraction(y)
         return sum((v * x ** i * y ** j for (i, j), v in self.c.items()), Fraction(0))
@@ -125,6 +116,16 @@ def laurent(coeffs: Mapping[int, Rat]) -> Poly:
 
 
 _ONE_PLUS_A = laurent({0: 1, 1: 1})
+
+
+def _width(bound: int) -> int:
+    """The least whole-byte b with bound < 2^(b-1): the signed b-bit digits
+    of a Kronecker-packed int then hold any coefficient of size at most bound.
+
+    >>> _width(127), _width(128)
+    (8, 16)
+    """
+    return 8 * (bound.bit_length() // 8 + 1)
 
 
 def _digits(v: int, b: int, lo: int) -> Poly:
@@ -140,6 +141,26 @@ def _digits(v: int, b: int, lo: int) -> Poly:
     raw = (v + bias).to_bytes(n * w, "little")
     return laurent({e: int.from_bytes(raw[i:i + w], "little") - half
                     for e, i in enumerate(range(0, n * w, w), lo)})
+
+
+def _pack(p: Poly, b: int, w: int) -> int:
+    """p(y, z) at y = 2^b, z = 2^(bw): the sum of v 2^(b(i + wj)) over its
+    terms v y^i z^j, for 0 <= i < w, j >= 0 and every |v| < 2^(b-1), b a
+    whole number of bytes.  Each v is written as its b-bit two's complement
+    into one byte string, which for v < 0 is v + 2^b, so 2^(b(i + wj + 1))
+    is taken off again.
+
+    >>> _pack(Poly({(1, 0): 5, (0, 1): -3}), 8, 2) == (5 << 8) - (3 << 16)
+    True
+    """
+    nb = b // 8
+    cells = [bytes(nb)] * (w * (max([j for _, j in p.c], default=0) + 1))
+    borrows = 0
+    for (i, j), v in p.c.items():
+        cells[i + w * j] = v.to_bytes(nb, "little", signed=True)
+        if v < 0:
+            borrows += 1 << b * (i + w * j + 1)
+    return int.from_bytes(b"".join(cells), "little") - borrows
 
 
 def _row(u: list, v: list, k: int):
@@ -234,7 +255,7 @@ def _kronecker(bound: XSeries, order: int) -> tuple[int, XSeries]:
     order adds at most a^2 and at least ā), else ValueError; those of
     [t^n] in [1, 3n], read here on the ints.
     """
-    b = 8 * (max(bound.c).bit_length() // 8 + 1)
+    b = _width(max(bound.c))
     w = _w_at(1 << b, order)
     for n in range(1, order + 1):
         v = w.c[n]
@@ -316,12 +337,23 @@ def omega_geq(s: XSeries) -> XSeries:
 
 _LinearMap = tuple[tuple[int, int], tuple[int, int]]  # see _compose
 _DIAGONAL: _LinearMap = (1, 1), (0, 0)  # y = z: y^h z^k becomes t^(h+k), keyed (h+k, 0)
+_IDENTITY: _LinearMap = (1, 0), (0, 1)
 
 
 def _compose(s: Poly, m: _LinearMap) -> Poly:
-    """S o M: each y^h z^k of s sent to y^(ah+bk) z^(ch+dk), M = ((a, b), (c, d))."""
+    """S o M: each y^h z^k of s sent to y^(ah+bk) z^(ch+dk), M = ((a, b), (c, d)),
+    summing the terms that meet.  Poly prints the (y, z) slots as a, b:
+
+    >>> _compose(Poly({(1, 0): 2, (0, 1): 3, (1, 1): -1}), _DIAGONAL)
+    5*a^1 + -1*a^2
+    """
     (a, b), (c, d) = m
-    return s.map_exponents(lambda e: (a * e[0] + b * e[1], c * e[0] + d * e[1]))
+    out: dict[tuple[int, int], Rat] = {}
+    get = out.get
+    for (h, k), v in s.c.items():
+        e = a * h + b * k, c * h + d * k
+        out[e] = get(e, 0) + v
+    return Poly(out)
 
 
 class LabelSeries:
@@ -373,8 +405,9 @@ def residual_scan(defects: Iterable[tuple[int, Poly]]) -> Residual:
 def _equation(rule: SuccessionRule) -> tuple[Poly, dict[_LinearMap, Poly]]:
     """(K, {M: c}) with K S_n = sum c (S_(n-1) o M) for n >= 2, from rule.rows
     alone: a row's children are its first child minus its one-past-last, over
-    1 - y^dx z^dy (its one child if d = (0, 0)), and K clears every such
-    denominator and negative exponent.  Poly prints the (y, z) slots as a, b:
+    1 - y^dx z^dy (its one child, span + 1 times, if d = (0, 0)), and K clears
+    every such denominator and negative exponent.  A row with d = (0, 0) whose
+    span depends on h or k raises ValueError.  Poly prints (y, z) as (a, b):
 
     >>> _equation(RULES["cat"])
     (1 + -1*a^1, {((0, 0), (0, 0)): 1*a^1*b^1, ((1, 0), (0, 0)): -1*a^2*b^1})
@@ -382,10 +415,14 @@ def _equation(rule: SuccessionRule) -> tuple[Poly, dict[_LinearMap, Poly]]:
     steps = {d: Poly({(0, 0): 1, d: -1}) for _, _, d, _ in rule.rows if d != (0, 0)}
     terms: dict[_LinearMap, Poly] = {}
     for x, y, d, span in rule.rows:
+        if d not in steps and span[1:] != (0, 0):
+            raise ValueError(f"rule {rule.name}: a row with step (0, 0) has a span "
+                             f"that depends on h or k")
+        copies = 1 if d in steps else max(span[0] + 1, 0)
         past = _lin((1, span), (1, (1, 0, 0)))  # span + 1
         end = _lin((1, x), (d[0], past)), _lin((1, y), (d[1], past))
         others = prod((v for e, v in steps.items() if e != d), start=Poly({(0, 0): 1}))
-        for sign, (x0, xh, xk), (y0, yh, yk) in ((1, x, y), (-1 if d in steps else 0, *end)):
+        for sign, (x0, xh, xk), (y0, yh, yk) in ((copies, x, y), (-1 if d in steps else 0, *end)):
             m = (xh, xk), (yh, yk)
             terms[m] = terms.get(m, Poly()) + others * Poly({(x0, y0): sign})
     kernel = prod(steps.values(), start=Poly({(0, 0): 1}))
@@ -396,15 +433,48 @@ def _equation(rule: SuccessionRule) -> tuple[Poly, dict[_LinearMap, Poly]]:
 
 def _label_residual(rule_name: str, order: int) -> Residual:
     """residual_scan of K (S_n - [n=1] axiom) - sum c (S_(n-1) o M) over
-    n = 1..order, for the rule's equation (K, {M: c}) from _equation."""
+    n = 1..order, for the rule's equation (K, {M: c}) from _equation.
+
+    Computed on ints: each level, and each image S o M but S itself, is
+    packed once at y = 2^b, z = 2^(bw) (_pack), so a monomial of K or c is a
+    shift, and only a nonzero defect is read back (_digits, cell e at
+    y^(e mod w) z^(e div w)).  No defect coefficient exceeds (|K|_1 +
+    sum |c|_1)(largest level sum |S| + 1), and b is _width of that bound;
+    w exceeds every y-exponent a product term can carry, so no two cells meet.
+    """
     at_least(order, 2, "order")
-    kernel, terms = _equation(RULES[rule_name])
+    rule = RULES[rule_name]
+    kernel, terms = _equation(rule)
     s = list(map(LabelSeries(rule_name, order).poly, range(order + 1)))
-    return residual_scan(
-        (n, kernel * (s[n] - Poly({RULES[rule_name].axiom: 1}) if n == 1 else s[n])
-         - sum((c * _compose(s[n - 1], m) for m, c in terms.items()), Poly()))
-        for n in range(1, order + 1)
-    )
+    images = {m: [_compose(lv, m) for lv in s[:-1]] for m in terms if m != _IDENTITY}
+    if any(min(e) < 0 for im in images.values() for p in im for e in p.c):
+        raise ValueError(f"rule {rule_name}: a label image S o M has an exponent below 0")
+    factors = [(kernel, [*s, Poly({rule.axiom: 1})]),
+               *((c, images.get(m, s)) for m, c in terms.items())]
+
+    def top(*ps: Poly) -> int:  # the largest y-exponent in ps, or 0
+        return max([i for p in ps for i, _ in p.c], default=0)
+
+    w = 1 + max(top(c) + top(*ps) for c, ps in factors)
+    b = _width(sum(sum(map(abs, c.c.values())) for c, _ in factors)
+               * (max(sum(map(abs, lv.c.values())) for lv in s) + 1))
+    axiom = 1 << b * (rule.axiom[0] + w * rule.axiom[1])
+
+    def times(c: Poly, v: int) -> int:  # c(2^b, 2^(bw)) v
+        return sum(x * (v << b * (i + w * j)) for (i, j), x in c.c.items())
+
+    def defects() -> Iterable[tuple[int, Poly]]:
+        last = 0  # S_(n-1) packed
+        for n in range(1, order + 1):
+            now = _pack(s[n], b, w)
+            v = times(kernel, now - axiom if n == 1 else now) - sum(
+                times(c, _pack(images[m][n - 1], b, w) if m in images else last)
+                for m, c in terms.items())
+            if v:
+                yield n, Poly({(e % w, e // w): x for (e, _), x in _digits(v, b, 0).c.items()})
+            last = now
+
+    return residual_scan(defects())
 
 
 def residual_semi(order: int) -> Residual:
@@ -430,6 +500,8 @@ def residual_strong(order: int) -> Residual:
 
 # group -> (kernel value at (a, b, x), the maps phi and psi that fix it,
 # order of the group they generate: 10, or "open" for an infinite group).
+# Both maps must be involutions: _orbit_size never applies to a point the
+# map that made it.
 _KERNELS: dict[str, tuple[Callable, Callable, Callable, int | str]] = {
     "semi": (
         lambda a, z, x: 1 - x * z * (1 + a) / a - x * z * (1 + a) / (z - 1 - a),
@@ -498,17 +570,20 @@ def _mod_p(r: Rat) -> _ModP:
 
 def _orbit_size(phi: Callable, psi: Callable, start: tuple, limit: int) -> int:
     """Breadth-first closure of start under phi and psi, stopped once more
-    than `limit` distinct points have been seen."""
+    than `limit` distinct points have been seen.  Each point keeps the map
+    that made it, and only the other map is applied to it: both are
+    involutions, so the same map would only return its parent."""
     seen = {start}
-    frontier = [start]
+    frontier = [(start, None)]
     while frontier and len(seen) <= limit:
         fresh = []
-        for p in frontier:
+        for p, made in frontier:
             for f in (phi, psi):
-                q = f(*p)
-                if q not in seen:
-                    seen.add(q)
-                    fresh.append(q)
+                if f is not made:
+                    q = f(*p)
+                    if q not in seen:
+                        seen.add(q)
+                        fresh.append((q, f))
         frontier = fresh
     return len(seen)
 

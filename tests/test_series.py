@@ -34,8 +34,8 @@ def test_laurent_arithmetic():
 
 def test_two_variable_poly():
     p = series.Poly({(1, 0): 2, (0, 1): 3, (1, 1): -1})
-    assert p.map_exponents(lambda e: (0, e[1])).c == {(0, 0): 2, (0, 1): 2}
-    assert p.map_exponents(lambda e: (e[0] + e[1], 0)).c == {(1, 0): 5, (2, 0): -1}
+    assert series._compose(p, ((0, 0), (0, 1))).c == {(0, 0): 2, (0, 1): 2}
+    assert series._compose(p, series._DIAGONAL).c == {(1, 0): 5, (2, 0): -1}
     assert (p * p).coeff(1, 1) == 12
     assert p.eval_at(2, Fraction(1, 3)) == Fraction(13, 3)
 
@@ -176,6 +176,15 @@ def test_solve_w_past_256_bit_coefficients_matches_lagrange():
                 assert series.lagrange_coeff(s, k, i) == got.coeff(s, 0), (s, k, i)
 
 
+def test_width_is_the_least_byte_width_above_the_bound():
+    """_width(bound) is the least multiple of 8 with bound < 2^(b-1)."""
+    for bound, b in [(0, 8), (1, 8), (127, 8), (128, 16), (2 ** 15 - 1, 16), (2 ** 15, 24)]:
+        assert series._width(bound) == b, bound
+    for bound in range(1, 5000, 7):
+        b = series._width(bound)
+        assert b % 8 == 0 and bound < 1 << b - 1 and (b == 8 or bound >= 1 << b - 9)
+
+
 def test_kronecker_width_keeps_the_sign_bit_clear():
     """b is the least whole-byte width with every bound entry below 2^(b-1)."""
     for top, b in [(1, 8), (127, 8), (128, 16), (2 ** 15 - 1, 16), (2 ** 15, 24)]:
@@ -209,6 +218,32 @@ def test_residuals_vanish():
     for rule in rules.RULES:
         assert series._label_residual(rule, 10) == (0, None), rule
         assert series._label_residual(rule, 2) == (0, None), rule
+
+
+@pytest.mark.parametrize("text", [
+    "axiom (1,1)\nrow (h, k) for i = 1..2\n",
+    "axiom (1,1)\nrow (i, k+1) for i = 1..h\nrow (h+1, k) for i = 0..2\nrow (h, i) for i = 1..k\n",
+], ids=["alone", "among-runs"])
+def test_equation_counts_every_copy_of_a_repeated_child(monkeypatch, text):
+    """A row with step (0, 0) and constant span s puts s + 1 copies of one
+    child, so its term carries the weight s + 1."""
+    monkeypatch.setitem(rules.RULES, "dup", rules.parse_rule(text, "dup"))
+    assert series._label_residual("dup", 10) == (0, None)
+
+
+def test_equation_rejects_a_repeat_count_that_depends_on_the_label():
+    rule = rules.parse_rule("axiom (1,1)\nrow (h, k) for i = 1..h\n", "dup")
+    with pytest.raises(ValueError, match=r"rule dup: a row with step \(0, 0\)"):
+        series._equation(rule)
+
+
+def test_residual_rejects_an_image_exponent_below_zero(monkeypatch):
+    # no rule's equation has such a map; y^h becoming y^-h cannot be packed
+    kernel, terms = series._equation(rules.RULES["cat"])
+    flipped = {((-1, 0), (0, 0)) if m == ((1, 0), (0, 0)) else m: c for m, c in terms.items()}
+    monkeypatch.setattr(series, "_equation", lambda rule: (kernel, flipped))
+    with pytest.raises(ValueError, match="rule cat: .* below 0"):
+        series._label_residual("cat", 4)
 
 
 # The paper's cleared label equations, as in the residual_semi and
@@ -297,6 +332,39 @@ def test_residuals_pinpoint_any_bumped_label(rule, n, h, k, delta):
             assert residual(6) == (max_abs, where)
     assert max_abs >= abs(delta)
     assert where == ((n, h, k + 1) if rule in ("semi", "tbax") else (n, h, k))
+
+
+def _poly_residual(rule_name: str, order: int) -> series.Residual:
+    """The label residual on Poly arithmetic, a product per term: the oracle
+    for _label_residual's packed ints."""
+    kernel, terms = series._equation(rules.RULES[rule_name])
+    s = list(map(series.LabelSeries(rule_name, order).poly, range(order + 1)))
+    axiom = series.Poly({rules.RULES[rule_name].axiom: 1})
+    return series.residual_scan(
+        (n, kernel * (s[n] - axiom if n == 1 else s[n])
+         - sum((c * series._compose(s[n - 1], m) for m, c in terms.items()), series.Poly()))
+        for n in range(1, order + 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule=st.sampled_from(sorted(rules.RULES)), order=st.integers(2, 10), data=st.data(),
+       h=st.integers(0, 8), k=st.integers(0, 8),
+       delta=st.integers(1, 2 ** 200).flatmap(lambda d: st.sampled_from([d, -d])))
+@example(rule="strong", order=10, data=None, h=0, k=0, delta=-2 ** 200)
+def test_packed_residual_equals_the_poly_oracle(rule, order, data, h, k, delta):
+    """One label count of one level changed by delta, up to 2^200 either
+    way: the packed residual reports the oracle's (max_abs, first offending),
+    including where the label (h, k) was absent or has a 0 slot."""
+    n = data.draw(st.integers(1, order)) if data else order
+    exact = series.LabelSeries.poly
+
+    def bumped(self, m):
+        return exact(self, m) + series.Poly({(h, k): delta}) if m == n else exact(self, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series.LabelSeries, "poly", bumped)
+        assert series._label_residual(rule, order) == _poly_residual(rule, order)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +457,41 @@ def _fraction_orbit(group, a, b, limit):
     return len(seen)
 
 
-@settings(max_examples=40, deadline=None)
-@given(a=st.fractions(min_value=-9, max_value=9, max_denominator=9),
+@settings(max_examples=60, deadline=None)
+@given(group=st.sampled_from(sorted(series._KERNELS)),
+       a=st.fractions(min_value=-9, max_value=9, max_denominator=9),
        b=st.fractions(min_value=-9, max_value=9, max_denominator=9))
-def test_strong_orbit_equals_a_fraction_oracle(a, b):
+def test_kernel_orbit_equals_a_fraction_oracle(group, a, b):
+    """The oracle applies both maps to every point; kernel_orbit skips the
+    map that made a point and finds the same orbit."""
     try:
-        expected = _fraction_orbit("strong", a, b, 30)
+        expected = _fraction_orbit(group, a, b, 30)
     except ZeroDivisionError:
         assume(False)
-    assert series.kernel_orbit("strong", a, b, limit=30) == expected
+    assert series.kernel_orbit(group, a, b, limit=30) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=st.sampled_from(sorted(series._KERNELS)),
+       a=st.fractions(min_value=-40, max_value=40, max_denominator=40),
+       b=st.fractions(min_value=-40, max_value=40, max_denominator=40))
+def test_kernel_maps_are_involutions(group, a, b):
+    """f(f(p)) == p for both maps, over Fraction and, for the open group
+    whose orbit is counted mod p first, mod p: _orbit_size relies on it."""
+    _, phi, psi, order = series._KERNELS[group]
+    points = [(a, b)]
+    if order == "open":
+        points.append((series._mod_p(a), series._mod_p(b)))
+    checked = 0
+    for f in (phi, psi):
+        for p in points:
+            try:
+                back = f(*f(*p))
+            except (ZeroDivisionError, ValueError):
+                continue
+            assert back == p, (f, p)
+            checked += 1
+    assume(checked)
 
 
 @pytest.mark.parametrize("a, b", [(1, series._P), (Fraction(1, series._P), 3)],
@@ -460,15 +554,22 @@ def test_kernel_invariance_gives_up_with_value_error(monkeypatch):
         series.kernel_invariance("semi", 1)
 
 
-def test_kernel_invariance_rejects_no_trials_under_optimize():
+def test_series_guards_raise_under_optimize():
     # a bare assert would vanish under -O and report a vacuous pass
     code = (
-        "from baxterlab import series\n"
+        "from baxterlab import rules, series\n"
         "try:\n"
         "    series.kernel_invariance('semi', 0)\n"
         "except ValueError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('kernel_invariance accepted zero trials')\n"
+        "rule = rules.parse_rule('axiom (1,1)\\nrow (h, k) for i = 1..h\\n', 'dup')\n"
+        "try:\n"
+        "    series._equation(rule)\n"
+        "except ValueError:\n"
         "    raise SystemExit(0)\n"
-        "raise SystemExit('kernel_invariance accepted zero trials')\n"
+        "raise SystemExit('_equation accepted a span that depends on h')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(baxterlab.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
@@ -578,11 +679,11 @@ def _reduced_oracle(a0: Fraction, order: int) -> dict:
     labels = series.LabelSeries("semi", order)
 
     def collapsed(exponent, t):
-        return series.XSeries(labels.poly(k).map_exponents(exponent).eval_at(t, 1)
-                              for k in range(order + 1))
+        return series.XSeries(sum((v * t ** exponent(*e) for e, v in labels.poly(k).c.items()),
+                                  Fraction(0)) for k in range(order + 1))
 
-    s_diag = collapsed(lambda e: (e[0] + e[1], 0), 1 + a0)
-    s_top = collapsed(lambda e: (e[1], 0), 1 + 1 / a0)
+    s_diag = collapsed(lambda h, k: h + k, 1 + a0)
+    s_top = collapsed(lambda h, k: k, 1 + 1 / a0)
     f_fail = first_fail(series._assemble_F(w, lambda c, _: c.eval_at(a0, 1)))
     sum_fail = first_fail(s_diag + s_top.scale((1 + a0) ** 2 / a0 ** 4).shift_x())
     return {"f_first_fail": f_fail, "sum_first_fail": sum_fail,
