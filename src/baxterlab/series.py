@@ -407,7 +407,8 @@ def _equation(rule: SuccessionRule) -> tuple[Poly, dict[_LinearMap, Poly]]:
     alone: a row's children are its first child minus its one-past-last, over
     1 - y^dx z^dy (its one child, span + 1 times, if d = (0, 0)), and K clears
     every such denominator and negative exponent.  A row with d = (0, 0) whose
-    span depends on h or k raises ValueError.  Poly prints (y, z) as (a, b):
+    span depends on h or k, or one with d != (0, 0) whose span can fall below
+    -1 at a positive label, raises ValueError.  Poly prints (y, z) as (a, b):
 
     >>> _equation(RULES["cat"])
     (1 + -1*a^1, {((0, 0), (0, 0)): 1*a^1*b^1, ((1, 0), (0, 0)): -1*a^2*b^1})
@@ -418,6 +419,9 @@ def _equation(rule: SuccessionRule) -> tuple[Poly, dict[_LinearMap, Poly]]:
         if d not in steps and span[1:] != (0, 0):
             raise ValueError(f"rule {rule.name}: a row with step (0, 0) has a span "
                              f"that depends on h or k")
+        if d in steps and (min(span[1:]) < 0 or sum(span) < -1):  # sum: at (1, 1)
+            raise ValueError(f"rule {rule.name}: a row with step {d} has a span "
+                             f"that can fall below -1")
         copies = 1 if d in steps else max(span[0] + 1, 0)
         past = _lin((1, span), (1, (1, 0, 0)))  # span + 1
         end = _lin((1, x), (d[0], past)), _lin((1, y), (d[1], past))

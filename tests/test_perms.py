@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baxterlab import perms, rules
+from baxterlab import formulas, perms, rules
 
 from conftest import (
     BAXTER,
@@ -351,11 +351,12 @@ def test_enumerate_class_n9_vs_frozen_prefixes(name, want):
 # The depth-first walk the package used before it merged equal states: one
 # stack entry per avoider, so it shares nothing between equal subtrees.
 
-def _dfs_counts(cls, depth, leaf=None):
-    """Counts of sizes 1..depth+1, visiting every avoider of size <= depth;
-    leaf, if given, gets (last, free) for each avoider of size depth."""
+def _dfs_counts(cls, depth, leaf=None, root=(1, 1, 0, ())):
+    """Counts of sizes 1..depth+1, visiting every avoider of size <= depth
+    below root (n, last, mask, stair), the size-1 avoider by default; leaf,
+    if given, gets (last, free) for each avoider of size depth."""
     counts = [1] + [0] * depth  # counts[i]: size i + 1
-    stack = [(1, 1, 0, ())] if depth > 0 else []
+    stack = [root] if depth >= root[0] else []
     while stack:
         n, last, mask, stair = stack.pop()
         free = ~mask & ((1 << (n + 1)) - 1)
@@ -391,10 +392,30 @@ def test_label_census_vs_dfs_oracle(name):
         assert perms.label_census(cls, n) == want, n
 
 
-def test_walk_streams_its_last_two_levels():
-    # The last two levels hold the most states, so _walk streams them and
-    # stores none.  Streaming peaks near 0.11 MB here; storing the last level
-    # too peaks near 0.32 MB, so this fails if that level is ever kept.
+@pytest.mark.parametrize("name", sorted(perms.CLASSES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_canonical_state_roots_the_same_subtree(name, data):
+    # a random path of free slots down to a node of size 4-8, then every
+    # level of the three below it, from the raw state and from its canonical
+    cls = perms.CLASSES[name]
+    size = data.draw(st.integers(4, 8))
+    last, mask, stair = 1, 0, ()
+    for n in range(1, size):
+        a = data.draw(st.sampled_from(
+            [a for a in range(1, n + 2) if not mask >> (a - 1) & 1]))
+        (mask, stair), last = cls.step(mask, stair, last, a), a
+    canon = perms._canonical(size, last, mask, stair)
+    assert perms._canonical(size, *canon) == canon
+    want = _dfs_counts(cls, size + 3, root=(size, last, mask, stair))
+    assert _dfs_counts(cls, size + 3, root=(size, *canon)) == want
+
+
+def test_walk_streams_its_last_level():
+    # The last level holds the most states, so _walk streams it and stores
+    # none.  Streaming peaks near 0.11 MB here once the interpreter's free
+    # lists are warm (0.20 MB cold); storing the last level too peaks near
+    # 0.42 MB, so this fails if that level is ever kept.
     tracemalloc.start()
     try:
         perms.enumerate_class(perms.CLASSES["exp1423"], 9)
@@ -408,10 +429,16 @@ def test_walk_streams_its_last_two_levels():
     ("semi", "semi"), ("plane", "semi"), ("baxter", "bax"),
     ("twisted", "tbax"), ("strong", "strong"),
 ])
-def test_enumerate_class_n12_vs_rule(name, rule):
-    # a size the depth-first walk could not afford (semi took 5.2 s)
-    got = perms.enumerate_class(perms.CLASSES[name], 12)
-    assert got == rules.count_sequence(rules.RULES[rule], 12)
+def test_enumerate_class_n20_vs_rule(name, rule):
+    # a size the depth-first walk could not afford (semi took 5.2 s at n = 12)
+    got = perms.enumerate_class(perms.CLASSES[name], 20)
+    assert got == rules.count_sequence(rules.RULES[rule], 20)
+
+
+def test_exp1423_n12_vs_sb_recurrence():
+    # the conjecture the paper proves, two sizes past the full suite's check
+    got = perms.enumerate_class(perms.CLASSES["exp1423"], 12)
+    assert got == formulas.sb_recurrence(12)[1:]
 
 
 def test_iter_avoiders_rejects_size_zero():

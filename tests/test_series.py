@@ -237,6 +237,18 @@ def test_equation_rejects_a_repeat_count_that_depends_on_the_label():
         series._equation(rule)
 
 
+@pytest.mark.parametrize("row", ["row (i, k) for i = 1..h-2",  # span -2 at h = 1
+                                 "row (i, k) for i = h..k"])   # span k - h
+def test_equation_rejects_a_run_span_below_minus_one(monkeypatch, row):
+    """next_level counts no children where a run's span is below -1, but the
+    first-child-minus-one-past-last term would count a negative number."""
+    text = f"axiom (1,1)\nrow (i, k+1) for i = 1..h\n{row}\n"
+    monkeypatch.setitem(rules.RULES, "low", rules.parse_rule(text, "low"))
+    with pytest.raises(ValueError, match=r"rule low: a row with step \(1, 0\) has a span "
+                                         r"that can fall below -1"):
+        series._label_residual("low", 6)
+
+
 def test_residual_rejects_an_image_exponent_below_zero(monkeypatch):
     # no rule's equation has such a map; y^h becoming y^-h cannot be packed
     kernel, terms = series._equation(rules.RULES["cat"])
