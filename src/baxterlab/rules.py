@@ -34,9 +34,10 @@ rule's label equation off the same runs.  `next_level` expands no
 node: in one flat grid, where label (x, y) sits at index x + w*y and a
 step of d is one stride, it adds each run's count at its first label and
 subtracts it one stride past its last, then sums along the stride, one
-pass per row.  A level step so costs the box from the origin to the
-largest child, not O(sum of h+k): the ECO method of Barcucci, Del Lungo,
-Pergola and Pinzani (1999).
+pass per row.  The grid reaches only as far as the children of labels
+under the level's largest h + k can, so a level step costs the box from
+the origin to that diagonal's largest child, not O(sum of h+k): the ECO
+method of Barcucci, Del Lungo, Pergola and Pinzani (1999).
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ class SuccessionRule(NamedTuple):
 
 def _at(f: Affine, h: int, k: int) -> int:
     return f[0] + f[1] * h + f[2] * k
-
-
-def _most(f: Affine, hb: tuple[int, int], kb: tuple[int, int]) -> int:
-    """Greatest value of f over the box hb[0] <= h <= hb[1], kb[0] <= k <= kb[1]."""
-    return f[0] + f[1] * hb[f[1] >= 0] + f[2] * kb[f[2] >= 0]
 
 
 def _lin(*terms: tuple[int, Affine]) -> Affine:
@@ -125,9 +121,10 @@ def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistributi
 
     dist maps positive labels to positive counts; a label or child label
     that is not a pair of positive integers raises ValueError.  Time and
-    memory grow with the box of labels from the origin to the largest
-    child, which for a level of a generating tree is a small multiple of
-    its label count.
+    memory grow with the box from the origin to the largest child that
+    any label of the level's box cut by its largest h + k could have;
+    the labels of a built-in rule's level n lie under h + k <= n + 1, so
+    that box is a small multiple of the level's label count.
 
     >>> next_level(RULES["semi"], {(1, 2): 1, (2, 1): 1}) == {
     ...     (1, 3): 1, (3, 1): 2, (2, 2): 2, (1, 2): 1}
@@ -136,35 +133,44 @@ def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistributi
     if not dist:
         return {}
     hs, ks = zip(*dist)
-    hb, kb = (min(hs), max(hs)), (min(ks), max(ks))
-    if hb[0] < 1 or kb[0] < 1:
+    h0, h1, k0, k1 = min(hs), max(hs), min(ks), max(ks)
+    if h0 < 1 or k0 < 1:
         raise ValueError(f"rule {rule.name}: a label of the level is not positive")
+    # The labels lie in the box h0..h1 x k0..k1 cut by h + k <= s, and an affine
+    # map peaks at a vertex of that: (h0, k0), where a map falling in h and k
+    # does, or a far corner the cut trims (s >= h1 + k0 and s >= h0 + k1).
+    s = max(map(add, hs, ks))
+    corners = (h0, k0), (h1, k0), (h0, k1), (h1, min(k1, s - h1)), (min(h1, s - k1), k1)
     # Each row is one run of a positive direction, taken with dy > 0 or
     # dy = 0 < dx, so a row in the opposite direction is read from its last
     # child.  checks are the coordinates of the run's lowest labels that are
     # not positive for every h, k >= 1 by their coefficients alone.
-    runs, tops, pad = [], [], 0
+    runs, xtop, ytop, pad = [], 0, 0, 0
     for x, y, (dx, dy), span in rule.rows:
         end = _lin((1, x), (dx, span)), _lin((1, y), (dy, span))
         low = (x if dx >= 0 else end[0], y if dy >= 0 else end[1])
         checks = tuple(f for f in low if min(f[1:]) < 0 or sum(f) < 1)
-        tops += (x, y), end
+        for h, k in corners:
+            xtop = max(xtop, _at(x, h, k), _at(end[0], h, k))
+            ytop = max(ytop, _at(y, h, k), _at(end[1], h, k))
         pad = max(pad, abs(dx), abs(dy))
         if dy < 0 or dy == 0 > dx:
             dx, dy, (x, y) = -dx, -dy, end
         runs.append((dx, dy, span, x, y, checks))
     # Label (x, y) sits at index x + w*y.  w exceeds every child's x and every
     # |dx|, so a step of d is the index stride dx + w*dy; pad covers one-past.
-    w = max(0, *(_most(x, hb, kb) for x, _ in tops)) + pad + 1
-    size = w * (max(0, *(_most(y, hb, kb) for _, y in tops)) + pad + 1)
+    w = xtop + pad + 1
+    size = w * (ytop + pad + 1)
     total = [0] * size
     items = dist.items()
-    for dx, dy, (s0, sh, sk), x, y, checks in runs:
-        # A run adds cnt at its first child and -cnt one stride past its last;
-        # running sums along each residue class mod the stride count each
-        # child.  A run of one label (stride 0) adds its span+1 in place.
+    # A run adds cnt at its first child and -cnt one stride past its last;
+    # running sums along each residue class mod the stride count each child.
+    # The first run marks and sums in total itself, so a run of one label
+    # (stride 0), which adds its span+1 in place, comes after every other.
+    first = True
+    for dx, dy, (s0, sh, sk), x, y, checks in sorted(runs, key=lambda r: r[:2] == (0, 0)):
         stride = dx + w * dy
-        grid = [0] * size if stride else total
+        grid = [0] * size if stride and not first else total
         a0, ah, ak = _lin((1, x), (w, y))
         for (h, k), cnt in items:
             n = s0 + sh * h + sk * k + 1
@@ -178,7 +184,9 @@ def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistributi
                 else:
                     grid[a] += cnt * n
         for r in range(stride):
-            total[r::stride] = map(add, total[r::stride], accumulate(grid[r::stride]))
+            sums = accumulate(grid[r::stride])
+            total[r::stride] = sums if first else map(add, total[r::stride], sums)
+        first = False
         del grid  # before the next row allocates its own
     return {(x, y): v for y in range(size // w)
             for x, v in enumerate(total[y * w:(y + 1) * w]) if v}

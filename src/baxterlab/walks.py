@@ -6,12 +6,14 @@ must keep both coordinates nonnegative.  The preset FIVE is the step set
 copies of the stay-put step (0,0).  Excursions (walks returning to the
 origin) of SEVEN of length n-1 count strong-Baxter permutations of size
 n, and the two counting series are linked by the binomial transform that
-a pair of trivial steps induces.  The one walk DP, walk_grids, keeps per
+a pair of trivial steps induces, so strong_from_walks runs the FIVE DP
+and transforms its counts.  The one walk DP, walk_grids, keeps per
 length only the cells within reach of the step set's largest moves along
 x, y and x+y (and, for excursions, within reach of the origin again);
 for FIVE and SEVEN that is a triangle.  A grid row is one int with cell
 x in the b-bit slot at bit x*b (Kronecker substitution), so a step is a
-big-int shift and add per row.  No cell of length t exceeds M^t, M the
+big-int shift and add per row, and a row is masked back to its region
+only when it has outgrown it.  No cell of length t exceeds M^t, M the
 sum of the multiplicities; the slots hold M^T for the next _WIDEN_EVERY
 lengths T and are then re-slotted wider.
 Growth constants are estimated from excursion counts; for FIVE the
@@ -166,7 +168,9 @@ def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
                     src = rows[sy] << b if dx == 1 else rows[sy] >> b if dx else rows[sy]
                     row += src if m == 1 else m * src
             widths.append(min(x_top, s_top - ny) + 1)
-            new_rows.append(row & ((1 << widths[-1] * b) - 1))
+            # mask only a row that outgrew its region: none does while it grows
+            cut = widths[-1] * b
+            new_rows.append(row if row.bit_length() <= cut else row & ((1 << cut) - 1))
         rows = new_rows
         yield b, rows, widths
 
@@ -271,14 +275,16 @@ def strong_from_walks(n_max: int) -> list[int]:
     """Strong-Baxter counts for sizes 0..n_max via SEVEN excursions.
 
     The size-n count is the number of SEVEN excursions of length n-1;
-    index 0 holds the single empty permutation.
+    index 0 holds the single empty permutation.  SEVEN is FIVE plus two
+    pauses, so the counts are the binomial transform of the FIVE
+    excursions, whose DP has fewer steps and narrower slots than SEVEN's;
+    walks-w2-transform checks that identity against the SEVEN DP.
 
     >>> strong_from_walks(3)
     [1, 1, 2, 6]
     """
     at_least(n_max, 1, "n_max")
-    e = excursions(SEVEN, n_max - 1)
-    return [1] + e
+    return [1] + binomial_transform(excursions(FIVE, n_max - 1), 2)
 
 
 def strong_refinement_residual(n_max: int = 10) -> Residual:

@@ -1,6 +1,7 @@
 """Active sites, the right-end step against the scan oracles, and class
 enumeration against a depth-first oracle."""
 
+import gc
 import itertools
 import tracemalloc
 from collections import Counter
@@ -413,9 +414,12 @@ def test_canonical_state_roots_the_same_subtree(name, data):
 
 def test_walk_streams_its_last_level():
     # The last level holds the most states, so _walk streams it and stores
-    # none.  Streaming peaks near 0.11 MB here once the interpreter's free
-    # lists are warm (0.20 MB cold); storing the last level too peaks near
-    # 0.42 MB, so this fails if that level is ever kept.
+    # none.  The peak counts what the interpreter's free lists do not hold
+    # yet (0.20 MB in a fresh interpreter), so they are cleared and then
+    # warmed by one call, whatever ran before: streaming then peaks near
+    # 0.11 MB, and keeping the last level as a list peaks near 1.0 MB.
+    gc.collect()
+    perms.enumerate_class(perms.CLASSES["exp1423"], 9)
     tracemalloc.start()
     try:
         perms.enumerate_class(perms.CLASSES["exp1423"], 9)

@@ -293,6 +293,15 @@ def _children(rule, dist):
          dist={(3, 2): 2, (1, 1): 5})
 @example(text="axiom (1,1)\nrow (h, k+1) for i = 1..k\nrow (i, 1) for i = 1..h+1\n",
          dist={(2, 2): 1, (3, 1): 4})
+# the grid is clipped to the labels' box cut by h + k <= s: a child falling in
+# h and k peaks at the (hmin, kmin) corner; labels whose largest h + k lies
+# off both of the box's far corners; a coordinate falling with h; and a
+# coordinate that peaks on the cut edge, past every label
+@example(text="axiom (1,1)\nrow (9-h-k, k)\n", dist={(1, 1): 1, (4, 4): 2})
+@example(text=rules.RULE_FILE_SOURCES["semi"], dist={(5, 1): 1, (1, 5): 1, (3, 3): 1})
+@example(text=rules.RULE_FILE_SOURCES["tbax"], dist={(5, 1): 1, (1, 5): 1, (3, 3): 1})
+@example(text="axiom (1,1)\nrow (10-h, k+i) for i = 0..h\n", dist={(2, 5): 1, (6, 1): 3})
+@example(text="axiom (1,1)\nrow (h+k+k, 1)\n", dist={(5, 1): 1, (1, 4): 2, (3, 3): 1})
 def test_next_level_equals_sum_of_productions(text, dist):
     rule = rules.parse_rule(text)
     want = _children(rule, dist)

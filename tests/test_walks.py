@@ -252,6 +252,12 @@ def test_w2_transform_consistency():
     assert rep["ok"]
 
 
+def test_strong_from_walks_equals_the_seven_dp():
+    # strong_from_walks transforms the FIVE excursions; the SEVEN DP is direct
+    n = 120
+    assert walks.strong_from_walks(n)[1:] == walks.excursions(walks.SEVEN, n - 1)
+
+
 def test_w2_transform_lowest_order():
     # the x^0 slice compares the single empty walk on both sides
     rep = walks.w2_consistency(1)
