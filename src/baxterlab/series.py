@@ -39,7 +39,7 @@ from math import prod
 from operator import add
 from typing import Callable, Iterable, Mapping
 
-from .formulas import at_least, binom
+from .formulas import _binom_run, at_least, binom
 from .rules import RULES, SuccessionRule, _lin, levels
 from .rules import next_level  # noqa: F401  (perfbench wraps this binding)
 
@@ -105,17 +105,28 @@ class Poly:
                 out[k] = get(k, 0) + v1 * v2
         return Poly(out)
 
-    def eval_at(self, x: Rat, y: Rat) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        return sum((v * x ** i * y ** j for (i, j), v in self.c.items()), Fraction(0))
-
 
 def laurent(coeffs: Mapping[int, Rat]) -> Poly:
     """The Laurent polynomial in a with the given exponent -> value map."""
     return Poly({(e, 0): v for e, v in coeffs.items()})
 
 
-_ONE_PLUS_A = laurent({0: 1, 1: 1})
+def _one_plus(p: Poly) -> Poly:
+    """p at y = 1+a, z = 1+b: each v y^h z^k becomes the sum of
+    v C(h, i) C(k, j) a^i b^j, for p with no negative exponent.
+
+    >>> _one_plus(Poly({(2, 0): 1, (1, 1): -1}))
+    -1*b^1 + 1*a^1 + -1*a^1*b^1 + 1*a^2
+    """
+    out: dict[tuple[int, int], Rat] = {}
+    get = out.get
+    for (h, k), v in p.c.items():
+        ys = _binom_run(h, 0, h + 1, False)
+        for j, d in enumerate(_binom_run(k, 0, k + 1, False)):
+            d *= v
+            for i, c in enumerate(ys):
+                out[i, j] = get((i, j), 0) + c * d
+    return Poly(out)
 
 
 def _width(bound: int) -> int:
@@ -308,7 +319,7 @@ def _assemble_F(w: XSeries, coeff: Callable) -> XSeries:
     w2 = w * w
     f = (w.scale(coeff(_F_W1, 1)) + w2.scale(coeff(_F_W2, 2))
          + (w2 * w).scale(coeff(_F_W3, 3)))
-    return (f + coeff(_ONE_PLUS_A * _ONE_PLUS_A, 0)).shift_x()
+    return (f + coeff(_one_plus(laurent({2: 1})), 0)).shift_x()
 
 
 def build_F(order: int) -> XSeries:
@@ -377,13 +388,8 @@ class LabelSeries:
     def series_in_one_plus_a(self) -> XSeries:
         """Sum of S_{h,k} (1+a)^(h+k) per x-order, as a series in x: each
         level collapsed to sum_m c_m t^m on the diagonal, then t = 1+a."""
-        powers = [laurent({0: 1})]
-        for _ in range(self.order + 1):
-            powers.append(powers[-1] * _ONE_PLUS_A)
-        return XSeries(
-            sum((powers[m] * c for (m, _), c in _compose(lv, _DIAGONAL).c.items()), Poly())
-            for lv in map(self.poly, range(self.order + 1))
-        )
+        return XSeries(_one_plus(_compose(lv, _DIAGONAL))
+                       for lv in map(self.poly, range(self.order + 1)))
 
 
 Residual = tuple[int, tuple[int, int, int] | None]

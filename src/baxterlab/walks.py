@@ -15,20 +15,21 @@ x in the b-bit slot at bit x*b (Kronecker substitution), so a step is a
 big-int shift and add per row, and a row is masked back to its region
 only when it has outgrown it.  No cell of length t exceeds M^t, M the
 sum of the multiplicities; the slots hold M^T for the next _WIDEN_EVERY
-lengths T and are then re-slotted wider.
-Growth constants are estimated from excursion counts; for FIVE the
-target is the real root of t^3 + t^2 - 18t - 43, for SEVEN that root
-plus 2.
+lengths T and are then re-slotted wider.  The walk equation is read off
+the step multiset alone, by inclusion-exclusion over the steps that
+would leave the quarter plane.  Growth constants are estimated from
+excursion counts; for FIVE the target is the real root of
+t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .formulas import at_least, binom
-from .series import LabelSeries, Poly, Residual, residual_scan
+from .formulas import at_least
+from .series import LabelSeries, Poly, Residual, _digits, _one_plus, _width, residual_scan
 
 Step = tuple[int, int]
 
@@ -41,10 +42,7 @@ class StepMultiset:
     def __init__(self, steps: Iterable[Step | tuple[int, int, int]], name: str = ""):
         self.mult: dict[Step, int] = {}
         for s in steps:
-            if len(s) == 3:
-                (dx, dy, m) = s
-            else:
-                (dx, dy), m = s, 1
+            dx, dy, m = s if len(s) == 3 else (*s, 1)
             if abs(dx) > 1 or abs(dy) > 1 or m < 1:
                 raise ValueError(f"need small steps of positive multiplicity, got {m}x({dx},{dy})")
             self.mult[(dx, dy)] = self.mult.get((dx, dy), 0) + m
@@ -106,8 +104,8 @@ def walk_grids(
     """Endpoint counts of confined walks, lengths 0..n_max, as packed rows.
 
     Yields (b, rows, widths) per length: rows[y] is one int that holds
-    the count at (x, y) in bits x*b .. (x+1)*b - 1 for x < widths[y], and
-    cells unpacks it.  A row holds only the region the walks can occupy.
+    the count at (x, y) in bits x*b .. (x+1)*b - 1 for x < widths[y], each
+    below 2^(b-1).  A row holds only the region the walks can occupy.
     One step raises x, y and x+y by at most the largest such change among
     the steps and lowers them by at most the largest drop (each taken as
     at least 0), so a walk of length t keeps every one of the three within
@@ -134,11 +132,6 @@ def _slots(row: int, width: int, b: int) -> list[bytes]:
     return [raw[i:i + b // 8] for i in range(0, len(raw), b // 8)]
 
 
-def cells(row: int, width: int, b: int) -> list[int]:
-    """The width cells of a packed row with b-bit slots, x = 0 first."""
-    return [int.from_bytes(s, "little") for s in _slots(row, width, b)]
-
-
 def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
     # apart from walk_grids so that its guard raises at the call, not at next()
     forms = [(dx, dy, dx + dy) for (dx, dy), _ in items]
@@ -151,7 +144,7 @@ def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
         if t > top:
             # zero bytes atop each cell make room for mult_sum**top and a spare bit
             top = min(top + _WIDEN_EVERY, n_max)
-            pad = bytes((mult_sum ** top).bit_length() // 8 + 1 - b // 8)
+            pad = bytes((_width(mult_sum ** top) - b) // 8)
             rows = [int.from_bytes(pad.join(_slots(r, w, b)), "little")
                     for r, w in zip(rows, widths)]
             b += 8 * len(pad)
@@ -184,9 +177,9 @@ def count_walks(steps: StepMultiset, n_max: int) -> list[Poly]:
     [((0, 1), 1), ((1, 0), 1)]
     """
     return [
-        Poly({(x, y): v for y, (row, w) in enumerate(zip(rows, widths))
-              for x, v in enumerate(cells(row, w, b))})
-        for b, rows, widths in walk_grids(steps, n_max)
+        Poly({(x, y): v for y, row in enumerate(rows)
+              for (x, _), v in _digits(row, b, 0).c.items()})
+        for b, rows, _ in walk_grids(steps, n_max)
     ]
 
 
@@ -197,8 +190,7 @@ def walk_totals(steps: StepMultiset, n_max: int) -> list[int]:
     [1, 2, 7, 24, 93]
     """
     # a column sum counts at most all walks of its length, which a slot holds: no carries
-    return [sum(cells(sum(rows), max(widths), b))
-            for b, rows, widths in walk_grids(steps, n_max)]
+    return [sum(_digits(sum(rows), b, 0).c.values()) for b, rows, _ in walk_grids(steps, n_max)]
 
 
 def excursions(steps: StepMultiset, n_max: int) -> list[int]:
@@ -212,32 +204,41 @@ def excursions(steps: StepMultiset, n_max: int) -> list[int]:
     return [rows[0] & ((1 << b) - 1) for b, rows, _ in walk_grids(steps, n_max, returning=True)]
 
 
-# Polynomials in (a, b) of the cleared FIVE walk equation.
-_AB = Poly({(1, 1): 1})
-_B = Poly({(0, 1): 1})
-_A_ONE_PLUS_A = Poly({(1, 0): 1, (2, 0): 1})
-_FIVE_STEPS = Poly({(0, 1): 1, (1, 0): 1, (2, 0): 1, (2, 1): 1, (1, 2): 1})
-_ONE_PLUS_A_ONE_PLUS_B = Poly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+def _section(p: Poly, keep: Callable) -> Poly:
+    return Poly({e: v for e, v in p.c.items() if keep(e)})
+
+
+def _walk_equation(steps: StepMultiset) -> list[tuple[int, Poly, Callable]]:
+    """The cleared walk equation of steps: ab T_n = sum over its rows (sign,
+    part, keep) of sign part _section(T_(n-1), keep) for n >= 1, T_n the
+    length-n endpoint table.  part is _section(ab S, keep), ab S = sum m
+    a^(1+dx) b^(1+dy); the rows include-exclude the walks that would leave
+    through x = 0 (a-exponent 0: the dx = -1 steps), y = 0, or both."""
+    ab_s = Poly({(1 + dx, 1 + dy): m for (dx, dy), m in steps.items()})
+    return [(sign, _section(ab_s, keep), keep) for sign, keep in (
+        (1, lambda e: True), (-1, lambda e: e[0] == 0),
+        (-1, lambda e: e[1] == 0), (1, lambda e: e == (0, 0)))]
+
+
+def _walk_defects(steps: StepMultiset, tables: Sequence[Poly]) -> Iterator[tuple[int, Poly]]:
+    """(n, defect of _walk_equation at length n) for n = 1..len(tables) - 1."""
+    rows = _walk_equation(steps)
+    for n in range(1, len(tables)):
+        yield n, Poly({(x + 1, y + 1): v for (x, y), v in tables[n].c.items()}) - sum(
+            (part * _section(tables[n - 1], keep) * sign for sign, part, keep in rows), Poly())
 
 
 def residual_walk_equation(order: int) -> Residual:
-    """Coefficientwise defect of the FIVE walk equation, ab-cleared form:
+    """Defect of the FIVE walk equation derived by _walk_equation, the paper's:
 
         ab W = ab + t(b + a + a^2 + a^2 b + a b^2) W
                   - t b W(t;0,b) - t a(1+a) W(t;a,0),
 
     where W(t;0,b) restricts endpoints to x = 0 and W(t;a,0) to y = 0.
-    Returns (max absolute residual, first offending (n, adeg, bdeg) or
-    None).
+    Returns (largest |defect|, first offending (n, adeg, bdeg) or None).
     """
     at_least(order, 1, "order")
-    t = count_walks(FIVE, order)
-    return residual_scan(
-        (n, _AB * t[n] - _FIVE_STEPS * t[n - 1]
-            + _B * Poly({e: c for e, c in t[n - 1].c.items() if e[0] == 0})
-            + _A_ONE_PLUS_A * Poly({e: c for e, c in t[n - 1].c.items() if e[1] == 0}))
-        for n in range(1, order + 1)
-    )
+    return residual_scan(_walk_defects(FIVE, count_walks(FIVE, order)))
 
 
 def binomial_transform(seq: Sequence, pauses: int) -> list:
@@ -295,13 +296,9 @@ def strong_refinement_residual(n_max: int = 10) -> Residual:
     at_least(n_max, 1, "n_max")
     labels = LabelSeries("strong", n_max)
     tables = count_walks(SEVEN, n_max - 1)
-    return residual_scan(
-        (n, sum((Poly({(i, j): c * binom(h, i) * binom(k, j)
-                       for i in range(h + 1) for j in range(k + 1)})
-                 for (h, k), c in labels.levels[n].items()), Poly())
-            - _ONE_PLUS_A_ONE_PLUS_B * tables[n - 1])
-        for n in range(1, n_max + 1)
-    )
+    yz = _one_plus(Poly({(1, 1): 1}))
+    return residual_scan((n, _one_plus(labels.poly(n)) - yz * tables[n - 1])
+                         for n in range(1, n_max + 1))
 
 
 def minpoly_five(t: float) -> float:
@@ -360,12 +357,7 @@ def fit_growth(steps: StepMultiset, e: Sequence[int]) -> dict:
     rho_hat = n_max * r_last - (n_max - 1) * r_prev
 
     root = _rho_five()
-    if steps == FIVE:
-        target = root
-    elif steps == SEVEN:
-        target = root + 2
-    else:
-        target = None
+    target = root if steps == FIVE else root + 2 if steps == SEVEN else None
     return {
         "steps": steps.name or repr(steps),
         "n_max": n_max,

@@ -1,8 +1,8 @@
 """Source lints: guards must raise in every interpreter mode, so the package
 has no assert; a guard raises ValueError, the one error the CLI reports as
 a usage error; every name the package imports is read; every private
-top-level name it defines is read; and every public one is read or bound
-by the traced benchmark."""
+top-level name it defines is read; every public one is read or bound by
+the traced benchmark; and so is every method of a package class."""
 
 import ast
 import builtins
@@ -99,16 +99,23 @@ def test_package_reads_every_private_top_level_name():
     assert found == []
 
 
+def _traced(monkeypatch) -> set:
+    """(module, name) of each top-level name and (module, class, method) of
+    each method that perfbench/layers.targets() binds."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    bound = set()
+    for t in importlib.import_module("layers").targets():
+        module, _, cls = t.owner.partition(":")
+        bound.add((module, cls, t.attr) if cls else (module, t.attr))
+    return bound
+
+
 def test_every_public_top_level_name_is_read_or_traced(monkeypatch):
     # a public name that neither the package reads nor the traced benchmark
     # binds (perfbench/layers.targets()) is API nobody calls; the names only
     # the benchmark binds are listed so that moving the benchmark onto other
     # entry points shows which of them can go
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    bound = set()
-    for t in importlib.import_module("layers").targets():
-        module, _, cls = t.owner.partition(":")
-        bound.add((module, cls or t.attr))
+    bound = {(module, cls) for module, cls, *_ in _traced(monkeypatch)}
     defined, read = _top_level_names()
     public = [(module, name, where) for module, name, where in defined
               if not name.startswith("_")]
@@ -118,3 +125,24 @@ def test_every_public_top_level_name_is_read_or_traced(monkeypatch):
     assert sorted(name for module, name, _ in public
                   if name not in read and (module, name) in bound) == [
         "q_table", "sb_via_apery", "total_via_formula"]
+
+
+def test_every_method_is_read_or_traced(monkeypatch):
+    # a method or property of a package class that the package never reads
+    # is API only tests call; dunders are left out, as Python reads them
+    bound = _traced(monkeypatch)
+    _, read = _top_level_names()
+    root = Path(baxterlab.__file__).parent
+    methods = []
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(("baxterlab", *path.relative_to(root).with_suffix("").parts))
+        for cls in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    where = f"{path.relative_to(root)}:{node.lineno} {cls.name}.{node.name}"
+                    methods.append((module, cls.name, node.name, where))
+    assert methods
+    assert [where for module, cls, name, where in methods
+            if name not in read and (module, cls, name) not in bound] == []

@@ -29,7 +29,6 @@ def test_laurent_arithmetic():
     assert (p * 0).c == {}
     assert series.omega_geq(series.XSeries([p])).coeff_x(0).c == {(1, 0): 3}
     assert min(p.c) == (-1, 0) and max(p.c) == (1, 0)
-    assert p.eval_at(Fraction(1, 2), 1) == Fraction(11, 2)
 
 
 def test_two_variable_poly():
@@ -37,7 +36,6 @@ def test_two_variable_poly():
     assert series._compose(p, ((0, 0), (0, 1))).c == {(0, 0): 2, (0, 1): 2}
     assert series._compose(p, series._DIAGONAL).c == {(1, 0): 5, (2, 0): -1}
     assert (p * p).coeff(1, 1) == 12
-    assert p.eval_at(2, Fraction(1, 3)) == Fraction(13, 3)
 
 
 def test_poly_coeff_needs_both_exponents():
@@ -47,11 +45,20 @@ def test_poly_coeff_needs_both_exponents():
         p.coeff(0)
 
 
-def test_poly_eval_at_needs_both_coordinates():
-    p = series.Poly({(1, 1): 1})
-    assert p.eval_at(2, 3) == 6
-    with pytest.raises(TypeError):
-        p.eval_at(2)
+_POLY = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                        st.integers(-9, 9), max_size=6).map(series.Poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_POLY, q=_POLY)
+def test_one_plus_is_a_ring_map(p, q):
+    """y -> 1+a, z -> 1+b is a ring map, taking yz to (1+a)(1+b)."""
+    one_plus = series._one_plus
+    assert one_plus(p * q) == one_plus(p) * one_plus(q)
+    assert one_plus(p + q) == one_plus(p) + one_plus(q)
+    assert one_plus(series.Poly({(0, 0): 1})) == series.Poly({(0, 0): 1})
+    assert one_plus(series.Poly({(1, 1): 1})) == series.Poly(
+        {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
 
 
 # Laurent polynomials read back from their value at a = 2^b (series._digits).
@@ -596,12 +603,17 @@ def test_series_guards_raise_under_optimize():
 _RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
+def _at(p: series.Poly, a0: Fraction) -> Fraction:
+    """The Laurent polynomial p in a at a = a0, over Fraction."""
+    return sum((v * Fraction(a0) ** e for (e, _), v in p.c.items()), Fraction(0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(a0=_RATIONAL.filter(lambda q: q not in (0, -1)), order=st.integers(1, 10))
 def test_symbolic_w_at_a_point_is_the_rational_solve(a0, order):
     w = series.solve_W(order)
     at_a0 = series.online_fixpoint((1 + a0) / a0, 1 + a0, a0, order)
-    assert [w.coeff_x(n).eval_at(a0, 1) for n in range(order + 1)] == at_a0.c
+    assert [_at(w.coeff_x(n), a0) for n in range(order + 1)] == at_a0.c
 
 
 _GENERIC_POINT = _RATIONAL.filter(lambda q: q not in (0, 1, -1))
@@ -674,7 +686,7 @@ def test_reduced_identity_detects_a_changed_label_count(a0, n, pick):
 def _reduced_oracle(a0: Fraction, order: int) -> dict:
     """verify_reduced_identity's dict computed over Fraction at a0 itself:
     W solved at a0, P = num/den built from _P_NUM at a0, every label level
-    evaluated by Poly.eval_at, each side X compared as X den + num."""
+    evaluated at its point, each side X compared as X den + num."""
     w = series.online_fixpoint((1 + a0) / a0, 1 + a0, a0, order)
     z = w + (1 + a0)
     zp = [series.XSeries([1] + [0] * order)]
@@ -696,7 +708,7 @@ def _reduced_oracle(a0: Fraction, order: int) -> dict:
 
     s_diag = collapsed(lambda h, k: h + k, 1 + a0)
     s_top = collapsed(lambda h, k: k, 1 + 1 / a0)
-    f_fail = first_fail(series._assemble_F(w, lambda c, _: c.eval_at(a0, 1)))
+    f_fail = first_fail(series._assemble_F(w, lambda c, _: _at(c, a0)))
     sum_fail = first_fail(s_diag + s_top.scale((1 + a0) ** 2 / a0 ** 4).shift_x())
     return {"f_first_fail": f_fail, "sum_first_fail": sum_fail,
             "ok": f_fail is None and sum_fail is None}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baxterlab import rules, walks
-from baxterlab.series import Poly
+from baxterlab.series import Poly, _digits, residual_scan
 
 from conftest import STRONG, naive_walk_tables
 
@@ -87,8 +87,11 @@ def _unpacked(grid: tuple) -> dict:
     a row's width."""
     b, rows, widths = grid
     assert all(row >> (w * b) == 0 for row, w in zip(rows, widths))
-    return {(x, y): v for y, (row, w) in enumerate(zip(rows, widths))
-            for x, v in enumerate(walks.cells(row, w, b))}
+    cells = {}
+    for y, (row, w) in enumerate(zip(rows, widths)):
+        digits = _digits(row, b, 0)
+        cells.update({(x, y): digits.coeff(x, 0) for x in range(w)})
+    return cells
 
 
 def test_trimmed_grids_keep_exact_cells():
@@ -149,8 +152,11 @@ def _multiset(mult: dict) -> walks.StepMultiset:
 def test_random_step_sets_match_the_naive_counter(mult, n_max):
     want = naive_walk_tables(mult, n_max)
     steps = _multiset(mult)
-    assert [t.c for t in walks.count_walks(steps, n_max)] == want
+    tables = walks.count_walks(steps, n_max)
+    assert [t.c for t in tables] == want
     assert walks.excursions(steps, n_max) == [t.get((0, 0), 0) for t in want]
+    assert walks.walk_totals(steps, n_max) == [sum(t.values()) for t in want]
+    assert residual_scan(walks._walk_defects(steps, tables)) == (0, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,6 +208,41 @@ def test_strong_from_walks():
 
 def test_walk_equation_residual_vanishes():
     assert walks.residual_walk_equation(1) == (0, None)
+    assert walks.residual_walk_equation(10) == (0, None)
+
+
+# The paper's cleared FIVE equation, as (sign, part of ab S) per row:
+# ab W = ab + t(b + a + a^2 + a^2 b + a b^2) W - t b W(t;0,b) - t a(1+a) W(t;a,0)
+_PAPER_FIVE = [
+    (1, Poly({(0, 1): 1, (1, 0): 1, (2, 0): 1, (2, 1): 1, (1, 2): 1})),
+    (-1, Poly({(0, 1): 1})),
+    (-1, Poly({(1, 0): 1, (2, 0): 1})),
+    (1, Poly()),
+]
+
+
+def test_derived_five_equation_is_the_papers():
+    assert [(sign, part) for sign, part, _ in walks._walk_equation(walks.FIVE)] == _PAPER_FIVE
+
+
+_GESSEL = "(1,0);(-1,0);(1,1);(-1,-1)"
+
+
+@pytest.mark.parametrize("text", ["seven", "(1,1);(-1,0);(0,-1)", _GESSEL])
+def test_derived_walk_equation_vanishes(text):
+    steps = walks.parse_steps(text)
+    assert residual_scan(walks._walk_defects(steps, walks.count_walks(steps, 10))) == (0, None)
+
+
+def test_derived_walk_equation_needs_its_origin_row(monkeypatch):
+    """Negative control: without the row that adds back the walks leaving
+    through both axes at once, Gessel's (-1,-1) step breaks the equation
+    at length 1; FIVE has no such step, so its defect stays zero."""
+    derived = walks._walk_equation
+    monkeypatch.setattr(walks, "_walk_equation", lambda steps: derived(steps)[:3])
+    gessel = walks.parse_steps(_GESSEL)
+    assert residual_scan(walks._walk_defects(gessel, walks.count_walks(gessel, 10))) == (
+        782, (1, 0, 0))
     assert walks.residual_walk_equation(10) == (0, None)
 
 
