@@ -10,9 +10,9 @@ on plain ints both at a symbolic a and at a rational point, its
 companion F(a,W) whose nonnegative part in a reproduces the semi-Baxter
 label polynomials at y = z = 1+a, Lagrange-inversion coefficient
 extraction, coefficientwise residuals of each rule's label equation,
-derived from its rows alone, invariance probes for the two kernels
-(the open orbit counted mod a prime, and recounted over Q only when
-that count proves nothing), and a rational-point identity tying F to
+derived from its rows alone, the kernel group of that equation as two
+Möbius involutions (orbits counted mod a prime, and recounted over Q
+when that count proves nothing), and a rational-point identity tying F to
 an explicit rational function P = num/den, compared with den cleared
 so that no series is ever divided, and with x = t*p*q clearing the
 denominators of a0 = p/q so that no Fraction is built.
@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import islice
-from math import prod
+from math import lcm, prod
 from operator import add
 from typing import Callable, Iterable, Mapping
 
@@ -508,182 +509,179 @@ def residual_strong(order: int) -> Residual:
     return _label_residual("strong", order)
 
 
-# group -> (kernel value at (a, b, x), the maps phi and psi that fix it,
-# order of the group they generate: 10, or "open" for an infinite group).
-# Both maps must be involutions: _orbit_size never applies to a point the
-# map that made it.
-_KERNELS: dict[str, tuple[Callable, Callable, Callable, int | str]] = {
-    "semi": (
-        lambda a, z, x: 1 - x * z * (1 + a) / a - x * z * (1 + a) / (z - 1 - a),
-        lambda a, z: ((z - 1 - a) / (1 + a), z),
-        lambda a, z: (a, (z + z * a - 1 - a) / (z - 1 - a)),
-        10,
-    ),
-    "strong": (
-        lambda a, b, x: 1 / a + 1 / b + a / b + a + 2 + b,
-        lambda a, b: (a, (1 + a) / b),
-        # Companion root of the quadratic in a fixing 1/a + a(1+b)/b: the
-        # two roots have product b/(1+b), so a maps to b/(a(1+b)).  A sign
-        # flip here would change the kernel value and is rejected by
-        # kernel_invariance.
-        lambda a, b: (b / (a * (1 + b)), b),
-        "open",
-    ),
-}
+def _divmod(f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder over Fraction of polynomials in one variable,
+    each listed from its constant term up with no trailing zero (0 is []).
+
+    >>> _divmod([-1, 0, 1], [1, 1])
+    ([Fraction(-1, 1), Fraction(1, 1)], [])
+    """
+    q, r = [Fraction(0)] * max(len(f) - len(g) + 1, 0), list(map(Fraction, f))
+    while len(r) >= len(g):
+        c, i = r[-1] / g[-1], len(r) - len(g)
+        q[i] = c
+        for j, v in enumerate(g):
+            r[i + j] -= c * v
+        while r and not r[-1]:
+            r.pop()
+    return q, r
 
 
-# The open orbit is counted mod this prime; see kernel_orbit.
+_Mobius = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # see _group
+
+
+@cache
+def _group(rule: SuccessionRule) -> tuple[Poly, Poly, tuple[_Mobius, _Mobius]]:
+    """(N, D, (y-map, z-map)) for the kernel group of the rule, with N = c_I,
+    the coefficient of the identity map in _equation(rule), and D = K: the
+    group fixes g = N/D, which holds no x (Bousquet-Mélou and Mishna, "Walks
+    with small steps in the quarter plane", 2010).  For u one variable, w the
+    other, and n_i, d_i the u^i-coefficients of N and D (polynomials in w; a
+    degree above 2 in u raises ValueError), the other root of N(t, w) -
+    g(u, w) D(t, w) is u' = (al + be u) / (de u - be), al = n0 d1 - n1 d0,
+    be = n0 d2 - n2 d0, de = n2 d1 - n1 d2: a Möbius involution.  al, be and
+    de are divided by their common factor (else the map has poles the true
+    map lacks), scaled to ints and kept as equally long coefficient tuples in w.
+    """
+    kernel, terms = _equation(rule)
+    n, d = terms.get(_IDENTITY, Poly()), kernel
+    maps = []
+    for s in (0, 1):
+        if any(e[s] > 2 for e in (*n.c, *d.c)):
+            raise ValueError(f"rule {rule.name}: its kernel is not quadratic in {'yz'[s]}")
+        (n0, n1, n2), (d0, d1, d2) = ([laurent({e[1 - s]: v for e, v in p.c.items() if e[s] == i})
+                                      for i in range(3)] for p in (n, d))
+        polys = [[f.coeff(e, 0) for e in range(1 + max((e for e, _ in f.c), default=-1))]
+                 for f in (n0 * d1 - n1 * d0, n0 * d2 - n2 * d0, n2 * d1 - n1 * d2)]
+        common = []
+        for f in polys:  # Euclid
+            while f:
+                common, f = f, _divmod(common, f)[1]
+        if not common:
+            raise ValueError(f"rule {rule.name}: its kernel gives no map in {'yz'[s]}")
+        qs = [_divmod(f, common)[0] for f in polys]
+        scale, width = lcm(*(c.denominator for f in qs for c in f)), max(map(len, qs))
+        maps.append(tuple(tuple(int(c * scale) for c in f + [0] * (width - len(f))) for f in qs))
+    return n, d, (maps[0], maps[1])
+
+
+# Orbits are counted mod this prime first; see kernel_orbit.
 _P = 2**61 - 1
 
 
-class _ModP(int):
-    """A residue mod _P whose + - * / stay mod _P, so the _KERNELS maps
-    written for Fraction run on it unchanged.  Division by a residue 0
-    raises pow's ValueError, the mod-p image of a pole.
-
-    >>> _ModP(3) / 2 * 2, 1 - _ModP(1) / 3 * 3
-    (3, 0)
-    """
-
-    __slots__ = ()
-
-    def __add__(self, o: int) -> "_ModP":
-        return _ModP(int.__add__(self, o) % _P)
-
-    def __sub__(self, o: int) -> "_ModP":
-        return _ModP(int.__sub__(self, o) % _P)
-
-    def __rsub__(self, o: int) -> "_ModP":
-        return _ModP(int.__sub__(o, self) % _P)
-
-    def __mul__(self, o: int) -> "_ModP":
-        return _ModP(int.__mul__(self, o) % _P)
-
-    def __truediv__(self, o: int) -> "_ModP":
-        return self * pow(o, -1, _P)
-
-    def __rtruediv__(self, o: int) -> "_ModP":
-        return _ModP(o * pow(self, -1, _P) % _P)
-
-    def __neg__(self) -> "_ModP":
-        return _ModP(-int(self) % _P)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-
-def _mod_p(r: Rat) -> _ModP:
+def _mod_p(r: Rat) -> int:
     """The image of a rational in GF(_P); ValueError if _P divides its denominator."""
     r = Fraction(r)
-    return _ModP(r.numerator % _P) / r.denominator
+    return r.numerator * pow(r.denominator, -1, _P) % _P
 
 
-def _orbit_size(phi: Callable, psi: Callable, start: tuple, limit: int) -> int:
-    """Breadth-first closure of start under phi and psi, stopped once more
+def _image(maps: tuple[_Mobius, _Mobius], i: int, p: tuple, mod_p: bool) -> tuple:
+    """p with coordinate i sent through its map, over Fraction or, on ints,
+    mod _P, where a zero denominator raises pow's ValueError.  One int
+    evaluation serves both: at w = s/t, u = r/q (t = q = 1 mod p) and al, be,
+    de homogenised by t^deg, u' = (al q + be r) / (de r - be q)."""
+    w, u = p[1 - i], p[i]
+    s, t, r, q = w.numerator, w.denominator, u.numerator, u.denominator
+    al = be = de = 0
+    x = 1  # s^e
+    for a, b, d in zip(*maps[i]):
+        al, be, de, x = al * t + a * x, be * t + b * x, de * t + d * x, x * s
+    num, den = al * q + be * r, de * r - be * q
+    v = num * pow(den, -1, _P) % _P if mod_p else Fraction(num, den)
+    return (v, p[1]) if i == 0 else (p[0], v)
+
+
+def _orbit_size(maps: tuple[_Mobius, _Mobius], start: tuple, limit: int, mod_p: bool) -> int:
+    """Breadth-first closure of start under the two maps, stopped once more
     than `limit` distinct points have been seen.  Each point keeps the map
     that made it, and only the other map is applied to it: both are
     involutions, so the same map would only return its parent."""
-    seen = {start}
-    frontier = [(start, None)]
+    seen, frontier = {start}, [(start, None)]
     while frontier and len(seen) <= limit:
         fresh = []
         for p, made in frontier:
-            for f in (phi, psi):
-                if f is not made:
-                    q = f(*p)
+            for i in (0, 1):
+                if i != made:
+                    q = _image(maps, i, p, mod_p)
                     if q not in seen:
                         seen.add(q)
-                        fresh.append((q, f))
+                        fresh.append((q, i))
         frontier = fresh
     return len(seen)
 
 
-def kernel_orbit(group: str, a: Rat, b: Rat, limit: int = 200) -> int:
-    """Closure size of (a, b) under the two kernel-preserving maps.
+def kernel_orbit(rule: str, y: Rat, z: Rat, limit: int = 200) -> int:
+    """Closure size of (y, z) under the two maps of the rule's kernel group;
+    a size above `limit` means the orbit did not close by then.
 
-    Exploration stops once more than `limit` distinct points have been
-    seen, so a size above `limit` means the orbit did not close by then.
+    The orbit is first counted mod p = 2^61 - 1, whose residues stay at 61
+    bits where the rational points grow to thousands of bits, and that count
+    is kept only when it exceeds `limit`: with no denominator 0 mod p,
+    reduction commutes with both maps, and points distinct mod p are
+    distinct over Q.  A pole mod p, or an orbit that closes mod p (so every
+    finite orbit), proves nothing over Q and is recounted over Fraction,
+    which raises ZeroDivisionError at a true pole.
 
-    An open group's orbit is first counted mod p = 2^61 - 1, whose
-    residues stay at 61 bits where the rational points grow to thousands
-    of bits.  That count is trusted only when it exceeds `limit`: no
-    denominator met was 0 mod p, so reduction commutes with both maps
-    and each point reduces to its orbit point over Q, and points
-    distinct mod p are distinct over Q, so the orbit over Q has more
-    than `limit` points too.  A pole mod p or an orbit that closes mod p proves
-    nothing over Q, so then the orbit is recounted over Fraction, which
-    also raises ZeroDivisionError at a true pole.  A finite group is
-    always counted over Fraction, since closing mod p is no closure.
-
-    >>> kernel_orbit("semi", Fraction(2, 3), Fraction(7, 5))
+    >>> kernel_orbit("semi", Fraction(5, 3), Fraction(12, 5))
     10
     """
-    _, phi, psi, order = _KERNELS[group]
-    if order == "open":
-        try:
-            size = _orbit_size(phi, psi, (_mod_p(a), _mod_p(b)), limit)
-        except ValueError:
-            size = 0
-        if size > limit:
-            return size
-    return _orbit_size(phi, psi, (Fraction(a), Fraction(b)), limit)
+    maps = _group(RULES[rule])[2]
+    try:
+        size = _orbit_size(maps, (_mod_p(y), _mod_p(z)), limit, True)
+    except ValueError:
+        size = 0
+    return size if size > limit else _orbit_size(maps, (Fraction(y), Fraction(z)), limit, False)
+
+
+# The claim under test: the order of each kernel group, or "open".
+_ORDERS: dict[str, int | str] = {"semi": 10, "strong": "open"}
 
 
 def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     """Probe kernel invariance and orbit closure at random rational points.
 
-    For each group of _KERNELS, both maps must fix the kernel value at a
-    random point (a, b, x).  The semi orbit must close with exactly 10
-    points; the strong orbit must stay open past 100 points.  Points that
-    hit a pole, and semi points with a nontrivial stabiliser (an orbit
-    that closes at a proper divisor of 10), are re-drawn, at most 10
-    times each; then it raises ValueError.
-
-    Only an open orbit's size may come from kernel_orbit's count mod p.
-    The kernel values are compared over Fraction, and the semi orbit is
-    counted over Fraction, because equality mod p, and closing mod p,
-    would not prove it over Q.
+    At a random p = (1 + r1, 1 + r2), both images p' under the maps of
+    _group must fix g = N/D, checked exactly as N(p') D(p) == N(p) D(p').
+    The semi orbit must close with exactly 10 points; the strong orbit must
+    stay open past 100 points.  Points that hit a pole, and semi points with
+    a nontrivial stabiliser (an orbit that closes at a proper divisor of
+    10), are re-drawn, at most 10 times each; then it raises ValueError.
     """
-    if group not in _KERNELS:
+    if group not in _ORDERS:
         raise ValueError(f"unknown kernel group {group!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
-    value, phi, psi, order = _KERNELS[group]
+    (n, d, maps), order = _group(RULES[group]), _ORDERS[group]
     finite = order != "open"
-    redraws = 0
-    invariant_ok = True
-    orbit_sizes: list[int] = []
+    redraws, invariant_ok, orbit_sizes = 0, True, []
 
     def draw() -> Fraction:
-        return Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        return 1 + Fraction(rng.randint(1, 40), rng.randint(1, 40))
+
+    def at(f: Poly, y: Fraction, z: Fraction) -> int:  # f(y, z) (den y den z)^2: degrees <= 2
+        (a, b), (c, e) = (y.numerator, y.denominator), (z.numerator, z.denominator)
+        return sum(v * a ** i * b ** (2 - i) * c ** j * e ** (2 - j) for (i, j), v in f.c.items())
 
     for _ in range(trials):
         for attempt in range(11):
-            a, b, x = draw(), draw(), Fraction(1, rng.randint(2, 97))
+            p = draw(), draw()
             try:
-                k0 = value(a, b, x)
-                same = value(*phi(a, b), x) == k0 and value(*psi(a, b), x) == k0
-                size = kernel_orbit(group, a, b, limit=order if finite else 100)
-            except ZeroDivisionError:
-                redraws += 1
-                continue
-            if finite and size < order and order % size == 0:
-                redraws += 1
-                continue
-            break
+                images = [_image(maps, i, p, False) for i in (0, 1)]
+                size = kernel_orbit(group, *p, limit=order if finite else 100)
+            except ZeroDivisionError:  # a pole
+                size = 0
+            if size and not (finite and size < order and order % size == 0):
+                break
+            redraws += 1
         else:
             raise ValueError(f"no generic {group} point after 10 re-draws")
-        invariant_ok = invariant_ok and same
+        invariant_ok = invariant_ok and all(
+            at(n, *q) * at(d, *p) == at(n, *p) * at(d, *q) for q in images)
         orbit_sizes.append(size)
     orbit_ok = all(s == order if finite else s > 100 for s in orbit_sizes)
-    return {
-        "redraws": redraws,
-        "invariant_ok": invariant_ok,
-        "orbit_ok": orbit_ok,
-        "orbit_sizes": orbit_sizes,
-        "ok": invariant_ok and orbit_ok,
-    }
+    return {"redraws": redraws, "invariant_ok": invariant_ok, "orbit_ok": orbit_ok,
+            "orbit_sizes": orbit_sizes, "ok": invariant_ok and orbit_ok}
 
 
 # Numerator N(a, z) of P, keyed (a-power, z-power); the F comparison in

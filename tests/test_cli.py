@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import baxterlab
-from baxterlab import checks, cli
+from baxterlab import checks, cli, rules
 
 from conftest import corrupt_recurrences, naive_walk_tables
 
@@ -310,6 +310,15 @@ def test_engine_value_error_exits_2_without_traceback(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_kernel_above_quadratic_exits_2_without_traceback(capsys, monkeypatch):
+    # a rule whose kernel has no group of Möbius involutions is a usage error
+    rule = rules.parse_rule("axiom (1,1)\nrow (i, k+1) for i = 1..h\n"
+                            "row (h+2, i) for i = 1..k\n", "deep")
+    monkeypatch.setitem(rules.RULES, "semi", rule)
+    assert run(capsys, ["series", "--check", "kernel", "--trials", "2"]) == (
+        2, "", "error: rule deep: its kernel is not quadratic in y\n")
 
 
 @pytest.mark.parametrize("check", ["W", "reduced"])

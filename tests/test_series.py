@@ -389,44 +389,111 @@ def test_packed_residual_equals_the_poly_oracle(rule, order, data, h, k, delta):
 # ---------------------------------------------------------------------------
 # kernel group
 
+# The hand-derived maps that each derived group must reproduce, as (y-map,
+# z-map), each sending a point to its image: semi's in a = y - 1 and z,
+# strong's in a = y - 1 and b = z - 1.
+_HAND_MAPS = {
+    "semi": (lambda a, z: ((z - 1 - a) / (1 + a), z),
+             lambda a, z: (a, (z + z * a - 1 - a) / (z - 1 - a))),
+    # the companion root of the quadratic in a fixing 1/a + a(1+b)/b: the
+    # two roots have product b/(1+b), so a maps to b/(a(1+b))
+    "strong": (lambda a, b: (b / (a * (1 + b)), b),
+               lambda a, b: (a, (1 + a) / b)),
+}
+_SHIFT = {"semi": (1, 0), "strong": (1, 1)}  # (y, z) = shift + (a, b)
+_GROUP_RULES = ["bax", "semi", "strong", "tbax"]
+_POINT = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
-def test_kernel_maps_fix_kernel_value():
-    kernel, phi, psi, _ = series._KERNELS["semi"]
-    a, z, x = Fraction(2, 3), Fraction(7, 5), Fraction(1, 13)
-    k0 = kernel(a, z, x)
-    assert kernel(*phi(a, z), x) == k0
-    assert kernel(*psi(a, z), x) == k0
-    q, phi, psi, _ = series._KERNELS["strong"]
-    a, b = Fraction(3, 2), Fraction(2, 5)
-    q0 = q(a, b, x)
-    assert q(*phi(a, b), x) == q0
-    assert q(*psi(a, b), x) == q0
+
+def _maps(rule):
+    return series._group(rules.RULES[rule])[2]
 
 
-@settings(max_examples=80, deadline=None)
-@given(group=st.sampled_from(sorted(series._KERNELS)),
-       a=st.fractions(min_value=-9, max_value=9, max_denominator=9),
-       b=st.fractions(min_value=-9, max_value=9, max_denominator=9),
-       x=st.fractions(min_value=-1, max_value=1, max_denominator=50))
-def test_kernel_maps_fix_kernel_value_at_random_points(group, a, b, x):
-    """Both maps of each group fix its kernel value, and every semi orbit
-    closes at a divisor of 10; points that hit a pole are skipped."""
-    kernel, phi, psi, order = series._KERNELS[group]
+def _or_pole(f, *args):
+    """f(*args), or None where it divides by zero over Fraction."""
     try:
-        k0 = kernel(a, b, x)
-        images = [kernel(*f(a, b), x) for f in (phi, psi)]
-        size = series.kernel_orbit(group, a, b, limit=10)
+        return f(*args)
     except ZeroDivisionError:
-        assume(False)
-    assert images == [k0, k0]
-    if order != "open":
-        assert size <= 10 and order % size == 0, size
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(group=st.sampled_from(sorted(_HAND_MAPS)), i=st.sampled_from([0, 1]),
+       a=_POINT, b=_POINT)
+def test_derived_kernel_maps_are_the_hand_maps(group, i, a, b):
+    """Each derived map is the hand map under the shift, with the same poles:
+    dividing out the common factor of al, be and de leaves none extra."""
+    sy, sz = _SHIFT[group]
+    want = _or_pole(_HAND_MAPS[group][i], a, b)
+    got = _or_pole(series._image, _maps(group), i, (sy + a, sz + b), False)
+    assert got == (want and (sy + want[0], sz + want[1]))
+
+
+def test_derived_kernel_maps_are_the_papers_at_a_point():
+    # y -> z/y and z -> y(z-1)/(z-y) for semi; y -> (yz-1)/(z(y-1)) and
+    # z -> (y+z-1)/(z-1) for strong
+    y, z = Fraction(5, 3), Fraction(12, 5)
+    semi, strong = _maps("semi"), _maps("strong")
+    assert series._image(semi, 0, (y, z), False) == (z / y, z)
+    assert series._image(semi, 1, (y, z), False) == (y, y * (z - 1) / (z - y))
+    assert series._image(strong, 0, (y, z), False) == ((y * z - 1) / (z * (y - 1)), z)
+    assert series._image(strong, 1, (y, z), False) == (y, (y + z - 1) / (z - 1))
+
+
+def _cleared_g(n, d, p):
+    """(N(p), D(p)): g = N/D is fixed where N(p') D(p) == N(p) D(p')."""
+    return tuple(sum(v * p[0] ** i * p[1] ** j for (i, j), v in f.c.items()) for f in (n, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=st.sampled_from(_GROUP_RULES), y=_POINT, z=_POINT)
+def test_kernel_maps_fix_kernel_value_at_random_points(rule, y, z):
+    """Both maps of each group fix g = N/D, and every semi orbit closes at a
+    divisor of 10; points that hit a pole are skipped."""
+    n, d, maps = series._group(rules.RULES[rule])
+    images = [_or_pole(series._image, maps, i, (y, z), False) for i in (0, 1)]
+    size = _or_pole(series.kernel_orbit, rule, y, z, 10)
+    assume(None not in images and size is not None)
+    gn, gd = _cleared_g(n, d, (y, z))
+    for q in images:
+        qn, qd = _cleared_g(n, d, q)
+        assert qn * gd == gn * qd, (q, rule)
+    if rule == "semi":
+        assert size <= 10 and 10 % size == 0, size
 
 
 def test_kernel_orbit_sizes():
-    assert series.kernel_orbit("semi", Fraction(2, 3), Fraction(7, 5)) == 10
-    size = series.kernel_orbit("strong", Fraction(3, 2), Fraction(2, 5))
+    assert series.kernel_orbit("semi", Fraction(5, 3), Fraction(7, 5)) == 10
+    size = series.kernel_orbit("strong", Fraction(5, 2), Fraction(7, 5))
     assert size > 200
+
+
+@settings(max_examples=50, deadline=None)
+@given(rule=st.sampled_from(["bax", "tbax"]), y=_POINT, z=_POINT)
+def test_bax_and_tbax_orbit_sizes_divide_6(rule, y, z):
+    size = _or_pole(series.kernel_orbit, rule, y, z, 6)
+    assume(size is not None)
+    assert 6 % size == 0, size
+
+
+def test_bax_and_tbax_groups_have_order_6():
+    # a generic point has 6 images, far below the limit; (4, 4/3) is a
+    # stabilised tbax point whose orbit closes at 3
+    for rule in ("bax", "tbax"):
+        assert series.kernel_orbit(rule, Fraction(5, 3), Fraction(12, 5), 200) == 6
+    assert series.kernel_orbit("tbax", 4, Fraction(4, 3), 200) == 3
+
+
+def test_a_kernel_above_quadratic_has_no_group():
+    # the identity coefficient of this rule's equation has degree 3 in y
+    rule = rules.parse_rule("axiom (1,1)\nrow (i, k+1) for i = 1..h\n"
+                            "row (h+2, i) for i = 1..k\n", "deep")
+    assert max(i for i, _ in series._equation(rule)[1][series._IDENTITY].c) == 3
+    with pytest.raises(ValueError, match="rule deep: its kernel is not quadratic in y"):
+        series._group(rule)
+    # Catalan's equation has no identity term, so N = 0 and no map is defined
+    with pytest.raises(ValueError, match="rule cat: its kernel gives no map in y"):
+        series._group(rules.RULES["cat"])
 
 
 # Rationals whose denominators avoid p, so that reduction mod p is defined.
@@ -437,103 +504,108 @@ _UNITS = st.fractions(max_denominator=10**30).filter(
 @settings(max_examples=50, deadline=None)
 @given(r=_UNITS, s=_UNITS)
 def test_reduction_mod_p_is_a_ring_map(r, s):
-    red = series._mod_p
-    assert red(r + s) == red(r) + red(s)
-    assert red(r - s) == red(r) - red(s)
-    assert red(r * s) == red(r) * red(s)
-    assert red(-r) == -red(r)
-    assert red(1 - r) == 1 - red(r) and red(1 + r) == 1 + red(r)
-    assert red(2 * r) == 2 * red(r)
-    assert all(type(v) is series._ModP for v in (red(r) + red(s), 1 - red(r), -red(r)))
-    if s and red(s):
-        assert red(r / s) == red(r) / red(s)
-        assert red(7 / s) == 7 / red(s)
-    else:
-        with pytest.raises(ValueError):
-            red(r) / red(s)
+    red, p = series._mod_p, series._P
+    assert all(0 <= v < p and type(v) is int for v in (red(r), red(s)))
+    assert red(r + s) == (red(r) + red(s)) % p
+    assert red(r - s) == (red(r) - red(s)) % p
+    assert red(r * s) == red(r) * red(s) % p
+    if red(s):
+        assert red(r / s) == red(r) * pow(red(s), -1, p) % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=st.sampled_from(_GROUP_RULES), i=st.sampled_from([0, 1]), y=_UNITS, z=_UNITS)
+def test_int_map_evaluation_mod_p_is_the_reduced_fraction_image(rule, i, y, z):
+    """The one int evaluation, run on residues, gives the reduction of its
+    image over Fraction wherever neither is a pole."""
+    image = _or_pole(series._image, _maps(rule), i, (y, z), False)
+    assume(image is not None)
+    try:
+        reduced = series._image(_maps(rule), i, (series._mod_p(y), series._mod_p(z)), True)
+    except ValueError:
+        assume(False)
+    assert reduced == tuple(map(series._mod_p, image))
 
 
 @settings(max_examples=25, deadline=None)
-@given(k=st.integers(min_value=-3, max_value=3).filter(bool), v=_UNITS)
-def test_division_by_a_multiple_of_p_raises_value_error(k, v):
-    zero = series._mod_p(k * series._P)
-    assert zero == 0
-    for divide in (lambda: series._mod_p(v) / zero, lambda: 1 / zero,
-                   lambda: series._mod_p(v) / (k * series._P),
-                   lambda: series._mod_p(Fraction(1, k * series._P))):
-        with pytest.raises(ValueError):
-            divide()
+@given(k=st.integers(min_value=-3, max_value=3).filter(bool), y=_UNITS)
+def test_a_pole_mod_p_raises_value_error(k, y):
+    # strong's z-map divides by z - 1, which is 0 mod p at z = 1 + kp
+    z = 1 + k * series._P
+    assert series._image(_maps("strong"), 1, (y, z), False)[1] == (y + z - 1) / (z - 1)
+    with pytest.raises(ValueError):
+        series._image(_maps("strong"), 1, (series._mod_p(y), series._mod_p(z)), True)
+    with pytest.raises(ValueError):
+        series._mod_p(Fraction(1, k * series._P))
 
 
-def _fraction_orbit(group, a, b, limit):
+def _fraction_orbit(rule, y, z, limit):
     """Plain breadth-first orbit over Fraction, the oracle for kernel_orbit."""
-    _, phi, psi, _ = series._KERNELS[group]
-    level = {(Fraction(a), Fraction(b))}
+    maps = _maps(rule)
+    level = {(Fraction(y), Fraction(z))}
     seen = set(level)
     while level and len(seen) <= limit:
-        level = {f(*p) for p in level for f in (phi, psi)} - seen
+        level = {series._image(maps, i, p, False) for p in level for i in (0, 1)} - seen
         seen |= level
     return len(seen)
 
 
 @settings(max_examples=60, deadline=None)
-@given(group=st.sampled_from(sorted(series._KERNELS)),
-       a=st.fractions(min_value=-9, max_value=9, max_denominator=9),
-       b=st.fractions(min_value=-9, max_value=9, max_denominator=9))
-def test_kernel_orbit_equals_a_fraction_oracle(group, a, b):
+@given(rule=st.sampled_from(_GROUP_RULES), y=_POINT, z=_POINT)
+def test_kernel_orbit_equals_a_fraction_oracle(rule, y, z):
     """The oracle applies both maps to every point; kernel_orbit skips the
     map that made a point and finds the same orbit."""
-    try:
-        expected = _fraction_orbit(group, a, b, 30)
-    except ZeroDivisionError:
-        assume(False)
-    assert series.kernel_orbit(group, a, b, limit=30) == expected
+    expected = _or_pole(_fraction_orbit, rule, y, z, 30)
+    assume(expected is not None)
+    assert series.kernel_orbit(rule, y, z, limit=30) == expected
 
 
 @settings(max_examples=60, deadline=None)
-@given(group=st.sampled_from(sorted(series._KERNELS)),
-       a=st.fractions(min_value=-40, max_value=40, max_denominator=40),
-       b=st.fractions(min_value=-40, max_value=40, max_denominator=40))
-def test_kernel_maps_are_involutions(group, a, b):
-    """f(f(p)) == p for both maps, over Fraction and, for the open group
-    whose orbit is counted mod p first, mod p: _orbit_size relies on it."""
-    _, phi, psi, order = series._KERNELS[group]
-    points = [(a, b)]
-    if order == "open":
-        points.append((series._mod_p(a), series._mod_p(b)))
+@given(rule=st.sampled_from(_GROUP_RULES),
+       y=st.fractions(min_value=-40, max_value=40, max_denominator=40),
+       z=st.fractions(min_value=-40, max_value=40, max_denominator=40))
+def test_kernel_maps_are_involutions(rule, y, z):
+    """f(f(p)) == p for both maps, over Fraction and mod p: _orbit_size
+    relies on it in both rings."""
+    maps = _maps(rule)
     checked = 0
-    for f in (phi, psi):
-        for p in points:
+    for p, mod_p in (((y, z), False), ((series._mod_p(y), series._mod_p(z)), True)):
+        for i in (0, 1):
             try:
-                back = f(*f(*p))
+                back = series._image(maps, i, series._image(maps, i, p, mod_p), mod_p)
             except (ZeroDivisionError, ValueError):
                 continue
-            assert back == p, (f, p)
+            assert back == p, (i, p)
             checked += 1
     assume(checked)
 
 
-@pytest.mark.parametrize("a, b", [(1, series._P), (Fraction(1, series._P), 3)],
-                         ids=["b=p", "a=1/p"])
-def test_strong_orbit_falls_back_to_fraction_at_a_pole_mod_p(a, b):
-    # b = p is 0 mod p, so phi's (1 + a) / b is a pole there but not over Q;
-    # 1/p has no image mod p at all
-    assert series.kernel_orbit("strong", a, b, 100) == 101
+@pytest.mark.parametrize("y, z", [(2, 1 + series._P), (1 + Fraction(1, series._P), 4)],
+                         ids=["z=1+p", "y=1+1/p"])
+def test_strong_orbit_falls_back_to_fraction_at_a_pole_mod_p(y, z):
+    # z = 1 + p is 1 mod p, so the z-map's (y + z - 1) / (z - 1) is a pole
+    # there but not over Q; 1/p has no image mod p at all
+    assert series.kernel_orbit("strong", y, z, 100) == 101
 
 
 def test_strong_orbit_raises_at_a_pole_over_q():
     with pytest.raises(ZeroDivisionError):
-        series.kernel_orbit("strong", 1, 0, 100)
+        series.kernel_orbit("strong", 2, 1, 100)
+
+
+def _patch_maps(monkeypatch, rule, maps):
+    """Give the rule's group other maps, keeping its N and D."""
+    n, d, _ = series._group(rules.RULES[rule])
+    monkeypatch.setattr(series, "_group", lambda r: (n, d, maps))
 
 
 def test_closed_open_orbit_is_counted_exactly(monkeypatch):
-    # maps of finite order under the "open" marker: the orbit closes mod p,
-    # which proves nothing, so the exact count decides and the probe fails
-    value, _, _, _ = series._KERNELS["strong"]
-    swap, negate = (lambda a, b: (b, a)), (lambda a, b: (-a, b))
-    monkeypatch.setitem(series._KERNELS, "strong", (value, swap, negate, "open"))
+    # y -> z/y and z -> -z generate a group of order 8 under the "open"
+    # marker: the orbit closes mod p, which proves nothing, so the exact
+    # count decides and the probe fails
+    _patch_maps(monkeypatch, "strong", (((0, 1), (0, 0), (1, 0)), ((0,), (1,), (0,))))
     assert series.kernel_orbit("strong", Fraction(2, 3), Fraction(5, 7), 100) == 8
-    assert series.kernel_orbit("strong", Fraction(2, 3), Fraction(2, 3), 100) == 4
+    assert series.kernel_orbit("strong", 2, 4, 100) == 4  # z = y^2: y -> z/y fixes it
     # 1 + p and 1 meet mod p, so the orbit closes at 4 points there
     assert series.kernel_orbit("strong", 1, 1 + series._P, 100) == 8
     rep = series.kernel_invariance("strong", trials=2, seed=11)
@@ -551,24 +623,20 @@ def test_kernel_invariance_reports():
 
 
 def test_kernel_invariance_redraws_stabilised_semi_points():
-    # seed 8 draws a point whose semi orbit closes at 5 points; it is
-    # re-drawn like a pole, and every accepted orbit still has 10 points
-    rep = series.kernel_invariance("semi", 40, seed=8)
+    # seed 5 draws two points whose semi orbits close at 5 points and one
+    # pole (z = y); each is re-drawn, and every accepted orbit has 10 points
+    rep = series.kernel_invariance("semi", 40, seed=5)
     assert rep["ok"]
     assert rep["orbit_sizes"] == [10] * 40
     assert rep["redraws"] == 3
-    # a seed that draws no such point keeps its report
-    rep = series.kernel_invariance("semi", 40, seed=1)
-    assert rep["ok"] and rep["redraws"] == 2
+    # a seed that draws only a pole (z = y) keeps its report
+    rep = series.kernel_invariance("semi", 40, seed=7)
+    assert rep["ok"] and rep["redraws"] == 1
 
 
 def test_kernel_invariance_gives_up_with_value_error(monkeypatch):
-    # a kernel whose every point is a pole exhausts the re-draws
-    def pole(a, b, x):
-        raise ZeroDivisionError("pole")
-
-    _, phi, psi, order = series._KERNELS["semi"]
-    monkeypatch.setitem(series._KERNELS, "semi", (pole, phi, psi, order))
+    # maps whose every image is 0/0 make every point a pole and exhaust the re-draws
+    _patch_maps(monkeypatch, "semi", (((0,), (0,), (0,)),) * 2)
     with pytest.raises(ValueError, match="no generic semi point after 10 re-draws"):
         series.kernel_invariance("semi", 1)
 
