@@ -17,7 +17,7 @@ full suite in about a second.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -138,9 +138,6 @@ class CheckReport:
     def ok(self) -> bool:
         return self.status == "pass"
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def compare_routes(
     seqs: Mapping[str, Sequence[int]], offset: int = 1
@@ -185,13 +182,6 @@ def _routes_agree(
     return compare_routes(seqs, offset=FAMILIES[family]["offset"])
 
 
-def _route_check(family: str, *borrowed: str) -> Callable[[int, int, int], Outcome]:
-    """The check (brute, n, seed) that every route of `family` and each
-    borrowed "family:route" agree; brute-force routes run to `brute`, the
-    others to `n`."""
-    return partial(_routes_agree, family, borrowed)
-
-
 def _chk_census(top: int, seed: int) -> Outcome:
     pairs = (
         ("semi", "semi"),
@@ -231,7 +221,7 @@ def _chk_invseq_labels(top: int, seed: int) -> Outcome:
     return True, f"growth labels match the semi rule on {seen} avoiders (sizes < {top})"
 
 
-def series_extraction(order: int) -> Outcome:
+def series_extraction(order: int, seed: int = 0) -> Outcome:
     """The a^0 column of F against the semi-Baxter recurrence, n = 1..order."""
     f = series.build_F(order)
     want = formulas.sb_table(order)[1:]
@@ -242,7 +232,7 @@ def series_extraction(order: int) -> Outcome:
     return True, f"a^0 column matches the recurrence for n=1..{order}"
 
 
-def series_nonneg_part(order: int) -> Outcome:
+def series_nonneg_part(order: int, seed: int = 0) -> Outcome:
     """Nonnegative part of F against the semi labels evaluated at 1+a."""
     lhs = series.omega_geq(series.build_F(order))
     rhs = series.LabelSeries("semi", order).series_in_one_plus_a()
@@ -259,7 +249,7 @@ def _residual_verdict(res: series.Residual, fail: str, passed: str) -> Outcome:
     return (False, fail.format(*res)) if res[0] else (True, passed)
 
 
-def series_residual(group: str, order: int) -> Outcome:
+def series_residual(group: str, order: int, seed: int = 0) -> Outcome:
     """The cleared label equation of `group` ("semi" or "strong")."""
     fn = {"semi": series.residual_semi, "strong": series.residual_strong}[group]
     return _residual_verdict(
@@ -267,17 +257,18 @@ def series_residual(group: str, order: int) -> Outcome:
     )
 
 
-def series_reduced(a0: Fraction, order: int) -> Outcome:
-    """Both reduced identities at the rational point a0."""
-    rep = series.verify_reduced_identity(a0, order)
-    num, den = a0.numerator, a0.denominator
-    name = _term_text(num) + (f"/{_term_text(den)}" if den != 1 else "")
-    if rep["ok"]:
-        return True, f"both identities hold at a0={name} to order {order}"
-    return False, (
-        f"at a0={name}: F-vs-P first fail {rep['f_first_fail']}, "
-        f"sum identity first fail {rep['sum_first_fail']}"
-    )
+def series_reduced(points: Sequence[tuple[Fraction, int]], seed: int = 0) -> Outcome:
+    """Both reduced identities at each rational point a0 to its order."""
+    details, ok = [], True
+    for a0, order in points:
+        rep = series.verify_reduced_identity(a0, order)
+        num, den = a0.numerator, a0.denominator
+        name = _term_text(num) + (f"/{_term_text(den)}" if den != 1 else "")
+        ok = ok and rep["ok"]
+        details.append(f"both identities hold at a0={name} to order {order}" if rep["ok"] else (
+            f"at a0={name}: F-vs-P first fail {rep['f_first_fail']}, "
+            f"sum identity first fail {rep['sum_first_fail']}"))
+    return ok, "; ".join(details)
 
 
 def series_kernel(group: str, trials: int, seed: int) -> Outcome:
@@ -287,11 +278,6 @@ def series_kernel(group: str, trials: int, seed: int) -> Outcome:
         f"{group}: invariant={rep['invariant_ok']} "
         f"orbits={rep['orbit_sizes']} redraws={rep['redraws']}"
     )
-
-
-def _reduced_points(points: tuple[tuple[Fraction, int], ...], seed: int) -> Outcome:
-    outcomes = [series_reduced(a0, order) for a0, order in points]
-    return all(ok for ok, _ in outcomes), "; ".join(d for _, d in outcomes)
 
 
 def _chk_lagrange(kmax: int, seed: int) -> Outcome:
@@ -394,33 +380,30 @@ _SUITES = ("quick", "full")
 # check(*sizes, seed).  A route check's sizes are (brute, n): its
 # brute-force routes run to `brute` and its other routes to `n`.
 _REGISTRY: dict[str, tuple[Callable[..., Outcome], tuple, tuple]] = {
-    "apery-closed-vs-recurrence": (_route_check("apery"), (8, 30), (10, 30)),
-    "baxter-five-routes": (_route_check("baxter"), (8, 12), (10, 12)),
-    "catalan-three-routes": (_route_check("av231"), (8, 14), (10, 14)),
+    "apery-closed-vs-recurrence": (partial(_routes_agree, "apery", ()), (8, 30), (10, 30)),
+    "baxter-five-routes": (partial(_routes_agree, "baxter", ()), (8, 12), (10, 12)),
+    "catalan-three-routes": (partial(_routes_agree, "av231", ()), (8, 14), (10, 14)),
     "census-labels-vs-rules": (_chk_census, (5,), (7,)),
-    "conjecture-exp1423-vs-sb": (_route_check("exp1423", "sb:recurrence"), (8, 8), (10, 10)),
+    "conjecture-exp1423-vs-sb": (
+        partial(_routes_agree, "exp1423", ("sb:recurrence",)), (8, 8), (10, 10)),
     "invseq-growth-labels": (_chk_invseq_labels, (6,), (7,)),
-    "invseq-three-routes": (_route_check("invseq", "sb:recurrence"), (8, 13), (10, 13)),
+    "invseq-three-routes": (
+        partial(_routes_agree, "invseq", ("sb:recurrence",)), (8, 13), (10, 13)),
     "kernel-semi": (partial(series_kernel, "semi"), (3,), (5,)),
     "kernel-strong": (partial(series_kernel, "strong"), (2,), (5,)),
     "lagrange-vs-series": (_chk_lagrange, (8,), (12,)),
     "numbers-asymptotics": (_chk_asymptotics, (500, 0.05), (2000, 0.02)),
-    "plane-vs-semi": (_route_check("plane"), (8, 8), (10, 10)),
+    "plane-vs-semi": (partial(_routes_agree, "plane", ()), (8, 8), (10, 10)),
     "rules-dsl-mirrors": (_chk_rule_dsl, (10,), (10,)),
-    "semi-all-routes": (_route_check("sb"), (8, 13), (10, 13)),
-    "series-extraction-vs-recurrence": (
-        lambda order, seed: series_extraction(order), (12,), (20,)),
-    "series-reduced-identity": (
-        _reduced_points,
-        (((Fraction(3, 2), 10),),),
-        (((Fraction(3, 2), 12), (Fraction(2), 12)),),
-    ),
-    "series-residual-semi": (lambda order, seed: series_residual("semi", order), (10,), (10,)),
-    "series-residual-strong": (
-        lambda order, seed: series_residual("strong", order), (10,), (10,)),
-    "series-theorem-nonneg-part": (lambda order, seed: series_nonneg_part(order), (10,), (15,)),
-    "strong-three-routes": (_route_check("strong"), (8, 13), (10, 13)),
-    "twisted-vs-baxter": (_route_check("twisted", "baxter:closed"), (8, 12), (10, 12)),
+    "semi-all-routes": (partial(_routes_agree, "sb", ()), (8, 13), (10, 13)),
+    "series-extraction-vs-recurrence": (series_extraction, (12,), (20,)),
+    "series-reduced-identity": (series_reduced, (((Fraction(3, 2), 10),),),
+                                (((Fraction(3, 2), 12), (Fraction(2), 12)),)),
+    "series-residual-semi": (partial(series_residual, "semi"), (10,), (10,)),
+    "series-residual-strong": (partial(series_residual, "strong"), (10,), (10,)),
+    "series-theorem-nonneg-part": (series_nonneg_part, (10,), (15,)),
+    "strong-three-routes": (partial(_routes_agree, "strong", ()), (8, 13), (10, 13)),
+    "twisted-vs-baxter": (partial(_routes_agree, "twisted", ("baxter:closed",)), (8, 12), (10, 12)),
     "walks-equation-residual": (_chk_walk_equation, (8,), (10,)),
     "walks-growth-constants": (_chk_growth, (100,), (300,)),
     "walks-refinement": (_chk_refinement, (10,), (10,)),

@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Iterable
 
@@ -111,7 +112,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     "seed": args.seed,
                     "passed": len(reports) - len(failed),
                     "failed": len(failed),
-                    "reports": [r.as_dict() for r in reports],
+                    "reports": [asdict(r) for r in reports],
                 }
             )
         )
@@ -138,7 +139,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
             checks.series_kernel(group, args.trials, args.seed) for group in ("semi", "strong")
         ]
     elif args.check == "reduced":
-        outcomes = [checks.series_reduced(args.a0, order)]
+        outcomes = [checks.series_reduced(((args.a0, order),))]
     elif args.check == "F":
         outcomes = [checks.series_extraction(order)]
     elif args.check == "omega":

@@ -4,18 +4,16 @@ Two types carry all of it: Poly, a sparse polynomial keyed by exponent
 pairs (a Laurent polynomial in a is keyed (e, 0); a polynomial in two
 variables uses both slots), and XSeries, a power series in x truncated
 at a fixed order whose coefficients are Polys in a or exact rationals.
-On top of them sit the series W solving W = x ā (1+a)(W+1+a)(W+a) with
-ā = 1/a, solved online one coefficient at a time by the same routine,
-on plain ints both at a symbolic a and at a rational point, its
-companion F(a,W) whose nonnegative part in a reproduces the semi-Baxter
-label polynomials at y = z = 1+a, Lagrange-inversion coefficient
-extraction, coefficientwise residuals of each rule's label equation,
-derived from its rows alone, the kernel group of that equation as two
-Möbius involutions (orbits counted mod a prime, and recounted over Q
-when that count proves nothing), and a rational-point identity tying F to
-an explicit rational function P = num/den, compared with den cleared
-so that no series is ever divided, and with x = t*p*q clearing the
-denominators of a0 = p/q so that no Fraction is built.
+On them sit the series W = x ā (1+a)(W+1+a)(W+a), ā = 1/a, solved online
+on plain ints at a symbolic a and at a rational point; Lagrange-inversion
+coefficient extraction; each rule's label equation, derived from its rows,
+with its coefficientwise residuals, its kernel group as two Möbius
+involutions (orbits counted mod a prime, recounted over Q when that proves
+nothing) and its kernel method's half-orbit chain, off which semi's F(a,W)
+(whose nonnegative part in a gives the semi label polynomials at y = z =
+1+a) and P = num/den are read; and an identity tying F, P and the labels at
+a rational a0, with den cleared so that no series is divided and x = t*p*q
+clearing the denominators of a0 = p/q so that no Fraction is built.
 
 solve_W and build_F compute on plain ints (Kronecker substitution).  With
 x = t*a the equation reads W = t(1+a)(W+1+a)(W+a), whose coefficients in
@@ -307,20 +305,15 @@ def lagrange_coeff(s: int, k: int, i: int) -> Fraction:
     return Fraction(i * total, k)
 
 
-_F_W1 = laurent({-5: 1, -4: 1, 0: 2, 1: 2})
-_F_W2 = laurent({-5: -1, -4: -1, -3: 1, -2: -1, -1: -1, 0: 1})
-_F_W3 = laurent({-4: 1, -2: -1})
-
-
 def _assemble_F(w: XSeries, coeff: Callable) -> XSeries:
-    """x ((1+a)^2 + _F_W1 W + _F_W2 W^2 + _F_W3 W^3), with each Laurent
-    coefficient of W^k passed through coeff(c, k) (kept as a Poly, mapped
-    to an int bound or an int at a = 2^b by build_F, or to an int at
-    a0 = p/q, W = V/q by verify_reduced_identity)."""
-    w2 = w * w
-    f = (w.scale(coeff(_F_W1, 1)) + w2.scale(coeff(_F_W2, 2))
-         + (w2 * w).scale(coeff(_F_W3, 3)))
-    return (f + coeff(_one_plus(laurent({2: 1})), 0)).shift_x()
+    """x sum c_k W^k by Horner's rule, each c_k of _kernel_data passed through
+    coeff(c, k): kept as a Poly, mapped to an int bound or an int at a = 2^b by
+    build_F, or to an int at a0 = p/q, W = V/q by verify_reduced_identity."""
+    cs = [coeff(c, k) for k, c in enumerate(_kernel_data()[1])]
+    f = w.scale(cs[-1]) + cs[-2]
+    for c in reversed(cs[:-2]):
+        f = f * w + c
+    return f.shift_x()
 
 
 def build_F(order: int) -> XSeries:
@@ -330,7 +323,7 @@ def build_F(order: int) -> XSeries:
     nonnegative part in a matches the semi label polynomials at y=z=1+a.
 
     Assembled from W at a = 2^b with every coefficient times a^6: a^5
-    clears the negative exponents of _F_W1.._F_W3 and a^1 is the a of
+    clears the negative exponents of the c_k and a^1 is the a of
     x = t*a, so [t^n] is a^(n+5) [x^n]F.  The bound is the same sum at
     a = 1 with each coefficient replaced by its l1 norm; row by row it is
     at least W at a = 1, so it bounds W's coefficients too.
@@ -659,10 +652,6 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     def draw() -> Fraction:
         return 1 + Fraction(rng.randint(1, 40), rng.randint(1, 40))
 
-    def at(f: Poly, y: Fraction, z: Fraction) -> int:  # f(y, z) (den y den z)^2: degrees <= 2
-        (a, b), (c, e) = (y.numerator, y.denominator), (z.numerator, z.denominator)
-        return sum(v * a ** i * b ** (2 - i) * c ** j * e ** (2 - j) for (i, j), v in f.c.items())
-
     for _ in range(trials):
         for attempt in range(11):
             p = draw(), draw()
@@ -677,21 +666,59 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
         else:
             raise ValueError(f"no generic {group} point after 10 re-draws")
         invariant_ok = invariant_ok and all(
-            at(n, *q) * at(d, *p) == at(n, *p) * at(d, *q) for q in images)
+            _at(n, q) * _at(d, p) == _at(n, p) * _at(d, q) for q in images)
         orbit_sizes.append(size)
     orbit_ok = all(s == order if finite else s > 100 for s in orbit_sizes)
     return {"redraws": redraws, "invariant_ok": invariant_ok, "orbit_ok": orbit_ok,
             "orbit_sizes": orbit_sizes, "ok": invariant_ok and orbit_ok}
 
 
-# Numerator N(a, z) of P, keyed (a-power, z-power); the F comparison in
-# verify_reduced_identity pins every term.  At a = p/q each term is read
-# as c p^i q^(7-i-j) (qz)^j, so i + j stays at most 7.
-_P_NUM = Poly({
-    (4, 1): -1, (4, 2): 1, (3, 1): -1, (3, 2): 1, (2, 3): -1, (2, 0): -2, (2, 2): 1,
-    (2, 1): 1, (1, 0): -4, (1, 1): 5, (1, 2): -3, (1, 3): 1, (0, 1): 3, (0, 2): -1,
-    (0, 0): -2,
-})
+def _at(f: Poly, p: tuple[Fraction, Fraction]) -> Fraction:
+    """f(y, z) at the rational point p, exactly, on ints (f has no exponent < 0)."""
+    (r, s), (u, v) = ((c.numerator, c.denominator) for c in p)
+    i, j = (max([e[k] for e in f.c], default=0) for k in (0, 1))
+    return Fraction(sum(x * r ** h * s ** (i - h) * u ** k * v ** (j - k)
+                        for (h, k), x in f.c.items()), s ** i * v ** j)
+
+
+def _chain(rule: SuccessionRule, y: Rat, z: Rat) -> tuple[Fraction, Fraction, Fraction]:
+    """(c, e, z') with B(y) = c + e A(z'), where on the kernel _equation reads
+    0 = K y^h0 z^k0 + c_A A(z) + c_B B(y), (h0, k0) the axiom: from (y, z), solve
+    for B, move by the y-map, solve for A, move by the z-map, and so on over half
+    the orbit.  An open orbit, one of size not 2 mod 4 and a pole raise ValueError."""
+    kernel, terms = _equation(rule)
+    (c_a,), (c_b,) = ([c for m, c in terms.items() if m[i] == (0, 0)] for i in (0, 1))
+    free, maps = kernel * Poly({rule.axiom: 1}), _group(rule)[2]
+    try:
+        size, p, c, e = kernel_orbit(rule.name, y, z, 200), (Fraction(y), Fraction(z)), 0, 1
+        if size > 200 or size % 4 != 2:
+            raise ValueError(f"rule {rule.name}: no half-orbit chain (orbit size {size})")
+        for i in (n % 2 for n in range(size // 2)):  # i = 0: the unknown is B(p[0])
+            cs = _at(c_b, p), _at(c_a, p)
+            c, e = c - e * _at(free, p) / cs[i], -e * cs[1 - i] / cs[i]
+            p = _image(maps, i, p, False)
+    except ZeroDivisionError:
+        raise ValueError(f"rule {rule.name}: the chain from ({y}, {z}) meets a pole") from None
+    return c, e, p[1]
+
+
+@cache
+def _kernel_data(w: int = 12) -> tuple[Poly, list[Poly]]:
+    """(N, [c_0, .., c_3]): the semi _chain from (1+a, Z), Z = W+1+a, has c =
+    -P = -(1+a-Z) N(a, Z) / (Z a^4 (Z-1)), read at a = 2^16, Z = a^w (signed
+    16-bit digit e at a^(e mod w) Z^(e div w)) and confirmed at a rational
+    point (else ValueError), and F = -P = x sum c_k W^k."""
+    def n_at(a: Fraction, z: Fraction) -> Fraction:
+        return -_chain(RULES["semi"], 1 + a, z)[0] * z * a ** 4 * (z - 1) / (1 + a - z)
+
+    v, point = n_at(Fraction(1 << 16), Fraction(1 << 16 * w)), (Fraction(3, 7), Fraction(11, 5))
+    n = Poly({(e % w, e // w): x for (e, _), x in _digits(v.numerator, 16, 0).c.items()})
+    if v.denominator != 1 or _at(n, point) != n_at(*point):
+        raise ValueError(f"semi kernel chain: N read with {w} slots fails at {point}")
+    # c_k = (1+a) a^-5 [W^k] N(a, W+1+a): x a^i Z^j gives x C(j, k) a^(i-5) (1+a)^(j-k+1)
+    return n, [sum((_one_plus(Poly({(j - k + 1, 0): x * binom(j, k)})) * laurent({i - 5: 1})
+                    for (i, j), x in n.c.items() if j >= k), Poly())
+               for k in range(1 + max(j for _, j in n.c))]
 
 
 def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
@@ -704,7 +731,8 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
     with P = num/den, num = (-Z+1+a0) N(a0, Z), den = Z a0^4 (Z-1), both
     S evaluations read off the semi rule's label distributions, each level
     collapsed to the one variable it is read in, and F assembled as in
-    build_F with its coefficients evaluated at a0.
+    build_F with its coefficients evaluated at a0.  N and F's coefficients
+    are two readings of the semi kernel chain (_kernel_data).
 
     Each side X is compared as X den + num, which is (X + P) den through
     x^order.  den has the constant term a0^5 (1+a0), nonzero here, so that
@@ -714,12 +742,13 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
     Everything runs on ints.  With a0 = p/q in lowest terms (q > 0) and
     x = t p q, a ring map that multiplies [x^n] by (pq)^n != 0, the series
     V = q W is online_fixpoint(p+q, p+q, p), so qZ = V+p+q, q(Z-1) = V+p,
-    q^8 num = -V sum c_ij p^i q^(7-i-j) (V+p+q)^j and q^6 den =
-    p^4 (V+p+q)(V+p).  Then p^4 q^3 F and q^sq p^(3+sp) X are int series,
-    sq and sp the extra powers of q and p that keep every exponent of the
-    label levels actually read nonnegative (1 and 0 for the semi rule),
-    and each comparison is a nonzero constant times X den + num with x =
-    t p q, which is zero at t^n exactly where the uncleared one is at x^n.
+    q^8 num = -V sum c_ij p^i q^(7-i-j) (V+p+q)^j (N's terms c_ij a^i Z^j
+    have i + j <= 7) and q^6 den = p^4 (V+p+q)(V+p).  Then p^4 q^3 F and
+    q^sq p^(3+sp) X are int series, sq and sp the extra powers of q and p
+    that keep every exponent of the label levels actually read nonnegative
+    (1 and 0 for the semi rule), and each comparison is a nonzero constant
+    times X den + num with x = t p q, which is zero at t^n exactly where
+    the uncleared one is at x^n.
     """
     a = Fraction(a0)
     p, q = a.numerator, a.denominator
@@ -730,7 +759,7 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
     z = v + (p + q)  # q Z
     zz = z * (v + p)  # q^6 den / p^4
     c = [0] * 4  # q^7 N(a0, Z) = sum c_j (qZ)^j
-    for (i, j), x in _P_NUM.c.items():
+    for (i, j), x in _kernel_data()[0].c.items():
         c[j] += x * p ** i * q ** (7 - i - j)
     num = XSeries([c[3]] + [0] * order)
     for x in reversed(c[:3]):

@@ -1,5 +1,6 @@
 """The consistency suite: registry, determinism, failure reporting."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -116,7 +117,7 @@ def test_suite_is_deterministic_under_seed():
 
 def test_report_serialization():
     rep = checks.run_suite("quick")[0]
-    d = rep.as_dict()
+    d = dataclasses.asdict(rep)
     assert set(d) == {"name", "status", "detail", "elapsed_ms"}
     assert d["status"] in ("pass", "fail")
 
@@ -162,11 +163,15 @@ def test_exact_div_names_terms_past_the_int_str_limit():
 
 def test_series_reduced_names_a_point_past_the_int_str_limit(monkeypatch):
     # a0 is named part by part, so a huge numerator or denominator prints too
-    assert checks.series_reduced(Fraction(-7, 3), 2) == (
+    assert checks.series_reduced([(Fraction(-7, 3), 2)]) == (
         True, "both identities hold at a0=-7/3 to order 2")
-    monkeypatch.setattr(checks.series, "_F_W3", checks.series.Poly())
-    assert checks.series_reduced(Fraction(-3, 10 ** 5000), 4) == (False, (
+    n, (*low, _) = checks.series._kernel_data()
+    monkeypatch.setattr(checks.series, "_kernel_data", lambda: (n, [*low, checks.series.Poly()]))
+    assert checks.series_reduced([(Fraction(-3, 10 ** 5000), 4)]) == (False, (
         "at a0=-3/<16610-bit int>: F-vs-P first fail 4, sum identity first fail None"))
+    assert checks.series_reduced([(Fraction(-7, 3), 2), (Fraction(2), 4)]) == (False, (
+        "both identities hold at a0=-7/3 to order 2; "
+        "at a0=2: F-vs-P first fail 4, sum identity first fail None"))
 
 
 def test_every_route_returns_plain_ints():

@@ -1,9 +1,10 @@
-"""Source lints: the package stays under its line cap; guards must raise in
-every interpreter mode, so the package has no assert; a guard raises
-ValueError, the one error the CLI reports as a usage error; every name the
-package imports is read; every private top-level name it defines is read;
-every public one is read or bound by the traced benchmark; and so is every
-method of a package class."""
+"""Source lints: the package stays under its line cap; series.py types no
+polynomial table at module level; guards must raise in every interpreter
+mode, so the package has no assert; a guard raises ValueError, the one
+error the CLI reports as a usage error; every name the package imports is
+read; every private top-level name it defines is read; every public one is
+read or bound by the traced benchmark; and so is every method of a package
+class."""
 
 import ast
 import builtins
@@ -29,6 +30,26 @@ def test_package_stays_under_its_line_cap():
     root = Path(baxterlab.__file__).parent
     total = sum(path.read_bytes().count(b"\n") for path in root.glob("*.py"))
     assert total <= 2950, total
+
+
+def _module_level_polys(path: Path) -> list[str]:
+    """file:line name of each top-level assignment in path whose value
+    calls Poly(...) or laurent(...)."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id in ("Poly", "laurent") for call in ast.walk(node.value)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"{path.name}:{node.lineno} {ast.unparse(t)}" for t in targets]
+    return found
+
+
+def test_series_types_no_polynomial_at_module_level():
+    # each rule's equation, its kernel group, and F and P of the semi kernel
+    # method are derived; a module-level Poly or laurent literal in series.py
+    # would be hand-typed series maths coming back
+    assert _module_level_polys(Path(baxterlab.__file__).parent / "series.py") == []
 
 
 def test_package_raises_no_builtin_exception_but_value_error():

@@ -440,7 +440,8 @@ def test_enumerate_class_n20_vs_rule(name, rule):
 
 
 def test_exp1423_n12_vs_sb_recurrence():
-    # the conjecture the paper proves, two sizes past the full suite's check
+    # an equality checked by brute force, not a proof: exp1423 is treated as its
+    # own family, here two sizes past the full suite's check
     got = perms.enumerate_class(perms.CLASSES["exp1423"], 12)
     assert got == formulas.sb_recurrence(12)[1:]
 

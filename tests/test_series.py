@@ -641,6 +641,101 @@ def test_kernel_invariance_gives_up_with_value_error(monkeypatch):
         series.kernel_invariance("semi", 1)
 
 
+# ---------------------------------------------------------------------------
+# kernel method: the half-orbit chain, and F and P read off it
+
+# The paper's F display and the numerator of its P, typed by hand: the
+# oracle the derived kernel data must reproduce.  F = x sum c_k W^k with
+# c_0..c_3 below, and P = (1+a-Z) N(a, Z) / (Z a^4 (Z-1)), N keyed
+# (a-power, Z-power).
+_F_DISPLAY = [series.laurent({0: 1, 1: 2, 2: 1}),
+              series.laurent({-5: 1, -4: 1, 0: 2, 1: 2}),
+              series.laurent({-5: -1, -4: -1, -3: 1, -2: -1, -1: -1, 0: 1}),
+              series.laurent({-4: 1, -2: -1})]
+_P_NUM = series.Poly({
+    (4, 1): -1, (4, 2): 1, (3, 1): -1, (3, 2): 1, (2, 3): -1, (2, 0): -2, (2, 2): 1,
+    (2, 1): 1, (1, 0): -4, (1, 1): 5, (1, 2): -3, (1, 3): 1, (0, 1): 3, (0, 2): -1,
+    (0, 0): -2,
+})
+_A = Fraction(2 ** 16)  # a point a, and two values of Z, that the chains start from
+_ZS = [Fraction(2 ** 192), Fraction(7, 3)]
+
+
+def test_kernel_data_is_the_papers_F_and_P():
+    n, cs = series._kernel_data()
+    assert n == _P_NUM
+    assert cs == _F_DISPLAY
+
+
+def test_kernel_data_is_derived_on_first_use_only():
+    # importing runs no chain; the first use derives F and N, and later ones
+    # (build_F reads them twice, for its bound and its value) reuse them
+    code = (
+        "from baxterlab import series\n"
+        "info = series._kernel_data.cache_info\n"
+        "before = info().misses\n"
+        "series.build_F(3)\n"
+        "series.verify_reduced_identity(2, 4)\n"
+        "raise SystemExit(0 if (before, info().misses, info().hits) == (0, 1, 3) else str(info()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(baxterlab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr + done.stdout
+
+
+@pytest.mark.parametrize("z", _ZS, ids=["Z=2^192", "Z=7/3"])
+def test_semi_chain_is_the_papers_reduced_identity(z):
+    """Five steps (half of 10) from (1+a, Z) end at A(1+1/a) = S(1, 1+1/a)
+    with coefficient -(1+a)^2 x / a^4, x = K/c_I there: identity (ii)."""
+    kernel, terms = series._equation(rules.RULES["semi"])
+    x = series._at(kernel, (1 + _A, z)) / series._at(terms[((1, 0), (0, 1))], (1 + _A, z))
+    assert series.kernel_orbit("semi", 1 + _A, z) == 10
+    c, e, end = series._chain(rules.RULES["semi"], 1 + _A, z)
+    assert (e, end) == (-(1 + _A) ** 2 * x / _A ** 4, 1 + 1 / _A)
+    assert c == -(1 + _A - z) * series._at(_P_NUM, (_A, z)) / (z * _A ** 4 * (z - 1))
+
+
+@pytest.mark.parametrize("z", _ZS, ids=["Z=2^192", "Z=7/3"])
+@pytest.mark.parametrize("rule", ["bax", "tbax"])
+def test_bax_and_tbax_chains_close_after_three_steps(rule, z):
+    # an orbit of 6 points: three steps from (1+a, Z) end at A(1 + 1/a),
+    # free of Z
+    assert series.kernel_orbit(rule, 1 + _A, z) == 6
+    assert series._chain(rules.RULES[rule], 1 + _A, z)[2] == 1 + 1 / _A
+
+
+@pytest.mark.parametrize("z", _ZS, ids=["Z=2^192", "Z=7/3"])
+def test_bax_chain_gives_a_baxter_identity(z):
+    # S(1+a, 1) = (Z-1)(a^3+a+1-Za)/a^3 - S(1, 1+1/a)/a^2 on the bax kernel
+    c, e, _ = series._chain(rules.RULES["bax"], 1 + _A, z)
+    assert (c, e) == ((z - 1) * (_A ** 3 + _A + 1 - z * _A) / _A ** 3, -1 / _A ** 2)
+
+
+def test_strong_has_no_chain():
+    with pytest.raises(ValueError, match=r"^rule strong: no half-orbit chain \(orbit size 201\)"):
+        series._chain(rules.RULES["strong"], Fraction(5, 2), Fraction(7, 5))
+
+
+@pytest.mark.parametrize("y, z", [(1, 3), (2, 2), (Fraction(3, 2), 1)])
+def test_chain_raises_value_error_at_a_pole(y, z):
+    with pytest.raises(ValueError, match="meets a pole"):
+        series._chain(rules.RULES["semi"], y, z)
+
+
+def test_chain_rejects_a_stabilised_orbit():
+    # (3, 3/2) has a semi orbit of 5 points: half of it is no whole chain
+    with pytest.raises(ValueError, match=r"no half-orbit chain \(orbit size 5\)"):
+        series._chain(rules.RULES["semi"], 3, Fraction(3, 2))
+
+
+def test_kernel_data_read_with_too_few_slots_is_caught():
+    # with 3 slots a cell holds a^i Z^j and a^(i+3) Z^(j-1) at once; the read
+    # at a = 2^16, Z = a^3 is still an int, so only the confirmation sees it
+    with pytest.raises(ValueError, match="N read with 3 slots fails"):
+        series._kernel_data(3)
+
+
 def test_series_guards_raise_under_optimize():
     # a bare assert would vanish under -O and report a vacuous pass
     code = (
@@ -719,7 +814,8 @@ def test_reduced_identity_detects_missing_cubic(monkeypatch):
     must land exactly on x^4.  The scalar sum identity uses the intact
     series, so it keeps holding.
     """
-    monkeypatch.setattr(series, "_F_W3", series.Poly())
+    n, (*low, _) = series._kernel_data()
+    monkeypatch.setattr(series, "_kernel_data", lambda: (n, [*low, series.Poly()]))
     rep = series.verify_reduced_identity(Fraction(3, 2), order=6)
     assert not rep["ok"]
     assert rep["f_first_fail"] == 4
@@ -753,7 +849,7 @@ def test_reduced_identity_detects_a_changed_label_count(a0, n, pick):
 
 def _reduced_oracle(a0: Fraction, order: int) -> dict:
     """verify_reduced_identity's dict computed over Fraction at a0 itself:
-    W solved at a0, P = num/den built from _P_NUM at a0, every label level
+    W solved at a0, P = num/den built from _kernel_data's N at a0, every label level
     evaluated at its point, each side X compared as X den + num."""
     w = series.online_fixpoint((1 + a0) / a0, 1 + a0, a0, order)
     z = w + (1 + a0)
@@ -761,7 +857,7 @@ def _reduced_oracle(a0: Fraction, order: int) -> dict:
     for _ in range(3):
         zp.append(zp[-1] * z)
     n = series.XSeries([0] * (order + 1))
-    for (i, j), c in series._P_NUM.c.items():
+    for (i, j), c in series._kernel_data()[0].c.items():
         n = n + zp[j].scale(c * a0 ** i)
     num, den = (-z + (1 + a0)) * n, (z * (z - 1)).scale(a0 ** 4)
 
@@ -790,8 +886,8 @@ def _bumped(poly: series.Poly, pick: int) -> series.Poly:
     return series.Poly(c)
 
 
-_CORRUPTIONS = ["clean", "P_NUM", "label", "new label",
-                *(f"{how} _F_W{k}" for how in ("zero", "bump") for k in (1, 2, 3))]
+_CORRUPTIONS = ["clean", "N", "label", "new label",
+                *(f"{how} c_{k}" for how in ("zero", "bump") for k in (1, 2, 3))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -801,7 +897,7 @@ _CORRUPTIONS = ["clean", "P_NUM", "label", "new label",
 def test_reduced_identity_equals_the_fraction_oracle(a0, order, corruption, n, pick):
     """The int comparisons at x = t p q report the first failures the
     Fraction comparisons at a0 report, clean and under every corruption:
-    a bumped _P_NUM term, an _F_W* factor zeroed or bumped, a level-n label
+    a bumped term of N, a coefficient c_k of F zeroed or bumped, a level-n label
     count raised by 1, or a level-n label far out of the semi shape
     (h + k > n+1, k > n) added.  The extra powers of p and q must absorb
     that label: a negative power would be a float, which overflows or
@@ -819,12 +915,14 @@ def test_reduced_identity_equals_the_fraction_oracle(a0, order, corruption, n, p
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "levels", relabelled)
-        if corruption == "P_NUM":
-            mp.setattr(series, "_P_NUM", _bumped(series._P_NUM, pick))
-        elif corruption != "clean" and "F_W" in corruption:
+        top, cs = series._kernel_data()  # P's numerator N and F's coefficients
+        if corruption == "N":
+            top = _bumped(top, pick)
+        elif corruption != "clean" and "c_" in corruption:
             how, name = corruption.split()
-            poly = getattr(series, name)
-            mp.setattr(series, name, series.Poly() if how == "zero" else _bumped(poly, pick))
+            k = int(name[2:])
+            cs = [*cs[:k], series.Poly() if how == "zero" else _bumped(cs[k], pick), *cs[k + 1:]]
+        mp.setattr(series, "_kernel_data", lambda: (top, cs))
         assert series.verify_reduced_identity(a0, order) == _reduced_oracle(a0, order)
 
 
@@ -849,6 +947,7 @@ _FRACTION_OPS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmu
 def test_reduced_identity_builds_no_fraction(monkeypatch, a0):
     """The reduced identity reads a0's numerator and denominator and then
     computes on ints only: Fraction arithmetic and comparison raise here."""
+    series._kernel_data()  # F and N are derived once per process, over Fraction
 
     def refuse(*_):
         raise AssertionError("Fraction arithmetic in verify_reduced_identity")
