@@ -221,7 +221,7 @@ def _chk_invseq_labels(top: int, seed: int) -> Outcome:
     return True, f"growth labels match the semi rule on {seen} avoiders (sizes < {top})"
 
 
-def series_extraction(order: int, seed: int = 0) -> Outcome:
+def series_extraction(order: int) -> Outcome:
     """The a^0 column of F against the semi-Baxter recurrence, n = 1..order."""
     f = series.build_F(order)
     want = formulas.sb_table(order)[1:]
@@ -232,7 +232,7 @@ def series_extraction(order: int, seed: int = 0) -> Outcome:
     return True, f"a^0 column matches the recurrence for n=1..{order}"
 
 
-def series_nonneg_part(order: int, seed: int = 0) -> Outcome:
+def series_nonneg_part(order: int) -> Outcome:
     """Nonnegative part of F against the semi labels evaluated at 1+a."""
     lhs = series.omega_geq(series.build_F(order))
     rhs = series.LabelSeries("semi", order).series_in_one_plus_a()
@@ -249,7 +249,7 @@ def _residual_verdict(res: series.Residual, fail: str, passed: str) -> Outcome:
     return (False, fail.format(*res)) if res[0] else (True, passed)
 
 
-def series_residual(group: str, order: int, seed: int = 0) -> Outcome:
+def series_residual(group: str, order: int) -> Outcome:
     """The cleared label equation of `group` ("semi" or "strong")."""
     fn = {"semi": series.residual_semi, "strong": series.residual_strong}[group]
     return _residual_verdict(
@@ -257,7 +257,7 @@ def series_residual(group: str, order: int, seed: int = 0) -> Outcome:
     )
 
 
-def series_reduced(points: Sequence[tuple[Fraction, int]], seed: int = 0) -> Outcome:
+def series_reduced(points: Sequence[tuple[Fraction, int]]) -> Outcome:
     """Both reduced identities at each rational point a0 to its order."""
     details, ok = [], True
     for a0, order in points:
@@ -396,12 +396,15 @@ _REGISTRY: dict[str, tuple[Callable[..., Outcome], tuple, tuple]] = {
     "plane-vs-semi": (partial(_routes_agree, "plane", ()), (8, 8), (10, 10)),
     "rules-dsl-mirrors": (_chk_rule_dsl, (10,), (10,)),
     "semi-all-routes": (partial(_routes_agree, "sb", ()), (8, 13), (10, 13)),
-    "series-extraction-vs-recurrence": (series_extraction, (12,), (20,)),
-    "series-reduced-identity": (series_reduced, (((Fraction(3, 2), 10),),),
+    "series-extraction-vs-recurrence": (
+        lambda order, seed: series_extraction(order), (12,), (20,)),
+    "series-reduced-identity": (lambda points, seed: series_reduced(points),
+                                (((Fraction(3, 2), 10),),),
                                 (((Fraction(3, 2), 12), (Fraction(2), 12)),)),
-    "series-residual-semi": (partial(series_residual, "semi"), (10,), (10,)),
-    "series-residual-strong": (partial(series_residual, "strong"), (10,), (10,)),
-    "series-theorem-nonneg-part": (series_nonneg_part, (10,), (15,)),
+    "series-residual-semi": (lambda order, seed: series_residual("semi", order), (10,), (10,)),
+    "series-residual-strong": (
+        lambda order, seed: series_residual("strong", order), (10,), (10,)),
+    "series-theorem-nonneg-part": (lambda order, seed: series_nonneg_part(order), (10,), (15,)),
     "strong-three-routes": (partial(_routes_agree, "strong", ()), (8, 13), (10, 13)),
     "twisted-vs-baxter": (partial(_routes_agree, "twisted", ("baxter:closed",)), (8, 12), (10, 12)),
     "walks-equation-residual": (_chk_walk_equation, (8,), (10,)),

@@ -306,14 +306,13 @@ def lagrange_coeff(s: int, k: int, i: int) -> Fraction:
 
 
 def _assemble_F(w: XSeries, coeff: Callable) -> XSeries:
-    """x sum c_k W^k by Horner's rule, each c_k of _kernel_data passed through
-    coeff(c, k): kept as a Poly, mapped to an int bound or an int at a = 2^b by
-    build_F, or to an int at a0 = p/q, W = V/q by verify_reduced_identity."""
+    """x (c_0 + c_1 W + c_2 W^2 + c_3 W^3), each c_k of _kernel_data passed
+    through coeff(c, k): kept as a Poly, mapped to an int bound or an int at
+    a = 2^b by build_F, or to an int at a0 = p/q, W = V/q by verify_reduced_identity."""
     cs = [coeff(c, k) for k, c in enumerate(_kernel_data()[1])]
-    f = w.scale(cs[-1]) + cs[-2]
-    for c in reversed(cs[:-2]):
-        f = f * w + c
-    return f.shift_x()
+    w2 = w * w
+    f = w.scale(cs[1]) + w2.scale(cs[2]) + (w2 * w).scale(cs[3])
+    return (f + cs[0]).shift_x()
 
 
 def build_F(order: int) -> XSeries:
@@ -560,6 +559,7 @@ def _group(rule: SuccessionRule) -> tuple[Poly, Poly, tuple[_Mobius, _Mobius]]:
 
 # Orbits are counted mod this prime first; see kernel_orbit.
 _P = 2**61 - 1
+_SLOTS = 12  # cells per power of Z when _kernel_data reads N off one int
 
 
 def _mod_p(r: Rat) -> int:
@@ -603,9 +603,9 @@ def _orbit_size(maps: tuple[_Mobius, _Mobius], start: tuple, limit: int, mod_p: 
     return len(seen)
 
 
-def kernel_orbit(rule: str, y: Rat, z: Rat, limit: int = 200) -> int:
-    """Closure size of (y, z) under the two maps of the rule's kernel group;
-    a size above `limit` means the orbit did not close by then.
+def kernel_orbit(rule: str | SuccessionRule, y: Rat, z: Rat, limit: int = 200) -> int:
+    """Closure size of (y, z) under the two maps of the kernel group of `rule`, a
+    name or a rule; a size above `limit` means the orbit did not close by then.
 
     The orbit is first counted mod p = 2^61 - 1, whose residues stay at 61
     bits where the rational points grow to thousands of bits, and that count
@@ -618,7 +618,7 @@ def kernel_orbit(rule: str, y: Rat, z: Rat, limit: int = 200) -> int:
     >>> kernel_orbit("semi", Fraction(5, 3), Fraction(12, 5))
     10
     """
-    maps = _group(RULES[rule])[2]
+    maps = _group(RULES[rule] if isinstance(rule, str) else rule)[2]
     try:
         size = _orbit_size(maps, (_mod_p(y), _mod_p(z)), limit, True)
     except ValueError:
@@ -649,12 +649,9 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     finite = order != "open"
     redraws, invariant_ok, orbit_sizes = 0, True, []
 
-    def draw() -> Fraction:
-        return 1 + Fraction(rng.randint(1, 40), rng.randint(1, 40))
-
     for _ in range(trials):
         for attempt in range(11):
-            p = draw(), draw()
+            p = tuple(1 + Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in "yz")
             try:
                 images = [_image(maps, i, p, False) for i in (0, 1)]
                 size = kernel_orbit(group, *p, limit=order if finite else 100)
@@ -690,7 +687,7 @@ def _chain(rule: SuccessionRule, y: Rat, z: Rat) -> tuple[Fraction, Fraction, Fr
     (c_a,), (c_b,) = ([c for m, c in terms.items() if m[i] == (0, 0)] for i in (0, 1))
     free, maps = kernel * Poly({rule.axiom: 1}), _group(rule)[2]
     try:
-        size, p, c, e = kernel_orbit(rule.name, y, z, 200), (Fraction(y), Fraction(z)), 0, 1
+        size, p, c, e = kernel_orbit(rule, y, z, 200), (Fraction(y), Fraction(z)), 0, 1
         if size > 200 or size % 4 != 2:
             raise ValueError(f"rule {rule.name}: no half-orbit chain (orbit size {size})")
         for i in (n % 2 for n in range(size // 2)):  # i = 0: the unknown is B(p[0])
@@ -703,17 +700,16 @@ def _chain(rule: SuccessionRule, y: Rat, z: Rat) -> tuple[Fraction, Fraction, Fr
 
 
 @cache
-def _kernel_data(w: int = 12) -> tuple[Poly, list[Poly]]:
+def _kernel_data() -> tuple[Poly, list[Poly]]:
     """(N, [c_0, .., c_3]): the semi _chain from (1+a, Z), Z = W+1+a, has c =
-    -P = -(1+a-Z) N(a, Z) / (Z a^4 (Z-1)), read at a = 2^16, Z = a^w (signed
-    16-bit digit e at a^(e mod w) Z^(e div w)) and confirmed at a rational
-    point (else ValueError), and F = -P = x sum c_k W^k."""
-    def n_at(a: Fraction, z: Fraction) -> Fraction:
-        return -_chain(RULES["semi"], 1 + a, z)[0] * z * a ** 4 * (z - 1) / (1 + a - z)
-
-    v, point = n_at(Fraction(1 << 16), Fraction(1 << 16 * w)), (Fraction(3, 7), Fraction(11, 5))
+    -P = -(1+a-Z) N(a, Z) / (Z a^4 (Z-1)), read at a = 2^16, Z = a^w, w = _SLOTS
+    (signed 16-bit digit e at a^(e mod w) Z^(e div w)) and confirmed at a
+    rational point (else ValueError), and F = -P = x sum c_k W^k."""
+    w, point = _SLOTS, (Fraction(3, 7), Fraction(11, 5))
+    v, want = (-_chain(RULES["semi"], 1 + a, z)[0] * z * a ** 4 * (z - 1) / (1 + a - z)
+               for a, z in ((Fraction(1 << 16), Fraction(1 << 16 * w)), point))  # N(a, Z)
     n = Poly({(e % w, e // w): x for (e, _), x in _digits(v.numerator, 16, 0).c.items()})
-    if v.denominator != 1 or _at(n, point) != n_at(*point):
+    if v.denominator != 1 or _at(n, point) != want:
         raise ValueError(f"semi kernel chain: N read with {w} slots fails at {point}")
     # c_k = (1+a) a^-5 [W^k] N(a, W+1+a): x a^i Z^j gives x C(j, k) a^(i-5) (1+a)^(j-k+1)
     return n, [sum((_one_plus(Poly({(j - k + 1, 0): x * binom(j, k)})) * laurent({i - 5: 1})
@@ -739,9 +735,10 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
     product first becomes nonzero at the same x^n as X + P does: the
     reported first failures are those of the uncleared comparison.
 
-    Everything runs on ints.  With a0 = p/q in lowest terms (q > 0) and
-    x = t p q, a ring map that multiplies [x^n] by (pq)^n != 0, the series
-    V = q W is online_fixpoint(p+q, p+q, p), so qZ = V+p+q, q(Z-1) = V+p,
+    N and the c_k are derived over Fraction once per process, on the first
+    call; everything after that runs on ints.  With a0 = p/q in lowest terms
+    (q > 0) and x = t p q, a ring map that multiplies [x^n] by (pq)^n != 0,
+    the series V = q W is online_fixpoint(p+q, p+q, p), so qZ = V+p+q, q(Z-1) = V+p,
     q^8 num = -V sum c_ij p^i q^(7-i-j) (V+p+q)^j (N's terms c_ij a^i Z^j
     have i + j <= 7) and q^6 den = p^4 (V+p+q)(V+p).  Then p^4 q^3 F and
     q^sq p^(3+sp) X are int series, sq and sp the extra powers of q and p

@@ -729,11 +729,22 @@ def test_chain_rejects_a_stabilised_orbit():
         series._chain(rules.RULES["semi"], 3, Fraction(3, 2))
 
 
-def test_kernel_data_read_with_too_few_slots_is_caught():
+def test_kernel_data_read_with_too_few_slots_is_caught(monkeypatch):
     # with 3 slots a cell holds a^i Z^j and a^(i+3) Z^(j-1) at once; the read
     # at a = 2^16, Z = a^3 is still an int, so only the confirmation sees it
+    monkeypatch.setattr(series, "_SLOTS", 3)
     with pytest.raises(ValueError, match="N read with 3 slots fails"):
-        series._kernel_data(3)
+        series._kernel_data.__wrapped__()
+
+
+@pytest.mark.parametrize("z", _ZS, ids=["Z=2^192", "Z=7/3"])
+@pytest.mark.parametrize("name", ["custom", "semi"])
+def test_chain_runs_on_a_parsed_rule_by_its_own_group(name, z):
+    # a parsed rule is not looked up by name: the bax text parsed as "custom"
+    # (in no table) or as "semi" (the name of another rule) gives bax's chain
+    parsed = rules.parse_rule(rules.RULE_FILE_SOURCES["bax"], name)
+    assert series.kernel_orbit(parsed, 1 + _A, z) == 6
+    assert series._chain(parsed, 1 + _A, z) == series._chain(rules.RULES["bax"], 1 + _A, z)
 
 
 def test_series_guards_raise_under_optimize():
