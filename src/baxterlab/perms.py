@@ -161,9 +161,6 @@ CLASSES: dict[str, AvoidanceClass] = {
     "exp1423": AvoidanceClass("exp1423", ("[14]23",)),
 }
 
-# classes whose generating tree carries a two-part (h, k) label
-LABELLED_CLASSES = ("semi", "plane", "baxter", "twisted", "strong")
-
 
 def _canonical(n: int, last: int, mask: int, stair: Stair) -> State:
     """The state of a size-n node with its forbidden slots moved to the bottom.
@@ -257,15 +254,14 @@ def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
 
 
 def label_census(cls: AvoidanceClass, n: int) -> dict[Label, int]:
-    """Multiset of labels over all avoiders of size n.
-
-    h counts active sites <= the last value and k those above it; the
-    plane class swaps the two roles.
+    """Multiset of labels (h, k) over all avoiders of size n of a class of
+    pair patterns: h counts active sites <= the last value and k those above
+    it.  A class with another pattern raises ValueError.
 
     >>> sorted(label_census(CLASSES["semi"], 3).items())
     [((1, 2), 1), ((1, 3), 1), ((2, 2), 2), ((3, 1), 2)]
     """
-    if cls.name not in LABELLED_CLASSES:
+    if not set(cls.patterns) <= _PAIR_FLAGS.keys():
         raise ValueError(f"class {cls.name} carries no (h, k) label")
     if n < 1:
         raise ValueError(f"avoider size must be >= 1, got {n}")
@@ -274,6 +270,4 @@ def label_census(cls: AvoidanceClass, n: int) -> dict[Label, int]:
         free = ~mask & ((1 << (n + 1)) - 1)
         h = (free & ((1 << last) - 1)).bit_count()
         census[h, free.bit_count() - h] += m
-    if cls.name == "plane":
-        return {(k, h): c for (h, k), c in census.items()}
     return dict(census)

@@ -361,18 +361,17 @@ def _compose(s: Poly, m: _LinearMap) -> Poly:
 
 
 class LabelSeries:
-    """Per-size label distributions of a succession rule, read as the
-    coefficient of x^n being the polynomial sum of S_{h,k} y^h z^k.
+    """Per-size label distributions of the succession rule it is given, read
+    as the coefficient of x^n being the polynomial sum of S_{h,k} y^h z^k.
 
     Evaluating every level at y = z = 1 recovers the plain counting
     sequence of the rule.
     """
 
-    def __init__(self, rule_name: str, order: int):
+    def __init__(self, rule: SuccessionRule, order: int):
         at_least(order, 1, "order")
-        self.rule_name = rule_name
         self.order = order
-        self.levels = [{}, *islice(levels(RULES[rule_name]), order)]
+        self.levels = [{}, *islice(levels(rule), order)]
 
     def poly(self, n: int) -> Poly:
         """Level n as the polynomial in (y, z)."""
@@ -434,7 +433,7 @@ def _equation(rule: SuccessionRule) -> tuple[Poly, dict[_LinearMap, Poly]]:
     return kernel * clear, {m: c * clear for m, c in terms.items()}
 
 
-def _label_residual(rule_name: str, order: int) -> Residual:
+def _label_residual(rule: SuccessionRule, order: int) -> Residual:
     """residual_scan of K (S_n - [n=1] axiom) - sum c (S_(n-1) o M) over
     n = 1..order, for the rule's equation (K, {M: c}) from _equation.
 
@@ -446,12 +445,11 @@ def _label_residual(rule_name: str, order: int) -> Residual:
     w exceeds every y-exponent a product term can carry, so no two cells meet.
     """
     at_least(order, 2, "order")
-    rule = RULES[rule_name]
     kernel, terms = _equation(rule)
-    s = list(map(LabelSeries(rule_name, order).poly, range(order + 1)))
+    s = list(map(LabelSeries(rule, order).poly, range(order + 1)))
     images = {m: [_compose(lv, m) for lv in s[:-1]] for m in terms if m != _IDENTITY}
     if any(min(e) < 0 for im in images.values() for p in im for e in p.c):
-        raise ValueError(f"rule {rule_name}: a label image S o M has an exponent below 0")
+        raise ValueError(f"rule {rule.name}: a label image S o M has an exponent below 0")
     factors = [(kernel, [*s, Poly({rule.axiom: 1})]),
                *((c, images.get(m, s)) for m, c in terms.items())]
 
@@ -489,7 +487,7 @@ def residual_semi(order: int) -> Residual:
     Returns (max absolute residual, first offending (n, ydeg, zdeg) or
     None); (0, None) means the identity holds through x^order.
     """
-    return _label_residual("semi", order)
+    return _label_residual(RULES["semi"], order)
 
 
 def residual_strong(order: int) -> Residual:
@@ -498,7 +496,7 @@ def residual_strong(order: int) -> Residual:
         (1-y)(1-z) I = xyz(1-y)(1-z) + x(1-z)(y I(1,z) - I(y,z))
                      + xz(1-y)(1-z) I + xyz(1-y)(I(y,1) - I(y,z)).
     """
-    return _label_residual("strong", order)
+    return _label_residual(RULES["strong"], order)
 
 
 def _divmod(f: list, g: list) -> tuple[list, list]:
@@ -603,9 +601,9 @@ def _orbit_size(maps: tuple[_Mobius, _Mobius], start: tuple, limit: int, mod_p: 
     return len(seen)
 
 
-def kernel_orbit(rule: str | SuccessionRule, y: Rat, z: Rat, limit: int = 200) -> int:
-    """Closure size of (y, z) under the two maps of the kernel group of `rule`, a
-    name or a rule; a size above `limit` means the orbit did not close by then.
+def kernel_orbit(rule: SuccessionRule, y: Rat, z: Rat, limit: int = 200) -> int:
+    """Closure size of (y, z) under the two maps of the kernel group of `rule`
+    (_group); a size above `limit` means the orbit did not close by then.
 
     The orbit is first counted mod p = 2^61 - 1, whose residues stay at 61
     bits where the rational points grow to thousands of bits, and that count
@@ -615,10 +613,10 @@ def kernel_orbit(rule: str | SuccessionRule, y: Rat, z: Rat, limit: int = 200) -
     finite orbit), proves nothing over Q and is recounted over Fraction,
     which raises ZeroDivisionError at a true pole.
 
-    >>> kernel_orbit("semi", Fraction(5, 3), Fraction(12, 5))
+    >>> kernel_orbit(RULES["semi"], Fraction(5, 3), Fraction(12, 5))
     10
     """
-    maps = _group(RULES[rule] if isinstance(rule, str) else rule)[2]
+    maps = _group(rule)[2]
     try:
         size = _orbit_size(maps, (_mod_p(y), _mod_p(z)), limit, True)
     except ValueError:
@@ -645,7 +643,8 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
-    (n, d, maps), order = _group(RULES[group]), _ORDERS[group]
+    rule, order = RULES[group], _ORDERS[group]
+    n, d, maps = _group(rule)
     finite = order != "open"
     redraws, invariant_ok, orbit_sizes = 0, True, []
 
@@ -654,7 +653,7 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
             p = tuple(1 + Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in "yz")
             try:
                 images = [_image(maps, i, p, False) for i in (0, 1)]
-                size = kernel_orbit(group, *p, limit=order if finite else 100)
+                size = kernel_orbit(rule, *p, limit=order if finite else 100)
             except ZeroDivisionError:  # a pole
                 size = 0
             if size and not (finite and size < order and order % size == 0):
@@ -766,7 +765,7 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
     def first_fail(x: XSeries) -> int | None:
         return next((n for n, y in enumerate(x.c) if y), None)
 
-    lvs = list(map(LabelSeries("semi", order).poly, range(order + 1)))
+    lvs = list(map(LabelSeries(RULES["semi"], order).poly, range(order + 1)))
     diag, top = ([_compose(lv, m) for lv in lvs] for m in (_DIAGONAL, ((0, 1), (0, 0))))
     sq, sp = (max([0, *(m - n for n, lv in enumerate(s) for m, _ in lv.c)]) for s in (diag, top))
     d = XSeries(sum(y * (p + q) ** m * p ** n * q ** (n + sq - m) for (m, _), y in lv.c.items())

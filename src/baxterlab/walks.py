@@ -29,6 +29,7 @@ import re
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .formulas import at_least
+from .rules import RULES
 from .series import LabelSeries, Poly, Residual, _digits, _one_plus, _width, residual_scan
 
 Step = tuple[int, int]
@@ -294,7 +295,7 @@ def strong_refinement_residual(n_max: int = 10) -> Residual:
     equal (1+a)(1+b) times the SEVEN endpoint table of length n-1.
     """
     at_least(n_max, 1, "n_max")
-    labels = LabelSeries("strong", n_max)
+    labels = LabelSeries(RULES["strong"], n_max)
     tables = count_walks(SEVEN, n_max - 1)
     yz = _one_plus(Poly({(1, 1): 1}))
     return residual_scan((n, _one_plus(labels.poly(n)) - yz * tables[n - 1])

@@ -70,7 +70,7 @@ def test_c04_nonneg_part_theorem_to_x15():
     gate = _Gate("04", 60)
     order = 15
     lhs = series.omega_geq(series.build_F(order))
-    rhs = series.LabelSeries("semi", order).series_in_one_plus_a()
+    rhs = series.LabelSeries(rules.RULES["semi"], order).series_in_one_plus_a()
     bad = [n for n in range(1, order + 1) if lhs.coeff_x(n) != rhs.coeff_x(n)]
     gate.done(not bad, f"coefficientwise equal for x^1..x^{order}")
 

@@ -302,6 +302,11 @@ def test_corrupted_recurrence_exits_2_without_traceback(capsys, monkeypatch, fam
         ["series", "--check", "kernel", "--trials", "0"],
         ["series", "--check", "reduced", "--a0=0"],
         ["walks", "--steps", "(1,0)", "--estimate-growth", "--n-max", "50"],
+        # the walks command's own guards, then two step texts the parser rejects
+        ["walks", "--steps", "five", "--n-max", "-1"],
+        ["walks", "--steps", "five", "--estimate-growth", "--n-max", "49"],
+        ["walks", "--steps", ";", "--n-max", "3"],
+        ["walks", "--steps", "(1,0)x", "--n-max", "3"],
     ],
 )
 def test_engine_value_error_exits_2_without_traceback(capsys, argv):

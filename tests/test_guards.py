@@ -1,10 +1,12 @@
 """Source lints: the package stays under its line cap; series.py types no
-polynomial table at module level; guards must raise in every interpreter
-mode, so the package has no assert; a guard raises ValueError, the one
-error the CLI reports as a usage error; every name the package imports is
-read; every private top-level name it defines is read; every public one is
-read or bound by the traced benchmark; and so is every method of a package
-class."""
+polynomial table at module level; series.py looks a rule up by name only in
+its fixed claims and perms.py reads a class's name only in messages, so both
+act on the rule or class they are handed; guards must raise in every
+interpreter mode, so the package has no assert; a guard raises ValueError,
+the one error the CLI reports as a usage error; every name the package
+imports is read; every private top-level name it defines is read; every
+public one is read or bound by the traced benchmark; and so is every method
+of a package class."""
 
 import ast
 import builtins
@@ -50,6 +52,52 @@ def test_series_types_no_polynomial_at_module_level():
     # method are derived; a module-level Poly or laurent literal in series.py
     # would be hand-typed series maths coming back
     assert _module_level_polys(Path(baxterlab.__file__).parent / "series.py") == []
+
+
+def _functions(path: Path):
+    """(qualified name, node) of each top-level function and method in path."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef))
+
+
+# the fixed claims about named built-in rules; every other function in
+# series.py acts on the SuccessionRule it is handed
+_NAMED_CLAIMS = {"residual_semi", "residual_strong", "kernel_invariance", "_kernel_data",
+                 "verify_reduced_identity"}
+
+
+def test_series_looks_rules_up_only_in_its_fixed_claims():
+    # a rule parsed at run time must work without an entry in RULES
+    path = Path(baxterlab.__file__).parent / "series.py"
+    found = [f"series.py:{node.lineno} {name}" for name, fn in _functions(path)
+             if name not in _NAMED_CLAIMS for node in ast.walk(fn)
+             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+             and node.value.id == "RULES"]
+    assert found == []
+
+
+def _outside_f_strings(node: ast.AST):
+    """node and the nodes below it, not descending into f-strings."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, ast.JoinedStr):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_perms_reads_a_class_name_only_in_messages():
+    # what a class can do follows from its patterns; checks pairs classes
+    # with rules, so no function in perms.py branches on a class's name
+    path = Path(baxterlab.__file__).parent / "perms.py"
+    found = [f"perms.py:{node.lineno} {name}" for name, fn in _functions(path)
+             for node in _outside_f_strings(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "name"]
+    assert found == []
 
 
 def test_package_raises_no_builtin_exception_but_value_error():

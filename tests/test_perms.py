@@ -105,11 +105,10 @@ def active_sites(p, cls):
 
 
 def label_of(p, cls):
-    """(h, k): active sites <= the last value and above it (swapped for plane)."""
+    """(h, k): active sites <= the last value and above it."""
     sites = active_sites(p, cls)
     h = sum(a <= p[-1] for a in sites)
-    k = len(sites) - h
-    return (k, h) if cls.name == "plane" else (h, k)
+    return h, len(sites) - h
 
 
 def iter_avoiders(cls, n):
@@ -379,7 +378,7 @@ def test_enumerate_class_vs_dfs_oracle(name):
         assert perms.enumerate_class(cls, n) == want, n
 
 
-@pytest.mark.parametrize("name", perms.LABELLED_CLASSES)
+@pytest.mark.parametrize("name", ["semi", "plane", "baxter", "twisted", "strong"])
 def test_label_census_vs_dfs_oracle(name):
     cls = perms.CLASSES[name]
     for n in range(1, 8):
@@ -388,8 +387,7 @@ def test_label_census_vs_dfs_oracle(name):
         want = Counter()
         for last, free in leaves:
             h = (free & ((1 << last) - 1)).bit_count()
-            k = free.bit_count() - h
-            want[(k, h) if name == "plane" else (h, k)] += 1
+            want[h, free.bit_count() - h] += 1
         assert perms.label_census(cls, n) == want, n
 
 

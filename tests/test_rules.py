@@ -73,7 +73,7 @@ def test_level_readers_step_only_to_the_last_level_asked(monkeypatch):
     for read, want in [
         (lambda: rules.distribution(semi, 6), 5),
         (lambda: rules.count_sequence(semi, 7), 6),
-        (lambda: series.LabelSeries("semi", 4), 3),
+        (lambda: series.LabelSeries(semi, 4), 3),
     ]:
         steps.clear()
         read()

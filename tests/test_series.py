@@ -116,7 +116,7 @@ def test_f_constant_column_is_the_sequence():
 def test_nonneg_part_theorem():
     order = 10
     lhs = series.omega_geq(series.build_F(order))
-    rhs = series.LabelSeries("semi", order).series_in_one_plus_a()
+    rhs = series.LabelSeries(rules.RULES["semi"], order).series_in_one_plus_a()
     for n in range(1, order + 1):
         assert lhs.coeff_x(n) == rhs.coeff_x(n), n
 
@@ -211,9 +211,11 @@ def test_int_path_equals_the_dict_path(order):
 # ---------------------------------------------------------------------------
 # label series and functional-equation residuals
 
+_ALL_RULES = [rules.RULES[name] for name in sorted(rules.RULES)]
+
 
 def test_label_series_counts():
-    ls = series.LabelSeries("semi", 10)
+    ls = series.LabelSeries(rules.RULES["semi"], 10)
     # index 0 is the empty level; y = z = 1 gives the plain counts
     assert [sum(lv.values()) for lv in ls.levels] == [0] + SB[:10]
 
@@ -222,20 +224,33 @@ def test_residuals_vanish():
     assert series.residual_semi(10) == (0, None)
     assert series.residual_strong(10) == (0, None)
     assert series.residual_semi(2) == (0, None)
-    for rule in rules.RULES:
-        assert series._label_residual(rule, 10) == (0, None), rule
-        assert series._label_residual(rule, 2) == (0, None), rule
+    for rule in rules.RULES.values():
+        assert series._label_residual(rule, 10) == (0, None), rule.name
+        assert series._label_residual(rule, 2) == (0, None), rule.name
+
+
+def test_a_parsed_rule_needs_no_registry_entry():
+    # the semi text parsed under a name no table holds: LabelSeries,
+    # _label_residual and kernel_orbit act on the rule they are handed and
+    # look nothing up, so they give the built-in's results and RULES is untouched
+    before = dict(rules.RULES)
+    semi = rules.RULES["semi"]
+    parsed = rules.parse_rule(rules.RULE_FILE_SOURCES["semi"], "semi-copy")
+    assert series.LabelSeries(parsed, 8).levels == series.LabelSeries(semi, 8).levels
+    assert series._label_residual(parsed, 8) == series._label_residual(semi, 8) == (0, None)
+    point = Fraction(5, 3), Fraction(12, 5)
+    assert series.kernel_orbit(parsed, *point) == series.kernel_orbit(semi, *point) == 10
+    assert rules.RULES == before
 
 
 @pytest.mark.parametrize("text", [
     "axiom (1,1)\nrow (h, k) for i = 1..2\n",
     "axiom (1,1)\nrow (i, k+1) for i = 1..h\nrow (h+1, k) for i = 0..2\nrow (h, i) for i = 1..k\n",
 ], ids=["alone", "among-runs"])
-def test_equation_counts_every_copy_of_a_repeated_child(monkeypatch, text):
+def test_equation_counts_every_copy_of_a_repeated_child(text):
     """A row with step (0, 0) and constant span s puts s + 1 copies of one
     child, so its term carries the weight s + 1."""
-    monkeypatch.setitem(rules.RULES, "dup", rules.parse_rule(text, "dup"))
-    assert series._label_residual("dup", 10) == (0, None)
+    assert series._label_residual(rules.parse_rule(text, "dup"), 10) == (0, None)
 
 
 def test_equation_rejects_a_repeat_count_that_depends_on_the_label():
@@ -246,14 +261,13 @@ def test_equation_rejects_a_repeat_count_that_depends_on_the_label():
 
 @pytest.mark.parametrize("row", ["row (i, k) for i = 1..h-2",  # span -2 at h = 1
                                  "row (i, k) for i = h..k"])   # span k - h
-def test_equation_rejects_a_run_span_below_minus_one(monkeypatch, row):
+def test_equation_rejects_a_run_span_below_minus_one(row):
     """next_level counts no children where a run's span is below -1, but the
     first-child-minus-one-past-last term would count a negative number."""
     text = f"axiom (1,1)\nrow (i, k+1) for i = 1..h\n{row}\n"
-    monkeypatch.setitem(rules.RULES, "low", rules.parse_rule(text, "low"))
     with pytest.raises(ValueError, match=r"rule low: a row with step \(1, 0\) has a span "
                                          r"that can fall below -1"):
-        series._label_residual("low", 6)
+        series._label_residual(rules.parse_rule(text, "low"), 6)
 
 
 def test_residual_rejects_an_image_exponent_below_zero(monkeypatch):
@@ -262,7 +276,7 @@ def test_residual_rejects_an_image_exponent_below_zero(monkeypatch):
     flipped = {((-1, 0), (0, 0)) if m == ((1, 0), (0, 0)) else m: c for m, c in terms.items()}
     monkeypatch.setattr(series, "_equation", lambda rule: (kernel, flipped))
     with pytest.raises(ValueError, match="rule cat: .* below 0"):
-        series._label_residual("cat", 4)
+        series._label_residual(rules.RULES["cat"], 4)
 
 
 # The paper's cleared label equations, as in the residual_semi and
@@ -316,21 +330,21 @@ def test_residual_detects_perturbation(monkeypatch):
     way.
     """
     exact = series.LabelSeries.poly
-    bump = {"semi": (1, 1), "strong": (2, 1)}
 
-    def bumped(self, n):
-        p = exact(self, n)
-        return p + series.Poly({bump[self.rule_name]: 1}) if n == 3 else p
+    def bump(label):
+        def bumped(self, n):
+            p = exact(self, n)
+            return p + series.Poly({label: 1}) if n == 3 else p
+        return bumped
 
-    monkeypatch.setattr(series.LabelSeries, "poly", bumped)
-    max_abs, where = series.residual_semi(6)
-    assert max_abs == 1 and where == (3, 1, 2)
-    max_abs, where = series.residual_strong(6)
-    assert max_abs == 2 and where == (3, 2, 1)
+    monkeypatch.setattr(series.LabelSeries, "poly", bump((1, 1)))
+    assert series.residual_semi(6) == (1, (3, 1, 2))
+    monkeypatch.setattr(series.LabelSeries, "poly", bump((2, 1)))
+    assert series.residual_strong(6) == (2, (3, 2, 1))
 
 
 @settings(max_examples=40, deadline=None)
-@given(rule=st.sampled_from(sorted(rules.RULES)), n=st.integers(1, 6),
+@given(rule=st.sampled_from(_ALL_RULES), n=st.integers(1, 6),
        h=st.integers(0, 6), k=st.integers(0, 6),
        delta=st.integers(-3, 3).filter(bool))
 def test_residuals_pinpoint_any_bumped_label(rule, n, h, k, delta):
@@ -343,22 +357,22 @@ def test_residuals_pinpoint_any_bumped_label(rule, n, h, k, delta):
     def bumped(self, m):
         return exact(self, m) + series.Poly({(h, k): delta}) if m == n else exact(self, m)
 
-    residual = {"semi": series.residual_semi, "strong": series.residual_strong}.get(rule)
+    residual = {"semi": series.residual_semi, "strong": series.residual_strong}.get(rule.name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series.LabelSeries, "poly", bumped)
         max_abs, where = series._label_residual(rule, 6)
         if residual:
             assert residual(6) == (max_abs, where)
     assert max_abs >= abs(delta)
-    assert where == ((n, h, k + 1) if rule in ("semi", "tbax") else (n, h, k))
+    assert where == ((n, h, k + 1) if rule.name in ("semi", "tbax") else (n, h, k))
 
 
-def _poly_residual(rule_name: str, order: int) -> series.Residual:
+def _poly_residual(rule: rules.SuccessionRule, order: int) -> series.Residual:
     """The label residual on Poly arithmetic, a product per term: the oracle
     for _label_residual's packed ints."""
-    kernel, terms = series._equation(rules.RULES[rule_name])
-    s = list(map(series.LabelSeries(rule_name, order).poly, range(order + 1)))
-    axiom = series.Poly({rules.RULES[rule_name].axiom: 1})
+    kernel, terms = series._equation(rule)
+    s = list(map(series.LabelSeries(rule, order).poly, range(order + 1)))
+    axiom = series.Poly({rule.axiom: 1})
     return series.residual_scan(
         (n, kernel * (s[n] - axiom if n == 1 else s[n])
          - sum((c * series._compose(s[n - 1], m) for m, c in terms.items()), series.Poly()))
@@ -367,10 +381,10 @@ def _poly_residual(rule_name: str, order: int) -> series.Residual:
 
 
 @settings(max_examples=150, deadline=None)
-@given(rule=st.sampled_from(sorted(rules.RULES)), order=st.integers(2, 10), data=st.data(),
+@given(rule=st.sampled_from(_ALL_RULES), order=st.integers(2, 10), data=st.data(),
        h=st.integers(0, 8), k=st.integers(0, 8),
        delta=st.integers(1, 2 ** 200).flatmap(lambda d: st.sampled_from([d, -d])))
-@example(rule="strong", order=10, data=None, h=0, k=0, delta=-2 ** 200)
+@example(rule=rules.RULES["strong"], order=10, data=None, h=0, k=0, delta=-2 ** 200)
 def test_packed_residual_equals_the_poly_oracle(rule, order, data, h, k, delta):
     """One label count of one level changed by delta, up to 2^200 either
     way: the packed residual reports the oracle's (max_abs, first offending),
@@ -401,12 +415,13 @@ _HAND_MAPS = {
                lambda a, b: (a, (1 + a) / b)),
 }
 _SHIFT = {"semi": (1, 0), "strong": (1, 1)}  # (y, z) = shift + (a, b)
-_GROUP_RULES = ["bax", "semi", "strong", "tbax"]
+_GROUP_RULES = [rules.RULES[name] for name in ("bax", "semi", "strong", "tbax")]
+_ORDER_6_RULES = [rules.RULES["bax"], rules.RULES["tbax"]]
 _POINT = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
 def _maps(rule):
-    return series._group(rules.RULES[rule])[2]
+    return series._group(rule)[2]
 
 
 def _or_pole(f, *args):
@@ -425,7 +440,7 @@ def test_derived_kernel_maps_are_the_hand_maps(group, i, a, b):
     dividing out the common factor of al, be and de leaves none extra."""
     sy, sz = _SHIFT[group]
     want = _or_pole(_HAND_MAPS[group][i], a, b)
-    got = _or_pole(series._image, _maps(group), i, (sy + a, sz + b), False)
+    got = _or_pole(series._image, _maps(rules.RULES[group]), i, (sy + a, sz + b), False)
     assert got == (want and (sy + want[0], sz + want[1]))
 
 
@@ -433,7 +448,7 @@ def test_derived_kernel_maps_are_the_papers_at_a_point():
     # y -> z/y and z -> y(z-1)/(z-y) for semi; y -> (yz-1)/(z(y-1)) and
     # z -> (y+z-1)/(z-1) for strong
     y, z = Fraction(5, 3), Fraction(12, 5)
-    semi, strong = _maps("semi"), _maps("strong")
+    semi, strong = _maps(rules.RULES["semi"]), _maps(rules.RULES["strong"])
     assert series._image(semi, 0, (y, z), False) == (z / y, z)
     assert series._image(semi, 1, (y, z), False) == (y, y * (z - 1) / (z - y))
     assert series._image(strong, 0, (y, z), False) == ((y * z - 1) / (z * (y - 1)), z)
@@ -450,26 +465,26 @@ def _cleared_g(n, d, p):
 def test_kernel_maps_fix_kernel_value_at_random_points(rule, y, z):
     """Both maps of each group fix g = N/D, and every semi orbit closes at a
     divisor of 10; points that hit a pole are skipped."""
-    n, d, maps = series._group(rules.RULES[rule])
+    n, d, maps = series._group(rule)
     images = [_or_pole(series._image, maps, i, (y, z), False) for i in (0, 1)]
     size = _or_pole(series.kernel_orbit, rule, y, z, 10)
     assume(None not in images and size is not None)
     gn, gd = _cleared_g(n, d, (y, z))
     for q in images:
         qn, qd = _cleared_g(n, d, q)
-        assert qn * gd == gn * qd, (q, rule)
-    if rule == "semi":
+        assert qn * gd == gn * qd, (q, rule.name)
+    if rule.name == "semi":
         assert size <= 10 and 10 % size == 0, size
 
 
 def test_kernel_orbit_sizes():
-    assert series.kernel_orbit("semi", Fraction(5, 3), Fraction(7, 5)) == 10
-    size = series.kernel_orbit("strong", Fraction(5, 2), Fraction(7, 5))
+    assert series.kernel_orbit(rules.RULES["semi"], Fraction(5, 3), Fraction(7, 5)) == 10
+    size = series.kernel_orbit(rules.RULES["strong"], Fraction(5, 2), Fraction(7, 5))
     assert size > 200
 
 
 @settings(max_examples=50, deadline=None)
-@given(rule=st.sampled_from(["bax", "tbax"]), y=_POINT, z=_POINT)
+@given(rule=st.sampled_from(_ORDER_6_RULES), y=_POINT, z=_POINT)
 def test_bax_and_tbax_orbit_sizes_divide_6(rule, y, z):
     size = _or_pole(series.kernel_orbit, rule, y, z, 6)
     assume(size is not None)
@@ -479,9 +494,10 @@ def test_bax_and_tbax_orbit_sizes_divide_6(rule, y, z):
 def test_bax_and_tbax_groups_have_order_6():
     # a generic point has 6 images, far below the limit; (4, 4/3) is a
     # stabilised tbax point whose orbit closes at 3
-    for rule in ("bax", "tbax"):
+    bax, tbax = _ORDER_6_RULES
+    for rule in (bax, tbax):
         assert series.kernel_orbit(rule, Fraction(5, 3), Fraction(12, 5), 200) == 6
-    assert series.kernel_orbit("tbax", 4, Fraction(4, 3), 200) == 3
+    assert series.kernel_orbit(tbax, 4, Fraction(4, 3), 200) == 3
 
 
 def test_a_kernel_above_quadratic_has_no_group():
@@ -532,9 +548,10 @@ def test_int_map_evaluation_mod_p_is_the_reduced_fraction_image(rule, i, y, z):
 def test_a_pole_mod_p_raises_value_error(k, y):
     # strong's z-map divides by z - 1, which is 0 mod p at z = 1 + kp
     z = 1 + k * series._P
-    assert series._image(_maps("strong"), 1, (y, z), False)[1] == (y + z - 1) / (z - 1)
+    maps = _maps(rules.RULES["strong"])
+    assert series._image(maps, 1, (y, z), False)[1] == (y + z - 1) / (z - 1)
     with pytest.raises(ValueError):
-        series._image(_maps("strong"), 1, (series._mod_p(y), series._mod_p(z)), True)
+        series._image(maps, 1, (series._mod_p(y), series._mod_p(z)), True)
     with pytest.raises(ValueError):
         series._mod_p(Fraction(1, k * series._P))
 
@@ -585,17 +602,17 @@ def test_kernel_maps_are_involutions(rule, y, z):
 def test_strong_orbit_falls_back_to_fraction_at_a_pole_mod_p(y, z):
     # z = 1 + p is 1 mod p, so the z-map's (y + z - 1) / (z - 1) is a pole
     # there but not over Q; 1/p has no image mod p at all
-    assert series.kernel_orbit("strong", y, z, 100) == 101
+    assert series.kernel_orbit(rules.RULES["strong"], y, z, 100) == 101
 
 
 def test_strong_orbit_raises_at_a_pole_over_q():
     with pytest.raises(ZeroDivisionError):
-        series.kernel_orbit("strong", 2, 1, 100)
+        series.kernel_orbit(rules.RULES["strong"], 2, 1, 100)
 
 
 def _patch_maps(monkeypatch, rule, maps):
     """Give the rule's group other maps, keeping its N and D."""
-    n, d, _ = series._group(rules.RULES[rule])
+    n, d, _ = series._group(rule)
     monkeypatch.setattr(series, "_group", lambda r: (n, d, maps))
 
 
@@ -603,11 +620,12 @@ def test_closed_open_orbit_is_counted_exactly(monkeypatch):
     # y -> z/y and z -> -z generate a group of order 8 under the "open"
     # marker: the orbit closes mod p, which proves nothing, so the exact
     # count decides and the probe fails
-    _patch_maps(monkeypatch, "strong", (((0, 1), (0, 0), (1, 0)), ((0,), (1,), (0,))))
-    assert series.kernel_orbit("strong", Fraction(2, 3), Fraction(5, 7), 100) == 8
-    assert series.kernel_orbit("strong", 2, 4, 100) == 4  # z = y^2: y -> z/y fixes it
+    strong = rules.RULES["strong"]
+    _patch_maps(monkeypatch, strong, (((0, 1), (0, 0), (1, 0)), ((0,), (1,), (0,))))
+    assert series.kernel_orbit(strong, Fraction(2, 3), Fraction(5, 7), 100) == 8
+    assert series.kernel_orbit(strong, 2, 4, 100) == 4  # z = y^2: y -> z/y fixes it
     # 1 + p and 1 meet mod p, so the orbit closes at 4 points there
-    assert series.kernel_orbit("strong", 1, 1 + series._P, 100) == 8
+    assert series.kernel_orbit(strong, 1, 1 + series._P, 100) == 8
     rep = series.kernel_invariance("strong", trials=2, seed=11)
     assert not rep["orbit_ok"] and not rep["ok"]
     assert all(s <= 8 for s in rep["orbit_sizes"])
@@ -636,7 +654,7 @@ def test_kernel_invariance_redraws_stabilised_semi_points():
 
 def test_kernel_invariance_gives_up_with_value_error(monkeypatch):
     # maps whose every image is 0/0 make every point a pole and exhaust the re-draws
-    _patch_maps(monkeypatch, "semi", (((0,), (0,), (0,)),) * 2)
+    _patch_maps(monkeypatch, rules.RULES["semi"], (((0,), (0,), (0,)),) * 2)
     with pytest.raises(ValueError, match="no generic semi point after 10 re-draws"):
         series.kernel_invariance("semi", 1)
 
@@ -688,21 +706,22 @@ def test_kernel_data_is_derived_on_first_use_only():
 def test_semi_chain_is_the_papers_reduced_identity(z):
     """Five steps (half of 10) from (1+a, Z) end at A(1+1/a) = S(1, 1+1/a)
     with coefficient -(1+a)^2 x / a^4, x = K/c_I there: identity (ii)."""
-    kernel, terms = series._equation(rules.RULES["semi"])
+    semi = rules.RULES["semi"]
+    kernel, terms = series._equation(semi)
     x = series._at(kernel, (1 + _A, z)) / series._at(terms[((1, 0), (0, 1))], (1 + _A, z))
-    assert series.kernel_orbit("semi", 1 + _A, z) == 10
-    c, e, end = series._chain(rules.RULES["semi"], 1 + _A, z)
+    assert series.kernel_orbit(semi, 1 + _A, z) == 10
+    c, e, end = series._chain(semi, 1 + _A, z)
     assert (e, end) == (-(1 + _A) ** 2 * x / _A ** 4, 1 + 1 / _A)
     assert c == -(1 + _A - z) * series._at(_P_NUM, (_A, z)) / (z * _A ** 4 * (z - 1))
 
 
 @pytest.mark.parametrize("z", _ZS, ids=["Z=2^192", "Z=7/3"])
-@pytest.mark.parametrize("rule", ["bax", "tbax"])
+@pytest.mark.parametrize("rule", _ORDER_6_RULES, ids=["bax", "tbax"])
 def test_bax_and_tbax_chains_close_after_three_steps(rule, z):
     # an orbit of 6 points: three steps from (1+a, Z) end at A(1 + 1/a),
     # free of Z
     assert series.kernel_orbit(rule, 1 + _A, z) == 6
-    assert series._chain(rules.RULES[rule], 1 + _A, z)[2] == 1 + 1 / _A
+    assert series._chain(rule, 1 + _A, z)[2] == 1 + 1 / _A
 
 
 @pytest.mark.parametrize("z", _ZS, ids=["Z=2^192", "Z=7/3"])
@@ -875,7 +894,7 @@ def _reduced_oracle(a0: Fraction, order: int) -> dict:
     def first_fail(x):
         return next((k for k, c in enumerate((x * den + num).c) if c), None)
 
-    labels = series.LabelSeries("semi", order)
+    labels = series.LabelSeries(rules.RULES["semi"], order)
 
     def collapsed(exponent, t):
         return series.XSeries(sum((v * t ** exponent(*e) for e, v in labels.poly(k).c.items()),
