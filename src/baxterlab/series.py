@@ -9,18 +9,20 @@ on plain ints at a symbolic a and at a rational point; Lagrange-inversion
 coefficient extraction; each rule's label equation, derived from its rows,
 with its coefficientwise residuals, its kernel group as two Möbius
 involutions (orbits counted mod a prime, recounted over Q when that proves
-nothing) and its kernel method's half-orbit chain, off which semi's F(a,W)
+nothing) and its kernel method's half-orbit chain, off which semi's F = x g
 (whose nonnegative part in a gives the semi label polynomials at y = z =
-1+a) and P = num/den are read; and an identity tying F, P and the labels at
-a rational a0, with den cleared so that no series is divided and x = t*p*q
-clearing the denominators of a0 = p/q so that no Fraction is built.
+1+a) and P = num/den are read as polynomials in (a, W); and an identity
+tying F, P and the labels at a rational a0, with den cleared so that no
+series is divided.  One helper, _cleared, evaluates such polynomials on ints
+at a = p/q (x = t*p*q) and at a = 2^b, each cleared by powers read off its
+own terms.
 
 solve_W and build_F compute on plain ints (Kronecker substitution).  With
 x = t*a the equation reads W = t(1+a)(W+1+a)(W+a), whose coefficients in
 a are nonnegative, so every [t^n]W is a polynomial in a with nonnegative
 int coefficients, each at most its value at a = 1.  Solved once at a = 1
 for that bound and once at a = 2^b with b wide enough, each coefficient
-of W (or of F, assembled from it the same way) is one int whose signed
+of W (or of F, read from g the same way) is one int whose signed
 b-bit digits are its coefficients in a.  What they return is a series of
 Polys keyed (e, 0).  The label residuals substitute in two variables:
 each level is packed once at y = 2^b, z = 2^(bw), each monomial of the
@@ -36,7 +38,7 @@ from functools import cache
 from itertools import islice
 from math import lcm, prod
 from operator import add
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .formulas import _binom_run, at_least, binom
 from .rules import RULES, SuccessionRule, _lin, levels
@@ -251,13 +253,15 @@ def online_fixpoint(p, alpha, beta, order: int) -> XSeries:
     return s
 
 
-def _w_at(a: int, order: int) -> XSeries:
-    """W with x = t*a, a series in t at the integer a: [t^n] is a^n [x^n]W."""
-    return online_fixpoint(1 + a, 1 + a, a, order)
+def _v_at(p: int, q: int, order: int) -> XSeries:
+    """V = qW at a = p/q and x = t*p*q, a series in t over the ints:
+    [t^n]V = q (pq)^n [x^n]W, and V = t(p+q)(V+p+q)(V+p).  At q = 1 it is
+    W at the integer a with x = t*a."""
+    return online_fixpoint(p + q, p + q, p, order)
 
 
 def _kronecker(bound: XSeries, order: int) -> tuple[int, XSeries]:
-    """(b, _w_at(2^b, order)) for the least whole-byte b with every entry
+    """(b, _v_at(2^b, 1, order)) for the least whole-byte b with every entry
     of bound below 2^(b-1), so a polynomial in a whose coefficients the
     bound covers reads back from its value at 2^b by _digits.
 
@@ -266,7 +270,7 @@ def _kronecker(bound: XSeries, order: int) -> tuple[int, XSeries]:
     [t^n] in [1, 3n], read here on the ints.
     """
     b = _width(max(bound.c))
-    w = _w_at(1 << b, order)
+    w = _v_at(1 << b, 1, order)
     for n in range(1, order + 1):
         v = w.c[n]
         if not v or v & (1 << b) - 1 or v >> b * (3 * n + 1):
@@ -284,7 +288,7 @@ def solve_W(order: int) -> XSeries:
     1 + 2*a^1 + 1*a^2
     """
     at_least(order, 1, "order")
-    b, w = _kronecker(_w_at(1, order), order)
+    b, w = _kronecker(_v_at(1, 1, order), order)
     return XSeries(_digits(v, b, -n) for n, v in enumerate(w.c))
 
 
@@ -305,14 +309,23 @@ def lagrange_coeff(s: int, k: int, i: int) -> Fraction:
     return Fraction(i * total, k)
 
 
-def _assemble_F(w: XSeries, coeff: Callable) -> XSeries:
-    """x (c_0 + c_1 W + c_2 W^2 + c_3 W^3), each c_k of _kernel_data passed
-    through coeff(c, k): kept as a Poly, mapped to an int bound or an int at
-    a = 2^b by build_F, or to an int at a0 = p/q, W = V/q by verify_reduced_identity."""
-    cs = [coeff(c, k) for k, c in enumerate(_kernel_data()[1])]
-    w2 = w * w
-    f = w.scale(cs[1]) + w2.scale(cs[2]) + (w2 * w).scale(cs[3])
-    return (f + cs[0]).shift_x()
+def _cleared(fs: Sequence[Poly], p: int, q: int, v: XSeries) -> list[tuple[int, int, XSeries]]:
+    """(i, j, p^i q^j f(p/q, W)) for each f in fs, a Poly keyed (e, k) for
+    a^e W^k, k >= 0, with v = qW an int series (_v_at): i = -min(0, least e)
+    and j = max(0, largest e + k) are read off f's own terms, so its term x a^e
+    W^k is the int x p^(e+i) q^(j-e-k) times V^k.  V^2, V^3, .. are formed
+    once for all of fs.
+    """
+    powers = [1, v]  # V^k
+    while len(powers) <= max((k for f in fs for _, k in f.c), default=0):
+        powers.append(powers[-1] * v)
+    out = []
+    for f in fs:
+        i, j = -min([0, *(e for e, _ in f.c)]), max([0, *map(sum, f.c)])
+        cs = [sum(x * p ** (e + i) * q ** (j - e - n) for (e, n), x in f.c.items() if n == k)
+              for k in range(len(powers))]
+        out.append((i, j, sum(map(XSeries.scale, powers[2:], cs[2:]), v.scale(cs[1]) + cs[0])))
+    return out
 
 
 def build_F(order: int) -> XSeries:
@@ -321,17 +334,17 @@ def build_F(order: int) -> XSeries:
     The a^0 coefficient of [x^n] is the n-th semi-Baxter number, and the
     nonnegative part in a matches the semi label polynomials at y=z=1+a.
 
-    Assembled from W at a = 2^b with every coefficient times a^6: a^5
-    clears the negative exponents of the c_k and a^1 is the a of
-    x = t*a, so [t^n] is a^(n+5) [x^n]F.  The bound is the same sum at
-    a = 1 with each coefficient replaced by its l1 norm; row by row it is
-    at least W at a = 1, so it bounds W's coefficients too.
+    F = x g (_kernel_data), so g is needed to x^(order-1).  _cleared at
+    a = 2^b multiplies g by a^i, clearing its negative exponents, and with
+    x = t*a, [t^n] of that is a^(n+i) [x^(n+1)]F.  The bound is _cleared of
+    g's absolute values at a = 1: row by row at least 6 W at a = 1, it bounds W too.
     """
     at_least(order, 1, "order")
-    bound = _assemble_F(_w_at(1, order), lambda p, _: sum(map(abs, p.c.values())))
-    b, w = _kronecker(bound, order)
-    f = _assemble_F(w, lambda p, _: sum(v << b * (e + 6) for (e, _), v in p.c.items()))
-    return XSeries(_digits(v, b, -(n + 5)) for n, v in enumerate(f.c))
+    g = _kernel_data()[0]
+    bound = _cleared([Poly({e: abs(x) for e, x in g.c.items()})], 1, 1, _v_at(1, 1, order - 1))
+    b, w = _kronecker(bound[0][2], order - 1)
+    ((i, _, f),) = _cleared([g], 1 << b, 1, w)
+    return XSeries(_digits(v, b, 1 - n - i) for n, v in enumerate([0, *f.c]))
 
 
 def omega_geq(s: XSeries) -> XSeries:
@@ -557,7 +570,7 @@ def _group(rule: SuccessionRule) -> tuple[Poly, Poly, tuple[_Mobius, _Mobius]]:
 
 # Orbits are counted mod this prime first; see kernel_orbit.
 _P = 2**61 - 1
-_SLOTS = 12  # cells per power of Z when _kernel_data reads N off one int
+_SLOTS = 12  # cells per power of W when _kernel_data reads num off one int
 
 
 def _mod_p(r: Rat) -> int:
@@ -699,21 +712,22 @@ def _chain(rule: SuccessionRule, y: Rat, z: Rat) -> tuple[Fraction, Fraction, Fr
 
 
 @cache
-def _kernel_data() -> tuple[Poly, list[Poly]]:
-    """(N, [c_0, .., c_3]): the semi _chain from (1+a, Z), Z = W+1+a, has c =
-    -P = -(1+a-Z) N(a, Z) / (Z a^4 (Z-1)), read at a = 2^16, Z = a^w, w = _SLOTS
-    (signed 16-bit digit e at a^(e mod w) Z^(e div w)) and confirmed at a
-    rational point (else ValueError), and F = -P = x sum c_k W^k."""
-    w, point = _SLOTS, (Fraction(3, 7), Fraction(11, 5))
-    v, want = (-_chain(RULES["semi"], 1 + a, z)[0] * z * a ** 4 * (z - 1) / (1 + a - z)
-               for a, z in ((Fraction(1 << 16), Fraction(1 << 16 * w)), point))  # N(a, Z)
-    n = Poly({(e % w, e // w): x for (e, _), x in _digits(v.numerator, 16, 0).c.items()})
-    if v.denominator != 1 or _at(n, point) != want:
-        raise ValueError(f"semi kernel chain: N read with {w} slots fails at {point}")
-    # c_k = (1+a) a^-5 [W^k] N(a, W+1+a): x a^i Z^j gives x C(j, k) a^(i-5) (1+a)^(j-k+1)
-    return n, [sum((_one_plus(Poly({(j - k + 1, 0): x * binom(j, k)})) * laurent({i - 5: 1})
-                    for (i, j), x in n.c.items() if j >= k), Poly())
-               for k in range(1 + max(j for _, j in n.c))]
+def _kernel_data() -> tuple[Poly, Poly, Poly]:
+    """(g, num, den), Polys keyed (e, k) for a^e W^k, with F = x g and P =
+    num/den.  With Z = W+1+a, den = Z a^4 (Z-1) is typed here; the semi _chain
+    from (1+a, Z) has c = -P, so num = -c den, read at a = 2^16, W = a^w, w =
+    _SLOTS (signed 16-bit digit e at a^(e mod w) W^(e div w)) and confirmed at
+    a rational point (else ValueError).  num is (1+a-Z) N(a, Z) = -W N(a, Z),
+    and with x = a W / ((1+a) Z (Z-1)) from W's equation, F = -P holds for g =
+    (1+a) a^-5 N(a, Z) = -(1+a) a^-5 num / W."""
+    w, point = _SLOTS, (Fraction(3, 7), Fraction(27, 35))
+    den = Poly({(4, 1): 1, (5, 0): 1}) * Poly({(0, 0): 1, (1, 0): 1, (0, 1): 1})  # a^4 (Z-1) Z
+    v, want = (-_chain(RULES["semi"], 1 + a, 1 + a + x)[0] * _at(den, (a, x))
+               for a, x in ((Fraction(1 << 16), Fraction(1 << 16 * w)), point))
+    num = Poly({(e % w, e // w): x for (e, _), x in _digits(v.numerator, 16, 0).c.items()})
+    if v.denominator != 1 or _at(num, point) != want:
+        raise ValueError(f"semi kernel chain: P's numerator read with {w} slots fails at {point}")
+    return num * Poly({(-5, -1): -1, (-4, -1): -1}), num, den
 
 
 def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
@@ -723,47 +737,35 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
       (i)  F(a0, W) = -P(a0, Z) with Z = W + 1 + a0;
       (ii) S(1+a0, 1+a0) + ((1+a0)^2 x / a0^4) S(1, 1+1/a0) + P(a0, Z) = 0,
 
-    with P = num/den, num = (-Z+1+a0) N(a0, Z), den = Z a0^4 (Z-1), both
-    S evaluations read off the semi rule's label distributions, each level
-    collapsed to the one variable it is read in, and F assembled as in
-    build_F with its coefficients evaluated at a0.  N and F's coefficients
-    are two readings of the semi kernel chain (_kernel_data).
+    with F = x g and P = num/den read off the semi kernel chain as
+    polynomials in (a, W) (_kernel_data), and both S evaluations read off the
+    semi rule's label distributions, each level collapsed to the one
+    variable it is read in.
 
     Each side X is compared as X den + num, which is (X + P) den through
     x^order.  den has the constant term a0^5 (1+a0), nonzero here, so that
     product first becomes nonzero at the same x^n as X + P does: the
     reported first failures are those of the uncleared comparison.
 
-    N and the c_k are derived over Fraction once per process, on the first
-    call; everything after that runs on ints.  With a0 = p/q in lowest terms
-    (q > 0) and x = t p q, a ring map that multiplies [x^n] by (pq)^n != 0,
-    the series V = q W is online_fixpoint(p+q, p+q, p), so qZ = V+p+q, q(Z-1) = V+p,
-    q^8 num = -V sum c_ij p^i q^(7-i-j) (V+p+q)^j (N's terms c_ij a^i Z^j
-    have i + j <= 7) and q^6 den = p^4 (V+p+q)(V+p).  Then p^4 q^3 F and
-    q^sq p^(3+sp) X are int series, sq and sp the extra powers of q and p
-    that keep every exponent of the label levels actually read nonnegative
-    (1 and 0 for the semi rule), and each comparison is a nonzero constant
-    times X den + num with x = t p q, which is zero at t^n exactly where
-    the uncleared one is at x^n.
+    On ints: with a0 = p/q in lowest terms (q > 0) and x = t p q, a ring map
+    that multiplies [x^n] by (pq)^n != 0, V = q W is _v_at(p, q), and
+    _cleared gives g, num and den, each times its own p^i q^j, as int series.
+    The label side is cleared here, to q^sq p^(3+sp) X, sq and sp the extra
+    powers of q and p that keep every exponent of the label levels read
+    nonnegative (1 and 0 for the semi rule).  X den and num are then scaled
+    by each other's powers, so each comparison is a nonzero constant times
+    the uncleared one with x = t p q, zero at t^n exactly where that is at x^n.
     """
     a = Fraction(a0)
     p, q = a.numerator, a.denominator
     if p in (0, q, -q):
         raise ValueError(f"a0 must not be 0, -1 or 1, got {a}")
     at_least(order, 2, "order")
-    v = online_fixpoint(p + q, p + q, p, order)  # q W at x = t p q
-    z = v + (p + q)  # q Z
-    zz = z * (v + p)  # q^6 den / p^4
-    c = [0] * 4  # q^7 N(a0, Z) = sum c_j (qZ)^j
-    for (i, j), x in _kernel_data()[0].c.items():
-        c[j] += x * p ** i * q ** (7 - i - j)
-    num = XSeries([c[3]] + [0] * order)
-    for x in reversed(c[:3]):
-        num = num * z + x
-    num = -(v * num)  # q^8 num
+    (ig, jg, g), (im, jm, num), (id_, jd, den) = _cleared(_kernel_data(), p, q, _v_at(p, q, order))
 
-    def first_fail(x: XSeries) -> int | None:
-        return next((n for n, y in enumerate(x.c) if y), None)
+    def first_fail(x: XSeries, i: int, j: int) -> int | None:  # of X den + num, x = p^i q^j X
+        y = (x * den).scale(p ** im * q ** jm) + num.scale(p ** (i + id_) * q ** (j + jd))
+        return next((n for n, c in enumerate(y.c) if c), None)
 
     lvs = list(map(LabelSeries(RULES["semi"], order).poly, range(order + 1)))
     diag, top = ([_compose(lv, m) for lv in lvs] for m in (_DIAGONAL, ((0, 1), (0, 0))))
@@ -773,9 +775,7 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
     t = XSeries(sum(y * (p + q) ** k * p ** (n + sp - k) * q ** n for (k, _), y in lv.c.items())
                 for n, lv in enumerate(top))
     xi = d.scale(p ** (3 + sp)) + t.scale((p + q) ** 2 * q ** (3 + sq)).shift_x()  # q^sq p^(3+sp) X
-    fi = _assemble_F(v, lambda c, k: sum(
-        x * p ** (5 + e) * q ** (4 - e - k) for (e, _), x in c.c.items()))
-    f_fail = first_fail(fi * zz + num.scale(q))
-    sum_fail = first_fail((xi * zz).scale(p * q * q) + num.scale(q ** sq * p ** sp))
+    f_fail = first_fail(g.shift_x().scale(p * q), ig, jg)  # F = x g, x = t p q
+    sum_fail = first_fail(xi, 3 + sp, sq)
     return {"f_first_fail": f_fail, "sum_first_fail": sum_fail,
             "ok": f_fail is None and sum_fail is None}

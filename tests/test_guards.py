@@ -1,5 +1,6 @@
 """Source lints: the package stays under its line cap; series.py types no
-polynomial table at module level; series.py looks a rule up by name only in
+polynomial table at module level and W's equation in one place, _v_at;
+series.py looks a rule up by name only in
 its fixed claims and perms.py reads a class's name only in messages, so both
 act on the rule or class they are handed; guards must raise in every
 interpreter mode, so the package has no assert; a guard raises ValueError,
@@ -52,6 +53,22 @@ def test_series_types_no_polynomial_at_module_level():
     # method are derived; a module-level Poly or laurent literal in series.py
     # would be hand-typed series maths coming back
     assert _module_level_polys(Path(baxterlab.__file__).parent / "series.py") == []
+
+
+def test_w_equation_is_typed_once():
+    # every solve of W, at a symbolic a, at a = 2^b or at a0 = p/q, goes
+    # through series._v_at, the one call of online_fixpoint in the package
+    root = Path(baxterlab.__file__).parent
+
+    def calls(node: ast.AST) -> list[int]:
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call) and "online_fixpoint"
+                in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+    found = [f"{path.relative_to(root)}:{line}" for path in sorted(root.rglob("*.py"))
+             for line in calls(ast.parse(path.read_text(), filename=str(path)))]
+    in_v_at = [f"series.py:{line}" for name, fn in _functions(root / "series.py")
+               if name == "_v_at" for line in calls(fn)]
+    assert len(in_v_at) == 1 and found == in_v_at, found
 
 
 def _functions(path: Path):

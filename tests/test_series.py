@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -168,7 +169,7 @@ def test_solve_w_past_256_bit_coefficients_matches_lagrange():
     one row at a time; W^3 needs every row of W^2 below k, so it is
     sampled lower."""
     order = 80
-    u = series._w_at(1, order)
+    u = series._v_at(1, 1, order)
     b, w = series._kronecker(u * u * u, order)
     w2 = [series._row(w.c, w.c, k) for k in range(41)]
     powers = {
@@ -201,11 +202,15 @@ def test_kronecker_width_keeps_the_sign_bit_clear():
 @pytest.mark.parametrize("order", [1, 2, 5, 12])
 def test_int_path_equals_the_dict_path(order):
     """solve_W and build_F at a = 2^b are a change of representation only:
-    they equal the online solve and the F assembly on Poly coefficients."""
+    they equal the online solve and the paper's F display, x sum c_k W^k,
+    both on Poly coefficients."""
     w = series.online_fixpoint(series.laurent({-1: 1, 0: 1}), series.laurent({0: 1, 1: 1}),
                                series.laurent({1: 1}), order)
     assert series.solve_W(order) == w
-    assert series.build_F(order) == series._assemble_F(w, lambda p, _: p)
+    w2 = w * w
+    c = _F_DISPLAY
+    f = w.scale(c[1]) + w2.scale(c[2]) + (w2 * w).scale(c[3]) + c[0]
+    assert series.build_F(order) == f.shift_x()
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +670,8 @@ def test_kernel_invariance_gives_up_with_value_error(monkeypatch):
 # The paper's F display and the numerator of its P, typed by hand: the
 # oracle the derived kernel data must reproduce.  F = x sum c_k W^k with
 # c_0..c_3 below, and P = (1+a-Z) N(a, Z) / (Z a^4 (Z-1)), N keyed
-# (a-power, Z-power).
+# (a-power, Z-power).  _G, _NUM and _DEN are the same F = x g and P =
+# num/den as polynomials in (a, W), keyed (a-power, W-power), Z = 1+a+W.
 _F_DISPLAY = [series.laurent({0: 1, 1: 2, 2: 1}),
               series.laurent({-5: 1, -4: 1, 0: 2, 1: 2}),
               series.laurent({-5: -1, -4: -1, -3: 1, -2: -1, -1: -1, 0: 1}),
@@ -675,26 +681,34 @@ _P_NUM = series.Poly({
     (2, 1): 1, (1, 0): -4, (1, 1): 5, (1, 2): -3, (1, 3): 1, (0, 1): 3, (0, 2): -1,
     (0, 0): -2,
 })
+_ONE = series.Poly({(0, 0): 1})
+_ONE_A = series.Poly({(0, 0): 1, (1, 0): 1})
+_Z = _ONE_A + series.Poly({(0, 1): 1})
+_G = sum((c * series.Poly({(0, k): 1}) for k, c in enumerate(_F_DISPLAY)), series.Poly())
+_NUM = (_ONE_A - _Z) * sum((series.Poly({(i, 0): x}) * prod([_Z] * j, start=_ONE)
+                            for (i, j), x in _P_NUM.c.items()), series.Poly())
+_DEN = _Z * series.Poly({(4, 0): 1}) * (_Z - _ONE)
 _A = Fraction(2 ** 16)  # a point a, and two values of Z, that the chains start from
 _ZS = [Fraction(2 ** 192), Fraction(7, 3)]
 
 
 def test_kernel_data_is_the_papers_F_and_P():
-    n, cs = series._kernel_data()
-    assert n == _P_NUM
-    assert cs == _F_DISPLAY
+    g, num, den = series._kernel_data()
+    assert g == _G
+    assert num == _NUM
+    assert den == _DEN
 
 
 def test_kernel_data_is_derived_on_first_use_only():
-    # importing runs no chain; the first use derives F and N, and later ones
-    # (build_F reads them twice, for its bound and its value) reuse them
+    # importing runs no chain; the first use derives g, num and den, and
+    # later ones reuse them
     code = (
         "from baxterlab import series\n"
         "info = series._kernel_data.cache_info\n"
         "before = info().misses\n"
         "series.build_F(3)\n"
         "series.verify_reduced_identity(2, 4)\n"
-        "raise SystemExit(0 if (before, info().misses, info().hits) == (0, 1, 3) else str(info()))\n"
+        "raise SystemExit(0 if (before, info().misses, info().hits) == (0, 1, 1) else str(info()))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(baxterlab.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -749,10 +763,10 @@ def test_chain_rejects_a_stabilised_orbit():
 
 
 def test_kernel_data_read_with_too_few_slots_is_caught(monkeypatch):
-    # with 3 slots a cell holds a^i Z^j and a^(i+3) Z^(j-1) at once; the read
-    # at a = 2^16, Z = a^3 is still an int, so only the confirmation sees it
+    # with 3 slots a cell holds a^i W^j and a^(i+3) W^(j-1) at once; the read
+    # at a = 2^16, W = a^3 is still an int, so only the confirmation sees it
     monkeypatch.setattr(series, "_SLOTS", 3)
-    with pytest.raises(ValueError, match="N read with 3 slots fails"):
+    with pytest.raises(ValueError, match="P's numerator read with 3 slots fails"):
         series._kernel_data.__wrapped__()
 
 
@@ -801,6 +815,44 @@ def _at(p: series.Poly, a0: Fraction) -> Fraction:
     return sum((v * Fraction(a0) ** e for (e, _), v in p.c.items()), Fraction(0))
 
 
+def _at_w(f: series.Poly, a0: Fraction, w: series.XSeries) -> series.XSeries:
+    """f(a0, W) over Fraction, for f keyed (a-power, W-power)."""
+    one = series.XSeries([Fraction(1)] + [Fraction(0)] * w.order)
+    return sum((prod([w] * k, start=one).scale(x * Fraction(a0) ** e)
+                for (e, k), x in f.c.items()), one.scale(0))
+
+
+_AW_POLY = st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(0, 4)),
+                           st.integers(-9, 9), max_size=6).map(series.Poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fs=st.lists(_AW_POLY, min_size=1, max_size=3),
+       a0=_RATIONAL.filter(lambda q: q != 0), order=st.integers(1, 6))
+@example(fs=[series.Poly({(-3, 2): -4, (1, 0): 5, (2, 4): 1})], a0=Fraction(-7, 3), order=5)
+def test_cleared_is_the_fraction_value_times_its_powers(fs, a0, order):
+    """_cleared(fs, p, q, V) is p^i q^j f(a0, W) with W read at x = t p q,
+    a series of ints, for Laurent polynomials f in (a, W)."""
+    p, q = a0.numerator, a0.denominator
+    w = series.online_fixpoint((1 + a0) / a0, 1 + a0, a0, order)
+    w_t = series.XSeries([(p * q) ** n * c for n, c in enumerate(w.c)])
+    got = series._cleared(fs, p, q, series._v_at(p, q, order))
+    assert len(got) == len(fs)
+    for f, (i, j, s) in zip(fs, got):
+        assert all(type(c) is int for c in s.c), s.c
+        assert s.c == _at_w(f, a0, w_t).scale(Fraction(p) ** i * Fraction(q) ** j).c
+
+
+def test_cleared_forms_each_power_of_v_once(monkeypatch):
+    # V^2..V^4 for W-degrees 4, 2 and 0: three products, none by 1 or V itself
+    v, products = series._v_at(-7, 3, 6), []
+    real = series.XSeries.__mul__
+    monkeypatch.setattr(series.XSeries, "__mul__", lambda s, o: products.append(1) or real(s, o))
+    fs = [series.Poly({(0, 4): 1}), series.Poly({(-2, 2): 3, (1, 1): -1}), series.Poly({(1, 0): 2})]
+    series._cleared(fs, -7, 3, v)
+    assert len(products) == 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(a0=_RATIONAL.filter(lambda q: q not in (0, -1)), order=st.integers(1, 10))
 def test_symbolic_w_at_a_point_is_the_rational_solve(a0, order):
@@ -844,12 +896,25 @@ def test_reduced_identity_detects_missing_cubic(monkeypatch):
     must land exactly on x^4.  The scalar sum identity uses the intact
     series, so it keeps holding.
     """
-    n, (*low, _) = series._kernel_data()
-    monkeypatch.setattr(series, "_kernel_data", lambda: (n, [*low, series.Poly()]))
+    g, num, den = series._kernel_data()
+    low = series.Poly({e: x for e, x in g.c.items() if e[1] < 3})
+    monkeypatch.setattr(series, "_kernel_data", lambda: (low, num, den))
     rep = series.verify_reduced_identity(Fraction(3, 2), order=6)
     assert not rep["ok"]
     assert rep["f_first_fail"] == 4
     assert rep["sum_first_fail"] is None
+
+
+def test_reduced_identity_reads_its_shapes_off_its_polynomials(monkeypatch):
+    """num with an extra W^5 term, the top term a Z^4 term of N brings: no
+    W-degree or power of p and q is fixed in the identity, so it runs and
+    both comparisons first fail at x^5, where W^5 starts, as over Fraction."""
+    g, num, den = series._kernel_data()
+    kernel = g, num + series.Poly({(0, 5): 1}), den
+    monkeypatch.setattr(series, "_kernel_data", lambda: kernel)
+    rep = series.verify_reduced_identity(Fraction(3, 2), 6)
+    assert (rep["f_first_fail"], rep["sum_first_fail"]) == (5, 5)
+    assert rep == _reduced_oracle(Fraction(3, 2), 6, kernel)
 
 
 @settings(max_examples=25, deadline=None)
@@ -877,19 +942,13 @@ def test_reduced_identity_detects_a_changed_label_count(a0, n, pick):
     assert rep["sum_first_fail"] == n
 
 
-def _reduced_oracle(a0: Fraction, order: int) -> dict:
+def _reduced_oracle(a0: Fraction, order: int, kernel=(_G, _NUM, _DEN)) -> dict:
     """verify_reduced_identity's dict computed over Fraction at a0 itself:
-    W solved at a0, P = num/den built from _kernel_data's N at a0, every label level
-    evaluated at its point, each side X compared as X den + num."""
+    W solved at a0, F = x g and P = num/den with (g, num, den) = kernel at
+    (a0, W), by default the typed display, every label level evaluated at
+    its point, each side X compared as X den + num."""
     w = series.online_fixpoint((1 + a0) / a0, 1 + a0, a0, order)
-    z = w + (1 + a0)
-    zp = [series.XSeries([1] + [0] * order)]
-    for _ in range(3):
-        zp.append(zp[-1] * z)
-    n = series.XSeries([0] * (order + 1))
-    for (i, j), c in series._kernel_data()[0].c.items():
-        n = n + zp[j].scale(c * a0 ** i)
-    num, den = (-z + (1 + a0)) * n, (z * (z - 1)).scale(a0 ** 4)
+    g, num, den = (_at_w(f, a0, w) for f in kernel)
 
     def first_fail(x):
         return next((k for k, c in enumerate((x * den + num).c) if c), None)
@@ -902,7 +961,7 @@ def _reduced_oracle(a0: Fraction, order: int) -> dict:
 
     s_diag = collapsed(lambda h, k: h + k, 1 + a0)
     s_top = collapsed(lambda h, k: k, 1 + 1 / a0)
-    f_fail = first_fail(series._assemble_F(w, lambda c, _: _at(c, a0)))
+    f_fail = first_fail(g.shift_x())
     sum_fail = first_fail(s_diag + s_top.scale((1 + a0) ** 2 / a0 ** 4).shift_x())
     return {"f_first_fail": f_fail, "sum_first_fail": sum_fail,
             "ok": f_fail is None and sum_fail is None}
@@ -916,8 +975,9 @@ def _bumped(poly: series.Poly, pick: int) -> series.Poly:
     return series.Poly(c)
 
 
-_CORRUPTIONS = ["clean", "N", "label", "new label",
-                *(f"{how} c_{k}" for how in ("zero", "bump") for k in (1, 2, 3))]
+# g_k is g's W^k part, the c_k W^k of the F display
+_CORRUPTIONS = ["clean", "num", "label", "new label",
+                *(f"{how} g_{k}" for how in ("zero", "bump") for k in (1, 2, 3))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -927,7 +987,7 @@ _CORRUPTIONS = ["clean", "N", "label", "new label",
 def test_reduced_identity_equals_the_fraction_oracle(a0, order, corruption, n, pick):
     """The int comparisons at x = t p q report the first failures the
     Fraction comparisons at a0 report, clean and under every corruption:
-    a bumped term of N, a coefficient c_k of F zeroed or bumped, a level-n label
+    a bumped term of num, the W^k part g_k of g zeroed or bumped, a level-n label
     count raised by 1, or a level-n label far out of the semi shape
     (h + k > n+1, k > n) added.  The extra powers of p and q must absorb
     that label: a negative power would be a float, which overflows or
@@ -945,15 +1005,16 @@ def test_reduced_identity_equals_the_fraction_oracle(a0, order, corruption, n, p
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "levels", relabelled)
-        top, cs = series._kernel_data()  # P's numerator N and F's coefficients
-        if corruption == "N":
-            top = _bumped(top, pick)
-        elif corruption != "clean" and "c_" in corruption:
+        g, num = _G, _NUM  # the typed F = x g and P's numerator, in (a, W)
+        if corruption == "num":
+            num = _bumped(num, pick)
+        elif "g_" in corruption:
             how, name = corruption.split()
-            k = int(name[2:])
-            cs = [*cs[:k], series.Poly() if how == "zero" else _bumped(cs[k], pick), *cs[k + 1:]]
-        mp.setattr(series, "_kernel_data", lambda: (top, cs))
-        assert series.verify_reduced_identity(a0, order) == _reduced_oracle(a0, order)
+            part = series.Poly({e: x for e, x in g.c.items() if e[1] == int(name[2:])})
+            g = g - part + (series.Poly() if how == "zero" else _bumped(part, pick))
+        kernel = g, num, _DEN
+        mp.setattr(series, "_kernel_data", lambda: kernel)
+        assert series.verify_reduced_identity(a0, order) == _reduced_oracle(a0, order, kernel)
 
 
 @settings(max_examples=40, deadline=None)
