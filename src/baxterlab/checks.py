@@ -17,12 +17,11 @@ full suite in about a second.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import formulas, invseq, perms, rules, series, walks
 from .formulas import _term_text
@@ -42,8 +41,7 @@ def _sb_formula(route: str) -> Route:
     return lambda n: formulas.sb_table(n, route)[1:]
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(NamedTuple):
     """A route run by a formulas recurrence, whose terms start at index skip.
 
     Called, it returns ints like every route.  digits(n_max) streams the
@@ -127,8 +125,7 @@ FAMILIES: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     status: str
     detail: str

@@ -7,16 +7,14 @@ fixpoint), walks, and invseq and numbers (views of seq restricted to one
 family or to the formula routes).  Exit codes: 0 success, 1 a requested
 verification failed or stdout closed before the output was written, 2
 usage error, including an engine rejecting its arguments with ValueError.
+json and csv are imported only where a request prints them, off start-up.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Iterable
 
@@ -48,10 +46,12 @@ def _emit_terms(
             for n, d in enumerate(digits, offset):
                 print(f"{n} {d}")
         elif fmt == "csv":
+            import csv
             writer = csv.writer(sys.stdout)
             writer.writerow(["n", "value"])
             writer.writerows(enumerate(digits, offset))
         else:
+            import json
             head = json.dumps({"family": family, "route": route, "offset": offset, "terms": []})
             print(head[:-2], end="")
             sep = ""
@@ -105,6 +105,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     reports = checks.run_suite(args.suite, seed=args.seed)
     failed = [r for r in reports if not r.ok]
     if args.format == "json":
+        import json
         print(
             json.dumps(
                 {
@@ -112,7 +113,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     "seed": args.seed,
                     "passed": len(reports) - len(failed),
                     "failed": len(failed),
-                    "reports": [asdict(r) for r in reports],
+                    "reports": [r._asdict() for r in reports],
                 }
             )
         )
@@ -166,6 +167,7 @@ def _cmd_walks(args: argparse.Namespace) -> int:
             return 2
         rep = walks.growth_estimate(steps, args.n_max)
         if args.format == "json":
+            import json
             print(json.dumps(rep))
         else:
             for key in ("steps", "n_max", "alpha_hat", "rho_hat", "target", "rel_err"):

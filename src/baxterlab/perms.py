@@ -57,8 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 Label = tuple[int, int]
 
@@ -129,26 +128,21 @@ def _stair_step(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]
 _STEPS: dict[str, Step] = {"231": _step_231, "[14]23": _stair_step}
 
 
-@dataclass(frozen=True)
-class AvoidanceClass:
+class AvoidanceClass(NamedTuple("AvoidanceClass", [("name", str), ("patterns", tuple[str, ...])])):
     """A named family Av(patterns), its patterns given by their bracket
     texts, which select one right-end ``step``: any set of the four pair
     patterns, or a single other one."""
 
-    name: str
-    patterns: tuple[str, ...]
-    step: Step = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        distinct = set(self.patterns)
+    def __new__(cls, name: str, patterns: tuple[str, ...]) -> AvoidanceClass:
+        self = super().__new__(cls, name, patterns)
+        distinct = set(patterns)
         if distinct <= _PAIR_FLAGS.keys():
-            step = _pair_step(sum(_PAIR_FLAGS[q] for q in distinct))
-        elif len(distinct) == 1 and self.patterns[0] in _STEPS:
-            step = _STEPS[self.patterns[0]]
+            self.step = _pair_step(sum(_PAIR_FLAGS[q] for q in distinct))
+        elif len(distinct) == 1 and patterns[0] in _STEPS:
+            self.step = _STEPS[patterns[0]]
         else:
-            raise ValueError(
-                f"no right-end step for pattern(s) {', '.join(self.patterns)}")
-        object.__setattr__(self, "step", step)
+            raise ValueError(f"no right-end step for pattern(s) {', '.join(patterns)}")
+        return self
 
 
 CLASSES: dict[str, AvoidanceClass] = {

@@ -1,6 +1,5 @@
 """The consistency suite: registry, determinism, failure reporting."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -117,7 +116,7 @@ def test_suite_is_deterministic_under_seed():
 
 def test_report_serialization():
     rep = checks.run_suite("quick")[0]
-    d = dataclasses.asdict(rep)
+    d = rep._asdict()
     assert set(d) == {"name", "status", "detail", "elapsed_ms"}
     assert d["status"] in ("pass", "fail")
 

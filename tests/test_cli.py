@@ -385,6 +385,15 @@ def test_check_failure_sets_exit_code(capsys, monkeypatch):
     assert json.loads(out)["failed"] == 1
 
 
+def test_check_json_report_keys_are_in_order(capsys):
+    code, out, _ = run(capsys, ["check", "--suite", "quick", "--format", "json"])
+    doc = json.loads(out)
+    assert (code, list(doc)) == (0, ["suite", "seed", "passed", "failed", "reports"])
+    assert len(doc["reports"]) == 25
+    for rep in doc["reports"]:
+        assert list(rep) == ["name", "status", "detail", "elapsed_ms"], rep
+
+
 # The reader closes stdout early, as `| head -1` does: after one line of
 # the multi-megabyte seq output, and before any of the check output.
 @pytest.mark.parametrize(

@@ -7,11 +7,15 @@ interpreter mode, so the package has no assert; a guard raises ValueError,
 the one error the CLI reports as a usage error; every name the package
 imports is read; every private top-level name it defines is read; every
 public one is read or bound by the traced benchmark; and so is every method
-of a package class."""
+of a package class; and `import baxterlab.cli` loads every package module
+but not dataclasses, inspect, json or csv."""
 
 import ast
 import builtins
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import baxterlab
@@ -241,3 +245,21 @@ def test_every_method_is_read_or_traced(monkeypatch):
     assert methods
     assert [where for module, cls, name, where in methods
             if name not in read and (module, cls, name) not in bound] == []
+
+
+def test_cli_import_loads_the_package_but_not_unneeded_stdlib():
+    # every CLI request pays this import before it works: the package's
+    # modules load there (none lazily), while dataclasses (which pulls in
+    # inspect), json and csv stay off the path; -S keeps what site-packages
+    # preload out of the "before" set
+    code = ("import sys; before = set(sys.modules); import baxterlab.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    root = Path(baxterlab.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(root.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    new = set(done.stdout.split())
+    assert new.isdisjoint({"dataclasses", "inspect", "json", "csv"}), sorted(new)
+    package = {f"baxterlab.{path.stem}" for path in root.glob("*.py")
+               if path.stem not in ("__init__", "__main__")}
+    assert package and package <= new, sorted(package - new)
