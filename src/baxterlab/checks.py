@@ -20,7 +20,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import islice, pairwise
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import formulas, invseq, perms, rules, series, walks
@@ -362,14 +362,12 @@ def _chk_rule_dsl(n_max: int, seed: int) -> Outcome:
     for name, rule in rules.RULES.items():
         if rule.axiom != (1, 1):
             return False, f"{name} axiom is {rule.axiom}, not (1, 1)"
-        dist = {rule.axiom: 1}
-        for n in range(2, n_max + 1):
-            fast, slow = rules.next_level(rule, dist), rules.expand_level(rule, dist)
+        for n, (dist, fast) in enumerate(pairwise(islice(rules.levels(rule), n_max)), 2):
+            slow = rules.expand_level(rule, dist)
             if fast != slow:
                 label = min(lb for lb in fast.keys() | slow.keys() if fast.get(lb) != slow.get(lb))
                 return False, (f"{name} interval-sum level vs node expansion differ at "
                                f"n={n}, label {label}")
-            dist = fast
     return True, (f"all {len(rules.RULES)} rules: interval-sum levels match node "
                   f"expansion for n<={n_max}")
 

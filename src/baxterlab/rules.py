@@ -30,21 +30,21 @@ definition of the five built-in rules; RULES is parsed from it at import
 Every row expression is affine, so `parse_rule` stores a row as a
 straight run of labels, child(i) = P(h,k) + i*d for i = 0..span(h,k).
 `productions` expands one node run by run, and `series` reads each
-rule's label equation off the same runs.  `next_level` expands no
-node: in one flat grid, where label (x, y) sits at index x + w*y and a
-step of d is one stride, it adds each run's count at its first label and
-subtracts it one stride past its last, then sums along the stride, one
-pass per row.  The grid reaches only as far as the children of labels
-under the level's largest h + k can, so a level step costs the box from
-the origin to that diagonal's largest child, not O(sum of h+k): the ECO
-method of Barcucci, Del Lungo, Pergola and Pinzani (1999).
+rule's label equation off the same runs.  A level step expands no node.
+A level is a flat grid, label (x, y) at index x + w*y, carried from step
+to step, so a step of d is one stride.  Each run adds a label's count at
+its first child and takes it off one stride past its last, then sums
+along the stride; along a source row k both indices are affine in h, so
+each run takes two strided slices per row.  The next grid reaches only as
+far as the children of labels under the level's largest h + k can: the
+ECO method of Barcucci, Del Lungo, Pergola and Pinzani (1999).
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice
-from operator import add
+from itertools import accumulate, islice, repeat, starmap
+from operator import add, sub
 from typing import Iterator, NamedTuple
 
 Label = tuple[int, int]
@@ -104,115 +104,130 @@ def productions(rule: SuccessionRule, label: Label) -> list[Label]:
 
 
 def expand_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistribution:
-    """Multiset sum of productions weighted by counts, node by node.
-
-    The reference that `next_level` is checked against.
-    """
+    """Multiset sum of productions weighted by counts, node by node: the
+    reference that the grid step is checked against."""
     out: LabelDistribution = {}
-    get = out.get
     for label, cnt in dist.items():
         for child in productions(rule, label):
-            out[child] = get(child, 0) + cnt
+            out[child] = out.get(child, 0) + cnt
     return out
 
 
-def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistribution:
-    """Multiset sum of productions weighted by counts, by interval sums.
-
-    dist maps positive labels to positive counts; a label or child label
-    that is not a pair of positive integers raises ValueError.  Time and
-    memory grow with the box from the origin to the largest child that
-    any label of the level's box cut by its largest h + k could have;
-    the labels of a built-in rule's level n lie under h + k <= n + 1, so
-    that box is a small multiple of the level's label count.
-
-    >>> next_level(RULES["semi"], {(1, 2): 1, (2, 1): 1}) == {
-    ...     (1, 3): 1, (3, 1): 2, (2, 2): 2, (1, 2): 1}
-    True
-    """
-    if not dist:
-        return {}
-    hs, ks = zip(*dist)
-    h0, h1, k0, k1 = min(hs), max(hs), min(ks), max(ks)
-    if h0 < 1 or k0 < 1:
+def _grid(rule: SuccessionRule, dist: LabelDistribution) -> tuple[list[int], int]:
+    if min(map(min, dist)) < 1:
         raise ValueError(f"rule {rule.name}: a label of the level is not positive")
-    # The labels lie in the box h0..h1 x k0..k1 cut by h + k <= s, and an affine
-    # map peaks at a vertex of that: (h0, k0), where a map falling in h and k
-    # does, or a far corner the cut trims (s >= h1 + k0 and s >= h0 + k1).
-    s = max(map(add, hs, ks))
+    w = max(map(max, dist)) + 1
+    cells = [0] * w * w
+    for (h, k), cnt in dist.items():
+        cells[h + w * k] = cnt
+    return cells, w
+
+
+def _dict(cells: list[int], w: int) -> LabelDistribution:
+    return {(i % w, i // w): v for i, v in enumerate(cells) if v}
+
+
+def _scatter(cells: list[int], start: int, step: int, vals: list[int], op) -> None:
+    """cells[start + i*step] = op(that cell, vals[i]) for each i, in one slice."""
+    if step:
+        stop = start + step * len(vals)
+        at = slice(start, stop if stop >= 0 else None, step)
+        cells[at] = map(op, cells[at], vals)
+    else:
+        cells[start] = op(cells[start], sum(vals))
+
+
+def _step(rule: SuccessionRule, cells: list[int], w: int) -> tuple[list[int], int]:
+    """The grid of the level after the one in cells (see the module docstring)."""
+    rows = []  # (k, i, j, cells i..j) for the first and last label i and j of row k
+    for k in range(len(cells) // w):
+        row = cells[k * w:k * w + w]
+        if any(row):
+            i = row.index(next(filter(None, row)))
+            j = w - row[::-1].index(next(filter(None, reversed(row))))
+            rows.append((k, i, j - 1, row[i:j]))
+    if not rows:
+        return [], 1
+    # The labels lie in the box h0..h1 x k0..k1 cut by h + k <= s, and an affine map
+    # peaks at (h0, k0) or at a far corner the cut trims (s >= h1 + k0, s >= h0 + k1).
+    h0, h1, k0, k1 = min(r[1] for r in rows), max(r[2] for r in rows), rows[0][0], rows[-1][0]
+    s = max(k + hi for k, _, hi, _ in rows)
     corners = (h0, k0), (h1, k0), (h0, k1), (h1, min(k1, s - h1)), (min(h1, s - k1), k1)
-    # Each row is one run of a positive direction, taken with dy > 0 or
-    # dy = 0 < dx, so a row in the opposite direction is read from its last
-    # child.  checks are the coordinates of the run's lowest labels that are
-    # not positive for every h, k >= 1 by their coefficients alone.
+    # a run with dy < 0 or dy = 0 > dx is read from its last child; checks are its lowest
+    # labels' coordinates that its coefficients alone do not keep positive
     runs, xtop, ytop, pad = [], 0, 0, 0
     for x, y, (dx, dy), span in rule.rows:
         end = _lin((1, x), (dx, span)), _lin((1, y), (dy, span))
         low = (x if dx >= 0 else end[0], y if dy >= 0 else end[1])
         checks = tuple(f for f in low if min(f[1:]) < 0 or sum(f) < 1)
-        for h, k in corners:
-            xtop = max(xtop, _at(x, h, k), _at(end[0], h, k))
-            ytop = max(ytop, _at(y, h, k), _at(end[1], h, k))
+        xtop = max(xtop, *(_at(f, h, k) for f in (x, end[0]) for h, k in corners))
+        ytop = max(ytop, *(_at(f, h, k) for f in (y, end[1]) for h, k in corners))
         pad = max(pad, abs(dx), abs(dy))
         if dy < 0 or dy == 0 > dx:
             dx, dy, (x, y) = -dx, -dy, end
         runs.append((dx, dy, span, x, y, checks))
-    # Label (x, y) sits at index x + w*y.  w exceeds every child's x and every
-    # |dx|, so a step of d is the index stride dx + w*dy; pad covers one-past.
-    w = xtop + pad + 1
+    w = xtop + pad + 1  # past every child's x and every |dx|; pad covers one-past
     size = w * (ytop + pad + 1)
-    total = [0] * size
-    items = dist.items()
-    # A run adds cnt at its first child and -cnt one stride past its last;
-    # running sums along each residue class mod the stride count each child.
-    # The first run marks and sums in total itself, so a run of one label
-    # (stride 0), which adds its span+1 in place, comes after every other.
-    first = True
+    total = None  # a run of stride 0 adds in total itself, so it comes last
     for dx, dy, (s0, sh, sk), x, y, checks in sorted(runs, key=lambda r: r[:2] == (0, 0)):
         stride = dx + w * dy
-        grid = [0] * size if stride and not first else total
+        grid = [0] * size if stride or total is None else total
         a0, ah, ak = _lin((1, x), (w, y))
-        for (h, k), cnt in items:
-            n = s0 + sh * h + sk * k + 1
-            if n > 0:
-                if checks and any(_at(f, h, k) < 1 for f in checks):
-                    raise _not_positive(rule, (h, k))
-                a = a0 + ah * h + ak * k
-                if stride:
-                    grid[a] += cnt
-                    grid[a + n * stride] -= cnt
-                else:
-                    grid[a] += cnt * n
+        for k, lo, hi, vals in rows:
+            # (h, k) has n = c + sh*h children; count and check h = i..j, where n > 0
+            c = s0 + sk * k + 1
+            i = max(lo, -((c - 1) // sh)) if sh > 0 else lo if sh or c > 0 else hi + 1
+            j = min(hi, (1 - c) // sh) if sh < 0 else hi
+            if i > j:
+                continue
+            v = vals[i - lo:j - lo + 1]
+            if checks and (bad := [h for h, cnt in enumerate(v, i)
+                                   if cnt and min(_at(f, h, k) for f in checks) < 1]):
+                raise _not_positive(rule, (bad[0], k))
+            if not stride and (sh or c != 1):
+                v = [cnt * (c + sh * h) for h, cnt in enumerate(v, i)]
+            _scatter(grid, a := a0 + ak * k + ah * i, ah, v, add)
+            if stride:
+                _scatter(grid, a + (c + sh * i) * stride, ah + sh * stride, v, sub)
         for r in range(stride):
-            sums = accumulate(grid[r::stride])
-            total[r::stride] = sums if first else map(add, total[r::stride], sums)
-        first = False
+            grid[r::stride] = accumulate(grid[r::stride])
+        total = grid if total is None or not stride else list(map(add, total, grid))
         del grid  # before the next row allocates its own
-    return {(x, y): v for y in range(size // w)
-            for x, v in enumerate(total[y * w:(y + 1) * w]) if v}
+    return total, w
+
+
+def _grids(rule: SuccessionRule) -> Iterator[tuple[list[int], int]]:
+    """The grids of levels 1, 2, ..., each stepped to only when it is asked for."""
+    return accumulate(repeat(rule), lambda grid, _: _step(rule, *grid),
+                      initial=_grid(rule, {rule.axiom: 1}))
+
+
+def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistribution:
+    """Multiset sum of productions weighted by counts: one step of dist's
+    grid.  A label or child that is not a pair of positive integers raises
+    ValueError.
+
+    >>> next_level(RULES["semi"], {(1, 2): 1, (2, 1): 1}) == {
+    ...     (1, 3): 1, (3, 1): 2, (2, 2): 2, (1, 2): 1}
+    True
+    """
+    return _dict(*_step(rule, *_grid(rule, dist))) if dist else {}
 
 
 def levels(rule: SuccessionRule) -> Iterator[LabelDistribution]:
-    """The label multisets at levels 1, 2, ... (level 1 is the axiom).
-
-    A level is stepped to only when it is asked for, so reading levels
-    1..n costs n - 1 calls of `next_level`.
-    """
-    dist: LabelDistribution = {rule.axiom: 1}
-    while True:
-        yield dist
-        dist = next_level(rule, dist)
+    """Label multisets at levels 1 (the axiom), 2, ..., read off the carried grids."""
+    return starmap(_dict, _grids(rule))
 
 
 def distribution(rule: SuccessionRule, n: int) -> LabelDistribution:
     """Exact label multiset at level n (level 1 is the axiom)."""
     if n < 1:
         raise ValueError(f"level {n} is not positive")
-    return next(islice(levels(rule), n - 1, None))
+    return _dict(*next(islice(_grids(rule), n - 1, None)))
 
 
 def count_sequence(rule: SuccessionRule, n_max: int) -> list[int]:
-    """Node counts at levels 1..n_max.
+    """Node counts at levels 1..n_max, each its level grid's sum.
 
     >>> count_sequence(RULES["cat"], 5)
     [1, 2, 5, 14, 42]
@@ -223,7 +238,7 @@ def count_sequence(rule: SuccessionRule, n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise ValueError(f"n_max {n_max} is not positive")
-    return [sum(dist.values()) for dist in islice(levels(rule), n_max)]
+    return [sum(cells) for cells, _ in islice(_grids(rule), n_max)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +290,14 @@ def parse_rule(text: str, name: str = "custom") -> SuccessionRule:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _AXIOM_RE.match(line)
-        if m:
+        if m := _AXIOM_RE.match(line):
             if axiom is not None:
                 raise ValueError("duplicate axiom line")
             axiom = (int(m.group(1)), int(m.group(2)))
             if min(axiom) < 1:
                 raise ValueError(f"axiom {axiom} is not positive")
             continue
-        m = _ROW_RE.match(line)
-        if not m:
+        if not (m := _ROW_RE.match(line)):
             raise ValueError(f"cannot parse rule line {line!r}")
         e1, e2, var, lo, hi = m.groups()
         if var in ("h", "k"):

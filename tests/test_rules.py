@@ -1,6 +1,7 @@
 """Succession rules: productions, level counts, DSL parser."""
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,10 +66,10 @@ def test_count_sequences(name, want):
 
 
 def test_level_readers_step_only_to_the_last_level_asked(monkeypatch):
-    # the traced benchmark counts levels by the next_level calls
+    # every reader steps the carried grid, one _step call per level past the first
     steps = []
-    step = rules.next_level
-    monkeypatch.setattr(rules, "next_level", lambda *a: steps.append(1) or step(*a))
+    step = rules._step
+    monkeypatch.setattr(rules, "_step", lambda *a: steps.append(1) or step(*a))
     semi = rules.RULES["semi"]
     for read, want in [
         (lambda: rules.distribution(semi, 6), 5),
@@ -78,6 +79,17 @@ def test_level_readers_step_only_to_the_last_level_asked(monkeypatch):
         steps.clear()
         read()
         assert len(steps) == want
+
+
+def test_counts_read_no_level_dict_and_distribution_reads_one(monkeypatch):
+    # count_sequence sums the carried grids, and distribution reads only the
+    # grid of the level it returns back into a dict
+    built = []
+    to_dict = rules._dict
+    monkeypatch.setattr(rules, "_dict", lambda *a: built.append(1) or to_dict(*a))
+    semi = rules.RULES["semi"]
+    assert rules.count_sequence(semi, 12) == SB[:12] and built == []
+    assert rules.distribution(semi, 12) and len(built) == 1
 
 
 @pytest.mark.parametrize("rule_name,cls_name", [("semi", "semi"), ("strong", "strong")])
@@ -320,3 +332,40 @@ def test_printed_rows_parse_back_to_the_same_productions(text):
     assert again.rows == rule.rows
     for label in ((h, k) for h in range(1, 5) for k in range(1, 5)):
         assert _children(again, {label: 1}) == _children(rule, {label: 1})
+
+
+def _expanded(rule, depth: int, bound: int = 20):
+    """(levels, depth): levels 1..depth by repeated expand_level, stopping one
+    step past a level with a coordinate above bound; levels is None if a step
+    raises, and depth is then the level that step would make."""
+    want = [{rule.axiom: 1}]
+    try:
+        while len(want) < depth and max(map(max, want[-1]), default=0) <= bound:
+            want.append(rules.expand_level(rule, want[-1]))
+    except ValueError:
+        return None, len(want) + 1
+    return want, len(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_rule_texts())
+# a run of span -1 (no children at h = 1) next to a moving one
+@example(text="axiom (1,1)\nrow (i, k) for i = 1..h-1\nrow (h+1, k+1)\n")
+# a reversed run (dy < 0), read from its last child
+@example(text="axiom (1,1)\nrow (i, h+k+1-i) for i = 1..h+k\nrow (h, k+1)\n")
+# a one-label row listed before a line row
+@example(text="axiom (1,1)\nrow (h, k+1)\nrow (i, 1) for i = 1..h+k\n")
+# a first child that falls in h and k, so its index steps backwards along a
+# source row and the one-past index stays put; one child repeated twice
+@example(text="axiom (1,1)\nrow (6-h-k+i, 1) for i = 0..h-1\nrow (1, 2) for i = 0..1\n")
+def test_carried_grids_equal_repeated_node_expansion(text):
+    rule = rules.parse_rule(text)
+    want, depth = _expanded(rule, 6)
+    if want is None:
+        with pytest.raises(ValueError):
+            rules.count_sequence(rule, depth)
+        with pytest.raises(ValueError):
+            list(islice(rules.levels(rule), depth))
+    else:
+        assert list(islice(rules.levels(rule), depth)) == want
+        assert rules.count_sequence(rule, depth) == [sum(lv.values()) for lv in want]
