@@ -188,11 +188,10 @@ def _chk_census(top: int, seed: int) -> Outcome:
         ("strong", "strong"),
     )
     for cls_name, rule_name in pairs:
-        for n in range(1, top + 1):
+        for n, want in enumerate(islice(rules.levels(rules.RULES[rule_name]), top), 1):
             got = perms.label_census(perms.CLASSES[cls_name], n)
             if cls_name == "plane":  # the semi rule counts plane's labels with h and k swapped
                 got = {(k, h): c for (h, k), c in got.items()}
-            want = rules.distribution(rules.RULES[rule_name], n)
             if got != want:
                 label = min(lb for lb in got.keys() | want.keys() if got.get(lb) != want.get(lb))
                 return False, (

@@ -137,15 +137,21 @@ def _scatter(cells: list[int], start: int, step: int, vals: list[int], op) -> No
         cells[start] = op(cells[start], sum(vals))
 
 
-def _step(rule: SuccessionRule, cells: list[int], w: int) -> tuple[list[int], int]:
-    """The grid of the level after the one in cells (see the module docstring)."""
-    rows = []  # (k, i, j, cells i..j) for the first and last label i and j of row k
+def _rows(cells: list[int], w: int) -> list[tuple[int, int, int, list[int]]]:
+    """(k, i, j, cells i..j) per grid row k with a count, i and j its first and last live label."""
+    rows = []
     for k in range(len(cells) // w):
         row = cells[k * w:k * w + w]
         if any(row):
             i = row.index(next(filter(None, row)))
             j = w - row[::-1].index(next(filter(None, reversed(row))))
             rows.append((k, i, j - 1, row[i:j]))
+    return rows
+
+
+def _step(rule: SuccessionRule, cells: list[int], w: int) -> tuple[list[int], int]:
+    """The grid of the level after the one in cells (see the module docstring)."""
+    rows = _rows(cells, w)
     if not rows:
         return [], 1
     # The labels lie in the box h0..h1 x k0..k1 cut by h + k <= s, and an affine map

@@ -24,10 +24,11 @@ int coefficients, each at most its value at a = 1.  Solved once at a = 1
 for that bound and once at a = 2^b with b wide enough, each coefficient
 of W (or of F, read from g the same way) is one int whose signed
 b-bit digits are its coefficients in a.  What they return is a series of
-Polys keyed (e, 0).  The label residuals substitute in two variables:
-each level is packed once at y = 2^b, z = 2^(bw), each monomial of the
-label equation is a shift, and only a nonzero defect is read back into
-a Poly.  Other two-variable products stay on Poly's dict path.
+Polys keyed (e, 0).  The label series keeps the grids its rule steps
+(rules._grids); the label residuals pack each level, and each image of it,
+from the grid's live rows as one int at y = 2^b, z = 2^(bw), so a monomial
+of the label equation is a shift and only a nonzero defect becomes a Poly.
+Its other readers take one-variable images, plain coefficient lists.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .formulas import _binom_run, at_least, binom
-from .rules import RULES, SuccessionRule, _lin, levels
+from .rules import RULES, SuccessionRule, _grids, _lin, _rows, _scatter
 from .rules import next_level  # noqa: F401  (perfbench wraps this binding)
 
 Rat = int | Fraction
@@ -112,16 +113,16 @@ def laurent(coeffs: Mapping[int, Rat]) -> Poly:
     return Poly({(e, 0): v for e, v in coeffs.items()})
 
 
-def _one_plus(p: Poly) -> Poly:
-    """p at y = 1+a, z = 1+b: each v y^h z^k becomes the sum of
-    v C(h, i) C(k, j) a^i b^j, for p with no negative exponent.
+def _one_plus(cells: list[int], w: int) -> Poly:
+    """The grid's polynomial, v y^h z^k for the count v at index h + w*k, at
+    y = 1+a, z = 1+b: each v y^h z^k becomes the sum of v C(h, i) C(k, j) a^i b^j.
 
-    >>> _one_plus(Poly({(2, 0): 1, (1, 1): -1}))
+    >>> _one_plus([0, 0, 1, 0, -1, 0], 3)
     -1*b^1 + 1*a^1 + -1*a^1*b^1 + 1*a^2
     """
     out: dict[tuple[int, int], Rat] = {}
     get = out.get
-    for (h, k), v in p.c.items():
+    for k, h, v in ((*divmod(e, w), v) for e, v in enumerate(cells) if v):
         ys = _binom_run(h, 0, h + 1, False)
         for j, d in enumerate(_binom_run(k, 0, k + 1, False)):
             d *= v
@@ -153,26 +154,6 @@ def _digits(v: int, b: int, lo: int) -> Poly:
     raw = (v + bias).to_bytes(n * w, "little")
     return laurent({e: int.from_bytes(raw[i:i + w], "little") - half
                     for e, i in enumerate(range(0, n * w, w), lo)})
-
-
-def _pack(p: Poly, b: int, w: int) -> int:
-    """p(y, z) at y = 2^b, z = 2^(bw): the sum of v 2^(b(i + wj)) over its
-    terms v y^i z^j, for 0 <= i < w, j >= 0 and every |v| < 2^(b-1), b a
-    whole number of bytes.  Each v is written as its b-bit two's complement
-    into one byte string, which for v < 0 is v + 2^b, so 2^(b(i + wj + 1))
-    is taken off again.
-
-    >>> _pack(Poly({(1, 0): 5, (0, 1): -3}), 8, 2) == (5 << 8) - (3 << 16)
-    True
-    """
-    nb = b // 8
-    cells = [bytes(nb)] * (w * (max([j for _, j in p.c], default=0) + 1))
-    borrows = 0
-    for (i, j), v in p.c.items():
-        cells[i + w * j] = v.to_bytes(nb, "little", signed=True)
-        if v < 0:
-            borrows += 1 << b * (i + w * j + 1)
-    return int.from_bytes(b"".join(cells), "little") - borrows
 
 
 def _row(u: list, v: list, k: int):
@@ -352,49 +333,58 @@ def omega_geq(s: XSeries) -> XSeries:
     return XSeries(Poly({e: v for e, v in u.c.items() if e[0] >= 0}) for u in s.c)
 
 
-_LinearMap = tuple[tuple[int, int], tuple[int, int]]  # see _compose
-_DIAGONAL: _LinearMap = (1, 1), (0, 0)  # y = z: y^h z^k becomes t^(h+k), keyed (h+k, 0)
+_LinearMap = tuple[tuple[int, int], tuple[int, int]]  # ((a,b),(c,d)): y^(ah+bk) z^(ch+dk)
 _IDENTITY: _LinearMap = (1, 0), (0, 1)
+_Rows = list[tuple[int, int, int, list[int]]]  # a level's live row segments, see rules._rows
 
 
-def _compose(s: Poly, m: _LinearMap) -> Poly:
-    """S o M: each y^h z^k of s sent to y^(ah+bk) z^(ch+dk), M = ((a, b), (c, d)),
-    summing the terms that meet.  Poly prints the (y, z) slots as a, b:
+def _spread(rows: _Rows, sh: int, sk: int) -> list[int]:
+    """The level's image under y^h z^k -> t^(sh*h + sk*k), listed from t^0 up to
+    its top index: label (h, k)'s count added at index sh*h + sk*k, for sh and
+    sk that keep every live label's index nonnegative.
 
-    >>> _compose(Poly({(1, 0): 2, (0, 1): 3, (1, 1): -1}), _DIAGONAL)
-    5*a^1 + -1*a^2
+    >>> _spread(_rows([0, 2, 3, -1], 2), 1, 1)
+    [0, 5, -1]
     """
-    (a, b), (c, d) = m
-    out: dict[tuple[int, int], Rat] = {}
-    get = out.get
-    for (h, k), v in s.c.items():
-        e = a * h + b * k, c * h + d * k
-        out[e] = get(e, 0) + v
-    return Poly(out)
+    out = [0] * max([sh * h + sk * k + 1 for k, i, j, _ in rows for h in (i, j)], default=0)
+    for k, i, _, vals in rows:
+        _scatter(out, sh * i + sk * k, sh, vals, add)
+    return out
+
+
+def _pack(rows: _Rows, m: _LinearMap, b: int, w: int) -> int:
+    """S o M at y = 2^b, z = 2^(bw), S the level with live rows `rows`: the sum
+    of v 2^(b(i + wj)) over the terms v y^i z^j of S o M (_spread puts each at
+    index i + wj), for 0 <= i < w and every |v| < 2^(b-1), b a whole number of
+    bytes.  Each v is written as its b-bit two's complement into one byte
+    string, which for v < 0 is v + 2^b and has its cell's top bit set, so for
+    each set top bit 2^(b(i + wj + 1)) is taken off again.
+
+    >>> _pack(_rows([0, 5, -3, 0], 2), ((1, 0), (0, 1)), 8, 2) == (5 << 8) - (3 << 16)
+    True
+    """
+    (xh, xk), (yh, yk) = m
+    cells, nb = _spread(rows, xh + w * yh, xk + w * yk), b // 8
+    zero, top = bytes(nb), bytes(nb - 1) + b"\x80"
+    v = int.from_bytes(b"".join([c.to_bytes(nb, "little", signed=True) if c else zero
+                                 for c in cells]), "little")
+    return v - ((v & int.from_bytes(top * len(cells), "little")) >> b - 1 << b)
 
 
 class LabelSeries:
-    """Per-size label distributions of the succession rule it is given, read
-    as the coefficient of x^n being the polynomial sum of S_{h,k} y^h z^k.
-
-    Evaluating every level at y = z = 1 recovers the plain counting
-    sequence of the rule.
-    """
+    """Levels 0 (empty) to order of the rule's tree as rules._grids yields them,
+    label (h, k)'s count S_{h,k} at index h + w*k of the grid (cells, w): x^n's
+    coefficient is sum S_{h,k} y^h z^k, whose cells sum to the nth count."""
 
     def __init__(self, rule: SuccessionRule, order: int):
         at_least(order, 1, "order")
-        self.order = order
-        self.levels = [{}, *islice(levels(rule), order)]
-
-    def poly(self, n: int) -> Poly:
-        """Level n as the polynomial in (y, z)."""
-        return Poly(self.levels[n])
+        self.grids = [([], 1), *islice(_grids(rule), order)]
 
     def series_in_one_plus_a(self) -> XSeries:
         """Sum of S_{h,k} (1+a)^(h+k) per x-order, as a series in x: each
-        level collapsed to sum_m c_m t^m on the diagonal, then t = 1+a."""
-        return XSeries(_one_plus(_compose(lv, _DIAGONAL))
-                       for lv in map(self.poly, range(self.order + 1)))
+        level spread to sum_m c_m t^m on the diagonal, then t = 1+a."""
+        return XSeries(_one_plus(cs, len(cs) + 1)  # one row: t^m at index m
+                       for cs in (_spread(_rows(*grid), 1, 1) for grid in self.grids))
 
 
 Residual = tuple[int, tuple[int, int, int] | None]
@@ -451,27 +441,31 @@ def _label_residual(rule: SuccessionRule, order: int) -> Residual:
     n = 1..order, for the rule's equation (K, {M: c}) from _equation.
 
     Computed on ints: each level, and each image S o M but S itself, is
-    packed once at y = 2^b, z = 2^(bw) (_pack), so a monomial of K or c is a
-    shift, and only a nonzero defect is read back (_digits, cell e at
-    y^(e mod w) z^(e div w)).  No defect coefficient exceeds (|K|_1 +
-    sum |c|_1)(largest level sum |S| + 1), and b is _width of that bound;
-    w exceeds every y-exponent a product term can carry, so no two cells meet.
+    packed once at y = 2^b, z = 2^(bw) straight from the level's grid rows
+    (_pack), so a monomial of K or c is a shift, and only a nonzero defect is
+    read back (_digits, cell e at y^(e mod w) z^(e div w)).  No defect
+    coefficient exceeds (|K|_1 + sum |c|_1)(largest level sum |S| + 1), and b
+    is _width of that bound; w exceeds every y-exponent a product term can
+    carry, read off the first and last live label of each row (an affine
+    exponent peaks at one of them), so no two cells meet.
     """
     at_least(order, 2, "order")
     kernel, terms = _equation(rule)
-    s = list(map(LabelSeries(rule, order).poly, range(order + 1)))
-    images = {m: [_compose(lv, m) for lv in s[:-1]] for m in terms if m != _IDENTITY}
-    if any(min(e) < 0 for im in images.values() for p in im for e in p.c):
+    grids = LabelSeries(rule, order).grids
+    rows = [_rows(*grid) for grid in grids]
+
+    def exponents(m: _LinearMap, rs: list[_Rows]) -> list[tuple[int, int]]:
+        (xh, xk), (yh, yk) = m  # of the images of each row's first and last label
+        return [(xh * h + xk * k, yh * h + yk * k) for r in rs for k, i, j, _ in r for h in (i, j)]
+
+    images = {m: exponents(m, rows[:-1]) for m in terms if m != _IDENTITY}
+    if any(min(e) < 0 for es in images.values() for e in es):
         raise ValueError(f"rule {rule.name}: a label image S o M has an exponent below 0")
-    factors = [(kernel, [*s, Poly({rule.axiom: 1})]),
-               *((c, images.get(m, s)) for m, c in terms.items())]
-
-    def top(*ps: Poly) -> int:  # the largest y-exponent in ps, or 0
-        return max([i for p in ps for i, _ in p.c], default=0)
-
-    w = 1 + max(top(c) + top(*ps) for c, ps in factors)
-    b = _width(sum(sum(map(abs, c.c.values())) for c, _ in factors)
-               * (max(sum(map(abs, lv.c.values())) for lv in s) + 1))
+    images[_IDENTITY] = [*exponents(_IDENTITY, rows), rule.axiom]
+    w = 1 + max(max([i for i, _ in c.c], default=0) + max([i for i, _ in images[m]], default=0)
+                for m, c in [(_IDENTITY, kernel), *terms.items()])
+    b = _width(sum(sum(map(abs, c.c.values())) for c in (kernel, *terms.values()))
+               * (max(sum(map(abs, cells)) for cells, _ in grids) + 1))
     axiom = 1 << b * (rule.axiom[0] + w * rule.axiom[1])
 
     def times(c: Poly, v: int) -> int:  # c(2^b, 2^(bw)) v
@@ -480,9 +474,9 @@ def _label_residual(rule: SuccessionRule, order: int) -> Residual:
     def defects() -> Iterable[tuple[int, Poly]]:
         last = 0  # S_(n-1) packed
         for n in range(1, order + 1):
-            now = _pack(s[n], b, w)
+            now = _pack(rows[n], _IDENTITY, b, w)
             v = times(kernel, now - axiom if n == 1 else now) - sum(
-                times(c, _pack(images[m][n - 1], b, w) if m in images else last)
+                times(c, last if m == _IDENTITY else _pack(rows[n - 1], m, b, w))
                 for m, c in terms.items())
             if v:
                 yield n, Poly({(e % w, e // w): x for (e, _), x in _digits(v, b, 0).c.items()})
@@ -739,8 +733,8 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
 
     with F = x g and P = num/den read off the semi kernel chain as
     polynomials in (a, W) (_kernel_data), and both S evaluations read off the
-    semi rule's label distributions, each level collapsed to the one
-    variable it is read in.
+    semi rule's label grids, each level spread to its image in the one
+    variable it is read in, a coefficient list (_spread).
 
     Each side X is compared as X den + num, which is (X + P) den through
     x^order.  den has the constant term a0^5 (1+a0), nonzero here, so that
@@ -767,12 +761,12 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
         y = (x * den).scale(p ** im * q ** jm) + num.scale(p ** (i + id_) * q ** (j + jd))
         return next((n for n, c in enumerate(y.c) if c), None)
 
-    lvs = list(map(LabelSeries(RULES["semi"], order).poly, range(order + 1)))
-    diag, top = ([_compose(lv, m) for lv in lvs] for m in (_DIAGONAL, ((0, 1), (0, 0))))
-    sq, sp = (max([0, *(m - n for n, lv in enumerate(s) for m, _ in lv.c)]) for s in (diag, top))
-    d = XSeries(sum(y * (p + q) ** m * p ** n * q ** (n + sq - m) for (m, _), y in lv.c.items())
+    rows = [_rows(*grid) for grid in LabelSeries(RULES["semi"], order).grids]
+    diag, top = ([_spread(r, *m) for r in rows] for m in ((1, 1), (0, 1)))  # t^(h+k), t^k
+    sq, sp = (max([0, *(len(lv) - 1 - n for n, lv in enumerate(s))]) for s in (diag, top))
+    d = XSeries(sum(y * (p + q) ** m * p ** n * q ** (n + sq - m) for m, y in enumerate(lv) if y)
                 for n, lv in enumerate(diag))
-    t = XSeries(sum(y * (p + q) ** k * p ** (n + sp - k) * q ** n for (k, _), y in lv.c.items())
+    t = XSeries(sum(y * (p + q) ** k * p ** (n + sp - k) * q ** n for k, y in enumerate(lv) if y)
                 for n, lv in enumerate(top))
     xi = d.scale(p ** (3 + sp)) + t.scale((p + q) ** 2 * q ** (3 + sq)).shift_x()  # q^sq p^(3+sp) X
     f_fail = first_fail(g.shift_x().scale(p * q), ig, jg)  # F = x g, x = t p q

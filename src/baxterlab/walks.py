@@ -297,8 +297,8 @@ def strong_refinement_residual(n_max: int = 10) -> Residual:
     at_least(n_max, 1, "n_max")
     labels = LabelSeries(RULES["strong"], n_max)
     tables = count_walks(SEVEN, n_max - 1)
-    yz = _one_plus(Poly({(1, 1): 1}))
-    return residual_scan((n, _one_plus(labels.poly(n)) - yz * tables[n - 1])
+    yz = Poly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})  # (1+a)(1+b)
+    return residual_scan((n, _one_plus(*labels.grids[n]) - yz * tables[n - 1])
                          for n in range(1, n_max + 1))
 
 

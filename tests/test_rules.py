@@ -1,13 +1,14 @@
 """Succession rules: productions, level counts, DSL parser."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from baxterlab import perms, rules, series
+from baxterlab import checks, perms, rules, series
 from baxterlab.checks import compare_routes
 
 from conftest import BAXTER, CATALAN, SB, STRONG
@@ -66,7 +67,8 @@ def test_count_sequences(name, want):
 
 
 def test_level_readers_step_only_to_the_last_level_asked(monkeypatch):
-    # every reader steps the carried grid, one _step call per level past the first
+    # every reader steps the carried grid, one _step call per level past the first;
+    # the census check reads levels 1..7 of each of its 5 rules once (5 * 6 steps)
     steps = []
     step = rules._step
     monkeypatch.setattr(rules, "_step", lambda *a: steps.append(1) or step(*a))
@@ -75,6 +77,7 @@ def test_level_readers_step_only_to_the_last_level_asked(monkeypatch):
         (lambda: rules.distribution(semi, 6), 5),
         (lambda: rules.count_sequence(semi, 7), 6),
         (lambda: series.LabelSeries(semi, 4), 3),
+        (lambda: checks._chk_census(7, 0), 30),
     ]:
         steps.clear()
         read()
@@ -82,13 +85,16 @@ def test_level_readers_step_only_to_the_last_level_asked(monkeypatch):
 
 
 def test_counts_read_no_level_dict_and_distribution_reads_one(monkeypatch):
-    # count_sequence sums the carried grids, and distribution reads only the
-    # grid of the level it returns back into a dict
+    # count_sequence and the series readers read the carried grids, and
+    # distribution reads only the grid of the level it returns back into a dict
     built = []
     to_dict = rules._dict
     monkeypatch.setattr(rules, "_dict", lambda *a: built.append(1) or to_dict(*a))
     semi = rules.RULES["semi"]
     assert rules.count_sequence(semi, 12) == SB[:12] and built == []
+    assert series._label_residual(semi, 10) == (0, None) and built == []
+    assert series.verify_reduced_identity(Fraction(3, 2), 10)["ok"] and built == []
+    assert series.LabelSeries(semi, 8).series_in_one_plus_a() and built == []
     assert rules.distribution(semi, 12) and len(built) == 1
 
 

@@ -33,10 +33,41 @@ def test_laurent_arithmetic():
 
 
 def test_two_variable_poly():
+    # 2y + 3z - yz as a grid of width 2, spread to its images in z and on the diagonal
     p = series.Poly({(1, 0): 2, (0, 1): 3, (1, 1): -1})
-    assert series._compose(p, ((0, 0), (0, 1))).c == {(0, 0): 2, (0, 1): 2}
-    assert series._compose(p, series._DIAGONAL).c == {(1, 0): 5, (2, 0): -1}
+    assert _grid(p) == ([0, 2, 3, -1], 2) and _poly(_grid(p)) == p
+    assert series._spread(rules._rows(*_grid(p)), 0, 1) == [2, 2]
+    assert series._spread(rules._rows(*_grid(p)), 1, 1) == [0, 5, -1]
     assert (p * p).coeff(1, 1) == 12
+
+
+def _grid(p: series.Poly) -> tuple[list[int], int]:
+    """p in (y, z), no exponent below 0, as the level grid (cells, w) that
+    rules._grids yields: the coefficient of y^h z^k at index h + w*k."""
+    w = 1 + max([h for h, _ in p.c], default=0)
+    cells = [0] * w * (1 + max([k for _, k in p.c], default=-1))
+    for (h, k), v in p.c.items():
+        cells[h + w * k] = v
+    return cells, w
+
+
+def _poly(grid: tuple[list[int], int]) -> series.Poly:
+    """The level grid (cells, w) as its polynomial in (y, z)."""
+    cells, w = grid
+    return series.Poly({(e % w, e // w): v for e, v in enumerate(cells) if v})
+
+
+def _grids_with(n: int, change):
+    """A stand-in for rules._grids that yields change(grid) for level n's grid."""
+    def grids(rule):
+        for m, grid in enumerate(rules._grids(rule), 1):
+            yield change(grid) if m == n else grid
+    return grids
+
+
+def _bump(label: tuple[int, int], delta: int):
+    """The change that adds delta to label's count, widening the grid to hold it."""
+    return lambda grid: _grid(_poly(grid) + series.Poly({label: delta}))
 
 
 def test_poly_coeff_needs_both_exponents():
@@ -54,7 +85,9 @@ _POLY = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
 @given(p=_POLY, q=_POLY)
 def test_one_plus_is_a_ring_map(p, q):
     """y -> 1+a, z -> 1+b is a ring map, taking yz to (1+a)(1+b)."""
-    one_plus = series._one_plus
+    def one_plus(p):
+        return series._one_plus(*_grid(p))
+
     assert one_plus(p * q) == one_plus(p) * one_plus(q)
     assert one_plus(p + q) == one_plus(p) + one_plus(q)
     assert one_plus(series.Poly({(0, 0): 1})) == series.Poly({(0, 0): 1})
@@ -222,7 +255,7 @@ _ALL_RULES = [rules.RULES[name] for name in sorted(rules.RULES)]
 def test_label_series_counts():
     ls = series.LabelSeries(rules.RULES["semi"], 10)
     # index 0 is the empty level; y = z = 1 gives the plain counts
-    assert [sum(lv.values()) for lv in ls.levels] == [0] + SB[:10]
+    assert [sum(cells) for cells, _ in ls.grids] == [0] + SB[:10]
 
 
 def test_residuals_vanish():
@@ -241,7 +274,7 @@ def test_a_parsed_rule_needs_no_registry_entry():
     before = dict(rules.RULES)
     semi = rules.RULES["semi"]
     parsed = rules.parse_rule(rules.RULE_FILE_SOURCES["semi"], "semi-copy")
-    assert series.LabelSeries(parsed, 8).levels == series.LabelSeries(semi, 8).levels
+    assert series.LabelSeries(parsed, 8).grids == series.LabelSeries(semi, 8).grids
     assert series._label_residual(parsed, 8) == series._label_residual(semi, 8) == (0, None)
     point = Fraction(5, 3), Fraction(12, 5)
     assert series.kernel_orbit(parsed, *point) == series.kernel_orbit(semi, *point) == 10
@@ -334,17 +367,9 @@ def test_residual_detects_perturbation(monkeypatch):
     equation; the strong variant flags its own perturbed label the same
     way.
     """
-    exact = series.LabelSeries.poly
-
-    def bump(label):
-        def bumped(self, n):
-            p = exact(self, n)
-            return p + series.Poly({label: 1}) if n == 3 else p
-        return bumped
-
-    monkeypatch.setattr(series.LabelSeries, "poly", bump((1, 1)))
+    monkeypatch.setattr(series, "_grids", _grids_with(3, _bump((1, 1), 1)))
     assert series.residual_semi(6) == (1, (3, 1, 2))
-    monkeypatch.setattr(series.LabelSeries, "poly", bump((2, 1)))
+    monkeypatch.setattr(series, "_grids", _grids_with(3, _bump((2, 1), 1)))
     assert series.residual_strong(6) == (2, (3, 2, 1))
 
 
@@ -352,19 +377,15 @@ def test_residual_detects_perturbation(monkeypatch):
 @given(rule=st.sampled_from(_ALL_RULES), n=st.integers(1, 6),
        h=st.integers(0, 6), k=st.integers(0, 6),
        delta=st.integers(-3, 3).filter(bool))
+@example(rule=rules.RULES["bax"], n=1, h=1, k=1, delta=-1)  # level 1 left empty
 def test_residuals_pinpoint_any_bumped_label(rule, n, h, k, delta):
     """Bumping label (h, k) at level n puts the first defect in the x^n
     slice, as the kernel times that label: its least term is (h, k+1)
     under (1-y)(y-z) for semi and tbax, and (h, k) under (1-y)(1-z) for
     bax and strong and under 1-y for cat."""
-    exact = series.LabelSeries.poly
-
-    def bumped(self, m):
-        return exact(self, m) + series.Poly({(h, k): delta}) if m == n else exact(self, m)
-
     residual = {"semi": series.residual_semi, "strong": series.residual_strong}.get(rule.name)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series.LabelSeries, "poly", bumped)
+        mp.setattr(series, "_grids", _grids_with(n, _bump((h, k), delta)))
         max_abs, where = series._label_residual(rule, 6)
         if residual:
             assert residual(6) == (max_abs, where)
@@ -372,15 +393,39 @@ def test_residuals_pinpoint_any_bumped_label(rule, n, h, k, delta):
     assert where == ((n, h, k + 1) if rule.name in ("semi", "tbax") else (n, h, k))
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=_POLY, m=st.tuples(*[st.integers(0, 2)] * 4), w=st.integers(1, 12))
+@example(p=series.Poly({(0, 0): -1, (3, 0): 2, (0, 4): -2 ** 70}), m=(1, 0, 0, 1), w=4)
+def test_pack_is_the_naive_sum(p, m, w):
+    """_pack, scattering the grid's rows into one byte string, equals the sum
+    of v 2^(b(i + wj)) over the terms v y^h z^k of S, with i = ah + bk and
+    j = ch + dk, signed counts and labels on the axes included."""
+    xh, xk, yh, yk = m
+    b = series._width(sum(map(abs, p.c.values())))
+    naive = sum(v << b * (xh * h + xk * k + w * (yh * h + yk * k)) for (h, k), v in p.c.items())
+    assert series._pack(rules._rows(*_grid(p)), ((xh, xk), (yh, yk)), b, w) == naive
+
+
+def _compose(s: series.Poly, m) -> series.Poly:
+    """S o M: each y^h z^k of s sent to y^(ah+bk) z^(ch+dk), M = ((a, b), (c, d)),
+    summing the terms that meet."""
+    (a, b), (c, d) = m
+    out: dict = {}
+    for (h, k), v in s.c.items():
+        e = a * h + b * k, c * h + d * k
+        out[e] = out.get(e, 0) + v
+    return series.Poly(out)
+
+
 def _poly_residual(rule: rules.SuccessionRule, order: int) -> series.Residual:
     """The label residual on Poly arithmetic, a product per term: the oracle
     for _label_residual's packed ints."""
     kernel, terms = series._equation(rule)
-    s = list(map(series.LabelSeries(rule, order).poly, range(order + 1)))
+    s = list(map(_poly, series.LabelSeries(rule, order).grids))
     axiom = series.Poly({rule.axiom: 1})
     return series.residual_scan(
         (n, kernel * (s[n] - axiom if n == 1 else s[n])
-         - sum((c * series._compose(s[n - 1], m) for m, c in terms.items()), series.Poly()))
+         - sum((c * _compose(s[n - 1], m) for m, c in terms.items()), series.Poly()))
         for n in range(1, order + 1)
     )
 
@@ -395,13 +440,8 @@ def test_packed_residual_equals_the_poly_oracle(rule, order, data, h, k, delta):
     way: the packed residual reports the oracle's (max_abs, first offending),
     including where the label (h, k) was absent or has a 0 slot."""
     n = data.draw(st.integers(1, order)) if data else order
-    exact = series.LabelSeries.poly
-
-    def bumped(self, m):
-        return exact(self, m) + series.Poly({(h, k): delta}) if m == n else exact(self, m)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series.LabelSeries, "poly", bumped)
+        mp.setattr(series, "_grids", _grids_with(n, _bump((h, k), delta)))
         assert series._label_residual(rule, order) == _poly_residual(rule, order)
 
 
@@ -926,17 +966,8 @@ def test_reduced_identity_detects_a_changed_label_count(a0, n, pick):
     S(1, 1+1/a0) term only at x^(n+1), so the sum identity first fails
     exactly at x^n.  The F comparison does not read the labels.
     """
-    real = series.levels
-
-    def bumped(rule):
-        for m, level in enumerate(real(rule), 1):
-            if m == n:
-                level = dict(level)
-                level[sorted(level)[pick % len(level)]] += 1
-            yield level
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "levels", bumped)
+        mp.setattr(series, "_grids", _grids_with(n, lambda grid: _grid(_bumped(_poly(grid), pick))))
         rep = series.verify_reduced_identity(a0, order=8)
     assert rep["f_first_fail"] is None
     assert rep["sum_first_fail"] == n
@@ -956,8 +987,8 @@ def _reduced_oracle(a0: Fraction, order: int, kernel=(_G, _NUM, _DEN)) -> dict:
     labels = series.LabelSeries(rules.RULES["semi"], order)
 
     def collapsed(exponent, t):
-        return series.XSeries(sum((v * t ** exponent(*e) for e, v in labels.poly(k).c.items()),
-                                  Fraction(0)) for k in range(order + 1))
+        return series.XSeries(sum((v * t ** exponent(*e) for e, v in _poly(grid).c.items()),
+                                  Fraction(0)) for grid in labels.grids)
 
     s_diag = collapsed(lambda h, k: h + k, 1 + a0)
     s_top = collapsed(lambda h, k: k, 1 + 1 / a0)
@@ -992,19 +1023,11 @@ def test_reduced_identity_equals_the_fraction_oracle(a0, order, corruption, n, p
     (h + k > n+1, k > n) added.  The extra powers of p and q must absorb
     that label: a negative power would be a float, which overflows or
     underflows at these exponents."""
-    real = series.levels
-
-    def relabelled(rule):
-        for m, level in enumerate(real(rule), 1):
-            if m == n and corruption == "label":
-                level = dict(level)
-                level[sorted(level)[pick % len(level)]] += 1
-            elif m == n and corruption == "new label":
-                level = {**level, (n + 1100, n + 1000): pick % 5 + 1}
-            yield level
-
+    relabelled = {"label": lambda grid: _grid(_bumped(_poly(grid), pick)),
+                  "new label": _bump((n + 1100, n + 1000), pick % 5 + 1)}.get(corruption)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "levels", relabelled)
+        if relabelled:
+            mp.setattr(series, "_grids", _grids_with(n, relabelled))
         g, num = _G, _NUM  # the typed F = x g and P's numerator, in (a, W)
         if corruption == "num":
             num = _bumped(num, pick)
