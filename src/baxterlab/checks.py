@@ -188,8 +188,8 @@ def _chk_census(top: int, seed: int) -> Outcome:
         ("strong", "strong"),
     )
     for cls_name, rule_name in pairs:
-        for n, want in enumerate(islice(rules.levels(rules.RULES[rule_name]), top), 1):
-            got = perms.label_census(perms.CLASSES[cls_name], n)
+        levels = islice(rules.levels(rules.RULES[rule_name]), top)
+        for n, (want, got) in enumerate(zip(levels, perms.censuses(perms.CLASSES[cls_name])), 1):
             if cls_name == "plane":  # the semi rule counts plane's labels with h and k swapped
                 got = {(k, h): c for (h, k), c in got.items()}
             if got != want:

@@ -15,9 +15,10 @@ Right insertion pi . a appends a new smallest-to-largest value a in
 Av(P) of vincular patterns is prefix-closed under this growth (deleting
 the last point of an avoider leaves an avoider), so the avoiders of each
 size form a generating tree: the children of pi are the pi . a for the
-"active sites" a.  Enumeration grows that tree a level at a time, one
-entry per canonical node state with its multiplicity, and streams the
-last level through without storing it (see ``_walk``).
+"active sites" a.  Enumeration grows that tree a level at a time
+(``_levels``), one entry per canonical node state with its multiplicity,
+and streams the last level through without storing it
+(``enumerate_class``).
 
 A node's forbidden mask has bit a-1 set when pi . a leaves the class.
 The prefix of pi . a is order-isomorphic to pi, so a new occurrence of a
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 Label = tuple[int, int]
@@ -191,45 +193,33 @@ def _canonical(n: int, last: int, mask: int, stair: Stair) -> State:
     return rank(last), (1 << f) - 1, stair
 
 
-def _grow(step: Step, states: Iterable[tuple[State, int]], n: int,
-          counts: list[int]) -> Iterator[tuple[State, int]]:
-    """Each child (state, m) of the size-n (state, m) pairs in states, one
-    for each active site of the parent; adds to counts[n] each parent's
-    number of children, times its m, as the parent is read."""
+def _grow(step: Step, states: Iterable[tuple[State, int]], n: int) -> Iterator[tuple[State, int]]:
+    """The children (state, m) of the size-n pairs (state, m) in states, one per active site."""
     for (last, mask, stair), m in states:
-        free = ~mask & ((1 << (n + 1)) - 1)
-        counts[n] += m * free.bit_count()
         for a in range(1, n + 2):
-            if free >> (a - 1) & 1:
+            if not mask >> (a - 1) & 1:
                 yield (a, *step(mask, stair, last, a)), m
 
 
-def _walk(cls: AvoidanceClass, depth: int,
-          counts: list[int]) -> Iterable[tuple[State, int]]:
-    """The (state, m) pairs of the avoiders of size depth >= 1, m of them in
-    each state.  As the pairs are read, counts[n] gets the number of
-    avoiders of size n + 1 for each n = 1..depth-1.
-
-    Nodes of one size whose states share a `_canonical` form root
-    isomorphic subtrees, so each level up to size depth - 1 keeps one
-    entry per canonical state, with the number of nodes in it.  The last
-    level streams through one `_grow` call in raw form and is never
-    stored, as only its free sets and (last, mask) are read.  exp1423's
-    avoiders of size 10 fill 125,597 raw states but 8,829 canonical ones."""
-    states: Iterable[tuple[State, int]] = {(1, 0, ()): 1}.items()
-    for n in range(1, depth):
-        states = _grow(cls.step, states, n, counts)
-        if n < depth - 1:
-            merged: Counter[State] = Counter()
-            for state, m in states:
-                merged[_canonical(n + 1, *state)] += m
-            states = merged.items()
-    return states
+def _levels(cls: AvoidanceClass) -> Iterator[dict[State, int]]:
+    """The levels {state: m} of sizes 1, 2, ..., each grown when asked for:
+    m avoiders in each `_canonical` state.  Nodes that share a canonical
+    state root isomorphic subtrees, so they are counted once, times m.
+    exp1423's avoiders of size 10 fill 125,597 raw states but 8,829
+    canonical ones."""
+    level: dict[State, int] = {(1, 0, ()): 1}
+    for n in count(1):
+        yield level
+        merged: Counter[State] = Counter()
+        for state, m in _grow(cls.step, level.items(), n):
+            merged[_canonical(n + 1, *state)] += m
+        level = merged
 
 
 def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
-    """Counts of avoiders of sizes 1..n_max by generating-tree growth; the
-    last size is counted from its parents' free sets, never grown.
+    """Counts of avoiders of sizes 1..n_max by generating-tree growth: the
+    level sums up to size n_max - 2, then size n_max - 1 streamed raw
+    through one `_grow` and never stored, whose free sets count size n_max.
 
     >>> enumerate_class(CLASSES["semi"], 6)
     [1, 2, 6, 23, 104, 530]
@@ -238,30 +228,39 @@ def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
     >>> enumerate_class(CLASSES["exp1423"], 6)
     [1, 2, 6, 23, 104, 530]
     """
-    if n_max < 2:
-        return [1] * max(n_max, 0)
-    n = n_max - 1
-    counts = [1] + [0] * n  # counts[i]: size i + 1
-    for (_, mask, _), m in _walk(cls, n, counts):
-        counts[n] += m * (~mask & ((1 << (n + 1)) - 1)).bit_count()
-    return counts
+    if n_max < 3:  # the root (1, 0, ()) has no forbidden slot
+        return [1, 2][:max(n_max, 0)]
+    counts = []
+    for level in islice(_levels(cls), n_max - 2):
+        counts.append(sum(level.values()))
+    below = top = 0
+    for (_, mask, _), m in _grow(cls.step, level.items(), n_max - 2):
+        below += m
+        top += m * (~mask & ((1 << n_max) - 1)).bit_count()
+    return counts + [below, top]
+
+
+def censuses(cls: AvoidanceClass) -> Iterator[dict[Label, int]]:
+    """The multisets of labels (h, k) over the avoiders of sizes 1, 2, ...
+    of a class of pair patterns, read off `_levels`: h counts active sites
+    <= the last value and k those above it.  A canonical state's f forbidden
+    slots are 1..f, so h = last - f and k = n + 1 - last.  Reading a class
+    with another pattern raises ValueError."""
+    if not set(cls.patterns) <= _PAIR_FLAGS.keys():
+        raise ValueError(f"class {cls.name} carries no (h, k) label")
+    for n, level in enumerate(_levels(cls), 1):
+        census: Counter[Label] = Counter()
+        for (last, mask, _), m in level.items():
+            census[last - mask.bit_length(), n + 1 - last] += m
+        yield dict(census)
 
 
 def label_census(cls: AvoidanceClass, n: int) -> dict[Label, int]:
-    """Multiset of labels (h, k) over all avoiders of size n of a class of
-    pair patterns: h counts active sites <= the last value and k those above
-    it.  A class with another pattern raises ValueError.
+    """The census of `censuses` at avoider size n >= 1.
 
     >>> sorted(label_census(CLASSES["semi"], 3).items())
     [((1, 2), 1), ((1, 3), 1), ((2, 2), 2), ((3, 1), 2)]
     """
-    if not set(cls.patterns) <= _PAIR_FLAGS.keys():
-        raise ValueError(f"class {cls.name} carries no (h, k) label")
     if n < 1:
         raise ValueError(f"avoider size must be >= 1, got {n}")
-    census: Counter[Label] = Counter()
-    for (last, mask, _), m in _walk(cls, n, [0] * n):
-        free = ~mask & ((1 << (n + 1)) - 1)
-        h = (free & ((1 << last) - 1)).bit_count()
-        census[h, free.bit_count() - h] += m
-    return dict(census)
+    return next(islice(censuses(cls), n - 1, None))

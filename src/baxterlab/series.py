@@ -17,13 +17,14 @@ series is divided.  One helper, _cleared, evaluates such polynomials on ints
 at a = p/q (x = t*p*q) and at a = 2^b, each cleared by powers read off its
 own terms.
 
-solve_W and build_F compute on plain ints (Kronecker substitution).  With
-x = t*a the equation reads W = t(1+a)(W+1+a)(W+a), whose coefficients in
-a are nonnegative, so every [t^n]W is a polynomial in a with nonnegative
-int coefficients, each at most its value at a = 1.  Solved once at a = 1
-for that bound and once at a = 2^b with b wide enough, each coefficient
-of W (or of F, read from g the same way) is one int whose signed
-b-bit digits are its coefficients in a.  What they return is a series of
+solve_W and build_F compute on plain ints through one reader, _read
+(Kronecker substitution).  With x = t*a the equation reads W =
+t(1+a)(W+1+a)(W+a), whose coefficients in a are nonnegative, so every
+[t^n]W is a polynomial in a with nonnegative int coefficients, each at
+most its value at a = 1.  Solved once at a = 1 for that bound and once
+at a = 2^b with b wide enough, each coefficient of W (or of any f(a, W),
+such as F's g) is one int whose signed b-bit digits are its coefficients
+in a.  What they return is a series of
 Polys keyed (e, 0).  The label series keeps the grids its rule steps
 (rules._grids); the label residuals pack each level, and each image of it,
 from the grid's live rows as one int at y = 2^b, z = 2^(bw), so a monomial
@@ -166,7 +167,7 @@ class XSeries:
     """Power series in x truncated at a fixed order.
 
     The coefficients are Polys in a, ints or Fractions; the series needs
-    only +, -, *, truth and equality of them (c * 0 is the zero).
+    only +, *, truth and equality of them (c * 0 is the zero).
     """
 
     __slots__ = ("c",)
@@ -195,12 +196,6 @@ class XSeries:
             return XSeries([self.c[0] + other] + self.c[1:])
         self._same_order(other)
         return XSeries(map(add, self.c, other.c))
-
-    def __neg__(self) -> "XSeries":
-        return XSeries(-u for u in self.c)
-
-    def __sub__(self, other) -> "XSeries":
-        return self + -other
 
     def __mul__(self, other: "XSeries") -> "XSeries":
         n = self._same_order(other)
@@ -241,38 +236,6 @@ def _v_at(p: int, q: int, order: int) -> XSeries:
     return online_fixpoint(p + q, p + q, p, order)
 
 
-def _kronecker(bound: XSeries, order: int) -> tuple[int, XSeries]:
-    """(b, _v_at(2^b, 1, order)) for the least whole-byte b with every entry
-    of bound below 2^(b-1), so a polynomial in a whose coefficients the
-    bound covers reads back from its value at 2^b by _digits.
-
-    The a-exponents of [x^n]W must lie in [-(n-1), 2n] (by induction: each
-    order adds at most a^2 and at least ā), else ValueError; those of
-    [t^n] in [1, 3n], read here on the ints.
-    """
-    b = _width(max(bound.c))
-    w = _v_at(1 << b, 1, order)
-    for n in range(1, order + 1):
-        v = w.c[n]
-        if not v or v & (1 << b) - 1 or v >> b * (3 * n + 1):
-            raise ValueError(f"[x^{n}]W leaves the exponent window [{1 - n}, {2 * n}]")
-    return b, w
-
-
-def solve_W(order: int) -> XSeries:
-    """The unique series with W = x*ā*(1+a)*(W+1+a)*(W+a), ā = 1/a.
-
-    Solved online at a = 2^b, re-substituted once to confirm the fixpoint,
-    and read back coefficient by coefficient; see _kronecker.
-
-    >>> solve_W(2).coeff_x(1)
-    1 + 2*a^1 + 1*a^2
-    """
-    at_least(order, 1, "order")
-    b, w = _kronecker(_v_at(1, 1, order), order)
-    return XSeries(_digits(v, b, -n) for n, v in enumerate(w.c))
-
-
 def lagrange_coeff(s: int, k: int, i: int) -> Fraction:
     """[a^s x^k] W^i for i in {1,2,3} without solving for W.
 
@@ -309,23 +272,50 @@ def _cleared(fs: Sequence[Poly], p: int, q: int, v: XSeries) -> list[tuple[int, 
     return out
 
 
+def _read(f: Poly, order: int) -> XSeries:
+    """f(a, W) through x^order as Polys in a, for f a Poly keyed (e, k) for
+    a^e W^k, read from one solve at a = 2^b (_v_at, x = t*a): [t^n] of
+    _cleared of f is a^(n+i) [x^n]f.  b is the least whole-byte width above
+    W and _cleared of |f| at a = 1, which bound every coefficient in a, as
+    W's are nonnegative.  The a-exponents of [x^n]W must lie in [-(n-1), 2n]
+    (by induction: each order adds at most a^2 and at least ā), else
+    ValueError; those of [t^n] in [1, 3n].
+    """
+    u = _v_at(1, 1, order)
+    ((_, _, bound),) = _cleared([Poly({e: abs(x) for e, x in f.c.items()})], 1, 1, u)
+    b = _width(max(*bound.c, *u.c))
+    w = _v_at(1 << b, 1, order)
+    for n in range(1, order + 1):
+        v = w.c[n]
+        if not v or v & (1 << b) - 1 or v >> b * (3 * n + 1):
+            raise ValueError(f"[x^{n}]W leaves the exponent window [{1 - n}, {2 * n}]")
+    ((i, _, cleared),) = _cleared([f], 1 << b, 1, w)
+    return XSeries(_digits(c, b, -n - i) for n, c in enumerate(cleared.c))
+
+
+def solve_W(order: int) -> XSeries:
+    """The unique series with W = x*ā*(1+a)*(W+1+a)*(W+a), ā = 1/a.
+
+    Solved online at a = 2^b, re-substituted once to confirm the fixpoint,
+    and read back coefficient by coefficient; see _read.
+
+    >>> solve_W(2).coeff_x(1)
+    1 + 2*a^1 + 1*a^2
+    """
+    at_least(order, 1, "order")
+    return _read(Poly({(0, 1): 1}), order)
+
+
 def build_F(order: int) -> XSeries:
     """(1+a)^2 x + (ā^5+ā^4+2+2a) xW + (-ā^5-ā^4+ā^3-ā^2-ā+1) xW^2 + (ā^4-ā^2) xW^3.
 
     The a^0 coefficient of [x^n] is the n-th semi-Baxter number, and the
     nonnegative part in a matches the semi label polynomials at y=z=1+a.
 
-    F = x g (_kernel_data), so g is needed to x^(order-1).  _cleared at
-    a = 2^b multiplies g by a^i, clearing its negative exponents, and with
-    x = t*a, [t^n] of that is a^(n+i) [x^(n+1)]F.  The bound is _cleared of
-    g's absolute values at a = 1: row by row at least 6 W at a = 1, it bounds W too.
+    F = x g (_kernel_data), so g is needed to x^(order-1), by _read.
     """
     at_least(order, 1, "order")
-    g = _kernel_data()[0]
-    bound = _cleared([Poly({e: abs(x) for e, x in g.c.items()})], 1, 1, _v_at(1, 1, order - 1))
-    b, w = _kronecker(bound[0][2], order - 1)
-    ((i, _, f),) = _cleared([g], 1 << b, 1, w)
-    return XSeries(_digits(v, b, 1 - n - i) for n, v in enumerate([0, *f.c]))
+    return XSeries([Poly(), *_read(_kernel_data()[0], order - 1).c])
 
 
 def omega_geq(s: XSeries) -> XSeries:

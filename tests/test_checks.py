@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import baxterlab
-from baxterlab import checks, formulas
+from baxterlab import checks, formulas, invseq, perms, rules, series, walks
 
 
 def test_compare_routes_agree():
@@ -232,3 +232,124 @@ def test_guards_raise_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr + done.stdout
+
+
+# Planted faults: each test breaks one engine in one place, and the check
+# that covers that engine must fail and name the place.
+
+def test_census_check_names_a_planted_level_fault(monkeypatch):
+    levels = perms._levels
+
+    def planted(cls):
+        for n, level in enumerate(levels(cls), 1):
+            if n == 4:  # one more node with last = 1 and no forbidden slot: label (1, 4)
+                level = dict(level)
+                level[1, 0, ()] += 1
+            yield level
+
+    monkeypatch.setattr(perms, "_levels", planted)
+    assert checks._chk_census(5, 0) == (
+        False, "class semi census vs rule semi distribution differ at n=4, label (1, 4)")
+
+
+def test_census_check_walks_each_class_once(monkeypatch):
+    # one level stream per class/rule pair, whatever the top size
+    started = []
+    levels = perms._levels
+    monkeypatch.setattr(perms, "_levels", lambda cls: started.append(cls.name) or levels(cls))
+    assert checks._chk_census(7, 0)[0]
+    assert started == ["semi", "plane", "baxter", "twisted", "strong"]
+
+
+def test_invseq_labels_check_names_a_planted_extension_fault(monkeypatch):
+    extensions = invseq.valid_extensions
+    monkeypatch.setattr(invseq, "valid_extensions",  # (0, 1) loses its last extension
+                        lambda e: extensions(e)[:-1] if e == (0, 1) else extensions(e))
+    assert checks._chk_invseq_labels(6, 0) == (
+        False, "extension labels vs rule-semi productions differ at e=(0, 1)")
+
+
+def test_extraction_check_names_a_planted_recurrence_fault(monkeypatch):
+    table = formulas.sb_table
+    monkeypatch.setattr(formulas, "sb_table",  # SB_5 off by one
+                        lambda n, *route: [v + (i == 5) for i, v in enumerate(table(n, *route))])
+    assert checks.series_extraction(12) == (False, "extraction vs recurrence at n=5: 104 != 105")
+
+
+def test_nonneg_part_check_names_a_planted_label_fault(monkeypatch):
+    one_plus = series.LabelSeries.series_in_one_plus_a
+
+    def planted(self):  # one more a^2 at x^4
+        s = one_plus(self)
+        s.c[4] = s.c[4] + series.laurent({2: 1})
+        return s
+
+    monkeypatch.setattr(series.LabelSeries, "series_in_one_plus_a", planted)
+    assert checks.series_nonneg_part(10) == (
+        False, "nonneg part vs label evaluation at n=4, exponent a^2")
+
+
+def test_lagrange_check_names_a_planted_inversion_fault(monkeypatch):
+    coeff = series.lagrange_coeff
+    monkeypatch.setattr(series, "lagrange_coeff",
+                        lambda s, k, i: coeff(s, k, i) + ((s, k, i) == (2, 3, 2)))
+    assert checks._chk_lagrange(8, 0) == (
+        False, "inversion formula vs series extraction differ at (s,k,i)=(2,3,2)")
+
+
+def _planted_seven(monkeypatch, name, n, one):
+    """Add one to the SEVEN count of walks.name at length n."""
+    count = getattr(walks, name)
+
+    def planted(steps, n_max):
+        out = count(steps, n_max)
+        if steps is walks.SEVEN and n_max >= n:
+            out[n] = out[n] + one
+        return out
+
+    monkeypatch.setattr(walks, name, planted)
+
+
+def test_w2_check_names_a_planted_table_fault(monkeypatch):
+    _planted_seven(monkeypatch, "count_walks", 5, series.Poly({(0, 0): 1}))
+    assert checks._chk_w2(8, 12, 0) == (
+        False, "seven-step tables vs binomial transform of five-step tables differ at n=5")
+
+
+def test_w2_check_names_a_planted_excursion_fault(monkeypatch):
+    _planted_seven(monkeypatch, "excursions", 7, 1)
+    assert checks._chk_w2(8, 12, 0) == (
+        False, "seven-step excursions vs transformed five-step excursions differ at n=7")
+
+
+def test_growth_check_fails_on_planted_excursion_counts(monkeypatch):
+    excursions = walks.excursions
+    monkeypatch.setattr(walks, "excursions",  # counts of a walk model growing twice as fast
+                        lambda steps, n: [v << m for m, v in enumerate(excursions(steps, n))])
+    ok, detail = checks._chk_growth(100, 0)
+    assert not ok and detail.startswith("estimate vs minimal-polynomial root: ")
+
+
+def test_asymptotics_check_fails_on_a_planted_amplitude(monkeypatch):
+    monkeypatch.setattr(formulas, "AMP_A", formulas.AMP_A * 1.5)
+    ok, detail = checks._chk_asymptotics(500, 0.05, 0)
+    assert not ok and detail.startswith("recurrence asymptotics vs constants: ")
+
+
+def test_rule_dsl_check_names_a_planted_axiom(monkeypatch):
+    monkeypatch.setitem(rules.RULES, "bax", rules.RULES["bax"]._replace(axiom=(2, 1)))
+    assert checks._chk_rule_dsl(10, 0) == (False, "bax axiom is (2, 1), not (1, 1)")
+
+
+def test_rule_dsl_check_names_a_planted_expansion_fault(monkeypatch):
+    expand = rules.expand_level
+
+    def planted(rule, dist):  # bax's level 4 gets one more (1, 1)
+        out = expand(rule, dist)
+        if rule.name == "bax" and sum(dist.values()) == 6:
+            out[1, 1] = out.get((1, 1), 0) + 1
+        return out
+
+    monkeypatch.setattr(rules, "expand_level", planted)
+    assert checks._chk_rule_dsl(10, 0) == (
+        False, "bax interval-sum level vs node expansion differ at n=4, label (1, 1)")

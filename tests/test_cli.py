@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import baxterlab
-from baxterlab import checks, cli, rules
+from baxterlab import checks, cli, rules, walks
 
 from conftest import corrupt_recurrences, naive_walk_tables
 
@@ -363,6 +363,20 @@ def test_series_verdict_lines_are_pinned(capsys, argv, want):
     assert run(capsys, ["series"] + argv) == (0, want, "")
 
 
+def test_series_w_prints_its_first_two_rows(capsys):
+    assert run(capsys, ["series", "--check", "W", "--order", "5"]) == (0, (
+        "fixpoint verified to order 5\n"
+        "[x^1] = 1 + 2*a^1 + 1*a^2\n"
+        "[x^2] = 1*a^-1 + 5 + 9*a^1 + 7*a^2 + 2*a^3\n"), "")
+
+
+def test_walks_growth_plain_prints_one_key_per_line(capsys):
+    code, out, err = run(capsys, ["walks", "--n-max", "60", "--estimate-growth"])
+    rep = walks.growth_estimate(walks.FIVE, 60)
+    keys = ("steps", "n_max", "alpha_hat", "rho_hat", "target", "rel_err", "residual_of_minpoly")
+    assert (code, out, err) == (0, "".join(f"{key} = {rep[key]}\n" for key in keys), "")
+
+
 def test_check_quick_text(capsys):
     code, out, _ = run(capsys, ["check", "--suite", "quick"])
     assert code == 0
@@ -414,3 +428,17 @@ def test_closed_stdout_exits_1_without_traceback(argv, lines_read):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_broken_pipe_points_stdout_at_devnull_and_exits_1(monkeypatch, tmp_path):
+    # the handler the subprocess test above reaches, run in this process on
+    # a stdout of its own: main points that descriptor at devnull, so the
+    # flush at exit cannot raise again
+    def closed(args):
+        raise BrokenPipeError
+
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(cli, "_cmd_seq", closed)
+        assert cli.main(["seq", "--family", "sb", "--n-max", "3"]) == 1
+        assert os.path.samestat(os.fstat(out.fileno()), os.stat(os.devnull))

@@ -22,6 +22,13 @@ def test_binom_and_catalan():
     assert [formulas.catalan(n) for n in range(1, 11)] == CATALAN
 
 
+def test_binom_and_simple_formula_guards():
+    with pytest.raises(ValueError, match="binomial top must be nonnegative, got -1"):
+        formulas.binom(-1, 0)
+    with pytest.raises(ValueError, match="unknown simple-formula variant 'e'"):
+        formulas.sb_simple_formula(5, "e")
+
+
 def test_sb_recurrence_prefix():
     assert formulas.sb_recurrence(13)[1:] == SB
 

@@ -223,7 +223,7 @@ def test_every_public_top_level_name_is_read_or_traced(monkeypatch):
             if name not in read and (module, name) not in bound] == []
     assert sorted(name for module, name, _ in public
                   if name not in read and (module, name) in bound) == [
-        "distribution", "q_table", "sb_via_apery", "total_via_formula"]
+        "distribution", "label_census", "q_table", "sb_via_apery", "total_via_formula"]
 
 
 def test_every_method_is_read_or_traced(monkeypatch):

@@ -411,8 +411,8 @@ def test_canonical_state_roots_the_same_subtree(name, data):
 
 
 def test_walk_streams_its_last_level():
-    # The last level holds the most states, so _walk streams it and stores
-    # none.  The peak counts what the interpreter's free lists do not hold
+    # The last level holds the most states, so enumerate_class streams it
+    # and stores none.  The peak counts what the interpreter's free lists do not hold
     # yet (0.20 MB in a fresh interpreter), so they are cleared and then
     # warmed by one call, whatever ran before: streaming then peaks near
     # 0.11 MB, and keeping the last level as a list peaks near 1.0 MB.
@@ -425,6 +425,24 @@ def test_walk_streams_its_last_level():
     finally:
         tracemalloc.stop()
     assert peak < 0.25e6, peak
+
+
+def test_levels_grow_only_the_levels_read(monkeypatch):
+    # _levels grows a level when it is asked for, and enumerate_class merges
+    # the sizes up to n_max - 2 and grows size n_max - 1 once, unmerged
+    grown, canonical = [], []
+    grow, canon = perms._grow, perms._canonical
+    monkeypatch.setattr(perms, "_grow",
+                        lambda step, states, n: grown.append(n) or grow(step, states, n))
+    monkeypatch.setattr(perms, "_canonical",
+                        lambda n, *state: canonical.append(n) or canon(n, *state))
+    semi = perms.CLASSES["semi"]
+    assert [sum(level.values()) for level in itertools.islice(perms._levels(semi), 4)] == SB[:4]
+    assert grown == [1, 2, 3] and max(canonical) == 4
+    grown.clear()
+    canonical.clear()
+    assert perms.enumerate_class(semi, 6) == SB[:6]
+    assert grown == [1, 2, 3, 4] and max(canonical) == 4
 
 
 @pytest.mark.parametrize("name, rule", [

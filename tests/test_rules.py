@@ -218,6 +218,10 @@ def test_guards_raise_value_error():
         rules.parse_rule("axiom (0,1)\nrow (h, k)\n")
     with pytest.raises(ValueError):
         rules.parse_rule("axiom (1,1)\nrow (h, k) for h = 1..k\n")
+    with pytest.raises(ValueError, match="duplicate axiom line"):
+        rules.parse_rule("axiom (1,1)\naxiom (1,1)\nrow (h, k)\n")
+    with pytest.raises(ValueError, match="rule has no production rows"):
+        rules.parse_rule("axiom (1,1)\n# no row\n")
 
 
 def test_non_positive_child_raises_in_both_steps():

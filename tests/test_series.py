@@ -1,6 +1,7 @@
 """Formal series side: W, F, the nonneg-part theorem, residuals, kernels."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -197,13 +198,14 @@ def test_lagrange_cube():
 def test_solve_w_past_256_bit_coefficients_matches_lagrange():
     """At order 80 the coefficients of W pass 256 bits; a sampled (s, k, i)
     grid of [a^s x^k] W^i equals the inversion formula.  W, W^2 and W^3
-    are read from one solve at a = 2^b, with b chosen from W^3 at a = 1
-    so that every row of all three reads back by _digits.  W^2 is formed
-    one row at a time; W^3 needs every row of W^2 below k, so it is
-    sampled lower."""
+    are read from one solve at a = 2^b, with b the _width of W^3 at a = 1,
+    as _read would take it for f = W^3, so that every row of all three
+    reads back by _digits.  W^2 is formed one row at a time; W^3 needs
+    every row of W^2 below k, so it is sampled lower."""
     order = 80
     u = series._v_at(1, 1, order)
-    b, w = series._kronecker(u * u * u, order)
+    b = series._width(max((u * u * u).c))
+    w = series._v_at(1 << b, 1, order)
     w2 = [series._row(w.c, w.c, k) for k in range(41)]
     powers = {
         1: {k: series._digits(w.c[k], b, -k) for k in (1, 37, 79, 80)},
@@ -226,10 +228,18 @@ def test_width_is_the_least_byte_width_above_the_bound():
         assert b % 8 == 0 and bound < 1 << b - 1 and (b == 8 or bound >= 1 << b - 9)
 
 
-def test_kronecker_width_keeps_the_sign_bit_clear():
-    """b is the least whole-byte width with every bound entry below 2^(b-1)."""
+def test_kronecker_width_keeps_the_sign_bit_clear(monkeypatch):
+    """For f = W - top the bound at a = 1 is (top, 4, 24): _read takes b as
+    the least whole-byte width with every entry below 2^(b-1), and -top
+    reads back at x^0."""
+    widths = []
+    width = series._width
+    monkeypatch.setattr(series, "_width", lambda bound: widths.append(width(bound)) or widths[-1])
+    w = series.solve_W(2)
     for top, b in [(1, 8), (127, 8), (128, 16), (2 ** 15 - 1, 16), (2 ** 15, 24)]:
-        assert series._kronecker(series.XSeries([0, top, 3]), 2)[0] == b, top
+        got = series._read(series.Poly({(0, 0): -top, (0, 1): 1}), 2)
+        assert widths[-1] == b, top
+        assert got.c == [series.laurent({0: -top}), *w.c[1:]], top
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 12])
@@ -674,6 +684,14 @@ def test_closed_open_orbit_is_counted_exactly(monkeypatch):
     rep = series.kernel_invariance("strong", trials=2, seed=11)
     assert not rep["orbit_ok"] and not rep["ok"]
     assert all(s <= 8 for s in rep["orbit_sizes"])
+
+
+def test_lagrange_and_kernel_guards():
+    for s, k, i in [(0, 1, 4), (0, 1, 0), (0, 0, 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"k >= 1, got i={i}, k={k}")):
+            series.lagrange_coeff(s, k, i)
+    with pytest.raises(ValueError, match="unknown kernel group 'bax'"):
+        series.kernel_invariance("bax", 1)
 
 
 def test_kernel_invariance_reports():
