@@ -11,21 +11,24 @@ and transforms its counts.  The one walk DP, walk_grids, keeps per
 length only the cells within reach of the step set's largest moves along
 x, y and x+y (and, for excursions, within reach of the origin again);
 for FIVE and SEVEN that is a triangle.  A grid row is one int with cell
-x in the b-bit slot at bit x*b (Kronecker substitution), so a step is a
-big-int shift and add per row, and a row is masked back to its region
-only when it has outgrown it.  No cell of length t exceeds M^t, M the
-sum of the multiplicities; the slots hold M^T for the next _WIDEN_EVERY
-lengths T and are then re-slotted wider.  The walk equation is read off
-the step multiset alone, by inclusion-exclusion over the steps that
-would leave the quarter plane.  Growth constants are estimated from
-excursion counts; for FIVE the target is the real root of
-t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
+x in the b-bit slot at bit x*b (Kronecker substitution).  Per dx, one
+length adds rows y - dy into row y and shifts the sum by dx*b, in a few
+C-level map passes over the row list, and a row is masked back to its
+region only when it has outgrown it.  No cell of length t exceeds M^t,
+M the sum of the multiplicities; the slots hold M^T for the next
+_WIDEN_EVERY lengths T and are then re-slotted wider.  The walk equation
+is read off the step multiset alone, by inclusion-exclusion over the
+steps that would leave the quarter plane.  Growth constants are
+estimated from excursion counts; for FIVE the target is the real root
+of t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
+from operator import add, lshift, mul, rshift
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .formulas import at_least
@@ -44,8 +47,10 @@ class StepMultiset:
         self.mult: dict[Step, int] = {}
         for s in steps:
             dx, dy, m = s if len(s) == 3 else (*s, 1)
-            if abs(dx) > 1 or abs(dy) > 1 or m < 1:
-                raise ValueError(f"need small steps of positive multiplicity, got {m}x({dx},{dy})")
+            if abs(dx) > 1 or abs(dy) > 1:
+                raise ValueError(f"need small steps, coordinates in {{-1, 0, 1}}, got ({dx},{dy})")
+            if m < 1:
+                raise ValueError(f"need a multiplicity of at least 1, got {m}x({dx},{dy})")
             self.mult[(dx, dy)] = self.mult.get((dx, dy), 0) + m
         self.name = name
 
@@ -139,6 +144,8 @@ def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
     rise = [max([0] + [f[i] for f in forms]) for i in range(3)]
     drop = [max([0] + [-f[i] for f in forms]) for i in range(3)]
     mult_sum = sum(m for _, m in items)
+    # the steps grouped by dx, each as (1 - dy, m): new row y reads ext[y + 1 - dy]
+    groups = {dx: [(1 - dy, m) for (d, dy), m in items if d == dx] for (dx, _), _ in items}
     b, top, rows, widths = 8, 0, [1], [1]
     yield b, rows, widths
     for t in range(1, n_max + 1):
@@ -152,20 +159,21 @@ def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
         x_top, y_top, s_top = (
             min(t * r, (n_max - t) * d) if returning else t * r for r, d in zip(rise, drop)
         )
-        new_rows, widths = [], []
-        for ny in range(min(y_top, s_top) + 1):
-            row = 0
-            for (dx, dy), m in items:
-                sy = ny - dy
-                if 0 <= sy < len(rows):
-                    # cell x of the new row takes cell x - dx of row sy; >> drops x = -1
-                    src = rows[sy] << b if dx == 1 else rows[sy] >> b if dx else rows[sy]
-                    row += src if m == 1 else m * src
-            widths.append(min(x_top, s_top - ny) + 1)
-            # mask only a row that outgrew its region: none does while it grows
-            cut = widths[-1] * b
-            new_rows.append(row if row.bit_length() <= cut else row & ((1 << cut) - 1))
-        rows = new_rows
+        n = min(y_top, s_top) + 1  # at most len(rows) + 1
+        # ext[y + 1] is row y, zero past either end; lazy maps hold no list of partial sums
+        ext, total = [0, *rows, 0, 0], None
+        for dx, terms in groups.items():
+            part = None
+            for i, m in terms:
+                src = ext[i:i + n] if m == 1 else map(mul, ext[i:i + n], repeat(m))
+                part = src if part is None else map(add, part, src)
+            # cell x takes cell x - dx of the sum (no slot carries); >> drops x = -1
+            part = map(lshift if dx > 0 else rshift, part, repeat(b)) if dx else part
+            total = part if total is None else map(add, total, part)
+        widths = [min(x_top, s_top - y) + 1 for y in range(n)]
+        # mask only a row that outgrew its region: none does while it grows
+        rows = [r if r.bit_length() <= w * b else r & ((1 << w * b) - 1)
+                for w, r in zip(widths, total)]
         yield b, rows, widths
 
 

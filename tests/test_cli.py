@@ -194,10 +194,16 @@ def test_walks_custom_steps_bfile(capsys):
     assert out == "0 1\n1 3\n2 9\n"
 
 
-def test_walks_bad_steps_exit_2(capsys):
-    code, _, err = run(capsys, ["walks", "--steps", "(5,0)", "--n-max", "3"])
+@pytest.mark.parametrize("steps, message", [
+    ("(5,0)", "need small steps, coordinates in {-1, 0, 1}, got (5,0)"),
+    ("(2,0)", "need small steps, coordinates in {-1, 0, 1}, got (2,0)"),
+    ("(1,0);0x(0,1)", "need a multiplicity of at least 1, got 0x(0,1)"),
+])
+def test_walks_bad_steps_exit_2(capsys, steps, message):
+    code, out, err = run(capsys, ["walks", "--steps", steps, "--n-max", "3"])
     assert code == 2
-    assert "small steps" in err
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_walks_growth_json(capsys):

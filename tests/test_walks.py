@@ -28,9 +28,14 @@ def test_parse_steps_rejects_garbage():
     assert walks.parse_steps("(1,0);;(0,1);").mult == {(1, 0): 1, (0, 1): 1}
 
 
-@pytest.mark.parametrize("text", ["0x(1,0)", "(2,0)"])
-def test_parse_steps_leaves_step_checks_to_step_multiset(text):
-    with pytest.raises(ValueError, match="small steps"):
+@pytest.mark.parametrize("text, message", [
+    ("0x(1,0)", r"need a multiplicity of at least 1, got 0x\(1,0\)"),
+    ("(2,0)", r"need small steps, coordinates in \{-1, 0, 1\}, got \(2,0\)"),
+    ("3x(0,-2)", r"need small steps, coordinates in \{-1, 0, 1\}, got \(0,-2\)"),
+])
+def test_parse_steps_leaves_step_checks_to_step_multiset(text, message):
+    """Each fault has its own message, naming the step at fault."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
         walks.parse_steps(text)
 
 
@@ -157,6 +162,21 @@ def test_random_step_sets_match_the_naive_counter(mult, n_max):
     assert walks.excursions(steps, n_max) == [t.get((0, 0), 0) for t in want]
     assert walks.walk_totals(steps, n_max) == [sum(t.values()) for t in want]
     assert residual_scan(walks._walk_defects(steps, tables)) == (0, None)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mult=_SMALL_STEPS, returning=st.booleans(),
+       n_max=st.integers(2 * walks._WIDEN_EVERY + 1, 2 * walks._WIDEN_EVERY + 6))
+def test_random_step_sets_stay_exact_across_slot_widenings(mult, returning, n_max):
+    """Past two slot widenings every kept cell of a random step set equals
+    the naive count, no bit sits past a row's width, and the totals and
+    excursions read off the grids are the naive ones."""
+    want = naive_walk_tables(mult, n_max)
+    steps = _multiset(mult)
+    for t, grid in enumerate(walks.walk_grids(steps, n_max, returning)):
+        assert all(v == want[t].get(cell, 0) for cell, v in _unpacked(grid).items())
+    assert walks.excursions(steps, n_max) == [t.get((0, 0), 0) for t in want]
+    assert walks.walk_totals(steps, n_max) == [sum(t.values()) for t in want]
 
 
 @settings(max_examples=60, deadline=None)
