@@ -10,8 +10,8 @@ where they differ.  The series-side verdicts that `baxterlab series
 --check` prints are the functions their checks call.  The checks run
 one after another, so each report's elapsed_ms is that check's own wall
 time.  Each row of the registry gives its check's sizes for the quick
-and the full suite; the quick suite runs in well under a second, the
-full suite in about a second.
+and the full suite; as whole commands on a 2-vCPU machine the quick
+suite runs in about 0.12 s and the full suite in about 0.3 s.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ e^bottom for the rest, top(e) = max(e^top) and bottom(e) = max(e^bottom)
 with bottom(e) = -1 when e^bottom is empty.  The class avoiding both 210
 and 100 is exactly the class where e^bottom is strictly increasing, and
 counting avoiders by (top, bottom) = (a, b) gives the Q_{n,a,b} dynamic
-program whose total reproduces the semi-Baxter numbers.
+program whose total reproduces the semi-Baxter numbers.  The brute force
+grows each avoider alone, carried as the state of `_max_blocked`'s scan.
 """
 
 from __future__ import annotations
@@ -74,29 +75,28 @@ def valid_extensions(e: ISeq) -> range:
 def count_avoiders_bruteforce(n_max: int) -> list[int]:
     """|I_n(210, 100)| for n = 1..n_max by prefix-closed DFS growth.
 
-    The valid appended values are read off `_max_blocked`, the entry-wise
-    characterization of a new 210 or 100 occurrence ending at the
-    appended entry.
-    No counting shortcut from the (top, bottom) analysis is used, so this
-    route stays independent of q_table and the closed formula.
+    A stack node (n, run_max, blocked) is one avoider of size n, held as
+    the state of `_max_blocked`'s scan: it may append blocked+1..n, and
+    appending p steps the scan to (p, blocked) if p >= run_max, else to
+    (run_max, p).  Size n_max - 2 counts each child's appends in place.
+    Unlike the (top, bottom) DP, this route never merges two avoiders.
 
     >>> count_avoiders_bruteforce(4)
     [1, 2, 6, 23]
     """
     at_least(n_max, 1, "n_max")
-    counts = [0] * (n_max + 1)
-    counts[1] = 1
-    stack: list[ISeq] = [(0,)]
+    counts = [0, 1] + [0] * (n_max - 1)
+    stack = [(1, 0, -1)]  # the avoider (0,)
     while stack and n_max >= 2:
-        e = stack.pop()
-        n = len(e)
-        lo = _max_blocked(e) + 1  # valid appended values are lo..n
-        if n + 1 == n_max:
-            counts[n_max] += n + 1 - lo
-            continue
-        for p in range(lo, n + 1):
-            counts[n + 1] += 1
-            stack.append(e + (p,))
+        n, run_max, blocked = stack.pop()
+        kids = range(blocked + 1, n + 1)
+        counts[n + 1] += len(kids)
+        if n + 2 < n_max:
+            for p in kids:
+                stack.append((n + 1, p, blocked) if p >= run_max else (n + 1, run_max, p))
+        elif n + 2 == n_max:
+            for p in kids:
+                counts[n_max] += n + 1 - (p if p < run_max else blocked)
     return counts[1:]
 
 

@@ -269,6 +269,15 @@ def test_invseq_labels_check_names_a_planted_extension_fault(monkeypatch):
         False, "extension labels vs rule-semi productions differ at e=(0, 1)")
 
 
+def test_invseq_routes_check_names_a_planted_brute_fault(monkeypatch):
+    routes = checks.FAMILIES["invseq"]["routes"]
+    brute = routes["brute"]
+    monkeypatch.setitem(routes, "brute",  # one more avoider of size 9
+                        lambda n: [v + (m == 9) for m, v in enumerate(brute(n), 1)])
+    fn, _, sizes = checks._REGISTRY["invseq-three-routes"]
+    assert fn(*sizes, 0) == (False, "brute vs dp first differ at n=9: 112658 != 112657")
+
+
 def test_extraction_check_names_a_planted_recurrence_fault(monkeypatch):
     table = formulas.sb_table
     monkeypatch.setattr(formulas, "sb_table",  # SB_5 off by one

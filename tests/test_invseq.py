@@ -3,6 +3,8 @@ against naive filters."""
 
 import itertools
 
+import pytest
+
 from baxterlab import invseq, rules
 from baxterlab.formulas import catalan
 
@@ -88,11 +90,12 @@ def test_valid_extensions_vs_filter():
 
 
 def test_valid_extensions_match_the_pattern_scan():
-    """The _max_blocked shortcut of the DFS route against an occurrence scan.
+    """The _max_blocked shortcut against an occurrence scan.
 
-    count_avoiders_bruteforce reads its appends off _max_blocked, which
-    valid_extensions wraps; here every avoider of size <= 7 gets them from
-    the test's two-word matcher instead.  Each e was admitted by the same
+    The tuple DFS oracle below reads its appends off _max_blocked, which
+    valid_extensions wraps, and count_avoiders_bruteforce carries that
+    scan's state; here every avoider of size <= 7 gets them from the
+    test's two-word matcher instead.  Each e was admitted by the same
     scan one level up, so a new 210 or 100 must use the appended entry:
     only triples ending there are scanned.
     """
@@ -110,8 +113,48 @@ def test_valid_extensions_match_the_pattern_scan():
     assert seen == sum(SB[:7])
 
 
+def _tuple_dfs_counts(n_max):
+    """|I_n(210, 100)| for n = 1..n_max by a DFS over the avoiders as tuples,
+    each one's appends rescanned by valid_extensions; the last level is
+    counted at its parent."""
+    counts = [0] * (n_max + 1)
+    counts[1] = 1
+    stack = [(0,)]
+    while stack and n_max >= 2:
+        e = stack.pop()
+        n = len(e)
+        extensions = invseq.valid_extensions(e)
+        if n + 1 == n_max:
+            counts[n_max] += len(extensions)
+            continue
+        for p in extensions:
+            counts[n + 1] += 1
+            stack.append(e + (p,))
+    return counts[1:]
+
+
 def test_bruteforce_counts():
-    assert invseq.count_avoiders_bruteforce(8) == SB[:8]
+    assert invseq.count_avoiders_bruteforce(10) == SB[:10]
+
+
+@pytest.mark.parametrize("n_max, want", [(1, [1]), (2, [1, 2]), (3, [1, 2, 6])])
+def test_bruteforce_edges(n_max, want):
+    assert invseq.count_avoiders_bruteforce(n_max) == want
+
+
+def test_bruteforce_matches_the_tuple_dfs():
+    # the carried (n, run_max, blocked) state against the tuples it stands for
+    for n_max in range(1, 10):
+        assert invseq.count_avoiders_bruteforce(n_max) == _tuple_dfs_counts(n_max), n_max
+
+
+def test_bruteforce_is_independent_of_the_table_and_formula(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("the brute route reached the table or formula side")
+
+    for name in ("q_levels", "totals_via_formula", "binom", "catalan", "_exact_div"):
+        monkeypatch.setattr(invseq, name, refuse)
+    assert invseq.count_avoiders_bruteforce(9) == SB[:9]
 
 
 def test_q_table_vs_census():
