@@ -29,21 +29,22 @@ definition of the five built-in rules; RULES is parsed from it at import
 
 Every row expression is affine, so `parse_rule` stores a row as a
 straight run of labels, child(i) = P(h,k) + i*d for i = 0..span(h,k).
-`productions` expands one node run by run, and `series` reads each
-rule's label equation off the same runs.  A level step expands no node.
-A level is a flat grid, label (x, y) at index x + w*y, carried from step
-to step, so a step of d is one stride.  Each run adds a label's count at
-its first child and takes it off one stride past its last, then sums
-along the stride; along a source row k both indices are affine in h, so
-each run takes two strided slices per row.  The next grid reaches only as
-far as the children of labels under the level's largest h + k can: the
+`productions` expands one node run by run, and `series` reads each rule's
+label equation off the same runs.  A level step expands no node.  A level
+is carried as its live rows (Level).  `_step` writes the next one into its
+own flat grid, label (x, y) at index x + w*y, so a step of d is one
+stride, and reads the rows off that buffer once.  Each run adds a label's
+count at its first child and takes it off one stride past its last, then
+sums along the stride; along a source row k both indices are affine in h,
+so each run takes two strided slices per row.  The next grid reaches only
+as far as the children of labels under the level's largest h + k can: the
 ECO method of Barcucci, Del Lungo, Pergola and Pinzani (1999).
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice, repeat, starmap
+from itertools import accumulate, islice, repeat
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
@@ -51,6 +52,7 @@ Label = tuple[int, int]
 LabelDistribution = dict[Label, int]
 Affine = tuple[int, int, int]  # (c, a, b) stands for c + a*h + b*k
 Row = tuple[Affine, Affine, tuple[int, int], Affine]
+Level = list[tuple[int, int, int, list[int]]]  # (k, i, j, counts at h = i..j) per live row k
 
 
 class SuccessionRule(NamedTuple):
@@ -105,7 +107,7 @@ def productions(rule: SuccessionRule, label: Label) -> list[Label]:
 
 def expand_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistribution:
     """Multiset sum of productions weighted by counts, node by node: the
-    reference that the grid step is checked against."""
+    reference that the level step is checked against."""
     out: LabelDistribution = {}
     for label, cnt in dist.items():
         for child in productions(rule, label):
@@ -123,8 +125,8 @@ def _grid(rule: SuccessionRule, dist: LabelDistribution) -> tuple[list[int], int
     return cells, w
 
 
-def _dict(cells: list[int], w: int) -> LabelDistribution:
-    return {(i % w, i // w): v for i, v in enumerate(cells) if v}
+def _dict(rows: Level) -> LabelDistribution:
+    return {(h, k): v for k, i, _, vals in rows for h, v in enumerate(vals, i) if v}
 
 
 def _scatter(cells: list[int], start: int, step: int, vals: list[int], op) -> None:
@@ -137,7 +139,7 @@ def _scatter(cells: list[int], start: int, step: int, vals: list[int], op) -> No
         cells[start] = op(cells[start], sum(vals))
 
 
-def _rows(cells: list[int], w: int) -> list[tuple[int, int, int, list[int]]]:
+def _rows(cells: list[int], w: int) -> Level:
     """(k, i, j, cells i..j) per grid row k with a count, i and j its first and last live label."""
     rows = []
     for k in range(len(cells) // w):
@@ -149,11 +151,10 @@ def _rows(cells: list[int], w: int) -> list[tuple[int, int, int, list[int]]]:
     return rows
 
 
-def _step(rule: SuccessionRule, cells: list[int], w: int) -> tuple[list[int], int]:
-    """The grid of the level after the one in cells (see the module docstring)."""
-    rows = _rows(cells, w)
+def _step(rule: SuccessionRule, rows: Level) -> Level:
+    """The live rows of the level after the one in rows (see the module docstring)."""
     if not rows:
-        return [], 1
+        return []
     # The labels lie in the box h0..h1 x k0..k1 cut by h + k <= s, and an affine map
     # peaks at (h0, k0) or at a far corner the cut trims (s >= h1 + k0, s >= h0 + k1).
     h0, h1, k0, k1 = min(r[1] for r in rows), max(r[2] for r in rows), rows[0][0], rows[-1][0]
@@ -199,41 +200,41 @@ def _step(rule: SuccessionRule, cells: list[int], w: int) -> tuple[list[int], in
             grid[r::stride] = accumulate(grid[r::stride])
         total = grid if total is None or not stride else list(map(add, total, grid))
         del grid  # before the next row allocates its own
-    return total, w
+    return _rows(total, w)
 
 
-def _grids(rule: SuccessionRule) -> Iterator[tuple[list[int], int]]:
-    """The grids of levels 1, 2, ..., each stepped to only when it is asked for."""
-    return accumulate(repeat(rule), lambda grid, _: _step(rule, *grid),
-                      initial=_grid(rule, {rule.axiom: 1}))
+def _levels(rule: SuccessionRule) -> Iterator[Level]:
+    """The live rows of levels 1, 2, ..., each stepped to only when it is asked for."""
+    return accumulate(repeat(rule), lambda rows, _: _step(rule, rows),
+                      initial=_rows(*_grid(rule, {rule.axiom: 1})))
 
 
 def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistribution:
     """Multiset sum of productions weighted by counts: one step of dist's
-    grid.  A label or child that is not a pair of positive integers raises
+    rows.  A label or child that is not a pair of positive integers raises
     ValueError.
 
     >>> next_level(RULES["semi"], {(1, 2): 1, (2, 1): 1}) == {
     ...     (1, 3): 1, (3, 1): 2, (2, 2): 2, (1, 2): 1}
     True
     """
-    return _dict(*_step(rule, *_grid(rule, dist))) if dist else {}
+    return _dict(_step(rule, _rows(*_grid(rule, dist)))) if dist else {}
 
 
 def levels(rule: SuccessionRule) -> Iterator[LabelDistribution]:
-    """Label multisets at levels 1 (the axiom), 2, ..., read off the carried grids."""
-    return starmap(_dict, _grids(rule))
+    """Label multisets at levels 1 (the axiom), 2, ..., read off the carried rows."""
+    return map(_dict, _levels(rule))
 
 
 def distribution(rule: SuccessionRule, n: int) -> LabelDistribution:
     """Exact label multiset at level n (level 1 is the axiom)."""
     if n < 1:
         raise ValueError(f"level {n} is not positive")
-    return _dict(*next(islice(_grids(rule), n - 1, None)))
+    return _dict(next(islice(_levels(rule), n - 1, None)))
 
 
 def count_sequence(rule: SuccessionRule, n_max: int) -> list[int]:
-    """Node counts at levels 1..n_max, each its level grid's sum.
+    """Node counts at levels 1..n_max, each the sum of its level's rows.
 
     >>> count_sequence(RULES["cat"], 5)
     [1, 2, 5, 14, 42]
@@ -244,7 +245,7 @@ def count_sequence(rule: SuccessionRule, n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise ValueError(f"n_max {n_max} is not positive")
-    return [sum(cells) for cells, _ in islice(_grids(rule), n_max)]
+    return [sum(sum(vals) for *_, vals in rows) for rows in islice(_levels(rule), n_max)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ most its value at a = 1.  Solved once at a = 1 for that bound and once
 at a = 2^b with b wide enough, each coefficient of W (or of any f(a, W),
 such as F's g) is one int whose signed b-bit digits are its coefficients
 in a.  What they return is a series of
-Polys keyed (e, 0).  The label series keeps the grids its rule steps
-(rules._grids); the label residuals pack each level, and each image of it,
-from the grid's live rows as one int at y = 2^b, z = 2^(bw), so a monomial
-of the label equation is a shift and only a nonzero defect becomes a Poly.
-Its other readers take one-variable images, plain coefficient lists.
+Polys keyed (e, 0).  The label series keeps the live rows its rule carries
+(rules._levels); the label residuals pack each level, and each image of it,
+from its rows as one int at y = 2^b, z = 2^(bw), so a monomial of the
+label equation is a shift and only a nonzero defect becomes a Poly.  Its
+other readers take one-variable images, plain coefficient lists.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .formulas import _binom_run, at_least, binom
-from .rules import RULES, SuccessionRule, _grids, _lin, _rows, _scatter
+from .rules import RULES, Level, SuccessionRule, _levels, _lin, _scatter
 from .rules import next_level  # noqa: F401  (perfbench wraps this binding)
 
 Rat = int | Fraction
@@ -114,16 +114,16 @@ def laurent(coeffs: Mapping[int, Rat]) -> Poly:
     return Poly({(e, 0): v for e, v in coeffs.items()})
 
 
-def _one_plus(cells: list[int], w: int) -> Poly:
-    """The grid's polynomial, v y^h z^k for the count v at index h + w*k, at
+def _one_plus(rows: Level) -> Poly:
+    """The level's polynomial, v y^h z^k for each count v of its live rows, at
     y = 1+a, z = 1+b: each v y^h z^k becomes the sum of v C(h, i) C(k, j) a^i b^j.
 
-    >>> _one_plus([0, 0, 1, 0, -1, 0], 3)
+    >>> _one_plus([(0, 2, 2, [1]), (1, 1, 1, [-1])])
     -1*b^1 + 1*a^1 + -1*a^1*b^1 + 1*a^2
     """
     out: dict[tuple[int, int], Rat] = {}
     get = out.get
-    for k, h, v in ((*divmod(e, w), v) for e, v in enumerate(cells) if v):
+    for k, h, v in ((k, h, v) for k, i, _, vals in rows for h, v in enumerate(vals, i) if v):
         ys = _binom_run(h, 0, h + 1, False)
         for j, d in enumerate(_binom_run(k, 0, k + 1, False)):
             d *= v
@@ -325,15 +325,14 @@ def omega_geq(s: XSeries) -> XSeries:
 
 _LinearMap = tuple[tuple[int, int], tuple[int, int]]  # ((a,b),(c,d)): y^(ah+bk) z^(ch+dk)
 _IDENTITY: _LinearMap = (1, 0), (0, 1)
-_Rows = list[tuple[int, int, int, list[int]]]  # a level's live row segments, see rules._rows
 
 
-def _spread(rows: _Rows, sh: int, sk: int) -> list[int]:
+def _spread(rows: Level, sh: int, sk: int) -> list[int]:
     """The level's image under y^h z^k -> t^(sh*h + sk*k), listed from t^0 up to
     its top index: label (h, k)'s count added at index sh*h + sk*k, for sh and
     sk that keep every live label's index nonnegative.
 
-    >>> _spread(_rows([0, 2, 3, -1], 2), 1, 1)
+    >>> _spread([(0, 1, 1, [2]), (1, 0, 1, [3, -1])], 1, 1)
     [0, 5, -1]
     """
     out = [0] * max([sh * h + sk * k + 1 for k, i, j, _ in rows for h in (i, j)], default=0)
@@ -342,7 +341,7 @@ def _spread(rows: _Rows, sh: int, sk: int) -> list[int]:
     return out
 
 
-def _pack(rows: _Rows, m: _LinearMap, b: int, w: int) -> int:
+def _pack(rows: Level, m: _LinearMap, b: int, w: int) -> int:
     """S o M at y = 2^b, z = 2^(bw), S the level with live rows `rows`: the sum
     of v 2^(b(i + wj)) over the terms v y^i z^j of S o M (_spread puts each at
     index i + wj), for 0 <= i < w and every |v| < 2^(b-1), b a whole number of
@@ -350,7 +349,7 @@ def _pack(rows: _Rows, m: _LinearMap, b: int, w: int) -> int:
     string, which for v < 0 is v + 2^b and has its cell's top bit set, so for
     each set top bit 2^(b(i + wj + 1)) is taken off again.
 
-    >>> _pack(_rows([0, 5, -3, 0], 2), ((1, 0), (0, 1)), 8, 2) == (5 << 8) - (3 << 16)
+    >>> _pack([(0, 1, 1, [5]), (1, 0, 0, [-3])], ((1, 0), (0, 1)), 8, 2) == (5 << 8) - (3 << 16)
     True
     """
     (xh, xk), (yh, yk) = m
@@ -362,19 +361,19 @@ def _pack(rows: _Rows, m: _LinearMap, b: int, w: int) -> int:
 
 
 class LabelSeries:
-    """Levels 0 (empty) to order of the rule's tree as rules._grids yields them,
-    label (h, k)'s count S_{h,k} at index h + w*k of the grid (cells, w): x^n's
-    coefficient is sum S_{h,k} y^h z^k, whose cells sum to the nth count."""
+    """Levels 0 (empty) to order of the rule's tree as rules._levels yields them,
+    each as its live rows (k, i, j, [S_{i,k}, ..., S_{j,k}]): x^n's coefficient
+    is sum S_{h,k} y^h z^k, whose counts sum to the nth count."""
 
     def __init__(self, rule: SuccessionRule, order: int):
         at_least(order, 1, "order")
-        self.grids = [([], 1), *islice(_grids(rule), order)]
+        self.rows = [[], *islice(_levels(rule), order)]
 
     def series_in_one_plus_a(self) -> XSeries:
         """Sum of S_{h,k} (1+a)^(h+k) per x-order, as a series in x: each
         level spread to sum_m c_m t^m on the diagonal, then t = 1+a."""
-        return XSeries(_one_plus(cs, len(cs) + 1)  # one row: t^m at index m
-                       for cs in (_spread(_rows(*grid), 1, 1) for grid in self.grids))
+        return XSeries(_one_plus([(0, 0, len(cs) - 1, cs)])  # one row: t^m at h = m
+                       for cs in (_spread(rows, 1, 1) for rows in self.rows))
 
 
 Residual = tuple[int, tuple[int, int, int] | None]
@@ -431,7 +430,7 @@ def _label_residual(rule: SuccessionRule, order: int) -> Residual:
     n = 1..order, for the rule's equation (K, {M: c}) from _equation.
 
     Computed on ints: each level, and each image S o M but S itself, is
-    packed once at y = 2^b, z = 2^(bw) straight from the level's grid rows
+    packed once at y = 2^b, z = 2^(bw) straight from the level's live rows
     (_pack), so a monomial of K or c is a shift, and only a nonzero defect is
     read back (_digits, cell e at y^(e mod w) z^(e div w)).  No defect
     coefficient exceeds (|K|_1 + sum |c|_1)(largest level sum |S| + 1), and b
@@ -441,10 +440,9 @@ def _label_residual(rule: SuccessionRule, order: int) -> Residual:
     """
     at_least(order, 2, "order")
     kernel, terms = _equation(rule)
-    grids = LabelSeries(rule, order).grids
-    rows = [_rows(*grid) for grid in grids]
+    rows = LabelSeries(rule, order).rows
 
-    def exponents(m: _LinearMap, rs: list[_Rows]) -> list[tuple[int, int]]:
+    def exponents(m: _LinearMap, rs: list[Level]) -> list[tuple[int, int]]:
         (xh, xk), (yh, yk) = m  # of the images of each row's first and last label
         return [(xh * h + xk * k, yh * h + yk * k) for r in rs for k, i, j, _ in r for h in (i, j)]
 
@@ -455,7 +453,7 @@ def _label_residual(rule: SuccessionRule, order: int) -> Residual:
     w = 1 + max(max([i for i, _ in c.c], default=0) + max([i for i, _ in images[m]], default=0)
                 for m, c in [(_IDENTITY, kernel), *terms.items()])
     b = _width(sum(sum(map(abs, c.c.values())) for c in (kernel, *terms.values()))
-               * (max(sum(map(abs, cells)) for cells, _ in grids) + 1))
+               * (max(sum(sum(map(abs, vals)) for *_, vals in r) for r in rows) + 1))
     axiom = 1 << b * (rule.axiom[0] + w * rule.axiom[1])
 
     def times(c: Poly, v: int) -> int:  # c(2^b, 2^(bw)) v
@@ -723,7 +721,7 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
 
     with F = x g and P = num/den read off the semi kernel chain as
     polynomials in (a, W) (_kernel_data), and both S evaluations read off the
-    semi rule's label grids, each level spread to its image in the one
+    semi rule's label levels, each level spread to its image in the one
     variable it is read in, a coefficient list (_spread).
 
     Each side X is compared as X den + num, which is (X + P) den through
@@ -751,7 +749,7 @@ def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
         y = (x * den).scale(p ** im * q ** jm) + num.scale(p ** (i + id_) * q ** (j + jd))
         return next((n for n, c in enumerate(y.c) if c), None)
 
-    rows = [_rows(*grid) for grid in LabelSeries(RULES["semi"], order).grids]
+    rows = LabelSeries(RULES["semi"], order).rows
     diag, top = ([_spread(r, *m) for r in rows] for m in ((1, 1), (0, 1)))  # t^(h+k), t^k
     sq, sp = (max([0, *(len(lv) - 1 - n for n, lv in enumerate(s))]) for s in (diag, top))
     d = XSeries(sum(y * (p + q) ** m * p ** n * q ** (n + sq - m) for m, y in enumerate(lv) if y)

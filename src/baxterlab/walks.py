@@ -306,7 +306,7 @@ def strong_refinement_residual(n_max: int = 10) -> Residual:
     labels = LabelSeries(RULES["strong"], n_max)
     tables = count_walks(SEVEN, n_max - 1)
     yz = Poly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})  # (1+a)(1+b)
-    return residual_scan((n, _one_plus(*labels.grids[n]) - yz * tables[n - 1])
+    return residual_scan((n, _one_plus(labels.rows[n]) - yz * tables[n - 1])
                          for n in range(1, n_max + 1))
 
 

@@ -164,9 +164,7 @@ def test_series_reduced_names_a_point_past_the_int_str_limit(monkeypatch):
     # a0 is named part by part, so a huge numerator or denominator prints too
     assert checks.series_reduced([(Fraction(-7, 3), 2)]) == (
         True, "both identities hold at a0=-7/3 to order 2")
-    g, num, den = checks.series._kernel_data()  # F = x g with g's W^3 part dropped
-    low = checks.series.Poly({e: x for e, x in g.c.items() if e[1] < 3})
-    monkeypatch.setattr(checks.series, "_kernel_data", lambda: (low, num, den))
+    _plant_kernel_data(monkeypatch)
     assert checks.series_reduced([(Fraction(-3, 10 ** 5000), 4)]) == (False, (
         "at a0=-3/<16610-bit int>: F-vs-P first fail 4, sum identity first fail None"))
     assert checks.series_reduced([(Fraction(-7, 3), 2), (Fraction(2), 4)]) == (False, (
@@ -189,10 +187,7 @@ def test_every_route_returns_plain_ints():
 ], ids=["strong-walks", "apery-closed"])
 def test_route_check_fails_a_route_with_too_few_terms(monkeypatch, check, family, route,
                                                       detail):
-    # compare_routes reads only common prefixes, so the check counts terms itself
-    routes = checks.FAMILIES[family]["routes"]
-    full = routes[route]
-    monkeypatch.setitem(routes, route, lambda n: full(n)[:-1])
+    _plant_short_route(family, route)(monkeypatch)
     fn, sizes, _ = checks._REGISTRY[check]
     assert fn(*sizes, 0) == (False, detail)
 
@@ -234,10 +229,38 @@ def test_guards_raise_under_optimize():
     assert done.returncode == 0, done.stderr + done.stdout
 
 
-# Planted faults: each test breaks one engine in one place, and the check
-# that covers that engine must fail and name the place.
+# Planted faults: each plant breaks one engine in one place through a
+# monkeypatch, and the check that covers that engine must fail, naming the
+# place where its detail can.  _PLANTS gives every check of the registry one.
 
-def test_census_check_names_a_planted_level_fault(monkeypatch):
+def _plant_short_route(family: str, route: str):
+    """A route that drops its last term: compare_routes reads only common
+    prefixes, so the check counts terms itself."""
+    def plant(mp):
+        routes = checks.FAMILIES[family]["routes"]
+        full = routes[route]
+        mp.setitem(routes, route, lambda n: full(n)[:-1])
+    return plant
+
+
+def _plant_rule_level(mp):
+    """One more node at the first live label of level 5 of every rule, in
+    the level stream every level reader steps; series imports that name, so
+    both bindings are patched."""
+    levels = rules._levels
+
+    def planted(rule):
+        for n, rows in enumerate(levels(rule), 1):
+            if n == 5:
+                (k, i, j, vals), *rest = rows
+                rows = [(k, i, j, [vals[0] + 1, *vals[1:]]), *rest]
+            yield rows
+
+    mp.setattr(rules, "_levels", planted)
+    mp.setattr(series, "_levels", planted)
+
+
+def _plant_census(mp):
     levels = perms._levels
 
     def planted(cls):
@@ -247,7 +270,188 @@ def test_census_check_names_a_planted_level_fault(monkeypatch):
                 level[1, 0, ()] += 1
             yield level
 
-    monkeypatch.setattr(perms, "_levels", planted)
+    mp.setattr(perms, "_levels", planted)
+
+
+def _plant_stair(mp):
+    # [14]23's step also forbids slot 1 once the stair holds 3 ascents; a class
+    # captures its step when it is built, so exp1423 is built again
+    step = perms._stair_step
+
+    def planted(mask, stair, last, a):
+        child, moved = step(mask, stair, last, a)
+        return (child | 1 if len(stair) >= 3 else child), moved
+
+    mp.setitem(perms._STEPS, "[14]23", planted)
+    mp.setitem(perms.CLASSES, "exp1423", perms.AvoidanceClass("exp1423", ("[14]23",)))
+
+
+def _plant_extensions(mp):
+    extensions = invseq.valid_extensions
+    mp.setattr(invseq, "valid_extensions",  # (0, 1) loses its last extension
+               lambda e: extensions(e)[:-1] if e == (0, 1) else extensions(e))
+
+
+def _plant_invseq_brute(size: int):
+    """One more avoider of the given size on the brute-force route."""
+    def plant(mp):
+        routes = checks.FAMILIES["invseq"]["routes"]
+        brute = routes["brute"]
+        mp.setitem(routes, "brute",
+                   lambda n: [v + (m == size) for m, v in enumerate(brute(n), 1)])
+    return plant
+
+
+def _plant_kernel_map(mp):
+    group = series._group
+
+    def planted(rule):  # the y-map's al gains 1 in its last coefficient
+        n, d, ((al, be, de), z_map) = group(rule)
+        return n, d, ((al[:-1] + (al[-1] + 1,), be, de), z_map)
+
+    mp.setattr(series, "_group", planted)
+
+
+def _plant_inversion(mp):
+    coeff = series.lagrange_coeff
+    mp.setattr(series, "lagrange_coeff",
+               lambda s, k, i: coeff(s, k, i) + ((s, k, i) == (2, 3, 2)))
+
+
+def _plant_amplitude(mp):
+    mp.setattr(formulas, "AMP_A", formulas.AMP_A * 1.5)
+
+
+def _plant_expansion(mp):
+    expand = rules.expand_level
+
+    def planted(rule, dist):  # bax's level 4 gets one more (1, 1)
+        out = expand(rule, dist)
+        if rule.name == "bax" and sum(dist.values()) == 6:
+            out[1, 1] = out.get((1, 1), 0) + 1
+        return out
+
+    mp.setattr(rules, "expand_level", planted)
+
+
+def _plant_recurrence(mp):
+    table = formulas.sb_table
+    mp.setattr(formulas, "sb_table",  # SB_5 off by one
+               lambda n, *route: [v + (i == 5) for i, v in enumerate(table(n, *route))])
+
+
+def _plant_kernel_data(mp):
+    g, num, den = series._kernel_data()  # F = x g with g's W^3 part dropped
+    low = series.Poly({e: x for e, x in g.c.items() if e[1] < 3})
+    mp.setattr(series, "_kernel_data", lambda: (low, num, den))
+
+
+def _plant_one_plus(mp):
+    one_plus = series.LabelSeries.series_in_one_plus_a
+
+    def planted(self):  # one more a^2 at x^4
+        s = one_plus(self)
+        s.c[4] = s.c[4] + series.laurent({2: 1})
+        return s
+
+    mp.setattr(series.LabelSeries, "series_in_one_plus_a", planted)
+
+
+def _plant_count(name: str, steps, n: int, one):
+    """Add one to walks.name's count for the step set steps at length n."""
+    def plant(mp):
+        count = getattr(walks, name)
+
+        def planted(s, n_max):
+            out = count(s, n_max)
+            if s is steps and n_max >= n:
+                out[n] = out[n] + one
+            return out
+
+        mp.setattr(walks, name, planted)
+    return plant
+
+
+def _plant_growth(mp):
+    excursions = walks.excursions
+    mp.setattr(walks, "excursions",  # counts of a walk model growing twice as fast
+               lambda steps, n: [v << m for m, v in enumerate(excursions(steps, n))])
+
+
+_PLANTS = {
+    "apery-closed-vs-recurrence": _plant_short_route("apery", "closed"),
+    "baxter-five-routes": _plant_rule_level,
+    "catalan-three-routes": _plant_rule_level,
+    "census-labels-vs-rules": _plant_census,
+    "conjecture-exp1423-vs-sb": _plant_stair,
+    "invseq-growth-labels": _plant_extensions,
+    "invseq-three-routes": _plant_invseq_brute(8),
+    "kernel-semi": _plant_kernel_map,
+    "kernel-strong": _plant_kernel_map,
+    "lagrange-vs-series": _plant_inversion,
+    "numbers-asymptotics": _plant_amplitude,
+    "plane-vs-semi": _plant_rule_level,
+    "rules-dsl-mirrors": _plant_expansion,
+    "semi-all-routes": _plant_rule_level,
+    "series-extraction-vs-recurrence": _plant_recurrence,
+    "series-reduced-identity": _plant_kernel_data,
+    "series-residual-semi": _plant_rule_level,
+    "series-residual-strong": _plant_rule_level,
+    "series-theorem-nonneg-part": _plant_one_plus,
+    "strong-three-routes": _plant_short_route("strong", "walks"),
+    "twisted-vs-baxter": _plant_rule_level,
+    "walks-equation-residual": _plant_count("count_walks", walks.FIVE, 5,
+                                            series.Poly({(0, 0): 1})),
+    "walks-growth-constants": _plant_growth,
+    "walks-refinement": _plant_rule_level,
+    "walks-w2-transform": _plant_count("count_walks", walks.SEVEN, 5, series.Poly({(0, 0): 1})),
+}
+
+
+def test_every_check_has_a_planted_fault():
+    # a check added to the registry needs a plant here before the suite passes
+    assert _PLANTS.keys() == checks._REGISTRY.keys()
+
+
+@pytest.mark.parametrize("name", list(checks._REGISTRY))
+def test_every_check_fails_under_its_planted_fault(monkeypatch, name):
+    _PLANTS[name](monkeypatch)
+    fn, quick, _ = checks._REGISTRY[name]
+    ok, detail = fn(*quick, 0)
+    assert not ok, detail
+
+
+# the checks that read rule levels: every one steps them through rules._levels
+_LEVEL_READERS = {
+    "baxter-five-routes", "catalan-three-routes", "census-labels-vs-rules", "plane-vs-semi",
+    "rules-dsl-mirrors", "semi-all-routes", "strong-three-routes", "twisted-vs-baxter",
+    "series-reduced-identity", "series-residual-semi", "series-residual-strong",
+    "series-theorem-nonneg-part", "walks-refinement",
+}
+
+
+def test_a_planted_rule_level_fails_every_check_that_reads_levels(monkeypatch):
+    # one more node at level 5 of every rule: each reader that drops or
+    # misreads a row of it fails, and no check that reads no level does
+    _plant_rule_level(monkeypatch)
+    assert {r.name for r in checks.run_suite("quick") if not r.ok} == _LEVEL_READERS
+
+
+@pytest.mark.parametrize("name, detail", [
+    ("conjecture-exp1423-vs-sb", "brute vs sb:recurrence first differ at n=6: 525 != 530"),
+    ("kernel-semi", "semi: invariant=False orbits=[11, 11, 11] redraws=0"),
+    ("kernel-strong", "strong: invariant=False orbits=[101, 101] redraws=0"),
+    ("walks-equation-residual",
+     "walk tables vs cleared equation: residual 1 at (n, adeg, bdeg)=(5, 1, 1)"),
+], ids=["exp1423", "kernel-semi", "kernel-strong", "walk-equation"])
+def test_check_names_its_planted_fault(monkeypatch, name, detail):
+    _PLANTS[name](monkeypatch)
+    fn, quick, _ = checks._REGISTRY[name]
+    assert fn(*quick, 0) == (False, detail)
+
+
+def test_census_check_names_a_planted_level_fault(monkeypatch):
+    _plant_census(monkeypatch)
     assert checks._chk_census(5, 0) == (
         False, "class semi census vs rule semi distribution differ at n=4, label (1, 4)")
 
@@ -262,85 +466,55 @@ def test_census_check_walks_each_class_once(monkeypatch):
 
 
 def test_invseq_labels_check_names_a_planted_extension_fault(monkeypatch):
-    extensions = invseq.valid_extensions
-    monkeypatch.setattr(invseq, "valid_extensions",  # (0, 1) loses its last extension
-                        lambda e: extensions(e)[:-1] if e == (0, 1) else extensions(e))
+    _plant_extensions(monkeypatch)
     assert checks._chk_invseq_labels(6, 0) == (
         False, "extension labels vs rule-semi productions differ at e=(0, 1)")
 
 
 def test_invseq_routes_check_names_a_planted_brute_fault(monkeypatch):
-    routes = checks.FAMILIES["invseq"]["routes"]
-    brute = routes["brute"]
-    monkeypatch.setitem(routes, "brute",  # one more avoider of size 9
-                        lambda n: [v + (m == 9) for m, v in enumerate(brute(n), 1)])
+    # size 9 lies past the quick size: the full-size check compares that far
+    _plant_invseq_brute(9)(monkeypatch)
     fn, _, sizes = checks._REGISTRY["invseq-three-routes"]
     assert fn(*sizes, 0) == (False, "brute vs dp first differ at n=9: 112658 != 112657")
 
 
 def test_extraction_check_names_a_planted_recurrence_fault(monkeypatch):
-    table = formulas.sb_table
-    monkeypatch.setattr(formulas, "sb_table",  # SB_5 off by one
-                        lambda n, *route: [v + (i == 5) for i, v in enumerate(table(n, *route))])
+    _plant_recurrence(monkeypatch)
     assert checks.series_extraction(12) == (False, "extraction vs recurrence at n=5: 104 != 105")
 
 
 def test_nonneg_part_check_names_a_planted_label_fault(monkeypatch):
-    one_plus = series.LabelSeries.series_in_one_plus_a
-
-    def planted(self):  # one more a^2 at x^4
-        s = one_plus(self)
-        s.c[4] = s.c[4] + series.laurent({2: 1})
-        return s
-
-    monkeypatch.setattr(series.LabelSeries, "series_in_one_plus_a", planted)
+    _plant_one_plus(monkeypatch)
     assert checks.series_nonneg_part(10) == (
         False, "nonneg part vs label evaluation at n=4, exponent a^2")
 
 
 def test_lagrange_check_names_a_planted_inversion_fault(monkeypatch):
-    coeff = series.lagrange_coeff
-    monkeypatch.setattr(series, "lagrange_coeff",
-                        lambda s, k, i: coeff(s, k, i) + ((s, k, i) == (2, 3, 2)))
+    _plant_inversion(monkeypatch)
     assert checks._chk_lagrange(8, 0) == (
         False, "inversion formula vs series extraction differ at (s,k,i)=(2,3,2)")
 
 
-def _planted_seven(monkeypatch, name, n, one):
-    """Add one to the SEVEN count of walks.name at length n."""
-    count = getattr(walks, name)
-
-    def planted(steps, n_max):
-        out = count(steps, n_max)
-        if steps is walks.SEVEN and n_max >= n:
-            out[n] = out[n] + one
-        return out
-
-    monkeypatch.setattr(walks, name, planted)
-
-
 def test_w2_check_names_a_planted_table_fault(monkeypatch):
-    _planted_seven(monkeypatch, "count_walks", 5, series.Poly({(0, 0): 1}))
+    _plant_count("count_walks", walks.SEVEN, 5, series.Poly({(0, 0): 1}))(monkeypatch)
     assert checks._chk_w2(8, 12, 0) == (
         False, "seven-step tables vs binomial transform of five-step tables differ at n=5")
 
 
 def test_w2_check_names_a_planted_excursion_fault(monkeypatch):
-    _planted_seven(monkeypatch, "excursions", 7, 1)
+    _plant_count("excursions", walks.SEVEN, 7, 1)(monkeypatch)
     assert checks._chk_w2(8, 12, 0) == (
         False, "seven-step excursions vs transformed five-step excursions differ at n=7")
 
 
 def test_growth_check_fails_on_planted_excursion_counts(monkeypatch):
-    excursions = walks.excursions
-    monkeypatch.setattr(walks, "excursions",  # counts of a walk model growing twice as fast
-                        lambda steps, n: [v << m for m, v in enumerate(excursions(steps, n))])
+    _plant_growth(monkeypatch)
     ok, detail = checks._chk_growth(100, 0)
     assert not ok and detail.startswith("estimate vs minimal-polynomial root: ")
 
 
 def test_asymptotics_check_fails_on_a_planted_amplitude(monkeypatch):
-    monkeypatch.setattr(formulas, "AMP_A", formulas.AMP_A * 1.5)
+    _plant_amplitude(monkeypatch)
     ok, detail = checks._chk_asymptotics(500, 0.05, 0)
     assert not ok and detail.startswith("recurrence asymptotics vs constants: ")
 
@@ -351,14 +525,6 @@ def test_rule_dsl_check_names_a_planted_axiom(monkeypatch):
 
 
 def test_rule_dsl_check_names_a_planted_expansion_fault(monkeypatch):
-    expand = rules.expand_level
-
-    def planted(rule, dist):  # bax's level 4 gets one more (1, 1)
-        out = expand(rule, dist)
-        if rule.name == "bax" and sum(dist.values()) == 6:
-            out[1, 1] = out.get((1, 1), 0) + 1
-        return out
-
-    monkeypatch.setattr(rules, "expand_level", planted)
+    _plant_expansion(monkeypatch)
     assert checks._chk_rule_dsl(10, 0) == (
         False, "bax interval-sum level vs node expansion differ at n=4, label (1, 1)")

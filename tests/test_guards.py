@@ -1,14 +1,14 @@
 """Source lints: the package stays under its line cap; series.py types no
 polynomial table at module level and W's equation in one place, _v_at;
-series.py looks a rule up by name only in
-its fixed claims and perms.py reads a class's name only in messages, so both
-act on the rule or class they are handed; guards must raise in every
-interpreter mode, so the package has no assert; a guard raises ValueError,
-the one error the CLI reports as a usage error; every name the package
-imports is read; every private top-level name it defines is read; every
-public one is read or bound by the traced benchmark; and so is every method
-of a package class; and `import baxterlab.cli` loads every package module
-but not dataclasses, inspect, json or csv."""
+only rules.py builds or reads a flat level grid; series.py looks a rule up
+by name only in its fixed claims and perms.py reads a class's name only in
+messages, so both act on the rule or class they are handed; guards must
+raise in every interpreter mode, so the package has no assert; a guard
+raises ValueError, the one error the CLI reports as a usage error; every
+name the package imports is read; every private top-level name it defines
+is read; every public one is read or bound by the traced benchmark; and so
+is every method of a package class; and `import baxterlab.cli` loads every
+package module but not dataclasses, inspect, json or csv."""
 
 import ast
 import builtins
@@ -73,6 +73,19 @@ def test_w_equation_is_typed_once():
     in_v_at = [f"series.py:{line}" for name, fn in _functions(root / "series.py")
                if name == "_v_at" for line in calls(fn)]
     assert len(in_v_at) == 1 and found == in_v_at, found
+
+
+def test_grid_layout_stays_in_rules():
+    # a level travels as its live rows; the flat grid (label (h, k) at h + w*k)
+    # is rules._step's buffer, so only rules.py builds one (_grid) or reads one
+    # back (_rows).  Names in doctest strings are text, not references.
+    root = Path(baxterlab.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}" for path in sorted(root.rglob("*.py"))
+             if path.name != "rules.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if {"_rows", "_grid"} & {getattr(node, "id", None), getattr(node, "attr", None),
+                                      *(a.name for a in getattr(node, "names", ()))}]
+    assert found == []
 
 
 def _functions(path: Path):

@@ -67,7 +67,7 @@ def test_count_sequences(name, want):
 
 
 def test_level_readers_step_only_to_the_last_level_asked(monkeypatch):
-    # every reader steps the carried grid, one _step call per level past the first;
+    # every reader steps the carried rows, one _step call per level past the first;
     # the census check reads levels 1..7 of each of its 5 rules once (5 * 6 steps)
     steps = []
     step = rules._step
@@ -85,8 +85,8 @@ def test_level_readers_step_only_to_the_last_level_asked(monkeypatch):
 
 
 def test_counts_read_no_level_dict_and_distribution_reads_one(monkeypatch):
-    # count_sequence and the series readers read the carried grids, and
-    # distribution reads only the grid of the level it returns back into a dict
+    # count_sequence and the series readers read the carried rows, and
+    # distribution reads only the rows of the level it returns back into a dict
     built = []
     to_dict = rules._dict
     monkeypatch.setattr(rules, "_dict", lambda *a: built.append(1) or to_dict(*a))
@@ -368,7 +368,8 @@ def _expanded(rule, depth: int, bound: int = 20):
 # a first child that falls in h and k, so its index steps backwards along a
 # source row and the one-past index stays put; one child repeated twice
 @example(text="axiom (1,1)\nrow (6-h-k+i, 1) for i = 0..h-1\nrow (1, 2) for i = 0..1\n")
-def test_carried_grids_equal_repeated_node_expansion(text):
+def test_carried_rows_equal_repeated_node_expansion(text):
+    # each carried level is exactly the live rows of the expanded level's own grid
     rule = rules.parse_rule(text)
     want, depth = _expanded(rule, 6)
     if want is None:
@@ -377,5 +378,7 @@ def test_carried_grids_equal_repeated_node_expansion(text):
         with pytest.raises(ValueError):
             list(islice(rules.levels(rule), depth))
     else:
+        assert list(islice(rules._levels(rule), depth)) == [
+            rules._rows(*rules._grid(rule, lv)) if lv else [] for lv in want]
         assert list(islice(rules.levels(rule), depth)) == want
         assert rules.count_sequence(rule, depth) == [sum(lv.values()) for lv in want]

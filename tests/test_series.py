@@ -34,41 +34,44 @@ def test_laurent_arithmetic():
 
 
 def test_two_variable_poly():
-    # 2y + 3z - yz as a grid of width 2, spread to its images in z and on the diagonal
+    # 2y + 3z - yz as its live rows, as rules._rows reads them off its grid of
+    # width 2, spread to its images in z and on the diagonal
     p = series.Poly({(1, 0): 2, (0, 1): 3, (1, 1): -1})
-    assert _grid(p) == ([0, 2, 3, -1], 2) and _poly(_grid(p)) == p
-    assert series._spread(rules._rows(*_grid(p)), 0, 1) == [2, 2]
-    assert series._spread(rules._rows(*_grid(p)), 1, 1) == [0, 5, -1]
+    assert _level(p) == [(0, 1, 1, [2]), (1, 0, 1, [3, -1])] == rules._rows([0, 2, 3, -1], 2)
+    assert _poly(_level(p)) == p
+    assert series._spread(_level(p), 0, 1) == [2, 2]
+    assert series._spread(_level(p), 1, 1) == [0, 5, -1]
     assert (p * p).coeff(1, 1) == 12
 
 
-def _grid(p: series.Poly) -> tuple[list[int], int]:
-    """p in (y, z), no exponent below 0, as the level grid (cells, w) that
-    rules._grids yields: the coefficient of y^h z^k at index h + w*k."""
-    w = 1 + max([h for h, _ in p.c], default=0)
-    cells = [0] * w * (1 + max([k for _, k in p.c], default=-1))
-    for (h, k), v in p.c.items():
-        cells[h + w * k] = v
-    return cells, w
+def _level(p: series.Poly) -> list:
+    """p in (y, z), no exponent below 0, as the live rows that rules._levels
+    yields: (k, i, j, coefficients of y^i z^k .. y^j z^k) per k with a term,
+    in increasing k, i and j the least and largest h with a term."""
+    rows = []
+    for k in sorted({k for _, k in p.c}):
+        hs = [h for h, kk in p.c if kk == k]
+        i, j = min(hs), max(hs)
+        rows.append((k, i, j, [p.coeff(h, k) for h in range(i, j + 1)]))
+    return rows
 
 
-def _poly(grid: tuple[list[int], int]) -> series.Poly:
-    """The level grid (cells, w) as its polynomial in (y, z)."""
-    cells, w = grid
-    return series.Poly({(e % w, e // w): v for e, v in enumerate(cells) if v})
+def _poly(rows: list) -> series.Poly:
+    """A level's live rows as its polynomial in (y, z)."""
+    return series.Poly({(h, k): v for k, i, _, vals in rows for h, v in enumerate(vals, i)})
 
 
-def _grids_with(n: int, change):
-    """A stand-in for rules._grids that yields change(grid) for level n's grid."""
-    def grids(rule):
-        for m, grid in enumerate(rules._grids(rule), 1):
-            yield change(grid) if m == n else grid
-    return grids
+def _levels_with(n: int, change):
+    """A stand-in for rules._levels that yields change(rows) for level n's rows."""
+    def levels(rule):
+        for m, rows in enumerate(rules._levels(rule), 1):
+            yield change(rows) if m == n else rows
+    return levels
 
 
 def _bump(label: tuple[int, int], delta: int):
-    """The change that adds delta to label's count, widening the grid to hold it."""
-    return lambda grid: _grid(_poly(grid) + series.Poly({label: delta}))
+    """The change that adds delta to label's count, opening or widening its row."""
+    return lambda rows: _level(_poly(rows) + series.Poly({label: delta}))
 
 
 def test_poly_coeff_needs_both_exponents():
@@ -87,7 +90,7 @@ _POLY = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
 def test_one_plus_is_a_ring_map(p, q):
     """y -> 1+a, z -> 1+b is a ring map, taking yz to (1+a)(1+b)."""
     def one_plus(p):
-        return series._one_plus(*_grid(p))
+        return series._one_plus(_level(p))
 
     assert one_plus(p * q) == one_plus(p) * one_plus(q)
     assert one_plus(p + q) == one_plus(p) + one_plus(q)
@@ -265,7 +268,7 @@ _ALL_RULES = [rules.RULES[name] for name in sorted(rules.RULES)]
 def test_label_series_counts():
     ls = series.LabelSeries(rules.RULES["semi"], 10)
     # index 0 is the empty level; y = z = 1 gives the plain counts
-    assert [sum(cells) for cells, _ in ls.grids] == [0] + SB[:10]
+    assert [sum(sum(vals) for *_, vals in rows) for rows in ls.rows] == [0] + SB[:10]
 
 
 def test_residuals_vanish():
@@ -284,7 +287,7 @@ def test_a_parsed_rule_needs_no_registry_entry():
     before = dict(rules.RULES)
     semi = rules.RULES["semi"]
     parsed = rules.parse_rule(rules.RULE_FILE_SOURCES["semi"], "semi-copy")
-    assert series.LabelSeries(parsed, 8).grids == series.LabelSeries(semi, 8).grids
+    assert series.LabelSeries(parsed, 8).rows == series.LabelSeries(semi, 8).rows
     assert series._label_residual(parsed, 8) == series._label_residual(semi, 8) == (0, None)
     point = Fraction(5, 3), Fraction(12, 5)
     assert series.kernel_orbit(parsed, *point) == series.kernel_orbit(semi, *point) == 10
@@ -377,9 +380,9 @@ def test_residual_detects_perturbation(monkeypatch):
     equation; the strong variant flags its own perturbed label the same
     way.
     """
-    monkeypatch.setattr(series, "_grids", _grids_with(3, _bump((1, 1), 1)))
+    monkeypatch.setattr(series, "_levels", _levels_with(3, _bump((1, 1), 1)))
     assert series.residual_semi(6) == (1, (3, 1, 2))
-    monkeypatch.setattr(series, "_grids", _grids_with(3, _bump((2, 1), 1)))
+    monkeypatch.setattr(series, "_levels", _levels_with(3, _bump((2, 1), 1)))
     assert series.residual_strong(6) == (2, (3, 2, 1))
 
 
@@ -395,7 +398,7 @@ def test_residuals_pinpoint_any_bumped_label(rule, n, h, k, delta):
     bax and strong and under 1-y for cat."""
     residual = {"semi": series.residual_semi, "strong": series.residual_strong}.get(rule.name)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_grids", _grids_with(n, _bump((h, k), delta)))
+        mp.setattr(series, "_levels", _levels_with(n, _bump((h, k), delta)))
         max_abs, where = series._label_residual(rule, 6)
         if residual:
             assert residual(6) == (max_abs, where)
@@ -407,13 +410,13 @@ def test_residuals_pinpoint_any_bumped_label(rule, n, h, k, delta):
 @given(p=_POLY, m=st.tuples(*[st.integers(0, 2)] * 4), w=st.integers(1, 12))
 @example(p=series.Poly({(0, 0): -1, (3, 0): 2, (0, 4): -2 ** 70}), m=(1, 0, 0, 1), w=4)
 def test_pack_is_the_naive_sum(p, m, w):
-    """_pack, scattering the grid's rows into one byte string, equals the sum
+    """_pack, scattering the level's rows into one byte string, equals the sum
     of v 2^(b(i + wj)) over the terms v y^h z^k of S, with i = ah + bk and
     j = ch + dk, signed counts and labels on the axes included."""
     xh, xk, yh, yk = m
     b = series._width(sum(map(abs, p.c.values())))
     naive = sum(v << b * (xh * h + xk * k + w * (yh * h + yk * k)) for (h, k), v in p.c.items())
-    assert series._pack(rules._rows(*_grid(p)), ((xh, xk), (yh, yk)), b, w) == naive
+    assert series._pack(_level(p), ((xh, xk), (yh, yk)), b, w) == naive
 
 
 def _compose(s: series.Poly, m) -> series.Poly:
@@ -431,7 +434,7 @@ def _poly_residual(rule: rules.SuccessionRule, order: int) -> series.Residual:
     """The label residual on Poly arithmetic, a product per term: the oracle
     for _label_residual's packed ints."""
     kernel, terms = series._equation(rule)
-    s = list(map(_poly, series.LabelSeries(rule, order).grids))
+    s = list(map(_poly, series.LabelSeries(rule, order).rows))
     axiom = series.Poly({rule.axiom: 1})
     return series.residual_scan(
         (n, kernel * (s[n] - axiom if n == 1 else s[n])
@@ -451,7 +454,7 @@ def test_packed_residual_equals_the_poly_oracle(rule, order, data, h, k, delta):
     including where the label (h, k) was absent or has a 0 slot."""
     n = data.draw(st.integers(1, order)) if data else order
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_grids", _grids_with(n, _bump((h, k), delta)))
+        mp.setattr(series, "_levels", _levels_with(n, _bump((h, k), delta)))
         assert series._label_residual(rule, order) == _poly_residual(rule, order)
 
 
@@ -985,7 +988,8 @@ def test_reduced_identity_detects_a_changed_label_count(a0, n, pick):
     exactly at x^n.  The F comparison does not read the labels.
     """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_grids", _grids_with(n, lambda grid: _grid(_bumped(_poly(grid), pick))))
+        mp.setattr(series, "_levels",
+                   _levels_with(n, lambda rows: _level(_bumped(_poly(rows), pick))))
         rep = series.verify_reduced_identity(a0, order=8)
     assert rep["f_first_fail"] is None
     assert rep["sum_first_fail"] == n
@@ -1005,8 +1009,8 @@ def _reduced_oracle(a0: Fraction, order: int, kernel=(_G, _NUM, _DEN)) -> dict:
     labels = series.LabelSeries(rules.RULES["semi"], order)
 
     def collapsed(exponent, t):
-        return series.XSeries(sum((v * t ** exponent(*e) for e, v in _poly(grid).c.items()),
-                                  Fraction(0)) for grid in labels.grids)
+        return series.XSeries(sum((v * t ** exponent(*e) for e, v in _poly(rows).c.items()),
+                                  Fraction(0)) for rows in labels.rows)
 
     s_diag = collapsed(lambda h, k: h + k, 1 + a0)
     s_top = collapsed(lambda h, k: k, 1 + 1 / a0)
@@ -1041,11 +1045,11 @@ def test_reduced_identity_equals_the_fraction_oracle(a0, order, corruption, n, p
     (h + k > n+1, k > n) added.  The extra powers of p and q must absorb
     that label: a negative power would be a float, which overflows or
     underflows at these exponents."""
-    relabelled = {"label": lambda grid: _grid(_bumped(_poly(grid), pick)),
+    relabelled = {"label": lambda rows: _level(_bumped(_poly(rows), pick)),
                   "new label": _bump((n + 1100, n + 1000), pick % 5 + 1)}.get(corruption)
     with pytest.MonkeyPatch.context() as mp:
         if relabelled:
-            mp.setattr(series, "_grids", _grids_with(n, relabelled))
+            mp.setattr(series, "_levels", _levels_with(n, relabelled))
         g, num = _G, _NUM  # the typed F = x g and P's numerator, in (a, W)
         if corruption == "num":
             num = _bumped(num, pick)
