@@ -9,26 +9,27 @@ n, and the two counting series are linked by the binomial transform that
 a pair of trivial steps induces, so strong_from_walks runs the FIVE DP
 and transforms its counts.  The one walk DP, walk_grids, keeps per
 length only the cells within reach of the step set's largest moves along
-x, y and x+y (and, for excursions, within reach of the origin again);
-for FIVE and SEVEN that is a triangle.  A grid row is one int with cell
-x in the b-bit slot at bit x*b (Kronecker substitution).  Per dx, one
-length adds rows y - dy into row y and shifts the sum by dx*b, in a few
-C-level map passes over the row list, and a row is masked back to its
-region only when it has outgrown it.  No cell of length t exceeds M^t,
-M the sum of the multiplicities; the slots hold M^T for the next
-_WIDEN_EVERY lengths T and are then re-slotted wider.  The walk equation
-is read off the step multiset alone, by inclusion-exclusion over the
-steps that would leave the quarter plane.  Growth constants are
-estimated from excursion counts; for FIVE the target is the real root
-of t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
+y and x+y (and, for excursions, within reach of the origin again); for
+FIVE and SEVEN that is a triangle.  A grid row is one int with cell x of
+row y in the b-bit slot s - y - x, s the x+y bound (mirrored Kronecker
+substitution), so one shift per diagonal dx + dy moves its steps' cells
+and drops those past s; diagonals that read the same rows share one sum.
+No cell of length t exceeds M^t, M the sum of the multiplicities; the
+slots hold M^T for the next _WIDEN_EVERY lengths T and are then
+re-slotted wider.  The walk equation is read off the step multiset
+alone, by inclusion-exclusion over the steps that would leave the
+quarter plane.  Growth constants are estimated from excursion counts;
+for FIVE the target is the real root of t^3 + t^2 - 18t - 43, for SEVEN
+that root plus 2.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import repeat
-from operator import add, lshift, mul, rshift
+from itertools import chain, islice, repeat, tee
+from operator import add, and_, lshift, mul, rshift
+from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .formulas import at_least
@@ -109,20 +110,20 @@ def walk_grids(
 ) -> Iterator[tuple[int, list[int], list[int]]]:
     """Endpoint counts of confined walks, lengths 0..n_max, as packed rows.
 
-    Yields (b, rows, widths) per length: rows[y] is one int that holds
-    the count at (x, y) in bits x*b .. (x+1)*b - 1 for x < widths[y], each
-    below 2^(b-1).  A row holds only the region the walks can occupy.
-    One step raises x, y and x+y by at most the largest such change among
-    the steps and lowers them by at most the largest drop (each taken as
-    at least 0), so a walk of length t keeps every one of the three within
-    t times its rise.  With returning, only walks that can still be back
-    at the origin by length n_max are kept: each of the three must also be
-    within n_max - t times its drop.  A dropped walk never returns, so
-    every kept cell stays exact.  For FIVE and SEVEN the region is the
-    triangle x + y <= t, or x + y <= min(t, n_max - t) with returning.
+    Yields (b, rows, widths) per length: rows[y] is one int that holds the
+    count at (x, y) in slot u = widths[y] - 1 - x, bits u*b .. (u+1)*b - 1,
+    each below 2^(b-1); widths[y] = s - y + 1, s the bound on x+y.  A step
+    raises y and x+y by at most the steps' largest rise and lowers them by
+    at most their largest drop, so a walk of length t keeps both within t
+    times the rise; with returning, a kept walk can still reach the origin
+    by length n_max: both are also within n_max - t times the drop.  A
+    dropped walk never returns, so every kept cell is exact.  For FIVE and
+    SEVEN that is the triangle x + y <= min(t, n_max - t) (x + y <= t
+    without returning); other x bounds leave low slots empty.
 
-    >>> [rows[0] & ((1 << b) - 1) for b, rows, _ in walk_grids(FIVE, 3)]
-    [1, 0, 2, 1]
+    >>> b, rows, widths = list(walk_grids(FIVE, 2))[2]
+    >>> b, [list(row.to_bytes(w, "little")) for row, w in zip(rows, widths)]
+    (8, [[1, 1, 2], [2, 0], [1]])
     >>> [widths for _, _, widths in walk_grids(FIVE, 4, returning=True)]
     [[1], [2, 1], [3, 2, 1], [2, 1], [1]]
     """
@@ -130,50 +131,54 @@ def walk_grids(
     return _grids(steps.items(), n_max, returning)
 
 
-_WIDEN_EVERY = 16  # steps per slot width; 12..32 timed alike at n_max = 100, 300, 600
-
-
-def _slots(row: int, width: int, b: int) -> list[bytes]:
-    raw = row.to_bytes(width * b // 8, "little")
-    return [raw[i:i + b // 8] for i in range(0, len(raw), b // 8)]
+_WIDEN_EVERY = 24  # steps per slot width; timed 3-5% faster than 16 at n_max = 100, 300, 600
 
 
 def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
     # apart from walk_grids so that its guard raises at the call, not at next()
-    forms = [(dx, dy, dx + dy) for (dx, dy), _ in items]
-    rise = [max([0] + [f[i] for f in forms]) for i in range(3)]
-    drop = [max([0] + [-f[i] for f in forms]) for i in range(3)]
+    forms = [(dy, dx + dy) for (dx, dy), _ in items]
+    rise, drop = ([max([0] + [sign * f[i] for f in forms]) for i in (0, 1)] for sign in (1, -1))
     mult_sum = sum(m for _, m in items)
-    # the steps grouped by dx, each as (1 - dy, m): new row y reads ext[y + 1 - dy]
-    groups = {dx: [(1 - dy, m) for (d, dy), m in items if d == dx] for (dx, _), _ in items}
-    b, top, rows, widths = 8, 0, [1], [1]
+    # the steps grouped by g = dx + dy, a group's rows as offsets (d - dy, m) from its top
+    # dy d: new row y reads rows y - d + o, and groups with equal offsets share one sum
+    shared: dict = {}
+    for g in {g for _, g in forms}:
+        d = max(dy for dy, h in forms if h == g)
+        key = tuple((d - dy, m) for ((dx, dy), m) in items if dx + dy == g)
+        shared.setdefault(key, []).append((g, d))
+    b, top, s, rows, widths, masks = 8, 0, 0, [1], [1], []
     yield b, rows, widths
     for t in range(1, n_max + 1):
         if t > top:
             # zero bytes atop each cell make room for mult_sum**top and a spare bit
             top = min(top + _WIDEN_EVERY, n_max)
             pad = bytes((_width(mult_sum ** top) - b) // 8)
-            rows = [int.from_bytes(pad.join(_slots(r, w, b)), "little")
-                    for r, w in zip(rows, widths)]
-            b += 8 * len(pad)
-        x_top, y_top, s_top = (
-            min(t * r, (n_max - t) * d) if returning else t * r for r, d in zip(rise, drop)
-        )
-        n = min(y_top, s_top) + 1  # at most len(rows) + 1
-        # ext[y + 1] is row y, zero past either end; lazy maps hold no list of partial sums
+            cells = Struct(f"{b // 8}s").iter_unpack
+            rows = [int.from_bytes(pad.join(chain.from_iterable(
+                cells(r.to_bytes(w * b // 8, "little")))), "little") for r, w in zip(rows, widths)]
+            b, masks = b + 8 * len(pad), []
+        y_top, s_new = (min(t * r, (n_max - t) * d) if returning else t * r
+                        for r, d in zip(rise, drop))
+        n = min(y_top, s_new) + 1  # at most len(rows) + 1
+        # ext[z + 1] is row z, zero past either end; lazy maps hold no list of partial sums
         ext, total = [0, *rows, 0, 0], None
-        for dx, terms in groups.items():
+        for key, users in shared.items():
+            lo, hi = -max(d for _, d in users), n - min(d for _, d in users)
             part = None
-            for i, m in terms:
-                src = ext[i:i + n] if m == 1 else map(mul, ext[i:i + n], repeat(m))
+            for o, m in key:
+                src = ext[lo + o + 1:hi + o + 1]
+                src = src if m == 1 else map(mul, src, repeat(m))
                 part = src if part is None else map(add, part, src)
-            # cell x takes cell x - dx of the sum (no slot carries); >> drops x = -1
-            part = map(lshift if dx > 0 else rshift, part, repeat(b)) if dx else part
-            total = part if total is None else map(add, total, part)
-        widths = [min(x_top, s_top - y) + 1 for y in range(n)]
-        # mask only a row that outgrew its region: none does while it grows
-        rows = [r if r.bit_length() <= w * b else r & ((1 << w * b) - 1)
-                for w, r in zip(widths, total)]
+            for (g, d), share in zip(users, tee(part, len(users))):
+                # slot s - y - x holds cell x of row y: the group moves a cell s_new - s - g slots
+                k, share = (s_new - s - g) * b, islice(share, -d - lo, None)
+                share = map(lshift if k > 0 else rshift, share, repeat(abs(k))) if k else share
+                total = share if total is None else map(add, total, share)
+        if any(dx < 0 for (dx, _), _ in items):
+            # a dx = -1 step moves x = 0 to the slot just past the row: clear that slot
+            masks += [(1 << w * b) - 1 for w in range(len(masks), s_new + 2)]
+            total = map(and_, total, masks[s_new + 1:s_new + 1 - n:-1])
+        rows, s, widths = list(total), s_new, list(range(s_new + 1, s_new + 1 - n, -1))
         yield b, rows, widths
 
 
@@ -186,9 +191,9 @@ def count_walks(steps: StepMultiset, n_max: int) -> list[Poly]:
     [((0, 1), 1), ((1, 0), 1)]
     """
     return [
-        Poly({(x, y): v for y, row in enumerate(rows)
-              for (x, _), v in _digits(row, b, 0).c.items()})
-        for b, rows, _ in walk_grids(steps, n_max)
+        Poly({(w - 1 - u, y): v for y, (row, w) in enumerate(zip(rows, widths))
+              for (u, _), v in _digits(row, b, 0).c.items()})
+        for b, rows, widths in walk_grids(steps, n_max)
     ]
 
 
@@ -210,7 +215,7 @@ def excursions(steps: StepMultiset, n_max: int) -> list[int]:
     >>> excursions(SEVEN, 2)
     [1, 2, 6]
     """
-    return [rows[0] & ((1 << b) - 1) for b, rows, _ in walk_grids(steps, n_max, returning=True)]
+    return [rows[0] >> (widths[0] - 1) * b for b, rows, widths in walk_grids(steps, n_max, True)]
 
 
 def _section(p: Poly, keep: Callable) -> Poly:

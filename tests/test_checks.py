@@ -140,6 +140,7 @@ def test_elapsed_times_sum_within_wall_time():
     reports = checks.run_suite("quick")
     wall_ms = (time.perf_counter() - t0) * 1000.0
     assert sum(r.elapsed_ms for r in reports) <= wall_ms * 1.05
+    assert all(r.elapsed_ms > 0 for r in reports)
 
 
 def test_compare_routes_names_terms_past_the_int_str_limit():

@@ -69,6 +69,17 @@ def test_seq_every_family_every_route(capsys):
             assert out
 
 
+@pytest.mark.parametrize("family, route, n_max", [
+    (family, route, cfg["offset"] + k)
+    for family, cfg in checks.FAMILIES.items() for route in cfg["routes"] for k in range(3)])
+def test_seq_every_route_at_its_smallest_sizes(capsys, family, route, n_max):
+    # the reference is the family's first route at a larger size, cut to n_max
+    cfg = checks.FAMILIES[family]
+    want = next(iter(cfg["routes"].values()))(cfg["offset"] + 5)[:n_max - cfg["offset"] + 1]
+    argv = ["seq", "--family", family, "--route", route, "--n-max", str(n_max)]
+    assert run(capsys, argv) == (0, "".join(f"{v}\n" for v in want), "")
+
+
 DEFAULT_ROUTES = {
     "sb": "recurrence", "semi": "recurrence", "plane": "rule", "twisted": "rule",
     "strong": "rule", "baxter": "closed", "av231": "closed", "exp1423": "brute",

@@ -368,6 +368,14 @@ def _expanded(rule, depth: int, bound: int = 20):
 # a first child that falls in h and k, so its index steps backwards along a
 # source row and the one-past index stays put; one child repeated twice
 @example(text="axiom (1,1)\nrow (6-h-k+i, 1) for i = 0..h-1\nrow (1, 2) for i = 0..1\n")
+# reversed runs (dx < 0, then dy < 0) whose last child reaches 0 at the live label
+# (2, 1) of level 2
+@example(text="axiom (1,1)\nrow (h+1, k)\nrow (h-i, k) for i = 0..h+h-2\n")
+@example(text="axiom (1,1)\nrow (h+1, k)\nrow (h, k-i) for i = 0..k+h-2\n")
+# a falling coordinate, k = 3 - h, that reaches 0 at the live label (3, 1) of level 3
+@example(text="axiom (1,1)\nrow (h+1, k)\nrow (h, 3-h)\n")
+# a rising coordinate, h + k - 2, that is 0 at the live label (1, 1) of level 2
+@example(text="axiom (2,2)\nrow (h+k-2, k)\nrow (1, 1)\n")
 def test_carried_rows_equal_repeated_node_expansion(text):
     # each carried level is exactly the live rows of the expanded level's own grid
     rule = rules.parse_rule(text)

@@ -62,6 +62,13 @@ def test_guards_raise_value_error(call):
         call()
 
 
+def test_fit_growth_needs_fifty_terms_past_the_first():
+    e = walks.excursions(walks.FIVE, 50)
+    assert walks.fit_growth(walks.FIVE, e)["n_max"] == 50
+    with pytest.raises(ValueError):
+        walks.fit_growth(walks.FIVE, e[:50])
+
+
 def test_count_walks_small():
     tables = walks.count_walks(walks.FIVE, 3)
     assert [t.coeff(0, 0) for t in tables] == [1, 0, 2, 1]
@@ -88,14 +95,14 @@ def _returns_within(mult: dict, k_max: int) -> set:
 
 
 def _unpacked(grid: tuple) -> dict:
-    """Cell -> count of one yielded packed grid; no bit may sit at or past
-    a row's width."""
+    """Cell -> count of one yielded packed grid, cell x of a row of width w
+    in slot w - 1 - x; no bit may sit at or past a row's width."""
     b, rows, widths = grid
     assert all(row >> (w * b) == 0 for row, w in zip(rows, widths))
     cells = {}
     for y, (row, w) in enumerate(zip(rows, widths)):
         digits = _digits(row, b, 0)
-        cells.update({(x, y): digits.coeff(x, 0) for x in range(w)})
+        cells.update({(x, y): digits.coeff(w - 1 - x, 0) for x in range(w)})
     return cells
 
 
@@ -126,7 +133,8 @@ def test_grids_trim_five_and_seven_to_the_triangle():
         assert list(walks.walk_grids(steps, n_max))[-1][2] == list(range(n_max + 1, 0, -1))
 
 
-@pytest.mark.parametrize("text", ["five", "seven", "3x(0,0);2x(1,1);(-1,0);(0,-1)"])
+@pytest.mark.parametrize("text", ["five", "seven", "3x(0,0);2x(1,1);(-1,0);(0,-1)",
+                                  "(1,0);(-1,0);(1,1);(-1,-1)"])
 def test_packed_rows_stay_exact_across_slot_widenings(text):
     """Slots widen every few steps; past two widenings every kept cell, the
     tables and the excursions still equal the naive counts."""
