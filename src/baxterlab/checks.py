@@ -72,10 +72,7 @@ _SB_ROUTES: dict[str, Route] = {
 FAMILIES: dict[str, dict] = {
     "sb": {"offset": 1, "routes": _SB_ROUTES},
     "semi": {"offset": 1, "routes": _SB_ROUTES},
-    "plane": {
-        "offset": 1,
-        "routes": {"rule": _rule_counts("semi"), "brute": _perm_brute("plane")},
-    },
+    "plane": {"offset": 1, "routes": {"rule": _rule_counts("semi"), "brute": _perm_brute("plane")}},
     "baxter": {
         "offset": 1,
         "routes": {
@@ -86,10 +83,8 @@ FAMILIES: dict[str, dict] = {
             "brute": _perm_brute("baxter"),
         },
     },
-    "twisted": {
-        "offset": 1,
-        "routes": {"rule": _rule_counts("tbax"), "brute": _perm_brute("twisted")},
-    },
+    "twisted": {"offset": 1, "routes": {"rule": _rule_counts("tbax"),
+                                        "brute": _perm_brute("twisted")}},
     "strong": {
         "offset": 1,
         "routes": {
@@ -136,9 +131,7 @@ class CheckReport(NamedTuple):
         return self.status == "pass"
 
 
-def compare_routes(
-    seqs: Mapping[str, Sequence[int]], offset: int = 1
-) -> tuple[bool, str]:
+def compare_routes(seqs: Mapping[str, Sequence[int]], offset: int = 1) -> tuple[bool, str]:
     """Compare aligned sequences pairwise; index i holds n = offset + i.
 
     Sequences may have different lengths; only the common prefix of each
@@ -153,11 +146,8 @@ def compare_routes(
         o = seqs[other]
         for i in range(min(len(base), len(o))):
             if base[i] != o[i]:
-                n = offset + i
-                return False, (
-                    f"{names[0]} vs {other} first differ at n={n}: "
-                    f"{_term_text(base[i])} != {_term_text(o[i])}"
-                )
+                return False, (f"{names[0]} vs {other} first differ at n={offset + i}: "
+                               f"{_term_text(base[i])} != {_term_text(o[i])}")
     spans = ", ".join(f"{k} to n={offset + len(seqs[k]) - 1}" for k in names)
     return True, f"routes agree ({spans})"
 
@@ -165,9 +155,7 @@ def compare_routes(
 Outcome = tuple[bool, str]
 
 
-def _routes_agree(
-    family: str, borrowed: tuple[str, ...], brute: int, n: int, seed: int
-) -> Outcome:
+def _routes_agree(family: str, borrowed: tuple[str, ...], brute: int, n: int, seed: int) -> Outcome:
     picks = [(family, r, r) for r in FAMILIES[family]["routes"]]
     picks += [(*key.split(":"), key) for key in borrowed]
     seqs = {}
@@ -180,13 +168,8 @@ def _routes_agree(
 
 
 def _chk_census(top: int, seed: int) -> Outcome:
-    pairs = (
-        ("semi", "semi"),
-        ("plane", "semi"),
-        ("baxter", "bax"),
-        ("twisted", "tbax"),
-        ("strong", "strong"),
-    )
+    pairs = (("semi", "semi"), ("plane", "semi"), ("baxter", "bax"), ("twisted", "tbax"),
+             ("strong", "strong"))
     for cls_name, rule_name in pairs:
         levels = islice(rules.levels(rules.RULES[rule_name]), top)
         for n, (want, got) in enumerate(zip(levels, perms.censuses(perms.CLASSES[cls_name])), 1):
@@ -210,9 +193,7 @@ def _chk_invseq_labels(top: int, seed: int) -> Outcome:
         extensions = invseq.valid_extensions(e)
         kids = [invseq.growth_label(e + (p,)) for p in extensions]
         if sorted(kids) != sorted(rules.productions(semi, invseq.growth_label(e))):
-            return False, (
-                f"extension labels vs rule-semi productions differ at e={e}"
-            )
+            return False, f"extension labels vs rule-semi productions differ at e={e}"
         seen += 1
         if len(e) + 1 < top:
             stack.extend(e + (p,) for p in extensions)
@@ -314,9 +295,7 @@ def _chk_w2(n: int, n_origin: int, seed: int) -> Outcome:
             f"seven-step excursions vs transformed five-step excursions "
             f"differ at n={rep0['first_fail']}"
         )
-    return True, (
-        f"transform matches tables to n={n} and excursions to n={n_origin}"
-    )
+    return True, f"transform matches tables to n={n} and excursions to n={n_origin}"
 
 
 def _chk_refinement(n: int, seed: int) -> Outcome:
@@ -337,9 +316,7 @@ def _chk_growth(n: int, seed: int) -> Outcome:
         f"five rho_hat={r5['rho_hat']:.6f} (err {r5['rel_err']:.1e}), "
         f"seven rho_hat={r7['rho_hat']:.6f} (err {r7['rel_err']:.1e}) at n={n}"
     )
-    if not ok:
-        return False, "estimate vs minimal-polynomial root: " + detail
-    return True, detail
+    return ok, detail if ok else "estimate vs minimal-polynomial root: " + detail
 
 
 def _chk_asymptotics(n: int, amp_tol: float, seed: int) -> Outcome:
@@ -352,9 +329,7 @@ def _chk_asymptotics(n: int, amp_tol: float, seed: int) -> Outcome:
         f"(rel dev {dev:.1e}); plain ratio {rep['ratio']:.7f} drifts like 6/n; "
         f"amplitude {rep['n6_scaled']:.3f} vs {rep['target_A']:.3f} at n={rep['n']}"
     )
-    if not ok:
-        return False, "recurrence asymptotics vs constants: " + detail
-    return True, detail
+    return ok, detail if ok else "recurrence asymptotics vs constants: " + detail
 
 
 def _chk_rule_dsl(n_max: int, seed: int) -> Outcome:

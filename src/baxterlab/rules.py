@@ -4,7 +4,7 @@ A succession rule is an axiom label plus a production map sending each
 label to the ordered list of its children's labels; the number of nodes
 at level n of the induced generating tree is the nth term of the
 enumerated sequence.  All labels here are pairs (h, k) of positive
-integers; the one-label Catalan rule rides along as (k, 1) so a single
+integers; the one-label Catalan rule rides along as (h, 1) so a single
 engine serves every rule.
 
 Rules are written in a small text format mirroring the usual displays,
@@ -30,23 +30,27 @@ definition of the five built-in rules; RULES is parsed from it at import
 Every row expression is affine, so `parse_rule` stores a row as a
 straight run of labels, child(i) = P(h,k) + i*d for i = 0..span(h,k).
 `productions` expands one node run by run, and `series` reads each rule's
-label equation off the same runs.  A level step expands no node.  A level
-is carried as its live rows (Level).  `_step` writes the next one into its
-own flat grid, label (x, y) at index x + w*y, so a step of d is one
-stride, and reads the rows off that buffer once.  Each run adds a label's
-count at its first child and takes it off one stride past its last, then
-sums along the stride; along a source row k both indices are affine in h,
-so each run takes two strided slices per row.  The next grid reaches only
-as far as the children of labels under the level's largest h + k can: the
-ECO method of Barcucci, Del Lungo, Pergola and Pinzani (1999).
+label equation off the same runs.  A level is carried as its live rows
+(Level), and a level step expands no node and builds no grid.  As in the
+ECO method of Barcucci, Del Lungo, Pergola and Pinzani (1999), nested runs
+are suffix sums: a run of n = span + 1 children whose labels share their
+first (or last) child along a unit step u (a row, a column or an
+anti-diagonal) while n grows by 1 along u puts S(h,k) = L(h,k) + S((h,k)+u)
+at E(h,k), the last (or first) child of (h,k), for L the level's counts
+and every (h,k) back along -u to n = 1.  E maps a row of the level into a
+row of the next, so a run takes one accumulate (u along the row) or one
+shifted add (u across rows) per row.  A run of one child, or of step
+(0, 0), puts L n at its child.  A rule with a row of another shape steps
+node by node (`expand_level`).
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice, repeat
-from operator import add, sub
-from typing import Iterator, NamedTuple
+from functools import reduce
+from itertools import accumulate, islice, product, repeat
+from operator import add
+from typing import Iterable, Iterator, NamedTuple
 
 Label = tuple[int, int]
 LabelDistribution = dict[Label, int]
@@ -115,98 +119,111 @@ def expand_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistribu
     return out
 
 
-def _grid(rule: SuccessionRule, dist: LabelDistribution) -> tuple[list[int], int]:
-    if min(map(min, dist)) < 1:
-        raise ValueError(f"rule {rule.name}: a label of the level is not positive")
-    w = max(map(max, dist)) + 1
-    cells = [0] * w * w
-    for (h, k), cnt in dist.items():
-        cells[h + w * k] = cnt
-    return cells, w
-
-
 def _dict(rows: Level) -> LabelDistribution:
     return {(h, k): v for k, i, _, vals in rows for h, v in enumerate(vals, i) if v}
 
 
-def _scatter(cells: list[int], start: int, step: int, vals: list[int], op) -> None:
-    """cells[start + i*step] = op(that cell, vals[i]) for each i, in one slice."""
-    if step:
-        stop = start + step * len(vals)
-        at = slice(start, stop if stop >= 0 else None, step)
-        cells[at] = map(op, cells[at], vals)
-    else:
-        cells[start] = op(cells[start], sum(vals))
+def _read(dist: LabelDistribution) -> Level:
+    """A label multiset as its live rows."""
+    return _join((k, h, [v]) for (h, k), v in dist.items())
 
 
-def _rows(cells: list[int], w: int) -> Level:
-    """(k, i, j, cells i..j) per grid row k with a count, i and j its first and last live label."""
-    rows = []
-    for k in range(len(cells) // w):
-        row = cells[k * w:k * w + w]
-        if any(row):
-            i = row.index(next(filter(None, row)))
-            j = w - row[::-1].index(next(filter(None, reversed(row))))
-            rows.append((k, i, j - 1, row[i:j]))
-    return rows
+def _join(pieces: Iterable[tuple[int, int, list[int]]]) -> Level:
+    """The live rows of the sum of pieces (k, a, counts at h = a, a+1, ... on row k)."""
+    rows: dict[int, list] = {}
+    for k, a, s in pieces:
+        rows.setdefault(k, []).append((a, s))
+    return [(k, *t) for k in sorted(rows) if (t := _trim(*reduce(_add, rows[k])))]
 
 
-def _step(rule: SuccessionRule, rows: Level) -> Level:
-    """The live rows of the level after the one in rows (see the module docstring)."""
-    if not rows:
-        return []
-    # The labels lie in the box h0..h1 x k0..k1 cut by h + k <= s, and an affine map
-    # peaks at (h0, k0) or at a far corner the cut trims (s >= h1 + k0, s >= h0 + k1).
-    h0, h1, k0, k1 = min(r[1] for r in rows), max(r[2] for r in rows), rows[0][0], rows[-1][0]
-    s = max(k + hi for k, _, hi, _ in rows)
-    corners = (h0, k0), (h1, k0), (h0, k1), (h1, min(k1, s - h1)), (min(h1, s - k1), k1)
-    # a run with dy < 0 or dy = 0 > dx is read from its last child; checks are its lowest
-    # labels' coordinates that its coefficients alone do not keep positive
-    runs, xtop, ytop, pad = [], 0, 0, 0
+def _trim(a: int, s: list[int]) -> tuple[int, int, list[int]] | None:
+    """(i, j, counts at h = i..j) of s listed from h = a, i and j its first
+    and last nonzero count; None if it has none."""
+    if s and s[0] and s[-1]:
+        return a, a + len(s) - 1, s
+    nz = [x for x, v in enumerate(s) if v]
+    return (a + nz[0], a + nz[-1], s[nz[0]:nz[-1] + 1]) if nz else None
+
+
+def _add(r: tuple[int, list[int]], q: tuple[int, list[int]]) -> tuple[int, list[int]]:
+    """The sum of two rows, each as (first h, counts)."""
+    (a, s), (b, t) = (r, q) if r[0] <= q[0] else (q, r)
+    o, m = b - a, len(s) - (b - a)  # t starts at s[o]; m of s lie from there on
+    out = s[:o] + [0] * -m
+    out += map(add, islice(s, o, None), t)
+    out += s[o + len(t):] if m > len(t) else t[max(m, 0):]
+    return a, out
+
+
+def _runs(rule: SuccessionRule) -> list:
+    """Each row as (u, E, n, checks) (see the module docstring), or None for
+    a row of another shape; checks are the coordinates of its lowest child
+    that its coefficients alone do not keep positive."""
+    runs = []
     for x, y, (dx, dy), span in rule.rows:
         end = _lin((1, x), (dx, span)), _lin((1, y), (dy, span))
         low = (x if dx >= 0 else end[0], y if dy >= 0 else end[1])
-        checks = tuple(f for f in low if min(f[1:]) < 0 or sum(f) < 1)
-        xtop = max(xtop, *(_at(f, h, k) for f in (x, end[0]) for h, k in corners))
-        ytop = max(ytop, *(_at(f, h, k) for f in (y, end[1]) for h, k in corners))
-        pad = max(pad, abs(dx), abs(dy))
-        if dy < 0 or dy == 0 > dx:
-            dx, dy, (x, y) = -dx, -dy, end
-        runs.append((dx, dy, span, x, y, checks))
-    w = xtop + pad + 1  # past every child's x and every |dx|; pad covers one-past
-    size = w * (ytop + pad + 1)
-    total = None  # a run of stride 0 adds in total itself, so it comes last
-    for dx, dy, (s0, sh, sk), x, y, checks in sorted(runs, key=lambda r: r[:2] == (0, 0)):
-        stride = dx + w * dy
-        grid = [0] * size if stride or total is None else total
-        a0, ah, ak = _lin((1, x), (w, y))
-        for k, lo, hi, vals in rows:
-            # (h, k) has n = c + sh*h children; count and check h = i..j, where n > 0
-            c = s0 + sk * k + 1
-            i = max(lo, -((c - 1) // sh)) if sh > 0 else lo if sh or c > 0 else hi + 1
-            j = min(hi, (1 - c) // sh) if sh < 0 else hi
-            if i > j:
-                continue
-            v = vals[i - lo:j - lo + 1]
-            if checks and (bad := [h for h, cnt in enumerate(v, i)
-                                   if cnt and min(_at(f, h, k) for f in checks) < 1]):
+        fits = [(None, (x, y))] if (dx, dy) == (0, 0) else [
+            (u, e) for u in product((1, -1, 0), (0, 1, -1))
+            if span[1] * u[0] + span[2] * u[1] == 1 and not (u[1] and span[1])
+            for p, e in (((x, y), end), (end, (x, y)))
+            if all(f[1] * u[0] + f[2] * u[1] == 0 for f in p)]
+        fits = [(u, e) for u, e in fits if e[0][1] == 1 and e[1][1] == 0]
+        runs.append((*fits[0], _lin((1, span), (1, (1, 0, 0))),
+                     tuple(f for f in low if min(f[1:]) < 0 or sum(f) < 1)) if fits else None)
+    return runs
+
+
+def _sums(rule: SuccessionRule, rows: Level, u, n: Affine, checks) -> list:
+    """(k, a, S) per row k: S(h, k) from h = a on, where n(h, k) >= 1 and S
+    may be nonzero.  A live label whose lowest child is not positive raises
+    ValueError."""
+    live = {}
+    for k, i, j, vals in rows:  # the labels with n(h, k) >= 1
+        c, nh = n[0] + n[2] * k, n[1]
+        lo = max(i, -((c - 1) // nh)) if nh > 0 else i if nh or c > 0 else j + 1
+        hi = min(j, (1 - c) // nh) if nh < 0 else j
+        if lo <= hi:
+            live[k] = lo, vals if (lo, hi) == (i, j) else vals[lo - i:hi - i + 1]
+            if checks and (t := _trim(*live[k])) and (
+                    bad := [h for h in t[:2] if min(_at(f, h, k) for f in checks) < 1]):
                 raise _not_positive(rule, (bad[0], k))
-            if not stride and (sh or c != 1):
-                v = [cnt * (c + sh * h) for h, cnt in enumerate(v, i)]
-            _scatter(grid, a := a0 + ak * k + ah * i, ah, v, add)
-            if stride:
-                _scatter(grid, a + (c + sh * i) * stride, ah + sh * stride, v, sub)
-        for r in range(stride):
-            grid[r::stride] = accumulate(grid[r::stride])
-        total = grid if total is None or not stride else list(map(add, total, grid))
-        del grid  # before the next row allocates its own
-    return _rows(total, w)
+    if u is None:  # S = L n
+        return [(k, a, s if n == (1, 0, 0) else [v * _at(n, h, k) for h, v in enumerate(s, a)])
+                for k, (a, s) in live.items()]
+    (uh, uk), out = u, []
+    if not uk:  # along each row: one accumulate, on to the h where n = 1
+        for k, (a, s) in live.items():
+            s = list(accumulate(s[::-uh]))[::-uh]
+            m = _at(n, a if uh > 0 else a + len(s) - 1, k) - 1
+            out.append((k, a - m, [s[0]] * m + s) if uh > 0 else (k, a, s + [s[-1]] * m))
+        return out
+    # across rows, where n = c + uk*k: row k of S is row k + uk shifted by -uh
+    # plus row k of L, from the farthest live row on to the row where n = 1
+    a, s, stop = 0, [], -n[0] * uk
+    for k in range((max if uk > 0 else min)(live, default=stop), stop, -uk):
+        a -= uh
+        if k in live:
+            a, s = _add((a, s), live[k]) if s else live[k]
+        if s:
+            out.append((k, a, s))
+    return out
+
+
+def _step(rule: SuccessionRule, rows: Level, runs: list = ()) -> Level:
+    """The live rows of the level after the one in rows: each run adds its S(h, k)
+    at E(h, k) (runs are `_runs(rule)`), or with a row of another shape, node by node."""
+    runs = runs or _runs(rule)
+    if None in runs:
+        return _read(expand_level(rule, _dict(rows)))
+    return _join((f0 + fk * k, a + e0 + ek * k, s) for u, ((e0, _, ek), (f0, _, fk)), n, c in runs
+                 for k, a, s in _sums(rule, rows, u, n, c))
 
 
 def _levels(rule: SuccessionRule) -> Iterator[Level]:
     """The live rows of levels 1, 2, ..., each stepped to only when it is asked for."""
-    return accumulate(repeat(rule), lambda rows, _: _step(rule, rows),
-                      initial=_rows(*_grid(rule, {rule.axiom: 1})))
+    return accumulate(repeat(_runs(rule)), lambda rows, runs: _step(rule, rows, runs),
+                      initial=_read({rule.axiom: 1}))
 
 
 def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistribution:
@@ -218,7 +235,9 @@ def next_level(rule: SuccessionRule, dist: LabelDistribution) -> LabelDistributi
     ...     (1, 3): 1, (3, 1): 2, (2, 2): 2, (1, 2): 1}
     True
     """
-    return _dict(_step(rule, _rows(*_grid(rule, dist)))) if dist else {}
+    if min(map(min, dist), default=1) < 1:
+        raise ValueError(f"rule {rule.name}: a label of the level is not positive")
+    return _dict(_step(rule, _read(dist)))
 
 
 def levels(rule: SuccessionRule) -> Iterator[LabelDistribution]:

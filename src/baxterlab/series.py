@@ -43,7 +43,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .formulas import _binom_run, at_least, binom
-from .rules import RULES, Level, SuccessionRule, _levels, _lin, _scatter
+from .rules import RULES, Level, SuccessionRule, _levels, _lin
 from .rules import next_level  # noqa: F401  (perfbench wraps this binding)
 
 Rat = int | Fraction
@@ -336,8 +336,13 @@ def _spread(rows: Level, sh: int, sk: int) -> list[int]:
     [0, 5, -1]
     """
     out = [0] * max([sh * h + sk * k + 1 for k, i, j, _ in rows for h in (i, j)], default=0)
-    for k, i, _, vals in rows:
-        _scatter(out, sh * i + sk * k, sh, vals, add)
+    for k, i, _, vals in rows:  # one strided slice per row (a sum where sh = 0)
+        if sh:
+            stop = (a := sh * i + sk * k) + sh * len(vals)
+            at = slice(a, stop if stop >= 0 else None, sh)
+            out[at] = map(add, out[at], vals)
+        else:
+            out[sk * k] += sum(vals)
     return out
 
 

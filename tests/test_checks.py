@@ -12,6 +12,8 @@ import pytest
 import baxterlab
 from baxterlab import checks, formulas, invseq, perms, rules, series, walks
 
+from conftest import SB
+
 
 def test_compare_routes_agree():
     ok, detail = checks.compare_routes({"x": [1, 2, 6], "y": [1, 2, 6, 23]})
@@ -472,6 +474,14 @@ def test_invseq_labels_check_names_a_planted_extension_fault(monkeypatch):
         False, "extension labels vs rule-semi productions differ at e=(0, 1)")
 
 
+def test_invseq_labels_check_reports_every_avoider_below_its_full_size():
+    # the walk visits every avoider of size 1..top-1, so one size less shows in the count
+    fn, _, (top,) = checks._REGISTRY["invseq-growth-labels"]
+    seen = sum(SB[:top - 1])
+    assert fn(top, 0) == (True, f"growth labels match the semi rule on {seen} avoiders "
+                                f"(sizes < {top})")
+
+
 def test_invseq_routes_check_names_a_planted_brute_fault(monkeypatch):
     # size 9 lies past the quick size: the full-size check compares that far
     _plant_invseq_brute(9)(monkeypatch)
@@ -494,6 +504,15 @@ def test_lagrange_check_names_a_planted_inversion_fault(monkeypatch):
     _plant_inversion(monkeypatch)
     assert checks._chk_lagrange(8, 0) == (
         False, "inversion formula vs series extraction differ at (s,k,i)=(2,3,2)")
+
+
+def test_lagrange_check_compares_its_top_order(monkeypatch):
+    # a coefficient wrong only at k = kmax fails the check at its full size
+    fn, _, (kmax,) = checks._REGISTRY["lagrange-vs-series"]
+    coeff = series.lagrange_coeff
+    monkeypatch.setattr(series, "lagrange_coeff", lambda s, k, i: coeff(s, k, i) + (k == kmax))
+    assert fn(kmax, 0) == (
+        False, f"inversion formula vs series extraction differ at (s,k,i)=(-6,{kmax},1)")
 
 
 def test_w2_check_names_a_planted_table_fault(monkeypatch):

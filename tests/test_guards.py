@@ -76,9 +76,10 @@ def test_w_equation_is_typed_once():
 
 
 def test_grid_layout_stays_in_rules():
-    # a level travels as its live rows; the flat grid (label (h, k) at h + w*k)
-    # is rules._step's buffer, so only rules.py builds one (_grid) or reads one
-    # back (_rows).  Names in doctest strings are text, not references.
+    # a level travels as its live rows, and rules._step adds suffix sums row by
+    # row into the next level's rows without a grid, so no module outside
+    # rules.py builds a level grid (_grid) or reads one back (_rows).  Names in
+    # doctest strings are text, not references.
     root = Path(baxterlab.__file__).parent
     found = [f"{path.relative_to(root)}:{node.lineno}" for path in sorted(root.rglob("*.py"))
              if path.name != "rules.py"

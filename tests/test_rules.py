@@ -46,6 +46,22 @@ def test_production_spot_checks_bax_tbax(name, label, want):
     assert rules.productions(rules.RULES[name], label) == want
 
 
+def _refuse(rule, dist):
+    raise AssertionError(f"rule {rule.name} stepped node by node")
+
+
+@pytest.mark.parametrize("name", list(rules.RULES))
+def test_builtin_rules_step_by_suffix_sums(monkeypatch, name):
+    # every run of a built-in rule takes the suffix-sum path, so rules-dsl-mirrors
+    # compares the level step with node expansion, not node expansion with itself
+    rule = rules.RULES[name]
+    assert None not in rules._runs(rule)
+    monkeypatch.setattr(rules, "expand_level", _refuse)
+    want = {"cat": CATALAN, "semi": SB, "bax": BAXTER, "tbax": BAXTER, "strong": STRONG}[name]
+    got = rules.count_sequence(rule, 30)
+    assert len(got) == 30 and got[:len(want)] == want
+
+
 def test_distribution_level_two():
     semi = rules.RULES["semi"]
     assert rules.distribution(semi, 2) == {(1, 2): 1, (2, 1): 1}
@@ -377,7 +393,7 @@ def _expanded(rule, depth: int, bound: int = 20):
 # a rising coordinate, h + k - 2, that is 0 at the live label (1, 1) of level 2
 @example(text="axiom (2,2)\nrow (h+k-2, k)\nrow (1, 1)\n")
 def test_carried_rows_equal_repeated_node_expansion(text):
-    # each carried level is exactly the live rows of the expanded level's own grid
+    # each carried level is exactly the live rows of the expanded level
     rule = rules.parse_rule(text)
     want, depth = _expanded(rule, 6)
     if want is None:
@@ -386,7 +402,65 @@ def test_carried_rows_equal_repeated_node_expansion(text):
         with pytest.raises(ValueError):
             list(islice(rules.levels(rule), depth))
     else:
-        assert list(islice(rules._levels(rule), depth)) == [
-            rules._rows(*rules._grid(rule, lv)) if lv else [] for lv in want]
+        assert list(islice(rules._levels(rule), depth)) == list(map(rules._read, want))
         assert list(islice(rules.levels(rule), depth)) == want
         assert rules.count_sequence(rule, depth) == [sum(lv.values()) for lv in want]
+
+
+# Rows that step by suffix sums, with random affine coefficients: a run of n
+# children that share their first (or last) child along a unit step u while n
+# grows by 1 along u (across rows n does not move with h), E(h, k) = (e + h +
+# ek*k, f + fk*k) its last (or first) child; a row of one child; a row of step
+# (0, 0), its child E repeated n times.
+_UNITS = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)])
+
+
+@st.composite
+def _suffix_rule_texts(draw) -> str:
+    lines = ["axiom (1,1)"]
+    for _ in range(draw(st.integers(1, 3))):
+        (e, ek), (f, fk) = (draw(st.tuples(st.integers(-1, 4), _COEF)) for _ in "ef")
+        kind = draw(st.sampled_from(["run", "one", "repeat"]))
+        if kind == "one":
+            lines.append(f"row ({_expr(e, (1, ek), 'hk')}, {_expr(f, (0, fk), 'hk')})")
+            continue
+        m, d, first = (draw(_CONST), *draw(st.tuples(_COEF, _COEF))), (0, 0), (e, 1, ek, f, 0, fk)
+        if kind == "run":  # m = n - 1, with n·u = 1
+            uh, uk = draw(_UNITS)
+            m = (draw(_CONST), *((uh, draw(_COEF)) if not uk else (0, uk)))
+            g = (uh + ek * uk, fk * uk)  # E's step along u
+            if draw(st.booleans()):  # first child shared, E = first + m*d
+                d = g
+                first = (e - g[0] * m[0], 1 - g[0] * m[1], ek - g[0] * m[2],
+                         f - g[1] * m[0], -g[1] * m[1], fk - g[1] * m[2])
+            else:  # last child shared, E = first
+                d = (-g[0], -g[1])
+        x = _expr(first[0], (*first[1:3], d[0]), "hki")
+        y = _expr(first[3], (*first[4:6], d[1]), "hki")
+        lines.append(f"row ({x}, {y}) for i = 0..{_expr(m[0], m[1:], 'hk')}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_suffix_rule_texts())
+# a run whose last child is shared along (-1, 0), carried right past a row's
+# last live label to n = 1
+@example(text="axiom (1,1)\nrow (i, k+1) for i = h..3\nrow (h, k)\n")
+# a repeated child whose count n = h - 2 starts inside a row's gap, so its
+# piece of the next row starts with a 0
+@example(text="axiom (1,1)\nrow (h, k)\nrow (h+3, k)\nrow (h, k+1) for i = 0..h-3\n")
+def test_suffix_sum_rules_equal_repeated_node_expansion(text):
+    # the suffix-sum step alone (node expansion refused), against repeated
+    # expand_level: the same rows, or a ValueError at the same level
+    rule = rules.parse_rule(text)
+    assert None not in rules._runs(rule)
+    want, depth = _expanded(rule, 6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rules, "expand_level", _refuse)
+        if want is None:
+            rules.count_sequence(rule, depth - 1)
+            with pytest.raises(ValueError):
+                rules.count_sequence(rule, depth)
+        else:
+            assert list(islice(rules._levels(rule), depth)) == list(map(rules._read, want))
+            assert rules.count_sequence(rule, depth) == [sum(lv.values()) for lv in want]

@@ -34,10 +34,10 @@ def test_laurent_arithmetic():
 
 
 def test_two_variable_poly():
-    # 2y + 3z - yz as its live rows, as rules._rows reads them off its grid of
-    # width 2, spread to its images in z and on the diagonal
+    # 2y + 3z - yz as its live rows, as rules._read reads them off its terms,
+    # spread to its images in z and on the diagonal
     p = series.Poly({(1, 0): 2, (0, 1): 3, (1, 1): -1})
-    assert _level(p) == [(0, 1, 1, [2]), (1, 0, 1, [3, -1])] == rules._rows([0, 2, 3, -1], 2)
+    assert _level(p) == [(0, 1, 1, [2]), (1, 0, 1, [3, -1])] == rules._read(p.c)
     assert _poly(_level(p)) == p
     assert series._spread(_level(p), 0, 1) == [2, 2]
     assert series._spread(_level(p), 1, 1) == [0, 5, -1]
