@@ -186,17 +186,18 @@ def _chk_census(top: int, seed: int) -> Outcome:
 
 def _chk_invseq_labels(top: int, seed: int) -> Outcome:
     semi = rules.RULES["semi"]
-    stack: list[invseq.ISeq] = [(0,)]
+    stack = [invseq.ROOT]
     seen = 0
     while stack:
-        e = stack.pop()
-        extensions = invseq.valid_extensions(e)
-        kids = [invseq.growth_label(e + (p,)) for p in extensions]
-        if sorted(kids) != sorted(rules.productions(semi, invseq.growth_label(e))):
-            return False, f"extension labels vs rule-semi productions differ at e={e}"
+        state = stack.pop()
+        kids = invseq.children(state)
+        want = rules.productions(semi, invseq.growth_label(state))
+        if sorted(map(invseq.growth_label, kids)) != sorted(want):
+            return False, ("extension labels vs rule-semi productions differ at "
+                           f"(n, top, bottom)={state}")
         seen += 1
-        if len(e) + 1 < top:
-            stack.extend(e + (p,) for p in extensions)
+        if state[0] + 1 < top:
+            stack += kids
     return True, f"growth labels match the semi rule on {seen} avoiders (sizes < {top})"
 
 

@@ -9,10 +9,14 @@ repeated value.
 Writing e^top for the subsequence of weak left-to-right maxima and
 e^bottom for the rest, top(e) = max(e^top) and bottom(e) = max(e^bottom)
 with bottom(e) = -1 when e^bottom is empty.  The class avoiding both 210
-and 100 is exactly the class where e^bottom is strictly increasing, and
-counting avoiders by (top, bottom) = (a, b) gives the Q_{n,a,b} dynamic
-program whose total reproduces the semi-Baxter numbers.  The brute force
-grows each avoider alone, carried as the state of `_max_blocked`'s scan.
+and 100 is exactly the class where e^bottom is strictly increasing, so an
+avoider e of size n is carried as its state (n, top, bottom), with ROOT
+the state of (0,).  The step `children` appends p = bottom+1..n: a p >=
+top joins e^top and becomes the top, a smaller p joins e^bottom and
+becomes the bottom.  The brute force grows each avoider alone by that
+step; counting avoiders by (top, bottom) = (a, b) instead gives the
+Q_{n,a,b} dynamic program, whose total reproduces the semi-Baxter
+numbers.
 """
 
 from __future__ import annotations
@@ -21,89 +25,50 @@ from typing import Iterator
 
 from .formulas import _exact_div, at_least, binom, catalan
 
-ISeq = tuple[int, ...]
+State = tuple[int, int, int]  # (n, top, bottom) of an avoider of size n
+ROOT: State = (1, 0, -1)  # the avoider (0,)
 
 
-def decompose(e: ISeq) -> tuple[int, int, ISeq, ISeq]:
-    """(top, bottom, e^top, e^bottom) of an inversion sequence.
+def children(state: State) -> list[State]:
+    """The states of e + (p,) for p = bottom+1..n, e an avoider in the given
+    state: a smaller p would complete 210 or 100 with e's bottom entry.
 
-    >>> decompose((0, 1, 0))
-    (1, 0, (0, 1), (0,))
-    >>> decompose((0,))
-    (0, -1, (0,), ())
+    >>> children((2, 1, -1))  # (0, 1) + (0,), (0, 1) + (1,), (0, 1) + (2,)
+    [(3, 1, 0), (3, 1, -1), (3, 2, -1)]
     """
-    top_seq: list[int] = []
-    bottom_seq: list[int] = []
-    run_max = -1
-    for v in e:
-        if v >= run_max:
-            run_max = v
-            top_seq.append(v)
-        else:
-            bottom_seq.append(v)
-    top = max(top_seq) if top_seq else -1
-    bottom = max(bottom_seq) if bottom_seq else -1
-    return top, bottom, tuple(top_seq), tuple(bottom_seq)
-
-
-def _max_blocked(e: ISeq) -> int:
-    """Largest p such that appending p would complete 210 or 100.
-
-    An appended value p is bad iff some e_i > e_j >= p with i < j, i.e.
-    iff p <= some entry that has a strictly larger entry before it.
-    Returns -1 when no appended value is blocked.
-    """
-    run_max = -1
-    blocked = -1
-    for v in e:
-        if v >= run_max:
-            run_max = v
-        elif v > blocked:
-            blocked = v
-    return blocked
-
-
-def valid_extensions(e: ISeq) -> range:
-    """Values p for which e + (p,) stays in the avoidance class.
-
-    >>> list(valid_extensions((0, 1, 0)))
-    [1, 2, 3]
-    """
-    return range(_max_blocked(e) + 1, len(e) + 1)
+    n, top, bottom = state
+    return [(n + 1, p, bottom) if p >= top else (n + 1, top, p) for p in range(bottom + 1, n + 1)]
 
 
 def count_avoiders_bruteforce(n_max: int) -> list[int]:
     """|I_n(210, 100)| for n = 1..n_max by prefix-closed DFS growth.
 
-    A stack node (n, run_max, blocked) is one avoider of size n, held as
-    the state of `_max_blocked`'s scan: it may append blocked+1..n, and
-    appending p steps the scan to (p, blocked) if p >= run_max, else to
-    (run_max, p).  Size n_max - 2 counts each child's appends in place.
-    Unlike the (top, bottom) DP, this route never merges two avoiders.
+    Each stack node is one avoider, held as its state and grown through
+    `children`; a node counts its n - bottom children in place, and size
+    n_max - 2 counts each child's appends in place too.  Unlike the
+    (top, bottom) DP, this route never merges two avoiders.
 
     >>> count_avoiders_bruteforce(4)
     [1, 2, 6, 23]
     """
     at_least(n_max, 1, "n_max")
     counts = [0, 1] + [0] * (n_max - 1)
-    stack = [(1, 0, -1)]  # the avoider (0,)
+    stack = [ROOT]
     while stack and n_max >= 2:
-        n, run_max, blocked = stack.pop()
-        kids = range(blocked + 1, n + 1)
-        counts[n + 1] += len(kids)
+        n, top, bottom = state = stack.pop()
+        counts[n + 1] += n - bottom
         if n + 2 < n_max:
-            for p in kids:
-                stack.append((n + 1, p, blocked) if p >= run_max else (n + 1, run_max, p))
+            stack += children(state)
         elif n + 2 == n_max:
-            for p in kids:
-                counts[n_max] += n + 1 - (p if p < run_max else blocked)
+            for p in range(bottom + 1, n + 1):
+                counts[n_max] += n + 1 - (p if p < top else bottom)
     return counts[1:]
 
 
-def growth_label(e: ISeq) -> tuple[int, int]:
+def growth_label(state: State) -> tuple[int, int]:
     """The pair (h, k) = (top - bottom, n - top) steering the growth."""
-    top, bottom, _, _ = decompose(e)
-    return (top - bottom, len(e) - top)
+    n, top, bottom = state
+    return top - bottom, n - top
 
 
 def q_levels(n: int) -> Iterator[dict[tuple[int, int], int]]:

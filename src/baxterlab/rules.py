@@ -185,9 +185,10 @@ def _sums(rule: SuccessionRule, rows: Level, u, n: Affine, checks) -> list:
         hi = min(j, (1 - c) // nh) if nh < 0 else j
         if lo <= hi:
             live[k] = lo, vals if (lo, hi) == (i, j) else vals[lo - i:hi - i + 1]
-            if checks and (t := _trim(*live[k])) and (
-                    bad := [h for h in t[:2] if min(_at(f, h, k) for f in checks) < 1]):
-                raise _not_positive(rule, (bad[0], k))
+            # each check's h-coefficient is 0 or 1 (E's is (1, 0), and the shared child's
+            # is 0 along a row or E's across rows), so a segment's first live label fails first
+            if checks and (t := _trim(*live[k])) and min(_at(f, t[0], k) for f in checks) < 1:
+                raise _not_positive(rule, (t[0], k))
     if u is None:  # S = L n
         return [(k, a, s if n == (1, 0, 0) else [v * _at(n, h, k) for h, v in enumerate(s, a)])
                 for k, (a, s) in live.items()]

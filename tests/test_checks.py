@@ -290,9 +290,9 @@ def _plant_stair(mp):
 
 
 def _plant_extensions(mp):
-    extensions = invseq.valid_extensions
-    mp.setattr(invseq, "valid_extensions",  # (0, 1) loses its last extension
-               lambda e: extensions(e)[:-1] if e == (0, 1) else extensions(e))
+    children = invseq.children
+    mp.setattr(invseq, "children",  # the state (2, 1, -1), the avoider (0, 1), loses its last child
+               lambda state: children(state)[:-1] if state == (2, 1, -1) else children(state))
 
 
 def _plant_invseq_brute(size: int):
@@ -471,7 +471,7 @@ def test_census_check_walks_each_class_once(monkeypatch):
 def test_invseq_labels_check_names_a_planted_extension_fault(monkeypatch):
     _plant_extensions(monkeypatch)
     assert checks._chk_invseq_labels(6, 0) == (
-        False, "extension labels vs rule-semi productions differ at e=(0, 1)")
+        False, "extension labels vs rule-semi productions differ at (n, top, bottom)=(2, 1, -1)")
 
 
 def test_invseq_labels_check_reports_every_avoider_below_its_full_size():

@@ -1,9 +1,12 @@
-"""Inversion-sequence avoiders: decomposition, growth, table, formula,
-against naive filters."""
+"""Inversion-sequence avoiders: the carried state and its step, the brute
+force, table and formula, against naive filters on tuples."""
 
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baxterlab import invseq, rules
 from baxterlab.formulas import catalan
@@ -62,68 +65,121 @@ def test_avoids_both_vs_naive_filter():
     assert counts == SB[:8]
 
 
-def test_decompose_hand_example():
-    top, bottom, e_top, e_bottom = invseq.decompose((0, 0, 1, 3, 1, 3, 2, 7, 3))
-    assert e_bottom == (1, 2, 3)
-    assert e_top == (0, 0, 1, 3, 3, 7)
-    assert top == 7 and bottom == 3
+def _bottom_seq(e):
+    """e^bottom: each entry smaller than some entry before it."""
+    out, run_max = [], -1
+    for v in e:
+        if v < run_max:
+            out.append(v)
+        run_max = max(run_max, v)
+    return out
 
 
-def test_decompose_characterization():
-    # avoidance is equivalent to the bottom subsequence being strictly rising
+def _state(e):
+    """The (len, max, bottom) state of a tuple, read off the tuple alone."""
+    return len(e), max(e), max(_bottom_seq(e), default=-1)
+
+
+def _fold(e):
+    """The state reached from the root by appending e[1:] through children, or
+    None at the first appended p outside its child range bottom+1..n."""
+    state = invseq.ROOT
+    for p in e[1:]:
+        n, _, bottom = state
+        if not bottom < p <= n:
+            return None
+        state = invseq.children(state)[p - bottom - 1]
+    return state
+
+
+def _states(n):
+    """The states of every avoider of size n, grown from the root by children."""
+    stack = [invseq.ROOT]
+    while stack:
+        state = stack.pop()
+        if state[0] == n:
+            yield state
+        else:
+            stack += invseq.children(state)
+
+
+def test_hand_example_reaches_its_state():
+    e = (0, 0, 1, 3, 1, 3, 2, 7, 3)
+    assert _bottom_seq(e) == [1, 2, 3]
+    assert _fold(e) == _state(e) == (9, 7, 3)
+
+
+def test_avoidance_is_a_strictly_rising_bottom():
     for n in range(1, 7):
         for e in _all_iseqs(n):
-            _, _, _, e_bottom = invseq.decompose(e)
-            strict = all(x < y for x, y in zip(e_bottom, e_bottom[1:]))
+            bottom = _bottom_seq(e)
+            strict = all(x < y for x, y in zip(bottom, bottom[1:]))
             assert _naive_avoids_both(e) == strict, e
 
 
-def test_valid_extensions_vs_filter():
+def test_children_vs_filter():
     stack = [(0,)]
     while stack:
         e = stack.pop()
         n = len(e)
         want = [p for p in range(n + 1) if _naive_avoids_both(e + (p,))]
-        assert list(invseq.valid_extensions(e)) == want, e
+        assert invseq.children(_state(e)) == [_state(e + (p,)) for p in want], e
         if n < 5:
             stack.extend(e + (p,) for p in want)
 
 
-def test_valid_extensions_match_the_pattern_scan():
-    """The _max_blocked shortcut against an occurrence scan.
+def test_children_match_the_pattern_scan():
+    """children against an occurrence scan.
 
-    The tuple DFS oracle below reads its appends off _max_blocked, which
-    valid_extensions wraps, and count_avoiders_bruteforce carries that
-    scan's state; here every avoider of size <= 7 gets them from the
-    test's two-word matcher instead.  Each e was admitted by the same
-    scan one level up, so a new 210 or 100 must use the appended entry:
-    only triples ending there are scanned.
+    Every avoider of size <= 7 is walked as a tuple beside the state that
+    children gave it, and its children are checked against the appends the
+    test's two-word matcher admits, each read as a state off its tuple.  Each
+    e was admitted by the same scan one level up, so a new 210 or 100 must
+    use the appended entry: only triples ending there are scanned.
     """
-    stack = [(0,)]
+    stack = [((0,), invseq.ROOT)]
     seen = 0
     while stack:
-        e = stack.pop()
+        e, state = stack.pop()
         free = [p for p in range(len(e) + 1)
                 if not _naive_contains(e + (p,), "210", ending=True)
                 and not _naive_contains(e + (p,), "100", ending=True)]
-        assert list(invseq.valid_extensions(e)) == free, e
+        kids = invseq.children(state)
+        assert kids == [_state(e + (p,)) for p in free], e
         seen += 1
         if len(e) < 7:
-            stack.extend(e + (p,) for p in free)
+            stack.extend((e + (p,), kid) for p, kid in zip(free, kids))
     assert seen == sum(SB[:7])
+
+
+@st.composite
+def _iseqs(draw):
+    """Any inversion sequence of size 1..14; each entry is drawn either from
+    its whole range or as its largest value, so long avoiders come up too."""
+    return tuple(draw(st.one_of(st.integers(0, i), st.just(i)))
+                 for i in range(draw(st.integers(1, 14))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_iseqs())
+def test_children_fold_along_exactly_the_avoiders(e):
+    state = _fold(e)
+    assert _naive_avoids_both(e) == (state is not None)
+    if state is not None:
+        assert state == _state(e)
 
 
 def _tuple_dfs_counts(n_max):
     """|I_n(210, 100)| for n = 1..n_max by a DFS over the avoiders as tuples,
-    each one's appends rescanned by valid_extensions; the last level is
-    counted at its parent."""
+    each one's appends bottom+1..n read off the tuple by _state; the last level
+    is counted at its parent."""
     counts = [0] * (n_max + 1)
     counts[1] = 1
     stack = [(0,)]
     while stack and n_max >= 2:
         e = stack.pop()
-        n = len(e)
-        extensions = invseq.valid_extensions(e)
+        n, _, bottom = _state(e)
+        extensions = range(bottom + 1, n + 1)
         if n + 1 == n_max:
             counts[n_max] += len(extensions)
             continue
@@ -143,7 +199,7 @@ def test_bruteforce_edges(n_max, want):
 
 
 def test_bruteforce_matches_the_tuple_dfs():
-    # the carried (n, run_max, blocked) state against the tuples it stands for
+    # the carried (n, top, bottom) state against the tuples it stands for
     for n_max in range(1, 10):
         assert invseq.count_avoiders_bruteforce(n_max) == _tuple_dfs_counts(n_max), n_max
 
@@ -159,15 +215,7 @@ def test_bruteforce_is_independent_of_the_table_and_formula(monkeypatch):
 
 def test_q_table_vs_census():
     for n in range(1, 8):
-        census = {}
-        stack = [(0,)]
-        while stack:
-            e = stack.pop()
-            if len(e) == n:
-                top, bottom, _, _ = invseq.decompose(e)
-                census[(top, bottom)] = census.get((top, bottom), 0) + 1
-                continue
-            stack.extend(e + (p,) for p in invseq.valid_extensions(e))
+        census = Counter((top, bottom) for _, top, bottom in _states(n))
         assert invseq.q_table(n) == census, n
 
 
@@ -185,13 +233,5 @@ def test_total_via_formula():
 def test_growth_labels_reproduce_rule_distribution():
     semi = rules.RULES["semi"]
     for n in range(1, 8):
-        census = {}
-        stack = [(0,)]
-        while stack:
-            e = stack.pop()
-            if len(e) == n:
-                lab = invseq.growth_label(e)
-                census[lab] = census.get(lab, 0) + 1
-                continue
-            stack.extend(e + (p,) for p in invseq.valid_extensions(e))
+        census = Counter(map(invseq.growth_label, _states(n)))
         assert census == rules.distribution(semi, n), n

@@ -56,6 +56,9 @@ def test_builtin_rules_step_by_suffix_sums(monkeypatch, name):
     # compares the level step with node expansion, not node expansion with itself
     rule = rules.RULES[name]
     assert None not in rules._runs(rule)
+    # every positivity check is nondecreasing in h, so _sums tests only a segment's
+    # first live label
+    assert all(f[1] >= 0 for *_, low in rules._runs(rule) for f in low)
     monkeypatch.setattr(rules, "expand_level", _refuse)
     want = {"cat": CATALAN, "semi": SB, "bax": BAXTER, "tbax": BAXTER, "strong": STRONG}[name]
     got = rules.count_sequence(rule, 30)
@@ -454,6 +457,7 @@ def test_suffix_sum_rules_equal_repeated_node_expansion(text):
     # expand_level: the same rows, or a ValueError at the same level
     rule = rules.parse_rule(text)
     assert None not in rules._runs(rule)
+    assert all(f[1] >= 0 for *_, low in rules._runs(rule) for f in low)
     want, depth = _expanded(rule, 6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rules, "expand_level", _refuse)
