@@ -2,10 +2,10 @@
 
 Every route is evaluated in exact arithmetic: the order-2 recurrences
 divide big integers with an exactness guard, in ints or, for printing, in
-exact Decimal integers (see _order2); the closed sums read their binomials
-from exact multiplicative runs (one math.comb per row or diagonal, then
-one exact step per entry) and divide by their prefactor's denominator
-with the same guard; the big-sum formula carries its rational prefactor
+exact Decimal integers (see _order2); the closed sums step each summand
+by its term ratio (one math.comb seed, then one exact divmod per term, in
+_ratio_sum) and divide by their prefactor's denominator with the same
+guard; the big-sum formula carries its rational prefactor
 as a Fraction and checks integrality at the end.  Every guard raises
 ValueError in every interpreter mode.
 These values are the oracles the other modules are tested against, so a
@@ -21,7 +21,10 @@ from __future__ import annotations
 import decimal
 import math
 from fractions import Fraction
-from typing import Callable
+from functools import partial, reduce
+from itertools import count
+from operator import mul
+from typing import Callable, Iterable
 
 
 def binom(n: int, k: int) -> int:
@@ -86,6 +89,32 @@ def _binom_run(n: int, k: int, count: int, diagonal: bool) -> list[int]:
             raise ValueError(f"binomial run from C({n}, {k}): step to {low} is not exact")
         run.append(c)
     return run
+
+
+def _ratio_sum(t0: int, nums: Iterable[int], dens: Iterable[int], what: str) -> tuple[int, int]:
+    """(t_0 + ... + t_m, t_m) for t_(j+1) = t_j nums[j] / dens[j], each division exact.
+
+    >>> _ratio_sum(1, [4, 3, 2, 1], [1, 2, 3, 4], "C(4, j)")
+    (16, 1)
+    """
+    t = s = t0
+    for j, p, q in zip(count(1), nums, dens):
+        t, r = divmod(t * p, q)
+        if r:
+            raise ValueError(f"{what}: term {j} is not an integer")
+        s += t
+    return s, t
+
+
+def _binomial_sum(binomials: list[tuple[int, int, bool]], terms: int, what: str) -> tuple[int, int]:
+    """_ratio_sum over j < terms of the product, over (top, k, diagonal) in binomials,
+    of C(top, k+j), or C(top+j, k+j) on a diagonal.  A row steps by (top-k-j)/(k+j+1)
+    and a diagonal by (top+j+1)/(k+j+1), so each factor is a small int."""
+    t0 = math.prod(math.comb(top, k) for top, k, _ in binomials)
+    tops = (range(top + 1, top + terms) if diagonal else range(top - k, top - k - terms + 1, -1)
+            for top, k, diagonal in binomials)
+    lows = (range(k + 1, k + terms) for _, k, _ in binomials)
+    return _ratio_sum(t0, reduce(partial(map, mul), tops), reduce(partial(map, mul), lows), what)
 
 
 def catalan(n: int) -> int:
@@ -201,14 +230,9 @@ def sb_simple_formula(n: int, variant: str = "a") -> int:
     at_least(n, 2, "n")
     if variant not in _SIMPLE_VARIANTS:
         raise ValueError(f"unknown simple-formula variant {variant!r}")
-    (t1, k1), (t2, k2), (t3, k3) = _SIMPLE_VARIANTS[variant]
-    s = sum(x * y * z for x, y, z in zip(_binom_run(n + t1, k1, n - 1, False),
-                                         _binom_run(n + t2, k2, n - 1, False),
-                                         _binom_run(n + t3, k3, n - 1, True)))
-    if variant == "d":
-        den = (n - 1) * n * (n + 1) ** 2 * (n + 2)
-    else:
-        den = (n - 1) * n ** 2 * (n + 1) * (n + 2)
+    binomials = [(n + t, k, i == 2) for i, (t, k) in enumerate(_SIMPLE_VARIANTS[variant])]
+    s, _ = _binomial_sum(binomials, n - 1, f"SB_{n} simple-{variant}")
+    den = (n - 1) * n * (n + 1) * (n + 2) * (n + 1 if variant == "d" else n)
     return _exact_div(24 * s, den, f"SB_{n} simple-{variant}")
 
 
@@ -236,13 +260,12 @@ def sb_table(n_max: int, route: str = "recurrence") -> list[int]:
 # Apery-like numbers and the identity giving SB_n
 
 def apery_closed(n: int) -> int:
-    """a_n = sum_j C(n,j)^2 C(n+j,j).
+    """a_n = sum_j C(n,j)^2 C(n+j,j), stepped by the term ratio (n-j)^2 (n+j+1)/(j+1)^3.
 
     >>> [apery_closed(n) for n in range(5)]
     [1, 3, 19, 147, 1251]
     """
-    return sum(x * x * y for x, y in zip(_binom_run(n, 0, n + 1, False),
-                                         _binom_run(n, 0, n + 1, True)))
+    return _binomial_sum([(n, 0, False), (n, 0, False), (n, 0, True)], n + 1, f"apery a_{n}")[0]
 
 
 def apery_recurrence(n_max: int, unit: int | decimal.Decimal = 1) -> list:
@@ -276,13 +299,17 @@ def _sb_from_apery(n: int, a: list[int]) -> int:
 def baxter_closed(n: int) -> int:
     """B_n = 2/(n(n+1)^2) * sum_j C(n+1,j-1) C(n+1,j) C(n+1,j+1).
 
+    With N = n+1 the summand is symmetric under j <-> N-j: the sum steps
+    j = 1..N//2 by the term ratio (N-j+1)(N-j)(N-j-1)/(j(j+1)(j+2)) and
+    doubles, counting the middle term of an even N once.
+
     >>> [baxter_closed(n) for n in range(1, 7)]
     [1, 2, 6, 22, 92, 422]
     """
     at_least(n, 1, "n")
-    row = _binom_run(n + 1, 0, n + 2, False)
-    s = sum(x * y * z for x, y, z in zip(row, row[1:], row[2:]))
-    return _exact_div(2 * s, n * (n + 1) ** 2, f"B_{n}")
+    top = n + 1
+    s, mid = _binomial_sum([(top, 0, False), (top, 1, False), (top, 2, False)], top // 2, f"B_{n}")
+    return _exact_div(2 * (2 * s - (mid if top % 2 == 0 else 0)), n * top ** 2, f"B_{n}")
 
 
 def baxter_recurrence(n_max: int, unit: int | decimal.Decimal = 1) -> list:

@@ -1,5 +1,6 @@
 """Closed forms, recurrences, and their cross-agreements."""
 
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +83,48 @@ def test_binom_run_rejects_negative_k(diagonal):
         formulas._binom_run(5, -1, 3, diagonal)
 
 
+# The closed sums' summands as plain math.comb products over their whole range of j,
+# with each sum's prefactor: the oracle for the term-ratio stepping.
+_SIMPLE_SUMMANDS = {
+    "a": lambda n, j: math.comb(n, j + 2) * math.comb(n + 2, j) * math.comb(n + j + 2, j + 1),
+    "b": lambda n, j: math.comb(n, j + 2) * math.comb(n + 1, j) * math.comb(n + j + 2, j + 3),
+    "c": lambda n, j: math.comb(n + 1, j + 3) * math.comb(n + 2, j + 1) * math.comb(n + j + 3, j),
+    "d": lambda n, j: math.comb(n + 1, j + 3) * math.comb(n + 1, j) * math.comb(n + j + 2, j + 2),
+}
+
+
+@pytest.mark.parametrize("variant", "abcd")
+def test_simple_formulas_equal_plain_binomial_sums(variant):
+    for n in range(2, 61):
+        s = sum(_SIMPLE_SUMMANDS[variant](n, j) for j in range(n + 2))
+        den = (n - 1) * n * (n + 1) * (n + 2) * (n + 1 if variant == "d" else n)
+        assert formulas.sb_simple_formula(n, variant) == Fraction(24 * s, den), n
+
+
+def test_baxter_closed_equals_the_full_symmetric_sum():
+    # n = 1..60 gives odd and even N = n + 1, so the half-range sum is checked
+    # both without and with its middle term
+    for n in range(1, 61):
+        top = n + 1
+        s = sum(math.comb(top, j - 1) * math.comb(top, j) * math.comb(top, j + 1)
+                for j in range(1, top))
+        assert formulas.baxter_closed(n) == Fraction(2 * s, n * top ** 2), n
+
+
+def test_apery_closed_equals_the_plain_binomial_sum():
+    for n in range(61):
+        assert formulas.apery_closed(n) == sum(math.comb(n, j) ** 2 * math.comb(n + j, j)
+                                               for j in range(n + 1)), n
+
+
+def test_ratio_sum_names_the_term_that_is_not_an_integer():
+    assert formulas._ratio_sum(5, [], [], "t") == (5, 5)
+    with pytest.raises(ValueError, match=r"^t: term 1 is not an integer$"):
+        formulas._ratio_sum(1, [1], [2], "t")
+    with pytest.raises(ValueError, match=r"^SB: term 3 is not an integer$"):
+        formulas._ratio_sum(1, [2, 3, 5], [1, 2, 7], "SB")
+
+
 def test_sb_summand_is_exact_fraction():
     total = sum(formulas.sb_summand(6, j) for j in range(0, 9))
     assert total == Fraction(SB[5])
@@ -126,6 +169,7 @@ def test_exact_division_guard_raises_under_optimize():
         "for call in (lambda: formulas._exact_div(7, 2, 'parity check'),\n"
         "             lambda: formulas.binom(-1, 0),\n"
         "             lambda: formulas._binom_run(5, -1, 3, False),\n"
+        "             lambda: formulas._ratio_sum(1, [1], [2], 't'),\n"
         "             lambda: formulas._order2('t', 1, 1, 5, 1, lambda n: (1, 1, 3)),\n"
         "             lambda: formulas._order2('t', 1, 1, 5, Decimal(1), lambda n: (1, 1, 3)),\n"
         "             lambda: formulas._order2('t', 1, 1, 5, Decimal(1), lambda n: (1, 1, 0)),\n"

@@ -69,6 +69,14 @@ def test_fit_growth_needs_fifty_terms_past_the_first():
         walks.fit_growth(walks.FIVE, e[:50])
 
 
+def test_fitted_five_exponent_approaches_theory():
+    # Denisov and Wachtel: alpha = -1 - pi/arccos(-r) = -3.32019 for FIVE.  The fit
+    # measured -3.2286 at n = 200 and -3.2611 at n = 300; never widen these bands.
+    e = walks.excursions(walks.FIVE, 300)
+    assert -3.235 < walks.fit_growth(walks.FIVE, e[:201])["alpha_hat"] < -3.222
+    assert -3.267 < walks.fit_growth(walks.FIVE, e)["alpha_hat"] < -3.255
+
+
 def test_count_walks_small():
     tables = walks.count_walks(walks.FIVE, 3)
     assert [t.coeff(0, 0) for t in tables] == [1, 0, 2, 1]
