@@ -27,22 +27,6 @@ from operator import mul
 from typing import Callable, Iterable
 
 
-def binom(n: int, k: int) -> int:
-    """C(n, k) with the vanishing convention for k < 0 or k > n.
-
-    The summation formulas below silently rely on out-of-range binomials
-    being zero.
-
-    >>> binom(5, 2), binom(5, -1), binom(5, 9)
-    (10, 0, 0)
-    """
-    if n < 0:
-        raise ValueError(f"binomial top must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def at_least(value: int, low: int, name: str) -> None:
     """Raise ValueError unless value >= low; name says which argument."""
     if value < low:
@@ -62,33 +46,6 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if r:
         raise ValueError(f"{what}: {_term_text(num)}/{_term_text(den)} is not an integer")
     return q
-
-
-def _binom_run(n: int, k: int, count: int, diagonal: bool) -> list[int]:
-    """C(n, k+j), or on a diagonal C(n+j, k+j), for j = 0..count-1.
-
-    One math.comb seeds the run; each next entry is the last times the
-    term ratio, (n-k-j)/(k+j+1) on a row and (n+j+1)/(k+j+1) on a
-    diagonal, and that division must be exact.  A row that steps past n
-    stays at 0, as binom does; a negative k is rejected, since a run
-    seeded at 0 could never reach its nonzero entries.
-
-    >>> _binom_run(4, 1, 6, False), _binom_run(2, 1, 3, True)
-    ([4, 6, 4, 1, 0, 0], [2, 3, 4])
-    """
-    if k < 0:
-        raise ValueError(f"binomial run must start at k >= 0, got {k}")
-    if count < 1:
-        return []
-    tops = range(n + 1, n + count) if diagonal else range(n - k, n - k - count + 1, -1)
-    c = binom(n, k)
-    run = [c]
-    for top, low in zip(tops, range(k + 1, k + count)):
-        c, r = divmod(c * top, low)
-        if r:
-            raise ValueError(f"binomial run from C({n}, {k}): step to {low} is not exact")
-        run.append(c)
-    return run
 
 
 def _ratio_sum(t0: int, nums: Iterable[int], dens: Iterable[int], what: str) -> tuple[int, int]:
@@ -123,7 +80,7 @@ def catalan(n: int) -> int:
     >>> [catalan(n) for n in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
-    return _exact_div(binom(2 * n, n), n + 1, "catalan")
+    return _exact_div(math.comb(2 * n, n), n + 1, "catalan")
 
 
 # No operation may round.  Only +, * and divmod run under it, never /,
@@ -179,8 +136,9 @@ def sb_recurrence(n_max: int, unit: int | decimal.Decimal = 1) -> list:
 
 
 def sb_summand(n: int, j: int) -> Fraction:
-    """Single term of the big-sum formula for SB_n (hypergeometric summand)."""
-    c = binom
+    """Single term of the big-sum formula for SB_n (hypergeometric summand).
+    No lower index is negative for j >= 0; math.comb gives C(m, k) = 0 for k > m."""
+    c = math.comb
     bracket = (
         c(n - 1, j + 1) * (c(n + j + 1, j + 5) + 2 * c(n + j + 1, j))
         + 2 * c(n - 1, j + 2) * (-c(n + j + 2, j + 5) + c(n + j + 1, j + 3)

@@ -21,9 +21,10 @@ numbers.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator
 
-from .formulas import _exact_div, at_least, binom, catalan
+from .formulas import _exact_div, at_least, catalan
 
 State = tuple[int, int, int]  # (n, top, bottom) of an avoider of size n
 ROOT: State = (1, 0, -1)  # the avoider (0,)
@@ -80,7 +81,7 @@ def q_levels(n: int) -> Iterator[dict[tuple[int, int], int]]:
         cur: dict[tuple[int, int], int] = {}
         col: list[int] = []  # col[b]: sum of prev[(j, b)] over b < j <= a
         for a in range(m):
-            cur[(a, -1)] = _exact_div((m - a) * binom(m - 1 + a, a), m,
+            cur[(a, -1)] = _exact_div((m - a) * comb(m - 1 + a, a), m,
                                       f"ballot column Q_{{{m},{a},-1}}")
             row = prev.get((a, -1), 0)  # sum of prev[(a, i)] over -1 <= i < b
             col.append(0)

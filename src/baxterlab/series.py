@@ -38,11 +38,11 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .formulas import _binom_run, at_least, binom
+from .formulas import at_least
 from .rules import RULES, Level, SuccessionRule, _levels, _lin
 from .rules import next_level  # noqa: F401  (perfbench wraps this binding)
 
@@ -124,9 +124,9 @@ def _one_plus(rows: Level) -> Poly:
     out: dict[tuple[int, int], Rat] = {}
     get = out.get
     for k, h, v in ((k, h, v) for k, i, _, vals in rows for h, v in enumerate(vals, i) if v):
-        ys = _binom_run(h, 0, h + 1, False)
-        for j, d in enumerate(_binom_run(k, 0, k + 1, False)):
-            d *= v
+        ys = [comb(h, i) for i in range(h + 1)]
+        for j in range(k + 1):
+            d = comb(k, j) * v
             for i, c in enumerate(ys):
                 out[i, j] = get((i, j), 0) + c * d
     return Poly(out)
@@ -239,7 +239,8 @@ def _v_at(p: int, q: int, order: int) -> XSeries:
 def lagrange_coeff(s: int, k: int, i: int) -> Fraction:
     """[a^s x^k] W^i for i in {1,2,3} without solving for W.
 
-    Equals (i/k) * sum_j C(k,j) C(k,j+i) C(k+j+i, j+s) over 0 <= j <= k-i.
+    Equals (i/k) * sum_j C(k,j) C(k,j+i) C(k+j+i, j+s) over 0 <= j <= k-i, with C(m, r) = 0
+    for r < 0 or r > m: j starts at max(0, -s), and math.comb gives the 0 for r > m.
 
     >>> lagrange_coeff(2, 1, 1)
     Fraction(1, 1)
@@ -247,8 +248,8 @@ def lagrange_coeff(s: int, k: int, i: int) -> Fraction:
     if i not in (1, 2, 3) or k < 1:
         raise ValueError(f"need i in (1, 2, 3) and k >= 1, got i={i}, k={k}")
     total = sum(
-        binom(k, j) * binom(k, j + i) * binom(k + j + i, j + s)
-        for j in range(k - i + 1)
+        comb(k, j) * comb(k, j + i) * comb(k + j + i, j + s)
+        for j in range(max(0, -s), k - i + 1)
     )
     return Fraction(i * total, k)
 

@@ -17,15 +17,10 @@ from conftest import APERY, BAXTER, CATALAN, SB, corrupt_recurrences
 
 
 def test_binom_and_catalan():
-    assert formulas.binom(5, 2) == 10
-    assert formulas.binom(5, -1) == 0
-    assert formulas.binom(3, 7) == 0
     assert [formulas.catalan(n) for n in range(1, 11)] == CATALAN
 
 
 def test_binom_and_simple_formula_guards():
-    with pytest.raises(ValueError, match="binomial top must be nonnegative, got -1"):
-        formulas.binom(-1, 0)
     with pytest.raises(ValueError, match="unknown simple-formula variant 'e'"):
         formulas.sb_simple_formula(5, "e")
 
@@ -65,22 +60,6 @@ def test_closed_sums_agree_with_recurrences_at_depth():
     bax = formulas.baxter_recurrence(200)
     assert [formulas.baxter_closed(n) for n in range(1, 201)] == bax[1:]
     assert [formulas.apery_closed(n) for n in range(151)] == formulas.apery_recurrence(150)
-
-
-@pytest.mark.parametrize("diagonal", [False, True])
-def test_binom_run_matches_binom(diagonal):
-    # rows with k + count - 1 > n run past n into binom's zeros; count 0 is []
-    for n in range(41):
-        for k in range(46):
-            want = [formulas.binom(n + j if diagonal else n, k + j) for j in range(50)]
-            for count in range(51):
-                assert formulas._binom_run(n, k, count, diagonal) == want[:count], (n, k, count)
-
-
-@pytest.mark.parametrize("diagonal", [False, True])
-def test_binom_run_rejects_negative_k(diagonal):
-    with pytest.raises(ValueError, match="k >= 0"):
-        formulas._binom_run(5, -1, 3, diagonal)
 
 
 # The closed sums' summands as plain math.comb products over their whole range of j,
@@ -167,8 +146,6 @@ def test_exact_division_guard_raises_under_optimize():
         "from decimal import Decimal\n"
         "from baxterlab import formulas, invseq\n"
         "for call in (lambda: formulas._exact_div(7, 2, 'parity check'),\n"
-        "             lambda: formulas.binom(-1, 0),\n"
-        "             lambda: formulas._binom_run(5, -1, 3, False),\n"
         "             lambda: formulas._ratio_sum(1, [1], [2], 't'),\n"
         "             lambda: formulas._order2('t', 1, 1, 5, 1, lambda n: (1, 1, 3)),\n"
         "             lambda: formulas._order2('t', 1, 1, 5, Decimal(1), lambda n: (1, 1, 3)),\n"

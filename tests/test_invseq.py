@@ -208,7 +208,7 @@ def test_bruteforce_is_independent_of_the_table_and_formula(monkeypatch):
     def refuse(*args):
         raise RuntimeError("the brute route reached the table or formula side")
 
-    for name in ("q_levels", "totals_via_formula", "binom", "catalan", "_exact_div"):
+    for name in ("q_levels", "totals_via_formula", "comb", "catalan", "_exact_div"):
         monkeypatch.setattr(invseq, name, refuse)
     assert invseq.count_avoiders_bruteforce(9) == SB[:9]
 

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -196,6 +196,19 @@ def test_lagrange_cube():
     for k in range(3, 11):
         for s in range(-5, 6):
             assert series.lagrange_coeff(s, k, 3) == w3.coeff_x(k).coeff(s, 0), (s, k)
+
+
+def test_lagrange_sum_keeps_the_vanishing_convention():
+    # the whole range 0 <= j <= k-i with C(m, r) = 0 for r < 0, on every s
+    # where a term can be nonzero and a margin of empty sums on both sides
+    def c(m, r):
+        return comb(m, r) if r >= 0 else 0
+
+    for k in range(1, 16):
+        for i in (1, 2, 3):
+            for s in range(-3 * k - 5, 3 * k + 6):
+                total = sum(c(k, j) * c(k, j + i) * c(k + j + i, j + s) for j in range(k - i + 1))
+                assert series.lagrange_coeff(s, k, i) == Fraction(i * total, k), (s, k, i)
 
 
 def test_solve_w_past_256_bit_coefficients_matches_lagrange():

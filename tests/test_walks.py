@@ -77,6 +77,15 @@ def test_fitted_five_exponent_approaches_theory():
     assert -3.267 < walks.fit_growth(walks.FIVE, e)["alpha_hat"] < -3.255
 
 
+def test_fitted_five_growth_constant_approaches_theory():
+    # rho = 4.7290315, the real root of t^3+t^2-18t-43.  The fit measured 4.7280599 at
+    # n = 200 and 4.7285973 at n = 300; a Richardson partner at n_max - 2 reads 4.7282745
+    # and 4.7286580, outside both bands.  Never widen these bands.
+    e = walks.excursions(walks.FIVE, 300)
+    assert 4.72800 < walks.fit_growth(walks.FIVE, e[:201])["rho_hat"] < 4.72815
+    assert 4.72857 < walks.fit_growth(walks.FIVE, e)["rho_hat"] < 4.72863
+
+
 def test_count_walks_small():
     tables = walks.count_walks(walks.FIVE, 3)
     assert [t.coeff(0, 0) for t in tables] == [1, 0, 2, 1]
