@@ -284,18 +284,11 @@ def _chk_walk_equation(order: int, seed: int) -> Outcome:
 
 
 def _chk_w2(n: int, n_origin: int, seed: int) -> Outcome:
-    rep = walks.w2_consistency(n)
-    if not rep["ok"]:
-        return False, (
-            f"seven-step tables vs binomial transform of five-step tables "
-            f"differ at n={rep['first_fail']}"
-        )
-    rep0 = walks.w2_consistency(n_origin, origin_only=True)
-    if not rep0["ok"]:
-        return False, (
-            f"seven-step excursions vs transformed five-step excursions "
-            f"differ at n={rep0['first_fail']}"
-        )
+    for size, only, what in ((n, False, "tables vs binomial transform of five-step tables"),
+                             (n_origin, True, "excursions vs transformed five-step excursions")):
+        rep = walks.w2_consistency(size, origin_only=only)
+        if not rep["ok"]:
+            return False, f"seven-step {what} differ at n={rep['first_fail']}"
     return True, f"transform matches tables to n={n} and excursions to n={n_origin}"
 
 

@@ -170,9 +170,8 @@ def _cmd_walks(args: argparse.Namespace) -> int:
             import json
             print(json.dumps(rep))
         else:
-            for key in ("steps", "n_max", "alpha_hat", "rho_hat", "target", "rel_err"):
-                print(f"{key} = {rep[key]}")
-            print(f"residual_of_minpoly = {rep['residual_of_minpoly']}")
+            for key, value in rep.items():
+                print(f"{key} = {value}")
         return 0
     if args.excursions:
         values = walks.excursions(steps, args.n_max)

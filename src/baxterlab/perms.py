@@ -242,17 +242,14 @@ def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
 
 def censuses(cls: AvoidanceClass) -> Iterator[dict[Label, int]]:
     """The multisets of labels (h, k) over the avoiders of sizes 1, 2, ...
-    of a class of pair patterns, read off `_levels`: h counts active sites
-    <= the last value and k those above it.  A canonical state's f forbidden
-    slots are 1..f, so h = last - f and k = n + 1 - last.  Reading a class
-    with another pattern raises ValueError."""
+    of a class of pair patterns: h counts active sites <= the last value
+    and k those above it.  A canonical state's f forbidden slots are 1..f,
+    so h = last - f and k = n + 1 - last, and each level of `_levels` is
+    re-keyed, one label per state.  Other patterns raise ValueError."""
     if not set(cls.patterns) <= _PAIR_FLAGS.keys():
         raise ValueError(f"class {cls.name} carries no (h, k) label")
     for n, level in enumerate(_levels(cls), 1):
-        census: Counter[Label] = Counter()
-        for (last, mask, _), m in level.items():
-            census[last - mask.bit_length(), n + 1 - last] += m
-        yield dict(census)
+        yield {(last - mask.bit_length(), n + 1 - last): m for (last, mask, _), m in level.items()}
 
 
 def label_census(cls: AvoidanceClass, n: int) -> dict[Label, int]:

@@ -37,10 +37,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import cycle, islice
 from math import comb, lcm, prod
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formulas import at_least
 from .rules import RULES, Level, SuccessionRule, _levels, _lin
@@ -583,28 +583,30 @@ def _image(maps: tuple[_Mobius, _Mobius], i: int, p: tuple, mod_p: bool) -> tupl
     return (v, p[1]) if i == 0 else (p[0], v)
 
 
+def _walk(maps: tuple[_Mobius, _Mobius], p: tuple, mod_p: bool) -> Iterator[tuple]:
+    """p, ι₀p, ι₁ι₀p, ... (ι_i the map of coordinate i) until back at p after an
+    even number of moves: the points of a finite orbit of the two involutions."""
+    yield p
+    q, i = _image(maps, 0, p, mod_p), 1
+    while i or q != p:
+        yield q
+        q, i = _image(maps, i, q, mod_p), 1 - i
+
+
 def _orbit_size(maps: tuple[_Mobius, _Mobius], start: tuple, limit: int, mod_p: bool) -> int:
-    """Breadth-first closure of start under the two maps, stopped once more
-    than `limit` distinct points have been seen.  Each point keeps the map
-    that made it, and only the other map is applied to it: both are
-    involutions, so the same map would only return its parent."""
-    seen, frontier = {start}, [(start, None)]
-    while frontier and len(seen) <= limit:
-        fresh = []
-        for p, made in frontier:
-            for i in (0, 1):
-                if i != made:
-                    q = _image(maps, i, p, mod_p)
-                    if q not in seen:
-                        seen.add(q)
-                        fresh.append((q, i))
-        frontier = fresh
+    """The distinct points of start's _walk, up to limit + 1 of them, read off
+    its first 2 limit + 2 points (more only where a map is no involution)."""
+    seen: set[tuple] = set()
+    for q in islice(_walk(maps, start, mod_p), 2 * limit + 2):
+        seen.add(q)
+        if len(seen) > limit:
+            break
     return len(seen)
 
 
 def kernel_orbit(rule: SuccessionRule, y: Rat, z: Rat, limit: int = 200) -> int:
-    """Closure size of (y, z) under the two maps of the kernel group of `rule`
-    (_group); a size above `limit` means the orbit did not close by then.
+    """Orbit size of (y, z) under the two maps of the kernel group of `rule`
+    (_group, _walk); a size of limit + 1 means the orbit did not close by then.
 
     The orbit is first counted mod p = 2^61 - 1, whose residues stay at 61
     bits where the rational points grow to thousands of bits, and that count
@@ -687,16 +689,16 @@ def _chain(rule: SuccessionRule, y: Rat, z: Rat) -> tuple[Fraction, Fraction, Fr
     (c_a,), (c_b,) = ([c for m, c in terms.items() if m[i] == (0, 0)] for i in (0, 1))
     free, maps = kernel * Poly({rule.axiom: 1}), _group(rule)[2]
     try:
-        size, p, c, e = kernel_orbit(rule, y, z, 200), (Fraction(y), Fraction(z)), 0, 1
+        size, c, e = kernel_orbit(rule, y, z, 200), 0, 1
         if size > 200 or size % 4 != 2:
             raise ValueError(f"rule {rule.name}: no half-orbit chain (orbit size {size})")
-        for i in (n % 2 for n in range(size // 2)):  # i = 0: the unknown is B(p[0])
+        *half, end = islice(_walk(maps, (Fraction(y), Fraction(z)), False), size // 2 + 1)
+        for i, p in zip(cycle((0, 1)), half):  # i = 0: the unknown is B(p[0])
             cs = _at(c_b, p), _at(c_a, p)
             c, e = c - e * _at(free, p) / cs[i], -e * cs[1 - i] / cs[i]
-            p = _image(maps, i, p, False)
     except ZeroDivisionError:
         raise ValueError(f"rule {rule.name}: the chain from ({y}, {z}) meets a pole") from None
-    return c, e, p[1]
+    return c, e, end[1]
 
 
 @cache

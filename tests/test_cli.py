@@ -394,6 +394,17 @@ def test_walks_growth_plain_prints_one_key_per_line(capsys):
     assert (code, out, err) == (0, "".join(f"{key} = {rep[key]}\n" for key in keys), "")
 
 
+def test_walks_growth_plain_lines_are_the_report_items_in_order(capsys):
+    argv = ["walks", "--steps", "seven", "--n-max", "60", "--estimate-growth"]
+    code, out, err = run(capsys, argv)
+    rep = walks.growth_estimate(walks.SEVEN, 60)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"{key} = {value}" for key, value in rep.items()]
+    # the text report and the JSON one carry the same keys in the same order
+    _, out_json, _ = run(capsys, argv + ["--format", "json"])
+    assert list(json.loads(out_json)) == [line.split(" = ")[0] for line in out.splitlines()]
+
+
 def test_check_quick_text(capsys):
     code, out, _ = run(capsys, ["check", "--suite", "quick"])
     assert code == 0

@@ -391,6 +391,21 @@ def test_label_census_vs_dfs_oracle(name):
         assert perms.label_census(cls, n) == want, n
 
 
+@pytest.mark.parametrize("name, rule_name", [
+    ("semi", "semi"), ("plane", "semi"), ("baxter", "bax"), ("twisted", "tbax"),
+    ("strong", "strong")])
+def test_censuses_rekey_each_state_and_match_the_paired_rule(name, rule_name):
+    # at one size a canonical state and its label determine each other, so
+    # each census holds one label per state of the level
+    cls = perms.CLASSES[name]
+    sizes = zip(perms.censuses(cls), perms._levels(cls), rules.levels(rules.RULES[rule_name]))
+    for n, (census, level, want) in enumerate(itertools.islice(sizes, 10), 1):
+        assert len(census) == len(level), n
+        if name == "plane":  # the semi rule counts plane's labels with h and k swapped
+            census = {(k, h): m for (h, k), m in census.items()}
+        assert census == want, n
+
+
 @pytest.mark.parametrize("name", sorted(perms.CLASSES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

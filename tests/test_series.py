@@ -554,6 +554,23 @@ def test_kernel_orbit_sizes():
     assert size > 200
 
 
+@pytest.mark.parametrize("limit", [30, 31, 32, 33])
+def test_open_orbit_count_stops_at_limit_plus_one(limit):
+    # the count stops at the first point past the limit, at odd limits too,
+    # both mod p and over Fraction
+    strong, point = rules.RULES["strong"], (Fraction(5, 2), Fraction(7, 5))
+    assert series.kernel_orbit(strong, *point, limit) == limit + 1
+    assert series._orbit_size(_maps(strong), point, limit, False) == limit + 1
+
+
+def test_walk_meets_a_finite_orbit_once_round():
+    # ι0 then ι1 in turn, back at the start after 10 moves, each point once
+    semi, point = rules.RULES["semi"], (Fraction(5, 3), Fraction(7, 5))
+    walk = list(series._walk(_maps(semi), point, False))
+    assert walk[1] == series._image(_maps(semi), 0, point, False)
+    assert len(walk) == len(set(walk)) == _fraction_orbit(semi, *point, 30) == 10
+
+
 @settings(max_examples=50, deadline=None)
 @given(rule=st.sampled_from(_ORDER_6_RULES), y=_POINT, z=_POINT)
 def test_bax_and_tbax_orbit_sizes_divide_6(rule, y, z):
@@ -641,8 +658,8 @@ def _fraction_orbit(rule, y, z, limit):
 @settings(max_examples=60, deadline=None)
 @given(rule=st.sampled_from(_GROUP_RULES), y=_POINT, z=_POINT)
 def test_kernel_orbit_equals_a_fraction_oracle(rule, y, z):
-    """The oracle applies both maps to every point; kernel_orbit skips the
-    map that made a point and finds the same orbit."""
+    """The oracle applies both maps to every point; kernel_orbit walks the
+    two maps in turn and finds the same orbit."""
     expected = _or_pole(_fraction_orbit, rule, y, z, 30)
     assume(expected is not None)
     assert series.kernel_orbit(rule, y, z, limit=30) == expected
@@ -653,8 +670,8 @@ def test_kernel_orbit_equals_a_fraction_oracle(rule, y, z):
        y=st.fractions(min_value=-40, max_value=40, max_denominator=40),
        z=st.fractions(min_value=-40, max_value=40, max_denominator=40))
 def test_kernel_maps_are_involutions(rule, y, z):
-    """f(f(p)) == p for both maps, over Fraction and mod p: _orbit_size
-    relies on it in both rings."""
+    """f(f(p)) == p for both maps, over Fraction and mod p: _walk relies
+    on it in both rings."""
     maps = _maps(rule)
     checked = 0
     for p, mod_p in (((y, z), False), ((series._mod_p(y), series._mod_p(z)), True)):
