@@ -11,7 +11,7 @@ where they differ.  The series-side verdicts that `baxterlab series
 one after another, so each report's elapsed_ms is that check's own wall
 time.  Each row of the registry gives its check's sizes for the quick
 and the full suite; as whole commands on a 2-vCPU machine the quick
-suite runs in about 0.12 s and the full suite in about 0.3 s.
+suite runs in about 0.11 s and the full suite in about 0.25 s.
 """
 
 from __future__ import annotations
@@ -301,10 +301,9 @@ def _chk_refinement(n: int, seed: int) -> Outcome:
 
 
 def _chk_growth(n: int, seed: int) -> Outcome:
-    e5 = walks.excursions(walks.FIVE, n)
     # SEVEN is FIVE plus two pauses; walks-w2-transform checks that identity on the DP
-    r5 = walks.fit_growth(walks.FIVE, e5)
-    r7 = walks.fit_growth(walks.SEVEN, walks.binomial_transform(e5, 2))
+    e5, e7 = walks._fit_terms(walks.FIVE, n, (0, 2))
+    r5, r7 = walks.fit_growth(walks.FIVE, e5), walks.fit_growth(walks.SEVEN, e7)
     ok = r5["rel_err"] < 0.02 and r7["rel_err"] < 0.02
     detail = (
         f"five rho_hat={r5['rho_hat']:.6f} (err {r5['rel_err']:.1e}), "

@@ -556,20 +556,21 @@ def _group(rule: SuccessionRule) -> tuple[Poly, Poly, tuple[_Mobius, _Mobius]]:
     return n, d, (maps[0], maps[1])
 
 
-# Orbits are counted mod this prime first; see kernel_orbit.
-_P = 2**61 - 1
+# Orbits are counted mod these primes first, in turn; see kernel_orbit.
+_PRIMES = (2**61 - 1, 2**89 - 1)
+_P = _PRIMES[0]
 _SLOTS = 12  # cells per power of W when _kernel_data reads num off one int
 
 
-def _mod_p(r: Rat) -> int:
-    """The image of a rational in GF(_P); ValueError if _P divides its denominator."""
+def _mod_p(r: Rat, prime: int = _P) -> int:
+    """The image of a rational in GF(prime); ValueError if prime divides its denominator."""
     r = Fraction(r)
-    return r.numerator * pow(r.denominator, -1, _P) % _P
+    return r.numerator * pow(r.denominator, -1, prime) % prime
 
 
-def _image(maps: tuple[_Mobius, _Mobius], i: int, p: tuple, mod_p: bool) -> tuple:
-    """p with coordinate i sent through its map, over Fraction or, on ints,
-    mod _P, where a zero denominator raises pow's ValueError.  One int
+def _image(maps: tuple[_Mobius, _Mobius], i: int, p: tuple, prime: int) -> tuple:
+    """p with coordinate i sent through its map, over Fraction (prime 0) or,
+    on ints, mod prime, where a zero denominator raises pow's ValueError.  One int
     evaluation serves both: at w = s/t, u = r/q (t = q = 1 mod p) and al, be,
     de homogenised by t^deg, u' = (al q + be r) / (de r - be q)."""
     w, u = p[1 - i], p[i]
@@ -579,25 +580,25 @@ def _image(maps: tuple[_Mobius, _Mobius], i: int, p: tuple, mod_p: bool) -> tupl
     for a, b, d in zip(*maps[i]):
         al, be, de, x = al * t + a * x, be * t + b * x, de * t + d * x, x * s
     num, den = al * q + be * r, de * r - be * q
-    v = num * pow(den, -1, _P) % _P if mod_p else Fraction(num, den)
+    v = num * pow(den, -1, prime) % prime if prime else Fraction(num, den)
     return (v, p[1]) if i == 0 else (p[0], v)
 
 
-def _walk(maps: tuple[_Mobius, _Mobius], p: tuple, mod_p: bool) -> Iterator[tuple]:
+def _walk(maps: tuple[_Mobius, _Mobius], p: tuple, prime: int) -> Iterator[tuple]:
     """p, ι₀p, ι₁ι₀p, ... (ι_i the map of coordinate i) until back at p after an
     even number of moves: the points of a finite orbit of the two involutions."""
     yield p
-    q, i = _image(maps, 0, p, mod_p), 1
+    q, i = _image(maps, 0, p, prime), 1
     while i or q != p:
         yield q
-        q, i = _image(maps, i, q, mod_p), 1 - i
+        q, i = _image(maps, i, q, prime), 1 - i
 
 
-def _orbit_size(maps: tuple[_Mobius, _Mobius], start: tuple, limit: int, mod_p: bool) -> int:
+def _orbit_size(maps: tuple[_Mobius, _Mobius], start: tuple, limit: int, prime: int) -> int:
     """The distinct points of start's _walk, up to limit + 1 of them, read off
     its first 2 limit + 2 points (more only where a map is no involution)."""
     seen: set[tuple] = set()
-    for q in islice(_walk(maps, start, mod_p), 2 * limit + 2):
+    for q in islice(_walk(maps, start, prime), 2 * limit + 2):
         seen.add(q)
         if len(seen) > limit:
             break
@@ -612,19 +613,24 @@ def kernel_orbit(rule: SuccessionRule, y: Rat, z: Rat, limit: int = 200) -> int:
     bits where the rational points grow to thousands of bits, and that count
     is kept only when it exceeds `limit`: with no denominator 0 mod p,
     reduction commutes with both maps, and points distinct mod p are
-    distinct over Q.  A pole mod p, or an orbit that closes mod p (so every
-    finite orbit), proves nothing over Q and is recounted over Fraction,
-    which raises ZeroDivisionError at a true pole.
+    distinct over Q.  An orbit that closes mod p (so every finite orbit)
+    proves nothing over Q; a pole mod p proves nothing either and is
+    recounted mod 2^89 - 1 the same way.  What no prime proves is recounted
+    over Fraction, which raises ZeroDivisionError at a true pole.
 
     >>> kernel_orbit(RULES["semi"], Fraction(5, 3), Fraction(12, 5))
     10
     """
     maps = _group(rule)[2]
-    try:
-        size = _orbit_size(maps, (_mod_p(y), _mod_p(z)), limit, True)
-    except ValueError:
-        size = 0
-    return size if size > limit else _orbit_size(maps, (Fraction(y), Fraction(z)), limit, False)
+    for prime in _PRIMES:
+        try:
+            size = _orbit_size(maps, (_mod_p(y, prime), _mod_p(z, prime)), limit, prime)
+        except ValueError:
+            continue  # a pole mod prime
+        if size > limit:
+            return size
+        break
+    return _orbit_size(maps, (Fraction(y), Fraction(z)), limit, 0)
 
 
 # The claim under test: the order of each kernel group, or "open".
@@ -655,7 +661,7 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
         for attempt in range(11):
             p = tuple(1 + Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in "yz")
             try:
-                images = [_image(maps, i, p, False) for i in (0, 1)]
+                images = [_image(maps, i, p, 0) for i in (0, 1)]
                 size = kernel_orbit(rule, *p, limit=order if finite else 100)
             except ZeroDivisionError:  # a pole
                 size = 0
@@ -692,7 +698,7 @@ def _chain(rule: SuccessionRule, y: Rat, z: Rat) -> tuple[Fraction, Fraction, Fr
         size, c, e = kernel_orbit(rule, y, z, 200), 0, 1
         if size > 200 or size % 4 != 2:
             raise ValueError(f"rule {rule.name}: no half-orbit chain (orbit size {size})")
-        *half, end = islice(_walk(maps, (Fraction(y), Fraction(z)), False), size // 2 + 1)
+        *half, end = islice(_walk(maps, (Fraction(y), Fraction(z)), 0), size // 2 + 1)
         for i, p in zip(cycle((0, 1)), half):  # i = 0: the unknown is B(p[0])
             cs = _at(c_b, p), _at(c_a, p)
             c, e = c - e * _at(free, p) / cs[i], -e * cs[1 - i] / cs[i]

@@ -18,16 +18,18 @@ No cell of length t exceeds M^t, M the sum of the multiplicities; the
 slots hold M^T for the next _WIDEN_EVERY lengths T and are then
 re-slotted wider.  The walk equation is read off the step multiset
 alone, by inclusion-exclusion over the steps that would leave the
-quarter plane.  Growth constants are estimated from excursion counts;
-for FIVE the target is the real root of t^3 + t^2 - 18t - 43, for SEVEN
-that root plus 2.
+quarter plane.  Growth constants are fit to the excursion counts read
+as doubles off a narrow run of the same DP, which drops each cell's low
+bytes at a re-slot and bounds what it dropped, so each double is certified
+(else the counts are exact); for FIVE the target is the real root of
+t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import chain, islice, repeat, tee
+from itertools import chain, islice, repeat, takewhile, tee
 from operator import add, and_, lshift, mul, rshift
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
@@ -128,14 +130,16 @@ def walk_grids(
     [[1], [2, 1], [3, 2, 1], [2, 1], [1]]
     """
     at_least(n_max, 0, "n_max")
-    return _grids(steps.items(), n_max, returning)
+    return (grid[:3] for grid in _grids(steps.items(), n_max, returning))
 
 
 _WIDEN_EVERY = 24  # steps per slot width; timed 3-5% faster than 16 at n_max = 100, 300, 600
 
 
-def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
-    # apart from walk_grids so that its guard raises at the call, not at next()
+def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool, cap: int = 0):
+    # apart from walk_grids so that its guard raises at the call, not at next(); yields
+    # (b, rows, widths, e, err), a count c in slot v having v 2^e <= c <= (v + err) 2^e:
+    # exact (e = err = 0) but with a cap, past which a re-slot drops each cell's low bytes
     forms = [(dy, dx + dy) for (dx, dy), _ in items]
     rise, drop = ([max([0] + [sign * f[i] for f in forms]) for i in (0, 1)] for sign in (1, -1))
     mult_sum = sum(m for _, m in items)
@@ -146,17 +150,23 @@ def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
         d = max(dy for dy, h in forms if h == g)
         key = tuple((d - dy, m) for ((dx, dy), m) in items if dx + dy == g)
         shared.setdefault(key, []).append((g, d))
-    b, top, s, rows, widths, masks = 8, 0, 0, [1], [1], []
-    yield b, rows, widths
+    b, top, s, rows, widths, masks, e, err = 8, 0, 0, [1], [1], [], 0, 0
+    yield b, rows, widths, e, err
     for t in range(1, n_max + 1):
         if t > top:
-            # zero bytes atop each cell make room for mult_sum**top and a spare bit
+            # zero bytes atop each cell make room for mult_sum**top >> e and a spare bit,
+            # after the q low bytes past the cap are skipped: c <= (v + err) 2^e is then
+            # below ((v >> 8q) + 1 + (err >> 8q) + 1) 2^(e + 8q)
             top = min(top + _WIDEN_EVERY, n_max)
-            pad = bytes((_width(mult_sum ** top) - b) // 8)
-            cells = Struct(f"{b // 8}s").iter_unpack
+            q = max(0, _width(mult_sum ** top >> e) - cap) // 8 if cap else 0
+            if q:
+                e, err = e + 8 * q, (err >> 8 * q) + 2
+            pad = bytes((_width(mult_sum ** top >> e) - b) // 8 + q)
+            cells = Struct(f"{q}x{b // 8 - q}s").iter_unpack
             rows = [int.from_bytes(pad.join(chain.from_iterable(
                 cells(r.to_bytes(w * b // 8, "little")))), "little") for r, w in zip(rows, widths)]
-            b, masks = b + 8 * len(pad), []
+            b, masks = b + 8 * (len(pad) - q), []
+        err *= mult_sum  # a cell sums at most mult_sum cells of the last length
         y_top, s_new = (min(t * r, (n_max - t) * d) if returning else t * r
                         for r, d in zip(rise, drop))
         n = min(y_top, s_new) + 1  # at most len(rows) + 1
@@ -179,7 +189,7 @@ def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool):
             masks += [(1 << w * b) - 1 for w in range(len(masks), s_new + 2)]
             total = map(and_, total, masks[s_new + 1:s_new + 1 - n:-1])
         rows, s, widths = list(total), s_new, list(range(s_new + 1, s_new + 1 - n, -1))
-        yield b, rows, widths
+        yield b, rows, widths, e, err
 
 
 def count_walks(steps: StepMultiset, n_max: int) -> list[Poly]:
@@ -268,10 +278,10 @@ def binomial_transform(seq: Sequence, pauses: int) -> list:
     True
     """
     out, d = [], list(seq)
-    while d:
+    while d and pauses:
         out.append(d[0])
         d = [a * pauses + b for a, b in zip(d, d[1:])]
-    return out
+    return out + d
 
 
 def w2_consistency(order: int, origin_only: bool = False) -> dict:
@@ -331,9 +341,47 @@ def _rho_five() -> float:
 
 
 def growth_estimate(steps: StepMultiset, n_max: int) -> dict:
-    """Estimate the excursion growth constant of steps by fit_growth on
-    the excursion counts e_0..e_n_max."""
-    return fit_growth(steps, excursions(steps, n_max))
+    """Estimate the excursion growth constant of steps by fit_growth on the
+    excursion counts e_0..e_n_max, read as the nearest doubles that a narrow
+    DP run certifies (_fit_terms), so the report is the exact counts' one."""
+    at_least(n_max, 0, "n_max")
+    return fit_growth(steps, _fit_terms(steps, n_max)[0])
+
+
+def _brackets(steps: StepMultiset, n_max: int, keep: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) with lo <= e_m <= hi for m = 0..n_max, off the excursion DP of
+    steps run narrow: each cell keeps keep bits past the headroom of
+    _WIDEN_EVERY lengths."""
+    cap = _width(sum(m for _, m in steps.items()) ** _WIDEN_EVERY) + keep
+    for b, rows, widths, e, err in _grids(steps.items(), n_max, True, cap):
+        v = rows[0] >> (widths[0] - 1) * b
+        yield v << e, (v + err) << e
+
+
+def _fit_terms(steps: StepMultiset, n_max: int, pauses: Sequence[int] = (0,)) -> list[list]:
+    """For each p in pauses (0 among them), e_0..e_n_max of steps plus p more
+    (0,0) steps: the nearest doubles, where one narrow _brackets run certifies
+    all (binomial_transform, a positive map, carries the brackets), else the
+    exact ints.  The run stops at the first uncertified term, and is skipped
+    when a term may reach 2^1023."""
+    runs = []
+    if (sum(steps.mult.values()) + max(pauses)) ** n_max >> 1023 == 0:
+        runs = list(takewhile(lambda run: _double(*run) is not None,
+                              _brackets(steps, n_max, 96 + n_max // 8)))
+    if len(runs) == n_max + 1:
+        lo, hi = zip(*runs)
+        terms = [list(map(_double, binomial_transform(lo, p), binomial_transform(hi, p)))
+                 for p in pauses]
+        if None not in chain.from_iterable(terms):
+            return terms
+    e = excursions(steps, n_max)
+    return [binomial_transform(e, p) for p in pauses]
+
+
+def _double(lo: int, hi: int) -> float | None:
+    """The double that every int in lo..hi rounds to, or None."""
+    f = float(lo)
+    return f if hi >> 1023 == 0 and f == float(hi) else None
 
 
 def fit_growth(steps: StepMultiset, e: Sequence[int]) -> dict:
@@ -346,7 +394,9 @@ def fit_growth(steps: StepMultiset, e: Sequence[int]) -> dict:
     drift.  For FIVE the target is the real root of t^3+t^2-18t-43; for
     SEVEN the target is that root plus 2; other step sets report no
     target.  residual_of_minpoly is the polynomial evaluated at the
-    10-digit quoted approximation of the FIVE root.
+    10-digit quoted approximation of the FIVE root.  Each count is read
+    only by math.log, which on an int below 2^1024 is the log of its
+    nearest double, so those doubles give the same report.
     """
     n_max = len(e) - 1
     at_least(n_max, 50, "n_max")

@@ -376,9 +376,12 @@ def _plant_count(name: str, steps, n: int, one):
 
 
 def _plant_growth(mp):
-    excursions = walks.excursions
-    mp.setattr(walks, "excursions",  # counts of a walk model growing twice as fast
+    # counts of a walk model growing twice as fast, on the exact and the narrow route
+    excursions, brackets = walks.excursions, walks._brackets
+    mp.setattr(walks, "excursions",
                lambda steps, n: [v << m for m, v in enumerate(excursions(steps, n))])
+    mp.setattr(walks, "_brackets", lambda steps, n, keep: (
+        (lo << m, hi << m) for m, (lo, hi) in enumerate(brackets(steps, n, keep))))
 
 
 _PLANTS = {

@@ -511,7 +511,7 @@ def test_derived_kernel_maps_are_the_hand_maps(group, i, a, b):
     dividing out the common factor of al, be and de leaves none extra."""
     sy, sz = _SHIFT[group]
     want = _or_pole(_HAND_MAPS[group][i], a, b)
-    got = _or_pole(series._image, _maps(rules.RULES[group]), i, (sy + a, sz + b), False)
+    got = _or_pole(series._image, _maps(rules.RULES[group]), i, (sy + a, sz + b), 0)
     assert got == (want and (sy + want[0], sz + want[1]))
 
 
@@ -520,10 +520,10 @@ def test_derived_kernel_maps_are_the_papers_at_a_point():
     # z -> (y+z-1)/(z-1) for strong
     y, z = Fraction(5, 3), Fraction(12, 5)
     semi, strong = _maps(rules.RULES["semi"]), _maps(rules.RULES["strong"])
-    assert series._image(semi, 0, (y, z), False) == (z / y, z)
-    assert series._image(semi, 1, (y, z), False) == (y, y * (z - 1) / (z - y))
-    assert series._image(strong, 0, (y, z), False) == ((y * z - 1) / (z * (y - 1)), z)
-    assert series._image(strong, 1, (y, z), False) == (y, (y + z - 1) / (z - 1))
+    assert series._image(semi, 0, (y, z), 0) == (z / y, z)
+    assert series._image(semi, 1, (y, z), 0) == (y, y * (z - 1) / (z - y))
+    assert series._image(strong, 0, (y, z), 0) == ((y * z - 1) / (z * (y - 1)), z)
+    assert series._image(strong, 1, (y, z), 0) == (y, (y + z - 1) / (z - 1))
 
 
 def _cleared_g(n, d, p):
@@ -537,7 +537,7 @@ def test_kernel_maps_fix_kernel_value_at_random_points(rule, y, z):
     """Both maps of each group fix g = N/D, and every semi orbit closes at a
     divisor of 10; points that hit a pole are skipped."""
     n, d, maps = series._group(rule)
-    images = [_or_pole(series._image, maps, i, (y, z), False) for i in (0, 1)]
+    images = [_or_pole(series._image, maps, i, (y, z), 0) for i in (0, 1)]
     size = _or_pole(series.kernel_orbit, rule, y, z, 10)
     assume(None not in images and size is not None)
     gn, gd = _cleared_g(n, d, (y, z))
@@ -560,14 +560,14 @@ def test_open_orbit_count_stops_at_limit_plus_one(limit):
     # both mod p and over Fraction
     strong, point = rules.RULES["strong"], (Fraction(5, 2), Fraction(7, 5))
     assert series.kernel_orbit(strong, *point, limit) == limit + 1
-    assert series._orbit_size(_maps(strong), point, limit, False) == limit + 1
+    assert series._orbit_size(_maps(strong), point, limit, 0) == limit + 1
 
 
 def test_walk_meets_a_finite_orbit_once_round():
     # ι0 then ι1 in turn, back at the start after 10 moves, each point once
     semi, point = rules.RULES["semi"], (Fraction(5, 3), Fraction(7, 5))
-    walk = list(series._walk(_maps(semi), point, False))
-    assert walk[1] == series._image(_maps(semi), 0, point, False)
+    walk = list(series._walk(_maps(semi), point, 0))
+    assert walk[1] == series._image(_maps(semi), 0, point, 0)
     assert len(walk) == len(set(walk)) == _fraction_orbit(semi, *point, 30) == 10
 
 
@@ -622,10 +622,10 @@ def test_reduction_mod_p_is_a_ring_map(r, s):
 def test_int_map_evaluation_mod_p_is_the_reduced_fraction_image(rule, i, y, z):
     """The one int evaluation, run on residues, gives the reduction of its
     image over Fraction wherever neither is a pole."""
-    image = _or_pole(series._image, _maps(rule), i, (y, z), False)
+    image = _or_pole(series._image, _maps(rule), i, (y, z), 0)
     assume(image is not None)
     try:
-        reduced = series._image(_maps(rule), i, (series._mod_p(y), series._mod_p(z)), True)
+        reduced = series._image(_maps(rule), i, (series._mod_p(y), series._mod_p(z)), series._P)
     except ValueError:
         assume(False)
     assert reduced == tuple(map(series._mod_p, image))
@@ -637,9 +637,9 @@ def test_a_pole_mod_p_raises_value_error(k, y):
     # strong's z-map divides by z - 1, which is 0 mod p at z = 1 + kp
     z = 1 + k * series._P
     maps = _maps(rules.RULES["strong"])
-    assert series._image(maps, 1, (y, z), False)[1] == (y + z - 1) / (z - 1)
+    assert series._image(maps, 1, (y, z), 0)[1] == (y + z - 1) / (z - 1)
     with pytest.raises(ValueError):
-        series._image(maps, 1, (series._mod_p(y), series._mod_p(z)), True)
+        series._image(maps, 1, (series._mod_p(y), series._mod_p(z)), series._P)
     with pytest.raises(ValueError):
         series._mod_p(Fraction(1, k * series._P))
 
@@ -650,7 +650,7 @@ def _fraction_orbit(rule, y, z, limit):
     level = {(Fraction(y), Fraction(z))}
     seen = set(level)
     while level and len(seen) <= limit:
-        level = {series._image(maps, i, p, False) for p in level for i in (0, 1)} - seen
+        level = {series._image(maps, i, p, 0) for p in level for i in (0, 1)} - seen
         seen |= level
     return len(seen)
 
@@ -674,10 +674,10 @@ def test_kernel_maps_are_involutions(rule, y, z):
     on it in both rings."""
     maps = _maps(rule)
     checked = 0
-    for p, mod_p in (((y, z), False), ((series._mod_p(y), series._mod_p(z)), True)):
+    for p, prime in (((y, z), 0), ((series._mod_p(y), series._mod_p(z)), series._P)):
         for i in (0, 1):
             try:
-                back = series._image(maps, i, series._image(maps, i, p, mod_p), mod_p)
+                back = series._image(maps, i, series._image(maps, i, p, prime), prime)
             except (ZeroDivisionError, ValueError):
                 continue
             assert back == p, (i, p)
@@ -687,10 +687,28 @@ def test_kernel_maps_are_involutions(rule, y, z):
 
 @pytest.mark.parametrize("y, z", [(2, 1 + series._P), (1 + Fraction(1, series._P), 4)],
                          ids=["z=1+p", "y=1+1/p"])
-def test_strong_orbit_falls_back_to_fraction_at_a_pole_mod_p(y, z):
+def test_strong_orbit_falls_back_to_fraction_at_a_pole_mod_p(monkeypatch, y, z):
     # z = 1 + p is 1 mod p, so the z-map's (y + z - 1) / (z - 1) is a pole
-    # there but not over Q; 1/p has no image mod p at all
+    # there but not over Q; 1/p has no image mod p at all.  With p as both
+    # primes, neither prime counts the orbit and Fraction does
+    monkeypatch.setattr(series, "_PRIMES", (series._P, series._P))
     assert series.kernel_orbit(rules.RULES["strong"], y, z, 100) == 101
+
+
+@pytest.mark.parametrize("y, z", [(2, 1 + series._P), (1 + Fraction(1, series._P), 4)],
+                         ids=["z=1+p", "y=1+1/p"])
+def test_strong_orbit_at_a_pole_mod_p_is_counted_mod_the_second_prime(monkeypatch, y, z):
+    # the second prime meets no pole there, so the open orbit is proved
+    # open without a Fraction point
+    fraction_walks = []
+    walk = series._walk
+    monkeypatch.setattr(series, "_walk", lambda maps, p, prime: (
+        fraction_walks.append(p) if not prime else None, walk(maps, p, prime))[1])
+    assert series.kernel_orbit(rules.RULES["strong"], y, z, 100) == 101
+    assert fraction_walks == []
+    with pytest.raises(ValueError):  # the first prime does meet a pole
+        series._orbit_size(_maps(rules.RULES["strong"]), tuple(map(series._mod_p, (y, z))),
+                           100, series._P)
 
 
 def test_strong_orbit_raises_at_a_pole_over_q():

@@ -43,6 +43,9 @@ def test_same_outputs_lists_every_benchmark_request_and_the_seeded_ones(monkeypa
         ("full", "0"), ("full", "1000"), ("quick", "0"), ("quick", "1000")]
     assert sorted(int(a[-1]) for a in kernel) == list(range(21))
     assert all(a[a.index("--trials") + 1] == "40" for a in kernel)
+    growth = [a for a in argvs if "--estimate-growth" in a]
+    assert len(growth) == 18
+    assert {a[2] for a in growth} == {"five", "seven", "(-1,0);(0,-1);(1,1);(0,0)"}
 
 
 def test_same_outputs_digest_drops_only_the_check_timings():

@@ -435,3 +435,79 @@ def test_strong_three_routes_agree():
     from_walks = walks.strong_from_walks(10)[1:]
     from_rule = rules.count_sequence(rules.RULES["strong"], 10)
     assert from_walks == from_rule == STRONG[:10]
+
+
+GESSEL = walks.parse_steps("(1,0);(-1,0);(1,1);(-1,-1)")
+KREWERAS = walks.parse_steps("(-1,0);(0,-1);(1,1)")
+
+
+def _brackets_hold(steps, n_max, keep):
+    """Whether every narrow bracket holds its exact excursion count, and
+    how many brackets are wider than one value."""
+    runs = list(walks._brackets(steps, n_max, keep))
+    exact = walks.excursions(steps, n_max)
+    return all(lo <= e <= hi for (lo, hi), e in zip(runs, exact)), sum(lo < hi for lo, hi in runs)
+
+
+@pytest.mark.parametrize("steps", [walks.FIVE, walks.SEVEN, GESSEL, KREWERAS],
+                         ids=["five", "seven", "gessel", "kreweras"])
+@pytest.mark.parametrize("keep", [0, 8])
+def test_narrow_brackets_hold_the_exact_excursions(steps, keep):
+    holds, wide = _brackets_hold(steps, 150, keep)
+    assert holds and wide > 50  # the low bytes were dropped, several times over
+
+
+@settings(max_examples=20, deadline=None)
+@given(mult=_SMALL_STEPS, keep=st.integers(0, 16),
+       n_max=st.integers(2 * walks._WIDEN_EVERY + 1, 2 * walks._WIDEN_EVERY + 6))
+def test_random_step_sets_bracket_their_excursions_across_drops(mult, keep, n_max):
+    assert _brackets_hold(_multiset(mult), n_max, keep)[0]
+
+
+@pytest.mark.parametrize("n", [100, 200, 300])
+def test_certified_doubles_are_the_nearest_doubles_of_the_exact_terms(n):
+    e5, e7 = walks._fit_terms(walks.FIVE, n, (0, 2))
+    exact5 = walks.excursions(walks.FIVE, n)
+    assert e5 == list(map(float, exact5)) and all(type(v) is float for v in e5)
+    assert e7 == list(map(float, walks.binomial_transform(exact5, 2)))
+    seven = walks._fit_terms(walks.SEVEN, n)[0]
+    assert seven == e7 and all(type(v) is float for v in seven)
+
+
+def _exact_growth(steps, n):
+    return walks.fit_growth(steps, walks.excursions(steps, n))
+
+
+def test_a_parity_step_set_falls_back_to_the_same_error():
+    # odd lengths never return: the first zero read after a drop is no double
+    steps = walks.parse_steps("(1,0);(-1,0);(0,1);(0,-1)")
+    assert walks._fit_terms(steps, 300)[0] == walks.excursions(steps, 300)
+    with pytest.raises(ValueError) as want:
+        _exact_growth(steps, 300)
+    with pytest.raises(ValueError, match=f"^{want.value}$"):
+        walks.growth_estimate(steps, 300)
+
+
+def test_a_tiny_precision_falls_back_to_the_exact_terms(monkeypatch):
+    brackets = walks._brackets
+    monkeypatch.setattr(walks, "_brackets", lambda steps, n, keep: brackets(steps, n, 0))
+    terms = walks._fit_terms(walks.FIVE, 300, (0, 2))
+    exact = walks.excursions(walks.FIVE, 300)
+    assert terms == [exact, walks.binomial_transform(exact, 2)]
+    assert all(type(v) is int for v in terms[0])
+
+
+def test_seven_at_400_never_narrows(monkeypatch):
+    # 7^400 > 2^1023: a term might not fit a double
+    monkeypatch.setattr(walks, "_brackets", None)
+    assert walks._fit_terms(walks.SEVEN, 400) == [walks.excursions(walks.SEVEN, 400)]
+
+
+@pytest.mark.parametrize("steps, n", [
+    (walks.FIVE, 300), (walks.SEVEN, 300), (walks.parse_steps("(-1,0);(0,-1);(1,1);(0,0)"), 120),
+    (walks.parse_steps("(1,0);(-1,0);(0,1);(0,-1);(0,0)"), 120)],
+    ids=["five", "seven", "kreweras+pause", "simple+pause"])
+def test_growth_estimate_is_unchanged_when_the_narrow_path_fails(monkeypatch, steps, n):
+    narrow = walks.growth_estimate(steps, n)
+    monkeypatch.setattr(walks, "_brackets", lambda steps, n, keep: iter([(0, 1)]))
+    assert walks.growth_estimate(steps, n) == narrow == _exact_growth(steps, n)

@@ -15,7 +15,10 @@ The requests are:
 * ``check --suite quick|full --format json`` at seeds 0 and 1000, with
   every report's ``elapsed_ms`` removed, since wall times differ from run
   to run;
-* ``series --check kernel --trials 40`` at seeds 0 to 20.
+* ``series --check kernel --trials 40`` at seeds 0 to 20;
+* ``walks --estimate-growth`` in plain and json for FIVE and SEVEN at
+  n_max 50, 100, 300 and 400, and for one custom aperiodic step set
+  (Kreweras' steps plus a pause) at n_max 120.
 
 A change that claims to keep every output, such as a refactor, should
 report no difference against its parent commit (exported with, say,
@@ -50,6 +53,10 @@ def request_list() -> list[tuple[str, ...]]:
               for suite in ("quick", "full") for seed in (0, 1000)]
     argvs += [("series", "--check", "kernel", "--trials", "40", "--seed", str(seed))
               for seed in range(21)]
+    growth = [(steps, str(n)) for steps in ("five", "seven") for n in (50, 100, 300, 400)]
+    argvs += [("walks", "--steps", steps, "--n-max", n, "--estimate-growth", *fmt)
+              for steps, n in growth + [("(-1,0);(0,-1);(1,1);(0,0)", "120")]
+              for fmt in ((), ("--format", "json"))]
     return list(dict.fromkeys(argvs))
 
 
