@@ -17,8 +17,8 @@ the last point of an avoider leaves an avoider), so the avoiders of each
 size form a generating tree: the children of pi are the pi . a for the
 "active sites" a.  Enumeration grows that tree a level at a time
 (``_levels``), one entry per canonical node state with its multiplicity,
-and streams the last level through without storing it
-(``enumerate_class``).
+and streams the last level's children through their masks alone, never
+stored (``enumerate_class``).
 
 A node's forbidden mask has bit a-1 set when pi . a leaves the class.
 The prefix of pi . a is order-isomorphic to pi, so a new occurrence of a
@@ -44,14 +44,14 @@ pattern:
   highest.  When last < a, the new ascent (last, a) joins the stair and
   drops those it contains; none contains it, since a is free.
 
-A node is then (n, last, mask, stair); only [14]23 fills the stair.
-Its subtree depends on nothing else, and not even on which slots are
-forbidden, only on the free ones and where last and the stair sit among
-them: the ECO view of a generating tree (Barcucci, Del Lungo, Pergola
-and Pinzani, 1999).  So nodes of one size that share a canonical state
-(``_canonical``) are counted once, times their number.  That state is
-read off the node, never off a succession rule, so the count stays a
-brute-force route.
+A node is then (n, last, mask, stair); only [14]23 fills the stair, so
+only its step has a stair part beside its mask part.  A subtree depends
+on nothing else, and not even on which slots are forbidden, only on the
+free ones and where last and the stair sit among them: the ECO view of a
+generating tree (Barcucci, Del Lungo, Pergola and Pinzani, 1999).  So
+nodes of one size that share a canonical state (``_canonical``) are
+counted once, times their number.  That state is read off the node,
+never off a succession rule, so the count stays a brute-force route.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 Label = tuple[int, int]
 
-# A step maps a node's mask, its stair, its last value and a free insertion
-# value a to the mask and stair of the child p . a.  Witnesses that pin the
+# A mask step maps a node's mask, its stair, its last value and a free
+# insertion value a to the mask of the child p . a.  Witnesses that pin the
 # new point between host values lo < hi forbid bits lo..hi-1.
 Stair = tuple[tuple[int, int], ...]
-Step = Callable[[int, Stair, int, int], tuple[int, Stair]]
+MaskStep = Callable[[int, Stair, int, int], int]
 State = tuple[int, int, Stair]  # (last, mask, stair)
 
 # The four patterns x[yz]w as flags of one pair step: bits 0-1 act on a
@@ -76,11 +76,11 @@ State = tuple[int, int, Stair]  # (last, mask, stair)
 _PAIR_FLAGS: dict[str, int] = {"2[41]3": 1, "3[41]2": 2, "2[14]3": 4, "3[14]2": 8}
 
 
-def _pair_step(flags: int) -> Step:
-    """The step for the OR of the pair patterns in flags, in O(1) big-int work."""
+def _pair_step(flags: int) -> MaskStep:
+    """The mask step for the OR of the pair patterns in flags, in O(1) big-int work."""
     down, up = flags & 3, flags >> 2
 
-    def step(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]:
+    def step(mask: int, stair: Stair, last: int, a: int) -> int:
         # a splits slot a in two; the old pairs forbid neither half, as a
         # is free, and every slot above moves up one
         low = mask & ((1 << (a - 1)) - 1)
@@ -92,22 +92,18 @@ def _pair_step(flags: int) -> Step:
             f, x = down, (1 << (last + 1)) - (2 << a)
         else:
             f, x = up, (1 << a) - (2 << last)
-        if f & 1:
-            mask |= x
-        if f & 2:
-            mask |= x >> 1
-        return mask, stair
+        return mask | (x if f & 1 else 0) | (x >> 1 if f & 2 else 0)
 
     return step
 
 
-def _step_231(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]:
+def _step_231(mask: int, stair: Stair, last: int, a: int) -> int:
     # the largest value with a larger value to its right plays 2: a free a
     # is above all of them, and every value below a now has a to its right
-    return (1 << (a - 1)) - 1, stair
+    return (1 << (a - 1)) - 1
 
 
-def _stair_step(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]:
+def _stair_mask(mask: int, stair: Stair, last: int, a: int) -> int:
     # [14]23: split slot a as the pair step does
     low = mask & ((1 << (a - 1)) - 1)
     mask = low | ((mask ^ low) << 1)
@@ -117,6 +113,10 @@ def _stair_step(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]
     i = bisect_left(stair, (a,))
     if i and stair[i - 1][1] >= a:
         mask |= (2 << stair[i - 1][1]) - (1 << a)
+    return mask
+
+
+def _new_stair(stair: Stair, last: int, a: int) -> Stair:
     moved = [(lo + (lo >= a), hi + (hi >= a)) for lo, hi in stair]
     if last < a:
         # (last, a) joins and drops the ascents inside it.  None holds it:
@@ -124,27 +124,32 @@ def _stair_step(mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]
         # So the ascents with lo < last end below a and sort before it.
         moved = ([s for s in moved if s[0] < last] + [(last, a)]
                  + [s for s in moved if s[1] > a])
-    return mask, tuple(moved)
+    return tuple(moved)
 
 
-_STEPS: dict[str, Step] = {"231": _step_231, "[14]23": _stair_step}
+_STEPS: dict[str, tuple] = {"231": (_step_231, None), "[14]23": (_stair_mask, _new_stair)}
 
 
 class AvoidanceClass(NamedTuple("AvoidanceClass", [("name", str), ("patterns", tuple[str, ...])])):
     """A named family Av(patterns), its patterns given by their bracket
-    texts, which select one right-end ``step``: any set of the four pair
-    patterns, or a single other one."""
+    texts, which select one right-end ``mask_step`` and, for [14]23, a
+    ``stair_step``: any set of the four pair patterns, or a single other one."""
 
     def __new__(cls, name: str, patterns: tuple[str, ...]) -> AvoidanceClass:
         self = super().__new__(cls, name, patterns)
         distinct = set(patterns)
         if distinct <= _PAIR_FLAGS.keys():
-            self.step = _pair_step(sum(_PAIR_FLAGS[q] for q in distinct))
+            self.mask_step, self.stair_step = _pair_step(sum(map(_PAIR_FLAGS.get, distinct))), None
         elif len(distinct) == 1 and patterns[0] in _STEPS:
-            self.step = _STEPS[patterns[0]]
+            self.mask_step, self.stair_step = _STEPS[patterns[0]]
         else:
             raise ValueError(f"no right-end step for pattern(s) {', '.join(patterns)}")
         return self
+
+    def step(self, mask: int, stair: Stair, last: int, a: int) -> tuple[int, Stair]:
+        """The mask and stair of the child p . a of a node (last, mask, stair)."""
+        moved = self.stair_step(stair, last, a) if self.stair_step else stair
+        return self.mask_step(mask, stair, last, a), moved
 
 
 CLASSES: dict[str, AvoidanceClass] = {
@@ -193,12 +198,12 @@ def _canonical(n: int, last: int, mask: int, stair: Stair) -> State:
     return rank(last), (1 << f) - 1, stair
 
 
-def _grow(step: Step, states: Iterable[tuple[State, int]], n: int) -> Iterator[tuple[State, int]]:
-    """The children (state, m) of the size-n pairs (state, m) in states, one per active site."""
+def _grow(step: Callable, states: Iterable[tuple[State, int]], n: int) -> Iterator[tuple]:
+    """(a, step(mask, stair, last, a), m) per child p . a of each ((last, mask, stair), m)."""
     for (last, mask, stair), m in states:
         for a in range(1, n + 2):
             if not mask >> (a - 1) & 1:
-                yield (a, *step(mask, stair, last, a)), m
+                yield a, step(mask, stair, last, a), m
 
 
 def _levels(cls: AvoidanceClass) -> Iterator[dict[State, int]]:
@@ -211,15 +216,16 @@ def _levels(cls: AvoidanceClass) -> Iterator[dict[State, int]]:
     for n in count(1):
         yield level
         merged: Counter[State] = Counter()
-        for state, m in _grow(cls.step, level.items(), n):
-            merged[_canonical(n + 1, *state)] += m
+        for a, (mask, stair), m in _grow(cls.step, level.items(), n):
+            merged[_canonical(n + 1, a, mask, stair)] += m
         level = merged
 
 
 def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
     """Counts of avoiders of sizes 1..n_max by generating-tree growth: the
-    level sums up to size n_max - 2, then size n_max - 1 streamed raw
-    through one `_grow` and never stored, whose free sets count size n_max.
+    level sums up to size n_max - 2, then the children of size n_max - 1
+    streamed through one `_grow` of the mask step alone, which builds no
+    stair and stores nothing: their free slots count size n_max.
 
     >>> enumerate_class(CLASSES["semi"], 6)
     [1, 2, 6, 23, 104, 530]
@@ -234,7 +240,7 @@ def enumerate_class(cls: AvoidanceClass, n_max: int) -> list[int]:
     for level in islice(_levels(cls), n_max - 2):
         counts.append(sum(level.values()))
     below = top = 0
-    for (_, mask, _), m in _grow(cls.step, level.items(), n_max - 2):
+    for _, mask, m in _grow(cls.mask_step, level.items(), n_max - 2):
         below += m
         top += m * (~mask & ((1 << n_max) - 1)).bit_count()
     return counts + [below, top]

@@ -14,13 +14,14 @@ FIVE and SEVEN that is a triangle.  A grid row is one int with cell x of
 row y in the b-bit slot s - y - x, s the x+y bound (mirrored Kronecker
 substitution), so one shift per diagonal dx + dy moves its steps' cells
 and drops those past s; diagonals that read the same rows share one sum.
-No cell of length t exceeds M^t, M the sum of the multiplicities; the
+No cell of length t exceeds M^t, M the sum of the multiplicities; exact
 slots hold M^T for the next _WIDEN_EVERY lengths T and are then
 re-slotted wider.  The walk equation is read off the step multiset
 alone, by inclusion-exclusion over the steps that would leave the
 quarter plane.  Growth constants are fit to the excursion counts read
-as doubles off a narrow run of the same DP, which drops each cell's low
-bytes at a re-slot and bounds what it dropped, so each double is certified
+as doubles off a narrow run of the same DP, whose slots widen once, to a
+cap, and then drop each cell's low bits in place every _DROP_EVERY
+lengths, with one bound on what was dropped, so each double is certified
 (else the counts are exact); for FIVE the target is the real root of
 t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
 """
@@ -64,17 +65,13 @@ class StepMultiset:
         return isinstance(other, StepMultiset) and self.mult == other.mult
 
     def __repr__(self) -> str:
-        body = ";".join(
-            f"{m}x({dx},{dy})" if m > 1 else f"({dx},{dy})"
-            for (dx, dy), m in self.items()
-        )
+        body = ";".join(f"{m}x({dx},{dy})" if m > 1 else f"({dx},{dy})"
+                        for (dx, dy), m in self.items())
         return f"StepMultiset({body!r})"
 
 
 FIVE = StepMultiset([(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)], name="five")
-SEVEN = StepMultiset(
-    [(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (0, 0, 2)], name="seven"
-)
+SEVEN = StepMultiset([(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (0, 0, 2)], name="seven")
 
 _STEP_RE = re.compile(r"^(?:(\d+)\s*[xX])?\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
 
@@ -89,15 +86,10 @@ def parse_steps(text: str) -> StepMultiset:
     True
     """
     lowered = text.strip().lower()
-    if lowered == "five":
-        return FIVE
-    if lowered == "seven":
-        return SEVEN
+    if lowered in ("five", "seven"):
+        return FIVE if lowered == "five" else SEVEN
     steps: list[tuple[int, int, int]] = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, map(str.strip, text.split(";"))):
         m = _STEP_RE.match(item)
         if m is None:
             raise ValueError(f"bad step item: {item!r}")
@@ -107,9 +99,8 @@ def parse_steps(text: str) -> StepMultiset:
     return StepMultiset(steps, name=lowered)
 
 
-def walk_grids(
-    steps: StepMultiset, n_max: int, returning: bool = False
-) -> Iterator[tuple[int, list[int], list[int]]]:
+def walk_grids(steps: StepMultiset, n_max: int,
+               returning: bool = False) -> Iterator[tuple[int, list[int], list[int]]]:
     """Endpoint counts of confined walks, lengths 0..n_max, as packed rows.
 
     Yields (b, rows, widths) per length: rows[y] is one int that holds the
@@ -134,12 +125,19 @@ def walk_grids(
 
 
 _WIDEN_EVERY = 24  # steps per slot width; timed 3-5% faster than 16 at n_max = 100, 300, 600
+_DROP_EVERY = 4  # steps per in-place drop past a cap; 8 timed the same at n_max = 300
+
+
+def _drop(rows: list[int], w: int, b: int, d: int) -> list[int]:
+    """rows of at most w b-bit slots, each slot's low d bits dropped in place."""
+    keep = ((1 << w * b) - 1) // ((1 << b) - 1) * ((1 << b - d) - 1)  # each slot's low b - d bits
+    return [(r >> d) & keep for r in rows]
 
 
 def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool, cap: int = 0):
     # apart from walk_grids so that its guard raises at the call, not at next(); yields
     # (b, rows, widths, e, err), a count c in slot v having v 2^e <= c <= (v + err) 2^e:
-    # exact (e = err = 0) but with a cap, past which a re-slot drops each cell's low bytes
+    # exact (e = err = 0) but with a cap, which the slots widen to once and then keep
     forms = [(dy, dx + dy) for (dx, dy), _ in items]
     rise, drop = ([max([0] + [sign * f[i] for f in forms]) for i in (0, 1)] for sign in (1, -1))
     mult_sum = sum(m for _, m in items)
@@ -153,19 +151,23 @@ def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool, cap: int 
     b, top, s, rows, widths, masks, e, err = 8, 0, 0, [1], [1], [], 0, 0
     yield b, rows, widths, e, err
     for t in range(1, n_max + 1):
-        if t > top:
-            # zero bytes atop each cell make room for mult_sum**top >> e and a spare bit,
-            # after the q low bytes past the cap are skipped: c <= (v + err) 2^e is then
-            # below ((v >> 8q) + 1 + (err >> 8q) + 1) 2^(e + 8q)
+        if t > top and b != cap + -cap % 8:
+            # zero bytes atop each cell make room for mult_sum**top and a spare bit; past
+            # the cap they widen the slots to the cap, once, and drops make the room
             top = min(top + _WIDEN_EVERY, n_max)
-            q = max(0, _width(mult_sum ** top >> e) - cap) // 8 if cap else 0
-            if q:
-                e, err = e + 8 * q, (err >> 8 * q) + 2
-            pad = bytes((_width(mult_sum ** top >> e) - b) // 8 + q)
-            cells = Struct(f"{q}x{b // 8 - q}s").iter_unpack
+            width = _width(mult_sum ** top)
+            width, top = (cap + -cap % 8, t - 1) if 0 < cap < width else (width, top)
+            cells, pad = Struct(f"{b // 8}s").iter_unpack, bytes((width - b) // 8)
             rows = [int.from_bytes(pad.join(chain.from_iterable(
                 cells(r.to_bytes(w * b // 8, "little")))), "little") for r, w in zip(rows, widths)]
-            b, masks = b + 8 * (len(pad) - q), []
+            b, masks = width, []
+        if t > top:
+            # drop the d low bits that make room for mult_sum**top >> e, read unsigned:
+            # c <= (v + err) 2^e is then below ((v >> d) + 1 + (err >> d) + 1) 2^(e + d)
+            top = min(t - 1 + _DROP_EVERY, n_max)
+            d = max(0, (mult_sum ** top >> e).bit_length() - b)
+            if d:
+                rows, e, err = _drop(rows, widths[0], b, d), e + d, (err >> d) + 2
         err *= mult_sum  # a cell sums at most mult_sum cells of the last length
         y_top, s_new = (min(t * r, (n_max - t) * d) if returning else t * r
                         for r, d in zip(rise, drop))
@@ -200,11 +202,9 @@ def count_walks(steps: StepMultiset, n_max: int) -> list[Poly]:
     >>> sorted(count_walks(FIVE, 1)[1].c.items())
     [((0, 1), 1), ((1, 0), 1)]
     """
-    return [
-        Poly({(w - 1 - u, y): v for y, (row, w) in enumerate(zip(rows, widths))
-              for (u, _), v in _digits(row, b, 0).c.items()})
-        for b, rows, widths in walk_grids(steps, n_max)
-    ]
+    return [Poly({(w - 1 - u, y): v for y, (row, w) in enumerate(zip(rows, widths))
+                  for (u, _), v in _digits(row, b, 0).c.items()})
+            for b, rows, widths in walk_grids(steps, n_max)]
 
 
 def walk_totals(steps: StepMultiset, n_max: int) -> list[int]:
@@ -350,9 +350,9 @@ def growth_estimate(steps: StepMultiset, n_max: int) -> dict:
 
 def _brackets(steps: StepMultiset, n_max: int, keep: int) -> Iterator[tuple[int, int]]:
     """(lo, hi) with lo <= e_m <= hi for m = 0..n_max, off the excursion DP of
-    steps run narrow: each cell keeps keep bits past the headroom of
-    _WIDEN_EVERY lengths."""
-    cap = _width(sum(m for _, m in steps.items()) ** _WIDEN_EVERY) + keep
+    steps run narrow: its slots are cap bits wide, keep bits past the headroom
+    of the _DROP_EVERY lengths between two drops."""
+    cap = _width(sum(m for _, m in steps.items()) ** _DROP_EVERY) + keep
     for b, rows, widths, e, err in _grids(steps.items(), n_max, True, cap):
         v = rows[0] >> (widths[0] - 1) * b
         yield v << e, (v + err) << e
@@ -402,13 +402,9 @@ def fit_growth(steps: StepMultiset, e: Sequence[int]) -> dict:
     at_least(n_max, 50, "n_max")
     logs = [math.log(v) if v else None for v in e]
     window = range(n_max - min(40, n_max // 2), n_max - 1)
-    fits = []
-    for n in window:
-        if logs[n - 1] is None or logs[n] is None or logs[n + 1] is None:
-            continue
-        d2e = logs[n + 1] - 2 * logs[n] + logs[n - 1]
-        d2n = math.log(n + 1) - 2 * math.log(n) + math.log(n - 1)
-        fits.append(d2e / d2n)
+    fits = [(logs[n + 1] - 2 * logs[n] + logs[n - 1])
+            / (math.log(n + 1) - 2 * math.log(n) + math.log(n - 1))
+            for n in window if None not in logs[n - 1:n + 2]]
     if not fits or logs[n_max] is None or logs[n_max - 2] is None:
         raise ValueError("excursion counts vanish on the fitting window")
     alpha = sum(fits) / len(fits)
@@ -416,9 +412,7 @@ def fit_growth(steps: StepMultiset, e: Sequence[int]) -> dict:
     def corrected_ratio(n: int) -> float:
         return math.exp(logs[n] - logs[n - 1] - alpha * math.log(n / (n - 1)))
 
-    r_prev = corrected_ratio(n_max - 1)
-    r_last = corrected_ratio(n_max)
-    rho_hat = n_max * r_last - (n_max - 1) * r_prev
+    rho_hat = n_max * corrected_ratio(n_max) - (n_max - 1) * corrected_ratio(n_max - 1)
 
     root = _rho_five()
     target = root if steps == FIVE else root + 2 if steps == SEVEN else None

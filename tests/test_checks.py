@@ -277,15 +277,16 @@ def _plant_census(mp):
 
 
 def _plant_stair(mp):
-    # [14]23's step also forbids slot 1 once the stair holds 3 ascents; a class
-    # captures its step when it is built, so exp1423 is built again
-    step = perms._stair_step
+    # [14]23's mask step also forbids slot 1 once the stair holds 3 ascents, in
+    # the canonicalised levels and in the streamed last level alike; a class
+    # captures its steps when it is built, so exp1423 is built again
+    mask_step, stair_step = perms._STEPS["[14]23"]
 
     def planted(mask, stair, last, a):
-        child, moved = step(mask, stair, last, a)
-        return (child | 1 if len(stair) >= 3 else child), moved
+        child = mask_step(mask, stair, last, a)
+        return child | 1 if len(stair) >= 3 else child
 
-    mp.setitem(perms._STEPS, "[14]23", planted)
+    mp.setitem(perms._STEPS, "[14]23", (planted, stair_step))
     mp.setitem(perms.CLASSES, "exp1423", perms.AvoidanceClass("exp1423", ("[14]23",)))
 
 
@@ -454,6 +455,15 @@ def test_check_names_its_planted_fault(monkeypatch, name, detail):
     _PLANTS[name](monkeypatch)
     fn, quick, _ = checks._REGISTRY[name]
     assert fn(*quick, 0) == (False, detail)
+
+
+def test_stair_plant_reaches_both_level_paths_and_fails_both_suites(monkeypatch):
+    # size 6 is a canonicalised level at n_max = 8 and the streamed level at 6
+    _plant_stair(monkeypatch)
+    exp1423 = perms.CLASSES["exp1423"]
+    assert perms.enumerate_class(exp1423, 8)[5] == perms.enumerate_class(exp1423, 6)[5] == 525
+    fn, quick, full = checks._REGISTRY["conjecture-exp1423-vs-sb"]
+    assert not fn(*quick, 0)[0] and not fn(*full, 0)[0]
 
 
 def test_census_check_names_a_planted_level_fault(monkeypatch):

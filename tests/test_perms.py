@@ -348,6 +348,31 @@ def test_enumerate_class_n9_vs_frozen_prefixes(name, want):
     assert perms.enumerate_class(perms.CLASSES[name], 9) == want[:9]
 
 
+@pytest.mark.parametrize("name, want", STEPPED_CLASSES)
+def test_streamed_masks_keep_the_counts_at_the_edge_sizes_and_at_10(name, want):
+    # n_max 1-2 stream nothing, 3 streams the root's children, 4 the first
+    # canonical level's; 10 streams 10,127 exp1423 children
+    cls = perms.CLASSES[name]
+    for n_max in (1, 2, 3, 4, 10):
+        assert perms.enumerate_class(cls, n_max) == want[:n_max], n_max
+
+
+@pytest.mark.parametrize("name", sorted(perms.CLASSES))
+def test_mask_step_is_the_mask_of_the_full_step(name):
+    # what the streamed last level reads is what a canonicalised child
+    # holds: its mask, and as many free slots as its canonical state
+    cls = perms.CLASSES[name]
+    for n, level in enumerate(itertools.islice(perms._levels(cls), 9), 1):
+        for last, mask, stair in level:
+            for a in range(1, n + 2):
+                if not mask >> (a - 1) & 1:
+                    child = cls.mask_step(mask, stair, last, a)
+                    full = cls.step(mask, stair, last, a)
+                    assert child == full[0], (n, last, mask, stair, a)
+                    canon = perms._canonical(n + 1, a, *full)[1]
+                    assert child.bit_count() == canon.bit_count(), (n, last, mask, stair, a)
+
+
 # The depth-first walk the package used before it merged equal states: one
 # stack entry per avoider, so it shares nothing between equal subtrees.
 

@@ -44,8 +44,12 @@ def test_same_outputs_lists_every_benchmark_request_and_the_seeded_ones(monkeypa
     assert sorted(int(a[-1]) for a in kernel) == list(range(21))
     assert all(a[a.index("--trials") + 1] == "40" for a in kernel)
     growth = [a for a in argvs if "--estimate-growth" in a]
-    assert len(growth) == 18
+    assert len(growth) == 22
     assert {a[2] for a in growth} == {"five", "seven", "(-1,0);(0,-1);(1,1);(0,0)"}
+    assert {("five", "440"), ("seven", "364")} <= {(a[2], a[4]) for a in growth}
+    brute = sorted((a[2], int(a[-1])) for a in argvs if "brute" in a)
+    assert brute == sorted([("exp1423", n) for n in (3, 4, 10, 11)] + [
+        (family, 10) for family in ("semi", "plane", "baxter", "twisted", "strong", "av231")])
 
 
 def test_same_outputs_digest_drops_only_the_check_timings():

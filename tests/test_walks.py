@@ -464,6 +464,43 @@ def test_random_step_sets_bracket_their_excursions_across_drops(mult, keep, n_ma
     assert _brackets_hold(_multiset(mult), n_max, keep)[0]
 
 
+def _cells(row, w, b):
+    """The w b-bit slots of a packed row, lowest first, unpacked with to_bytes."""
+    raw = row.to_bytes(w * b // 8, "little")
+    return [int.from_bytes(raw[i:i + b // 8], "little") for i in range(0, len(raw), b // 8)]
+
+
+def test_an_in_place_drop_is_the_floor_of_each_cell():
+    # the widest and the width-1 row of a narrow FIVE grid past its cap, and
+    # rows whose every slot is all ones or has only its lowest bit set
+    grid = list(walks._grids(walks.FIVE.items(), 150, True, walks._width(5 ** 4) + 40))[100]
+    b, rows, widths, e, _ = grid
+    assert e > 0 and len(rows) > 2 and widths[-1] == 1
+    full, low = (sum(v << u * b for u in range(widths[0])) for v in ((1 << b) - 1, 1))
+    for d in (1, 5, 17, b - 1):
+        for row, w in ((rows[0], widths[0]), (rows[-1], 1), (full, widths[0]), (low, widths[0])):
+            dropped = walks._drop([row], widths[0], b, d)[0]
+            assert _cells(dropped, w, b) == [v >> d for v in _cells(row, w, b)], (d, w)
+            assert dropped >> w * b == 0
+
+
+def test_the_slot_widens_to_the_cap_exactly_once(monkeypatch):
+    # the slots widen as on the exact path until that passes the cap, then
+    # to the cap in whole bytes, and only drops make room after that: one
+    # re-pack per slot width, none at the cap's fixed width
+    formats = []
+    struct = walks.Struct
+    monkeypatch.setattr(walks, "Struct", lambda fmt: formats.append(fmt) or struct(fmt))
+    exact = [b for b, *_ in walks._grids(walks.FIVE.items(), 300, True)]
+    assert len(formats) == len(set(exact)) - 1 == -(-300 // walks._WIDEN_EVERY)
+    formats.clear()
+    cap = walks._width(5 ** walks._DROP_EVERY) + 96 + 300 // 8
+    grids = list(walks._grids(walks.FIVE.items(), 300, True, cap))
+    widths, k = [b for b, *_ in grids], next(t for t, b in enumerate(exact) if b > cap)
+    assert widths[:k] == exact[:k] and set(widths[k:]) == {cap + -cap % 8}
+    assert len(formats) == len(set(widths)) - 1 and grids[-1][3] > 0
+
+
 @pytest.mark.parametrize("n", [100, 200, 300])
 def test_certified_doubles_are_the_nearest_doubles_of_the_exact_terms(n):
     e5, e7 = walks._fit_terms(walks.FIVE, n, (0, 2))

@@ -17,8 +17,11 @@ The requests are:
   to run;
 * ``series --check kernel --trials 40`` at seeds 0 to 20;
 * ``walks --estimate-growth`` in plain and json for FIVE and SEVEN at
-  n_max 50, 100, 300 and 400, and for one custom aperiodic step set
-  (Kreweras' steps plus a pause) at n_max 120.
+  n_max 50, 100, 300 and 400, for FIVE at 440 and SEVEN at 364 (the
+  largest n_max whose terms the narrow DP may read as doubles), and for
+  one custom aperiodic step set (Kreweras' steps plus a pause) at n_max 120;
+* ``seq --route brute`` for exp1423 at n_max 3, 4, 10 and 11, and for
+  semi, plane, baxter, twisted, strong and av231 at n_max 10.
 
 A change that claims to keep every output, such as a refactor, should
 report no difference against its parent commit (exported with, say,
@@ -54,9 +57,13 @@ def request_list() -> list[tuple[str, ...]]:
     argvs += [("series", "--check", "kernel", "--trials", "40", "--seed", str(seed))
               for seed in range(21)]
     growth = [(steps, str(n)) for steps in ("five", "seven") for n in (50, 100, 300, 400)]
+    growth += [("five", "440"), ("seven", "364"), ("(-1,0);(0,-1);(1,1);(0,0)", "120")]
     argvs += [("walks", "--steps", steps, "--n-max", n, "--estimate-growth", *fmt)
-              for steps, n in growth + [("(-1,0);(0,-1);(1,1);(0,0)", "120")]
-              for fmt in ((), ("--format", "json"))]
+              for steps, n in growth for fmt in ((), ("--format", "json"))]
+    brute = [("exp1423", n) for n in (3, 4, 10, 11)]
+    brute += [(family, 10) for family in ("semi", "plane", "baxter", "twisted", "strong", "av231")]
+    argvs += [("seq", "--family", family, "--route", "brute", "--n-max", str(n))
+              for family, n in brute]
     return list(dict.fromkeys(argvs))
 
 
