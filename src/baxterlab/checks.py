@@ -11,7 +11,7 @@ where they differ.  The series-side verdicts that `baxterlab series
 one after another, so each report's elapsed_ms is that check's own wall
 time.  Each row of the registry gives its check's sizes for the quick
 and the full suite; as whole commands on a 2-vCPU machine the quick
-suite runs in about 0.11 s and the full suite in about 0.21 s.
+suite runs in about 0.10 s and the full suite in about 0.22 s.
 """
 
 from __future__ import annotations

@@ -556,16 +556,15 @@ def _group(rule: SuccessionRule) -> tuple[Poly, Poly, tuple[_Mobius, _Mobius]]:
     return n, d, (maps[0], maps[1])
 
 
-# Orbits are counted mod these primes first, in turn; see kernel_orbit.
-_PRIMES = (2**61 - 1, 2**89 - 1)
-_P = _PRIMES[0]
+# Orbits are counted mod this prime first; see kernel_orbit.
+_P = 2**61 - 1
 _SLOTS = 12  # cells per power of W when _kernel_data reads num off one int
 
 
-def _mod_p(r: Rat, prime: int = _P) -> int:
-    """The image of a rational in GF(prime); ValueError if prime divides its denominator."""
+def _mod_p(r: Rat) -> int:
+    """The image of a rational in GF(_P); ValueError if _P divides its denominator."""
     r = Fraction(r)
-    return r.numerator * pow(r.denominator, -1, prime) % prime
+    return r.numerator * pow(r.denominator, -1, _P) % _P
 
 
 def _image(maps: tuple[_Mobius, _Mobius], i: int, p: tuple, prime: int) -> tuple:
@@ -614,22 +613,19 @@ def kernel_orbit(rule: SuccessionRule, y: Rat, z: Rat, limit: int = 200) -> int:
     is kept only when it exceeds `limit`: with no denominator 0 mod p,
     reduction commutes with both maps, and points distinct mod p are
     distinct over Q.  An orbit that closes mod p (so every finite orbit)
-    proves nothing over Q; a pole mod p proves nothing either and is
-    recounted mod 2^89 - 1 the same way.  What no prime proves is recounted
-    over Fraction, which raises ZeroDivisionError at a true pole.
+    proves nothing over Q, nor does a pole mod p: both are recounted over
+    Fraction, which raises ZeroDivisionError at a true pole.
 
     >>> kernel_orbit(RULES["semi"], Fraction(5, 3), Fraction(12, 5))
     10
     """
     maps = _group(rule)[2]
-    for prime in _PRIMES:
-        try:
-            size = _orbit_size(maps, (_mod_p(y, prime), _mod_p(z, prime)), limit, prime)
-        except ValueError:
-            continue  # a pole mod prime
-        if size > limit:
-            return size
-        break
+    try:
+        size = _orbit_size(maps, (_mod_p(y), _mod_p(z)), limit, _P)
+    except ValueError:
+        size = 0  # a pole mod p
+    if size > limit:
+        return size
     return _orbit_size(maps, (Fraction(y), Fraction(z)), limit, 0)
 
 

@@ -19,8 +19,8 @@ slots hold M^T for the next _WIDEN_EVERY lengths T and are then
 re-slotted wider.  The walk equation is read off the step multiset
 alone, by inclusion-exclusion over the steps that would leave the
 quarter plane.  Growth constants are fit to the excursion counts read
-as doubles off a narrow run of the same DP, whose slots widen once, to a
-cap, and then drop each cell's low bits in place every _DROP_EVERY
+as doubles off a narrow run of the same DP, whose slots keep one width
+from length 0 and drop each cell's low bits in place every _DROP_EVERY
 lengths, with one bound on what was dropped, so each double is certified
 (else the counts are exact); for FIVE the target is the real root of
 t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
@@ -125,7 +125,7 @@ def walk_grids(steps: StepMultiset, n_max: int,
 
 
 _WIDEN_EVERY = 24  # steps per slot width; timed 3-5% faster than 16 at n_max = 100, 300, 600
-_DROP_EVERY = 4  # steps per in-place drop past a cap; 8 timed the same at n_max = 300
+_DROP_EVERY = 4  # steps per in-place drop of a narrow run; 8 timed the same at n_max = 300
 
 
 def _drop(rows: list[int], w: int, b: int, d: int) -> list[int]:
@@ -134,10 +134,12 @@ def _drop(rows: list[int], w: int, b: int, d: int) -> list[int]:
     return [(r >> d) & keep for r in rows]
 
 
-def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool, cap: int = 0):
+def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool, keep: int | None = None):
     # apart from walk_grids so that its guard raises at the call, not at next(); yields
     # (b, rows, widths, e, err), a count c in slot v having v 2^e <= c <= (v + err) 2^e:
-    # exact (e = err = 0) but with a cap, which the slots widen to once and then keep
+    # exact (e = err = 0), the slots only widening, unless keep is given: then b is fixed
+    # from length 0 at keep bits (in whole bytes) past the room for _DROP_EVERY lengths,
+    # and the run only drops
     forms = [(dy, dx + dy) for (dx, dy), _ in items]
     rise, drop = ([max([0] + [sign * f[i] for f in forms]) for i in (0, 1)] for sign in (1, -1))
     mult_sum = sum(m for _, m in items)
@@ -148,20 +150,19 @@ def _grids(items: list[tuple[Step, int]], n_max: int, returning: bool, cap: int 
         d = max(dy for dy, h in forms if h == g)
         key = tuple((d - dy, m) for ((dx, dy), m) in items if dx + dy == g)
         shared.setdefault(key, []).append((g, d))
-    b, top, s, rows, widths, masks, e, err = 8, 0, 0, [1], [1], [], 0, 0
+    b = 8 if keep is None else _width(mult_sum ** _DROP_EVERY) + keep + -keep % 8
+    top, s, rows, widths, masks, e, err = 0, 0, [1], [1], [], 0, 0
     yield b, rows, widths, e, err
     for t in range(1, n_max + 1):
-        if t > top and b != cap + -cap % 8:
-            # zero bytes atop each cell make room for mult_sum**top and a spare bit; past
-            # the cap they widen the slots to the cap, once, and drops make the room
+        if t > top and keep is None:
+            # zero bytes atop each cell make room for mult_sum**top and a spare bit
             top = min(top + _WIDEN_EVERY, n_max)
             width = _width(mult_sum ** top)
-            width, top = (cap + -cap % 8, t - 1) if 0 < cap < width else (width, top)
             cells, pad = Struct(f"{b // 8}s").iter_unpack, bytes((width - b) // 8)
             rows = [int.from_bytes(pad.join(chain.from_iterable(
                 cells(r.to_bytes(w * b // 8, "little")))), "little") for r, w in zip(rows, widths)]
             b, masks = width, []
-        if t > top:
+        elif t > top:
             # drop the d low bits that make room for mult_sum**top >> e, read unsigned:
             # c <= (v + err) 2^e is then below ((v >> d) + 1 + (err >> d) + 1) 2^(e + d)
             top = min(t - 1 + _DROP_EVERY, n_max)
@@ -350,10 +351,9 @@ def growth_estimate(steps: StepMultiset, n_max: int) -> dict:
 
 def _brackets(steps: StepMultiset, n_max: int, keep: int) -> Iterator[tuple[int, int]]:
     """(lo, hi) with lo <= e_m <= hi for m = 0..n_max, off the excursion DP of
-    steps run narrow: its slots are cap bits wide, keep bits past the headroom
-    of the _DROP_EVERY lengths between two drops."""
-    cap = _width(sum(m for _, m in steps.items()) ** _DROP_EVERY) + keep
-    for b, rows, widths, e, err in _grids(steps.items(), n_max, True, cap):
+    steps run narrow: its slots, fixed from length 0, are keep bits (in whole
+    bytes) past the headroom of the _DROP_EVERY lengths between two drops."""
+    for b, rows, widths, e, err in _grids(steps.items(), n_max, True, keep):
         v = rows[0] >> (widths[0] - 1) * b
         yield v << e, (v + err) << e
 

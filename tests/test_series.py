@@ -687,26 +687,12 @@ def test_kernel_maps_are_involutions(rule, y, z):
 
 @pytest.mark.parametrize("y, z", [(2, 1 + series._P), (1 + Fraction(1, series._P), 4)],
                          ids=["z=1+p", "y=1+1/p"])
-def test_strong_orbit_falls_back_to_fraction_at_a_pole_mod_p(monkeypatch, y, z):
+def test_strong_orbit_falls_back_to_fraction_at_a_pole_mod_p(y, z):
     # z = 1 + p is 1 mod p, so the z-map's (y + z - 1) / (z - 1) is a pole
-    # there but not over Q; 1/p has no image mod p at all.  With p as both
-    # primes, neither prime counts the orbit and Fraction does
-    monkeypatch.setattr(series, "_PRIMES", (series._P, series._P))
+    # there but not over Q; 1/p has no image mod p at all.  So p does not
+    # count the orbit and Fraction does
     assert series.kernel_orbit(rules.RULES["strong"], y, z, 100) == 101
-
-
-@pytest.mark.parametrize("y, z", [(2, 1 + series._P), (1 + Fraction(1, series._P), 4)],
-                         ids=["z=1+p", "y=1+1/p"])
-def test_strong_orbit_at_a_pole_mod_p_is_counted_mod_the_second_prime(monkeypatch, y, z):
-    # the second prime meets no pole there, so the open orbit is proved
-    # open without a Fraction point
-    fraction_walks = []
-    walk = series._walk
-    monkeypatch.setattr(series, "_walk", lambda maps, p, prime: (
-        fraction_walks.append(p) if not prime else None, walk(maps, p, prime))[1])
-    assert series.kernel_orbit(rules.RULES["strong"], y, z, 100) == 101
-    assert fraction_walks == []
-    with pytest.raises(ValueError):  # the first prime does meet a pole
+    with pytest.raises(ValueError):
         series._orbit_size(_maps(rules.RULES["strong"]), tuple(map(series._mod_p, (y, z))),
                            100, series._P)
 

@@ -1,12 +1,18 @@
 """The traced benchmark binds baxterlab functions by name, so a rename
-must fail here instead of crashing the traced run; and tools/same_outputs.py
-must list every request it promises and report each one that differs."""
+must fail here instead of crashing the traced run; tools/same_outputs.py
+must list every request it promises and report each one that differs; and
+tools/traffic.py must name the lines no benchmark request reaches."""
 
 import importlib
 import importlib.util
+import re
+import runpy
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_traced_target_resolves(monkeypatch):
@@ -23,9 +29,9 @@ def test_every_traced_target_resolves(monkeypatch):
     assert targets and not missing, missing
 
 
-def _same_outputs():
-    path = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
-    spec = importlib.util.spec_from_file_location("same_outputs", path)
+def _tool(name):
+    path = ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,7 +40,7 @@ def _same_outputs():
 def test_same_outputs_lists_every_benchmark_request_and_the_seeded_ones(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    argvs = _same_outputs().request_list()
+    argvs = _tool("same_outputs").request_list()
     bench = [r.argv for w in ("terms-deep", "series-deep") for r in workloads.requests(w, 0)]
     assert set(bench) <= set(argvs) and len(argvs) == len(set(argvs))
     checks = [a for a in argvs if a[0] == "check"]
@@ -47,13 +53,15 @@ def test_same_outputs_lists_every_benchmark_request_and_the_seeded_ones(monkeypa
     assert len(growth) == 22
     assert {a[2] for a in growth} == {"five", "seven", "(-1,0);(0,-1);(1,1);(0,0)"}
     assert {("five", "440"), ("seven", "364")} <= {(a[2], a[4]) for a in growth}
+    excursions = [(a[2], a[4]) for a in argvs if "--excursions" in a]
+    assert excursions == [("five", "300"), ("seven", "300"), ("(-1,0);(0,-1);(1,1)", "120")]
     brute = sorted((a[2], int(a[-1])) for a in argvs if "brute" in a)
     assert brute == sorted([("exp1423", n) for n in (3, 4, 10, 11)] + [
         (family, 10) for family in ("semi", "plane", "baxter", "twisted", "strong", "av231")])
 
 
 def test_same_outputs_digest_drops_only_the_check_timings():
-    digest = _same_outputs().digest
+    digest = _tool("same_outputs").digest
     a = b'{"reports": [{"name": "x", "status": "pass", "elapsed_ms": 1.5}]}'
     b = b'{"reports": [{"name": "x", "status": "pass", "elapsed_ms": 7.0}]}'
     c = b'{"reports": [{"name": "x", "status": "fail", "elapsed_ms": 1.5}]}'
@@ -74,7 +82,7 @@ def _tree(root, text):
 
 
 def test_same_outputs_reports_each_request_that_differs(tmp_path):
-    tool = _same_outputs()
+    tool = _tool("same_outputs")
     old, same, new = (_tree(tmp_path / d, t) for d, t in (("a", "x"), ("b", "x"), ("c", "y")))
     argvs = [("seq",), ("bad",)]
     assert tool.compare(old, same, argvs) == []
@@ -82,3 +90,40 @@ def test_same_outputs_reports_each_request_that_differs(tmp_path):
     assert [(argv, a[0], b[0]) for argv, a, b in diffs] == [(("seq",), "0", "0"),
                                                            (("bad",), "3", "3")]
     assert all(a[1] != b[1] for _, a, b in diffs)
+
+
+def test_traffic_names_every_module_and_the_lines_the_smoke_run_reaches():
+    # a fresh interpreter, which traces the package's import too
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "traffic.py"), "--smoke"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].endswith("(smoke sizes, seed 0)")
+    modules = [m[1] for m in map(re.compile(r"(\w+): \d+ of \d+ executable lines").match, lines)
+               if m]
+    assert modules == sorted(p.stem for p in (ROOT / "src" / "baxterlab").glob("*.py"))
+    # the kernel request runs all of _mod_p, and the import all of rules' module body
+    assert not any(v.startswith(("  series._mod_p:", "  rules.<module>:")) for v in lines)
+
+
+def test_traffic_lists_by_function_the_lines_no_run_reaches(tmp_path):
+    package = tmp_path / "planted"
+    package.mkdir()
+    module = package / "mod.py"
+    module.write_text(
+        '"""doc"""\n'
+        "def used(x):\n"
+        "    return x + 1\n"
+        "\n"
+        "def unused(x):\n"
+        '    """doc"""\n'
+        "    y = x * 2\n"
+        "    return [v for v in (y,)]\n"
+        "\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return 1\n")
+    tool = _tool("traffic")
+    hit = tool.reached(lambda: runpy.run_path(str(module))["used"](1))
+    assert tool.report(package, hit) == [
+        "mod: 3 of 9 executable lines unreached", "  mod.unused: 7-8", "  mod.C.m: 12"]

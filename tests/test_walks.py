@@ -1,5 +1,6 @@
 """Quarter-plane walks: step parsing, tables, excursions, growth."""
 
+from hashlib import sha256
 from math import comb
 
 import pytest
@@ -471,9 +472,9 @@ def _cells(row, w, b):
 
 
 def test_an_in_place_drop_is_the_floor_of_each_cell():
-    # the widest and the width-1 row of a narrow FIVE grid past its cap, and
+    # the widest and the width-1 row of a narrow FIVE grid after drops, and
     # rows whose every slot is all ones or has only its lowest bit set
-    grid = list(walks._grids(walks.FIVE.items(), 150, True, walks._width(5 ** 4) + 40))[100]
+    grid = list(walks._grids(walks.FIVE.items(), 150, True, 40))[100]
     b, rows, widths, e, _ = grid
     assert e > 0 and len(rows) > 2 and widths[-1] == 1
     full, low = (sum(v << u * b for u in range(widths[0])) for v in ((1 << b) - 1, 1))
@@ -484,21 +485,38 @@ def test_an_in_place_drop_is_the_floor_of_each_cell():
             assert dropped >> w * b == 0
 
 
-def test_the_slot_widens_to_the_cap_exactly_once(monkeypatch):
-    # the slots widen as on the exact path until that passes the cap, then
-    # to the cap in whole bytes, and only drops make room after that: one
-    # re-pack per slot width, none at the cap's fixed width
+def test_a_narrow_run_keeps_one_slot_width_from_length_0(monkeypatch):
+    # an exact run re-packs once per slot width; a narrow one is born at its
+    # width, keep bits past the room for _DROP_EVERY lengths in whole bytes,
+    # builds no Struct, and only drops make room after that
     formats = []
     struct = walks.Struct
     monkeypatch.setattr(walks, "Struct", lambda fmt: formats.append(fmt) or struct(fmt))
     exact = [b for b, *_ in walks._grids(walks.FIVE.items(), 300, True)]
     assert len(formats) == len(set(exact)) - 1 == -(-300 // walks._WIDEN_EVERY)
     formats.clear()
-    cap = walks._width(5 ** walks._DROP_EVERY) + 96 + 300 // 8
-    grids = list(walks._grids(walks.FIVE.items(), 300, True, cap))
-    widths, k = [b for b, *_ in grids], next(t for t, b in enumerate(exact) if b > cap)
-    assert widths[:k] == exact[:k] and set(widths[k:]) == {cap + -cap % 8}
-    assert len(formats) == len(set(widths)) - 1 and grids[-1][3] > 0
+    keep = 96 + 300 // 8
+    grids = list(walks._grids(walks.FIVE.items(), 300, True, keep))
+    cap = walks._width(5 ** walks._DROP_EVERY) + keep
+    assert formats == [] and {b for b, *_ in grids} == {cap + -cap % 8}
+    assert len(grids) == 301 and grids[-1][3] > 0
+
+
+# sha256 of repr(list(walks._brackets(steps, 300, keep))), pinned values that
+# are never recomputed: moving any drop, or the bits it keeps, changes some
+# bracket
+_BRACKET_DIGESTS = {
+    ("five", 0): "89dbf2a2030e708c737677de0e00cf1d045840b460acee5b9ac997ba8a69717c",
+    ("five", 96 + 300 // 8): "11cbe04053f1fe2bc920a378f0289a922b72fe46abe2f8ef12e46e03a447f23c",
+    ("seven", 0): "27dde31fb51b0a5dc532afacd9222e49af401597990b0c6b80228724332f26bf",
+    ("seven", 96 + 300 // 8): "a087263475a300826fc415358186d29983f7f5f4b92add9f06205525c144cb28",
+}
+
+
+@pytest.mark.parametrize("name, keep", sorted(_BRACKET_DIGESTS))
+def test_the_drop_schedule_is_pinned(name, keep):
+    runs = list(walks._brackets(walks.parse_steps(name), 300, keep))
+    assert sha256(repr(runs).encode()).hexdigest() == _BRACKET_DIGESTS[name, keep]
 
 
 @pytest.mark.parametrize("n", [100, 200, 300])

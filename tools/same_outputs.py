@@ -20,6 +20,9 @@ The requests are:
   n_max 50, 100, 300 and 400, for FIVE at 440 and SEVEN at 364 (the
   largest n_max whose terms the narrow DP may read as doubles), and for
   one custom aperiodic step set (Kreweras' steps plus a pause) at n_max 120;
+* ``walks --excursions`` (the exact DP, which re-packs as its slots widen)
+  for FIVE and SEVEN at n_max 300 and for Kreweras' steps, a box-shaped
+  grid, at n_max 120;
 * ``seq --route brute`` for exp1423 at n_max 3, 4, 10 and 11, and for
   semi, plane, baxter, twisted, strong and av231 at n_max 10.
 
@@ -60,6 +63,8 @@ def request_list() -> list[tuple[str, ...]]:
     growth += [("five", "440"), ("seven", "364"), ("(-1,0);(0,-1);(1,1);(0,0)", "120")]
     argvs += [("walks", "--steps", steps, "--n-max", n, "--estimate-growth", *fmt)
               for steps, n in growth for fmt in ((), ("--format", "json"))]
+    argvs += [("walks", "--steps", steps, "--n-max", n, "--excursions")
+              for steps, n in (("five", "300"), ("seven", "300"), ("(-1,0);(0,-1);(1,1)", "120"))]
     brute = [("exp1423", n) for n in (3, 4, 10, 11)]
     brute += [(family, 10) for family in ("semi", "plane", "baxter", "twisted", "strong", "av231")]
     argvs += [("seq", "--family", family, "--route", "brute", "--n-max", str(n))
