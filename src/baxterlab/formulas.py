@@ -4,10 +4,8 @@ Every route is evaluated in exact arithmetic: the order-2 recurrences
 divide big integers with an exactness guard, in ints or, for printing, in
 exact Decimal integers (see _order2); the closed sums step each summand
 by its term ratio (one math.comb seed, then one exact divmod per term, in
-_ratio_sum) and divide by their prefactor's denominator with the same
-guard; the big-sum formula carries its rational prefactor
-as a Fraction and checks integrality at the end.  Every guard raises
-ValueError in every interpreter mode.
+_ratio_sum) and divide once by their prefactor's denominator with the
+same guard.  Every guard raises ValueError in every interpreter mode.
 These values are the oracles the other modules are tested against, so a
 transcription slip must abort instead of rounding.
 
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 import decimal
 import math
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import count
 from operator import mul
@@ -135,35 +132,35 @@ def sb_recurrence(n_max: int, unit: int | decimal.Decimal = 1) -> list:
                    lambda n: (11 * n * n + 11 * n - 6, (n - 3) * (n - 2), (n + 4) * (n + 3)))
 
 
-def sb_summand(n: int, j: int) -> Fraction:
-    """Single term of the big-sum formula for SB_n (hypergeometric summand).
-    No lower index is negative for j >= 0; math.comb gives C(m, k) = 0 for k > m."""
-    c = math.comb
-    bracket = (
-        c(n - 1, j + 1) * (c(n + j + 1, j + 5) + 2 * c(n + j + 1, j))
-        + 2 * c(n - 1, j + 2) * (-c(n + j + 2, j + 5) + c(n + j + 1, j + 3)
-                                 - c(n + j + 2, j + 2) + c(n + j + 1, j))
-        + 3 * c(n - 1, j + 3) * (c(n + j + 2, j + 4) - c(n + j + 2, j + 2))
-    )
-    return Fraction(c(n - 1, j) * bracket, n - 1)
+def _sb_products(n: int, table: Iterable[tuple[int, tuple]], den: int, what: str) -> int:
+    """The sum over j < n of weight * C(n+t1, k1+j) C(n+t2, k2+j) C(n+t3+j, k3+j),
+    over (weight, ((t1, k1), (t2, k2), (t3, k3))) in table, divided by den:
+    two binomial rows and a diagonal, each product stepped by _binomial_sum."""
+    s = sum(w * _binomial_sum([(n + t, k, i == 2) for i, (t, k) in enumerate(b)], n, what)[0]
+            for w, b in table)
+    return _exact_div(s, den, what)
+
+
+# The big-sum formula: (n-1) SB_n is the sum over (weight, r, t, k) of
+# weight * C(n-1, j) C(n-1, j+r) C(n+t+j, k+j).
+_BIG_SUM = [(w, ((-1, 0), (-1, r), (t, k))) for w, r, t, k in (
+    (1, 1, 1, 5), (2, 1, 1, 0), (-2, 2, 2, 5), (2, 2, 1, 3),
+    (-2, 2, 2, 2), (2, 2, 1, 0), (3, 3, 2, 4), (-3, 3, 2, 2))]
 
 
 def sb_sum_formula(n: int) -> int:
-    """SB_n as the sum over j of sb_summand; defined for n >= 2.
+    """SB_n by the big-sum formula, _BIG_SUM over n - 1; defined for n >= 2.
 
     >>> [sb_sum_formula(n) for n in range(2, 8)]
     [2, 6, 23, 104, 530, 2958]
     """
     at_least(n, 2, "n")
-    total = sum(sb_summand(n, j) for j in range(n))
-    if total.denominator != 1:
-        raise ValueError(f"SB_{n} sum formula not integral: {total}")
-    return int(total)
+    return _sb_products(n, _BIG_SUM, n - 1, f"SB_{n} sum")
 
 
 # Each variant is a sum over j of C(n+t1, k1+j) C(n+t2, k2+j) C(n+t3+j, k3+j):
 # two rows and a diagonal, listed as (t, k).  The first row vanishes for
-# j > n-2, so every variant sums n-1 terms.
+# j > n-2, so the last of the n terms _sb_products sums is 0.
 _SIMPLE_VARIANTS = {
     "a": ((0, 2), (2, 0), (2, 1)),  # C(n, j+2) C(n+2, j) C(n+j+2, j+1)
     "b": ((0, 2), (1, 0), (2, 3)),  # C(n, j+2) C(n+1, j) C(n+j+2, j+3)
@@ -188,10 +185,8 @@ def sb_simple_formula(n: int, variant: str = "a") -> int:
     at_least(n, 2, "n")
     if variant not in _SIMPLE_VARIANTS:
         raise ValueError(f"unknown simple-formula variant {variant!r}")
-    binomials = [(n + t, k, i == 2) for i, (t, k) in enumerate(_SIMPLE_VARIANTS[variant])]
-    s, _ = _binomial_sum(binomials, n - 1, f"SB_{n} simple-{variant}")
     den = (n - 1) * n * (n + 1) * (n + 2) * (n + 1 if variant == "d" else n)
-    return _exact_div(24 * s, den, f"SB_{n} simple-{variant}")
+    return _sb_products(n, [(24, _SIMPLE_VARIANTS[variant])], den, f"SB_{n} simple-{variant}")
 
 
 def sb_table(n_max: int, route: str = "recurrence") -> list[int]:
@@ -300,7 +295,7 @@ def asymptotic_check(n: int) -> dict[str, float | int]:
     """
     at_least(n, 10, "n")
     sb = sb_recurrence(n)
-    ratio = float(Fraction(sb[n], sb[n - 1]))
+    ratio = sb[n] / sb[n - 1]
     corrected = ratio * (n / (n - 1)) ** 6
     # big-int logs are exact enough; mu^n overflows floats long before n=2000
     log_scaled = math.log(sb[n]) + 6 * math.log(n) - n * math.log(MU)

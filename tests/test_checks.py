@@ -428,6 +428,22 @@ def test_every_check_fails_under_its_planted_fault(monkeypatch, name):
     assert not ok, detail
 
 
+@pytest.mark.parametrize("row", range(len(formulas._BIG_SUM)))
+def test_a_wrong_big_sum_weight_fails_semi_all_routes(monkeypatch, row):
+    # the suite reaches every row of the big-sum table: a weight off by one
+    # leaves the division by n - 1 inexact or gives a wrong SB_n
+    table = list(formulas._BIG_SUM)
+    weight, binomials = table[row]
+    table[row] = (weight + 1, binomials)
+    monkeypatch.setattr(formulas, "_BIG_SUM", table)
+    fn, quick, _ = checks._REGISTRY["semi-all-routes"]
+    try:
+        ok, detail = fn(*quick, 0)
+    except ValueError as exc:
+        ok, detail = False, str(exc)
+    assert not ok and "sum" in detail, detail
+
+
 # the checks that read rule levels: every one steps them through rules._levels
 _LEVEL_READERS = {
     "baxter-five-routes", "catalan-three-routes", "census-labels-vs-rules", "plane-vs-semi",

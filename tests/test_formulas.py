@@ -72,6 +72,21 @@ _SIMPLE_SUMMANDS = {
 }
 
 
+def _big_sum_summand(n, j):
+    # the paper's big-sum summand for SB_n, prefactor 1/(n-1) included
+    c = math.comb
+    bracket = (c(n - 1, j + 1) * (c(n + j + 1, j + 5) + 2 * c(n + j + 1, j))
+               + 2 * c(n - 1, j + 2) * (-c(n + j + 2, j + 5) + c(n + j + 1, j + 3)
+                                        - c(n + j + 2, j + 2) + c(n + j + 1, j))
+               + 3 * c(n - 1, j + 3) * (c(n + j + 2, j + 4) - c(n + j + 2, j + 2)))
+    return Fraction(c(n - 1, j) * bracket, n - 1)
+
+
+def test_sum_formula_equals_the_plain_big_sum():
+    for n in range(2, 81):
+        assert formulas.sb_sum_formula(n) == sum(_big_sum_summand(n, j) for j in range(n + 2)), n
+
+
 @pytest.mark.parametrize("variant", "abcd")
 def test_simple_formulas_equal_plain_binomial_sums(variant):
     for n in range(2, 61):
@@ -102,11 +117,6 @@ def test_ratio_sum_names_the_term_that_is_not_an_integer():
         formulas._ratio_sum(1, [1], [2], "t")
     with pytest.raises(ValueError, match=r"^SB: term 3 is not an integer$"):
         formulas._ratio_sum(1, [2, 3, 5], [1, 2, 7], "SB")
-
-
-def test_sb_summand_is_exact_fraction():
-    total = sum(formulas.sb_summand(6, j) for j in range(0, 9))
-    assert total == Fraction(SB[5])
 
 
 def test_apery_closed_prefix():

@@ -24,7 +24,9 @@ The requests are:
   for FIVE and SEVEN at n_max 300 and for Kreweras' steps, a box-shaped
   grid, at n_max 120;
 * ``seq --route brute`` for exp1423 at n_max 3, 4, 10 and 11, and for
-  semi, plane, baxter, twisted, strong and av231 at n_max 10.
+  semi, plane, baxter, twisted, strong and av231 at n_max 10;
+* ``seq --family sb`` on the ``sum`` and ``d`` routes at n_max 150, which
+  no benchmark request reaches past n = 13.
 
 A change that claims to keep every output, such as a refactor, should
 report no difference against its parent commit (exported with, say,
@@ -69,6 +71,7 @@ def request_list() -> list[tuple[str, ...]]:
     brute += [(family, 10) for family in ("semi", "plane", "baxter", "twisted", "strong", "av231")]
     argvs += [("seq", "--family", family, "--route", "brute", "--n-max", str(n))
               for family, n in brute]
+    argvs += [("seq", "--family", "sb", "--route", route, "--n-max", "150") for route in ("sum", "d")]
     return list(dict.fromkeys(argvs))
 
 
