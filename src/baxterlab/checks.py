@@ -261,8 +261,8 @@ def series_kernel(group: str, trials: int, seed: int) -> Outcome:
 
 
 def _chk_lagrange(kmax: int, seed: int) -> Outcome:
-    for i in (1, 2, 3):
-        power = series._read(series.Poly({(0, i): 1}), kmax)  # W^i
+    powers = series._read([series.Poly({(0, i): 1}) for i in (1, 2, 3)], kmax)  # W, W^2, W^3
+    for i, power in enumerate(powers, 1):
         for k in range(1, kmax + 1):
             for s in range(-6, 2 * k + 1):
                 if series.lagrange_coeff(s, k, i) != power.coeff_x(k).coeff(s, 0):

@@ -3,8 +3,7 @@
 Subcommands: seq (term streams for every family/route of
 checks.FAMILIES), check (the cross-route consistency suite), series (the
 series-side verdicts of the suite at a chosen size, plus the W
-fixpoint), walks, and invseq and numbers (views of seq restricted to one
-family or to the formula routes).  Exit codes: 0 success, 1 a requested
+fixpoint) and walks.  Exit codes: 0 success, 1 a requested
 verification failed or stdout closed before the output was written, 2
 usage error, including an engine rejecting its arguments with ValueError.
 json and csv are imported only where a request prints them, off start-up.
@@ -18,15 +17,8 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
-from . import checks, formulas, series, walks
+from . import checks, series, walks
 from .checks import FAMILIES
-
-# The numbers view exposes only the closed-form and recurrence routes.
-_NUMBERS_ROUTES: dict[str, tuple[str, ...]] = {
-    "sb": formulas.SB_ROUTES,
-    "baxter": ("closed", "ollerton"),
-    "apery": ("closed", "recurrence"),
-}
 
 
 def _emit_terms(
@@ -63,19 +55,13 @@ def _emit_terms(
         sys.set_int_max_str_digits(limit)
 
 
-def _run_family(
-    family: str, route: str | None, n_max: int, fmt: str, allowed: tuple[str, ...] | None = None
-) -> int:
+def _run_family(family: str, route: str | None, n_max: int, fmt: str) -> int:
     cfg = FAMILIES[family]
     routes = cfg["routes"]
-    if allowed is not None:
-        routes = {k: v for k, v in routes.items() if k in allowed}
     route = route or next(iter(routes))
     if route not in routes:
         known = ", ".join(sorted(routes))
-        lacks = (f"family {family!r} has no route {route!r}" if allowed is None
-                 else f"numbers has no route {route!r} for family {family!r}")
-        print(f"error: {lacks} (known: {known})", file=sys.stderr)
+        print(f"error: family {family!r} has no route {route!r} (known: {known})", file=sys.stderr)
         return 2
     offset = cfg["offset"]
     if n_max < offset:
@@ -92,13 +78,6 @@ def _run_family(
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     return _run_family(args.family, args.route, args.n_max, args.format)
-
-
-def _cmd_numbers(args: argparse.Namespace) -> int:
-    return _run_family(
-        args.family, args.route, args.n_max, args.format,
-        allowed=_NUMBERS_ROUTES[args.family],
-    )
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -230,19 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate-growth", action="store_true")
     p.add_argument("--format", default="plain", choices=term_formats)
     p.set_defaults(func=_cmd_walks)
-
-    p = sub.add_parser("invseq", help="inversion-sequence avoider counts")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--route", default=None, choices=sorted(FAMILIES["invseq"]["routes"]))
-    p.add_argument("--format", default="plain", choices=term_formats)
-    p.set_defaults(func=_cmd_seq, family="invseq")
-
-    p = sub.add_parser("numbers", help="closed-form and recurrence tables")
-    p.add_argument("--family", required=True, choices=sorted(_NUMBERS_ROUTES))
-    p.add_argument("--route", default=None)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--format", default="bfile", choices=term_formats)
-    p.set_defaults(func=_cmd_numbers)
 
     return parser
 

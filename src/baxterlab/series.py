@@ -273,25 +273,25 @@ def _cleared(fs: Sequence[Poly], p: int, q: int, v: XSeries) -> list[tuple[int, 
     return out
 
 
-def _read(f: Poly, order: int) -> XSeries:
-    """f(a, W) through x^order as Polys in a, for f a Poly keyed (e, k) for
-    a^e W^k, read from one solve at a = 2^b (_v_at, x = t*a): [t^n] of
-    _cleared of f is a^(n+i) [x^n]f.  b is the least whole-byte width above
-    W and _cleared of |f| at a = 1, which bound every coefficient in a, as
-    W's are nonnegative.  The a-exponents of [x^n]W must lie in [-(n-1), 2n]
-    (by induction: each order adds at most a^2 and at least ā), else
-    ValueError; those of [t^n] in [1, 3n].
+def _read(fs: Sequence[Poly], order: int) -> list[XSeries]:
+    """f(a, W) through x^order as Polys in a for each f in fs, a Poly keyed
+    (e, k) for a^e W^k, all read from one solve at a = 2^b (_v_at, x = t*a):
+    [t^n] of _cleared of f is a^(n+i) [x^n]f.  b is the least whole-byte
+    width above W and _cleared of every |f| at a = 1, which bound every
+    coefficient in a, as W's are nonnegative.  The a-exponents of [x^n]W must
+    lie in [-(n-1), 2n] (by induction: each order adds at most a^2 and at
+    least ā), else ValueError; those of [t^n] in [1, 3n].
     """
     u = _v_at(1, 1, order)
-    ((_, _, bound),) = _cleared([Poly({e: abs(x) for e, x in f.c.items()})], 1, 1, u)
-    b = _width(max(*bound.c, *u.c))
+    bounds = _cleared([Poly({e: abs(x) for e, x in f.c.items()}) for f in fs], 1, 1, u)
+    b = _width(max(*u.c, *(c for _, _, bound in bounds for c in bound.c)))
     w = _v_at(1 << b, 1, order)
     for n in range(1, order + 1):
         v = w.c[n]
         if not v or v & (1 << b) - 1 or v >> b * (3 * n + 1):
             raise ValueError(f"[x^{n}]W leaves the exponent window [{1 - n}, {2 * n}]")
-    ((i, _, cleared),) = _cleared([f], 1 << b, 1, w)
-    return XSeries(_digits(c, b, -n - i) for n, c in enumerate(cleared.c))
+    return [XSeries(_digits(c, b, -n - i) for n, c in enumerate(cleared.c))
+            for i, _, cleared in _cleared(fs, 1 << b, 1, w)]
 
 
 def solve_W(order: int) -> XSeries:
@@ -304,7 +304,7 @@ def solve_W(order: int) -> XSeries:
     1 + 2*a^1 + 1*a^2
     """
     at_least(order, 1, "order")
-    return _read(Poly({(0, 1): 1}), order)
+    return _read([Poly({(0, 1): 1})], order)[0]
 
 
 def build_F(order: int) -> XSeries:
@@ -316,7 +316,7 @@ def build_F(order: int) -> XSeries:
     F = x g (_kernel_data), so g is needed to x^(order-1), by _read.
     """
     at_least(order, 1, "order")
-    return XSeries([Poly(), *_read(_kernel_data()[0], order - 1).c])
+    return XSeries([Poly(), *_read([_kernel_data()[0]], order - 1)[0].c])
 
 
 def omega_geq(s: XSeries) -> XSeries:

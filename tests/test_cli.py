@@ -100,20 +100,6 @@ def test_seq_default_route_is_the_first_listed(capsys, family, route):
     assert code == 0 and json.loads(out)["route"] == route
 
 
-@pytest.mark.parametrize("family, route", [("sb", "recurrence"), ("baxter", "closed"),
-                                           ("apery", "closed")])
-def test_numbers_default_route(capsys, family, route):
-    argv = ["numbers", "--family", family, "--n-max", "6", "--format", "json"]
-    code, out, err = run(capsys, argv)
-    assert (code, out, err) == run(capsys, argv + ["--route", route])
-    assert code == 0 and json.loads(out)["route"] == route
-
-
-def test_numbers_routes_are_routes_of_their_family():
-    for family, routes in cli._NUMBERS_ROUTES.items():
-        assert set(routes) <= set(cli.FAMILIES[family]["routes"]), family
-
-
 def test_seq_unknown_route_exits_2(capsys):
     code, _, err = run(capsys, ["seq", "--family", "exp1423", "--route", "rule", "--n-max", "3"])
     assert code == 2
@@ -131,6 +117,18 @@ def test_usage_error_exits_2(capsys):
         cli.main(["seq", "--family", "nonsense", "--n-max", "3"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["numbers", "--family", "sb", "--n-max", "4"],
+                                  ["invseq", "--n-max", "6"]])
+def test_retired_views_are_usage_errors(capsys, argv):
+    # neither name is a subcommand: seq prints the terms these views printed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"invalid choice: '{argv[0]}'" in err
+    assert "Traceback" not in err
 
 
 def test_series_residual_ok(capsys):
@@ -230,47 +228,22 @@ def test_walks_growth_json(capsys):
 def test_invseq_routes_agree(capsys):
     outs = set()
     for route in ("brute", "dp", "formula"):
-        code, out, _ = run(capsys, ["invseq", "--n-max", "6", "--route", route])
+        code, out, _ = run(capsys, ["seq", "--family", "invseq", "--n-max", "6", "--route", route])
         assert code == 0
         outs.add(out)
     assert outs == {"1\n2\n6\n23\n104\n530\n"}
 
 
-@pytest.mark.parametrize("fmt", ["plain", "bfile", "csv", "json"])
-def test_invseq_is_seq_of_the_invseq_family(capsys, fmt):
-    for route in checks.FAMILIES["invseq"]["routes"]:
-        tail = ["--route", route, "--n-max", "7", "--format", fmt]
-        code, out, _ = run(capsys, ["invseq"] + tail)
-        assert code == 0
-        assert run(capsys, ["seq", "--family", "invseq"] + tail) == (0, out, "")
-
-
-def test_numbers_default_bfile(capsys):
-    code, out, _ = run(capsys, ["numbers", "--family", "sb", "--n-max", "4"])
-    assert code == 0
-    assert out == "1 1\n2 2\n3 6\n4 23\n"
-
-
-def test_numbers_rejects_enumerative_route(capsys):
-    code, _, err = run(capsys, ["numbers", "--family", "sb", "--route", "brute", "--n-max", "3"])
-    assert code == 2
-    assert "no route" in err
-    # seq serves sb by brute force, so the family itself lacks no route
-    assert "family 'sb' has no route" not in err
-    assert "numbers has no route 'brute' for family 'sb'" in err
-
-
 def test_numbers_print_terms_past_the_int_str_limit(capsys):
     # SB_n has more than 4300 digits from n = 4464 on
     limit = sys.get_int_max_str_digits()
-    code, out, _ = run(capsys, ["numbers", "--family", "sb", "--n-max", "4470"])
+    code, out, _ = run(capsys, ["seq", "--family", "sb", "--n-max", "4470", "--format", "bfile"])
     assert code == 0
     lines = out.splitlines()
     last = lines[-1]
     assert last.startswith("4470 ") and len(last) > 4300 + len("4470 ")
     assert sys.get_int_max_str_digits() == limit
-    code, out, _ = run(capsys, ["numbers", "--family", "sb", "--n-max", "4470",
-                                "--format", "json"])
+    code, out, _ = run(capsys, ["seq", "--family", "sb", "--n-max", "4470", "--format", "json"])
     assert code == 0
     head = '{"family": "sb", "route": "recurrence", "offset": 1, "terms": ['
     assert out.startswith(head) and out.endswith("]}\n")

@@ -247,15 +247,19 @@ def test_width_is_the_least_byte_width_above_the_bound():
 def test_kronecker_width_keeps_the_sign_bit_clear(monkeypatch):
     """For f = W - top the bound at a = 1 is (top, 4, 24): _read takes b as
     the least whole-byte width with every entry below 2^(b-1), and -top
-    reads back at x^0."""
+    reads back at x^0.  Read together with f = W, whose own bound needs
+    only 8 bits, both come back right at the wider width."""
     widths = []
     width = series._width
     monkeypatch.setattr(series, "_width", lambda bound: widths.append(width(bound)) or widths[-1])
     w = series.solve_W(2)
     for top, b in [(1, 8), (127, 8), (128, 16), (2 ** 15 - 1, 16), (2 ** 15, 24)]:
-        got = series._read(series.Poly({(0, 0): -top, (0, 1): 1}), 2)
+        f = series.Poly({(0, 0): -top, (0, 1): 1})
+        (got,) = series._read([f], 2)
         assert widths[-1] == b, top
         assert got.c == [series.laurent({0: -top}), *w.c[1:]], top
+        assert series._read([f, series.Poly({(0, 1): 1})], 2) == [got, w], top
+        assert widths[-1] == b, top
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 12])

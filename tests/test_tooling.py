@@ -57,7 +57,10 @@ def test_same_outputs_lists_every_benchmark_request_and_the_seeded_ones(monkeypa
     assert excursions == [("five", "300"), ("seven", "300"), ("(-1,0);(0,-1);(1,1)", "120")]
     brute = sorted((a[2], int(a[-1])) for a in argvs if "brute" in a)
     assert brute == sorted([("exp1423", n) for n in (3, 4, 10, 11)] + [
-        (family, 10) for family in ("semi", "plane", "baxter", "twisted", "strong", "av231")])
+        (family, 10) for family in ("semi", "plane", "baxter", "twisted", "strong", "av231",
+                                    "invseq")])
+    invseq = [(a[4], a[-1]) for a in argvs if a[:3] == ("seq", "--family", "invseq")]
+    assert invseq == [("formula", "40"), ("dp", "40"), ("brute", "10")]
     closed = [(a[4], a[-1]) for a in argvs if a[:3] == ("seq", "--family", "sb")
               and a[4] in ("sum", "d")]
     assert closed == [("sum", "150"), ("d", "150")]

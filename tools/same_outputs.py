@@ -26,7 +26,9 @@ The requests are:
 * ``seq --route brute`` for exp1423 at n_max 3, 4, 10 and 11, and for
   semi, plane, baxter, twisted, strong and av231 at n_max 10;
 * ``seq --family sb`` on the ``sum`` and ``d`` routes at n_max 150, which
-  no benchmark request reaches past n = 13.
+  no benchmark request reaches past n = 13;
+* ``seq --family invseq`` on the ``formula`` and ``dp`` routes at n_max 40
+  and on the ``brute`` route (exponential) at n_max 10.
 
 A change that claims to keep every output, such as a refactor, should
 report no difference against its parent commit (exported with, say,
@@ -72,6 +74,8 @@ def request_list() -> list[tuple[str, ...]]:
     argvs += [("seq", "--family", family, "--route", "brute", "--n-max", str(n))
               for family, n in brute]
     argvs += [("seq", "--family", "sb", "--route", route, "--n-max", "150") for route in ("sum", "d")]
+    argvs += [("seq", "--family", "invseq", "--route", route, "--n-max", n)
+              for route, n in (("formula", "40"), ("dp", "40"), ("brute", "10"))]
     return list(dict.fromkeys(argvs))
 
 
