@@ -6,8 +6,8 @@ extraction, walk models).  FAMILIES names them; `baxterlab seq` prints
 any one of them, and the route checks of the suite run all routes of a
 family (plus a few borrowed from another family) and compare them.  On
 disagreement a check reports the two route names and the smallest size
-where they differ.  The series-side verdicts that `baxterlab series
---check` prints are the functions their checks call.  The checks run
+where they differ.  `baxterlab series --check` prints the verdicts of
+registry rows at the requested size.  The checks run
 one after another, so each report's elapsed_ms is that check's own wall
 time.  Each row of the registry gives its check's sizes for the quick
 and the full suite; as whole commands on a 2-vCPU machine the quick
@@ -68,7 +68,8 @@ _SB_ROUTES: dict[str, Route] = {
 }
 
 # family -> first index and routes, the default route first; a route maps
-# n_max to the terms for n = offset..n_max.
+# n_max to the terms for n = offset..n_max.  Routes reach traced functions
+# through their module at call time, so the tracer sees them.
 FAMILIES: dict[str, dict] = {
     "sb": {"offset": 1, "routes": _SB_ROUTES},
     "semi": {"offset": 1, "routes": _SB_ROUTES},
@@ -201,7 +202,7 @@ def _chk_invseq_labels(top: int, seed: int) -> Outcome:
     return True, f"growth labels match the semi rule on {seen} avoiders (sizes < {top})"
 
 
-def series_extraction(order: int) -> Outcome:
+def series_extraction(order: int, seed: int) -> Outcome:
     """The a^0 column of F against the semi-Baxter recurrence, n = 1..order."""
     f = series.build_F(order)
     want = formulas.sb_table(order)[1:]
@@ -212,7 +213,7 @@ def series_extraction(order: int) -> Outcome:
     return True, f"a^0 column matches the recurrence for n=1..{order}"
 
 
-def series_nonneg_part(order: int) -> Outcome:
+def series_nonneg_part(order: int, seed: int) -> Outcome:
     """Nonnegative part of F against the semi labels evaluated at 1+a."""
     lhs = series.omega_geq(series.build_F(order))
     rhs = series.LabelSeries(rules.RULES["semi"], order).series_in_one_plus_a()
@@ -229,7 +230,7 @@ def _residual_verdict(res: series.Residual, fail: str, passed: str) -> Outcome:
     return (False, fail.format(*res)) if res[0] else (True, passed)
 
 
-def series_residual(group: str, order: int) -> Outcome:
+def series_residual(group: str, order: int, seed: int) -> Outcome:
     """The cleared label equation of `group` ("semi" or "strong")."""
     fn = {"semi": series.residual_semi, "strong": series.residual_strong}[group]
     return _residual_verdict(
@@ -237,7 +238,7 @@ def series_residual(group: str, order: int) -> Outcome:
     )
 
 
-def series_reduced(points: Sequence[tuple[Fraction, int]]) -> Outcome:
+def series_reduced(points: Sequence[tuple[Fraction, int]], seed: int) -> Outcome:
     """Both reduced identities at each rational point a0 to its order."""
     details, ok = [], True
     for a0, order in points:
@@ -358,15 +359,12 @@ _REGISTRY: dict[str, tuple[Callable[..., Outcome], tuple, tuple]] = {
     "plane-vs-semi": (partial(_routes_agree, "plane", ()), (8, 8), (10, 10)),
     "rules-dsl-mirrors": (_chk_rule_dsl, (10,), (10,)),
     "semi-all-routes": (partial(_routes_agree, "sb", ()), (8, 13), (10, 13)),
-    "series-extraction-vs-recurrence": (
-        lambda order, seed: series_extraction(order), (12,), (20,)),
-    "series-reduced-identity": (lambda points, seed: series_reduced(points),
-                                (((Fraction(3, 2), 10),),),
+    "series-extraction-vs-recurrence": (series_extraction, (12,), (20,)),
+    "series-reduced-identity": (series_reduced, (((Fraction(3, 2), 10),),),
                                 (((Fraction(3, 2), 12), (Fraction(2), 12)),)),
-    "series-residual-semi": (lambda order, seed: series_residual("semi", order), (10,), (10,)),
-    "series-residual-strong": (
-        lambda order, seed: series_residual("strong", order), (10,), (10,)),
-    "series-theorem-nonneg-part": (lambda order, seed: series_nonneg_part(order), (10,), (15,)),
+    "series-residual-semi": (partial(series_residual, "semi"), (10,), (10,)),
+    "series-residual-strong": (partial(series_residual, "strong"), (10,), (10,)),
+    "series-theorem-nonneg-part": (series_nonneg_part, (10,), (15,)),
     "strong-three-routes": (partial(_routes_agree, "strong", ()), (8, 13), (10, 13)),
     "twisted-vs-baxter": (partial(_routes_agree, "twisted", ("baxter:closed",)), (8, 12), (10, 12)),
     "walks-equation-residual": (_chk_walk_equation, (8,), (10,)),

@@ -2,7 +2,7 @@
 
 Subcommands: seq (term streams for every family/route of
 checks.FAMILIES), check (the cross-route consistency suite), series (the
-series-side verdicts of the suite at a chosen size, plus the W
+verdicts of checks registry rows at the requested size, plus the W
 fixpoint) and walks.  Exit codes: 0 success, 1 a requested
 verification failed or stdout closed before the output was written, 2
 usage error, including an engine rejecting its arguments with ValueError.
@@ -103,6 +103,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+# series --check choice other than W -> the registry rows it prints, in order
+_SERIES_ROWS = {
+    "F": ("series-extraction-vs-recurrence",),
+    "omega": ("series-theorem-nonneg-part",),
+    "residual-semi": ("series-residual-semi",),
+    "residual-strong": ("series-residual-strong",),
+    "kernel": ("kernel-semi", "kernel-strong"),
+    "reduced": ("series-reduced-identity",),
+}
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
     order = args.order
     if order < 2 and args.check != "kernel":  # the kernel probe reads no order
@@ -114,18 +125,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
         print(f"[x^1] = {w.coeff_x(1)}")
         print(f"[x^2] = {w.coeff_x(2)}")
         return 0
-    if args.check == "kernel":
-        outcomes = [
-            checks.series_kernel(group, args.trials, args.seed) for group in ("semi", "strong")
-        ]
-    elif args.check == "reduced":
-        outcomes = [checks.series_reduced(((args.a0, order),))]
-    elif args.check == "F":
-        outcomes = [checks.series_extraction(order)]
-    elif args.check == "omega":
-        outcomes = [checks.series_nonneg_part(order)]
-    else:
-        outcomes = [checks.series_residual(args.check.removeprefix("residual-"), order)]
+    sizes = {"kernel": (args.trials,), "reduced": (((args.a0, order),),)}.get(args.check, (order,))
+    outcomes = [checks._REGISTRY[row][0](*sizes, args.seed) for row in _SERIES_ROWS[args.check]]
     for ok, detail in outcomes:
         print(f"{'PASS' if ok else 'FAIL'} {detail}")
     return 0 if all(ok for ok, _ in outcomes) else 1
@@ -191,11 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("series", help="series-side constructions and identities")
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=("W", "F", "omega", "residual-semi", "residual-strong", "kernel", "reduced"),
-    )
+    p.add_argument("--check", required=True, choices=("W", *_SERIES_ROWS))
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--a0", type=_fraction, default=Fraction(3, 2))
     p.add_argument("--seed", type=int, default=0)

@@ -165,12 +165,12 @@ def test_exact_div_names_terms_past_the_int_str_limit():
 
 def test_series_reduced_names_a_point_past_the_int_str_limit(monkeypatch):
     # a0 is named part by part, so a huge numerator or denominator prints too
-    assert checks.series_reduced([(Fraction(-7, 3), 2)]) == (
+    assert checks.series_reduced([(Fraction(-7, 3), 2)], 0) == (
         True, "both identities hold at a0=-7/3 to order 2")
     _plant_kernel_data(monkeypatch)
-    assert checks.series_reduced([(Fraction(-3, 10 ** 5000), 4)]) == (False, (
+    assert checks.series_reduced([(Fraction(-3, 10 ** 5000), 4)], 0) == (False, (
         "at a0=-3/<16610-bit int>: F-vs-P first fail 4, sum identity first fail None"))
-    assert checks.series_reduced([(Fraction(-7, 3), 2), (Fraction(2), 4)]) == (False, (
+    assert checks.series_reduced([(Fraction(-7, 3), 2), (Fraction(2), 4)], 0) == (False, (
         "both identities hold at a0=-7/3 to order 2; "
         "at a0=2: F-vs-P first fail 4, sum identity first fail None"))
 
@@ -520,12 +520,12 @@ def test_invseq_routes_check_names_a_planted_brute_fault(monkeypatch):
 
 def test_extraction_check_names_a_planted_recurrence_fault(monkeypatch):
     _plant_recurrence(monkeypatch)
-    assert checks.series_extraction(12) == (False, "extraction vs recurrence at n=5: 104 != 105")
+    assert checks.series_extraction(12, 0) == (False, "extraction vs recurrence at n=5: 104 != 105")
 
 
 def test_nonneg_part_check_names_a_planted_label_fault(monkeypatch):
     _plant_one_plus(monkeypatch)
-    assert checks.series_nonneg_part(10) == (
+    assert checks.series_nonneg_part(10, 0) == (
         False, "nonneg part vs label evaluation at n=4, exponent a^2")
 
 

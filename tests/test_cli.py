@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import baxterlab
-from baxterlab import checks, cli, rules, walks
+from baxterlab import checks, cli, rules, series, walks
 
 from conftest import corrupt_recurrences, naive_walk_tables
 
@@ -351,6 +352,33 @@ def test_growth_estimate_rejects_term_formats(capsys, fmt):
 )
 def test_series_verdict_lines_are_pinned(capsys, argv, want):
     assert run(capsys, ["series"] + argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("check, traced", [
+    ("W", "solve_W"), ("F", "build_F"), ("omega", "omega_geq"),
+    ("residual-semi", "residual_semi"), ("residual-strong", "residual_strong"),
+    ("reduced", "verify_reduced_identity"), ("kernel", "kernel_invariance"),
+])
+def test_each_series_choice_reaches_its_traced_function(capsys, monkeypatch, check, traced):
+    # the tracer wraps the series attribute, so a choice must call it there
+    real, calls = getattr(series, traced), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(series, traced, counted)
+    code, _, err = run(capsys, ["series", "--check", check, "--order", "4", "--trials", "1"])
+    assert (code, err) == (0, "") and calls
+
+
+def test_series_rejects_an_unknown_check_listing_the_seven(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "--check", "nope"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "argument --check: invalid choice: 'nope'" in err
+    assert re.findall(r"[\w-]+", err.split("choose from", 1)[1]) == [
+        "W", "F", "omega", "residual-semi", "residual-strong", "kernel", "reduced"]
 
 
 def test_series_w_prints_its_first_two_rows(capsys):

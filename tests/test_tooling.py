@@ -1,32 +1,62 @@
 """The traced benchmark binds baxterlab functions by name, so a rename
-must fail here instead of crashing the traced run; tools/same_outputs.py
+must fail here instead of crashing the traced run, and so must a registry
+row or family route that holds a traced function; tools/same_outputs.py
 must list every request it promises and report each one that differs; and
 tools/traffic.py must name the lines no benchmark request reaches."""
 
+import functools
 import importlib
 import importlib.util
 import re
 import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+from baxterlab import checks
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def test_every_traced_target_resolves(monkeypatch):
+def _traced_owners(monkeypatch):
+    """Each traced target with the module or class that holds its attribute,
+    None where that class is gone."""
     # layers imports its sibling tracer by bare name; both are only read
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    targets = importlib.import_module("layers").targets()
-    missing = []
-    for t in targets:
+    owners = []
+    for t in importlib.import_module("layers").targets():
         module, _, cls = t.owner.partition(":")
         owner = importlib.import_module(module)
-        owner = vars(owner).get(cls) if cls else owner
-        if owner is None or t.attr not in vars(owner):
-            missing.append(t.name)
-    assert targets and not missing, missing
+        owners.append((t, vars(owner).get(cls) if cls else owner))
+    return owners
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    owners = _traced_owners(monkeypatch)
+    missing = [t.name for t, owner in owners if owner is None or t.attr not in vars(owner)]
+    assert owners and not missing, missing
+
+
+def test_no_registry_row_or_route_captures_a_traced_function(monkeypatch):
+    # the tracer rebinds module attributes: a row or route holding a traced
+    # function object would call the original and hide its calls
+    traced = {id(vars(owner)[t.attr]): t.name for t, owner in _traced_owners(monkeypatch)}
+    todo = [fn for fn, *_ in checks._REGISTRY.values()]
+    todo += [route for cfg in checks.FAMILIES.values() for route in cfg["routes"].values()]
+    captured = set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in traced:
+            captured.add(traced[id(obj)])
+        elif isinstance(obj, functools.partial):
+            todo += [obj.func, *obj.args, *obj.keywords.values()]
+        elif isinstance(obj, checks.Recurrence):
+            todo.append(obj.run)
+        elif isinstance(obj, types.FunctionType):
+            todo += [*(obj.__defaults__ or ()), *(c.cell_contents for c in obj.__closure__ or ())]
+    assert not captured, sorted(captured)
 
 
 def _tool(name):
@@ -49,6 +79,9 @@ def test_same_outputs_lists_every_benchmark_request_and_the_seeded_ones(monkeypa
         ("full", "0"), ("full", "1000"), ("quick", "0"), ("quick", "1000")]
     assert sorted(int(a[-1]) for a in kernel) == list(range(21))
     assert all(a[a.index("--trials") + 1] == "40" for a in kernel)
+    assert {("series", "--check", "F", "--order", "20"),
+            ("series", "--check", "omega", "--order", "15"),
+            ("series", "--check", "reduced", "--order", "12", "--a0=2")} <= set(argvs)
     growth = [a for a in argvs if "--estimate-growth" in a]
     assert len(growth) == 22
     assert {a[2] for a in growth} == {"five", "seven", "(-1,0);(0,-1);(1,1);(0,0)"}

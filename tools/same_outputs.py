@@ -16,6 +16,9 @@ The requests are:
   every report's ``elapsed_ms`` removed, since wall times differ from run
   to run;
 * ``series --check kernel --trials 40`` at seeds 0 to 20;
+* ``series --check`` F at order 20, omega at order 15 and reduced at
+  order 12 with a0 = 2: the full suite's own series sizes, which no
+  benchmark request reaches;
 * ``walks --estimate-growth`` in plain and json for FIVE and SEVEN at
   n_max 50, 100, 300 and 400, for FIVE at 440 and SEVEN at 364 (the
   largest n_max whose terms the narrow DP may read as doubles), and for
@@ -63,6 +66,9 @@ def request_list() -> list[tuple[str, ...]]:
               for suite in ("quick", "full") for seed in (0, 1000)]
     argvs += [("series", "--check", "kernel", "--trials", "40", "--seed", str(seed))
               for seed in range(21)]
+    argvs += [("series", "--check", "F", "--order", "20"),
+              ("series", "--check", "omega", "--order", "15"),
+              ("series", "--check", "reduced", "--order", "12", "--a0=2")]
     growth = [(steps, str(n)) for steps in ("five", "seven") for n in (50, 100, 300, 400)]
     growth += [("five", "440"), ("seven", "364"), ("(-1,0);(0,-1);(1,1);(0,0)", "120")]
     argvs += [("walks", "--steps", steps, "--n-max", n, "--estimate-growth", *fmt)
