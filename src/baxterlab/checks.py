@@ -300,9 +300,9 @@ def _chk_refinement(n: int, seed: int) -> Outcome:
 
 
 def _chk_growth(n: int, seed: int) -> Outcome:
-    # SEVEN is FIVE plus two pauses; walks-w2-transform checks that identity on the DP
-    e5, e7 = walks._fit_terms(walks.FIVE, n, (0, 2))
-    r5, r7 = walks.fit_growth(walks.FIVE, e5), walks.fit_growth(walks.SEVEN, e7)
+    steps, pauses = walks._split(strong := walks.steps_of(rules.RULES["strong"]))
+    e5, e7 = walks._fit_terms(steps, n, (0, pauses))
+    r5, r7 = walks.fit_growth(steps, e5), walks.fit_growth(strong, e7)
     ok = r5["rel_err"] < 0.02 and r7["rel_err"] < 0.02
     detail = (
         f"five rho_hat={r5['rho_hat']:.6f} (err {r5['rel_err']:.1e}), "

@@ -1,28 +1,27 @@
 """Quarter-plane walk counting and the walk route to strong-Baxter numbers.
 
-Walks start at the origin, take steps from a small-step multiset, and
-must keep both coordinates nonnegative.  The preset FIVE is the step set
-{(-1,0), (0,-1), (1,-1), (1,0), (0,1)}; SEVEN adds two distinguished
-copies of the stay-put step (0,0).  Excursions (walks returning to the
-origin) of SEVEN of length n-1 count strong-Baxter permutations of size
-n, and the two counting series are linked by the binomial transform that
-a pair of trivial steps induces, so strong_from_walks runs the FIVE DP
-and transforms its counts.  The one walk DP, walk_grids, keeps per
-length only the cells within reach of the step set's largest moves along
-y and x+y (and, for excursions, within reach of the origin again); for
-FIVE and SEVEN that is a triangle.  A grid row is one int with cell x of
-row y in the b-bit slot s - y - x, s the x+y bound (mirrored Kronecker
-substitution), so one shift per diagonal dx + dy moves its steps' cells
-and drops those past s; diagonals that read the same rows share one sum.
-No cell of length t exceeds M^t, M the sum of the multiplicities; exact
-slots hold M^T for the next _WIDEN_EVERY lengths T and are then
-re-slotted wider.  The walk equation is read off the step multiset
-alone, by inclusion-exclusion over the steps that would leave the
-quarter plane.  Growth constants are fit to the excursion counts read
-as doubles off a narrow run of the same DP, whose slots keep one width
-from length 0 and drop each cell's low bits in place every _DROP_EVERY
-lengths, with one bound on what was dropped, so each double is certified
-(else the counts are exact); for FIVE the target is the real root of
+Walks start at the origin, take steps from a small-step multiset, and must
+keep both coordinates nonnegative.  steps_of reads a rule's walk model off
+its label equation at y = 1+a, z = 1+b: strong's is the preset SEVEN, the
+preset FIVE {(-1,0), (0,-1), (1,-1), (1,0), (0,1)} plus two pauses (0,0),
+and its excursions (walks that end at the origin) of length n-1 count
+strong-Baxter permutations of size n.  strong_from_walks runs the DP
+without the pauses, which add only a binomial transform.  The one walk DP,
+walk_grids, keeps per length only the cells within reach of the step set's
+largest moves along y and x+y (and, for excursions, within reach of the
+origin again); for FIVE and SEVEN that is a triangle.  A grid row is one
+int with cell x of row y in the b-bit slot s - y - x, s the x+y bound
+(mirrored Kronecker substitution), so one shift per diagonal dx + dy moves
+its steps' cells and drops those past s; diagonals that read the same rows
+share one sum.  No cell of length t exceeds M^t, M the sum of the
+multiplicities; exact slots hold M^T for the next _WIDEN_EVERY lengths T
+and are then re-slotted wider.  The walk equation is read off the step
+multiset alone, by inclusion-exclusion over the steps that would leave the
+quarter plane.  Growth constants are fit to the excursion counts read as
+doubles off a narrow run of the same DP, whose slots keep one width from
+length 0 and drop each cell's low bits in place every _DROP_EVERY lengths,
+with one bound on what was dropped, so each double is certified (else the
+counts are exact); for FIVE the target is the real root of
 t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
 """
 
@@ -36,8 +35,9 @@ from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .formulas import at_least
-from .rules import RULES
-from .series import LabelSeries, Poly, Residual, _digits, _one_plus, _width, residual_scan
+from .rules import RULES, SuccessionRule
+from .series import (_IDENTITY, LabelSeries, Poly, Residual, _digits, _equation, _one_plus,
+                     _width, residual_scan)
 
 Step = tuple[int, int]
 
@@ -72,6 +72,31 @@ class StepMultiset:
 
 FIVE = StepMultiset([(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)], name="five")
 SEVEN = StepMultiset([(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (0, 0, 2)], name="seven")
+
+
+def _shifted(p: Poly) -> Poly:
+    """p(y, z) at y = 1+a, z = 1+b."""
+    return _one_plus([(k, h, h, [v]) for (h, k), v in p.c.items()])
+
+
+def steps_of(rule: SuccessionRule) -> StepMultiset:
+    """rule's walk model: its label equation (series._equation) at y = 1+a,
+    z = 1+b, which must have kernel ab and maps that are the identity or
+    sections (y, z or both set to 1), has m steps (i-1, j-1) for each term
+    m a^i b^j of the identity coefficient.  Else ValueError."""
+    kernel, terms = _equation(rule)
+    if _shifted(kernel) != Poly({(1, 1): 1}) or any(
+            x not in ((1, 0), (0, 0)) or y not in ((0, 1), (0, 0)) for x, y in terms):
+        raise ValueError(f"rule {rule.name}: no walk equation at y = 1+a, z = 1+b")
+    c = _shifted(terms.get(_IDENTITY, Poly())).c
+    return StepMultiset(((i - 1, j - 1, m) for (i, j), m in c.items()), name=rule.name)
+
+
+def _split(steps: StepMultiset) -> tuple[StepMultiset, int]:
+    """steps without (0,0), and the number of (0,0) steps."""
+    return (StepMultiset((*s, m) for s, m in steps.items() if s != (0, 0)),
+            steps.mult.get((0, 0), 0))
+
 
 _STEP_RE = re.compile(r"^(?:(\d+)\s*[xX])?\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
 
@@ -287,41 +312,36 @@ def binomial_transform(seq: Sequence, pauses: int) -> list:
 
 def w2_consistency(order: int, origin_only: bool = False) -> dict:
     """Check the SEVEN tables of lengths 0..order against the binomial
-    transform, with the two pauses of SEVEN, of the FIVE tables.
-    origin_only restricts the comparison to excursion counts.
-    """
+    transform of its pause-free tables; origin_only compares excursions."""
     at_least(order, 1, "order")
     count = excursions if origin_only else count_walks
-    want, seven = binomial_transform(count(FIVE, order), 2), count(SEVEN, order)
+    five, pauses = _split(SEVEN)
+    want, seven = binomial_transform(count(five, order), pauses), count(SEVEN, order)
     first_fail = next((m for m in range(order + 1) if want[m] != seven[m]), None)
     return {"ok": first_fail is None, "first_fail": first_fail}
 
 
 def strong_from_walks(n_max: int) -> list[int]:
-    """Strong-Baxter counts for sizes 0..n_max via SEVEN excursions.
-
-    The size-n count is the number of SEVEN excursions of length n-1;
-    index 0 holds the single empty permutation.  SEVEN is FIVE plus two
-    pauses, so the counts are the binomial transform of the FIVE
-    excursions, whose DP has fewer steps and narrower slots than SEVEN's;
-    walks-w2-transform checks that identity against the SEVEN DP.
+    """Strong-Baxter counts for sizes 0..n_max: the size-n count is the
+    number of excursions of length n-1 of steps_of(strong), whose pauses
+    add only a binomial transform; index 0 holds the empty permutation.
 
     >>> strong_from_walks(3)
     [1, 1, 2, 6]
     """
     at_least(n_max, 1, "n_max")
-    return [1] + binomial_transform(excursions(FIVE, n_max - 1), 2)
+    steps, pauses = _split(steps_of(RULES["strong"]))
+    return [1] + binomial_transform(excursions(steps, n_max - 1), pauses)
 
 
 def strong_refinement_residual(n_max: int = 10) -> Residual:
     """Defect of the refined walk correspondence: for 1 <= n <= n_max,
-    the strong label polynomial evaluated at (y,z) = (1+a, 1+b) must
-    equal (1+a)(1+b) times the SEVEN endpoint table of length n-1.
-    """
+    the strong label polynomial at (y,z) = (1+a, 1+b) must equal its
+    axiom there, (1+a)(1+b), times the steps_of table of length n-1."""
     at_least(n_max, 1, "n_max")
-    labels = LabelSeries(RULES["strong"], n_max)
-    tables = count_walks(SEVEN, n_max - 1)
-    yz = Poly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})  # (1+a)(1+b)
+    rule = RULES["strong"]
+    labels, yz = LabelSeries(rule, n_max), _shifted(Poly({rule.axiom: 1}))
+    tables = count_walks(steps_of(rule), n_max - 1)
     return residual_scan((n, _one_plus(labels.rows[n]) - yz * tables[n - 1])
                          for n in range(1, n_max + 1))
 

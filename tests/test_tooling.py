@@ -97,6 +97,8 @@ def test_same_outputs_lists_every_benchmark_request_and_the_seeded_ones(monkeypa
     closed = [(a[4], a[-1]) for a in argvs if a[:3] == ("seq", "--family", "sb")
               and a[4] in ("sum", "d")]
     assert closed == [("sum", "150"), ("d", "150")]
+    strong = [a[-1] for a in argvs if a[:5] == ("seq", "--family", "strong", "--route", "walks")]
+    assert {"1", "2", "60", "300"} <= set(strong)
 
 
 def test_same_outputs_digest_drops_only_the_check_timings():

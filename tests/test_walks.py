@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baxterlab import rules, walks
+from baxterlab import formulas, rules, series, walks
 from baxterlab.series import Poly, _digits, residual_scan
 
 from conftest import STRONG, naive_walk_tables
@@ -355,6 +355,74 @@ def test_seven_growth_fit_from_transformed_five_counts():
     e7 = walks.binomial_transform(walks.excursions(walks.FIVE, 80), 2)
     assert e7 == walks.excursions(walks.SEVEN, 80)
     assert walks.fit_growth(walks.SEVEN, e7) == walks.growth_estimate(walks.SEVEN, 80)
+
+
+def test_steps_of_strong_is_seven_and_seven_splits_into_five_and_two_pauses():
+    assert walks.steps_of(rules.RULES["strong"]) == walks.SEVEN
+    assert walks._split(walks.SEVEN) == (walks.FIVE, 2)
+    assert walks._split(walks.FIVE) == (walks.FIVE, 0)
+
+
+@pytest.mark.parametrize("name", ["semi", "tbax", "cat"])
+def test_steps_of_raises_without_a_walk_kernel(name):
+    with pytest.raises(ValueError, match=f"^rule {name}: no walk equation"):
+        walks.steps_of(rules.RULES[name])
+
+
+def test_steps_of_raises_on_a_map_that_is_no_section(monkeypatch):
+    """Negative control: bax reads as a walk model until its equation gains
+    a map, y^h z^k -> y^(h+k), that sets neither y nor z to 1."""
+    derived = walks._equation
+
+    def bent(rule):
+        kernel, terms = derived(rule)
+        return kernel, {**terms, ((1, 1), (0, 0)): Poly({(1, 1): 1})}
+
+    monkeypatch.setattr(walks, "_equation", bent)
+    with pytest.raises(ValueError, match="^rule bax: no walk equation"):
+        walks.steps_of(rules.RULES["bax"])
+
+
+# W, S, NW, SE, N and E: Bousquet-Mélou and Mishna's double tandem model
+_DOUBLE_TANDEM = "(-1,0);(0,-1);(-1,1);(1,-1);(0,1);(1,0)"
+
+
+def test_steps_of_bax_is_the_double_tandem_model_with_two_pauses():
+    assert walks.steps_of(rules.RULES["bax"]) == walks.parse_steps(_DOUBLE_TANDEM + ";2x(0,0)")
+
+
+def test_walks_route_follows_the_strong_rule(monkeypatch):
+    # with bax's rows under strong's name the walks route counts Baxter permutations
+    bax = rules.parse_rule(rules.RULE_FILE_SOURCES["bax"], "strong")
+    monkeypatch.setitem(rules.RULES, "strong", bax)
+    assert walks.strong_from_walks(6) == [1, 1, 2, 6, 22, 92, 422]
+
+
+_SECTIONS = [series._IDENTITY, ((0, 0), (0, 1)), ((1, 0), (0, 0)), ((0, 0), (0, 0))]
+
+
+@pytest.mark.parametrize("name", ["strong", "bax"])
+def test_shifted_label_equation_is_the_walk_equation(name):
+    """At y = 1+a, z = 1+b the rule's label equation has kernel ab, and each
+    row of the walk equation of steps_of(rule), with its section map M (all
+    steps, then x = 0, y = 0 and both), matches the rule's coefficient c_M
+    times M(yz), both divided by yz = (1+a)(1+b)."""
+    rule = rules.RULES[name]
+    kernel, terms = series._equation(rule)
+    assert walks._shifted(kernel) == Poly({(1, 1): 1}) and set(terms) <= set(_SECTIONS)
+    (h, k), yz = rule.axiom, walks._shifted(Poly({rule.axiom: 1}))
+    rows = walks._walk_equation(walks.steps_of(rule))
+    for (sign, part, _), ((xh, xk), (yh, yk)) in zip(rows, _SECTIONS, strict=True):
+        image = walks._shifted(Poly({(xh * h + xk * k, yh * h + yk * k): 1}))
+        c = walks._shifted(terms.get(((xh, xk), (yh, yk)), Poly()))
+        assert c * image == part * yz * sign
+
+
+def test_bax_walks_give_the_baxter_numbers_to_301():
+    # a measured equality (B_1..B_301), not a theorem
+    steps, pauses = walks._split(walks.steps_of(rules.RULES["bax"]))
+    got = walks.binomial_transform(walks.excursions(steps, 300), pauses)
+    assert got == formulas.baxter_recurrence(301)[1:]
 
 
 def test_strong_refinement():

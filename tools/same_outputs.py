@@ -30,6 +30,8 @@ The requests are:
   semi, plane, baxter, twisted, strong and av231 at n_max 10;
 * ``seq --family sb`` on the ``sum`` and ``d`` routes at n_max 150, which
   no benchmark request reaches past n = 13;
+* ``seq --family strong --route walks`` at n_max 1, 2 and 60: the edges of
+  the split of the walk model's pauses and of their binomial transform;
 * ``seq --family invseq`` on the ``formula`` and ``dp`` routes at n_max 40
   and on the ``brute`` route (exponential) at n_max 10.
 
@@ -80,6 +82,8 @@ def request_list() -> list[tuple[str, ...]]:
     argvs += [("seq", "--family", family, "--route", "brute", "--n-max", str(n))
               for family, n in brute]
     argvs += [("seq", "--family", "sb", "--route", route, "--n-max", "150") for route in ("sum", "d")]
+    argvs += [("seq", "--family", "strong", "--route", "walks", "--n-max", n)
+              for n in ("1", "2", "60")]
     argvs += [("seq", "--family", "invseq", "--route", route, "--n-max", n)
               for route, n in (("formula", "40"), ("dp", "40"), ("brute", "10"))]
     return list(dict.fromkeys(argvs))
