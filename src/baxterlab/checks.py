@@ -132,7 +132,7 @@ class CheckReport(NamedTuple):
         return self.status == "pass"
 
 
-def compare_routes(seqs: Mapping[str, Sequence[int]], offset: int = 1) -> tuple[bool, str]:
+def compare_routes(seqs: Mapping[str, Sequence[int]], offset: int) -> tuple[bool, str]:
     """Compare aligned sequences pairwise; index i holds n = offset + i.
 
     Sequences may have different lengths; only the common prefix of each
@@ -252,9 +252,9 @@ def series_reduced(points: Sequence[tuple[Fraction, int]], seed: int) -> Outcome
     return ok, "; ".join(details)
 
 
-def series_kernel(group: str, trials: int, seed: int) -> Outcome:
-    """Kernel invariance and orbit sizes of `group` at random points."""
-    rep = series.kernel_invariance(group, trials, seed=seed)
+def series_kernel(group: str, order: int | None, trials: int, seed: int) -> Outcome:
+    """Kernel invariance and orbit sizes of `group` against a claimed order (None: open)."""
+    rep = series.kernel_invariance(rules.RULES[group], order, trials, seed)
     return rep["ok"], (
         f"{group}: invariant={rep['invariant_ok']} "
         f"orbits={rep['orbit_sizes']} redraws={rep['redraws']}"
@@ -352,8 +352,9 @@ _REGISTRY: dict[str, tuple[Callable[..., Outcome], tuple, tuple]] = {
     "invseq-growth-labels": (_chk_invseq_labels, (6,), (7,)),
     "invseq-three-routes": (
         partial(_routes_agree, "invseq", ("sb:recurrence",)), (8, 13), (10, 13)),
-    "kernel-semi": (partial(series_kernel, "semi"), (3,), (5,)),
-    "kernel-strong": (partial(series_kernel, "strong"), (2,), (5,)),
+    # the claims under test: semi's kernel group has order 10, strong's is open
+    "kernel-semi": (partial(series_kernel, "semi", 10), (3,), (5,)),
+    "kernel-strong": (partial(series_kernel, "strong", None), (2,), (5,)),
     "lagrange-vs-series": (_chk_lagrange, (8,), (12,)),
     "numbers-asymptotics": (_chk_asymptotics, (500, 0.05), (2000, 0.02)),
     "plane-vs-semi": (partial(_routes_agree, "plane", ()), (8, 8), (10, 10)),

@@ -202,8 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walks", help="quarter-plane walk tables and growth")
     p.add_argument("--steps", default="five", help="'five', 'seven' or a step list")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--excursions", action="store_true")
-    p.add_argument("--estimate-growth", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--excursions", action="store_true")
+    mode.add_argument("--estimate-growth", action="store_true")
     p.add_argument("--format", default="plain", choices=term_formats)
     p.set_defaults(func=_cmd_walks)
 

@@ -172,7 +172,7 @@ _SIMPLE_VARIANTS = {
 SB_ROUTES = ("recurrence", "sum", *_SIMPLE_VARIANTS, "apery")
 
 
-def sb_simple_formula(n: int, variant: str = "a") -> int:
+def sb_simple_formula(n: int, variant: str) -> int:
     """SB_n by one of the four three-binomial product formulas (n >= 2).
 
     Variants a, b, c share the prefactor 24/((n-1) n^2 (n+1) (n+2));

@@ -604,7 +604,7 @@ def _orbit_size(maps: tuple[_Mobius, _Mobius], start: tuple, limit: int, prime: 
     return len(seen)
 
 
-def kernel_orbit(rule: SuccessionRule, y: Rat, z: Rat, limit: int = 200) -> int:
+def kernel_orbit(rule: SuccessionRule, y: Rat, z: Rat, limit: int) -> int:
     """Orbit size of (y, z) under the two maps of the kernel group of `rule`
     (_group, _walk); a size of limit + 1 means the orbit did not close by then.
 
@@ -616,7 +616,7 @@ def kernel_orbit(rule: SuccessionRule, y: Rat, z: Rat, limit: int = 200) -> int:
     proves nothing over Q, nor does a pole mod p: both are recounted over
     Fraction, which raises ZeroDivisionError at a true pole.
 
-    >>> kernel_orbit(RULES["semi"], Fraction(5, 3), Fraction(12, 5))
+    >>> kernel_orbit(RULES["semi"], Fraction(5, 3), Fraction(12, 5), 200)
     10
     """
     maps = _group(rule)[2]
@@ -629,28 +629,21 @@ def kernel_orbit(rule: SuccessionRule, y: Rat, z: Rat, limit: int = 200) -> int:
     return _orbit_size(maps, (Fraction(y), Fraction(z)), limit, 0)
 
 
-# The claim under test: the order of each kernel group, or "open".
-_ORDERS: dict[str, int | str] = {"semi": 10, "strong": "open"}
-
-
-def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
-    """Probe kernel invariance and orbit closure at random rational points.
+def kernel_invariance(rule: SuccessionRule, order: int | None, trials: int, seed: int) -> dict:
+    """Probe kernel invariance and orbit closure of rule's group at random
+    rational points, against the claimed order (None: the group is open).
 
     At a random p = (1 + r1, 1 + r2), both images p' under the maps of
     _group must fix g = N/D, checked exactly as N(p') D(p) == N(p) D(p').
-    The semi orbit must close with exactly 10 points; the strong orbit must
-    stay open past 100 points.  Points that hit a pole, and semi points with
-    a nontrivial stabiliser (an orbit that closes at a proper divisor of
-    10), are re-drawn, at most 10 times each; then it raises ValueError.
+    A finite group's orbits must close with exactly `order` points; an open
+    group's must stay open past 100 points.  Points that hit a pole, and
+    points with a nontrivial stabiliser (an orbit that closes at a proper
+    divisor of `order`), are re-drawn, at most 10 times each; then it
+    raises ValueError.
     """
-    if group not in _ORDERS:
-        raise ValueError(f"unknown kernel group {group!r}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    at_least(trials, 1, "trials")
     rng = random.Random(seed)
-    rule, order = RULES[group], _ORDERS[group]
     n, d, maps = _group(rule)
-    finite = order != "open"
     redraws, invariant_ok, orbit_sizes = 0, True, []
 
     for _ in range(trials):
@@ -658,18 +651,18 @@ def kernel_invariance(group: str, trials: int, seed: int = 0) -> dict:
             p = tuple(1 + Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in "yz")
             try:
                 images = [_image(maps, i, p, 0) for i in (0, 1)]
-                size = kernel_orbit(rule, *p, limit=order if finite else 100)
+                size = kernel_orbit(rule, *p, order or 100)
             except ZeroDivisionError:  # a pole
                 size = 0
-            if size and not (finite and size < order and order % size == 0):
+            if size and not (order and size < order and order % size == 0):
                 break
             redraws += 1
         else:
-            raise ValueError(f"no generic {group} point after 10 re-draws")
+            raise ValueError(f"no generic {rule.name} point after 10 re-draws")
         invariant_ok = invariant_ok and all(
             _at(n, q) * _at(d, p) == _at(n, p) * _at(d, q) for q in images)
         orbit_sizes.append(size)
-    orbit_ok = all(s == order if finite else s > 100 for s in orbit_sizes)
+    orbit_ok = all(s == order if order else s > 100 for s in orbit_sizes)
     return {"redraws": redraws, "invariant_ok": invariant_ok, "orbit_ok": orbit_ok,
             "orbit_sizes": orbit_sizes, "ok": invariant_ok and orbit_ok}
 
@@ -722,7 +715,7 @@ def _kernel_data() -> tuple[Poly, Poly, Poly]:
     return num * Poly({(-5, -1): -1, (-4, -1): -1}), num, den
 
 
-def verify_reduced_identity(a0: Rat, order: int = 12) -> dict:
+def verify_reduced_identity(a0: Rat, order: int) -> dict:
     """Check the two identities tying F, P and the semi label series at
     a fixed rational a0 (not 0, -1 or 1), everything truncated at x^order:
 

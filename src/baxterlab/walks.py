@@ -21,8 +21,8 @@ quarter plane.  Growth constants are fit to the excursion counts read as
 doubles off a narrow run of the same DP, whose slots keep one width from
 length 0 and drop each cell's low bits in place every _DROP_EVERY lengths,
 with one bound on what was dropped, so each double is certified (else the
-counts are exact); for FIVE the target is the real root of
-t^3 + t^2 - 18t - 43, for SEVEN that root plus 2.
+counts are exact); for FIVE plus p pauses (SEVEN is p = 2) the target is
+the real root of t^3 + t^2 - 18t - 43 plus p.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ def strong_from_walks(n_max: int) -> list[int]:
     return [1] + binomial_transform(excursions(steps, n_max - 1), pauses)
 
 
-def strong_refinement_residual(n_max: int = 10) -> Residual:
+def strong_refinement_residual(n_max: int) -> Residual:
     """Defect of the refined walk correspondence: for 1 <= n <= n_max,
     the strong label polynomial at (y,z) = (1+a, 1+b) must equal its
     axiom there, (1+a)(1+b), times the steps_of table of length n-1."""
@@ -411,12 +411,12 @@ def fit_growth(steps: StepMultiset, e: Sequence[int]) -> dict:
     alpha is fit from second differences of log e_n (which cancel K and
     the rho^n factor), ratios e_n/e_(n-1) are corrected by the fitted
     (n/(n-1))^alpha, and one Richardson step removes the residual 1/n
-    drift.  For FIVE the target is the real root of t^3+t^2-18t-43; for
-    SEVEN the target is that root plus 2; other step sets report no
-    target.  residual_of_minpoly is the polynomial evaluated at the
-    10-digit quoted approximation of the FIVE root.  Each count is read
-    only by math.log, which on an int below 2^1024 is the log of its
-    nearest double, so those doubles give the same report.
+    drift.  For FIVE plus p pauses (0,0) the target is the real root of
+    t^3+t^2-18t-43 plus p (pauses add a binomial transform; SEVEN is p = 2);
+    other step sets report no target.  residual_of_minpoly is the polynomial
+    evaluated at the 10-digit quoted approximation of the FIVE root.  Each
+    count is read only by math.log, which on an int below 2^1024 is the log
+    of its nearest double, so those doubles give the same report.
     """
     n_max = len(e) - 1
     at_least(n_max, 50, "n_max")
@@ -434,8 +434,8 @@ def fit_growth(steps: StepMultiset, e: Sequence[int]) -> dict:
 
     rho_hat = n_max * corrected_ratio(n_max) - (n_max - 1) * corrected_ratio(n_max - 1)
 
-    root = _rho_five()
-    target = root if steps == FIVE else root + 2 if steps == SEVEN else None
+    base, pauses = _split(steps)
+    target = _rho_five() + pauses if base == FIVE else None
     return {
         "steps": steps.name or repr(steps),
         "n_max": n_max,

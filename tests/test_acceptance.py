@@ -98,8 +98,8 @@ def test_c06_reduced_identity_two_points():
 
 def test_c07_kernel_orbits():
     gate = _Gate("07", 10)
-    semi = series.kernel_invariance("semi", trials=5, seed=0)
-    strong = series.kernel_invariance("strong", trials=5, seed=0)
+    semi = series.kernel_invariance(rules.RULES["semi"], 10, 5, 0)
+    strong = series.kernel_invariance(rules.RULES["strong"], None, 5, 0)
     ok = (
         semi["ok"]
         and strong["ok"]

@@ -16,7 +16,7 @@ from conftest import SB
 
 
 def test_compare_routes_agree():
-    ok, detail = checks.compare_routes({"x": [1, 2, 6], "y": [1, 2, 6, 23]})
+    ok, detail = checks.compare_routes({"x": [1, 2, 6], "y": [1, 2, 6, 23]}, 1)
     assert ok
     assert "x to n=3" in detail and "y to n=4" in detail
 
@@ -151,7 +151,7 @@ def test_compare_routes_names_terms_past_the_int_str_limit():
     ok, detail = checks.compare_routes({"x": [1, big], "y": [1, big + 1]}, offset=5)
     assert not ok
     assert detail == "x vs y first differ at n=6: <14617-bit int> != <14617-bit int>"
-    ok, detail = checks.compare_routes({"good": [1, 2, 6], "bad": [1, 2, -7]})
+    ok, detail = checks.compare_routes({"good": [1, 2, 6], "bad": [1, 2, -7]}, 1)
     assert detail == "bad vs good first differ at n=3: -7 != 6"
 
 
@@ -197,7 +197,7 @@ def test_route_check_fails_a_route_with_too_few_terms(monkeypatch, check, family
 
 def test_compare_routes_needs_two_routes():
     with pytest.raises(ValueError, match="two routes"):
-        checks.compare_routes({"only": [1, 2, 6]})
+        checks.compare_routes({"only": [1, 2, 6]}, 1)
 
 
 def test_run_suite_rejects_unknown_suite():
@@ -209,7 +209,7 @@ def test_guards_raise_under_optimize():
     code = (
         "from baxterlab import checks, perms, series, walks\n"
         "for call in (lambda: checks.run_suite('medium'),\n"
-        "             lambda: checks.compare_routes({'only': [1]}),\n"
+        "             lambda: checks.compare_routes({'only': [1]}, 1),\n"
         "             lambda: perms.AvoidanceClass('x', ('1[32]',)),\n"
         "             lambda: perms.label_census(perms.CLASSES['semi'], 0),\n"
         "             lambda: walks.StepMultiset([(2, 0)]),\n"

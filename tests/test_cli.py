@@ -335,6 +335,17 @@ def test_growth_estimate_rejects_term_formats(capsys, fmt):
     assert err == f"error: --estimate-growth has no {fmt} format (use plain or json)\n"
 
 
+def test_excursions_and_growth_estimate_are_exclusive(capsys):
+    # a growth report would otherwise silently drop the --excursions request
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["walks", "--steps", "five", "--n-max", "60", "--excursions",
+                  "--estimate-growth"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --estimate-growth: not allowed with argument --excursions" in err
+    assert "Traceback" not in err
+
+
 # The series verdicts are the texts of the suite's checks; these lines are
 # what scripts and the benchmark digests read.
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Source lints: the package stays under its line cap; series.py types no
 polynomial table at module level and W's equation in one place, _v_at;
-only rules.py builds or reads a flat level grid; series.py looks a rule up
-by name only in its fixed claims and perms.py reads a class's name only in
-messages, so both act on the rule or class they are handed; guards must
+only rules.py builds or reads a flat level grid; series.py and walks.py
+look a rule up by name only in their fixed claims and perms.py reads a
+class's name only in messages, so all three act on the rule or class they
+are handed; guards must
 raise in every interpreter mode, so the package has no assert; a guard
 raises ValueError, the one error the CLI reports as a usage error; every
 name the package imports is read; every private top-level name it defines
@@ -101,18 +102,26 @@ def _functions(path: Path):
 
 # the fixed claims about named built-in rules; every other function in
 # series.py acts on the SuccessionRule it is handed
-_NAMED_CLAIMS = {"residual_semi", "residual_strong", "kernel_invariance", "_kernel_data",
-                 "verify_reduced_identity"}
+_NAMED_CLAIMS = {"residual_semi", "residual_strong", "_kernel_data", "verify_reduced_identity"}
+
+
+def _rules_lookups(path: Path) -> set[str]:
+    """Names of the top-level functions and methods in path that subscript RULES."""
+    return {name for name, fn in _functions(path) for node in ast.walk(fn)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "RULES"}
 
 
 def test_series_looks_rules_up_only_in_its_fixed_claims():
-    # a rule parsed at run time must work without an entry in RULES
-    path = Path(baxterlab.__file__).parent / "series.py"
-    found = [f"series.py:{node.lineno} {name}" for name, fn in _functions(path)
-             if name not in _NAMED_CLAIMS for node in ast.walk(fn)
-             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
-             and node.value.id == "RULES"]
-    assert found == []
+    # a rule parsed at run time must work without an entry in RULES; the
+    # kernel probe takes its rule and claimed order from the checks registry
+    assert _rules_lookups(Path(baxterlab.__file__).parent / "series.py") <= _NAMED_CLAIMS
+
+
+def test_walks_looks_rules_up_only_in_its_strong_claims():
+    # every other walks function acts on the step multiset or rule it is handed
+    assert _rules_lookups(Path(baxterlab.__file__).parent / "walks.py") == {
+        "strong_from_walks", "strong_refinement_residual"}
 
 
 def _outside_f_strings(node: ast.AST):

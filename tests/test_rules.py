@@ -202,7 +202,8 @@ def test_altered_first_row_collapses_to_weaker_rule():
             "strong-rule": rules.count_sequence(rules.RULES["strong"], 8),
             "walks": walks.strong_from_walks(8)[1:],
             "altered": got,
-        }
+        },
+        1,
     )
     assert not ok
     assert "altered vs" in detail and "first differ at n=4" in detail

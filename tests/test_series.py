@@ -307,7 +307,7 @@ def test_a_parsed_rule_needs_no_registry_entry():
     assert series.LabelSeries(parsed, 8).rows == series.LabelSeries(semi, 8).rows
     assert series._label_residual(parsed, 8) == series._label_residual(semi, 8) == (0, None)
     point = Fraction(5, 3), Fraction(12, 5)
-    assert series.kernel_orbit(parsed, *point) == series.kernel_orbit(semi, *point) == 10
+    assert series.kernel_orbit(parsed, *point, 200) == series.kernel_orbit(semi, *point, 200) == 10
     assert rules.RULES == before
 
 
@@ -553,8 +553,8 @@ def test_kernel_maps_fix_kernel_value_at_random_points(rule, y, z):
 
 
 def test_kernel_orbit_sizes():
-    assert series.kernel_orbit(rules.RULES["semi"], Fraction(5, 3), Fraction(7, 5)) == 10
-    size = series.kernel_orbit(rules.RULES["strong"], Fraction(5, 2), Fraction(7, 5))
+    assert series.kernel_orbit(rules.RULES["semi"], Fraction(5, 3), Fraction(7, 5), 200) == 10
+    size = series.kernel_orbit(rules.RULES["strong"], Fraction(5, 2), Fraction(7, 5), 200)
     assert size > 200
 
 
@@ -722,7 +722,7 @@ def test_closed_open_orbit_is_counted_exactly(monkeypatch):
     assert series.kernel_orbit(strong, 2, 4, 100) == 4  # z = y^2: y -> z/y fixes it
     # 1 + p and 1 meet mod p, so the orbit closes at 4 points there
     assert series.kernel_orbit(strong, 1, 1 + series._P, 100) == 8
-    rep = series.kernel_invariance("strong", trials=2, seed=11)
+    rep = series.kernel_invariance(strong, None, 2, 11)
     assert not rep["orbit_ok"] and not rep["ok"]
     assert all(s <= 8 for s in rep["orbit_sizes"])
 
@@ -731,28 +731,44 @@ def test_lagrange_and_kernel_guards():
     for s, k, i in [(0, 1, 4), (0, 1, 0), (0, 0, 1)]:
         with pytest.raises(ValueError, match=re.escape(f"k >= 1, got i={i}, k={k}")):
             series.lagrange_coeff(s, k, i)
-    with pytest.raises(ValueError, match="unknown kernel group 'bax'"):
-        series.kernel_invariance("bax", 1)
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        series.kernel_invariance(rules.RULES["semi"], 10, 0, 0)
 
 
 def test_kernel_invariance_reports():
-    rep = series.kernel_invariance("semi", trials=3, seed=11)
+    rep = series.kernel_invariance(rules.RULES["semi"], 10, 3, 11)
     assert rep["ok"] and rep["invariant_ok"] and rep["orbit_ok"]
     assert all(s == 10 for s in rep["orbit_sizes"])
-    rep = series.kernel_invariance("strong", trials=2, seed=11)
+    rep = series.kernel_invariance(rules.RULES["strong"], None, 2, 11)
     assert rep["ok"]
     assert all(s > 100 for s in rep["orbit_sizes"])
+
+
+def test_kernel_invariance_probes_the_order_its_caller_claims():
+    # the probe acts on the rule it is handed, so rules that no registry row
+    # makes a claim about are probed too: bax's and tbax's groups have order 6
+    for name in ("bax", "tbax"):
+        rep = series.kernel_invariance(rules.RULES[name], 6, 5, 0)
+        assert rep["ok"] and rep["orbit_sizes"] == [6] * 5 and rep["redraws"] == 0
+    # a wrong claim fails: an orbit is counted up to one past the claimed
+    # order (past 100 for a group claimed open), so it overshoots a claim too
+    # small and stops short of an open one
+    for name, order, sizes in [("semi", 5, [6, 6, 6]), ("strong", 10, [11, 11]),
+                               ("bax", None, [6, 6])]:
+        rep = series.kernel_invariance(rules.RULES[name], order, len(sizes), 0)
+        assert rep["invariant_ok"] and not rep["orbit_ok"] and not rep["ok"], name
+        assert rep["orbit_sizes"] == sizes, name
 
 
 def test_kernel_invariance_redraws_stabilised_semi_points():
     # seed 5 draws two points whose semi orbits close at 5 points and one
     # pole (z = y); each is re-drawn, and every accepted orbit has 10 points
-    rep = series.kernel_invariance("semi", 40, seed=5)
+    rep = series.kernel_invariance(rules.RULES["semi"], 10, 40, 5)
     assert rep["ok"]
     assert rep["orbit_sizes"] == [10] * 40
     assert rep["redraws"] == 3
     # a seed that draws only a pole (z = y) keeps its report
-    rep = series.kernel_invariance("semi", 40, seed=7)
+    rep = series.kernel_invariance(rules.RULES["semi"], 10, 40, 7)
     assert rep["ok"] and rep["redraws"] == 1
 
 
@@ -760,7 +776,7 @@ def test_kernel_invariance_gives_up_with_value_error(monkeypatch):
     # maps whose every image is 0/0 make every point a pole and exhaust the re-draws
     _patch_maps(monkeypatch, rules.RULES["semi"], (((0,), (0,), (0,)),) * 2)
     with pytest.raises(ValueError, match="no generic semi point after 10 re-draws"):
-        series.kernel_invariance("semi", 1)
+        series.kernel_invariance(rules.RULES["semi"], 10, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +838,7 @@ def test_semi_chain_is_the_papers_reduced_identity(z):
     semi = rules.RULES["semi"]
     kernel, terms = series._equation(semi)
     x = series._at(kernel, (1 + _A, z)) / series._at(terms[((1, 0), (0, 1))], (1 + _A, z))
-    assert series.kernel_orbit(semi, 1 + _A, z) == 10
+    assert series.kernel_orbit(semi, 1 + _A, z, 200) == 10
     c, e, end = series._chain(semi, 1 + _A, z)
     assert (e, end) == (-(1 + _A) ** 2 * x / _A ** 4, 1 + 1 / _A)
     assert c == -(1 + _A - z) * series._at(_P_NUM, (_A, z)) / (z * _A ** 4 * (z - 1))
@@ -833,7 +849,7 @@ def test_semi_chain_is_the_papers_reduced_identity(z):
 def test_bax_and_tbax_chains_close_after_three_steps(rule, z):
     # an orbit of 6 points: three steps from (1+a, Z) end at A(1 + 1/a),
     # free of Z
-    assert series.kernel_orbit(rule, 1 + _A, z) == 6
+    assert series.kernel_orbit(rule, 1 + _A, z, 200) == 6
     assert series._chain(rule, 1 + _A, z)[2] == 1 + 1 / _A
 
 
@@ -875,7 +891,7 @@ def test_chain_runs_on_a_parsed_rule_by_its_own_group(name, z):
     # a parsed rule is not looked up by name: the bax text parsed as "custom"
     # (in no table) or as "semi" (the name of another rule) gives bax's chain
     parsed = rules.parse_rule(rules.RULE_FILE_SOURCES["bax"], name)
-    assert series.kernel_orbit(parsed, 1 + _A, z) == 6
+    assert series.kernel_orbit(parsed, 1 + _A, z, 200) == 6
     assert series._chain(parsed, 1 + _A, z) == series._chain(rules.RULES["bax"], 1 + _A, z)
 
 
@@ -884,7 +900,7 @@ def test_series_guards_raise_under_optimize():
     code = (
         "from baxterlab import rules, series\n"
         "try:\n"
-        "    series.kernel_invariance('semi', 0)\n"
+        "    series.kernel_invariance(rules.RULES['semi'], 10, 0, 0)\n"
         "except ValueError:\n"
         "    pass\n"
         "else:\n"

@@ -83,8 +83,9 @@ def test_same_outputs_lists_every_benchmark_request_and_the_seeded_ones(monkeypa
             ("series", "--check", "omega", "--order", "15"),
             ("series", "--check", "reduced", "--order", "12", "--a0=2")} <= set(argvs)
     growth = [a for a in argvs if "--estimate-growth" in a]
-    assert len(growth) == 22
-    assert {a[2] for a in growth} == {"five", "seven", "(-1,0);(0,-1);(1,1);(0,0)"}
+    assert len(growth) == 23
+    assert {a[2] for a in growth} == {"five", "seven", "(-1,0);(0,-1);(1,1);(0,0)",
+                                      "(-1,0);(0,-1);(1,-1);(1,0);(0,1);3x(0,0)"}
     assert {("five", "440"), ("seven", "364")} <= {(a[2], a[4]) for a in growth}
     excursions = [(a[2], a[4]) for a in argvs if "--excursions" in a]
     assert excursions == [("five", "300"), ("seven", "300"), ("(-1,0);(0,-1);(1,1)", "120")]

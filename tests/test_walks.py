@@ -477,6 +477,15 @@ def test_growth_estimate_seven():
     assert rep["rel_err"] < 0.02
 
 
+@pytest.mark.parametrize("pauses", [1, 3, 5])
+def test_growth_target_of_five_plus_pauses_is_five_plus_their_number(pauses):
+    # pauses add a binomial transform, so FIVE plus p pauses grows at rho + p
+    steps = walks.parse_steps("(-1,0);(0,-1);(1,-1);(1,0);(0,1);" + f"{pauses}x(0,0)")
+    rep = walks.growth_estimate(steps, 300)
+    assert rep["target"] == walks._rho_five() + pauses
+    assert rep["rel_err"] < 1.2e-4
+
+
 def test_growth_estimate_custom_steps_has_no_target():
     # simple walk plus one pause: aperiodic, growth 4 + 1
     rep = walks.growth_estimate(

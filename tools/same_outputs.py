@@ -23,6 +23,8 @@ The requests are:
   n_max 50, 100, 300 and 400, for FIVE at 440 and SEVEN at 364 (the
   largest n_max whose terms the narrow DP may read as doubles), and for
   one custom aperiodic step set (Kreweras' steps plus a pause) at n_max 120;
+* ``walks --estimate-growth`` in plain for FIVE plus three pauses at
+  n_max 100, whose target is FIVE's plus 3;
 * ``walks --excursions`` (the exact DP, which re-packs as its slots widen)
   for FIVE and SEVEN at n_max 300 and for Kreweras' steps, a box-shaped
   grid, at n_max 120;
@@ -75,6 +77,8 @@ def request_list() -> list[tuple[str, ...]]:
     growth += [("five", "440"), ("seven", "364"), ("(-1,0);(0,-1);(1,1);(0,0)", "120")]
     argvs += [("walks", "--steps", steps, "--n-max", n, "--estimate-growth", *fmt)
               for steps, n in growth for fmt in ((), ("--format", "json"))]
+    argvs.append(("walks", "--steps", "(-1,0);(0,-1);(1,-1);(1,0);(0,1);3x(0,0)", "--n-max", "100",
+                  "--estimate-growth"))
     argvs += [("walks", "--steps", steps, "--n-max", n, "--excursions")
               for steps, n in (("five", "300"), ("seven", "300"), ("(-1,0);(0,-1);(1,1)", "120"))]
     brute = [("exp1423", n) for n in (3, 4, 10, 11)]
